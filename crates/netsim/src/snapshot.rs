@@ -122,33 +122,33 @@ impl Sim {
             "snapshot with an ArrivalSource installed: source state is not capturable"
         );
         SimSnapshot {
-            cfg: self.cfg.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            switch_cfg: self.switch_cfg.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            nodes: self.nodes.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            port_specs: self.port_specs.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            routes: self.routes.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            flows: self.flows.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            live: self.live.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            arena: self.arena.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            cfg: self.cfg.clone(),
+            switch_cfg: self.switch_cfg.clone(),
+            nodes: self.nodes.clone(),
+            port_specs: self.port_specs.clone(),
+            routes: self.routes.clone(),
+            flows: self.flows.clone(),
+            live: self.live.clone(),
+            arena: self.arena.clone(),
             queue: self.queue.snapshot(),
-            counters: self.counters.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            monitors: self.monitors.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            traces: self.traces.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            noise_rng: self.noise_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            ecn_rng: self.ecn_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            nc_rng: self.nc_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            counters: self.counters.clone(),
+            monitors: self.monitors.clone(),
+            traces: self.traces.clone(),
+            noise_rng: self.noise_rng.clone(),
+            ecn_rng: self.ecn_rng.clone(),
+            nc_rng: self.nc_rng.clone(),
             lossy: self.lossy,
-            streaming: self.streaming.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            completed_buf: self.completed_buf.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            fluid: self.fluid.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            streaming: self.streaming.clone(),
+            completed_buf: self.completed_buf.clone(),
+            fluid: self.fluid.clone(),
             fluid_epoch: self.fluid_epoch,
-            faults: self.faults.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            faults: self.faults.clone(),
             started: self.started,
             // The audit mirror MUST be carried over: a fresh audit on the
             // resumed half would recount conservation tallies from zero and
             // flag every pre-snapshot byte as a violation.
             #[cfg(feature = "audit")]
-            audit: self.audit.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            audit: self.audit.clone(),
         }
     }
 
@@ -161,32 +161,32 @@ impl Sim {
     /// story is decided.
     pub fn restore(snap: &SimSnapshot) -> Sim {
         Sim {
-            cfg: snap.cfg.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            switch_cfg: snap.switch_cfg.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            nodes: snap.nodes.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            port_specs: snap.port_specs.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            routes: snap.routes.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            flows: snap.flows.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            live: snap.live.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            arena: snap.arena.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            cfg: snap.cfg.clone(),
+            switch_cfg: snap.switch_cfg.clone(),
+            nodes: snap.nodes.clone(),
+            port_specs: snap.port_specs.clone(),
+            routes: snap.routes.clone(),
+            flows: snap.flows.clone(),
+            live: snap.live.clone(),
+            arena: snap.arena.clone(),
             queue: EventQueue::restore(&snap.queue),
-            counters: snap.counters.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            monitors: snap.monitors.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            traces: snap.traces.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            noise_rng: snap.noise_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            ecn_rng: snap.ecn_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            nc_rng: snap.nc_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            counters: snap.counters.clone(),
+            monitors: snap.monitors.clone(),
+            traces: snap.traces.clone(),
+            noise_rng: snap.noise_rng.clone(),
+            ecn_rng: snap.ecn_rng.clone(),
+            nc_rng: snap.nc_rng.clone(),
             lossy: snap.lossy,
             app: None,
             arrivals: None,
-            streaming: snap.streaming.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            completed_buf: snap.completed_buf.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            fluid: snap.fluid.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            streaming: snap.streaming.clone(),
+            completed_buf: snap.completed_buf.clone(),
+            fluid: snap.fluid.clone(),
             fluid_epoch: snap.fluid_epoch,
-            faults: snap.faults.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            faults: snap.faults.clone(),
             started: snap.started,
             #[cfg(feature = "audit")]
-            audit: snap.audit.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            audit: snap.audit.clone(),
         }
     }
 

@@ -537,7 +537,7 @@ mod tests {
     use super::*;
 
     /// Run a test body against a fresh queue on every backend, so every
-    /// scenario below pins identical behavior across all three.
+    /// scenario below pins identical behavior across all of them.
     fn on_all_backends<E>(f: impl Fn(&mut EventQueue<E>, SchedKind)) {
         for kind in SchedKind::ALL {
             let mut q = EventQueue::with_sched(kind);

@@ -2,11 +2,11 @@
 //!
 //! Random schedule / schedule_cancellable / cancel / pop / peek streams are
 //! driven simultaneously through an [`EventQueue`] on each backend (binary
-//! heap, 4-ary heap, calendar queue) *and* through a naive sorted-`Vec`
-//! shadow model. At every step all four must agree on `len()` and
-//! `peek_time()`, and every pop must return the identical
-//! `(time, seq, event)` triple — the executable form of the backend
-//! contract: scheduler choice is unobservable.
+//! heap, calendar queue) *and* through a naive sorted-`Vec` shadow model. At
+//! every step all of them must agree on `len()` and `peek_time()`, and
+//! every pop must return the identical `(time, seq, event)` triple — the
+//! executable form of the backend contract: scheduler choice is
+//! unobservable.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, SchedKind, Time};

@@ -38,12 +38,10 @@ pub const LAYERS: &[(&str, i8)] = &[
     ("transport", 2),
     ("workloads", 3),
     ("experiments", 4),
-    ("prioplus_bench", 5),
-    ("prioplus_criterion_benches", 5),
 ];
 
 /// Crate directories whose *module* graphs must stay acyclic (the crates
-/// that hold simulation state; experiments/bench are driver code).
+/// that hold simulation state; experiments is driver code).
 const MODULE_CYCLE_SCOPE: &[&str] = &[
     "crates/simcore",
     "crates/netsim",
@@ -57,7 +55,7 @@ const MODULE_CYCLE_SCOPE: &[&str] = &[
 const BIN_DIR: &str = "/src/bin/";
 
 fn human_dag() -> &'static str {
-    "simcore <- {netsim, prioplus} <- transport <- workloads <- experiments <- bench"
+    "simcore <- {netsim, prioplus} <- transport <- workloads <- experiments"
 }
 
 /// One first-party crate discovered from a `Cargo.toml`.

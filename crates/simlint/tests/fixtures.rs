@@ -60,7 +60,6 @@ fn r1_respects_allow_annotations() {
 fn r1_only_applies_to_sim_state_crates() {
     let src = include_str!("fixtures/r1_bad.rs");
     assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
-    assert!(lint_source("crates/bench/src/lib.rs", src).is_empty());
     assert_eq!(
         lint_source("crates/transport/src/x.rs", src).len(),
         4,
@@ -83,12 +82,6 @@ fn r2_respects_allow_annotations() {
     let fs = lint_source(SIM_PATH, include_str!("fixtures/r2_allowed.rs"));
     assert_eq!(unallowed(&fs, Rule::WallClock), 0);
     assert_eq!(allowed(&fs, Rule::WallClock), 2);
-}
-
-#[test]
-fn r2_exempts_bench_crate() {
-    let src = include_str!("fixtures/r2_bad.rs");
-    assert!(lint_source("crates/bench/src/bin/simbench.rs", src).is_empty());
 }
 
 // --- R3: unseeded-rng ----------------------------------------------------
@@ -195,7 +188,6 @@ fn r7_only_applies_to_per_event_files() {
     for hot in [
         "crates/netsim/src/sim.rs",
         "crates/netsim/src/node.rs",
-        "crates/netsim/src/snapshot.rs",
         "crates/simcore/src/sched.rs",
         "crates/simcore/src/event.rs",
     ] {
@@ -225,7 +217,6 @@ fn r8_respects_allow_annotations() {
 fn r8_only_applies_to_sim_state_crates() {
     let src = include_str!("fixtures/r8_bad.rs");
     assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
-    assert!(lint_source("crates/bench/src/lib.rs", src).is_empty());
     assert_eq!(
         unallowed(
             &lint_source("crates/workloads/src/x.rs", src),
@@ -275,7 +266,6 @@ fn r10_respects_allow_annotations() {
 fn r10_only_applies_to_pdes_state_crates() {
     let src = include_str!("fixtures/r10_bad.rs");
     assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
-    assert!(lint_source("crates/bench/src/lib.rs", src).is_empty());
     assert_eq!(
         unallowed(&lint_source("crates/core/src/pp.rs", src), Rule::SharedState),
         9,

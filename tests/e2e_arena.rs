@@ -85,10 +85,50 @@ fn assert_results_identical(a: &SimResult, b: &SimResult, what: &str) {
     }
 }
 
+/// Maximum arena churn — a 32-flow HPCC incast with INT on, so every data
+/// packet carries and recycles an `IntPath` box — pins the zero
+/// steady-state-allocation contract: the slab only grows when the live
+/// population reaches a new peak, and `IntPath` boxes are bounded by the
+/// in-flight population, never by the packet count.
+#[test]
+fn hpcc_int_churn_reuses_slab_slots_and_int_boxes() {
+    let senders = 32;
+    let mut env = MicroEnv {
+        senders,
+        end: Time::from_ms(8),
+        trace: false,
+        noise: NoiseModel::testbed(),
+        seed: 13,
+        ..Default::default()
+    };
+    env.switch.int_enabled = true;
+    let mut m = Micro::build(&env);
+    for s in 1..=senders {
+        m.add_flow(s, 1_000_000, Time::ZERO, 0, 4, &CcSpec::Hpcc);
+    }
+    let c = m.sim.run().counters;
+    assert_eq!(
+        c.arena_slab_slots, c.arena_peak_live,
+        "arena slab grew without a new live peak"
+    );
+    assert!(
+        c.arena_allocs > 10 * c.arena_slab_slots.max(1),
+        "churn too low to demonstrate slot reuse (allocs {} vs slots {})",
+        c.arena_allocs,
+        c.arena_slab_slots
+    );
+    assert!(
+        c.arena_int_allocs <= c.arena_peak_live.max(1),
+        "IntPath boxes ({}) exceeded the in-flight population ({})",
+        c.arena_int_allocs,
+        c.arena_peak_live
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Random flow mixes, both loss regimes, all three scheduler backends:
+    /// Random flow mixes, both loss regimes, every scheduler backend:
     /// one `SimResult`, bit for bit.
     #[test]
     fn backends_agree_bit_identically_on_random_mixes(
@@ -110,7 +150,10 @@ proptest! {
         // thousands of events and at least one full packet lifecycle.
         prop_assert!(reference.counters.events > 1_000, "degenerate run");
         prop_assert!(reference.counters.arena_allocs > 100, "no packet churn");
-        for alt in [SchedKind::Quad, SchedKind::Calendar] {
+        for alt in SchedKind::ALL
+            .into_iter()
+            .filter(|&k| k != SchedKind::Binary)
+        {
             let got = run_one(&flows, senders, lossy, seed, alt);
             assert_results_identical(
                 &reference,

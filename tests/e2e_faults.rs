@@ -5,7 +5,7 @@
 //!
 //! 1. **Faults are deterministic**: every fault regime produces
 //!    bit-identical results — record for record, counter for counter —
-//!    across the binary/quad/calendar scheduler backends and across
+//!    across the binary/calendar scheduler backends and across
 //!    repeated runs. Fault transitions are ordinary scheduler events, so
 //!    nothing about a failure depends on wall clock or backend choice.
 //! 2. **The audit stays clean under failure**: packet conservation,
@@ -33,9 +33,6 @@ use netsim::{
 };
 use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
-
-/// Every scheduler backend; fault events must be invisible to the choice.
-const BACKENDS: [SchedKind; 3] = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar];
 
 /// Deep scan on every event, panicking at the first violation so a
 /// failure names the exact offending event.
@@ -180,7 +177,7 @@ fn flap_regime_is_bit_identical_audit_clean_and_recovers() {
         retransmits > 0,
         "recovery must come from actual retransmits"
     );
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let got = run_incast(sched, flap_schedule(), &swift(), strict_audit(), None);
         assert_bit_identical(&reference, &got, &format!("flap/{sched:?}"));
     }
@@ -228,7 +225,7 @@ fn degrade_regime_is_bit_identical_and_slows_the_bottleneck() {
         last(&reference),
         last(&baseline)
     );
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let got = run_incast(sched, degrade.clone(), &swift(), strict_audit(), None);
         assert_bit_identical(&reference, &got, &format!("degrade/{sched:?}"));
     }
@@ -247,7 +244,7 @@ fn storm_regime_is_bit_identical_and_audit_clean() {
     let reference = run_incast(SchedKind::Binary, storm.clone(), &cc, strict_audit(), None);
     assert_eq!(reference.completion_rate(), 1.0, "storm release must drain");
     assert_eq!(reference.counters.fault_events, 2);
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let got = run_incast(sched, storm.clone(), &cc, strict_audit(), None);
         assert_bit_identical(&reference, &got, &format!("storm/{sched:?}"));
     }
@@ -402,7 +399,7 @@ fn deep_chain_int_path_spills_and_survives_a_mid_chain_flap() {
     let topo = Topology::chain(12, Rate::from_gbps(100), Time::from_us(1));
     let mut flap = FaultSchedule::new();
     flap.link_flap(7, 1, Time::from_us(80), Time::from_us(200));
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let cfg = SimConfig {
             num_prios: 1,
             end_time: Time::from_ms(20),
@@ -446,12 +443,12 @@ fn fault_runs_are_deterministic_across_repeats() {
         Time::from_us(50),
     );
     let a = run_incast(
-        SchedKind::Quad,
+        SchedKind::Calendar,
         sched.clone(),
         &swift(),
         strict_audit(),
         None,
     );
-    let b = run_incast(SchedKind::Quad, sched, &swift(), strict_audit(), None);
+    let b = run_incast(SchedKind::Calendar, sched, &swift(), strict_audit(), None);
     assert_bit_identical(&a, &b, "repeat run");
 }

@@ -53,13 +53,9 @@ fn assert_bit_identical(a: &HybridOutcome, b: &HybridOutcome, what: &str) {
     );
 }
 
-/// Every scheduler backend, so the differential also covers the calendar
-/// default promoted in this change.
-const BACKENDS: [SchedKind; 3] = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar];
-
 #[test]
 fn zero_background_incast_is_bit_identical_to_pure_packet() {
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let mut sc = HybridScenario::incast(0.0);
         sc.sched = sched;
         assert!(sc.bg_trace().is_empty(), "zero load must yield no flows");
@@ -73,7 +69,7 @@ fn zero_background_incast_is_bit_identical_to_pure_packet() {
 
 #[test]
 fn zero_background_websearch_is_bit_identical_to_pure_packet() {
-    for sched in BACKENDS {
+    for sched in SchedKind::ALL {
         let mut sc = HybridScenario::websearch(0.0);
         sc.sched = sched;
         let p = sc.run(HybridMode::PacketRef, None);

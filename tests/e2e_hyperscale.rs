@@ -8,8 +8,8 @@
 //!   real simulator output (streaming mode vs the per-flow records of the
 //!   identical run);
 //! - **Cross-backend bit-identity**: the full streaming state (every
-//!   sketch bucket, every counter) is bit-identical across the binary,
-//!   quad, and calendar scheduler backends;
+//!   sketch bucket, every counter) is bit-identical across the binary
+//!   and calendar scheduler backends;
 //! - **Flow-state reclamation**: completed flows release their slab slot
 //!   (occupancy returns to zero in drained runs), and the audit deep
 //!   scan's flow-state sweep catches the injected
@@ -174,7 +174,7 @@ fn streaming_sketches_match_exact_records_of_the_same_run() {
 
 #[test]
 fn streaming_state_is_bit_identical_across_scheduler_backends() {
-    let runs: Vec<SimResult> = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar]
+    let runs: Vec<SimResult> = SchedKind::ALL
         .into_iter()
         .map(|k| small_fabric_run(true, k))
         .collect();
@@ -234,7 +234,10 @@ fn open_loop_hyperscale_runs_across_backends_bit_identically() {
         base.flow_live_peak,
         base.flows_total
     );
-    for sched in [SchedKind::Quad, SchedKind::Calendar] {
+    for sched in SchedKind::ALL
+        .into_iter()
+        .filter(|&k| k != SchedKind::Binary)
+    {
         let r = run_with(sched);
         assert_eq!(r.streaming_fingerprint, base.streaming_fingerprint, "{sched:?}");
         assert_eq!(r.events, base.events, "{sched:?}");
