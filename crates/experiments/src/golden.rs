@@ -86,8 +86,9 @@ pub fn finish(mut sim: Sim, opts: GoldenOpts) -> SimResult {
 pub struct Golden {
     /// Golden file stem under `tests/golden/`.
     pub name: &'static str,
-    /// Build and run the scenario.
-    pub run: fn(opts: GoldenOpts) -> SimResult,
+    /// Build and run the scenario: one labelled result per simulation it
+    /// consists of (a single one for all but the matrix case).
+    pub run: fn(opts: GoldenOpts) -> Vec<(&'static str, SimResult)>,
 }
 
 /// All pinned scenarios.
@@ -105,12 +106,16 @@ pub fn cases() -> Vec<Golden> {
             name: "lossy_dt_incast",
             run: lossy_incast,
         },
+        Golden {
+            name: "cc_matrix",
+            run: cc_matrix,
+        },
     ]
 }
 
 /// Fig 10a in miniature: 4 virtual priorities x 2 flows with staggered
 /// starts over one PrioPlus+Swift bottleneck, testbed noise.
-fn staircase(opts: GoldenOpts) -> SimResult {
+fn staircase(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
@@ -133,12 +138,12 @@ fn staircase(opts: GoldenOpts) -> SimResult {
             m.add_flow(sender, 400_000 * (p as u64 + 1), start, 0, p, &cc);
         }
     }
-    finish(m.sim, opts)
+    vec![("", finish(m.sim, opts))]
 }
 
 /// Fig 13 in miniature: the testbed environment with 10 µs of uniform
 /// non-congestive delay at the bottleneck; PrioPlus widened to tolerate it.
-fn nc_delay(opts: GoldenOpts) -> SimResult {
+fn nc_delay(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
     let mut env = testbed_env();
     env.end = Time::from_ms(8);
     env.trace = false;
@@ -169,12 +174,12 @@ fn nc_delay(opts: GoldenOpts) -> SimResult {
             );
         }
     }
-    finish(m.sim, opts)
+    vec![("", finish(m.sim, opts))]
 }
 
 /// Lossy-mode incast: a small shared buffer forces Dynamic-Threshold drops
 /// and Swift retransmissions, pinning the DT/drop/RTO paths.
-fn lossy_incast(opts: GoldenOpts) -> SimResult {
+fn lossy_incast(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
@@ -198,7 +203,102 @@ fn lossy_incast(opts: GoldenOpts) -> SimResult {
     for s in 1..=8 {
         m.add_flow(s, 500_000, Time::ZERO, 0, 0, &cc);
     }
-    finish(m.sim, opts)
+    vec![("", finish(m.sim, opts))]
+}
+
+/// One lossy, ECN-marking, INT-enabled incast per [`CcSpec`] variant: the
+/// 200 KB buffer tail-drops whole windows, so every transport's NACK and
+/// RTO recovery — and its window reaction to a timeout — is pinned, not
+/// only Swift's.
+fn cc_matrix(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
+    let queuing = Time::from_us(4);
+    let policy = PrioPlusPolicy::paper_default(4);
+    let ccs: [(&'static str, CcSpec); 9] = [
+        (
+            "swift",
+            CcSpec::Swift {
+                queuing,
+                scaling: false,
+            },
+        ),
+        ("prioplus-swift", CcSpec::PrioPlusSwift { policy }),
+        ("ledbat", CcSpec::Ledbat { queuing }),
+        ("prioplus-ledbat", CcSpec::PrioPlusLedbat { policy }),
+        (
+            "dctcp",
+            CcSpec::D2tcp {
+                deadline_factor: None,
+            },
+        ),
+        (
+            "d2tcp",
+            CcSpec::D2tcp {
+                deadline_factor: Some(2.0),
+            },
+        ),
+        (
+            "swift-weighted",
+            CcSpec::SwiftWeighted {
+                queuing,
+                weight: 2.0,
+            },
+        ),
+        ("hpcc", CcSpec::Hpcc),
+        ("blast", CcSpec::Blast),
+    ];
+    ccs.into_iter()
+        .map(|(label, cc)| {
+            let mut m = Micro::build(&MicroEnv {
+                senders: 8,
+                end: Time::from_ms(10),
+                trace: false,
+                seed: 13,
+                switch: SwitchConfig {
+                    pfc_enabled: false,
+                    buffer_bytes: 200_000,
+                    ecn_kmin: 20_000,
+                    ecn_kmax: 80_000,
+                    int_enabled: true,
+                    ..Default::default()
+                },
+                sched: opts.sched,
+                ..Default::default()
+            });
+            if opts.audit {
+                m.sim.enable_audit();
+            }
+            for s in 1..=8usize {
+                // Two virtual priorities, so the PrioPlus rows also pin
+                // suspension and probing under loss; the two-packet flows
+                // arrive into the full queue and lose their whole window,
+                // which only a timeout recovers.
+                let prio = (s % 2) as u8 * 3;
+                m.add_flow(s, 1_000_000, Time::ZERO, 0, prio, &cc);
+                m.add_flow(s, 2_000, Time::from_us(4), 0, prio, &cc);
+            }
+            let res = finish(m.sim, opts);
+            let rtx: u64 = res.records.iter().map(|r| r.retransmits).sum();
+            assert!(
+                res.counters.drops > 0 && rtx > 0,
+                "cc_matrix/{label}: the run must lose and retransmit packets \
+                 (drops {}, retransmits {rtx})",
+                res.counters.drops
+            );
+            (label, res)
+        })
+        .collect()
+}
+
+/// The pinned text of one golden case: its run's [`summarize`] output, or,
+/// for a case of several runs, each under a `== label ==` header.
+pub fn summarize_case(runs: &[(&'static str, SimResult)]) -> String {
+    match runs {
+        [(_, only)] => summarize(only),
+        many => many
+            .iter()
+            .map(|(label, res)| format!("== {label} ==\n{}", summarize(res)))
+            .collect(),
+    }
 }
 
 /// Render the integer summary that gets pinned: one line per flow plus the

@@ -7,7 +7,7 @@
 //! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces` and
 //! review the diff like any other code change.
 
-use experiments::golden::{cases, summarize, GoldenOpts};
+use experiments::golden::{cases, summarize_case, GoldenOpts};
 use experiments::SchedKind;
 use simcore::Time;
 use std::path::PathBuf;
@@ -25,7 +25,7 @@ fn golden_traces_match_the_pinned_summaries() {
     let dir = golden_dir();
     let mut mismatches = Vec::new();
     for case in cases() {
-        let got = summarize(&(case.run)(GoldenOpts::default()));
+        let got = summarize_case(&(case.run)(GoldenOpts::default()));
         let path = dir.join(format!("{}.txt", case.name));
         if blessing() {
             std::fs::create_dir_all(&dir).expect("create tests/golden");
@@ -57,20 +57,22 @@ fn golden_traces_match_the_pinned_summaries() {
 #[test]
 fn golden_traces_are_identical_and_clean_under_audit() {
     for case in cases() {
-        let plain = summarize(&(case.run)(GoldenOpts::default()));
-        let res = (case.run)(GoldenOpts::audited(true));
-        let audited = summarize(&res);
+        let plain = summarize_case(&(case.run)(GoldenOpts::default()));
+        let runs = (case.run)(GoldenOpts::audited(true));
         assert_eq!(
-            plain, audited,
+            plain,
+            summarize_case(&runs),
             "{}: enabling the audit changed the simulation",
             case.name
         );
-        let report = res.audit.as_ref().expect("audit enabled");
-        assert_eq!(
-            report.total_violations, 0,
-            "{}: audit violations {:?}",
-            case.name, report.violations
-        );
+        for (label, res) in &runs {
+            let report = res.audit.as_ref().expect("audit enabled");
+            assert_eq!(
+                report.total_violations, 0,
+                "{} {label}: audit violations {:?}",
+                case.name, report.violations
+            );
+        }
     }
 }
 
@@ -81,9 +83,9 @@ fn golden_traces_are_identical_and_clean_under_audit() {
 #[test]
 fn golden_traces_survive_snapshot_resume() {
     for case in cases() {
-        let straight = summarize(&(case.run)(GoldenOpts::default()));
+        let straight = summarize_case(&(case.run)(GoldenOpts::default()));
         for at_ms in [1u64, 6] {
-            let resumed = summarize(&(case.run)(GoldenOpts::resumed(Time::from_ms(at_ms))));
+            let resumed = summarize_case(&(case.run)(GoldenOpts::resumed(Time::from_ms(at_ms))));
             assert_eq!(
                 straight, resumed,
                 "{}: snapshot/resume at {at_ms} ms changed the simulation",
@@ -101,12 +103,12 @@ fn golden_traces_survive_snapshot_resume() {
 #[test]
 fn golden_traces_are_bit_identical_across_scheduler_backends() {
     for case in cases() {
-        let baseline = summarize(&(case.run)(GoldenOpts::on(SchedKind::Binary)));
+        let baseline = summarize_case(&(case.run)(GoldenOpts::on(SchedKind::Binary)));
         for kind in SchedKind::ALL
             .into_iter()
             .filter(|&k| k != SchedKind::Binary)
         {
-            let got = summarize(&(case.run)(GoldenOpts::on(kind)));
+            let got = summarize_case(&(case.run)(GoldenOpts::on(kind)));
             assert_eq!(
                 baseline, got,
                 "{}: scheduler backend {} changed the simulation",
