@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 
 use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use simcore::stats::Summary;
 use simcore::{Rate, Time};
-use transport::{CcSpec, PrioPlusPolicy};
 use workloads::{Coflow, CoflowGen, SizeClassifier};
 
 use crate::Scheme;
@@ -139,7 +139,7 @@ pub fn mean_speedup(
     pred: impl Fn(&CoflowOut) -> bool,
 ) -> Option<f64> {
     let base = baseline.cct_by_id();
-    let v: Vec<f64> = result
+    let speedups: Summary = result
         .coflows
         .iter()
         .filter(|c| pred(c))
@@ -149,11 +149,7 @@ pub fn mean_speedup(
             Some(b / mine)
         })
         .collect();
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.iter().sum::<f64>() / v.len() as f64)
-    }
+    speedups.mean()
 }
 
 /// Tail (p99) CCT speedup: ratio of the p99 CCTs over matching coflows
@@ -164,51 +160,15 @@ pub fn tail_speedup(
     pred: impl Fn(&CoflowOut) -> bool,
 ) -> Option<f64> {
     let p99 = |r: &CoflowResult| -> Option<f64> {
-        let mut v: Vec<f64> = r
+        let mut ccts: Summary = r
             .coflows
             .iter()
             .filter(|c| pred(c))
             .filter_map(|c| c.cct_us)
             .collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((0.99 * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        Some(v[rank - 1])
+        ccts.p99()
     };
     Some(p99(baseline)? / p99(result)?)
-}
-
-fn cc_for(cfg: &CoflowConfig) -> CcSpec {
-    match cfg.scheme {
-        Scheme::PhysicalSwift | Scheme::PhysicalStarSwift | Scheme::BaselineSwift => {
-            CcSpec::Swift {
-                queuing: Time::from_us(4),
-                scaling: false,
-            }
-        }
-        Scheme::PrioPlusSwift | Scheme::PrioPlusSwiftAckData => CcSpec::PrioPlusSwift {
-            // Coflow scheduling is CCT-sensitive in every class: use the
-            // §4.4 latency-sensitive exemption (tiered linear start, no
-            // probe-before-start).
-            policy: PrioPlusPolicy {
-                probe: false,
-                ..PrioPlusPolicy::paper_default(cfg.classes)
-            },
-        },
-        Scheme::PrioPlusLedbat => CcSpec::PrioPlusLedbat {
-            policy: PrioPlusPolicy {
-                probe: false,
-                ..PrioPlusPolicy::paper_default(cfg.classes)
-            },
-        },
-        Scheme::PhysicalStarNoCc => CcSpec::Blast,
-        Scheme::PhysicalStarHpcc => CcSpec::Hpcc,
-        Scheme::D2tcp => CcSpec::D2tcp {
-            deadline_factor: Some(2.0),
-        },
-    }
 }
 
 /// Run the scenario.
@@ -282,7 +242,8 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
     let _ = ports;
     let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
 
-    let cc = cc_for(cfg);
+    // CCT-sensitive in every class: no probe-before-start (§4.4).
+    let cc = cfg.scheme.cc(cfg.classes, false, 2.0);
     let mut meta: Vec<(u64, u8, Time, usize)> = Vec::new(); // id, class, start, flows
     for c in &all {
         let class = classifier.priority(c.total_bytes()).min(cfg.classes - 1);

@@ -3,8 +3,9 @@
 //! higher priority), compared across queueing/CC schemes.
 
 use netsim::{AckPriority, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SwitchConfig, Topology};
+use simcore::stats::Summary;
 use simcore::{Rate, Time};
-use transport::{CcSpec, PrioPlusPolicy};
+use transport::CcSpec;
 use workloads::{PoissonArrivals, SizeClassifier, SizeDist};
 
 use crate::Scheme;
@@ -86,67 +87,38 @@ pub struct FlowSchedResult {
 }
 
 impl FlowSchedResult {
-    /// Mean slowdown over finished flows matching `pred`.
-    pub fn mean_slowdown(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
-        let v: Vec<f64> = self
-            .flows
+    /// One metric of the finished flows matching `pred`.
+    fn summary(
+        &self,
+        pred: impl Fn(&FlowOut) -> bool,
+        metric: impl Fn(&FlowOut) -> Option<f64>,
+    ) -> Summary {
+        self.flows
             .iter()
             .filter(|f| pred(f))
-            .filter_map(|f| f.slowdown)
-            .collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
+            .filter_map(metric)
+            .collect()
+    }
+
+    /// Mean slowdown over finished flows matching `pred`.
+    pub fn mean_slowdown(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
+        self.summary(pred, |f| f.slowdown).mean()
     }
 
     /// Mean raw FCT (µs) over finished flows matching `pred` — the paper's
     /// Fig 11/14/16 metric.
     pub fn mean_fct_us(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
-        let v: Vec<f64> = self
-            .flows
-            .iter()
-            .filter(|f| pred(f))
-            .filter_map(|f| f.fct_us)
-            .collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
+        self.summary(pred, |f| f.fct_us).mean()
     }
 
     /// p99 raw FCT (µs) over finished flows matching `pred`.
     pub fn p99_fct_us(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
-        let mut v: Vec<f64> = self
-            .flows
-            .iter()
-            .filter(|f| pred(f))
-            .filter_map(|f| f.fct_us)
-            .collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((0.99 * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        Some(v[rank - 1])
+        self.summary(pred, |f| f.fct_us).p99()
     }
 
     /// p99 slowdown over finished flows matching `pred`.
     pub fn p99_slowdown(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
-        let mut v: Vec<f64> = self
-            .flows
-            .iter()
-            .filter(|f| pred(f))
-            .filter_map(|f| f.slowdown)
-            .collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((0.99 * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        Some(v[rank - 1])
+        self.summary(pred, |f| f.slowdown).p99()
     }
 }
 
@@ -199,45 +171,17 @@ fn switch_config(cfg: &FlowSchedConfig, ports_per_switch: usize) -> SwitchConfig
     sw
 }
 
-/// Per-flow transport spec for a scheme.
+/// Per-flow transport spec for a scheme: every class is FCT-sensitive, so
+/// no probe-before-start; D2TCP's deadline factor is interpolated over
+/// `cfg.d2tcp_factors` by class.
 fn cc_for(cfg: &FlowSchedConfig, class: u8) -> CcSpec {
-    let queuing = Time::from_us(4);
-    match cfg.scheme {
-        Scheme::PhysicalSwift | Scheme::PhysicalStarSwift | Scheme::BaselineSwift => {
-            CcSpec::Swift {
-                queuing,
-                scaling: false,
-            }
-        }
-        Scheme::PrioPlusSwift | Scheme::PrioPlusSwiftAckData => CcSpec::PrioPlusSwift {
-            // Flow scheduling: every class is FCT-sensitive, so skip the
-            // probe-before-start (§4.4's latency-sensitive exemption) and
-            // rely on tiered linear starts.
-            policy: PrioPlusPolicy {
-                probe: false,
-                ..PrioPlusPolicy::paper_default(cfg.classes)
-            },
-        },
-        Scheme::PrioPlusLedbat => CcSpec::PrioPlusLedbat {
-            policy: PrioPlusPolicy {
-                probe: false,
-                ..PrioPlusPolicy::paper_default(cfg.classes)
-            },
-        },
-        Scheme::PhysicalStarNoCc => CcSpec::Blast,
-        Scheme::PhysicalStarHpcc => CcSpec::Hpcc,
-        Scheme::D2tcp => {
-            let (lo, hi) = cfg.d2tcp_factors;
-            let t = if cfg.classes <= 1 {
-                1.0
-            } else {
-                class as f64 / (cfg.classes - 1) as f64
-            };
-            CcSpec::D2tcp {
-                deadline_factor: Some(lo + (hi - lo) * t),
-            }
-        }
-    }
+    let (lo, hi) = cfg.d2tcp_factors;
+    let t = if cfg.classes <= 1 {
+        1.0
+    } else {
+        class as f64 / (cfg.classes - 1) as f64
+    };
+    cfg.scheme.cc(cfg.classes, false, lo + (hi - lo) * t)
 }
 
 /// Run the scenario.

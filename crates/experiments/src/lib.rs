@@ -44,6 +44,9 @@ pub use netsim::SchedKind;
 pub use report::Table;
 pub use sweep::Sweep;
 
+use simcore::Time;
+use transport::{CcSpec, PrioPlusPolicy};
+
 /// Run scale selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -114,6 +117,34 @@ impl Scheme {
             Scheme::PhysicalStarHpcc => "Physical*+HPCC",
             Scheme::D2tcp => "D2TCP",
             Scheme::BaselineSwift => "Swift (no prio)",
+        }
+    }
+
+    /// Per-flow transport spec over `classes` priorities. `probe` is
+    /// PrioPlus's probe-before-start — off where every class is latency
+    /// sensitive (§4.4's exemption: tiered linear starts only);
+    /// `deadline_factor` is D2TCP's deadline in ideal FCTs.
+    pub fn cc(&self, classes: u8, probe: bool, deadline_factor: f64) -> CcSpec {
+        let policy = PrioPlusPolicy {
+            probe,
+            ..PrioPlusPolicy::paper_default(classes)
+        };
+        match self {
+            Scheme::PhysicalSwift | Scheme::PhysicalStarSwift | Scheme::BaselineSwift => {
+                CcSpec::Swift {
+                    queuing: Time::from_us(4),
+                    scaling: false,
+                }
+            }
+            Scheme::PrioPlusSwift | Scheme::PrioPlusSwiftAckData => {
+                CcSpec::PrioPlusSwift { policy }
+            }
+            Scheme::PrioPlusLedbat => CcSpec::PrioPlusLedbat { policy },
+            Scheme::PhysicalStarNoCc => CcSpec::Blast,
+            Scheme::PhysicalStarHpcc => CcSpec::Hpcc,
+            Scheme::D2tcp => CcSpec::D2tcp {
+                deadline_factor: Some(deadline_factor),
+            },
         }
     }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use netsim::sim::App;
 use netsim::{FlowId, FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::{Rate, Time};
-use transport::{CcSpec, PrioPlusPolicy};
+use transport::CcSpec;
 use workloads::RingJob;
 
 use crate::Scheme;
@@ -142,28 +142,6 @@ impl App for AllReduceApp {
     }
 }
 
-fn cc_for(cfg: &MlConfig, classes: u8) -> CcSpec {
-    match cfg.scheme {
-        Scheme::PhysicalSwift | Scheme::PhysicalStarSwift | Scheme::BaselineSwift => {
-            CcSpec::Swift {
-                queuing: Time::from_us(4),
-                scaling: false,
-            }
-        }
-        Scheme::PrioPlusSwift | Scheme::PrioPlusSwiftAckData => CcSpec::PrioPlusSwift {
-            policy: PrioPlusPolicy::paper_default(classes),
-        },
-        Scheme::PrioPlusLedbat => CcSpec::PrioPlusLedbat {
-            policy: PrioPlusPolicy::paper_default(classes),
-        },
-        Scheme::PhysicalStarNoCc => CcSpec::Blast,
-        Scheme::PhysicalStarHpcc => CcSpec::Hpcc,
-        Scheme::D2tcp => CcSpec::D2tcp {
-            deadline_factor: Some(2.0),
-        },
-    }
-}
-
 /// Run the scenario: 4 ResNet jobs on the four highest priorities, 4 VGG
 /// jobs on the four lowest (§6.2).
 pub fn run(cfg: &MlConfig) -> MlResult {
@@ -236,7 +214,7 @@ pub fn run(cfg: &MlConfig) -> MlResult {
             })
             .collect(),
         flow_to_job: HashMap::new(),
-        cc: cc_for(cfg, classes),
+        cc: cfg.scheme.cc(classes, true, 2.0),
         single_queue,
         horizon: cfg.duration,
         hosts,

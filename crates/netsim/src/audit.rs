@@ -2,11 +2,10 @@
 //! boundaries.
 //!
 //! The audit layer is the simulator's deterministic-simulation-testing
-//! harness. When enabled (the `audit` cargo feature, plus a runtime toggle:
-//! [`crate::Sim::enable_audit`], the `PRIOPLUS_AUDIT` environment variable,
-//! or a `--audit` CLI flag), the event loop verifies after every event that
-//! the simulation state still satisfies the invariants the paper's switch
-//! mechanisms guarantee in hardware:
+//! harness. When enabled at run time ([`crate::Sim::enable_audit`] or the
+//! `PRIOPLUS_AUDIT` environment variable), the event loop verifies after
+//! every event that the simulation state still satisfies the invariants the
+//! paper's switch mechanisms guarantee in hardware:
 //!
 //! - **packet conservation** — data packets injected = delivered + dropped +
 //!   in flight; receiver-delivered bytes never exceed the flow size;
@@ -35,9 +34,8 @@
 //!
 //! Violations become structured [`Violation`] records pinpointing the event,
 //! node, port, queue, and flow, alongside a ring buffer of the most recent
-//! events ([`EventRecord`]) so a failure is debuggable after the fact. The
-//! whole layer compiles out with `--no-default-features` and costs one
-//! `Option` check per event when compiled in but disabled.
+//! events ([`EventRecord`]) so a failure is debuggable after the fact. A
+//! run with the audit off pays one `Option` check per hook.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -218,7 +216,6 @@ impl AuditReport {
 }
 
 /// PFC pause-state mirror for one (node, ingress port, priority).
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Copy, Debug, Default)]
 struct PfcMirror {
     paused: bool,
@@ -229,7 +226,6 @@ struct PfcMirror {
 
 /// Details of a packet that just went through switch admission, handed to
 /// [`Audit::note_switch_arrive`] by the event loop.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 pub(crate) struct SwitchArrive {
     pub(crate) node: NodeId,
     pub(crate) in_port: u16,
@@ -249,7 +245,6 @@ pub(crate) struct SwitchArrive {
 
 /// The (switch, ingress port, queue) an admission in the current event
 /// touched; checked against the Xoff invariant at the event boundary.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Debug)]
 pub(crate) struct Focus {
     pub(crate) node: NodeId,
@@ -261,7 +256,6 @@ pub(crate) struct Focus {
 }
 
 /// Live audit state held by the simulator while auditing is enabled.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Debug)]
 pub struct Audit {
     cfg: AuditConfig,
@@ -284,7 +278,6 @@ pub struct Audit {
     deadlock_active: bool,
 }
 
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 impl Audit {
     /// New audit state.
     pub fn new(cfg: AuditConfig) -> Self {
@@ -881,8 +874,7 @@ impl Audit {
 }
 
 /// Whether auditing was requested from the environment: `PRIOPLUS_AUDIT`
-/// set to anything but `0`, or a literal `--audit` CLI argument. Cached, so
-/// the per-run cost is one relaxed load.
+/// set to anything but `0`. Cached, so the per-run cost is one relaxed load.
 pub fn env_enabled() -> bool {
     // Process-wide env caches: write-once before any sim state exists.
     use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
@@ -891,7 +883,6 @@ pub fn env_enabled() -> bool {
         std::env::var("PRIOPLUS_AUDIT")
             .map(|v| v != "0")
             .unwrap_or(false)
-            || std::env::args().any(|a| a == "--audit")
     })
 }
 
@@ -933,7 +924,6 @@ pub fn env_deep_every() -> u64 {
 /// Returns the first cycle found — deterministic: vertices are visited in
 /// sorted `(node, port, queue)` order — as the list of its vertices, or
 /// `None` when the wait-for graph is acyclic.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 pub(crate) fn detect_pause_cycle(
     switches: &[(NodeId, &Switch)],
     arena: &PacketArena,

@@ -6,6 +6,7 @@
 //! simulations inject this noise into delay samples to increase fidelity; we
 //! do the same with a fitted synthetic model.
 
+use simcore::stats::Summary;
 use simcore::{SimRng, Time};
 
 /// Additive delay-measurement noise applied to every RTT sample a host takes.
@@ -72,11 +73,10 @@ impl NoiseModel {
     /// noise allowance `B` (§4.3.2).
     pub fn percentile_us(&self, p: f64) -> f64 {
         let mut rng = SimRng::new(0xF17);
-        let n = 100_000;
-        let mut samples: Vec<f64> = (0..n).map(|_| self.sample(&mut rng).as_us_f64()).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-        samples[rank - 1]
+        let mut samples: Summary = (0..100_000)
+            .map(|_| self.sample(&mut rng).as_us_f64())
+            .collect();
+        samples.percentile(p).expect("100k samples")
     }
 }
 

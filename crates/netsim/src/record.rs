@@ -160,12 +160,18 @@ impl SimResult {
         self.records.iter().filter(|r| r.finish.is_some())
     }
 
-    /// Fraction of flows that finished.
+    /// Fraction of flows that finished (1 for a run without flows). A
+    /// streaming run keeps no records, so its ratio comes from the
+    /// completion count and the flow counter.
     pub fn completion_rate(&self) -> f64 {
-        if self.records.is_empty() {
+        let (finished, total) = match &self.streaming {
+            Some(st) => (st.finished, self.counters.flows_total),
+            None => (self.finished().count() as u64, self.records.len() as u64),
+        };
+        if total == 0 {
             return 1.0;
         }
-        self.finished().count() as f64 / self.records.len() as f64
+        finished as f64 / total as f64
     }
 }
 

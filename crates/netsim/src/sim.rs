@@ -5,9 +5,7 @@ use std::collections::BTreeMap;
 use simcore::stats::ThroughputMeter;
 use simcore::{EventQueue, Rate, ScheduledId, SimRng, Time};
 
-#[cfg(feature = "audit")]
-use crate::audit::{Audit, SwitchArrive, ViolationKind};
-use crate::audit::AuditConfig;
+use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 use crate::faults::{FaultKind, FaultRuntime};
 use crate::fluid::FluidState;
@@ -283,7 +281,6 @@ pub struct Sim {
     pub(crate) started: bool,
     /// Invariant-audit state; `None` keeps the hot path to one branch per
     /// hook. Boxed so the disabled case costs a single word.
-    #[cfg(feature = "audit")]
     pub(crate) audit: Option<Box<Audit>>,
 }
 
@@ -416,7 +413,6 @@ impl Sim {
             fluid_epoch: None,
             faults,
             started: false,
-            #[cfg(feature = "audit")]
             audit: if crate::audit::env_enabled() {
                 // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
                 Some(Box::new(Audit::new(AuditConfig {
@@ -430,32 +426,20 @@ impl Sim {
         }
     }
 
-    /// Enable the invariant-audit layer with default settings. No-op when
-    /// the `audit` feature is compiled out.
+    /// Enable the invariant-audit layer with default settings.
     pub fn enable_audit(&mut self) {
         self.enable_audit_with(AuditConfig::default());
     }
 
-    /// Enable the invariant-audit layer with explicit settings. No-op when
-    /// the `audit` feature is compiled out.
+    /// Enable the invariant-audit layer with explicit settings.
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
-        #[cfg(feature = "audit")]
-        {
-            // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
-            self.audit = Some(Box::new(Audit::new(cfg)));
-        }
-        #[cfg(not(feature = "audit"))]
-        let _ = cfg;
+        // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
+        self.audit = Some(Box::new(Audit::new(cfg)));
     }
 
-    /// True when the audit layer is compiled in and enabled for this run.
+    /// True when the audit layer is enabled for this run.
     pub fn audit_enabled(&self) -> bool {
-        #[cfg(feature = "audit")]
-        {
-            self.audit.is_some()
-        }
-        #[cfg(not(feature = "audit"))]
-        false
+        self.audit.is_some()
     }
 
     /// Install a closed-loop application driver.
@@ -671,7 +655,6 @@ impl Sim {
         };
         while let Some(ev) = self.queue.batch_next() {
             self.counters.events += 1;
-            #[cfg(feature = "audit")]
             if let Some(a) = self.audit.as_deref_mut() {
                 let (kind, id): (&'static str, u32) = match &ev {
                     Event::Arrive { node, .. } => ("arrive", *node),
@@ -713,7 +696,6 @@ impl Sim {
                 }
                 self.app = Some(app);
             }
-            #[cfg(feature = "audit")]
             self.audit_boundary(now);
         }
         true
@@ -765,10 +747,7 @@ impl Sim {
         self.counters.flow_slab_slots = self.live.slots.len() as u64;
         self.counters.flows_reclaimed = self.live.reclaimed;
         self.counters.flow_live_bytes_peak = self.live.peak_bytes;
-        #[cfg(feature = "audit")]
         let audit = self.audit.take().map(|a| a.into_report());
-        #[cfg(not(feature = "audit"))]
-        let audit = None;
         // Streaming mode returns empty records: quantiles come from the
         // sketches, and cloning O(total flows) records would defeat the
         // point of streaming at hyperscale.
@@ -823,7 +802,6 @@ impl Sim {
     /// event touched, the Xoff-must-fire condition for an admission in this
     /// event, and (per [`AuditConfig::deep_every`]) a full recount of switch
     /// buffers, conservation, counters, and event-queue state.
-    #[cfg(feature = "audit")]
     fn audit_boundary(&mut self, now: Time) {
         let Some(mut a) = self.audit.take() else {
             return;
@@ -973,7 +951,6 @@ impl Sim {
     }
 
     fn on_flow_start(&mut self, flow: FlowId, now: Time) {
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(flow);
         }
@@ -999,7 +976,6 @@ impl Sim {
         if !f.active {
             return;
         }
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(flow);
         }
@@ -1210,14 +1186,11 @@ impl Sim {
         };
         if is_data {
             self.counters.fault_link_drops += 1;
-            #[cfg(feature = "audit")]
             if self.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
                 if let Some(a) = self.audit.as_deref_mut() {
                     a.on_link_drop(wire);
                 }
             }
-            #[cfg(not(feature = "audit"))]
-            let _ = wire;
         } else {
             self.counters.fault_ctrl_drops += 1;
         }
@@ -1327,7 +1300,6 @@ impl Sim {
             } else {
                 self.counters.pfc_resumes += 1;
             }
-            #[cfg(feature = "audit")]
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_pfc_frame(now, node, in_port, prio, pause);
             }
@@ -1407,22 +1379,16 @@ impl Sim {
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             unreachable!()
         };
-        #[cfg(feature = "audit")]
         let mut ecn_info = None;
         if is_data {
-            #[cfg(feature = "audit")]
             let q_pre = s.ports[egress as usize].queued_bytes_q[data_q] + fluid_occ;
             let marked = s.ecn_mark(egress, data_q, dscp, fluid_occ, &mut self.ecn_rng);
             if marked {
                 self.arena.get_mut(pid).ecn_ce = true;
                 self.counters.ecn_marks += 1;
             }
-            #[cfg(feature = "audit")]
-            {
-                ecn_info = Some((q_pre, dscp, marked));
-            }
+            ecn_info = Some((q_pre, dscp, marked));
         }
-        #[cfg(feature = "audit")]
         let info = SwitchArrive {
             node,
             in_port,
@@ -1438,7 +1404,6 @@ impl Sim {
         let mut pauses = Vec::new();
         let admission = s.admit(egress, in_port, pid, fluid_occ, &mut self.arena, &mut pauses);
         // The `s` borrow ends here so the audit can re-inspect the switch.
-        #[cfg(feature = "audit")]
         if self.audit.is_some() {
             let Node::Switch(sw) = &self.nodes[node as usize] else {
                 unreachable!()
@@ -1507,7 +1472,6 @@ impl Sim {
             }
             PktTag::Data => {
                 self.counters.data_delivered += 1;
-                #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
                     let pkt = self.arena.get(pid);
                     a.on_data_delivered(now, pkt.flow, pkt.size as u64);
@@ -1627,7 +1591,6 @@ impl Sim {
             self.arena.release(pid);
             return;
         }
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(fid);
         }
@@ -1732,6 +1695,7 @@ impl Sim {
         }
         let mut min_retry = Time::MAX;
         let mut selected: Option<PacketId> = None;
+        let mut finished: Vec<FlowId> = Vec::new();
         let nq = h.port.queues.len();
         'prio: for q in (0..nq).rev() {
             // Queued packets (ACKs, probe echoes) first within priority.
@@ -1751,7 +1715,7 @@ impl Sim {
             }
             // Pull from transports at this data priority, round-robin.
             let len = h.active[q].len();
-            let mut finished: Vec<FlowId> = Vec::new();
+            let first_finished = finished.len();
             for k in 0..len {
                 let idx = (h.rr[q] + k) % len;
                 let fid = h.active[q][idx];
@@ -1771,7 +1735,6 @@ impl Sim {
                             now,
                         );
                         pkt.dscp = f.spec.virt_prio;
-                        #[cfg(feature = "audit")]
                         if let Some(a) = self.audit.as_deref_mut() {
                             a.on_data_injected(fid, pkt.size as u64);
                         }
@@ -1795,25 +1758,18 @@ impl Sim {
                     TrySend::Finished => finished.push(fid),
                 }
             }
-            for fid in finished {
-                let f = &mut self.flows[fid as usize];
-                f.active = false;
+            for &fid in &finished[first_finished..] {
+                self.flows[fid as usize].active = false;
                 h.deactivate(q as u8, fid);
-                // Inline slab release (mirrors `release_flow_state`; `h`
-                // still borrows `self.nodes`, so the method can't be called
-                // here — the disjoint field accesses can).
-                if f.live != u32::MAX
-                    && self.switch_cfg.buggify != Some(Buggify::FlowReclaimLeak)
-                {
-                    let slot = f.live;
-                    f.live = u32::MAX;
-                    let fl = self.live.release(slot);
-                    f.record.retransmits = fl.transport.retransmits();
-                }
             }
             if selected.is_some() {
                 break 'prio;
             }
+        }
+        // `h` no longer borrows `self.nodes`; nothing above allocates a slab
+        // slot, so releasing here leaves the free list as if done in place.
+        for fid in finished {
+            self.release_flow_state(fid);
         }
         match selected {
             Some(pid) => {

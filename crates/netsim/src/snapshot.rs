@@ -34,7 +34,6 @@
 
 use simcore::{EventQueue, QueueSnapshot, Rate, ScheduledId, SimRng, Time};
 
-#[cfg(feature = "audit")]
 use crate::audit::Audit;
 use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
@@ -76,7 +75,6 @@ pub struct SimSnapshot {
     fluid_epoch: Option<ScheduledId>,
     faults: Option<Box<FaultRuntime>>,
     started: bool,
-    #[cfg(feature = "audit")]
     audit: Option<Box<Audit>>,
 }
 
@@ -147,7 +145,6 @@ impl Sim {
             // The audit mirror MUST be carried over: a fresh audit on the
             // resumed half would recount conservation tallies from zero and
             // flag every pre-snapshot byte as a violation.
-            #[cfg(feature = "audit")]
             audit: self.audit.clone(),
         }
     }
@@ -185,7 +182,6 @@ impl Sim {
             fluid_epoch: snap.fluid_epoch,
             faults: snap.faults.clone(),
             started: snap.started,
-            #[cfg(feature = "audit")]
             audit: snap.audit.clone(),
         }
     }

@@ -115,6 +115,15 @@ impl Summary {
     }
 }
 
+impl FromIterator<f64> for Summary {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        Summary {
+            samples: iter.into_iter().collect(),
+            sorted: false,
+        }
+    }
+}
+
 /// Streaming quantile sketch over non-negative integer samples.
 ///
 /// A DDSketch-style log-bucketed histogram specialized for deterministic

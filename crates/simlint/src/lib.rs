@@ -13,14 +13,15 @@
 //!   interior-mutability side channels, no silently-ignored event
 //!   variants.
 //!
-//! Used three ways:
+//! Used two ways:
 //!
 //! * `cargo run -p simlint` — the CI gate (`scripts/ci.sh` leg 1), with
 //!   `--json FILE` for the machine-readable artifact;
 //! * `tests/lint_clean.rs` — runs [`lint_workspace`] inside `cargo test`
-//!   so a regression fails the test suite, not just the CI script;
-//! * `cargo run -p simlint -- --fix-allowlist` — writes a baseline file so
-//!   the pass can land green on a dirty tree and ratchet down.
+//!   so a regression fails the test suite, not just the CI script.
+//!
+//! The one way to tolerate a finding is an in-source
+//! `// simlint::allow(rule, reason)` next to it.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +33,7 @@ pub mod rules;
 pub use index::Workspace;
 pub use rules::{Finding, Rule};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -42,69 +43,6 @@ use std::path::{Path, PathBuf};
 /// of R9 needs a [`Workspace`].
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     rules::check(path, &lexer::lex(src))
-}
-
-/// A ratchet baseline: findings recorded by `--fix-allowlist` that are
-/// tolerated (reported but non-fatal) until fixed and re-ratcheted.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    entries: BTreeSet<(String, String, u32)>, // (rule, path, line)
-}
-
-impl Baseline {
-    /// Parse the `rule\tpath\tline` format written by [`Baseline::format`].
-    /// Blank lines and `#` comments are skipped.
-    pub fn parse(text: &str) -> Baseline {
-        let mut entries = BTreeSet::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split('\t');
-            if let (Some(rule), Some(path), Some(ln)) = (parts.next(), parts.next(), parts.next())
-            {
-                if let Ok(ln) = ln.parse::<u32>() {
-                    entries.insert((rule.to_string(), path.to_string(), ln));
-                }
-            }
-        }
-        Baseline { entries }
-    }
-
-    /// Whether a finding is covered by the baseline.
-    pub fn covers(&self, path: &str, f: &Finding) -> bool {
-        self.entries
-            .contains(&(f.rule.name().to_string(), path.to_string(), f.line))
-    }
-
-    /// Number of baseline entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the baseline has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serialize findings into baseline format (sorted, stable).
-    pub fn format(findings: &[(String, Finding)]) -> String {
-        let mut lines: BTreeSet<String> = BTreeSet::new();
-        for (path, f) in findings {
-            lines.insert(format!("{}\t{}\t{}", f.rule.name(), path, f.line));
-        }
-        let mut out = String::from(
-            "# simlint baseline: tolerated findings (rule<TAB>path<TAB>line).\n\
-             # Regenerate with `cargo run -p simlint -- --fix-allowlist`; the goal\n\
-             # is to ratchet this file down to empty.\n",
-        );
-        for l in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// One diagnosed file plus everything found in it.
@@ -125,11 +63,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Findings neither allow-annotated nor baselined: these fail the run.
-    pub fn unallowed<'a>(&'a self, baseline: &'a Baseline) -> impl Iterator<Item = &'a (String, Finding)> {
-        self.findings
-            .iter()
-            .filter(move |(p, f)| f.allowed.is_none() && !baseline.covers(p, f))
+    /// Findings without an allow annotation: these fail the run.
+    pub fn unallowed(&self) -> impl Iterator<Item = &(String, Finding)> {
+        self.findings.iter().filter(|(_, f)| f.allowed.is_none())
     }
 
     /// Count of findings silenced by in-source allow annotations.
@@ -140,22 +76,14 @@ impl Report {
     /// Machine-readable report: one JSON object with the findings in the
     /// same deterministic order as the text output, plus summary counts.
     /// Hand-emitted (no serde) and covered by an ordering regression test.
-    pub fn to_json(&self, baseline: &Baseline) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n");
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n  \"version\": 2,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"crates_indexed\": {},\n", self.crates_indexed));
         out.push_str(&format!("  \"modules_indexed\": {},\n", self.modules_indexed));
         out.push_str(&format!("  \"matches_indexed\": {},\n", self.matches_indexed));
         out.push_str("  \"findings\": [");
-        let mut fatal = 0usize;
-        let mut baselined = 0usize;
         for (i, (path, f)) in self.findings.iter().enumerate() {
-            let covered = baseline.covers(path, f);
-            if covered {
-                baselined += 1;
-            } else if f.allowed.is_none() {
-                fatal += 1;
-            }
             let allowed = match &f.allowed {
                 Some(reason) => format!("\"{}\"", json_escape(reason)),
                 None => "null".into(),
@@ -163,14 +91,13 @@ impl Report {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
                 "    {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-                 \"message\": \"{}\", \"allowed\": {}, \"baselined\": {}}}",
+                 \"message\": \"{}\", \"allowed\": {}}}",
                 json_escape(path),
                 f.line,
                 f.col,
                 f.rule.name(),
                 json_escape(&f.message),
-                allowed,
-                covered
+                allowed
             ));
         }
         if !self.findings.is_empty() {
@@ -178,11 +105,10 @@ impl Report {
         }
         out.push_str("],\n");
         out.push_str(&format!(
-            "  \"summary\": {{\"total\": {}, \"fatal\": {}, \"allowed\": {}, \"baselined\": {}}}\n",
+            "  \"summary\": {{\"total\": {}, \"fatal\": {}, \"allowed\": {}}}\n",
             self.findings.len(),
-            fatal,
-            self.allowed_count(),
-            baselined
+            self.unallowed().count(),
+            self.allowed_count()
         ));
         out.push_str("}\n");
         out
@@ -235,7 +161,7 @@ fn skip(path: &Path) -> bool {
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    // Sort directory entries so diagnostics and baselines are stable across
+    // Sort directory entries so diagnostics are stable across
     // filesystems (read_dir order is arbitrary).
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
@@ -368,30 +294,6 @@ pub(crate) fn lint_workspace_data(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_round_trip() {
-        let f = Finding {
-            rule: Rule::NondeterministicMap,
-            line: 12,
-            col: 5,
-            message: "m".into(),
-            allowed: None,
-        };
-        let findings = vec![("crates/netsim/src/sim.rs".to_string(), f.clone())];
-        let text = Baseline::format(&findings);
-        let b = Baseline::parse(&text);
-        assert_eq!(b.len(), 1);
-        assert!(b.covers("crates/netsim/src/sim.rs", &f));
-        let other = Finding { line: 13, ..f };
-        assert!(!b.covers("crates/netsim/src/sim.rs", &other));
-    }
-
-    #[test]
-    fn baseline_ignores_comments_and_junk() {
-        let b = Baseline::parse("# comment\n\nnot-a-valid-line\nwall-clock\tsrc/x.rs\tnope\n");
-        assert!(b.is_empty());
-    }
 
     #[test]
     fn lint_source_end_to_end() {

@@ -2,48 +2,39 @@
 //!
 //! ```text
 //! cargo run -p simlint                       # lint the workspace, exit 1 on findings
-//! cargo run -p simlint -- --fix-allowlist    # write simlint.baseline and exit 0
 //! cargo run -p simlint -- --root DIR         # lint a different workspace
 //! cargo run -p simlint -- --json FILE        # also write the JSON report to FILE
 //! ```
 //!
-//! Exit codes: 0 clean (or everything baselined/allowed), 1 unallowed
-//! findings or a stale baseline, 2 usage or I/O error.
+//! Exit codes: 0 clean (or everything allowed), 1 unallowed findings,
+//! 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{find_workspace_root, lint_workspace, Baseline};
-
-const BASELINE_FILE: &str = "simlint.baseline";
+use simlint::{find_workspace_root, lint_workspace};
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    fix_allowlist: bool,
     quiet: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: simlint [--root DIR] [--baseline FILE] [--json FILE] [--fix-allowlist] [--quiet]\n\
+    "usage: simlint [--root DIR] [--json FILE] [--quiet]\n\
      \n\
      Walks the workspace and enforces the determinism/layering/shared-state\n\
      rule set (see crates/simlint/src/rules.rs). Exit 1 on any finding that is\n\
-     neither annotated with // simlint::allow(rule, reason) nor listed in the\n\
-     baseline, and on a stale baseline (file present but tree clean).\n\
-     --fix-allowlist rewrites the baseline to tolerate the current findings;\n\
+     not annotated with // simlint::allow(rule, reason).\n\
      --json also writes the machine-readable report to FILE."
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        baseline: None,
         json: None,
-        fix_allowlist: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -54,17 +45,11 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--root requires a directory")?,
                 ))
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline requires a file path")?,
-                ))
-            }
             "--json" => {
                 args.json = Some(PathBuf::from(
                     it.next().ok_or("--json requires a file path")?,
                 ))
             }
-            "--fix-allowlist" => args.fix_allowlist = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
@@ -105,64 +90,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = args.baseline.unwrap_or_else(|| root.join(BASELINE_FILE));
-
-    if args.fix_allowlist {
-        let unallowed: Vec<_> = report
-            .unallowed(&Baseline::default())
-            .cloned()
-            .collect();
-        if unallowed.is_empty() {
-            // A clean tree ratchets the baseline away entirely.
-            if baseline_path.exists() {
-                if let Err(e) = std::fs::remove_file(&baseline_path) {
-                    eprintln!("simlint: removing {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-                println!("simlint: tree is clean; removed {}", baseline_path.display());
-            } else {
-                println!("simlint: tree is clean; no baseline needed");
-            }
-            return ExitCode::SUCCESS;
-        }
-        let text = Baseline::format(&unallowed);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("simlint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "simlint: wrote {} entries to {}; ratchet this file down to empty",
-            unallowed.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => Baseline::parse(&t),
-            Err(e) => {
-                eprintln!("simlint: reading {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    // Stale-ratchet guard: a baseline that tolerates nothing left to
-    // tolerate would silently mask the next regression (each entry pins a
-    // rule+path+line, and lines drift). Clean trees must not carry one.
-    if baseline_path.is_file() && report.unallowed(&Baseline::default()).count() == 0 {
-        eprintln!(
-            "simlint: STALE BASELINE — the workspace scan is clean, but {} still \
-             exists and would mask the next regression at its recorded lines; \
-             delete it (or run --fix-allowlist, which removes it when clean)",
-            baseline_path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
     if let Some(json_path) = &args.json {
         if let Some(dir) = json_path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -172,22 +99,14 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if let Err(e) = std::fs::write(json_path, report.to_json(&baseline)) {
+        if let Err(e) = std::fs::write(json_path, report.to_json()) {
             eprintln!("simlint: writing {}: {e}", json_path.display());
             return ExitCode::from(2);
         }
     }
 
     let mut fatal = 0usize;
-    let mut baselined = 0usize;
-    for (path, f) in report.findings.iter() {
-        if f.allowed.is_some() {
-            continue;
-        }
-        if baseline.covers(path, f) {
-            baselined += 1;
-            continue;
-        }
+    for (path, f) in report.unallowed() {
         fatal += 1;
         println!(
             "{}:{}:{}: [{}] {}",
@@ -201,21 +120,20 @@ fn main() -> ExitCode {
     if !args.quiet {
         eprintln!(
             "simlint: {} files, {} crates, {} modules, {} matches; {} finding(s): \
-             {} fatal, {} baselined, {} allowed by annotation",
+             {} fatal, {} allowed by annotation",
             report.files_scanned,
             report.crates_indexed,
             report.modules_indexed,
             report.matches_indexed,
             report.findings.len(),
             fatal,
-            baselined,
             report.allowed_count()
         );
     }
     if fatal > 0 {
         eprintln!(
-            "simlint: FAILED — fix the sites above, annotate them with \
-             // simlint::allow(rule, reason), or ratchet with --fix-allowlist"
+            "simlint: FAILED — fix the sites above or annotate them with \
+             // simlint::allow(rule, reason)"
         );
         ExitCode::FAILURE
     } else {

@@ -2,7 +2,7 @@
 //! mini-workspaces (crate edges from manifests and source, module cycles,
 //! unlayered crates), plus the text/JSON output ordering regression.
 
-use simlint::{Baseline, Rule, Workspace};
+use simlint::{Rule, Workspace};
 
 fn manifest(name: &str, deps: &[&str], dev_deps: &[&str]) -> String {
     let mut s = format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\n");
@@ -232,8 +232,8 @@ fn report_ordering_is_stable_across_text_and_json() {
 
     // The JSON rendering lists findings in the same order, and is
     // byte-stable across repeated calls.
-    let json = report.to_json(&Baseline::default());
-    assert_eq!(json, report.to_json(&Baseline::default()));
+    let json = report.to_json();
+    assert_eq!(json, report.to_json());
     let mut last = 0usize;
     for (p, f) in &report.findings {
         let needle = format!("{{\"path\": \"{p}\", \"line\": {}", f.line);
@@ -253,7 +253,7 @@ fn json_escapes_special_characters() {
         "crates/netsim/src/q.rs",
         "use std::collections::HashMap;\npub fn q(_m: HashMap<u8, u8>) {}\n",
     );
-    let json = ws.lint().to_json(&Baseline::default());
+    let json = ws.lint().to_json();
     // Messages may contain slashes and quotes; the emitted JSON must stay
     // parseable by the dumbest consumer: balanced braces, no raw newlines
     // inside strings.

@@ -9,11 +9,11 @@
 //! urgency `d` grows as the deadline approaches (`d` clamped to
 //! `[0.5, 2]`): far-deadline flows back off more, near-deadline flows less.
 
-use netsim::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
-use simcore::event::ScheduledId;
+use netsim::AckEvent;
 use simcore::Time;
 
-use crate::sender::{SenderBase, RTO_TOKEN};
+use crate::plain::WindowPolicy;
+use crate::sender::SenderBase;
 
 /// Configuration for a DCTCP/D2TCP flow.
 #[derive(Clone, Copy, Debug)]
@@ -55,10 +55,9 @@ impl D2tcpConfig {
     }
 }
 
-/// DCTCP/D2TCP transport.
+/// The DCTCP/D2TCP window policy.
 #[derive(Clone, Debug)]
-pub struct DctcpTransport {
-    base: SenderBase,
+pub struct DctcpCc {
     cfg: D2tcpConfig,
     cwnd: f64,
     alpha: f64,
@@ -67,56 +66,40 @@ pub struct DctcpTransport {
     marked_bytes_win: u64,
     win_end_seq: u64,
     slow_start: bool,
-    rto_timer: Option<ScheduledId>,
 }
 
-impl DctcpTransport {
-    /// New transport.
-    pub fn new(params: FlowParams, cfg: D2tcpConfig) -> Self {
-        DctcpTransport {
-            base: SenderBase::new(params),
+impl DctcpCc {
+    /// New controller.
+    pub fn new(cfg: D2tcpConfig) -> Self {
+        DctcpCc {
             cwnd: cfg.init_cwnd.clamp(cfg.min_cwnd, cfg.max_cwnd),
             alpha: 0.0,
             acked_bytes_win: 0,
             marked_bytes_win: 0,
             win_end_seq: 0,
             slow_start: true,
-            rto_timer: None,
             cfg,
         }
-    }
-
-    /// Current `alpha` estimate (diagnostics).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Deadline urgency `d` (D2TCP §3): `d = Tc / D` clamped to `[0.5, 2]`,
     /// where `Tc` is the projected completion time at the current rate and
     /// `D` the time to the deadline. Plain DCTCP returns 1.
-    pub fn urgency(&self, now: Time) -> f64 {
+    pub fn urgency(&self, base: &SenderBase, now: Time) -> f64 {
         let Some(deadline) = self.cfg.deadline else {
             return 1.0;
         };
         if deadline <= now {
             return 2.0;
         }
-        let remaining_bytes = (self.base.params.size - self.base.acked) as f64;
-        let rate = self.cwnd / self.base.srtt.as_secs_f64().max(1e-9);
+        let remaining_bytes = (base.params.size - base.acked) as f64;
+        let rate = self.cwnd / base.srtt.as_secs_f64().max(1e-9);
         let tc = remaining_bytes / rate.max(1.0);
         let d_secs = (deadline - now).as_secs_f64();
         (tc / d_secs).clamp(0.5, 2.0)
     }
 
-    fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let at = ctx.now + self.base.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
-    }
-
-    fn end_of_window(&mut self, now: Time) {
+    fn end_of_window(&mut self, base: &SenderBase, now: Time) {
         let f = if self.acked_bytes_win == 0 {
             0.0
         } else {
@@ -125,7 +108,7 @@ impl DctcpTransport {
         self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g * f;
         if self.marked_bytes_win > 0 {
             self.slow_start = false;
-            let d = self.urgency(now);
+            let d = self.urgency(base, now);
             let p = self.alpha.powf(d);
             self.cwnd *= 1.0 - p / 2.0;
         } else if self.slow_start {
@@ -136,75 +119,33 @@ impl DctcpTransport {
         self.cwnd = self.cwnd.clamp(self.cfg.min_cwnd, self.cfg.max_cwnd);
         self.acked_bytes_win = 0;
         self.marked_bytes_win = 0;
-        self.win_end_seq = self.base.snd_nxt;
+        self.win_end_seq = base.snd_nxt;
     }
 }
 
-impl Transport for DctcpTransport {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
+impl WindowPolicy for DctcpCc {
+    const TRACE_CWND: bool = true;
 
-    fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
-        self.arm_rto(ctx);
-    }
-
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
-        if ack.kind != AckKind::Data {
-            return;
-        }
-        let newly = self.base.on_ack(ack, ctx.now);
-        self.acked_bytes_win += newly.max(ack.acked_bytes) as u64;
+    fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, now: Time) {
+        self.acked_bytes_win += ack.acked_bytes as u64;
         if ack.ecn_echo {
-            self.marked_bytes_win += newly.max(ack.acked_bytes) as u64;
+            self.marked_bytes_win += ack.acked_bytes as u64;
         }
         if ack.acked_seq >= self.win_end_seq {
-            self.end_of_window(ctx.now);
-        }
-        ctx.trace_delay(ack.delay);
-        ctx.trace_cwnd(self.cwnd);
-        if !self.base.finished() {
-            self.arm_rto(ctx);
-        } else if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
+            self.end_of_window(base, now);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {
-        if token != RTO_TOKEN || self.base.finished() {
-            return;
-        }
-        if ctx.now.saturating_sub(self.base.last_ack) >= self.base.rto()
-            && !self.base.outstanding.is_empty()
-        {
-            self.base.rto_recover();
-            self.cwnd = self.cfg.min_cwnd;
-        }
-        self.arm_rto(ctx);
-    }
-
-    fn try_send(&mut self, now: Time) -> TrySend {
-        self.base.try_send(self.cwnd, now)
-    }
-
-    fn on_sent(&mut self, sent: TrySend, ctx: &mut TransportCtx<'_>) {
-        self.base.on_sent(sent, self.cwnd, ctx.now);
-    }
-
-    fn is_finished(&self) -> bool {
-        self.base.finished()
-    }
-
-    fn cwnd_bytes(&self) -> f64 {
+    fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn retransmits(&self) -> u64 {
-        self.base.retransmits
+    /// Collapse to the floor: a timeout voids the mark-fraction estimate.
+    fn on_rto(&mut self) {
+        self.cwnd = self.cfg.min_cwnd;
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        self.base.check_invariants()?;
         if !self.cwnd.is_finite() {
             return Err(format!("dctcp cwnd {} is not finite", self.cwnd));
         }
@@ -230,76 +171,51 @@ impl Transport for DctcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::Rate;
+    use crate::fixtures::{ack, params};
 
-    fn params(size: u64) -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 0,
-            seed: 1,
-        }
-    }
-
-    fn ack(seq: u64, ecn: bool) -> AckEvent {
-        AckEvent {
-            kind: AckKind::Data,
-            delay: Time::from_us(14),
-            cum_bytes: seq + 1000,
-            acked_seq: seq,
-            acked_bytes: 1000,
-            ecn_echo: ecn,
-            nack: None,
-            int: None,
-        }
+    fn mk(size: u64, cfg: D2tcpConfig) -> (SenderBase, DctcpCc) {
+        (SenderBase::new(params(size)), DctcpCc::new(cfg))
     }
 
     #[test]
     fn alpha_converges_to_mark_fraction() {
-        let mut t = DctcpTransport::new(params(100_000_000), D2tcpConfig::dctcp(1000, 10_000.0));
-        // Feed 200 windows of fully-marked ACK streams: alpha -> 1.
-        let mut seq = 0u64;
-        for _ in 0..200 {
-            t.base.snd_nxt = seq + 10_000;
-            for i in 0..10 {
-                t.base.outstanding.insert(seq + i * 1000);
-                t.base.on_ack(&ack(seq + i * 1000, true), Time::ZERO);
-                t.acked_bytes_win += 1000;
-                t.marked_bytes_win += 1000;
-            }
-            t.end_of_window(Time::from_us(1));
-            seq += 10_000;
+        let (mut base, mut cc) = mk(100_000_000, D2tcpConfig::dctcp(1000, 10_000.0));
+        // 200 windows of ten fully-marked ACKs each: alpha -> 1.
+        for seq in (0..2_000_000u64).step_by(1000) {
+            base.snd_nxt = seq + 10_000;
+            let marked = AckEvent {
+                ecn_echo: true,
+                ..ack(seq, 1000, 14)
+            };
+            cc.on_ack(&marked, &base, Time::from_us(1));
         }
-        assert!(t.alpha() > 0.95, "alpha {}", t.alpha());
+        assert!(cc.alpha > 0.95, "alpha {}", cc.alpha);
+        cc.check_invariants().unwrap();
     }
 
     #[test]
     fn unmarked_windows_grow_marked_windows_shrink() {
-        let mut t = DctcpTransport::new(params(100_000_000), D2tcpConfig::dctcp(1000, 10_000.0));
-        t.slow_start = false;
-        t.acked_bytes_win = 10_000;
-        t.marked_bytes_win = 0;
-        t.end_of_window(Time::from_us(1));
-        assert_eq!(t.cwnd_bytes(), 11_000.0);
+        let (base, mut cc) = mk(100_000_000, D2tcpConfig::dctcp(1000, 10_000.0));
+        cc.slow_start = false;
+        cc.acked_bytes_win = 10_000;
+        cc.marked_bytes_win = 0;
+        cc.end_of_window(&base, Time::from_us(1));
+        assert_eq!(cc.cwnd(), 11_000.0);
         // Now a fully marked window.
-        t.alpha = 1.0;
-        t.acked_bytes_win = 10_000;
-        t.marked_bytes_win = 10_000;
-        let w = t.cwnd_bytes();
-        t.end_of_window(Time::from_us(2));
-        assert!(t.cwnd_bytes() < w * 0.6, "cut should approach 1/2");
+        cc.alpha = 1.0;
+        cc.acked_bytes_win = 10_000;
+        cc.marked_bytes_win = 10_000;
+        let w = cc.cwnd();
+        cc.end_of_window(&base, Time::from_us(2));
+        assert!(cc.cwnd() < w * 0.6, "cut should approach 1/2");
     }
 
     #[test]
     fn urgency_rises_as_deadline_nears() {
         let cfg = D2tcpConfig::dctcp(1000, 10_000.0).with_deadline(Time::from_ms(1));
-        let t = DctcpTransport::new(params(100_000), cfg);
-        let far = t.urgency(Time::from_us(10));
-        let near = t.urgency(Time::from_us(990));
+        let (base, cc) = mk(100_000, cfg);
+        let far = cc.urgency(&base, Time::from_us(10));
+        let near = cc.urgency(&base, Time::from_us(990));
         assert!(near > far, "near {near} far {far}");
         assert!(near <= 2.0 && far >= 0.5);
     }
@@ -307,31 +223,31 @@ mod tests {
     #[test]
     fn past_deadline_is_maximum_urgency() {
         let cfg = D2tcpConfig::dctcp(1000, 10_000.0).with_deadline(Time::from_us(10));
-        let t = DctcpTransport::new(params(10_000_000), cfg);
-        assert_eq!(t.urgency(Time::from_us(20)), 2.0);
+        let (base, cc) = mk(10_000_000, cfg);
+        assert_eq!(cc.urgency(&base, Time::from_us(20)), 2.0);
     }
 
     #[test]
     fn plain_dctcp_urgency_is_one() {
-        let t = DctcpTransport::new(params(1_000), D2tcpConfig::dctcp(1000, 10_000.0));
-        assert_eq!(t.urgency(Time::from_ms(5)), 1.0);
+        let (base, cc) = mk(1_000, D2tcpConfig::dctcp(1000, 10_000.0));
+        assert_eq!(cc.urgency(&base, Time::from_ms(5)), 1.0);
     }
 
     #[test]
     fn d2tcp_urgent_flow_cuts_less() {
         // Same alpha, different urgency: near-deadline flow keeps more window.
-        let mk = |deadline_us: u64| {
+        let cut = |deadline_us: u64| {
             let cfg = D2tcpConfig::dctcp(1000, 100_000.0).with_deadline(Time::from_us(deadline_us));
-            let mut t = DctcpTransport::new(params(1_000_000), cfg);
-            t.slow_start = false;
-            t.alpha = 0.5;
-            t.acked_bytes_win = 10_000;
-            t.marked_bytes_win = 10_000;
-            t.end_of_window(Time::from_us(1));
-            t.cwnd_bytes()
+            let (base, mut cc) = mk(1_000_000, cfg);
+            cc.slow_start = false;
+            cc.alpha = 0.5;
+            cc.acked_bytes_win = 10_000;
+            cc.marked_bytes_win = 10_000;
+            cc.end_of_window(&base, Time::from_us(1));
+            cc.cwnd()
         };
-        let urgent = mk(15); // nearly due
-        let relaxed = mk(1_000_000); // far in the future
+        let urgent = cut(15); // nearly due
+        let relaxed = cut(1_000_000); // far in the future
         assert!(
             urgent > relaxed,
             "urgent flow must decelerate less: {urgent} vs {relaxed}"
@@ -340,20 +256,20 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_until_first_mark() {
-        let mut t = DctcpTransport::new(params(100_000_000), D2tcpConfig::dctcp(1000, 2_000.0));
-        t.acked_bytes_win = 2_000;
-        t.end_of_window(Time::from_us(1));
-        assert_eq!(t.cwnd_bytes(), 4_000.0);
-        t.acked_bytes_win = 4_000;
-        t.marked_bytes_win = 4_000;
-        t.end_of_window(Time::from_us(2));
-        assert!(!t.slow_start);
-        t.acked_bytes_win = 4_000;
-        t.end_of_window(Time::from_us(3));
+        let (base, mut cc) = mk(100_000_000, D2tcpConfig::dctcp(1000, 2_000.0));
+        cc.acked_bytes_win = 2_000;
+        cc.end_of_window(&base, Time::from_us(1));
+        assert_eq!(cc.cwnd(), 4_000.0);
+        cc.acked_bytes_win = 4_000;
+        cc.marked_bytes_win = 4_000;
+        cc.end_of_window(&base, Time::from_us(2));
+        assert!(!cc.slow_start);
+        cc.acked_bytes_win = 4_000;
+        cc.end_of_window(&base, Time::from_us(3));
         // After the mark, growth is additive.
-        let w = t.cwnd_bytes();
-        t.acked_bytes_win = 4_000;
-        t.end_of_window(Time::from_us(4));
-        assert!((t.cwnd_bytes() - w - 1000.0).abs() < 1e-6);
+        let w = cc.cwnd();
+        cc.acked_bytes_win = 4_000;
+        cc.end_of_window(&base, Time::from_us(4));
+        assert!((cc.cwnd() - w - 1000.0).abs() < 1e-6);
     }
 }

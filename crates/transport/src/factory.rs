@@ -6,10 +6,10 @@ use netsim::{FlowParams, Transport};
 use prioplus::{ChannelConfig, PrioPlusConfig};
 use simcore::Time;
 
-use crate::dctcp::{D2tcpConfig, DctcpTransport};
-use crate::hpcc::{HpccConfig, HpccTransport};
+use crate::dctcp::{D2tcpConfig, DctcpCc};
+use crate::hpcc::{HpccCc, HpccConfig};
 use crate::ledbat::{LedbatCc, LedbatConfig};
-use crate::nocc::BlastTransport;
+use crate::nocc::NoCc;
 use crate::plain::CcTransport;
 use crate::pp_transport::PrioPlusTransport;
 use crate::sender::SenderBase;
@@ -142,15 +142,13 @@ impl CcSpec {
     /// time (needed for absolute D2TCP deadlines).
     pub fn make(&self, params: &FlowParams, start: Time) -> Box<dyn Transport> {
         let bdp = params.base_bdp();
+        let base = SenderBase::new(params.clone());
         match *self {
             CcSpec::Swift { queuing, scaling } => {
                 let mut cfg = SwiftConfig::datacenter(params.base_rtt, queuing, params.mtu);
                 cfg.target_scaling = scaling;
                 cfg.init_cwnd = bdp;
-                Box::new(CcTransport::new(
-                    SenderBase::new(params.clone()),
-                    SwiftCc::new(cfg),
-                ))
+                Box::new(CcTransport::new(base, SwiftCc::new(cfg)))
             }
             CcSpec::PrioPlusSwift { policy } => {
                 let pp_cfg = policy.flow_config(params);
@@ -161,19 +159,12 @@ impl CcSpec {
                 );
                 cfg.target_scaling = false; // PrioPlus disables scaling (§4.1)
                 cfg.init_cwnd = pp_cfg.w_ls.max(cfg.min_cwnd);
-                Box::new(PrioPlusTransport::new(
-                    SenderBase::new(params.clone()),
-                    pp_cfg,
-                    SwiftCc::new(cfg),
-                ))
+                Box::new(PrioPlusTransport::new(base, pp_cfg, SwiftCc::new(cfg)))
             }
             CcSpec::Ledbat { queuing } => {
                 let mut cfg = LedbatConfig::datacenter(params.base_rtt, queuing, params.mtu);
                 cfg.init_cwnd = bdp;
-                Box::new(CcTransport::new(
-                    SenderBase::new(params.clone()),
-                    LedbatCc::new(cfg),
-                ))
+                Box::new(CcTransport::new(base, LedbatCc::new(cfg)))
             }
             CcSpec::PrioPlusLedbat { policy } => {
                 let pp_cfg = policy.flow_config(params);
@@ -183,11 +174,7 @@ impl CcSpec {
                     params.mtu,
                 );
                 cfg.init_cwnd = pp_cfg.w_ls.max(cfg.min_cwnd);
-                Box::new(PrioPlusTransport::new(
-                    SenderBase::new(params.clone()),
-                    pp_cfg,
-                    LedbatCc::new(cfg),
-                ))
+                Box::new(PrioPlusTransport::new(base, pp_cfg, LedbatCc::new(cfg)))
             }
             CcSpec::D2tcp { deadline_factor } => {
                 let mut cfg = D2tcpConfig::dctcp(params.mtu, bdp);
@@ -195,21 +182,19 @@ impl CcSpec {
                     let ideal = params.base_rtt + params.line_rate.serialize_time(params.size);
                     cfg = cfg.with_deadline(start + ideal.mul_f64(f));
                 }
-                Box::new(DctcpTransport::new(params.clone(), cfg))
+                Box::new(CcTransport::new(base, DctcpCc::new(cfg)))
             }
             CcSpec::SwiftWeighted { queuing, weight } => {
                 let mut cfg = SwiftConfig::datacenter(params.base_rtt, queuing, params.mtu);
                 cfg.init_cwnd = bdp;
-                Box::new(CcTransport::new(
-                    SenderBase::new(params.clone()),
-                    prioplus::WeightedCc::new(SwiftCc::new(cfg), weight),
-                ))
+                let cc = prioplus::WeightedCc::new(SwiftCc::new(cfg), weight);
+                Box::new(CcTransport::new(base, cc))
             }
             CcSpec::Hpcc => {
                 let cfg = HpccConfig::new(params.base_rtt, bdp);
-                Box::new(HpccTransport::new(params.clone(), cfg))
+                Box::new(CcTransport::new(base, HpccCc::new(cfg)))
             }
-            CcSpec::Blast => Box::new(BlastTransport::new(params.clone())),
+            CcSpec::Blast => Box::new(CcTransport::new(base, NoCc)),
         }
     }
 }
@@ -217,18 +202,11 @@ impl CcSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::Rate;
 
     fn params(virt_prio: u8) -> FlowParams {
         FlowParams {
-            flow: 0,
-            size: 1_000_000,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
             virt_prio,
-            seed: 3,
+            ..crate::fixtures::params(1_000_000)
         }
     }
 

@@ -12,11 +12,11 @@
 //! coflow scenarios (Fig 16, 18).
 
 use netsim::packet::IntHop;
-use netsim::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
-use simcore::event::ScheduledId;
+use netsim::AckEvent;
 use simcore::Time;
 
-use crate::sender::{SenderBase, RTO_TOKEN};
+use crate::plain::WindowPolicy;
+use crate::sender::SenderBase;
 
 /// HPCC parameters (defaults from the paper).
 #[derive(Clone, Copy, Debug)]
@@ -57,10 +57,9 @@ struct LinkSnapshot {
     valid: bool,
 }
 
-/// HPCC transport.
+/// The HPCC window policy.
 #[derive(Clone, Debug)]
-pub struct HpccTransport {
-    base: SenderBase,
+pub struct HpccCc {
     cfg: HpccConfig,
     cwnd: f64,
     /// Reference window, updated once per RTT.
@@ -72,33 +71,25 @@ pub struct HpccTransport {
     inc_stage: u32,
     /// Sequence marking the per-RTT `Wc` update boundary.
     wc_seq: u64,
-    rto_timer: Option<ScheduledId>,
 }
 
-impl HpccTransport {
-    /// New transport.
-    pub fn new(params: FlowParams, cfg: HpccConfig) -> Self {
-        HpccTransport {
-            base: SenderBase::new(params),
+impl HpccCc {
+    /// New controller.
+    pub fn new(cfg: HpccConfig) -> Self {
+        HpccCc {
             cwnd: cfg.init_cwnd,
             wc: cfg.init_cwnd,
             links: Vec::new(),
             u: 0.0,
             inc_stage: 0,
             wc_seq: 0,
-            rto_timer: None,
             cfg,
         }
     }
 
-    /// Current utilization estimate (diagnostics).
-    pub fn utilization(&self) -> f64 {
-        self.u
-    }
-
     /// Compute the max per-link inflight utilization from fresh INT, update
-    /// the EWMA, and return it. Public for unit testing.
-    pub fn measure_inflight(&mut self, int: &[IntHop]) -> f64 {
+    /// the EWMA, and return it.
+    fn measure_inflight(&mut self, int: &[IntHop]) -> f64 {
         if self.links.len() < int.len() {
             self.links.resize(int.len(), LinkSnapshot::default());
         }
@@ -150,82 +141,32 @@ impl HpccTransport {
             }
         }
     }
-
-    fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let at = ctx.now + self.base.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
-    }
 }
 
-impl Transport for HpccTransport {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
+impl WindowPolicy for HpccCc {
+    const TRACE_CWND: bool = true;
 
-    fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
-        self.arm_rto(ctx);
-    }
-
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
-        if ack.kind != AckKind::Data {
-            return;
-        }
-        let _newly = self.base.on_ack(ack, ctx.now);
+    fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, _now: Time) {
         if let Some(int) = &ack.int {
             self.measure_inflight(int.as_slice());
             let update_wc = ack.acked_seq >= self.wc_seq;
             if update_wc {
-                self.wc_seq = self.base.snd_nxt;
+                self.wc_seq = base.snd_nxt;
             }
             self.compute_wind(update_wc);
         }
-        ctx.trace_delay(ack.delay);
-        ctx.trace_cwnd(self.cwnd);
-        if !self.base.finished() {
-            self.arm_rto(ctx);
-        } else if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {
-        if token != RTO_TOKEN || self.base.finished() {
-            return;
-        }
-        if ctx.now.saturating_sub(self.base.last_ack) >= self.base.rto()
-            && !self.base.outstanding.is_empty()
-        {
-            self.base.rto_recover();
-            self.cwnd = self.cfg.min_cwnd;
-        }
-        self.arm_rto(ctx);
-    }
-
-    fn try_send(&mut self, now: Time) -> TrySend {
-        self.base.try_send(self.cwnd, now)
-    }
-
-    fn on_sent(&mut self, sent: TrySend, ctx: &mut TransportCtx<'_>) {
-        self.base.on_sent(sent, self.cwnd, ctx.now);
-    }
-
-    fn is_finished(&self) -> bool {
-        self.base.finished()
-    }
-
-    fn cwnd_bytes(&self) -> f64 {
+    fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn retransmits(&self) -> u64 {
-        self.base.retransmits
+    /// Collapse to the floor: no ACKs means no INT to size the window by.
+    fn on_rto(&mut self) {
+        self.cwnd = self.cfg.min_cwnd;
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        self.base.check_invariants()?;
         if !self.cwnd.is_finite() {
             return Err(format!("hpcc cwnd {} is not finite", self.cwnd));
         }
@@ -251,20 +192,7 @@ impl Transport for HpccTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::Rate;
-
-    fn params() -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size: 10_000_000,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 0,
-            seed: 1,
-        }
-    }
+    use crate::fixtures::params;
 
     fn hop(qlen: u64, tx: u64, ts_us: u64) -> IntHop {
         IntHop {
@@ -275,10 +203,10 @@ mod tests {
         }
     }
 
-    fn mk() -> HpccTransport {
-        let p = params();
+    fn mk() -> HpccCc {
+        let p = params(10_000_000);
         let bdp = p.line_rate.bdp_bytes(p.base_rtt) as f64;
-        HpccTransport::new(p.clone(), HpccConfig::new(p.base_rtt, bdp))
+        HpccCc::new(HpccConfig::new(p.base_rtt, bdp))
     }
 
     #[test]

@@ -3,136 +3,56 @@
 //! effectively unbounded, so the NIC drains at line rate and the network's
 //! own mechanisms (PFC or drops) are the only backpressure.
 
-use netsim::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
-use simcore::event::ScheduledId;
+use netsim::AckEvent;
 use simcore::Time;
 
-use crate::sender::{SenderBase, RTO_TOKEN};
+use crate::plain::WindowPolicy;
+use crate::sender::SenderBase;
 
-/// Blind line-rate transport.
-#[derive(Clone, Debug)]
-pub struct BlastTransport {
-    base: SenderBase,
-    rto_timer: Option<ScheduledId>,
-}
+/// The blind line-rate window policy: a constant, effectively-infinite
+/// window.
+#[derive(Clone, Copy, Debug)]
+pub struct NoCc;
 
 /// Effectively-infinite window (bounded to keep arithmetic sane).
 const BLAST_WINDOW: f64 = 1e15;
 
-impl BlastTransport {
-    /// New transport.
-    pub fn new(params: FlowParams) -> Self {
-        BlastTransport {
-            base: SenderBase::new(params),
-            rto_timer: None,
-        }
-    }
+impl WindowPolicy for NoCc {
+    /// A constant is not worth a trace.
+    const TRACE_CWND: bool = false;
 
-    fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let at = ctx.now + self.base.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
-    }
-}
+    fn on_ack(&mut self, _ack: &AckEvent, _base: &SenderBase, _now: Time) {}
 
-impl Transport for BlastTransport {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
-
-    fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
-        self.arm_rto(ctx);
-    }
-
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
-        if ack.kind != AckKind::Data {
-            return;
-        }
-        self.base.on_ack(ack, ctx.now);
-        ctx.trace_delay(ack.delay);
-        if !self.base.finished() {
-            self.arm_rto(ctx);
-        } else if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {
-        if token != RTO_TOKEN || self.base.finished() {
-            return;
-        }
-        if ctx.now.saturating_sub(self.base.last_ack) >= self.base.rto()
-            && !self.base.outstanding.is_empty()
-        {
-            self.base.rto_recover();
-        }
-        self.arm_rto(ctx);
-    }
-
-    fn try_send(&mut self, now: Time) -> TrySend {
-        self.base.try_send(BLAST_WINDOW, now)
-    }
-
-    fn on_sent(&mut self, sent: TrySend, ctx: &mut TransportCtx<'_>) {
-        self.base.on_sent(sent, BLAST_WINDOW, ctx.now);
-    }
-
-    fn is_finished(&self) -> bool {
-        self.base.finished()
-    }
-
-    fn cwnd_bytes(&self) -> f64 {
+    fn cwnd(&self) -> f64 {
         BLAST_WINDOW
     }
 
-    fn retransmits(&self) -> u64 {
-        self.base.retransmits
-    }
+    /// Keep the window: there is none to shrink.
+    fn on_rto(&mut self) {}
 
     fn check_invariants(&self) -> Result<(), String> {
-        self.base.check_invariants()
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::Event;
-    use simcore::{EventQueue, Rate};
+    use crate::fixtures::{ack, params};
+    use crate::plain::CcTransport;
+    use crate::sender::RTO_TOKEN;
+    use netsim::{AckKind, Event, Transport, TransportCtx, TrySend};
+    use simcore::EventQueue;
 
-    fn params(size: u64) -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 0,
-            seed: 1,
-        }
-    }
-
-    fn ack(seq: u64, bytes: u32) -> AckEvent {
-        AckEvent {
-            kind: AckKind::Data,
-            delay: Time::from_us(14),
-            cum_bytes: seq + bytes as u64,
-            acked_seq: seq,
-            acked_bytes: bytes,
-            ecn_echo: false,
-            nack: None,
-            int: None,
-        }
+    fn mk(size: u64) -> CcTransport<NoCc> {
+        CcTransport::new(SenderBase::new(params(size)), NoCc)
     }
 
     #[test]
     fn window_never_gates_new_data() {
         // The blast sender must be able to put the entire flow in flight
         // without a single ACK: only "everything sent" blocks it.
-        let mut t = BlastTransport::new(params(10_000));
+        let mut t = mk(10_000);
         assert!(t.cwnd_bytes() >= 1e12);
         for i in 0..10u64 {
             let d = t.try_send(Time::ZERO);
@@ -145,40 +65,40 @@ mod tests {
             t.on_sent(d, &mut ctx);
         }
         assert_eq!(t.try_send(Time::ZERO), TrySend::Blocked);
-        assert_eq!(t.base.inflight, 10_000);
+        assert_eq!(t.base().inflight, 10_000);
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn probe_acks_are_ignored() {
-        let mut t = BlastTransport::new(params(5_000));
+        let mut t = mk(5_000);
         let mut q = EventQueue::<Event>::new();
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(1), 0);
-        let mut a = ack(0, 1000);
-        a.kind = AckKind::Probe;
-        let before = t.base.acked;
-        t.on_ack(&a, &mut ctx);
-        assert_eq!(t.base.acked, before);
+        let echo = AckEvent {
+            kind: AckKind::Probe,
+            ..ack(0, 1000, 14)
+        };
+        t.on_ack(&echo, &mut ctx);
+        assert_eq!(t.base().acked, 0);
     }
 
     #[test]
     fn finishes_and_cancels_rto() {
-        let mut t = BlastTransport::new(params(3_000));
+        let mut t = mk(3_000);
         let mut q = EventQueue::<Event>::new();
         {
             let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
             t.on_start(&mut ctx);
         }
         assert_eq!(q.len(), 1, "on_start arms the RTO");
-        for i in 0..3u64 {
+        for _ in 0..3 {
             let d = t.try_send(Time::ZERO);
             let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
             t.on_sent(d, &mut ctx);
-            let _ = i;
         }
         for i in 0..3u64 {
             let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(14 + i), 0);
-            t.on_ack(&ack(i * 1000, 1000), &mut ctx);
+            t.on_ack(&ack(i * 1000, 1000, 14), &mut ctx);
         }
         assert!(t.is_finished());
         assert_eq!(q.len(), 0, "final ACK cancels the RTO");
@@ -187,7 +107,7 @@ mod tests {
 
     #[test]
     fn rto_requeues_outstanding_and_retransmits() {
-        let mut t = BlastTransport::new(params(2_000));
+        let mut t = mk(2_000);
         let mut q = EventQueue::<Event>::new();
         for _ in 0..2 {
             let d = t.try_send(Time::ZERO);

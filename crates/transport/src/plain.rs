@@ -1,85 +1,102 @@
-//! A plain (non-PrioPlus) transport around any [`DelayCc`]: what "Swift
-//! with physical priority" runs in the paper's comparisons.
+//! The one window-based transport: [`SenderBase`] mechanics plus a
+//! [`WindowPolicy`]. Plain Swift and LEDBAT ("Swift with physical
+//! priority" in the paper's comparisons), weighted Swift, DCTCP/D2TCP, HPCC
+//! and the no-CC blaster all run in this shell and differ only in the
+//! policy — one testbed, everything but the algorithm shared.
 
 use netsim::{AckEvent, AckKind, Transport, TransportCtx, TrySend};
 use prioplus::DelayCc;
-use simcore::event::ScheduledId;
 use simcore::Time;
 
 use crate::sender::{SenderBase, RTO_TOKEN};
 
-/// Window-based transport delegating congestion control to a [`DelayCc`].
-#[derive(Clone, Debug)]
-pub struct CcTransport<C: DelayCc> {
-    base: SenderBase,
-    cc: C,
-    rto_timer: Option<ScheduledId>,
+/// A congestion-window policy: all that distinguishes one window-based
+/// transport from another once [`SenderBase`] owns sequencing, pacing,
+/// retransmission and the RTO timer.
+pub trait WindowPolicy {
+    /// Whether each ACK records the window in the flow's cwnd trace.
+    const TRACE_CWND: bool;
+
+    /// Digest one data ACK; `base` has already accounted for it.
+    fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, now: Time);
+
+    /// Current congestion window in bytes.
+    fn cwnd(&self) -> f64;
+
+    /// Window reaction to a retransmission timeout (every outstanding
+    /// packet has just been requeued): collapse, or keep the window.
+    fn on_rto(&mut self);
+
+    /// Audit hook: the first violated internal invariant, if any.
+    fn check_invariants(&self) -> Result<(), String>;
 }
 
-impl<C: DelayCc> CcTransport<C> {
-    /// New transport for the flow described by `base`'s parameters.
-    pub fn new(base: SenderBase, cc: C) -> Self {
-        CcTransport {
-            base,
-            cc,
-            rto_timer: None,
-        }
+/// Every delay CC PrioPlus can wrap is also a plain window policy.
+impl<C: DelayCc> WindowPolicy for C {
+    const TRACE_CWND: bool = true;
+
+    fn on_ack(&mut self, ack: &AckEvent, _base: &SenderBase, now: Time) {
+        DelayCc::on_ack(self, ack.delay, ack.acked_bytes, now);
     }
 
-    /// Borrow the CC (diagnostics).
-    pub fn cc(&self) -> &C {
-        &self.cc
+    fn cwnd(&self) -> f64 {
+        DelayCc::cwnd(self)
+    }
+
+    /// Keep the window: the delay signal shrinks it, not the timeout.
+    fn on_rto(&mut self) {}
+
+    fn check_invariants(&self) -> Result<(), String> {
+        DelayCc::check_invariants(self)
+    }
+}
+
+/// Window-based transport delegating congestion control to a
+/// [`WindowPolicy`].
+#[derive(Clone, Debug)]
+pub struct CcTransport<P: WindowPolicy> {
+    base: SenderBase,
+    cc: P,
+}
+
+impl<P: WindowPolicy> CcTransport<P> {
+    /// New transport for the flow described by `base`'s parameters.
+    pub fn new(base: SenderBase, cc: P) -> Self {
+        CcTransport { base, cc }
     }
 
     /// Borrow the sender base (diagnostics).
     pub fn base(&self) -> &SenderBase {
         &self.base
     }
-
-    fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let at = ctx.now + self.base.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
-    }
 }
 
-impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for CcTransport<C> {
+impl<P: WindowPolicy + Clone + Send + Sync + 'static> Transport for CcTransport<P> {
     fn clone_box(&self) -> Box<dyn Transport> {
         Box::new(self.clone())
     }
 
     fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
-        self.arm_rto(ctx);
+        self.base.arm_rto(ctx);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
         if ack.kind != AckKind::Data {
             return;
         }
-        let newly = self.base.on_ack(ack, ctx.now);
-        self.cc
-            .on_ack(ack.delay, newly.max(ack.acked_bytes), ctx.now);
+        self.base.on_ack(ack, ctx.now);
+        self.cc.on_ack(ack, &self.base, ctx.now);
         ctx.trace_delay(ack.delay);
-        ctx.trace_cwnd(self.cc.cwnd());
-        if !self.base.finished() {
-            self.arm_rto(ctx);
-        } else if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
+        if P::TRACE_CWND {
+            ctx.trace_cwnd(self.cc.cwnd());
         }
+        self.base.rearm_rto_after_ack(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {
-        if token != RTO_TOKEN || self.base.finished() {
-            return;
+        if token == RTO_TOKEN && self.base.on_rto_timer(false, ctx) {
+            self.cc.on_rto();
         }
-        if ctx.now.saturating_sub(self.base.last_ack) >= self.base.rto()
-            && !self.base.outstanding.is_empty()
-        {
-            self.base.rto_recover();
-        }
-        self.arm_rto(ctx);
     }
 
     fn try_send(&mut self, now: Time) -> TrySend {
@@ -111,37 +128,12 @@ impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for CcTransport<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::SenderBase;
+    use crate::dctcp::{D2tcpConfig, DctcpCc};
+    use crate::fixtures::{ack, params};
+    use crate::hpcc::{HpccCc, HpccConfig};
     use netsim::Event;
-    use netsim::{AckKind, FlowParams};
     use prioplus::cc::SimpleAimd;
-    use simcore::{EventQueue, Rate};
-
-    fn params(size: u64) -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 0,
-            seed: 1,
-        }
-    }
-
-    fn ack(seq: u64, bytes: u32, delay_us: u64) -> AckEvent {
-        AckEvent {
-            kind: AckKind::Data,
-            delay: Time::from_us(delay_us),
-            cum_bytes: seq + bytes as u64,
-            acked_seq: seq,
-            acked_bytes: bytes,
-            ecn_echo: false,
-            nack: None,
-            int: None,
-        }
-    }
+    use simcore::EventQueue;
 
     fn mk(size: u64, init_cwnd: f64) -> CcTransport<SimpleAimd> {
         let cc = SimpleAimd::new(Time::from_us(16), 1000.0, init_cwnd, 1e9);
@@ -216,5 +208,29 @@ mod tests {
         }
         assert_eq!(t.cwnd_bytes(), 100_000.0);
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn rto_reaction_is_the_policys_answer() {
+        // One packet in flight and no ACK by a (generous) deadline: the
+        // shell requeues it whatever the policy; the window is the policy's.
+        fn cwnd_after_rto<P: WindowPolicy + Clone + Send + Sync + 'static>(cc: P) -> f64 {
+            let mut t = CcTransport::new(SenderBase::new(params(10_000)), cc);
+            let mut q = EventQueue::<Event>::new();
+            let d = t.try_send(Time::ZERO);
+            let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
+            t.on_sent(d, &mut ctx);
+            let mut ctx = TransportCtx::for_test(&mut q, Time::from_ms(10), 0);
+            t.on_timer(RTO_TOKEN, &mut ctx);
+            assert_eq!(t.base().rtx_queue.len(), 1);
+            t.check_invariants().unwrap();
+            t.cwnd_bytes()
+        }
+        let aimd = SimpleAimd::new(Time::from_us(16), 1000.0, 10_000.0, 1e9);
+        assert_eq!(cwnd_after_rto(aimd), 10_000.0, "delay CCs keep the window");
+        let dctcp = DctcpCc::new(D2tcpConfig::dctcp(1000, 10_000.0));
+        assert_eq!(cwnd_after_rto(dctcp), 1_000.0, "DCTCP collapses to floor");
+        let hpcc = HpccCc::new(HpccConfig::new(Time::from_us(12), 150_000.0));
+        assert_eq!(cwnd_after_rto(hpcc), 64.0, "HPCC collapses to floor");
     }
 }

@@ -25,7 +25,6 @@ pub struct PrioPlusTransport<C: DelayCc> {
     probe_armed: bool,
     probe_timer: Option<ScheduledId>,
     probe_rto_timer: Option<ScheduledId>,
-    rto_timer: Option<ScheduledId>,
     /// Delay observed in the most recent measurement (for probe-RTO
     /// rescheduling).
     last_delay: Time,
@@ -41,7 +40,6 @@ impl<C: DelayCc> PrioPlusTransport<C> {
             probe_armed: false,
             probe_timer: None,
             probe_rto_timer: None,
-            rto_timer: None,
             last_delay,
         }
     }
@@ -49,19 +47,6 @@ impl<C: DelayCc> PrioPlusTransport<C> {
     /// Borrow the PrioPlus state machine (diagnostics).
     pub fn prioplus(&self) -> &PrioPlus<C> {
         &self.pp
-    }
-
-    /// Borrow the sender base (diagnostics).
-    pub fn base(&self) -> &SenderBase {
-        &self.base
-    }
-
-    fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let at = ctx.now + self.base.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
     }
 
     fn schedule_probe(&mut self, delay_from_now: Time, ctx: &mut TransportCtx<'_>) {
@@ -83,7 +68,7 @@ impl<C: DelayCc> PrioPlusTransport<C> {
             }
             Action::Resume => {
                 // RTT-round tracking restarts; the host will poke us.
-                self.arm_rto(ctx);
+                self.base.arm_rto(ctx);
             }
         }
     }
@@ -97,7 +82,7 @@ impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for PrioPlusTransport
     fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
         let action = self.pp.on_flow_start();
         self.handle_action(action, ctx);
-        self.arm_rto(ctx);
+        self.base.arm_rto(ctx);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
@@ -105,20 +90,16 @@ impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for PrioPlusTransport
         ctx.trace_delay(ack.delay);
         match ack.kind {
             AckKind::Data => {
-                let newly = self.base.on_ack(ack, ctx.now);
+                self.base.on_ack(ack, ctx.now);
                 let action = self.pp.on_data_ack(
                     ack.delay,
                     ack.acked_seq,
                     self.base.snd_nxt,
-                    newly.max(ack.acked_bytes),
+                    ack.acked_bytes,
                     ctx.now,
                 );
                 self.handle_action(action, ctx);
-                if !self.base.finished() {
-                    self.arm_rto(ctx);
-                } else if let Some(id) = self.rto_timer.take() {
-                    ctx.cancel_timer(id);
-                }
+                self.base.rearm_rto_after_ack(ctx);
             }
             AckKind::Probe => {
                 self.base.last_ack = ctx.now;
@@ -148,16 +129,8 @@ impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for PrioPlusTransport
                 }
             }
             RTO_TOKEN => {
-                if self.base.finished() {
-                    return;
-                }
-                if !self.pp.suspended()
-                    && ctx.now.saturating_sub(self.base.last_ack) >= self.base.rto()
-                    && !self.base.outstanding.is_empty()
-                {
-                    self.base.rto_recover();
-                }
-                self.arm_rto(ctx);
+                // The wrapped delay CC keeps its window across a timeout.
+                self.base.on_rto_timer(self.pp.suspended(), ctx);
             }
             _ => {}
         }
@@ -224,24 +197,10 @@ impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for PrioPlusTransport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::SenderBase;
+    use crate::fixtures::{ack, params};
     use netsim::Event;
-    use netsim::{AckKind, FlowParams};
     use prioplus::cc::SimpleAimd;
     use simcore::{EventQueue, Rate};
-
-    fn params(size: u64) -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 1,
-            seed: 1,
-        }
-    }
 
     fn cfg(probe_before_start: bool) -> PrioPlusConfig {
         PrioPlusConfig {
@@ -267,29 +226,14 @@ mod tests {
         )
     }
 
-    fn data_ack(seq: u64, delay_us: f64) -> AckEvent {
-        AckEvent {
-            kind: AckKind::Data,
-            delay: Time::from_us_f64(delay_us),
-            cum_bytes: seq + 1000,
-            acked_seq: seq,
-            acked_bytes: 1000,
-            ecn_echo: false,
-            nack: None,
-            int: None,
-        }
+    fn data_ack(seq: u64, delay_us: u64) -> AckEvent {
+        ack(seq, 1000, delay_us)
     }
 
-    fn probe_ack(delay_us: f64) -> AckEvent {
+    fn probe_ack(delay_us: u64) -> AckEvent {
         AckEvent {
             kind: AckKind::Probe,
-            delay: Time::from_us_f64(delay_us),
-            cum_bytes: 0,
-            acked_seq: 0,
-            acked_bytes: 0,
-            ecn_echo: false,
-            nack: None,
-            int: None,
+            ..ack(0, 0, delay_us)
         }
     }
 
@@ -319,7 +263,7 @@ mod tests {
         t.on_sent(TrySend::Probe, &mut ctx);
         // Echo at the probe base RTT: the path is empty.
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(11), 0);
-        t.on_ack(&probe_ack(12.0), &mut ctx);
+        t.on_ack(&probe_ack(12), &mut ctx);
         assert!(!t.prioplus().suspended());
         assert_eq!(t.cwnd_bytes(), 150_000.0, "linear-start window W_LS");
         assert!(matches!(t.try_send(Time::from_us(11)), TrySend::Data { .. }));
@@ -336,7 +280,7 @@ mod tests {
         // Delay inside (base, D_limit): same-priority traffic present —
         // conservative resume with exactly one MTU (§4.4).
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(15), 0);
-        t.on_ack(&probe_ack(15.0), &mut ctx);
+        t.on_ack(&probe_ack(15), &mut ctx);
         assert!(!t.prioplus().suspended());
         assert_eq!(t.cwnd_bytes(), 1_000.0);
         t.check_invariants().unwrap();
@@ -357,10 +301,10 @@ mod tests {
         }
         // One over-D_limit sample is filtered noise; two suspend the flow.
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(20), 0);
-        t.on_ack(&data_ack(0, 25.0), &mut ctx);
+        t.on_ack(&data_ack(0, 25), &mut ctx);
         assert!(!t.prioplus().suspended());
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(21), 0);
-        t.on_ack(&data_ack(1000, 25.0), &mut ctx);
+        t.on_ack(&data_ack(1000, 25), &mut ctx);
         assert!(t.prioplus().suspended());
         assert_eq!(t.try_send(Time::from_us(21)), TrySend::Blocked);
         // The collision-avoidance delay elapses; the timer arms the probe.
@@ -395,7 +339,7 @@ mod tests {
         // Echo still above D_limit: stay suspended, another probe is
         // scheduled (timer or armed, depending on the jitter draw).
         let mut ctx = TransportCtx::for_test(&mut q, Time::from_us(30), 0);
-        t.on_ack(&probe_ack(30.0), &mut ctx);
+        t.on_ack(&probe_ack(30), &mut ctx);
         assert!(t.prioplus().suspended());
         assert_ne!(t.try_send(Time::from_us(30)), TrySend::Finished);
         t.check_invariants().unwrap();

@@ -1,15 +1,20 @@
 //! Shared sender-side mechanics: sequencing, window gating, sub-MTU pacing,
-//! RTO, and selective (IRN-style) retransmission.
+//! selective (IRN-style) retransmission, and the retransmission timer with
+//! its whole lifecycle — arm, re-arm or cancel after an ACK, fire.
 //!
-//! Every transport in this crate delegates the data-plane bookkeeping to
-//! [`SenderBase`] and contributes only its congestion-window policy.
+//! [`SenderBase`] is the data plane of both `Transport` implementations in
+//! this crate: [`crate::plain::CcTransport`], which adds nothing but a
+//! [`crate::plain::WindowPolicy`], and
+//! [`crate::pp_transport::PrioPlusTransport`], which adds probing and
+//! suspension.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use netsim::{AckEvent, FlowParams, TrySend};
+use netsim::{AckEvent, FlowParams, TransportCtx, TrySend};
+use simcore::event::ScheduledId;
 use simcore::Time;
 
-/// Timer token used by [`SenderBase`]-driven retransmission timeouts.
+/// Timer token of the retransmission timeout [`SenderBase`] schedules.
 pub const RTO_TOKEN: u64 = 0x5210;
 
 /// Sender-side data-plane state shared by all window-based transports.
@@ -41,6 +46,8 @@ pub struct SenderBase {
     /// backoff; a starved low-priority flow must not spray go-back-N
     /// retransmissions while it is simply being preempted).
     pub rto_backoff: u32,
+    /// The pending retransmission timer, if armed.
+    rto_timer: Option<ScheduledId>,
 }
 
 impl SenderBase {
@@ -60,6 +67,7 @@ impl SenderBase {
             last_ack: Time::ZERO,
             pace_next: Time::ZERO,
             rto_backoff: 0,
+            rto_timer: None,
         }
     }
 
@@ -86,15 +94,14 @@ impl SenderBase {
             return TrySend::Finished;
         }
         // Pick the candidate packet.
-        let (seq, len, is_rtx) = if let Some(&(seq, len)) = self.rtx_queue.front() {
-            (seq, len, true)
+        let (seq, len) = if let Some(&front) = self.rtx_queue.front() {
+            front
         } else if self.remaining() > 0 {
-            (self.snd_nxt, self.next_len(), false)
+            (self.snd_nxt, self.next_len())
         } else {
             // Everything sent, awaiting ACKs.
             return TrySend::Blocked;
         };
-        let _ = is_rtx;
         if cwnd >= self.params.mtu as f64 {
             // Pure window/ACK clocking.
             if self.inflight + len as u64 <= cwnd as u64 {
@@ -139,30 +146,25 @@ impl SenderBase {
         }
     }
 
-    /// Process the data-plane part of an ACK. Returns the number of payload
-    /// bytes newly acknowledged.
-    pub fn on_ack(&mut self, ack: &AckEvent, now: Time) -> u32 {
+    /// Process the data-plane part of an ACK.
+    pub fn on_ack(&mut self, ack: &AckEvent, now: Time) {
         self.last_ack = now;
         self.rto_backoff = 0;
         // Srtt EWMA (alpha = 1/8), on the normalized delay.
         let s = self.srtt.as_ps() as f64 * 0.875 + ack.delay.as_ps() as f64 * 0.125;
         self.srtt = Time::from_ps(s as u64);
-        let mut newly = 0;
         if self.outstanding.remove(&ack.acked_seq) {
-            newly = ack.acked_bytes;
             self.acked += ack.acked_bytes as u64;
             self.inflight = self.inflight.saturating_sub(ack.acked_bytes as u64);
         } else if self.rtx_pending.remove(&ack.acked_seq) {
             // The "lost" packet was acknowledged before its retransmission
             // left: drop it from the queue.
             self.rtx_queue.retain(|&(s, _)| s != ack.acked_seq);
-            newly = ack.acked_bytes;
             self.acked += ack.acked_bytes as u64;
         }
         if let Some((from, to)) = ack.nack {
             self.queue_rtx_range(from, to);
         }
-        newly
     }
 
     /// Queue every outstanding packet in `[from, to)` for retransmission
@@ -185,10 +187,47 @@ impl SenderBase {
 
     /// Full timeout recovery: every outstanding packet is considered lost.
     pub fn rto_recover(&mut self) {
-        let (from, to) = (0, u64::MAX);
-        self.queue_rtx_range(from, to);
+        self.queue_rtx_range(0, u64::MAX);
         self.inflight = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(8);
+    }
+
+    /// (Re)start the retransmission timer one [`SenderBase::rto`] from now.
+    pub fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
+        if let Some(id) = self.rto_timer.take() {
+            ctx.cancel_timer(id);
+        }
+        let at = ctx.now + self.rto();
+        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
+    }
+
+    /// After a data ACK: push the timer out while bytes remain, cancel it
+    /// once the flow is finished.
+    pub fn rearm_rto_after_ack(&mut self, ctx: &mut TransportCtx<'_>) {
+        if !self.finished() {
+            self.arm_rto(ctx);
+        } else if let Some(id) = self.rto_timer.take() {
+            ctx.cancel_timer(id);
+        }
+    }
+
+    /// The [`RTO_TOKEN`] timer fired. If a full RTO has passed since the
+    /// last ACK with packets outstanding, requeue them all and return
+    /// `true` so the caller can apply its window reaction; either way the
+    /// timer keeps running while bytes remain. `hold` (a suspended PrioPlus
+    /// flow, silent by design) keeps it running without declaring loss.
+    pub fn on_rto_timer(&mut self, hold: bool, ctx: &mut TransportCtx<'_>) -> bool {
+        if self.finished() {
+            return false;
+        }
+        let timed_out = !hold
+            && ctx.now.saturating_sub(self.last_ack) >= self.rto()
+            && !self.outstanding.is_empty();
+        if timed_out {
+            self.rto_recover();
+        }
+        self.arm_rto(ctx);
+        timed_out
     }
 
     /// Retransmission timeout duration: generous so it only fires on real
@@ -234,34 +273,7 @@ impl SenderBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::AckKind;
-    use simcore::Rate;
-
-    fn params(size: u64) -> FlowParams {
-        FlowParams {
-            flow: 0,
-            size,
-            line_rate: Rate::from_gbps(100),
-            base_rtt: Time::from_us(12),
-            base_rtt_probe: Time::from_us(11),
-            mtu: 1000,
-            virt_prio: 0,
-            seed: 1,
-        }
-    }
-
-    fn ack(seq: u64, bytes: u32, delay_us: u64) -> AckEvent {
-        AckEvent {
-            kind: AckKind::Data,
-            delay: Time::from_us(delay_us),
-            cum_bytes: seq + bytes as u64,
-            acked_seq: seq,
-            acked_bytes: bytes,
-            ecn_echo: false,
-            nack: None,
-            int: None,
-        }
-    }
+    use crate::fixtures::{ack, params};
 
     #[test]
     fn window_gates_inflight() {
@@ -332,8 +344,10 @@ mod tests {
             b.on_sent(d, cwnd, Time::ZERO);
         }
         // Packet at seq 1000 lost; receiver acks 2000 with nack [1000,2000).
-        let mut a = ack(2000, 1000, 12);
-        a.nack = Some((1000, 2000));
+        let a = AckEvent {
+            nack: Some((1000, 2000)),
+            ..ack(2000, 1000, 12)
+        };
         b.on_ack(&a, Time::from_us(12));
         let d = b.try_send(cwnd, Time::from_us(13));
         assert!(matches!(

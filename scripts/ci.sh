@@ -7,8 +7,7 @@
 #      (skipped with a warning if the toolchain has no clippy component);
 #   2. tier-1: release build + the full test suite on the default
 #      (calendar) scheduler — property fleets, golden-trace diffs, the
-#      cross-backend differentials — and netsim built with the audit layer
-#      compiled out (--no-default-features);
+#      cross-backend differentials;
 #   3. audited: the whole experiments suite rerun with the invariant audit
 #      force-enabled on every Sim and panicking on any violation; then the
 #      arena, audit, hybrid (fluid mass conservation) and fault suites with
@@ -55,10 +54,9 @@ else
 fi
 leg_done
 
-leg 2 tier-1 "release build + tests, audit compiles out"
+leg 2 tier-1 "release build + tests"
 cargo build --release
 cargo test -q
-cargo build --release -p netsim --no-default-features
 leg_done
 
 leg 3 audited "experiments suite under the invariant audit (violations are fatal)"

@@ -6,8 +6,7 @@
 #   scripts/lint.sh --json [FILE]   # also write the JSON report
 #                                   # (default: target/simlint.json)
 #
-# Any other arguments are passed through to simlint (e.g.
-# --fix-allowlist to ratchet a baseline while burning one down).
+# Any other arguments are passed through to simlint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

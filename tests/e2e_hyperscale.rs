@@ -97,14 +97,18 @@ fn sketch_differential_fleet_across_distributions() {
     }
 }
 
+/// A horizon by which every flow of [`small_fabric_run`] has long finished.
+const DRAINED: Time = Time::from_ms(20);
+
 /// A small closed scenario on a k=4 fat-tree, parameterized on streaming
-/// mode and scheduler backend: 48 WebSearch-ish flows across all hosts.
-fn small_fabric_run(streaming: bool, sched: SchedKind) -> SimResult {
+/// mode, scheduler backend and horizon: 48 WebSearch-ish flows across all
+/// hosts.
+fn small_fabric_run(streaming: bool, sched: SchedKind, end_time: Time) -> SimResult {
     let topo = Topology::fat_tree(4, simcore::Rate::from_gbps(100), Time::from_us(1));
     let hosts = topo.hosts.clone();
     let cfg = SimConfig {
         num_prios: 1,
-        end_time: Time::from_ms(20),
+        end_time,
         seed: 7,
         sched,
         streaming_stats: streaming,
@@ -142,8 +146,8 @@ fn small_fabric_run(streaming: bool, sched: SchedKind) -> SimResult {
 
 #[test]
 fn streaming_sketches_match_exact_records_of_the_same_run() {
-    let exact_run = small_fabric_run(false, SchedKind::Binary);
-    let stream_run = small_fabric_run(true, SchedKind::Binary);
+    let exact_run = small_fabric_run(false, SchedKind::Binary, DRAINED);
+    let stream_run = small_fabric_run(true, SchedKind::Binary, DRAINED);
     // Same simulation either way: streaming only changes result assembly.
     assert_eq!(exact_run.counters.events, stream_run.counters.events);
     assert!(stream_run.records.is_empty(), "streaming keeps no records");
@@ -170,13 +174,22 @@ fn streaming_sketches_match_exact_records_of_the_same_run() {
     // Per-virtual-class sketch counts add up to the total.
     let by_virt: u64 = st.fct_ps_by_virt.iter().map(|s| s.count()).sum();
     assert_eq!(by_virt, st.finished);
+    assert_eq!(stream_run.completion_rate(), 1.0);
+
+    // A horizon that censors flows: the streaming run has no records to
+    // count, and must still report the same shortfall as the exact one.
+    let cut = Time::from_us(300);
+    let exact_cut = small_fabric_run(false, SchedKind::Binary, cut);
+    let stream_cut = small_fabric_run(true, SchedKind::Binary, cut);
+    assert!(exact_cut.completion_rate() < 1.0, "horizon censors flows");
+    assert_eq!(stream_cut.completion_rate(), exact_cut.completion_rate());
 }
 
 #[test]
 fn streaming_state_is_bit_identical_across_scheduler_backends() {
     let runs: Vec<SimResult> = SchedKind::ALL
         .into_iter()
-        .map(|k| small_fabric_run(true, k))
+        .map(|k| small_fabric_run(true, k, DRAINED))
         .collect();
     let fp0 = runs[0].streaming.as_deref().expect("streaming on").fingerprint();
     for (i, r) in runs.iter().enumerate() {

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use simlint::{lint_workspace, Baseline};
+use simlint::lint_workspace;
 
 fn workspace_root() -> &'static Path {
     // crates/simlint/../.. = the workspace root, independent of the
@@ -34,16 +34,8 @@ fn workspace_has_no_unallowed_findings() {
         report.files_scanned
     );
 
-    // The committed baseline (if any) is honored, exactly as the CI leg
-    // honors it: the goal is to ratchet it down to empty, not to bypass it.
-    let baseline_path = root.join("simlint.baseline");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(_) => Baseline::default(),
-    };
-
     let unallowed: Vec<String> = report
-        .unallowed(&baseline)
+        .unallowed()
         .map(|(path, f)| {
             format!(
                 "{}:{}:{}: [{}] {}",
@@ -57,8 +49,8 @@ fn workspace_has_no_unallowed_findings() {
         .collect();
     assert!(
         unallowed.is_empty(),
-        "simlint found {} unallowed finding(s):\n{}\nfix the sites, annotate with \
-         // simlint::allow(rule, reason), or ratchet with `cargo run -p simlint -- --fix-allowlist`",
+        "simlint found {} unallowed finding(s):\n{}\nfix the sites or annotate them with \
+         // simlint::allow(rule, reason)",
         unallowed.len(),
         unallowed.join("\n")
     );
@@ -86,22 +78,6 @@ fn semantic_passes_run_in_the_full_workspace_scan() {
         "suspiciously few match expressions indexed ({})",
         report.matches_indexed
     );
-}
-
-#[test]
-fn no_stale_baseline_is_committed() {
-    // A baseline with nothing left to tolerate would silently mask the
-    // next regression (entries pin rule+path+line, and lines drift). The
-    // CLI refuses to run with one; the committed tree must not carry one.
-    let root = workspace_root();
-    let report = lint_workspace(root).expect("lint pass reads the workspace");
-    if report.unallowed(&Baseline::default()).count() == 0 {
-        assert!(
-            !root.join("simlint.baseline").exists(),
-            "the workspace scan is clean: delete simlint.baseline (a stale \
-             ratchet masks future regressions)"
-        );
-    }
 }
 
 #[test]
