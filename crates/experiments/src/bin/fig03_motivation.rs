@@ -15,7 +15,7 @@
 
 use experiments::micro::{Micro, MicroEnv};
 use experiments::report::f3;
-use experiments::Table;
+use experiments::{Scale, Table};
 use simcore::Time;
 use transport::CcSpec;
 
@@ -137,8 +137,7 @@ fn sub_b() {
 
 /// Fig 3c: Swift without scaling under many low-priority flows.
 fn sub_c() {
-    let full = std::env::args().any(|a| a == "--full");
-    let n_low = if full { 300 } else { 100 };
+    let n_low = Scale::from_args().pick(100, 300);
     let mut m = Micro::build(&MicroEnv {
         senders: n_low + 1,
         end: Time::from_ms(6),

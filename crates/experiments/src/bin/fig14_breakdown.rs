@@ -28,9 +28,8 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
     let rate = Rate::from_gbps(100);
     let topo = Topology::fat_tree(k, rate, Time::from_us(1));
     let hosts = topo.hosts.clone();
-    let nq = if scheme.single_queue() { 1 } else { CLASSES };
     let sim_cfg = SimConfig {
-        num_prios: nq,
+        num_prios: scheme.phys_queues(CLASSES),
         end_time: duration + duration,
         seed: 77,
         meas_noise: NoiseModel::testbed(),
@@ -78,7 +77,7 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
                 dst: hosts[a.dst],
                 size: a.size,
                 start: a.start,
-                phys_prio: if scheme.single_queue() { 0 } else { prio },
+                phys_prio: scheme.phys_prio(prio, CLASSES),
                 virt_prio: prio,
                 tag: prio as u64,
             };

@@ -211,14 +211,7 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
     }
     let classifier = SizeClassifier::from_bounds(bounds);
 
-    let nq = if cfg.scheme.single_queue() {
-        1
-    } else {
-        match cfg.scheme {
-            Scheme::PhysicalSwift => cfg.classes.min(8),
-            _ => cfg.classes,
-        }
-    };
+    let nq = cfg.scheme.phys_queues(cfg.classes);
     let sim_cfg = SimConfig {
         num_prios: nq,
         end_time: cfg.duration + cfg.duration,
@@ -227,7 +220,6 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
         ..Default::default()
     };
     // Paper: 32 MB shared buffer in this scenario to avoid buffer effects.
-    let ports = cfg.hosts_per_leaf + cfg.spines;
     let sw_cfg = SwitchConfig {
         buffer_bytes: 32 * 1024 * 1024,
         pfc_enabled: cfg.lossless,
@@ -239,7 +231,6 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
         int_enabled: cfg.scheme == Scheme::PhysicalStarHpcc,
         ..Default::default()
     };
-    let _ = ports;
     let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
 
     // CCT-sensitive in every class: no probe-before-start (§4.4).
@@ -247,11 +238,7 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
     let mut meta: Vec<(u64, u8, Time, usize)> = Vec::new(); // id, class, start, flows
     for c in &all {
         let class = classifier.priority(c.total_bytes()).min(cfg.classes - 1);
-        let phys = if cfg.scheme.single_queue() {
-            0
-        } else {
-            class.min(nq - 1)
-        };
+        let phys = cfg.scheme.phys_prio(class, cfg.classes);
         for f in &c.flows {
             let spec = FlowSpec {
                 src: hosts[f.src],

@@ -133,18 +133,6 @@ pub fn bucket_of(size: u64) -> &'static str {
     }
 }
 
-/// How many physical data queues the scheme uses for `classes` classes.
-fn phys_queues(scheme: Scheme, classes: u8) -> u8 {
-    if scheme.single_queue() {
-        1
-    } else {
-        match scheme {
-            Scheme::PhysicalSwift => classes.min(8),
-            _ => classes, // ideal physical priorities
-        }
-    }
-}
-
 /// Build the switch configuration for a scheme.
 fn switch_config(cfg: &FlowSchedConfig, ports_per_switch: usize) -> SwitchConfig {
     let port_tbps = ports_per_switch as f64 * cfg.rate.as_gbps_f64() / 1000.0;
@@ -157,7 +145,7 @@ fn switch_config(cfg: &FlowSchedConfig, ports_per_switch: usize) -> SwitchConfig
         Scheme::PhysicalSwift => {
             // Real PFC headroom cost: one headroom chunk per (port,
             // lossless priority).
-            sw.pfc_lossless_prios = phys_queues(cfg.scheme, cfg.classes);
+            sw.pfc_lossless_prios = cfg.scheme.phys_queues(cfg.classes);
             sw.pfc_headroom_bytes = 50_000;
         }
         _ => {
@@ -188,9 +176,8 @@ fn cc_for(cfg: &FlowSchedConfig, class: u8) -> CcSpec {
 pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
     let topo = Topology::fat_tree(cfg.k, cfg.rate, Time::from_us(1));
     let hosts = topo.hosts.clone();
-    let nq = phys_queues(cfg.scheme, cfg.classes);
     let sim_cfg = SimConfig {
-        num_prios: nq,
+        num_prios: cfg.scheme.phys_queues(cfg.classes),
         end_time: cfg.duration + cfg.duration,
         seed: cfg.seed,
         meas_noise: cfg.noise,
@@ -219,17 +206,12 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
     let mut metas = Vec::new();
     for a in arrivals.generate_until(cfg.duration) {
         let class = classifier.priority(a.size);
-        let phys = if cfg.scheme.single_queue() {
-            0
-        } else {
-            class.min(nq - 1)
-        };
         let spec = FlowSpec {
             src: hosts[a.src],
             dst: hosts[a.dst],
             size: a.size,
             start: a.start,
-            phys_prio: phys,
+            phys_prio: cfg.scheme.phys_prio(class, cfg.classes),
             virt_prio: class,
             tag: class as u64,
         };

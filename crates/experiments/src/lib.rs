@@ -42,7 +42,6 @@ pub mod sweep;
 
 pub use netsim::SchedKind;
 pub use report::Table;
-pub use sweep::Sweep;
 
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -146,6 +145,24 @@ impl Scheme {
                 deadline_factor: Some(deadline_factor),
             },
         }
+    }
+
+    /// Physical data queues the scheme uses for `classes` priority classes:
+    /// one when it multiplexes them all in a single queue, at most the 8 a
+    /// real switch has for real physical priorities, one per class for the
+    /// ideal ("Physical*") ones.
+    pub fn phys_queues(&self, classes: u8) -> u8 {
+        match self {
+            s if s.single_queue() => 1,
+            Scheme::PhysicalSwift => classes.min(8),
+            _ => classes,
+        }
+    }
+
+    /// Physical queue a flow of priority `class` (of `classes`) travels in:
+    /// its own, or the highest one there is.
+    pub fn phys_prio(&self, class: u8, classes: u8) -> u8 {
+        class.min(self.phys_queues(classes) - 1)
     }
 
     /// True when the scheme multiplexes all priorities in one physical

@@ -2,10 +2,10 @@
 //!
 //! Every paper figure is a sweep of *independent* `(scheme × load × seed)`
 //! simulations: each run is a pure function of its config, so the runs can
-//! fan out across threads without changing any result. [`Sweep`] does
-//! exactly that — it executes a list of configs on `std::thread::scope`
-//! workers and returns the results **in input order**, which keeps every
-//! output table byte-identical to a serial run.
+//! fan out across threads without changing any result. [`run_ordered`]
+//! does exactly that — it executes a list of configs on
+//! `std::thread::scope` workers and returns the results **in input
+//! order**, which keeps every output table byte-identical to a serial run.
 //!
 //! Worker count resolution, highest priority first:
 //!
@@ -13,7 +13,6 @@
 //! 2. the `PRIOPLUS_JOBS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -66,40 +65,6 @@ pub fn positional_args() -> Vec<String> {
         out.push(a);
     }
     out
-}
-
-/// A sweep of independent run configs, executed in parallel, with results
-/// returned in input order.
-pub struct Sweep<C, R> {
-    configs: Vec<C>,
-    jobs: usize,
-    _result: PhantomData<R>,
-}
-
-impl<C: Sync, R: Send> Sweep<C, R> {
-    /// Sweep over `configs` with the default worker count
-    /// ([`default_jobs`]).
-    pub fn new(configs: Vec<C>) -> Self {
-        Sweep {
-            configs,
-            jobs: default_jobs(),
-            _result: PhantomData,
-        }
-    }
-
-    /// Override the worker count (0 is clamped to 1).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Execute `run` on every config and collect results in input order.
-    pub fn run<F>(self, run: F) -> Vec<R>
-    where
-        F: Fn(&C) -> R + Sync,
-    {
-        run_ordered(&self.configs, self.jobs, &run)
-    }
 }
 
 /// Fan `configs` out over `jobs` scoped worker threads; results come back in
@@ -281,12 +246,6 @@ mod tests {
             });
             assert_eq!(out, configs.iter().map(|c| c + 1).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn sweep_builder_runs() {
-        let out = Sweep::new((0..10u32).collect()).jobs(3).run(|&c| c * c);
-        assert_eq!(out, (0..10u32).map(|c| c * c).collect::<Vec<_>>());
     }
 
     #[test]

@@ -82,6 +82,24 @@ pub enum Event {
 }
 
 impl Event {
+    /// The event's kind as a short name plus its primary id (node, flow,
+    /// monitor or fault index; 0 where there is none) — what the audit's
+    /// ring log records per dispatched event.
+    pub fn name_and_id(&self) -> (&'static str, u32) {
+        match *self {
+            Event::Arrive { node, .. } => ("arrive", node),
+            Event::PortFree { node, .. } => ("port_free", node),
+            Event::FlowStart { flow } => ("flow_start", flow),
+            Event::FlowTimer { flow, .. } => ("flow_timer", flow),
+            Event::HostPoke { node } => ("host_poke", node),
+            Event::Sample { monitor } => ("sample", monitor),
+            Event::FluidEpoch => ("fluid_epoch", 0),
+            Event::Fault { idx } => ("fault", idx),
+            Event::Inject => ("inject", 0),
+            Event::End => ("end", 0),
+        }
+    }
+
     /// Fold this event into a state digest as a fixed sequence of `u64`
     /// words: a variant discriminant followed by every payload field. Used
     /// by [`crate::sim::Sim::state_digest`] to fingerprint pending queue

@@ -8,6 +8,12 @@
 //! bit-identical across the binary/calendar backends and across
 //! repeated runs — fault times are data, never wall clock.
 //!
+//! This module is the *schedule* only. The state a transition flips lives
+//! on the link's two [`crate::node::EgressPort`]s (`down`, `storm`,
+//! `degrade`), next to the pause bits and queues it interacts with, and is
+//! applied by `Sim::on_fault`; a snapshot or a state digest of the nodes
+//! therefore covers it without knowing faults exist.
+//!
 //! Three regimes are supported, always applied to **both directions** of
 //! the named link (`node`, `port` identifies one attachment; the peer
 //! attachment is resolved from the topology):
@@ -44,8 +50,6 @@
 //! is a PFC deadlock and is flagged as a structured
 //! [`crate::audit::ViolationKind::PfcDeadlock`] violation (latched: one
 //! report per deadlock episode, re-armed when the cycle clears).
-
-use std::collections::BTreeMap;
 
 use simcore::{SimRng, Time};
 
@@ -255,109 +259,6 @@ impl FaultSchedule {
     }
 }
 
-/// Live per-port fault state, keyed by `(node, port)` attachment.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PortFault {
-    /// The link is down (set on both attachments).
-    pub(crate) down: bool,
-    /// A degradation epoch is active.
-    pub(crate) degraded: bool,
-    /// Rate multiplier while degraded.
-    pub(crate) rate_factor: f64,
-    /// Added propagation delay while degraded.
-    pub(crate) extra_prop: Time,
-    /// Pause-storm pin mask by priority (bit `q` = storm on queue `q`).
-    pub(crate) storm: u32,
-}
-
-impl PortFault {
-    fn is_clear(&self) -> bool {
-        !self.down && !self.degraded && self.storm == 0
-    }
-}
-
-/// Runtime fault state owned by the simulator: the installed schedule
-/// (indexed by `Event::Fault { idx }`) plus the current per-port overlay.
-#[derive(Clone, Debug)]
-pub(crate) struct FaultRuntime {
-    /// The installed schedule.
-    pub(crate) schedule: FaultSchedule,
-    /// Ports with at least one fault currently applied. `BTreeMap` for
-    /// deterministic iteration (simlint `nondeterministic-map`).
-    ports: BTreeMap<(NodeId, u16), PortFault>,
-}
-
-impl FaultRuntime {
-    pub(crate) fn new(schedule: FaultSchedule) -> Self {
-        FaultRuntime {
-            schedule,
-            ports: BTreeMap::new(),
-        }
-    }
-
-    fn entry(&mut self, node: NodeId, port: u16) -> &mut PortFault {
-        self.ports.entry((node, port)).or_default()
-    }
-
-    /// Drop the entry again once every fault on it has cleared, keeping
-    /// lookups on never-faulted ports a miss in a map of faulted ports only.
-    fn prune(&mut self, node: NodeId, port: u16) {
-        if self.ports.get(&(node, port)).is_some_and(PortFault::is_clear) {
-            self.ports.remove(&(node, port));
-        }
-    }
-
-    /// True when the link at this attachment is down.
-    pub(crate) fn is_down(&self, node: NodeId, port: u16) -> bool {
-        self.ports.get(&(node, port)).is_some_and(|f| f.down)
-    }
-
-    pub(crate) fn set_down(&mut self, node: NodeId, port: u16, down: bool) {
-        self.entry(node, port).down = down;
-        self.prune(node, port);
-    }
-
-    /// Active degradation overlay: `(rate_factor, extra_prop)`.
-    pub(crate) fn degrade_of(&self, node: NodeId, port: u16) -> Option<(f64, Time)> {
-        self.ports
-            .get(&(node, port))
-            .filter(|f| f.degraded)
-            .map(|f| (f.rate_factor, f.extra_prop))
-    }
-
-    pub(crate) fn set_degrade(
-        &mut self,
-        node: NodeId,
-        port: u16,
-        on: bool,
-        rate_factor: f64,
-        extra_prop: Time,
-    ) {
-        let f = self.entry(node, port);
-        f.degraded = on;
-        f.rate_factor = rate_factor;
-        f.extra_prop = extra_prop;
-        self.prune(node, port);
-    }
-
-    /// True when a pause storm pins `(node, port, prio)`.
-    pub(crate) fn stormed(&self, node: NodeId, port: u16, prio: u8) -> bool {
-        self.ports
-            .get(&(node, port))
-            .is_some_and(|f| f.storm & (1 << prio) != 0)
-    }
-
-    pub(crate) fn set_storm(&mut self, node: NodeId, port: u16, prio: u8, on: bool) {
-        let f = self.entry(node, port);
-        if on {
-            f.storm |= 1 << prio;
-        } else {
-            f.storm &= !(1 << prio);
-        }
-        self.prune(node, port);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,26 +328,6 @@ mod tests {
         assert_ne!(a, other, "different seeds must differ");
     }
 
-    #[test]
-    fn runtime_overlay_set_get_and_prune() {
-        let mut rt = FaultRuntime::new(FaultSchedule::new());
-        assert!(!rt.is_down(0, 0));
-        rt.set_down(0, 0, true);
-        rt.set_storm(0, 0, 2, true);
-        rt.set_degrade(1, 3, true, 0.25, Time::from_us(7));
-        assert!(rt.is_down(0, 0));
-        assert!(rt.stormed(0, 0, 2));
-        assert!(!rt.stormed(0, 0, 1));
-        assert_eq!(rt.degrade_of(1, 3), Some((0.25, Time::from_us(7))));
-        assert_eq!(rt.degrade_of(0, 0), None);
-        rt.set_down(0, 0, false);
-        assert!(!rt.is_down(0, 0));
-        assert!(rt.stormed(0, 0, 2), "clearing down must not clear the storm");
-        rt.set_storm(0, 0, 2, false);
-        rt.set_degrade(1, 3, false, 0.0, Time::ZERO);
-        assert!(rt.ports.is_empty(), "cleared ports must be pruned");
-    }
-
     /// Build a switch with `nports` ports at 2 data priorities (+control),
     /// wired so port `p` peers with node `peers[p].0` at its port
     /// `peers[p].1`.
@@ -463,7 +344,7 @@ mod tests {
     /// Queue one data packet with `cur_in_port` set onto `(port, q)`.
     fn seed_pkt(s: &mut Switch, arena: &mut PacketArena, port: usize, q: u8, in_port: u16) {
         let mut pkt = Packet::data(0, 0, 1, q, 1000, 0, Time::ZERO);
-        pkt.cur_in_port = in_port;
+        pkt.header.cur_in_port = in_port;
         let pid = arena.alloc(pkt);
         s.ports[port].enqueue(pid, arena);
     }

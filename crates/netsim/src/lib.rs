@@ -55,7 +55,7 @@ pub use event::Event;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use fluid::{BackgroundLoad, FluidFlowSpec, FluidState};
 pub use noise::NoiseModel;
-pub use packet::{ArenaStats, FlowId, NodeId, Packet, PacketArena, PacketId, PktHeader, PktKind, PktTag};
+pub use packet::{ArenaStats, FlowId, NodeId, Packet, PacketArena, PacketId, PktHeader, PktTag};
 pub use record::{FlowRecord, SimCounters, SimResult, StreamingStats};
 pub use simcore::SchedKind;
 pub use sim::{ArrivalSource, FlowSpec, Sim};

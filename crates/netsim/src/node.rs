@@ -1,4 +1,12 @@
-//! Switch and host state.
+//! Link, switch and host state.
+//!
+//! A link lives on its two [`EgressPort`]s — one per direction — and
+//! nowhere else: the static attributes (peer, nominal rate, propagation
+//! delay), the dynamic state (busy, PFC pause bits, queues, byte counters)
+//! and the fault state (down, degraded, storm-pinned; driven by
+//! [`crate::faults`]) sit side by side, so cloning the nodes snapshots a
+//! link completely and [`EgressPort::fold_digest`] fingerprints it. Hosts
+//! and switches share the type: a [`Host`]'s NIC is a one-port [`Node`].
 //!
 //! Logic that needs the event queue (scheduling arrivals, PFC frames,
 //! transport callbacks) lives in [`crate::sim`]; this module holds the data
@@ -19,14 +27,22 @@ pub struct EgressPort {
     pub peer: NodeId,
     /// Ingress port index at the peer.
     pub peer_port: u16,
-    /// Line rate.
+    /// Nominal line rate (see [`Self::effective_link`]).
     pub rate: Rate,
-    /// One-way propagation delay.
+    /// Nominal one-way propagation delay.
     pub prop: Time,
     /// A packet is currently being serialized.
     pub busy: bool,
     /// PFC pause state per data priority (bitmask by queue index).
     pub paused: u32,
+    /// Fault: the link is down (set on both of its ports). Nothing
+    /// serializes onto it and non-PFC arrivals over it are dropped.
+    pub down: bool,
+    /// Fault: pause-storm pins (bitmask by queue index). A pinned priority
+    /// stays paused whatever PFC frames arrive for it.
+    pub storm: u32,
+    /// Fault: active degradation epoch as `(rate_factor, extra_prop)`.
+    pub degrade: Option<(f64, Time)>,
     /// Per-priority FIFO queues of arena handles; index `num_prios` is the
     /// control queue. Queues rotate 4-byte [`PacketId`]s — the packets
     /// themselves stay put in the [`PacketArena`].
@@ -49,6 +65,9 @@ impl EgressPort {
             prop,
             busy: false,
             paused: 0,
+            down: false,
+            storm: 0,
+            degrade: None,
             queues: (0..nq).map(|_| VecDeque::new()).collect(),
             // simlint::allow(hot-path-alloc, port construction runs once at topology build, not per event)
             queued_bytes_q: vec![0; nq],
@@ -66,10 +85,50 @@ impl EgressPort {
     /// Set/clear the pause bit for priority `q`.
     #[inline]
     pub fn set_paused(&mut self, q: usize, paused: bool) {
-        if paused {
-            self.paused |= 1 << q;
-        } else {
-            self.paused &= !(1 << q);
+        set_bit(&mut self.paused, q, paused);
+    }
+
+    /// True when a pause storm pins priority `q`.
+    #[inline]
+    pub fn is_stormed(&self, q: usize) -> bool {
+        self.storm & (1 << q) != 0
+    }
+
+    /// Pin/release the pause storm on priority `q`.
+    #[inline]
+    pub fn set_storm(&mut self, q: usize, on: bool) {
+        set_bit(&mut self.storm, q, on);
+    }
+
+    /// The `(rate, prop)` a packet starting to serialize now experiences:
+    /// nominal, or `rate × rate_factor` and `prop + extra_prop` during a
+    /// degradation epoch.
+    #[inline]
+    pub fn effective_link(&self) -> (Rate, Time) {
+        match self.degrade {
+            None => (self.rate, self.prop),
+            Some((factor, extra)) => (self.rate.mul_f64(factor), self.prop + extra),
+        }
+    }
+
+    /// Fold the port's dynamic and fault state — queue membership and
+    /// order included — into a state digest
+    /// ([`crate::sim::Sim::state_digest`]). The static link attributes are
+    /// functions of the topology and are left out.
+    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
+        fold(self.busy as u64 | (self.down as u64) << 1);
+        fold((self.paused as u64) << 32 | self.storm as u64);
+        let (factor, extra) = self.degrade.unwrap_or((0.0, Time::ZERO));
+        fold(self.degrade.is_some() as u64);
+        fold(factor.to_bits());
+        fold(extra.as_ps());
+        fold(self.tx_bytes);
+        for (q, bytes) in self.queues.iter().zip(&self.queued_bytes_q) {
+            fold(q.len() as u64);
+            fold(*bytes);
+            for id in q {
+                fold(id.index() as u64);
+            }
         }
     }
 
@@ -82,28 +141,37 @@ impl EgressPort {
         self.queues[q].push_back(id);
     }
 
+    /// Pop the head of queue `q`, whatever its pause state.
+    #[inline]
+    pub fn pop_queue(&mut self, q: usize, arena: &PacketArena) -> Option<PacketId> {
+        let id = self.queues[q].pop_front()?;
+        let size = arena.get(id).size as u64;
+        self.queued_bytes_q[q] -= size;
+        self.queued_bytes -= size;
+        Some(id)
+    }
+
     /// Pop the highest-priority unpaused packet (strict priority, control
     /// queue first).
     pub fn dequeue(&mut self, arena: &PacketArena) -> Option<PacketId> {
         for q in (0..self.queues.len()).rev() {
-            if self.is_paused(q) {
-                continue;
-            }
-            if let Some(id) = self.queues[q].pop_front() {
-                let size = arena.get(id).size as u64;
-                self.queued_bytes_q[q] -= size;
-                self.queued_bytes -= size;
-                return Some(id);
+            if !self.is_paused(q) {
+                if let Some(id) = self.pop_queue(q, arena) {
+                    return Some(id);
+                }
             }
         }
         None
     }
 
-    /// True when at least one unpaused queue has a packet.
-    pub fn has_sendable(&self) -> bool {
-        (0..self.queues.len())
-            .rev()
-            .any(|q| !self.is_paused(q) && !self.queues[q].is_empty())
+}
+
+#[inline]
+fn set_bit(mask: &mut u32, q: usize, on: bool) {
+    if on {
+        *mask |= 1 << q;
+    } else {
+        *mask &= !(1 << q);
     }
 }
 
@@ -359,6 +427,73 @@ impl Host {
     }
 }
 
+/// A node of the fabric. Everything link-level treats the two kinds alike
+/// through [`Node::ports`]: a host is a node with one port.
+#[derive(Clone)]
+pub(crate) enum Node {
+    Host(Host),
+    Switch(Switch),
+}
+
+impl Node {
+    /// The node's egress ports, indexed as the routing table indexes them.
+    #[inline]
+    pub(crate) fn ports(&self) -> &[EgressPort] {
+        match self {
+            Node::Host(h) => std::slice::from_ref(&h.port),
+            Node::Switch(s) => &s.ports,
+        }
+    }
+
+    /// The switch, if this node is one.
+    #[inline]
+    pub(crate) fn as_switch(&self) -> Option<&Switch> {
+        match self {
+            Node::Switch(s) => Some(s),
+            Node::Host(_) => None,
+        }
+    }
+
+    /// Mutable view of [`Self::ports`].
+    #[inline]
+    pub(crate) fn ports_mut(&mut self) -> &mut [EgressPort] {
+        match self {
+            Node::Host(h) => std::slice::from_mut(&mut h.port),
+            Node::Switch(s) => &mut s.ports,
+        }
+    }
+
+    /// Fold every port plus the kind-specific state (switch buffer and
+    /// ingress-pause accounting; host flow lists, round-robin cursors and
+    /// pending poke) into a state digest.
+    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
+        for p in self.ports() {
+            p.fold_digest(fold);
+        }
+        match self {
+            Node::Switch(s) => {
+                fold(s.total_buffered);
+                fold(s.max_buffered);
+                for (bytes, paused) in s.ingress_bytes.iter().zip(&s.ingress_paused) {
+                    for (&b, &p) in bytes.iter().zip(paused) {
+                        fold(b << 1 | p as u64);
+                    }
+                }
+            }
+            Node::Host(h) => {
+                fold(h.next_poke.as_ps());
+                for (active, &rr) in h.active.iter().zip(&h.rr) {
+                    fold(active.len() as u64);
+                    fold(rr as u64);
+                    for &f in active {
+                        fold(f as u64);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,7 +528,7 @@ mod tests {
         let d = data(&mut a, 1, 100);
         p.enqueue(d, &a);
         let mut ack = Packet::pfc(0, 1, 0, true);
-        ack.prio = 2;
+        ack.header.prio = 2;
         let ack = a.alloc(ack);
         p.enqueue(ack, &a);
         let first = p.dequeue(&a).unwrap();
@@ -410,7 +545,6 @@ mod tests {
         p.enqueue(lo, &a);
         p.set_paused(1, true);
         assert_eq!(a.get(p.dequeue(&a).unwrap()).prio, 0);
-        assert!(!p.has_sendable() || p.is_paused(1));
         p.set_paused(1, false);
         assert_eq!(a.get(p.dequeue(&a).unwrap()).prio, 1);
     }
@@ -428,6 +562,34 @@ mod tests {
         p.dequeue(&a);
         assert_eq!(p.queued_bytes, 0);
         assert!(p.queued_bytes_q.iter().all(|&b| b == 0));
+    }
+
+    /// Down, per-priority storm pins and degradation are independent bits
+    /// of fault state, and only degradation moves the effective link.
+    #[test]
+    fn fault_state_is_independent_and_only_degradation_moves_the_link() {
+        let mut p = port(3);
+        let nominal = (p.rate, p.prop);
+        assert_eq!(p.effective_link(), nominal);
+        p.down = true;
+        p.set_storm(2, true);
+        assert!(p.is_stormed(2));
+        assert!(!p.is_stormed(1));
+        assert_eq!(p.paused, 0, "a storm pin is not itself a pause bit");
+        assert_eq!(p.effective_link(), nominal, "down and storm leave rate and delay alone");
+        p.degrade = Some((0.25, Time::from_us(7)));
+        assert_eq!(
+            p.effective_link(),
+            (Rate::from_gbps(25), Time::from_us(8)),
+            "degraded: rate x factor, prop + extra"
+        );
+        p.down = false;
+        assert!(p.is_stormed(2), "clearing down must not clear the storm");
+        assert!(p.degrade.is_some(), "clearing down must not end the degradation");
+        p.set_storm(2, false);
+        p.degrade = None;
+        assert_eq!(p.storm, 0);
+        assert_eq!(p.effective_link(), nominal);
     }
 
     fn mk_switch(pfc: bool, buffer: u64) -> Switch {

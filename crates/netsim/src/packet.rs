@@ -1,4 +1,11 @@
 //! Packet and identifier types.
+//!
+//! One vocabulary, two planes. A packet is a hot [`PktHeader`] (what every
+//! hop reads; its [`PktTag`] says what kind of packet it is) plus a cold
+//! half (the [`AckInfo`] an ACK carries, the INT path HPCC collects) that
+//! only endpoints touch. [`Packet`] is the pair as an endpoint builds it;
+//! [`PacketArena`] stores the halves in two parallel planes and hands out
+//! 4-byte [`PacketId`]s, which is all that events and port queues carry.
 
 use simcore::Time;
 
@@ -131,8 +138,8 @@ impl IntPath {
     }
 }
 
-/// Acknowledgment contents carried by [`PktKind::Ack`] and
-/// [`PktKind::ProbeAck`].
+/// Acknowledgment contents carried by [`PktTag::Ack`] and
+/// [`PktTag::ProbeAck`] packets.
 #[derive(Clone, Debug)]
 pub struct AckInfo {
     /// Cumulative bytes received in-order at the receiver.
@@ -150,46 +157,6 @@ pub struct AckInfo {
     pub nack: Option<(u64, u64)>,
     /// Echoed INT telemetry (HPCC mode).
     pub int: Option<Box<IntPath>>,
-}
-
-/// What a packet is.
-#[derive(Clone, Debug)]
-pub enum PktKind {
-    /// A data segment.
-    Data,
-    /// A minimal-size delay probe (PrioPlus §4.2.1).
-    Probe,
-    /// Acknowledgment of a data segment.
-    Ack(AckInfo),
-    /// Echo of a probe.
-    ProbeAck(AckInfo),
-    /// PFC pause/resume control frame for one priority, handled out-of-band
-    /// at the MAC layer (never queued).
-    Pfc {
-        /// Priority (queue index) being paused or resumed.
-        prio: u8,
-        /// `true` = pause, `false` = resume.
-        pause: bool,
-    },
-}
-
-impl PktKind {
-    /// True for PFC control frames.
-    pub fn is_pfc(&self) -> bool {
-        matches!(self, PktKind::Pfc { .. })
-    }
-
-    /// True for data segments (the only packets subject to ECN marking,
-    /// non-congestive delay, and drops).
-    pub fn is_data(&self) -> bool {
-        matches!(self, PktKind::Data)
-    }
-
-    /// True for end-to-end control packets (ACKs, probes, probe echoes):
-    /// everything that is neither a data segment nor a link-local PFC frame.
-    pub fn is_control(&self) -> bool {
-        !self.is_data() && !self.is_pfc()
-    }
 }
 
 /// Discriminant-only packet kind stored in the hot header plane.
@@ -293,47 +260,51 @@ struct PktCold {
     ack: Option<AckInfo>,
 }
 
-/// A packet in flight, in its construction-side (array-of-structs) form.
+/// A packet as its endpoint builds it: the hot [`PktHeader`] plus the cold
+/// kind-specific payload, already in the two halves the arena stores.
 ///
 /// Endpoints build a `Packet` with the constructors below and hand it to
-/// [`PacketArena::alloc`], which splits it into the hot [`PktHeader`] plane
-/// and the cold payload plane. Code holding a [`PacketId`] reads the header
-/// via [`PacketArena::get`] and the cold parts via
-/// [`PacketArena::take_ack`] / [`PacketArena::take_int`].
+/// [`PacketArena::alloc`], which moves each half into its plane. Code
+/// holding a [`PacketId`] reads the header via [`PacketArena::get`] and the
+/// cold parts via [`PacketArena::take_ack`] / [`PacketArena::take_int`].
 #[derive(Clone, Debug)]
 pub struct Packet {
-    /// Owning flow (undefined for PFC frames, set to `u32::MAX`).
-    pub flow: FlowId,
-    /// Origin host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Physical priority queue index this packet travels in.
-    pub prio: u8,
-    /// DSCP code point carrying the flow's *virtual* priority; used by the
-    /// priority-scaled ECN extension (Appendix B) where switches vary the
-    /// marking threshold by DSCP.
-    pub dscp: u8,
-    /// Total wire size in bytes (header included).
-    pub size: u32,
-    /// Payload bytes (0 for control packets).
-    pub payload: u32,
-    /// Byte-offset sequence number of the first payload byte.
-    pub seq: u64,
-    /// Packet kind and kind-specific contents.
-    pub kind: PktKind,
-    /// Timestamp when the sender put the packet on the wire.
-    pub ts_tx: Time,
-    /// ECN congestion-experienced mark.
-    pub ecn_ce: bool,
-    /// INT telemetry collected along the path (HPCC mode).
-    pub int: Option<Box<IntPath>>,
-    /// Transient: ingress port at the switch currently holding the packet
-    /// (for PFC ingress accounting).
-    pub cur_in_port: u16,
+    /// The hot half: every field the forwarding path reads.
+    pub header: PktHeader,
+    cold: PktCold,
 }
 
 impl Packet {
+    /// A payload-free, [`CONTROL_BYTES`]-sized packet of `kind`: the shape
+    /// every constructor starts from.
+    fn control(
+        kind: PktTag,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        prio: u8,
+        ts_tx: Time,
+        ack: Option<AckInfo>,
+    ) -> Self {
+        Packet {
+            header: PktHeader {
+                flow,
+                src,
+                dst,
+                size: CONTROL_BYTES,
+                payload: 0,
+                seq: 0,
+                ts_tx,
+                cur_in_port: 0,
+                prio,
+                dscp: 0,
+                ecn_ce: false,
+                kind,
+            },
+            cold: PktCold { int: None, ack },
+        }
+    }
+
     /// Construct a data segment.
     pub fn data(
         flow: FlowId,
@@ -344,40 +315,16 @@ impl Packet {
         seq: u64,
         ts_tx: Time,
     ) -> Self {
-        Packet {
-            flow,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: payload + HEADER_BYTES,
-            payload,
-            seq,
-            kind: PktKind::Data,
-            ts_tx,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+        let mut pkt = Packet::control(PktTag::Data, flow, src, dst, prio, ts_tx, None);
+        pkt.header.size = payload + HEADER_BYTES;
+        pkt.header.payload = payload;
+        pkt.header.seq = seq;
+        pkt
     }
 
     /// Construct a probe packet.
     pub fn probe(flow: FlowId, src: NodeId, dst: NodeId, prio: u8, ts_tx: Time) -> Self {
-        Packet {
-            flow,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: CONTROL_BYTES,
-            payload: 0,
-            seq: 0,
-            kind: PktKind::Probe,
-            ts_tx,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+        Packet::control(PktTag::Probe, flow, src, dst, prio, ts_tx, None)
     }
 
     /// Construct an acknowledgment (or probe echo) for a received packet.
@@ -390,44 +337,18 @@ impl Packet {
         probe: bool,
         ts_tx: Time,
     ) -> Self {
-        Packet {
-            flow,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: CONTROL_BYTES,
-            payload: 0,
-            seq: 0,
-            kind: if probe {
-                PktKind::ProbeAck(info)
-            } else {
-                PktKind::Ack(info)
-            },
-            ts_tx,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+        let kind = if probe {
+            PktTag::ProbeAck
+        } else {
+            PktTag::Ack
+        };
+        Packet::control(kind, flow, src, dst, prio, ts_tx, Some(info))
     }
 
     /// Construct a PFC pause/resume frame.
     pub fn pfc(src: NodeId, dst: NodeId, prio: u8, pause: bool) -> Self {
-        Packet {
-            flow: u32::MAX,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: CONTROL_BYTES,
-            payload: 0,
-            seq: 0,
-            kind: PktKind::Pfc { prio, pause },
-            ts_tx: Time::ZERO,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+        let kind = PktTag::Pfc { prio, pause };
+        Packet::control(kind, u32::MAX, src, dst, prio, Time::ZERO, None)
     }
 }
 
@@ -513,33 +434,13 @@ impl PacketArena {
         Self::default()
     }
 
-    /// Store `pkt`, returning its handle. Splits the packet into the hot
-    /// header plane and the cold payload plane, and reuses the most
-    /// recently freed slot (LIFO) or grows the slab when none is free.
+    /// Store `pkt`, returning its handle. Moves the packet's two halves
+    /// into the hot header plane and the cold payload plane, reusing the
+    /// most recently freed slot (LIFO) or growing the slab when none is
+    /// free.
     pub fn alloc(&mut self, pkt: Packet) -> PacketId {
         self.stats.allocs += 1;
-        let (tag, ack) = match pkt.kind {
-            PktKind::Data => (PktTag::Data, None),
-            PktKind::Probe => (PktTag::Probe, None),
-            PktKind::Ack(info) => (PktTag::Ack, Some(info)),
-            PktKind::ProbeAck(info) => (PktTag::ProbeAck, Some(info)),
-            PktKind::Pfc { prio, pause } => (PktTag::Pfc { prio, pause }, None),
-        };
-        let header = PktHeader {
-            flow: pkt.flow,
-            src: pkt.src,
-            dst: pkt.dst,
-            size: pkt.size,
-            payload: pkt.payload,
-            seq: pkt.seq,
-            ts_tx: pkt.ts_tx,
-            cur_in_port: pkt.cur_in_port,
-            prio: pkt.prio,
-            dscp: pkt.dscp,
-            ecn_ce: pkt.ecn_ce,
-            kind: tag,
-        };
-        let cold = PktCold { int: pkt.int, ack };
+        let Packet { header, cold } = pkt;
         let id = match self.free.pop() {
             Some(i) => {
                 self.hot[i as usize] = header;
@@ -806,9 +707,9 @@ mod tests {
     #[test]
     fn data_packet_wire_size_includes_header() {
         let p = Packet::data(0, 1, 2, 3, 1000, 0, Time::ZERO);
-        assert_eq!(p.size, 1048);
-        assert_eq!(p.payload, 1000);
-        assert!(p.kind.is_data());
+        assert_eq!(p.header.size, 1048);
+        assert_eq!(p.header.payload, 1000);
+        assert!(p.header.kind.is_data());
     }
 
     #[test]
@@ -864,11 +765,11 @@ mod tests {
     #[test]
     fn control_packets_are_64_bytes() {
         let probe = Packet::probe(0, 1, 2, 3, Time::ZERO);
-        assert_eq!(probe.size, CONTROL_BYTES);
+        assert_eq!(probe.header.size, CONTROL_BYTES);
         let pfc = Packet::pfc(1, 2, 0, true);
-        assert_eq!(pfc.size, CONTROL_BYTES);
-        assert!(pfc.kind.is_pfc());
-        assert!(!probe.kind.is_data());
+        assert_eq!(pfc.header.size, CONTROL_BYTES);
+        assert!(pfc.header.kind.is_pfc());
+        assert!(!probe.header.kind.is_data());
     }
 
     fn pkt(seq: u64) -> Packet {

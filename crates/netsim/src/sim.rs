@@ -3,15 +3,14 @@
 use std::collections::BTreeMap;
 
 use simcore::stats::ThroughputMeter;
-use simcore::{EventQueue, Rate, ScheduledId, SimRng, Time};
+use simcore::{EventQueue, ScheduledId, SimRng, Time};
 
-use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
+use crate::audit::{Audit, AuditConfig, DeepScan, FlowHold, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
-use crate::faults::{FaultKind, FaultRuntime};
+use crate::faults::FaultKind;
 use crate::fluid::FluidState;
 use crate::monitor::{Monitor, MonitorKind};
-use crate::node::queue_index;
-use crate::node::{Admission, EgressPort, Host, Switch};
+use crate::node::{queue_index, Admission, EgressPort, Host, Node, Switch};
 use crate::packet::{
     AckInfo, FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES,
     HEADER_BYTES,
@@ -221,12 +220,6 @@ impl FlowSlab {
     }
 }
 
-#[derive(Clone)]
-pub(crate) enum Node {
-    Host(Host),
-    Switch(Switch),
-}
-
 /// The simulator.
 ///
 /// Fields are `pub(crate)` so [`crate::snapshot`] can capture and rebuild
@@ -235,9 +228,10 @@ pub(crate) enum Node {
 pub struct Sim {
     pub(crate) cfg: SimConfig,
     pub(crate) switch_cfg: SwitchConfig,
+    /// Hosts and switches. Each owns its egress ports, and a port owns
+    /// everything about its direction of its link — static attributes,
+    /// dynamic state, fault state — indexed as the routing table indexes it.
     pub(crate) nodes: Vec<Node>,
-    /// (peer, peer_port, rate, prop) per (node, port), aligned with routing.
-    pub(crate) port_specs: Vec<Vec<(NodeId, u16, Rate, Time)>>,
     pub(crate) routes: RoutingTable,
     /// Per-flow cores, indexed by [`FlowId`]. Intentionally O(total flows)
     /// (results need every record); the heavyweight live state is in `live`.
@@ -273,9 +267,6 @@ pub struct Sim {
     /// The single pending [`Event::FluidEpoch`], if any. Cancellable so a
     /// coupling hook can pull the epoch earlier without stale events.
     pub(crate) fluid_epoch: Option<ScheduledId>,
-    /// Fault-schedule runtime state; `None` — the fault-free default —
-    /// keeps every fault hook to one branch.
-    pub(crate) faults: Option<Box<FaultRuntime>>,
     /// Whether the run-level bootstrap events ([`Self::ensure_started`])
     /// have been scheduled. Restored snapshots carry `true`.
     pub(crate) started: bool,
@@ -288,36 +279,29 @@ impl Sim {
     /// Build a simulator over `topo` with uniform switch configuration.
     pub fn new(topo: &Topology, cfg: SimConfig, switch_cfg: SwitchConfig) -> Self {
         let n = topo.num_nodes();
-        // Build per-node port lists in the same order as `Topology::adjacency`.
+        let nq = cfg.num_prios as usize + 1;
+        // Per-node port lists in the same order as `Topology::adjacency`,
+        // which is the order the routing table indexes them in.
         // simlint::allow(hot-path-alloc, Sim construction runs once per run, not per event)
-        let mut port_specs: Vec<Vec<(NodeId, u16, Rate, Time)>> = vec![Vec::new(); n];
+        let mut ports: Vec<Vec<EgressPort>> = vec![Vec::new(); n];
         for &(a, b, spec) in &topo.links {
-            let pa = port_specs[a as usize].len() as u16;
-            let pb = port_specs[b as usize].len() as u16;
-            port_specs[a as usize].push((b, pb, spec.rate, spec.prop));
-            port_specs[b as usize].push((a, pa, spec.rate, spec.prop));
+            let pa = ports[a as usize].len() as u16;
+            let pb = ports[b as usize].len() as u16;
+            ports[a as usize].push(EgressPort::new(b, pb, spec.rate, spec.prop, nq));
+            ports[b as usize].push(EgressPort::new(a, pa, spec.rate, spec.prop, nq));
         }
         let adj = topo.adjacency();
         let is_host: Vec<bool> = topo.kinds.iter().map(|k| *k == NodeKind::Host).collect();
         let routes = RoutingTable::build(&adj, &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
 
-        let nq = cfg.num_prios as usize + 1;
         let mut nodes = Vec::with_capacity(n);
-        for (id, kind) in topo.kinds.iter().enumerate() {
-            let ports: Vec<EgressPort> = port_specs[id]
-                .iter()
-                .map(|&(peer, peer_port, rate, prop)| {
-                    EgressPort::new(peer, peer_port, rate, prop, nq)
-                })
-                .collect();
+        for (id, (kind, mut ports)) in topo.kinds.iter().zip(ports).enumerate() {
             match kind {
                 NodeKind::Host => {
                     assert_eq!(ports.len(), 1, "host {id} must have exactly one NIC link");
-                    nodes.push(Node::Host(Host::new(
-                        // simlint::allow(hot-path-unwrap, the assert_eq above guarantees exactly one port)
-                        ports.into_iter().next().unwrap(),
-                        cfg.num_prios,
-                    )));
+                    // simlint::allow(hot-path-unwrap, the assert_eq above guarantees exactly one port)
+                    let nic = ports.pop().unwrap();
+                    nodes.push(Node::Host(Host::new(nic, cfg.num_prios)));
                 }
                 NodeKind::Switch => {
                     nodes.push(Node::Switch(Switch::new(
@@ -329,6 +313,9 @@ impl Sim {
                 }
             }
         }
+        let port_at = |node: NodeId, port: u16| -> Option<&EgressPort> {
+            nodes.get(node as usize)?.ports().get(port as usize)
+        };
 
         let seed = cfg.seed;
         let sched = cfg.sched;
@@ -340,7 +327,7 @@ impl Sim {
         let fluid = cfg.background.as_ref().map(|bg| {
             for &(node, port) in &bg.ports {
                 assert!(
-                    matches!(nodes.get(node as usize), Some(Node::Switch(_))),
+                    nodes.get(node as usize).is_some_and(|n| n.as_switch().is_some()),
                     "background port ({node}, {port}) is not a switch egress"
                 );
             }
@@ -348,51 +335,31 @@ impl Sim {
             // simlint::allow(hot-path-alloc, one fluid box per run at construction, not per event)
             Box::new(FluidState::new(
                 bg,
-                |node, port| {
-                    port_specs
-                        .get(node as usize)
-                        .and_then(|v| v.get(port as usize))
-                        .map_or(0, |&(_, _, rate, _)| rate.as_bps())
-                },
+                |node, port| port_at(node, port).map_or(0, |p| p.rate.as_bps()),
                 leak,
             ))
         });
-        let faults = cfg
-            .faults
-            // simlint::allow(hot-path-alloc, one schedule clone at Sim construction, not per event)
-            .clone()
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                for ev in &s.events {
-                    let (node, port) = ev.kind.link();
+        for ev in cfg.faults.iter().flat_map(|s| &s.events) {
+            let (node, port) = ev.kind.link();
+            let Some(p) = port_at(node, port) else {
+                panic!("fault schedule targets nonexistent link attachment ({node}, {port})");
+            };
+            if matches!(ev.kind, FaultKind::DegradeStart { .. }) {
+                if let Some(bg) = cfg.background.as_ref() {
                     assert!(
-                        port_specs
-                            .get(node as usize)
-                            .is_some_and(|v| (port as usize) < v.len()),
-                        "fault schedule targets nonexistent link attachment ({node}, {port})"
+                        !bg.ports.contains(&(node, port))
+                            && !bg.ports.contains(&(p.peer, p.peer_port)),
+                        "link degradation on fluid-loaded port ({node}, {port}) is \
+                         unsupported: the fluid solver captures drain rates at \
+                         construction (flaps and pause storms are fine)"
                     );
-                    if matches!(ev.kind, FaultKind::DegradeStart { .. }) {
-                        if let Some(bg) = cfg.background.as_ref() {
-                            let (peer, peer_port, _, _) =
-                                port_specs[node as usize][port as usize];
-                            assert!(
-                                !bg.ports.contains(&(node, port))
-                                    && !bg.ports.contains(&(peer, peer_port)),
-                                "link degradation on fluid-loaded port ({node}, {port}) is \
-                                 unsupported: the fluid solver captures drain rates at \
-                                 construction (flaps and pause storms are fine)"
-                            );
-                        }
-                    }
                 }
-                // simlint::allow(hot-path-alloc, one fault box per run at construction, not per event)
-                Box::new(FaultRuntime::new(s))
-            });
+            }
+        }
         Sim {
             cfg,
             switch_cfg,
             nodes,
-            port_specs,
             routes,
             flows: Vec::new(),
             live: FlowSlab::default(),
@@ -411,7 +378,6 @@ impl Sim {
             completed_buf: Vec::new(),
             fluid,
             fluid_epoch: None,
-            faults,
             started: false,
             audit: if crate::audit::env_enabled() {
                 // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
@@ -484,10 +450,22 @@ impl Sim {
         &self.switch_cfg
     }
 
+    /// Egress port `port` of `node` — a switch port or a host's NIC (port 0).
+    #[inline]
+    fn port(&self, node: NodeId, port: u16) -> &EgressPort {
+        &self.nodes[node as usize].ports()[port as usize]
+    }
+
+    /// Mutable [`Self::port`].
+    #[inline]
+    fn port_mut(&mut self, node: NodeId, port: u16) -> &mut EgressPort {
+        &mut self.nodes[node as usize].ports_mut()[port as usize]
+    }
+
     /// Compute per-flow parameters (base RTTs, line rate) for a prospective
     /// flow, so transport factories can be configured before registration.
     pub fn flow_params(&self, spec: &FlowSpec, flow: FlowId) -> FlowParams {
-        let line_rate = self.port_specs[spec.src as usize][0].2;
+        let line_rate = self.port(spec.src, 0).rate;
         let data_wire = (self.cfg.mtu + HEADER_BYTES) as u64;
         let base_rtt = self.path_delay(spec.src, spec.dst, flow, data_wire)
             + self.path_delay(spec.dst, spec.src, flow, CONTROL_BYTES as u64);
@@ -515,9 +493,9 @@ impl Sim {
         let mut hops = 0;
         while node != dst {
             let port = self.routes.port_for(node, dst, flow);
-            let (peer, _, rate, prop) = self.port_specs[node as usize][port as usize];
-            total += rate.serialize_time(wire_bytes) + prop;
-            node = peer;
+            let p = self.port(node, port);
+            total += p.rate.serialize_time(wire_bytes) + p.prop;
+            node = p.peer;
             hops += 1;
             assert!(hops < 64, "routing loop from {src} to {dst}");
         }
@@ -626,14 +604,8 @@ impl Sim {
         // The fault schedule is fixed up-front: every transition becomes a
         // first-class event through the same scheduler backend as data
         // traffic, so fault runs stay bit-identical across backends.
-        // simlint::allow(hot-path-alloc, once at run start, not on the per-event path)
-        let fault_times: Vec<Time> = self
-            .faults
-            .as_deref()
-            .map(|ft| ft.schedule.events.iter().map(|e| e.at).collect())
-            .unwrap_or_default();
-        for (i, at) in fault_times.into_iter().enumerate() {
-            self.queue.schedule(at, Event::Fault { idx: i as u32 });
+        for (i, ev) in self.cfg.faults.iter().flat_map(|s| &s.events).enumerate() {
+            self.queue.schedule(ev.at, Event::Fault { idx: i as u32 });
         }
     }
 
@@ -656,18 +628,7 @@ impl Sim {
         while let Some(ev) = self.queue.batch_next() {
             self.counters.events += 1;
             if let Some(a) = self.audit.as_deref_mut() {
-                let (kind, id): (&'static str, u32) = match &ev {
-                    Event::Arrive { node, .. } => ("arrive", *node),
-                    Event::PortFree { node, .. } => ("port_free", *node),
-                    Event::FlowStart { flow } => ("flow_start", *flow),
-                    Event::FlowTimer { flow, .. } => ("flow_timer", *flow),
-                    Event::HostPoke { node } => ("host_poke", *node),
-                    Event::Sample { monitor } => ("sample", *monitor),
-                    Event::FluidEpoch => ("fluid_epoch", 0),
-                    Event::Fault { idx } => ("fault", *idx),
-                    Event::Inject => ("inject", 0),
-                    Event::End => ("end", 0),
-                };
+                let (kind, id) = ev.name_and_id();
                 a.on_event(now, kind, id);
             }
             match ev {
@@ -724,10 +685,7 @@ impl Sim {
         self.ensure_started();
         while self.pump(None) {}
         let end_time = self.queue.now();
-        for sw in self.nodes.iter().filter_map(|n| match n {
-            Node::Switch(s) => Some(s),
-            _ => None,
-        }) {
+        for sw in self.nodes.iter().filter_map(Node::as_switch) {
             self.counters.max_buffer_used = self.counters.max_buffer_used.max(sw.max_buffered);
         }
         if let Some(f) = self.fluid.as_deref() {
@@ -800,8 +758,8 @@ impl Sim {
 
     /// Verify cross-cutting invariants at the end of one event: flows the
     /// event touched, the Xoff-must-fire condition for an admission in this
-    /// event, and (per [`AuditConfig::deep_every`]) a full recount of switch
-    /// buffers, conservation, counters, and event-queue state.
+    /// event, and (per [`AuditConfig::deep_every`]) the O(state)
+    /// [`Audit::deep_scan`].
     fn audit_boundary(&mut self, now: Time) {
         let Some(mut a) = self.audit.take() else {
             return;
@@ -824,102 +782,27 @@ impl Sim {
             }
         }
         if let Some(focus) = a.take_focus() {
-            if let Node::Switch(s) = &self.nodes[focus.node as usize] {
+            if let Some(s) = self.nodes[focus.node as usize].as_switch() {
                 a.check_xoff(now, &focus, s);
             }
         }
         if a.should_deep_scan() {
-            let mut buffered_data = 0u64;
-            for (id, node) in self.nodes.iter().enumerate() {
-                if let Node::Switch(s) = node {
-                    buffered_data += a.check_switch(now, id as NodeId, s, &self.arena);
-                }
-            }
-            a.check_conservation(now, buffered_data);
-            a.check_counters(now, &self.counters);
-            if let Some(f) = self.fluid.as_deref() {
-                a.check_fluid(now, &f.audit_view());
-            }
-            if self.faults.is_some() {
-                // PFC deadlock monitor: a cycle in the wait-for graph over
-                // paused egress attachments is a circular buffer dependency
-                // (see DESIGN.md § Fault model). Only armed alongside a
-                // fault schedule — transient legitimate pause cycles in
-                // cyclic topologies are not deadlocks.
-                // simlint::allow(hot-path-alloc, deep-scan-only audit buffer, off the per-event path)
-                let switches: Vec<(NodeId, &Switch)> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(id, n)| match n {
-                        Node::Switch(s) => Some((id as NodeId, s)),
-                        Node::Host(_) => None,
-                    })
-                    .collect();
-                let cycle = crate::audit::detect_pause_cycle(&switches, &self.arena);
-                a.check_deadlock(now, cycle.as_deref());
-            }
-            if let Err(msg) = self.queue.check_invariants() {
-                a.queue_violation(now, msg);
-            }
-            // Flow-state reclamation sweep: a completed flow must have
-            // released its slab slot — `Buggify::FlowReclaimLeak` proves
-            // this sweep notices when it doesn't. O(flows) by design: deep
-            // scans are periodic; the per-event audit state stays O(ports).
-            let mut resident = 0u64;
-            for f in &self.flows {
-                if f.live == u32::MAX {
-                    continue;
-                }
-                resident += 1;
-                if let (false, Some(finish)) = (f.active, f.record.finish) {
-                    a.flow_violation(
-                        ViolationKind::FlowStateLeak,
-                        now,
-                        f.record.flow,
-                        format!(
-                            "flow {} finished at {} but still holds slab slot {}",
-                            f.record.flow,
-                            finish.as_ps(),
-                            f.live
-                        ),
-                    );
-                }
-            }
-            if resident != self.live.occupancy {
-                let occ = self.live.occupancy;
-                a.flow_violation(
-                    ViolationKind::FlowStateLeak,
-                    now,
-                    0,
-                    format!("flow slab occupancy {occ} != {resident} resident live slots"),
-                );
-            }
-            // Arena accounting: every live slot must be referenced exactly
-            // once — by one port queue or one pending Arrive event — and
-            // free slots never. Counts references across the whole topology
-            // plus the event queue, then hands the tally to the audit.
-            // simlint::allow(hot-path-alloc, deep-scan-only audit buffer, off the per-event path)
-            let mut refs = vec![0u32; self.arena.capacity()];
-            for node in &self.nodes {
-                let ports: &[EgressPort] = match node {
-                    Node::Switch(s) => &s.ports,
-                    Node::Host(h) => std::slice::from_ref(&h.port),
-                };
-                for p in ports {
-                    for q in &p.queues {
-                        for id in q {
-                            refs[id.index()] += 1;
-                        }
-                    }
-                }
-            }
-            self.queue.for_each_live(&mut |ev| {
-                if let Event::Arrive { pkt, .. } = ev {
-                    refs[pkt.index()] += 1;
-                }
+            let holds = self.flows.iter().map(|f| FlowHold {
+                flow: f.record.flow,
+                slot: (f.live != u32::MAX).then_some(f.live),
+                active: f.active,
+                finish: f.record.finish,
             });
-            a.check_arena(now, &self.arena, &refs);
+            let scan = DeepScan {
+                nodes: &self.nodes,
+                arena: &self.arena,
+                queue: &self.queue,
+                counters: &self.counters,
+                fluid: self.fluid.as_deref(),
+                deadlock_armed: self.cfg.faults.as_ref().is_some_and(|s| !s.is_empty()),
+                slab_occupancy: self.live.occupancy,
+            };
+            a.deep_scan(now, &scan, holds);
         }
         self.audit = Some(a);
     }
@@ -990,21 +873,11 @@ impl Sim {
     }
 
     fn on_port_free(&mut self, node: NodeId, port: u16, now: Time) {
-        match &mut self.nodes[node as usize] {
-            Node::Host(h) => {
-                h.port.busy = false;
-                self.host_poke(node, now);
-            }
-            Node::Switch(s) => {
-                s.ports[port as usize].busy = false;
-                self.switch_dequeue(node, port, now);
-                if self.fluid.is_some() {
-                    // The port may have gone idle: hand its bandwidth back
-                    // to the fluid class.
-                    self.fluid_sync_port(node, port, now);
-                }
-            }
-        }
+        self.port_mut(node, port).busy = false;
+        self.kick(node, port, now);
+        // The port may have gone idle: hand its bandwidth back to the fluid
+        // class.
+        self.fluid_sync_port(node, port, now);
     }
 
     /// Process the pending fluid rate-change epoch and schedule the next.
@@ -1028,23 +901,15 @@ impl Sim {
         }
     }
 
-    /// Push a switch egress port's foreground-presence state (packets
-    /// queued or serializing) into the fluid solver; reschedules the
-    /// pending epoch when the bandwidth split changed. Cheap no-op for
-    /// ports carrying no fluid load.
+    /// Push an egress port's foreground-presence state (packets queued or
+    /// serializing) into the fluid solver; reschedules the pending epoch
+    /// when the bandwidth split changed. Cheap no-op for ports carrying no
+    /// fluid load (every host NIC among them).
     fn fluid_sync_port(&mut self, node: NodeId, port: u16, now: Time) {
-        let presence = match &self.nodes[node as usize] {
-            Node::Switch(s) => {
-                let p = &s.ports[port as usize];
-                p.busy || p.queued_bytes > 0
-            }
-            Node::Host(_) => return,
-        };
-        let mut changed = false;
-        if let Some(f) = self.fluid.as_deref_mut() {
-            changed = f.set_presence(node, port, presence, now);
-        }
-        if changed {
+        let p = self.port(node, port);
+        let presence = p.busy || p.queued_bytes > 0;
+        let fluid = self.fluid.as_deref_mut();
+        if fluid.is_some_and(|f| f.set_presence(node, port, presence, now)) {
             self.fluid_reschedule(now);
         }
     }
@@ -1053,11 +918,11 @@ impl Sim {
     fn on_fault(&mut self, idx: u32, now: Time) {
         self.counters.fault_events += 1;
         let kind = self
+            .cfg
             .faults
-            .as_deref()
-            // simlint::allow(hot-path-unwrap, Fault events are only scheduled when a runtime exists)
-            .expect("Fault event without a fault runtime")
-            .schedule
+            .as_ref()
+            // simlint::allow(hot-path-unwrap, Fault events are only scheduled from an installed schedule)
+            .expect("Fault event without a fault schedule")
             .events[idx as usize]
             .kind;
         match kind {
@@ -1079,23 +944,26 @@ impl Sim {
         }
     }
 
+    /// The two directions of the link at `(node, port)`: that attachment
+    /// and its peer's.
+    fn link_ends(&self, node: NodeId, port: u16) -> [(NodeId, u16); 2] {
+        let p = self.port(node, port);
+        [(node, port), (p.peer, p.peer_port)]
+    }
+
     /// Take a link (both attachments) down, or bring it back up. While down,
     /// neither attachment serializes and every non-PFC packet in flight on
     /// the link is dropped at arrival; on recovery both sides are kicked so
     /// queued traffic resumes.
     fn set_link_down(&mut self, node: NodeId, port: u16, down: bool, now: Time) {
-        let (peer, peer_port, _, _) = self.port_specs[node as usize][port as usize];
-        // simlint::allow(hot-path-unwrap, Fault events are only scheduled when a runtime exists)
-        let ft = self.faults.as_deref_mut().expect("fault runtime");
-        ft.set_down(node, port, down);
-        ft.set_down(peer, peer_port, down);
-        for (n, p) in [(node, port), (peer, peer_port)] {
+        let ends = self.link_ends(node, port);
+        for (n, p) in ends {
+            self.port_mut(n, p).down = down;
+        }
+        for (n, p) in ends {
             self.fault_fluid_sync(n, p, now);
             if !down {
-                match &self.nodes[n as usize] {
-                    Node::Switch(_) => self.switch_dequeue(n, p, now),
-                    Node::Host(_) => self.host_poke(n, now),
-                }
+                self.kick(n, p, now);
             }
         }
     }
@@ -1105,15 +973,9 @@ impl Sim {
     /// Applied at dequeue time, so already-queued packets see the regime
     /// active when they reach the head of line.
     fn set_degrade(&mut self, node: NodeId, port: u16, eff: Option<(f64, Time)>) {
-        let (peer, peer_port, _, _) = self.port_specs[node as usize][port as usize];
-        // simlint::allow(hot-path-unwrap, Fault events are only scheduled when a runtime exists)
-        let ft = self.faults.as_deref_mut().expect("fault runtime");
-        let (on, factor, extra) = match eff {
-            Some((factor, extra)) => (true, factor, extra),
-            None => (false, 1.0, Time::ZERO),
-        };
-        ft.set_degrade(node, port, on, factor, extra);
-        ft.set_degrade(peer, peer_port, on, factor, extra);
+        for (n, p) in self.link_ends(node, port) {
+            self.port_mut(n, p).degrade = eff;
+        }
     }
 
     /// Pin (or release) a persistent PFC pause on `node`'s egress
@@ -1122,53 +984,28 @@ impl Sim {
     /// holds; on release the pause bit is restored from the peer's real
     /// pause authority (its ingress pause state).
     fn set_storm(&mut self, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
-        let (peer, peer_port, _, _) = self.port_specs[node as usize][port as usize];
-        // simlint::allow(hot-path-unwrap, Fault events are only scheduled when a runtime exists)
-        let ft = self.faults.as_deref_mut().expect("fault runtime");
-        ft.set_storm(node, port, prio, on);
-        let paused = if on {
-            true
-        } else {
-            match &self.nodes[peer as usize] {
-                Node::Switch(ps) => ps.ingress_paused[peer_port as usize][prio as usize],
-                Node::Host(_) => false,
-            }
-        };
-        match &mut self.nodes[node as usize] {
-            Node::Switch(s) => s.ports[port as usize].set_paused(prio as usize, paused),
-            Node::Host(h) => {
-                debug_assert_eq!(port, 0, "hosts have a single egress port");
-                h.port.set_paused(prio as usize, paused);
-            }
-        }
+        let [_, (peer, peer_port)] = self.link_ends(node, port);
+        let peer_pauses = |ps: &Switch| ps.ingress_paused[peer_port as usize][prio as usize];
+        let paused = on || self.nodes[peer as usize].as_switch().is_some_and(peer_pauses);
+        let p = self.port_mut(node, port);
+        p.set_storm(prio as usize, on);
+        p.set_paused(prio as usize, paused);
         if prio == 0 {
             self.fault_fluid_sync(node, port, now);
         }
         if !paused {
-            match &self.nodes[node as usize] {
-                Node::Switch(_) => self.switch_dequeue(node, port, now),
-                Node::Host(_) => self.host_poke(node, now),
-            }
+            self.kick(node, port, now);
         }
     }
 
-    /// Recompute the effective fluid pause on a switch egress attachment:
-    /// fluid service halts while the link is down or priority 0 (the class
-    /// fluid traffic rides) is paused, genuinely or storm-pinned.
+    /// Recompute the effective fluid pause on an egress attachment: fluid
+    /// service halts while the link is down or priority 0 (the class fluid
+    /// traffic rides) is paused, genuinely or storm-pinned.
     fn fault_fluid_sync(&mut self, node: NodeId, port: u16, now: Time) {
-        if self.fluid.is_none() {
-            return;
-        }
-        let paused0 = match &self.nodes[node as usize] {
-            Node::Switch(s) => s.ports[port as usize].is_paused(0),
-            Node::Host(_) => return,
-        };
-        let eff = paused0 || self.faults.as_deref().is_some_and(|f| f.is_down(node, port));
-        let mut changed = false;
-        if let Some(f) = self.fluid.as_deref_mut() {
-            changed = f.set_paused(node, port, eff, now);
-        }
-        if changed {
+        let p = self.port(node, port);
+        let halted = p.is_paused(0) || p.down;
+        let fluid = self.fluid.as_deref_mut();
+        if fluid.is_some_and(|f| f.set_paused(node, port, halted, now)) {
             self.fluid_reschedule(now);
         }
     }
@@ -1194,19 +1031,58 @@ impl Sim {
         } else {
             self.counters.fault_ctrl_drops += 1;
         }
-        // A dropped INT carrier returns its telemetry box to the pool.
-        if let Some(boxed) = self.arena.take_int(pid) {
-            self.arena.recycle_int(boxed);
-        }
+        // `release` also returns a dropped INT carrier's telemetry box to
+        // the pool.
         self.arena.release(pid);
+    }
+
+    /// Give the attachment at `(node, port)` a chance to transmit: the one
+    /// re-kick used after a serialization ends, a PFC resume, a link
+    /// recovery and a storm release.
+    fn kick(&mut self, node: NodeId, port: u16, now: Time) {
+        match &self.nodes[node as usize] {
+            Node::Switch(_) => self.switch_dequeue(node, port, now),
+            Node::Host(_) => self.host_poke(node, now),
+        }
+    }
+
+    /// The link layer's transmit step — the only place a packet goes onto a
+    /// wire. Marks the port busy, counts the bytes, and schedules the end
+    /// of serialization ([`Event::PortFree`]) and then the arrival at the
+    /// peer, at the link's effective rate and delay (degradation epochs
+    /// included). `owed` is extra bytes the packet serializes behind (fluid
+    /// FIFO emulation), `extra` extra one-way delay (non-congestive delay);
+    /// both are zero for host NICs.
+    fn transmit(
+        &mut self,
+        node: NodeId,
+        port: u16,
+        pid: PacketId,
+        owed: u64,
+        extra: Time,
+        now: Time,
+    ) {
+        let size = self.arena.get(pid).size as u64;
+        let p = self.port_mut(node, port);
+        p.busy = true;
+        p.tx_bytes += size;
+        let (peer, in_port) = (p.peer, p.peer_port);
+        let (rate, prop) = p.effective_link();
+        let ser = rate.serialize_time(size.saturating_add(owed));
+        self.queue
+            .schedule(now + ser, Event::PortFree { node, port });
+        self.queue.schedule(
+            now + ser + prop + extra,
+            Event::Arrive {
+                node: peer,
+                in_port,
+                pkt: pid,
+            },
+        );
     }
 
     /// Try to start transmitting the next packet on a switch egress port.
     fn switch_dequeue(&mut self, node: NodeId, port: u16, now: Time) {
-        if self.faults.as_deref().is_some_and(|f| f.is_down(node, port)) {
-            // Dead egress: nothing moves until LinkUp kicks this port.
-            return;
-        }
         // Hybrid coupling: fluid backlog at this port consumes buffer (PFC
         // resume threshold).
         let fluid_occ = match self.fluid.as_deref() {
@@ -1217,46 +1093,42 @@ impl Sim {
             return;
         };
         let p = &mut s.ports[port as usize];
-        if p.busy || !p.has_sendable() {
+        // A dead egress moves nothing until LinkUp kicks this port.
+        if p.down || p.busy {
             return;
         }
-        // simlint::allow(hot-path-unwrap, guarded by the has_sendable() early return above)
-        let pid = p.dequeue(&self.arena).expect("has_sendable");
+        let Some(pid) = p.dequeue(&self.arena) else {
+            return;
+        };
+        let nq = p.queues.len();
         let mut resumes = Vec::new();
         s.on_dequeue(self.arena.get(pid), fluid_occ, &mut resumes);
-        let (size, is_data, prio) = {
+        let (is_data, prio) = {
             let pkt = self.arena.get(pid);
-            (pkt.size as u64, pkt.kind.is_data(), pkt.prio)
+            (pkt.kind.is_data(), pkt.prio)
         };
         // Hybrid coupling: a data-class packet leaving a fluid-loaded port
         // serializes behind the fluid bytes injected before its admission
         // that have neither drained nor been charged to an earlier packet
         // (FIFO emulation; see `fluid::FluidState::pop_stamp`).
-        let nq = s.ports[port as usize].queues.len();
-        let fluid_owed = if (prio as usize).min(nq - 1) == 0 {
-            match self.fluid.as_deref_mut() {
-                Some(f) => f.pop_stamp(node, port, now),
-                None => 0,
-            }
-        } else {
-            0
+        let fluid_owed = match self.fluid.as_deref_mut() {
+            Some(f) if queue_index(prio, nq) == 0 => f.pop_stamp(node, port, now),
+            _ => 0,
         };
-        let p = &mut s.ports[port as usize];
-        p.busy = true;
-        p.tx_bytes += size;
-        let (peer, peer_port, rate, prop) = self.port_specs[node as usize][port as usize];
-        // Degradation epoch: reduced rate and/or extra propagation. Applied
-        // before the INT record so telemetry reports the effective rate.
-        let (rate, prop) = match self.faults.as_deref().and_then(|f| f.degrade_of(node, port)) {
-            Some((factor, extra)) => (rate.mul_f64(factor), prop + extra),
-            None => (rate, prop),
+        let nc = match &self.switch_cfg.nc_delay {
+            Some(nc) if is_data => nc.sample(&mut self.nc_rng),
+            _ => Time::ZERO,
         };
+        self.transmit(node, port, pid, fluid_owed, nc, now);
         if self.switch_cfg.int_enabled && is_data {
+            // Read after the transmit step, so telemetry reports this
+            // packet's bytes and the effective (possibly degraded) rate.
+            let p = self.port(node, port);
             let rec = IntHop {
                 qlen: p.queued_bytes_q[prio as usize],
                 tx_bytes: p.tx_bytes,
                 ts: now,
-                rate_bps: rate.as_bps(),
+                rate_bps: p.effective_link().0.as_bps(),
             };
             let pushed = self.arena.append_int(pid, rec);
             debug_assert!(
@@ -1265,36 +1137,14 @@ impl Sim {
                 crate::packet::INT_MAX_HOPS
             );
         }
-        // `fluid_owed == 0` takes the exact original path, so
-        // zero-background runs stay bit-identical.
-        let ser = if fluid_owed == 0 {
-            rate.serialize_time(size)
-        } else {
-            rate.serialize_time(size.saturating_add(fluid_owed))
-        };
-        let mut arrival = now + ser + prop;
-        if is_data {
-            if let Some(nc) = self.switch_cfg.nc_delay {
-                arrival += nc.sample(&mut self.nc_rng);
-            }
-        }
-        self.queue
-            .schedule(now + ser, Event::PortFree { node, port });
-        self.queue.schedule(
-            arrival,
-            Event::Arrive {
-                node: peer,
-                in_port: peer_port,
-                pkt: pid,
-            },
-        );
         self.emit_pfc(node, &resumes, false, now);
     }
 
     /// Send PFC pause/resume frames upstream out-of-band.
     fn emit_pfc(&mut self, node: NodeId, list: &[(u16, u8)], pause: bool, now: Time) {
         for &(in_port, prio) in list {
-            let (peer, peer_port, _, prop) = self.port_specs[node as usize][in_port as usize];
+            let p = self.port(node, in_port);
+            let (peer, peer_port, prop) = (p.peer, p.peer_port, p.prop);
             if pause {
                 self.counters.pfc_pauses += 1;
             } else {
@@ -1316,13 +1166,14 @@ impl Sim {
     }
 
     fn on_arrive(&mut self, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
-        if let Some(ft) = self.faults.as_deref() {
+        if let PktTag::Pfc { prio, pause } = self.arena.get(pkt).kind {
+            return self.on_pfc_frame(node, in_port, pkt, prio, pause, now);
+        }
+        if self.port(node, in_port).down {
             // A dead link drops everything in flight on it — except PFC
-            // frames, which model an out-of-band reliable control plane.
-            if ft.is_down(node, in_port) && !self.arena.get(pkt).kind.is_pfc() {
-                self.fault_drop(pkt);
-                return;
-            }
+            // frames (handled above), which model an out-of-band reliable
+            // control plane.
+            return self.fault_drop(pkt);
         }
         match &self.nodes[node as usize] {
             Node::Switch(_) => self.switch_arrive(node, in_port, pkt, now),
@@ -1330,35 +1181,39 @@ impl Sim {
         }
     }
 
-    fn switch_arrive(&mut self, node: NodeId, in_port: u16, pid: PacketId, now: Time) {
-        if let PktTag::Pfc { prio, pause } = self.arena.get(pid).kind {
-            // PFC frames are consumed at the MAC layer, never queued.
-            self.arena.release(pid);
-            if self
-                .faults
-                .as_deref()
-                .is_some_and(|f| f.stormed(node, in_port, prio))
-            {
-                // Storm pin holds: genuine frames are swallowed. The peer's
-                // pause authority is re-read at storm release.
-                return;
-            }
-            let Node::Switch(s) = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            s.ports[in_port as usize].set_paused(prio as usize, pause);
-            if self.fluid.is_some() && prio == 0 {
-                // Hybrid coupling: a pause of the lowest data priority —
-                // the class fluid background traffic rides — halts fluid
-                // service on this egress port until resume. Composited with
-                // the fault overlay (a down link also halts fluid service).
-                self.fault_fluid_sync(node, in_port, now);
-            }
-            if !pause {
-                self.switch_dequeue(node, in_port, now);
-            }
+    /// A PFC frame reached the MAC of `(node, port)` — a switch port or a
+    /// host NIC alike. Consumed here, never queued: sets or clears the
+    /// egress pause bit and, on a resume, kicks the attachment.
+    fn on_pfc_frame(
+        &mut self,
+        node: NodeId,
+        port: u16,
+        pid: PacketId,
+        prio: u8,
+        pause: bool,
+        now: Time,
+    ) {
+        self.arena.release(pid);
+        let p = self.port_mut(node, port);
+        if p.is_stormed(prio as usize) {
+            // Storm pin holds: genuine frames are swallowed. The peer's
+            // pause authority is re-read at storm release (`set_storm`).
             return;
         }
+        p.set_paused(prio as usize, pause);
+        if prio == 0 {
+            // Hybrid coupling: a pause of the lowest data priority — the
+            // class fluid background traffic rides — halts fluid service on
+            // this egress port until resume. Composited with the fault
+            // state (a down link also halts fluid service).
+            self.fault_fluid_sync(node, port, now);
+        }
+        if !pause {
+            self.kick(node, port, now);
+        }
+    }
+
+    fn switch_arrive(&mut self, node: NodeId, in_port: u16, pid: PacketId, now: Time) {
         let (dst, flow, is_data, data_q, dscp) = {
             let pkt = self.arena.get(pid);
             (
@@ -1404,12 +1259,7 @@ impl Sim {
         let mut pauses = Vec::new();
         let admission = s.admit(egress, in_port, pid, fluid_occ, &mut self.arena, &mut pauses);
         // The `s` borrow ends here so the audit can re-inspect the switch.
-        if self.audit.is_some() {
-            let Node::Switch(sw) = &self.nodes[node as usize] else {
-                unreachable!()
-            };
-            // simlint::allow(hot-path-unwrap, guarded by the audit.is_some() branch condition)
-            let a = self.audit.as_deref_mut().expect("checked");
+        if let (Some(a), Some(sw)) = (self.audit.as_deref_mut(), self.nodes[node as usize].as_switch()) {
             a.note_switch_arrive(
                 now,
                 &SwitchArrive {
@@ -1429,14 +1279,7 @@ impl Sim {
                     // FIFO stamp of the fluid mass logically ahead of them
                     // in the shared queue, and the queue just became (or
                     // stayed) non-empty.
-                    let qi = {
-                        let Node::Switch(sw) = &self.nodes[node as usize] else {
-                            unreachable!()
-                        };
-                        let pkt = self.arena.get(pid);
-                        queue_index(pkt.prio, sw.ports[egress as usize].queues.len())
-                    };
-                    if qi == 0 {
+                    if info.queue == 0 {
                         if let Some(f) = self.fluid.as_deref_mut() {
                             f.push_stamp(node, egress, now);
                         }
@@ -1451,25 +1294,6 @@ impl Sim {
 
     fn host_arrive(&mut self, node: NodeId, pid: PacketId, now: Time) {
         match self.arena.get(pid).kind {
-            PktTag::Pfc { prio, pause } => {
-                let prio = prio as usize;
-                self.arena.release(pid);
-                if self
-                    .faults
-                    .as_deref()
-                    .is_some_and(|f| f.stormed(node, 0, prio as u8))
-                {
-                    // Storm pin on the host NIC holds; see `set_storm`.
-                    return;
-                }
-                let Node::Host(h) = &mut self.nodes[node as usize] else {
-                    unreachable!()
-                };
-                h.port.set_paused(prio, pause);
-                if !pause {
-                    self.host_poke(node, now);
-                }
-            }
             PktTag::Data => {
                 self.counters.data_delivered += 1;
                 if let Some(a) = self.audit.as_deref_mut() {
@@ -1501,7 +1325,9 @@ impl Sim {
                 let ack = Packet::ack(flow, node, src, prio, info, true, now);
                 self.host_enqueue_control(node, ack, now);
             }
-            PktTag::Ack | PktTag::ProbeAck => {
+            // ACKs and probe echoes. `on_arrive` consumed any PFC frame at
+            // the MAC, and `sender_ack` rejects every other tag.
+            _ => {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
                 self.sender_ack(node, pid, now);
             }
@@ -1671,10 +1497,7 @@ impl Sim {
     /// host's NIC and kick transmission.
     fn host_enqueue_control(&mut self, node: NodeId, pkt: Packet, now: Time) {
         let pid = self.arena.alloc(pkt);
-        let Node::Host(h) = &mut self.nodes[node as usize] else {
-            unreachable!()
-        };
-        h.port.enqueue(pid, &self.arena);
+        self.nodes[node as usize].ports_mut()[0].enqueue(pid, &self.arena);
         self.host_poke(node, now);
     }
 
@@ -1682,15 +1505,12 @@ impl Sim {
     /// (queued control first, then strict-priority pull across flows) and
     /// start transmitting it.
     fn host_poke(&mut self, node: NodeId, now: Time) {
-        if self.faults.as_deref().is_some_and(|f| f.is_down(node, 0)) {
-            // Dead NIC link: transports stay queued; LinkUp (or the next
-            // transport timer after recovery) re-pokes.
-            return;
-        }
         let Node::Host(h) = &mut self.nodes[node as usize] else {
             panic!("host_poke on switch {node}")
         };
-        if h.port.busy {
+        // On a dead NIC link transports stay queued; LinkUp (or the next
+        // transport timer after recovery) re-pokes.
+        if h.port.down || h.port.busy {
             return;
         }
         let mut min_retry = Time::MAX;
@@ -1701,14 +1521,11 @@ impl Sim {
             // Queued packets (ACKs, probe echoes) first within priority.
             // The control queue (index nq-1) is never PFC-paused.
             let paused = q < nq - 1 && h.port.is_paused(q);
-            if !h.port.queues[q].is_empty() && !paused {
-                // simlint::allow(hot-path-unwrap, guarded by the is_empty() check one line up)
-                let pid = h.port.queues[q].pop_front().unwrap();
-                let size = self.arena.get(pid).size as u64;
-                h.port.queued_bytes_q[q] -= size;
-                h.port.queued_bytes -= size;
-                selected = Some(pid);
-                break 'prio;
+            if !paused {
+                selected = h.port.pop_queue(q, &self.arena);
+                if selected.is_some() {
+                    break 'prio;
+                }
             }
             if q >= h.active.len() || paused {
                 continue;
@@ -1734,9 +1551,9 @@ impl Sim {
                             seq,
                             now,
                         );
-                        pkt.dscp = f.spec.virt_prio;
+                        pkt.header.dscp = f.spec.virt_prio;
                         if let Some(a) = self.audit.as_deref_mut() {
-                            a.on_data_injected(fid, pkt.size as u64);
+                            a.on_data_injected(fid, pkt.header.size as u64);
                         }
                         h.rr[q] = (idx + 1) % len;
                         selected = Some(self.arena.alloc(pkt));
@@ -1766,51 +1583,20 @@ impl Sim {
                 break 'prio;
             }
         }
+        if selected.is_none() && min_retry != Time::MAX {
+            let at = min_retry.max(now + Time::from_ps(1));
+            if at < h.next_poke {
+                h.next_poke = at;
+                self.queue.schedule(at, Event::HostPoke { node });
+            }
+        }
         // `h` no longer borrows `self.nodes`; nothing above allocates a slab
         // slot, so releasing here leaves the free list as if done in place.
         for fid in finished {
             self.release_flow_state(fid);
         }
-        match selected {
-            Some(pid) => {
-                let size = self.arena.get(pid).size as u64;
-                let (peer, peer_port, rate, prop) = self.port_specs[node as usize][0];
-                let (rate, prop) =
-                    match self.faults.as_deref().and_then(|f| f.degrade_of(node, 0)) {
-                        Some((factor, extra)) => (rate.mul_f64(factor), prop + extra),
-                        None => (rate, prop),
-                    };
-                let h = match &mut self.nodes[node as usize] {
-                    Node::Host(h) => h,
-                    _ => unreachable!(),
-                };
-                h.port.busy = true;
-                h.port.tx_bytes += size;
-                let ser = rate.serialize_time(size);
-                self.queue
-                    .schedule(now + ser, Event::PortFree { node, port: 0 });
-                self.queue.schedule(
-                    now + ser + prop,
-                    Event::Arrive {
-                        node: peer,
-                        in_port: peer_port,
-                        pkt: pid,
-                    },
-                );
-            }
-            None => {
-                if min_retry != Time::MAX {
-                    let at = min_retry.max(now + Time::from_ps(1));
-                    let h = match &mut self.nodes[node as usize] {
-                        Node::Host(h) => h,
-                        _ => unreachable!(),
-                    };
-                    if at < h.next_poke {
-                        h.next_poke = at;
-                        self.queue.schedule(at, Event::HostPoke { node });
-                    }
-                }
-            }
+        if let Some(pid) = selected {
+            self.transmit(node, 0, pid, 0, Time::ZERO, now);
         }
     }
 
@@ -1818,32 +1604,20 @@ impl Sim {
         let m = &mut self.monitors[monitor as usize];
         match m.kind {
             MonitorKind::QueueBytes { node, port } => {
-                let bytes = match &self.nodes[node as usize] {
-                    Node::Switch(s) => s.ports[port as usize].queued_bytes,
-                    Node::Host(h) => h.port.queued_bytes,
-                };
+                let bytes = self.nodes[node as usize].ports()[port as usize].queued_bytes;
                 m.record_gauge(now, bytes as f64);
             }
             MonitorKind::QueueBytesPrio { node, port, prio } => {
-                let bytes = match &self.nodes[node as usize] {
-                    Node::Switch(s) => s.ports[port as usize].queued_bytes_q[prio as usize],
-                    Node::Host(h) => h.port.queued_bytes_q[prio as usize],
-                };
-                m.record_gauge(now, bytes as f64);
+                let port = &self.nodes[node as usize].ports()[port as usize];
+                m.record_gauge(now, port.queued_bytes_q[prio as usize] as f64);
             }
             MonitorKind::PortThroughput { node, port } => {
-                let tx = match &self.nodes[node as usize] {
-                    Node::Switch(s) => s.ports[port as usize].tx_bytes,
-                    Node::Host(h) => h.port.tx_bytes,
-                };
+                let tx = self.nodes[node as usize].ports()[port as usize].tx_bytes;
                 m.record_tx(now, tx);
             }
             MonitorKind::SwitchBuffer { node } => {
-                let bytes = match &self.nodes[node as usize] {
-                    Node::Switch(s) => s.total_buffered as f64,
-                    Node::Host(_) => 0.0,
-                };
-                m.record_gauge(now, bytes);
+                let buffered = self.nodes[node as usize].as_switch().map_or(0, |s| s.total_buffered);
+                m.record_gauge(now, buffered as f64);
             }
         }
         if now + m.period < self.cfg.end_time {
@@ -1856,6 +1630,43 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSchedule;
+    use simcore::Rate;
+
+    /// Hosts and switches share one PFC-frame handler: a resume addressed
+    /// to a storm-pinned priority is swallowed — frame released, pause bit
+    /// held — on a host NIC and on a switch port alike, while the same
+    /// frame for an unpinned priority clears the bit.
+    #[test]
+    fn storm_pinned_resume_is_swallowed_on_host_nic_and_switch_port_alike() {
+        let topo = Topology::single_switch(2, Rate::from_gbps(100), Time::from_us(1));
+        let (host, switch) = (1, 3);
+        let mut faults = FaultSchedule::new();
+        for node in [host, switch] {
+            faults.push(Time::ZERO, FaultKind::PauseStart { node, port: 0, prio: 0 });
+        }
+        let cfg = SimConfig {
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
+        sim.on_fault(0, Time::ZERO);
+        sim.on_fault(1, Time::ZERO);
+        for node in [host, switch] {
+            let is_host = matches!(sim.nodes[node as usize], Node::Host(_));
+            assert_eq!(is_host, node == host, "node {node}");
+            sim.port_mut(node, 0).set_paused(1, true);
+            for prio in [0, 1] {
+                let peer = sim.port(node, 0).peer;
+                let frame = sim.arena.alloc(Packet::pfc(peer, node, prio, false));
+                sim.on_arrive(node, 0, frame, Time::from_us(1));
+            }
+            assert_eq!(sim.arena.live_count(), 0, "PFC frames are consumed, never queued");
+            let p = sim.port(node, 0);
+            assert!(p.is_paused(0), "node {node}: the storm pin swallows the resume");
+            assert!(!p.is_paused(1), "node {node}: an unpinned priority resumes");
+        }
+    }
 
     /// The whole point of the packet arena: events stay a few machine words
     /// so the scheduler backends sift small entries. If `Event` grows past

@@ -2,8 +2,9 @@
 //!
 //! [`Sim::snapshot`] captures the *complete* deterministic state of a
 //! running simulation — scheduler queue, packet arena, live flow slab
-//! (transports deep-copied via [`Transport::clone_box`]), node/port state,
-//! RNG streams, counters, fluid backlogs, streaming sketches, and the audit
+//! (transports deep-copied via [`Transport::clone_box`]), node/port state
+//! (a link's fault state lives on its ports, so it rides along), RNG
+//! streams, counters, fluid backlogs, streaming sketches, and the audit
 //! mirror — into an owned, `Send + Sync` [`SimSnapshot`]. [`Sim::restore`]
 //! rebuilds a simulator that continues bit-identically to the original:
 //! the restore-equals-straight-through property is pinned by the
@@ -32,18 +33,18 @@
 //! `SimSnapshot` automatically `Send + Sync`, which warm-start sweeps rely
 //! on to share one snapshot across worker threads.
 
-use simcore::{EventQueue, QueueSnapshot, Rate, ScheduledId, SimRng, Time};
+use simcore::{EventQueue, QueueSnapshot, ScheduledId, SimRng};
 
 use crate::audit::Audit;
 use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
-use crate::faults::FaultRuntime;
 use crate::fluid::FluidState;
 use crate::monitor::Monitor;
-use crate::packet::{FlowId, NodeId, PacketArena};
+use crate::node::Node;
+use crate::packet::{FlowId, PacketArena};
 use crate::record::{FlowTrace, SimCounters, StreamingStats};
 use crate::routing::RoutingTable;
-use crate::sim::{Flow, FlowSlab, Node, Sim};
+use crate::sim::{Flow, FlowSlab, Sim};
 use crate::transport_api::Transport;
 
 use std::collections::BTreeMap;
@@ -56,7 +57,6 @@ pub struct SimSnapshot {
     cfg: SimConfig,
     switch_cfg: SwitchConfig,
     nodes: Vec<Node>,
-    port_specs: Vec<Vec<(NodeId, u16, Rate, Time)>>,
     routes: RoutingTable,
     flows: Vec<Flow>,
     live: FlowSlab,
@@ -73,7 +73,6 @@ pub struct SimSnapshot {
     completed_buf: Vec<FlowId>,
     fluid: Option<Box<FluidState>>,
     fluid_epoch: Option<ScheduledId>,
-    faults: Option<Box<FaultRuntime>>,
     started: bool,
     audit: Option<Box<Audit>>,
 }
@@ -94,6 +93,8 @@ pub enum StateTamper {
     /// Leak one unit of fluid backlog mass (requires a hybrid run with
     /// [`SimConfig::background`]).
     FluidBacklog,
+    /// Flip the priority-0 PFC pause bit on node 0's first egress port.
+    PortState,
 }
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -123,7 +124,6 @@ impl Sim {
             cfg: self.cfg.clone(),
             switch_cfg: self.switch_cfg.clone(),
             nodes: self.nodes.clone(),
-            port_specs: self.port_specs.clone(),
             routes: self.routes.clone(),
             flows: self.flows.clone(),
             live: self.live.clone(),
@@ -140,7 +140,6 @@ impl Sim {
             completed_buf: self.completed_buf.clone(),
             fluid: self.fluid.clone(),
             fluid_epoch: self.fluid_epoch,
-            faults: self.faults.clone(),
             started: self.started,
             // The audit mirror MUST be carried over: a fresh audit on the
             // resumed half would recount conservation tallies from zero and
@@ -161,7 +160,6 @@ impl Sim {
             cfg: snap.cfg.clone(),
             switch_cfg: snap.switch_cfg.clone(),
             nodes: snap.nodes.clone(),
-            port_specs: snap.port_specs.clone(),
             routes: snap.routes.clone(),
             flows: snap.flows.clone(),
             live: snap.live.clone(),
@@ -180,7 +178,6 @@ impl Sim {
             completed_buf: snap.completed_buf.clone(),
             fluid: snap.fluid.clone(),
             fluid_epoch: snap.fluid_epoch,
-            faults: snap.faults.clone(),
             started: snap.started,
             audit: snap.audit.clone(),
         }
@@ -188,7 +185,8 @@ impl Sim {
 
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue (canonical entry order), counters, RNG streams,
-    /// packet arena, flow slab, fluid backlogs, and streaming sketches.
+    /// packet arena, nodes and their ports (link fault state included), flow
+    /// slab, fluid backlogs, and streaming sketches.
     /// Two simulators with equal digests dispatch identically from here on;
     /// the snapshot-completeness fleet pins that every [`StateTamper`]
     /// class moves it.
@@ -255,6 +253,13 @@ impl Sim {
 
         // Packet arena: free list, stats, live headers + cold shapes.
         self.arena.fold_digest(&mut fold);
+
+        // Nodes: every egress port (pause bits, busy, fault state, queue
+        // membership and order) plus switch buffer/ingress accounting and
+        // host flow lists.
+        for node in &self.nodes {
+            node.fold_digest(&mut fold);
+        }
 
         // Flow cores and live state. The transport is a trait object, so it
         // contributes its observable sender state (cwnd, retransmits,
@@ -332,6 +337,10 @@ impl Sim {
                 }
                 None => false,
             },
+            StateTamper::PortState => {
+                self.nodes[0].ports_mut()[0].paused ^= 1;
+                true
+            }
         }
     }
 }

@@ -115,7 +115,7 @@ fn step(
         Op::Admit { port, in_port, prio, payload } => {
             let pkt = data_pkt(prio, payload, *seq);
             *seq += 1;
-            let q = queue_index(pkt.prio, NQ);
+            let q = queue_index(pkt.header.prio, NQ);
             let id = arena.alloc(pkt);
             s.admit(port, in_port, id, 0, arena, &mut pauses);
             Some((in_port, q))
@@ -228,8 +228,8 @@ proptest! {
                 Op::Admit { port, in_port, prio, payload } => {
                     let pkt = data_pkt(prio, payload, seq);
                     seq += 1;
-                    let q = queue_index(pkt.prio, NQ);
-                    let wire = pkt.size as u64;
+                    let q = queue_index(pkt.header.prio, NQ);
+                    let wire = pkt.header.size as u64;
                     let would_exceed =
                         s.ports[port as usize].queued_bytes_q[q] + wire > s.dt_limit(0);
                     let mut pauses = Vec::new();

@@ -5,13 +5,15 @@
 //!   interrupted mid-run, snapshotted, restored, and finished, must
 //!   reproduce the uninterrupted summary byte-for-byte on every scheduler
 //!   backend, with the invariant audit clean on both halves.
+//! - **Mid-fault resume**: the same, snapshotting while a link is down, a
+//!   pause storm is pinned and a link is degraded.
 //! - **Digest soundness**: [`netsim::Sim::state_digest`] survives a
 //!   snapshot round-trip unchanged and is backend-agnostic.
 //! - **Completeness fleet**: buggify-style tampers ([`StateTamper`])
 //!   mutate one class of simulator state at a time — counters, RNG
-//!   streams, streaming sketches, fluid backlog — and the digest must
-//!   notice every one; classes absent from a run must report `false`
-//!   and leave the digest alone.
+//!   streams, port state, streaming sketches, fluid backlog — and the
+//!   digest must notice every one; classes absent from a run must report
+//!   `false` and leave the digest alone.
 //! - **Warm-start differential**: `experiments::sweep::run_warm` over a
 //!   prefix-sharing config family must be bit-identical to cold
 //!   per-config runs, serial and parallel, with the cache accounting
@@ -22,8 +24,8 @@ use experiments::micro::{Micro, MicroEnv};
 use experiments::sweep::{run_warm, WarmCache};
 use netsim::fluid::BackgroundLoad;
 use netsim::{
-    FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult, StateTamper, SwitchConfig,
-    Topology,
+    FaultSchedule, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult, StateTamper,
+    SwitchConfig, Topology,
 };
 use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -85,6 +87,17 @@ fn cc_matrix() -> Vec<(&'static str, CcSpec)> {
 /// enough congestion to exercise PFC, ECN, queue growth, and (for lossy
 /// configs) retransmission state on both sides of the snapshot horizon.
 fn incast(cc: &CcSpec, sched: SchedKind, audit: bool) -> Micro {
+    incast_with_faults(cc, sched, audit, None)
+}
+
+/// [`incast`] with a fault schedule installed. Hosts are `0..=6` (0 is the
+/// receiver), the switch is node 7, and switch port `i` faces host `i`.
+fn incast_with_faults(
+    cc: &CcSpec,
+    sched: SchedKind,
+    audit: bool,
+    faults: Option<FaultSchedule>,
+) -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders: 6,
         end: Time::from_ms(3),
@@ -92,6 +105,7 @@ fn incast(cc: &CcSpec, sched: SchedKind, audit: bool) -> Micro {
         noise: NoiseModel::testbed(),
         seed: 7,
         sched,
+        faults,
         switch: SwitchConfig {
             int_enabled: matches!(cc, CcSpec::Hpcc),
             ..Default::default()
@@ -157,6 +171,60 @@ fn cc_matrix_snapshot_resume_is_bit_identical_on_every_backend() {
                 horizon()
             );
         }
+    }
+}
+
+/// A link's fault state lives on its ports, so it rides along with the
+/// nodes: a snapshot taken while one link is down, the bottleneck egress is
+/// storm-pinned and a third link is degraded resumes byte-identically on
+/// every backend, audit clean, and the digest round-trips mid-fault.
+#[test]
+fn snapshot_with_a_link_down_and_a_storm_pinned_resumes_bit_identically() {
+    let cc = CcSpec::PrioPlusSwift {
+        policy: PrioPlusPolicy::paper_default(2),
+    };
+    let us = Time::from_us;
+    // Every regime straddles the 300 µs snapshot horizon.
+    let mut faults = FaultSchedule::new();
+    faults
+        .link_flap(7, 2, us(100), us(450))
+        .pause_storm(7, 0, 0, us(250), us(400))
+        .degrade(3, 0, us(200), us(500), 0.5, us(2));
+    for kind in SchedKind::ALL {
+        let run = |faults| incast_with_faults(&cc, kind, true, Some(faults));
+        let straight_res = run(faults.clone()).sim.run();
+        assert_clean_audit(&straight_res, "mid-fault straight run");
+        let c = &straight_res.counters;
+        assert_eq!(c.fault_events, 6, "all six transitions applied");
+        assert!(
+            c.fault_link_drops + c.fault_ctrl_drops > 0,
+            "the flap must catch packets in flight"
+        );
+
+        let mut m = run(faults.clone());
+        m.sim.run_until(horizon());
+        let snap = m.sim.snapshot();
+        let digest = m.sim.state_digest();
+        drop(m);
+        let resumed = Sim::restore(&snap);
+        assert_eq!(digest, resumed.state_digest(), "digest moved across restore");
+        let resumed_res = resumed.run();
+        assert_clean_audit(&resumed_res, "mid-fault resumed run");
+        assert_eq!(
+            summarize(&straight_res),
+            summarize(&resumed_res),
+            "mid-fault snapshot/resume on {} changed the simulation",
+            kind.name()
+        );
+        assert_eq!(
+            (c.fault_events, c.fault_link_drops, c.fault_ctrl_drops),
+            (
+                resumed_res.counters.fault_events,
+                resumed_res.counters.fault_link_drops,
+                resumed_res.counters.fault_ctrl_drops
+            ),
+            "fault counters diverged after resume"
+        );
     }
 }
 
@@ -277,7 +345,7 @@ fn tamper_fleet_packet_run_counters_and_rng() {
     m.sim.run_until(horizon());
     let base = m.sim.state_digest();
     let snap = m.sim.snapshot();
-    for tamper in [StateTamper::Counter, StateTamper::Rng] {
+    for tamper in [StateTamper::Counter, StateTamper::Rng, StateTamper::PortState] {
         let mut fork = Sim::restore(&snap);
         assert!(
             fork.snap_mutate(tamper),
