@@ -158,7 +158,13 @@ pub struct HyperscaleResult {
     pub flows_reclaimed: u64,
     /// Peak resident bytes of live flow state.
     pub flow_live_bytes_peak: u64,
-    /// Peak resident memory budget: live flow state + packet-arena slots.
+    /// Most entries the event queue stored at once (cancelled timers
+    /// awaiting retirement included).
+    pub sched_pending_peak: u64,
+    /// Peak heap bytes of the event queue.
+    pub sched_bytes_peak: u64,
+    /// Peak resident memory budget: live flow state + packet-arena slots +
+    /// the event queue.
     pub mem_budget_bytes: u64,
     /// Order-independent fingerprint of the full streaming state (pinned
     /// bit-identical across scheduler backends).
@@ -306,7 +312,9 @@ fn summarize(result: &netsim::SimResult) -> HyperscaleResult {
         flow_slab_slots: c.flow_slab_slots,
         flows_reclaimed: c.flows_reclaimed,
         flow_live_bytes_peak: c.flow_live_bytes_peak,
-        mem_budget_bytes: c.flow_live_bytes_peak + arena_bytes,
+        sched_pending_peak: c.sched_pending_peak,
+        sched_bytes_peak: c.sched_bytes_peak,
+        mem_budget_bytes: c.flow_live_bytes_peak + arena_bytes + c.sched_bytes_peak,
         streaming_fingerprint: st.fingerprint(),
     }
 }

@@ -73,4 +73,20 @@ pub struct SimCounters {
     /// sched_pops` is the average number of events dispatched per scheduler
     /// interaction — the batching win batch dispatch is after.
     pub sched_pops: u64,
+    /// Entries pushed plus entries popped at the scheduler backend. With
+    /// the four counters below: diagnostics of the *backend*, so they
+    /// differ between backends (zero work on the binary heap) and are kept
+    /// out of state digests and golden summaries.
+    pub sched_ops: u64,
+    /// Entries moved, buckets scanned and list nodes walked by the backend
+    /// ([`simcore::SchedWork::touches`]). `sched_touches / sched_ops` is
+    /// its deterministic cost per operation.
+    pub sched_touches: u64,
+    /// Backend rebuilds (width retunes and bucket-count changes).
+    pub sched_rebuilds: u64,
+    /// Most entries the event queue stored at once, cancelled timers
+    /// awaiting lazy retirement included.
+    pub sched_pending_peak: u64,
+    /// Peak heap bytes of the event queue (backend + batch buffer).
+    pub sched_bytes_peak: u64,
 }

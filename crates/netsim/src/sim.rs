@@ -616,13 +616,11 @@ impl Sim {
     /// the run is over (queue drained or [`Event::End`] fired) or, with a
     /// horizon, when the next batch would be at or past it.
     fn pump(&mut self, until: Option<Time>) -> bool {
-        if let Some(horizon) = until {
-            match self.queue.peek_time() {
-                Some(at) if at < horizon => {}
-                _ => return false,
-            }
-        }
-        let Some(now) = self.queue.pop_batch() else {
+        let next = match until {
+            Some(horizon) => self.queue.pop_batch_before(horizon),
+            None => self.queue.pop_batch(),
+        };
+        let Some(now) = next else {
             return false;
         };
         while let Some(ev) = self.queue.batch_next() {
@@ -700,6 +698,12 @@ impl Sim {
         self.counters.arena_int_allocs = astats.int_allocs;
         self.counters.arena_int_recycled = astats.int_recycled;
         self.counters.sched_pops = self.queue.pops();
+        let work = self.queue.sched_work();
+        self.counters.sched_ops = work.ops();
+        self.counters.sched_touches = work.touches();
+        self.counters.sched_rebuilds = work.rebuilds;
+        self.counters.sched_pending_peak = self.queue.pending_peak() as u64;
+        self.counters.sched_bytes_peak = self.queue.resident_bytes() as u64;
         self.counters.flows_total = self.flows.len() as u64;
         self.counters.flow_live_peak = self.live.peak;
         self.counters.flow_slab_slots = self.live.slots.len() as u64;
@@ -1533,8 +1537,13 @@ impl Sim {
             // Pull from transports at this data priority, round-robin.
             let len = h.active[q].len();
             let first_finished = finished.len();
-            for k in 0..len {
-                let idx = (h.rr[q] + k) % len;
+            // One lap from the round-robin cursor, wrapping by compare: a
+            // `%` here is a 64-bit divide per candidate flow.
+            let mut idx = h.rr[q];
+            for _ in 0..len {
+                if idx >= len {
+                    idx = 0;
+                }
                 let fid = h.active[q][idx];
                 let f = &self.flows[fid as usize];
                 let fl = self.live.get_mut(f.live);
@@ -1555,7 +1564,7 @@ impl Sim {
                         if let Some(a) = self.audit.as_deref_mut() {
                             a.on_data_injected(fid, pkt.header.size as u64);
                         }
-                        h.rr[q] = (idx + 1) % len;
+                        h.rr[q] = if idx + 1 == len { 0 } else { idx + 1 };
                         selected = Some(self.arena.alloc(pkt));
                         break;
                     }
@@ -1564,7 +1573,7 @@ impl Sim {
                         fl.transport.on_sent(TrySend::Probe, &mut ctx);
                         self.counters.probes += 1;
                         let pkt = Packet::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
-                        h.rr[q] = (idx + 1) % len;
+                        h.rr[q] = if idx + 1 == len { 0 } else { idx + 1 };
                         selected = Some(self.arena.alloc(pkt));
                         break;
                     }
@@ -1574,6 +1583,7 @@ impl Sim {
                     TrySend::Blocked => {}
                     TrySend::Finished => finished.push(fid),
                 }
+                idx += 1;
             }
             for &fid in &finished[first_finished..] {
                 self.flows[fid as usize].active = false;
@@ -1671,7 +1681,9 @@ mod tests {
     /// The whole point of the packet arena: events stay a few machine words
     /// so the scheduler backends sift small entries. If `Event` grows past
     /// 16 bytes (or an `Entry<Event>` past 40), someone put a payload back
-    /// into the queue by value — route it through the arena instead.
+    /// into the queue by value — route it through the arena instead. A
+    /// pending entry outside the calendar's current day occupies one slab
+    /// node: the entry plus a 4-byte link.
     #[test]
     fn event_stays_slim() {
         assert!(
@@ -1684,5 +1696,7 @@ mod tests {
             "Entry<Event> grew to {} bytes",
             std::mem::size_of::<simcore::Entry<Event>>()
         );
+        let node = simcore::sched::CalendarQueue::<Event>::NODE_BYTES;
+        assert!(node <= 48, "calendar slab node grew to {node} bytes");
     }
 }

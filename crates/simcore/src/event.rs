@@ -6,7 +6,8 @@
 //! across runs — and across backends, since every backend implements the
 //! same stable `(time, seq)` min-order (see [`crate::sched`]). The backend
 //! is chosen at construction ([`EventQueue::with_sched`]); the default is
-//! the binary heap.
+//! the calendar queue, and the binary heap is the reference the tests
+//! compare it against.
 //!
 //! Cancellation uses generation-stamped slots instead of a tombstone set:
 //! [`schedule_cancellable`](EventQueue::schedule_cancellable) hands out a
@@ -19,11 +20,12 @@
 //! `len()` can never under-count and no tombstone can leak.
 //!
 //! Cancelled entries are retired *lazily*: they stay in the backend until
-//! they reach the head, where [`pop`](EventQueue::pop) and
+//! they reach the head, where [`pop`](EventQueue::pop),
+//! [`pop_batch`](EventQueue::pop_batch) and
 //! [`peek_time`](EventQueue::peek_time) discard them (see
-//! [`drop_cancelled_heads`](EventQueue::drop_cancelled_heads)).
+//! [`settle_head`](EventQueue::settle_head)).
 
-use crate::sched::{AnySched, Entry, SchedKind, Scheduler};
+use crate::sched::{AnySched, Entry, SchedKind, SchedWork, Scheduler};
 use crate::time::Time;
 
 /// Handle to a cancellable scheduled event.
@@ -64,8 +66,11 @@ pub struct EventQueue<E> {
     /// per backend pop on the sequential path). `popped / pops` is the
     /// average batch size.
     pops: u64,
+    /// Most entries ever stored at once, cancelled ones included.
+    pending_peak: usize,
     /// The pending same-timestamp batch, **in reverse `(at, seq)` order**
-    /// so [`batch_next`](Self::batch_next) serves from the tail. Entries
+    /// (the order backends hand it over in), so
+    /// [`batch_next`](Self::batch_next) serves from the tail. Entries
     /// here have left the backend but are still logically queued: `len`,
     /// `for_each_live`, and the invariant check all account for them, and
     /// [`cancel`](Self::cancel) still works on them (liveness is re-checked
@@ -98,6 +103,7 @@ impl<E> EventQueue<E> {
             now: Time::ZERO,
             popped: 0,
             pops: 0,
+            pending_peak: 0,
             batch: Vec::new(),
         }
     }
@@ -128,6 +134,24 @@ impl<E> EventQueue<E> {
         self.pops
     }
 
+    /// The backend's deterministic work profile (all zero on the binary
+    /// heap, which keeps none).
+    pub fn sched_work(&self) -> SchedWork {
+        self.sched.work()
+    }
+
+    /// Most entries the queue ever stored at once, cancelled ones awaiting
+    /// lazy retirement included — what the backend's memory is sized by.
+    pub fn pending_peak(&self) -> usize {
+        self.pending_peak
+    }
+
+    /// Heap bytes held by the backend and the batch buffer, by capacity.
+    /// Capacities only grow, so the value at the end of a run is its peak.
+    pub fn resident_bytes(&self) -> usize {
+        self.sched.resident_bytes() + self.batch.capacity() * std::mem::size_of::<Entry<E>>()
+    }
+
     /// Number of pending (non-cancelled) events, including any entries of a
     /// partially served batch.
     #[inline]
@@ -155,6 +179,7 @@ impl<E> EventQueue<E> {
             slot,
             event,
         });
+        self.pending_peak = self.pending_peak.max(self.sched.len() + self.batch.len());
     }
 
     /// Schedule `event` at absolute time `at`. The event cannot be
@@ -239,33 +264,30 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The explicit lazy-skip step: discard cancelled entries sitting at the
-    /// backend head, recycling their slots. After this, the head (if any) is
-    /// live, so `peek_time` and `pop` necessarily agree on it. Amortized
-    /// O(1): each cancelled entry is discarded exactly once.
-    fn drop_cancelled_heads(&mut self) {
-        while let Some(entry) = self.sched.peek_min() {
-            let slot = entry.slot;
-            if slot == NO_SLOT || self.slots[slot as usize].live {
-                return;
-            }
-            self.sched.pop_min();
-            self.retire(slot);
-        }
-    }
-
-    /// Discard cancelled entries at the tail (= serving end) of the pending
-    /// batch, recycling their slots. The mirror of
-    /// [`Self::drop_cancelled_heads`] for the batch buffer.
-    fn drop_cancelled_batch_tail(&mut self) {
+    /// The explicit lazy-skip step: discard cancelled entries at the serving
+    /// end — the tail of a partially served batch first, then the backend
+    /// head — recycling their slots, and return the timestamp of the live
+    /// entry left there. After this `peek_time`, `pop` and `pop_batch`
+    /// necessarily agree on the head. Amortized O(1): each cancelled entry
+    /// is discarded exactly once, and the backend's peek is O(1).
+    fn settle_head(&mut self) -> Option<Time> {
         while let Some(entry) = self.batch.last() {
-            let slot = entry.slot;
+            let (at, slot) = (entry.at, entry.slot);
             if slot == NO_SLOT || self.slots[slot as usize].live {
-                return;
+                return Some(at);
             }
             self.batch.pop();
             self.retire(slot);
         }
+        while let Some(entry) = self.sched.peek_min() {
+            let (at, slot) = (entry.at, entry.slot);
+            if slot == NO_SLOT || self.slots[slot as usize].live {
+                return Some(at);
+            }
+            self.sched.pop_min();
+            self.retire(slot);
+        }
+        None
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
@@ -275,11 +297,11 @@ impl<E> EventQueue<E> {
         if let Some(event) = self.batch_next() {
             return Some((self.now, event));
         }
-        self.drop_cancelled_heads();
+        self.settle_head()?;
         let entry = self.sched.pop_min()?;
         debug_assert!(
             entry.slot == NO_SLOT || self.slots[entry.slot as usize].live,
-            "head still cancelled after drop_cancelled_heads"
+            "head still cancelled after settle_head"
         );
         self.retire(entry.slot);
         debug_assert!(entry.at >= self.now);
@@ -302,21 +324,29 @@ impl<E> EventQueue<E> {
     /// the same batch) are still skipped, because liveness is re-checked
     /// when each entry is served, not when the batch is formed.
     pub fn pop_batch(&mut self) -> Option<Time> {
-        // Leftovers from a batch whose dispatch stopped early are served
-        // before the backend is touched again.
-        self.drop_cancelled_batch_tail();
-        if let Some(entry) = self.batch.last() {
-            return Some(entry.at);
+        let at = self.settle_head()?;
+        Some(self.take_batch(at))
+    }
+
+    /// [`pop_batch`](Self::pop_batch), unless the next live event is at or
+    /// past `horizon`: then nothing is removed, the clock stays, and the
+    /// result is `None`.
+    pub fn pop_batch_before(&mut self, horizon: Time) -> Option<Time> {
+        let at = self.settle_head().filter(|&at| at < horizon)?;
+        Some(self.take_batch(at))
+    }
+
+    /// Form the batch at `at`, the settled head's timestamp. Leftovers from
+    /// a batch whose dispatch stopped early are served before the backend
+    /// is touched again.
+    fn take_batch(&mut self, at: Time) -> Time {
+        if self.batch.is_empty() {
+            self.sched.pop_batch(&mut self.batch);
+            debug_assert!(at >= self.now);
+            self.now = at;
+            self.pops += 1;
         }
-        self.drop_cancelled_heads();
-        self.sched.pop_batch(&mut self.batch);
-        // The backend appends in (at, seq) order; serve from the tail.
-        self.batch.reverse();
-        let at = self.batch.last()?.at;
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.pops += 1;
-        Some(at)
+        at
     }
 
     /// The next live event of the batch formed by the last
@@ -336,15 +366,10 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next live event without popping it.
     ///
     /// Takes `&mut self` only for the lazy-skip: cancelled entries at the
-    /// head are discarded (via [`Self::drop_cancelled_heads`]) so the peek
-    /// stays amortized O(1). The set of live events is unchanged.
+    /// head are discarded (via [`Self::settle_head`]) so the peek stays
+    /// amortized O(1). The set of live events is unchanged.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.drop_cancelled_batch_tail();
-        if let Some(entry) = self.batch.last() {
-            return Some(entry.at);
-        }
-        self.drop_cancelled_heads();
-        self.sched.peek_min().map(|e| e.at)
+        self.settle_head()
     }
 
     /// Visit every live (non-cancelled) pending event, in backend storage
@@ -473,6 +498,7 @@ impl<E: Clone> EventQueue<E> {
             now: snap.now,
             popped: snap.popped,
             pops: snap.pops,
+            pending_peak: snap.entries.len(),
             batch: Vec::new(),
         };
         for e in &snap.entries {

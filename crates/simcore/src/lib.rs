@@ -27,7 +27,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, QueueSnapshot, ScheduledId};
-pub use sched::{Entry, SchedKind, Scheduler};
+pub use sched::{Entry, SchedKind, SchedWork, Scheduler};
 pub use rate::Rate;
 pub use ringlog::RingLog;
 pub use rng::SimRng;

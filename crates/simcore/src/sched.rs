@@ -8,11 +8,13 @@
 //! - [`BinaryHeapSched`]: `std::collections::BinaryHeap` with reversed
 //!   ordering — the reference backend the property and golden tests
 //!   compare against;
-//! - [`CalendarQueue`]: a bucketed calendar queue (Brown 1988) with
-//!   automatic resize. O(1) amortized when pending-event spacing is roughly
-//!   uniform — the dense-timer regime of large incasts, where millions of
-//!   RTO/pacing timers share a common horizon. The default, and the backend
-//!   every `ppbench` workload runs on.
+//! - [`CalendarQueue`]: a calendar queue (Brown 1988) whose day width
+//!   follows the *measured* gap between pops, with unsorted buckets in one
+//!   slab and a sorted current day. O(1) per operation on the populations
+//!   the simulator produces — a dense near-term packet cluster, thousands of
+//!   far RTO timers and their tombstones, pre-registered flow starts, one
+//!   `End` outlier. The default, and the backend every `ppbench` workload
+//!   runs on.
 //!
 //! # Contract
 //!
@@ -20,11 +22,13 @@
 //!
 //! 1. `pop_min` returns the pending entry with the smallest `(at, seq)` key
 //!    (keys are unique: the queue assigns strictly increasing `seq`);
-//! 2. `peek_min` agrees with what `pop_min` would return next;
+//! 2. `peek_min` agrees with what `pop_min` would return next (it takes
+//!    `&mut self` so a backend may settle its head lazily; the set of
+//!    stored entries never changes);
 //! 3. pushes must accept any `entry.at`, including ones earlier than the
-//!    last entry popped: the event queue enforces causality against its own
-//!    clock, but it also retires *cancelled* heads early, and those can
-//!    carry timestamps ahead of the clock.
+//!    last entry popped or peeked: the event queue enforces causality
+//!    against its own clock, but it also retires *cancelled* heads early,
+//!    and those can carry timestamps ahead of the clock.
 //!
 //! Rule 1 makes backend choice *unobservable*: any two backends driven with
 //! the same pushes produce bit-identical pop sequences, which is what lets
@@ -34,7 +38,7 @@
 //! suite pins end-to-end digests per backend.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Time;
 
@@ -76,15 +80,17 @@ pub trait Scheduler<E> {
     fn pop_min(&mut self) -> Option<Entry<E>>;
 
     /// The entry `pop_min` would return next, without removing it.
-    fn peek_min(&self) -> Option<&Entry<E>>;
+    fn peek_min(&mut self) -> Option<&Entry<E>>;
 
     /// Remove the minimum entry *and every further entry sharing its
-    /// timestamp*, appending them to `out` in `(at, seq)` order. Appends
-    /// nothing when empty. Equivalent to repeated `pop_min` while the head
-    /// timestamp is unchanged — the default does exactly that — but
-    /// backends can amortize the min search over the whole batch (the
-    /// calendar queue locates the min bucket once and drains its tail).
+    /// timestamp*, appending them to `out` in **serve order**: descending
+    /// `(at, seq)`, so the caller's `out.pop()` yields them smallest first.
+    /// Appends nothing when empty. Equivalent to repeated `pop_min` while
+    /// the head timestamp is unchanged — the default does exactly that —
+    /// but the calendar queue hands over the tail of its sorted current day
+    /// in one move.
     fn pop_batch(&mut self, out: &mut Vec<Entry<E>>) {
+        let start = out.len();
         let Some(first) = self.pop_min() else { return };
         let at = first.at;
         out.push(first);
@@ -94,6 +100,7 @@ pub trait Scheduler<E> {
                 None => break,
             }
         }
+        out[start..].reverse();
     }
 
     /// Number of stored entries (live and cancelled alike — cancellation is
@@ -108,10 +115,53 @@ pub trait Scheduler<E> {
     /// Visit every stored entry in unspecified order (audit support).
     fn for_each(&self, f: &mut dyn FnMut(&Entry<E>));
 
-    /// Verify backend-internal structure (heap shape, bucket sort order,
-    /// counts). Used by the audit layer on top of the queue's own checks.
+    /// Verify backend-internal structure (slab and list shape, index
+    /// arrays, sort order, counts). Used by the audit layer on top of the
+    /// queue's own checks.
     fn check_backend(&self) -> Result<(), String> {
         Ok(())
+    }
+
+    /// Deterministic work profile (all zero for backends that keep none).
+    fn work(&self) -> SchedWork {
+        SchedWork::default()
+    }
+
+    /// Heap bytes the backend holds, by capacity. Capacities only grow, so
+    /// the value read at the end of a run is the run's peak.
+    fn resident_bytes(&self) -> usize;
+}
+
+/// What a backend did, as plain counters: the same run always reads the
+/// same numbers, so a cost regression is a failed assertion rather than a
+/// stopwatch reading. `touches() / ops()` is the structure's cost per
+/// operation in entries, buckets and list nodes handled.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedWork {
+    /// Entries pushed.
+    pub pushes: u64,
+    /// Entries popped.
+    pub pops: u64,
+    /// Entries shifted by a sorted insert, sorted when a day opens, or
+    /// flushed back to their buckets by a rewinding push.
+    pub entries_moved: u64,
+    /// Buckets examined while looking for the next non-empty day.
+    pub buckets_scanned: u64,
+    /// List nodes visited when a day opens and when a rebuild re-threads.
+    pub nodes_walked: u64,
+    /// Rebuilds (width retunes and bucket-count changes).
+    pub rebuilds: u64,
+}
+
+impl SchedWork {
+    /// Entries, buckets and nodes handled in total.
+    pub fn touches(&self) -> u64 {
+        self.entries_moved + self.buckets_scanned + self.nodes_walked
+    }
+
+    /// Queue operations served.
+    pub fn ops(&self) -> u64 {
+        self.pushes + self.pops
     }
 }
 
@@ -124,7 +174,7 @@ pub trait Scheduler<E> {
 pub enum SchedKind {
     /// `std` binary heap (the reference backend).
     Binary,
-    /// Bucketed calendar queue with automatic resize (the default).
+    /// Calendar queue tuned by the measured pop gap (the default).
     #[default]
     Calendar,
 }
@@ -226,7 +276,7 @@ impl<E> Scheduler<E> for AnySched<E> {
         dispatch!(self, b => b.pop_min())
     }
     #[inline]
-    fn peek_min(&self) -> Option<&Entry<E>> {
+    fn peek_min(&mut self) -> Option<&Entry<E>> {
         dispatch!(self, b => b.peek_min())
     }
     #[inline]
@@ -242,6 +292,12 @@ impl<E> Scheduler<E> for AnySched<E> {
     }
     fn check_backend(&self) -> Result<(), String> {
         dispatch!(self, b => b.check_backend())
+    }
+    fn work(&self) -> SchedWork {
+        dispatch!(self, b => b.work())
+    }
+    fn resident_bytes(&self) -> usize {
+        dispatch!(self, b => b.resident_bytes())
     }
 }
 
@@ -301,7 +357,7 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
         self.heap.pop().map(|r| r.0)
     }
     #[inline]
-    fn peek_min(&self) -> Option<&Entry<E>> {
+    fn peek_min(&mut self) -> Option<&Entry<E>> {
         self.heap.peek().map(|r| &r.0)
     }
     #[inline]
@@ -313,131 +369,371 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
             f(&r.0);
         }
     }
+    fn resident_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<Entry<E>>()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Calendar queue backend
 // ---------------------------------------------------------------------------
 
-/// Bucketed calendar queue (Brown 1988). Time is divided into fixed-width
-/// "days"; day `d` hashes to bucket `d % nbuckets`, so each bucket holds
-/// every `nbuckets`-th day ("one day per year"). A pop scans at most one
-/// year of buckets starting from the current day and falls back to a direct
-/// min search when the year is empty — O(1) amortized when event spacing is
-/// near-uniform relative to the bucket width.
+/// Calendar queue (Brown 1988), built for the bimodal populations a packet
+/// simulation produces. Time is cut into "days" of `2^shift` ps; day `d`
+/// hashes to bucket `d & (nbuckets - 1)`, so a bucket holds one day of every
+/// "year".
 ///
-/// Buckets are kept sorted descending by `(at, seq)` (so the per-bucket
-/// minimum is `last()`, poppable in O(1)), which preserves the stable-order
-/// contract exactly: same-timestamp events always land in the same bucket
-/// and pop in `seq` order.
+/// - **Buckets are unsorted** intrusive singly-linked lists threaded through
+///   one slab (`slab[i].next`), with freed slots reused last-in first-out.
+///   A push writes one slot that is still in cache, one `heads` cell and
+///   at most one `min_day` cell; nothing is compared or shifted, however far
+///   ahead the entry lies, and no bucket owns memory it could retain.
+/// - **The current day is sorted.** When the clock reaches a day, one walk
+///   of its bucket moves that day's entries into `bottom`, a small ring
+///   buffer sorted by `(at, seq)`; other years' entries stay threaded.
+///   `peek_min` / `pop_min` / `pop_batch` are then front operations. A push
+///   that lands in the current day is a sorted insert into `bottom`, which
+///   shifts whichever side of the ring is shorter — nothing at all for the
+///   two patterns a simulation produces in bulk, a tie with the latest
+///   entry and an event earlier than everything pending. A push that lands
+///   *before* the current day (the event queue retired a cancelled head
+///   ahead of its clock, or peeked, and then scheduled something earlier)
+///   first hands the later part of `bottom` back to the buckets and rewinds
+///   the current day.
+/// - **Finding the next day** probes `min_day[bucket] == day` for each day
+///   after the current one — a sequential read of a dense `u64` array, no
+///   list is touched — and falls back to the minimum over `min_day` when a
+///   whole year is empty.
+/// - **The width follows the pops.** Every `WINDOW_YEARS * nbuckets` pops
+///   the queue compares its width with `3 × Δt / pops` — three mean pop
+///   gaps, Brown's rule — and re-threads when it is off by
+///   `2^RETUNE_SHIFTS` or more. A width derived from the pending *span*
+///   would be set by the `End` event and the RTO timers, not by the packet
+///   cluster that is actually being popped. The width is a power of two so
+///   a day is `at >> shift` rather than a division on every operation. The
+///   window also closes early once its scans and walks exceed
+///   `EARLY_WORK_PER_POP` per pop of a full window, which bounds what a
+///   dense→sparse switch (thousands of empty days per pop) can cost before
+///   the width catches up — and is why a new queue starts at the narrowest
+///   width and lets that rule find the first real one.
 ///
-/// The queue resizes when the entry count drifts outside `[nbuckets/4,
-/// 2*nbuckets]`, re-deriving the bucket width from the current min→max event
-/// span (≈3× the mean gap). Resize rebuilds in O(n).
+/// The bucket count follows the entry count (`count ≤ 2·nbuckets`, shrinking
+/// below `nbuckets / 4`), so lists stay a couple of nodes long. A rebuild
+/// re-threads the slab in place in O(count + nbuckets).
+///
+/// Same-timestamp entries share a day, and `bottom`'s order is total over
+/// `(at, seq)`, so the stable-order contract holds exactly.
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
-    /// Each bucket sorted descending by `(at, seq)`; `last()` is its min.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Power of two.
-    nbuckets: usize,
-    /// Bucket ("day") width in picoseconds, >= 1.
-    width: u64,
-    /// Timestamp (ps) of the last popped entry: the lower bound for every
-    /// stored entry, and where the pop scan starts.
-    last_ps: u64,
+    /// Every entry outside the current day, plus free slots; `next` threads
+    /// a bucket's list or the free list.
+    slab: Vec<Node<E>>,
+    /// Head of the free-slot list (`NIL` when every slot is occupied).
+    free: u32,
+    /// Per bucket: first node of its list, or `NIL`. Length is a power of
+    /// two — the bucket count.
+    heads: Vec<u32>,
+    /// Per bucket: the earliest day among its entries, or `NO_DAY`.
+    min_day: Vec<u64>,
+    /// Day width is `2^shift` ps.
+    shift: u32,
+    /// The day `bottom` holds: every stored entry of a day `<= cur_day` is
+    /// in `bottom`, every later one is in a bucket.
+    cur_day: u64,
+    /// The current day's entries, sorted ascending by `(at, seq)`.
+    bottom: VecDeque<Entry<E>>,
     count: usize,
+    /// Timestamp of the last pop, in ps: the window's clock. (The current
+    /// day is not one — a peek may open a day far ahead of the pops.)
+    last_ps: u64,
+    work: SchedWork,
+    /// Where the measurement window began: `work.pops`, scans + walks, and
+    /// `last_ps` — or, with nothing popped yet, the start of the day then
+    /// opened (`NO_DAY` until the first day opens).
+    win_pops: u64,
+    win_work: u64,
+    win_ps: u64,
 }
 
+/// One slab slot: an entry threaded into a bucket's list, or a free slot
+/// (`entry` is `None`) threaded into the free list.
+#[derive(Debug)]
+struct Node<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
+/// End of a list.
+const NIL: u32 = u32::MAX;
+/// "No entry" in `min_day`; also "no window yet" in `win_ps`.
+const NO_DAY: u64 = u64::MAX;
 /// Smallest bucket count; also the initial size.
 const MIN_BUCKETS: usize = 4;
-/// Initial day width: 1 µs in ps (immediately re-derived on first resize).
-const INITIAL_WIDTH_PS: u64 = 1_000_000;
+/// Days are at least 2 ps wide, so every day number is below 2^63: `NO_DAY`
+/// is free as a sentinel and `day + nbuckets` cannot overflow. Also the
+/// width a queue starts at: too narrow costs a few year-long scans before
+/// the work cut-off below measures a real one (pushes cost the same at any
+/// width), where too wide would cost a whole window of sorted inserts.
+const MIN_SHIFT: u32 = 1;
+/// Window length in years (`nbuckets` pops each): long enough that a
+/// rebuild's O(nbuckets) pass is amortised to O(1) per pop.
+const WINDOW_YEARS: u64 = 2;
+/// Retune only when the width is off by 2^2 = 4× or more: rounding to a
+/// power of two already moves it by up to 2×, so anything less is noise.
+const RETUNE_SHIFTS: u32 = 2;
+/// Close the window early once scans + walks exceed this many per pop of a
+/// full window: steady state is ~2, so 8 is a regime change, not jitter.
+const EARLY_WORK_PER_POP: u64 = 8;
+
+/// `log2` of the day width for a window of `pops` pops over `dt` ps: three
+/// mean gaps, rounded up to a power of two.
+fn shift_for(dt: u64, pops: u64) -> u32 {
+    let width = dt.saturating_mul(3) / pops;
+    (u64::BITS - width.saturating_sub(1).leading_zeros()).clamp(MIN_SHIFT, u64::BITS - 1)
+}
 
 impl<E> CalendarQueue<E> {
+    /// Bytes per slab slot. Every pending entry outside the current day
+    /// costs one, so it is pinned next to `Entry`'s size.
+    pub const NODE_BYTES: usize = std::mem::size_of::<Node<E>>();
+
     /// Empty backend.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            nbuckets: MIN_BUCKETS,
-            width: INITIAL_WIDTH_PS,
-            last_ps: 0,
+            slab: Vec::new(),
+            free: NIL,
+            // simlint::allow(hot-path-alloc, construction: the four initial buckets)
+            heads: vec![NIL; MIN_BUCKETS],
+            // simlint::allow(hot-path-alloc, construction: the four initial buckets)
+            min_day: vec![NO_DAY; MIN_BUCKETS],
+            shift: MIN_SHIFT,
+            cur_day: 0,
+            bottom: VecDeque::new(),
             count: 0,
+            last_ps: 0,
+            work: SchedWork::default(),
+            win_pops: 0,
+            win_work: 0,
+            win_ps: NO_DAY,
         }
     }
 
     #[inline]
-    fn bucket_of(&self, at_ps: u64) -> usize {
-        ((at_ps / self.width) as usize) & (self.nbuckets - 1)
+    fn day_of(&self, entry: &Entry<E>) -> u64 {
+        entry.at.as_ps() >> self.shift
     }
 
-    fn insert_sorted(bucket: &mut Vec<Entry<E>>, entry: Entry<E>) {
-        // Descending by key: binary-search under the reversed comparator.
-        // Keys are unique, so the search always lands on Err(pos).
-        let pos = bucket
-            .binary_search_by(|p| entry.key().cmp(&p.key()))
-            .unwrap_err();
-        bucket.insert(pos, entry);
+    /// Thread `entry` (of a day after the current one) into its bucket.
+    #[inline]
+    fn link(&mut self, entry: Entry<E>) {
+        let day = self.day_of(&entry);
+        let b = day as usize & (self.heads.len() - 1);
+        let node = Node {
+            entry: Some(entry),
+            next: self.heads[b],
+        };
+        let i = self.free;
+        if i != NIL {
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = node;
+            self.heads[b] = i;
+        } else {
+            assert!(self.slab.len() < NIL as usize, "calendar slab exhausted");
+            self.heads[b] = self.slab.len() as u32;
+            // Every slot is occupied: a new peak of pending entries.
+            self.slab.push(node);
+        }
+        if day < self.min_day[b] {
+            self.min_day[b] = day;
+        }
     }
 
-    /// Bucket index holding the entry `pop_min` must return, or `None` when
-    /// empty. Scans one "year" starting at the current day, then falls back
-    /// to a direct min search across all bucket heads.
-    fn locate_min(&self) -> Option<usize> {
+    /// Sorted insert into the current day; the ring shifts its shorter side.
+    fn insert_bottom(&mut self, entry: Entry<E>) {
+        let key = entry.key();
+        let pos = self.bottom.partition_point(|e| e.key() < key);
+        self.work.entries_moved += pos.min(self.bottom.len() - pos) as u64;
+        self.bottom.insert(pos, entry);
+    }
+
+    /// A push landed before the current day: hand the later part of
+    /// `bottom` back to the buckets and make `day` the current one.
+    #[cold]
+    fn rewind(&mut self, day: u64) {
+        self.cur_day = day;
+        while self.bottom.back().is_some_and(|e| self.day_of(e) > day) {
+            if let Some(entry) = self.bottom.pop_back() {
+                self.link(entry);
+                self.work.entries_moved += 1;
+            }
+        }
+    }
+
+    /// Move the next non-empty day into `bottom` (which must be empty).
+    /// Returns false when nothing is stored.
+    fn open_next_day(&mut self) -> bool {
+        debug_assert!(self.bottom.is_empty());
         if self.count == 0 {
-            return None;
+            return false;
         }
-        let day = self.last_ps / self.width;
-        let mask = self.nbuckets as u64 - 1;
-        for s in 0..self.nbuckets as u64 {
-            let i = ((day + s) & mask) as usize;
-            if let Some(e) = self.buckets[i].last() {
-                // Is this bucket's min due within the bucket's current day?
-                let day_end = (day + s + 1).saturating_mul(self.width);
-                if e.at.as_ps() < day_end {
-                    return Some(i);
+        let nbuckets = self.heads.len() as u64;
+        let mask = nbuckets - 1;
+        let year_end = self.cur_day + 1 + nbuckets;
+        let mut day = self.cur_day + 1;
+        while day < year_end && self.min_day[(day & mask) as usize] != day {
+            day += 1;
+        }
+        self.work.buckets_scanned += (day - self.cur_day).min(nbuckets);
+        if day == year_end {
+            // Nothing due for a year: jump to the earliest day stored.
+            day = self.min_day.iter().copied().fold(NO_DAY, u64::min);
+            self.work.buckets_scanned += nbuckets;
+        }
+        debug_assert_ne!(day, NO_DAY, "count > 0 with every bucket empty");
+        self.cur_day = day;
+
+        // Split the bucket's list: this day's entries to `bottom`, their
+        // slots to the free list, other years' entries re-threaded. An
+        // emptied ring keeps its head wherever the pops left it; `clear`
+        // starts it over so the fill is one contiguous slice.
+        self.bottom.clear();
+        let b = (day & mask) as usize;
+        let shift = self.shift;
+        let (mut kept, mut kept_min) = (NIL, NO_DAY);
+        let mut i = self.heads[b];
+        while i != NIL {
+            let node = &mut self.slab[i as usize];
+            let next = node.next;
+            let d = node
+                .entry
+                .as_ref()
+                .map_or(NO_DAY, |e| e.at.as_ps() >> shift);
+            if d == day {
+                if let Some(entry) = node.entry.take() {
+                    self.bottom.push_back(entry);
                 }
+                node.next = self.free;
+                self.free = i;
+            } else {
+                node.next = kept;
+                kept = i;
+                kept_min = kept_min.min(d);
             }
+            self.work.nodes_walked += 1;
+            i = next;
         }
-        // Sparse regime: nothing due this year. Direct search.
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(e) = b.last() {
-                let k = (e.at, e.seq, i);
-                if best.map_or(true, |(a, s, _)| (e.at, e.seq) < (a, s)) {
-                    best = Some(k);
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
+        self.heads[b] = kept;
+        self.min_day[b] = kept_min;
+        self.sort_bottom();
+        self.tune();
+        true
     }
 
-    /// Rebuild with a bucket count proportional to the entry count and a
-    /// day width of about 3× the mean inter-event gap.
-    fn resize(&mut self) {
-        let target = self
-            .count
-            .max(1)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, 1 << 22);
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.count);
-        for b in &mut self.buckets {
-            all.append(b);
+    fn sort_bottom(&mut self) {
+        if self.bottom.len() > 1 {
+            self.work.entries_moved += self.bottom.len() as u64;
+            self.bottom
+                .make_contiguous()
+                .sort_unstable_by_key(Entry::key);
         }
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &all {
-            let ps = e.at.as_ps();
-            lo = lo.min(ps);
-            hi = hi.max(ps);
+    }
+
+    /// Day-boundary upkeep: shrink when the population fell, and close the
+    /// measurement window when it is full or over its work budget.
+    fn tune(&mut self) {
+        let nbuckets = self.heads.len();
+        let mut want_buckets = nbuckets;
+        if nbuckets > MIN_BUCKETS && 4 * self.count < nbuckets {
+            want_buckets = self.count.next_power_of_two().max(MIN_BUCKETS);
         }
-        if all.len() >= 2 && hi > lo {
-            self.width = (3 * ((hi - lo) / all.len() as u64)).max(1);
+        let window = WINDOW_YEARS * nbuckets as u64;
+        let pops = self.work.pops - self.win_pops;
+        let walked = self.work.buckets_scanned + self.work.nodes_walked;
+        let close = self.win_ps == NO_DAY
+            || pops >= window
+            || walked - self.win_work > EARLY_WORK_PER_POP * window;
+        let mut want_shift = self.shift;
+        // (`win_ps` is `NO_DAY` before the first window, and can be ahead
+        // of the pops after a cancelled head was retired from a far day: no
+        // measurement either way.)
+        if close && pops > 0 && self.last_ps > self.win_ps {
+            let ideal = shift_for(self.last_ps - self.win_ps, pops);
+            if ideal.abs_diff(self.shift) >= RETUNE_SHIFTS {
+                want_shift = ideal;
+            }
         }
-        self.nbuckets = target;
-        self.buckets = (0..target).map(|_| Vec::new()).collect();
-        for e in all {
-            let i = self.bucket_of(e.at.as_ps());
-            Self::insert_sorted(&mut self.buckets[i], e);
+        let day_ps = self.cur_day << self.shift;
+        if want_buckets != nbuckets || want_shift != self.shift {
+            self.rebuild(want_buckets, want_shift);
         }
+        if close {
+            // The next window runs from the last pop; before any pop, from
+            // the day being opened.
+            self.win_ps = if self.work.pops == 0 {
+                day_ps
+            } else {
+                self.last_ps
+            };
+            self.win_pops = self.work.pops;
+            // Re-read: a rebuild's own walk is not the next window's work.
+            self.win_work = self.work.buckets_scanned + self.work.nodes_walked;
+        }
+    }
+
+    /// Re-thread every bucket entry for a new bucket count and width, in
+    /// place. `bottom` keeps what it has and gains whatever the new width
+    /// puts in its day.
+    fn rebuild(&mut self, nbuckets: usize, shift: u32) {
+        debug_assert!(nbuckets.is_power_of_two());
+        // Unthread every list into one chain.
+        let mut chain = NIL;
+        for head in &self.heads {
+            let mut i = *head;
+            while i != NIL {
+                let node = &mut self.slab[i as usize];
+                let next = node.next;
+                node.next = chain;
+                chain = i;
+                i = next;
+            }
+        }
+        // `bottom`'s back is the latest entry of the current day; with it
+        // empty the old day's start bounds every bucket entry from below.
+        self.cur_day = match self.bottom.back() {
+            Some(latest) => latest.at.as_ps() >> shift,
+            None => (self.cur_day << self.shift) >> shift,
+        };
+        self.shift = shift;
+        self.heads.clear();
+        self.heads.resize(nbuckets, NIL);
+        self.min_day.clear();
+        self.min_day.resize(nbuckets, NO_DAY);
+        let mask = nbuckets - 1;
+        let had = self.bottom.len();
+        while chain != NIL {
+            let node = &mut self.slab[chain as usize];
+            let next = node.next;
+            let day = node
+                .entry
+                .as_ref()
+                .map_or(NO_DAY, |e| e.at.as_ps() >> shift);
+            if day <= self.cur_day {
+                self.bottom.extend(node.entry.take());
+                node.next = self.free;
+                self.free = chain;
+            } else {
+                let b = day as usize & mask;
+                node.next = self.heads[b];
+                self.heads[b] = chain;
+                self.min_day[b] = self.min_day[b].min(day);
+            }
+            self.work.nodes_walked += 1;
+            chain = next;
+        }
+        if self.bottom.len() > had {
+            self.sort_bottom();
+        }
+        self.work.rebuilds += 1;
     }
 }
 
@@ -448,63 +744,60 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> Scheduler<E> for CalendarQueue<E> {
+    #[inline]
     fn push(&mut self, entry: Entry<E>) {
-        // The queue may retire a *cancelled* head whose timestamp is ahead
-        // of the simulation clock, then push an earlier (still causal)
-        // event; rewind the scan start so `last_ps` stays a lower bound for
-        // every pending entry.
-        self.last_ps = self.last_ps.min(entry.at.as_ps());
-        let i = self.bucket_of(entry.at.as_ps());
-        Self::insert_sorted(&mut self.buckets[i], entry);
+        self.work.pushes += 1;
         self.count += 1;
-        if self.count > 2 * self.nbuckets {
-            self.resize();
+        let day = self.day_of(&entry);
+        if day > self.cur_day {
+            self.link(entry);
+        } else {
+            if day < self.cur_day {
+                self.rewind(day);
+            }
+            self.insert_bottom(entry);
+        }
+        if self.count > 2 * self.heads.len() {
+            self.rebuild(self.count.next_power_of_two(), self.shift);
         }
     }
 
+    #[inline]
     fn pop_min(&mut self) -> Option<Entry<E>> {
-        let i = self.locate_min()?;
-        // simlint::allow(hot-path-unwrap, locate_min only returns non-empty buckets)
-        let e = self.buckets[i].pop().expect("locate_min found this bucket");
-        self.count -= 1;
-        self.last_ps = e.at.as_ps();
-        if self.nbuckets > MIN_BUCKETS && 4 * self.count < self.nbuckets {
-            self.resize();
+        if self.bottom.is_empty() && !self.open_next_day() {
+            return None;
         }
-        Some(e)
+        let entry = self.bottom.pop_front()?;
+        self.count -= 1;
+        self.work.pops += 1;
+        self.last_ps = entry.at.as_ps();
+        Some(entry)
     }
 
-    fn peek_min(&self) -> Option<&Entry<E>> {
-        self.locate_min()
-            // simlint::allow(hot-path-unwrap, locate_min only returns non-empty buckets)
-            .map(|i| self.buckets[i].last().expect("locate_min found this bucket"))
+    #[inline]
+    fn peek_min(&mut self) -> Option<&Entry<E>> {
+        if self.bottom.is_empty() {
+            self.open_next_day();
+        }
+        self.bottom.front()
     }
 
-    /// One `locate_min` amortized over the whole batch: same-timestamp
-    /// entries always hash to the same bucket and sit contiguously at its
-    /// tail (descending `(at, seq)` sort), so the batch is a straight run
-    /// of tail pops with no re-scan per entry.
+    /// Same-timestamp entries share a day, so the rest of the batch is at
+    /// `bottom`'s front. (The default would `peek_min` past the batch and
+    /// open the next day before the batch's handlers have pushed.)
     fn pop_batch(&mut self, out: &mut Vec<Entry<E>>) {
-        let Some(i) = self.locate_min() else { return };
-        let bucket = &mut self.buckets[i];
-        // simlint::allow(hot-path-unwrap, locate_min only returns non-empty buckets)
-        let first = bucket.pop().expect("locate_min found this bucket");
+        let start = out.len();
+        let Some(first) = self.pop_min() else { return };
         let at = first.at;
         out.push(first);
-        let mut popped = 1usize;
-        while bucket.last().is_some_and(|e| e.at == at) {
-            match bucket.pop() {
-                Some(e) => {
-                    out.push(e);
-                    popped += 1;
-                }
-                None => break,
-            }
+        while self.bottom.front().is_some_and(|e| e.at == at) {
+            out.extend(self.bottom.pop_front());
         }
-        self.count -= popped;
-        self.last_ps = at.as_ps();
-        if self.nbuckets > MIN_BUCKETS && 4 * self.count < self.nbuckets {
-            self.resize();
+        let more = out.len() - start - 1;
+        if more > 0 {
+            self.count -= more;
+            self.work.pops += more as u64;
+            out[start..].reverse();
         }
     }
 
@@ -514,57 +807,119 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&Entry<E>)) {
-        for b in &self.buckets {
-            for e in b {
-                f(e);
-            }
-        }
+        self.bottom.iter().for_each(&mut *f);
+        self.slab
+            .iter()
+            .filter_map(|n| n.entry.as_ref())
+            .for_each(f);
     }
 
     fn check_backend(&self) -> Result<(), String> {
-        if !self.nbuckets.is_power_of_two() || self.buckets.len() != self.nbuckets {
+        let nbuckets = self.heads.len();
+        if !nbuckets.is_power_of_two() || nbuckets < MIN_BUCKETS || self.min_day.len() != nbuckets {
             return Err(format!(
-                "calendar shape: {} buckets, nbuckets {}",
-                self.buckets.len(),
-                self.nbuckets
+                "calendar shape: {nbuckets} heads, {} min_day cells",
+                self.min_day.len()
             ));
         }
-        if self.width == 0 {
-            return Err("calendar width is zero".into());
+        if !(MIN_SHIFT..u64::BITS).contains(&self.shift) {
+            return Err(format!("calendar shift {} out of range", self.shift));
         }
-        let mut n = 0usize;
-        for (i, b) in self.buckets.iter().enumerate() {
-            n += b.len();
-            for e in b {
-                if self.bucket_of(e.at.as_ps()) != i {
+        // Bucket lists: occupied nodes of a later day, filed under the
+        // right bucket, `min_day` exact, no node reached twice.
+        let mut seen = 0usize;
+        for (b, &head) in self.heads.iter().enumerate() {
+            let mut min = NO_DAY;
+            let mut i = head;
+            while i != NIL {
+                seen += 1;
+                let Some(node) = self.slab.get(i as usize) else {
+                    return Err(format!("bucket {b} links to slot {i} past the slab"));
+                };
+                let Some(e) = node.entry.as_ref() else {
+                    return Err(format!("bucket {b} links to free slot {i}"));
+                };
+                let day = self.day_of(e);
+                if day as usize & (nbuckets - 1) != b || day <= self.cur_day {
                     return Err(format!(
-                        "entry at {} (seq {}) misfiled in bucket {i}",
-                        e.at, e.seq
+                        "entry at {} (seq {}, day {day}) misfiled in bucket {b}, current day {}",
+                        e.at, e.seq, self.cur_day
                     ));
                 }
-                if e.at.as_ps() < self.last_ps {
-                    return Err(format!(
-                        "entry at {} before last popped {} ps",
-                        e.at, self.last_ps
-                    ));
+                if seen > self.slab.len() {
+                    return Err(format!("bucket {b}: list cycle"));
                 }
+                min = min.min(day);
+                i = node.next;
             }
-            for w in b.windows(2) {
-                if w[0].key() <= w[1].key() {
-                    return Err(format!("bucket {i} not sorted descending"));
-                }
+            if self.min_day[b] != min {
+                return Err(format!(
+                    "bucket {b}: min_day {} but earliest entry is day {min}",
+                    self.min_day[b]
+                ));
             }
         }
-        if n != self.count {
-            return Err(format!("calendar count {} but {n} entries", self.count));
+        // Free list: empty slots, and with the lists it covers the slab.
+        let mut i = self.free;
+        while i != NIL {
+            seen += 1;
+            match self.slab.get(i as usize) {
+                Some(node) if node.entry.is_none() && seen <= self.slab.len() => i = node.next,
+                _ => return Err(format!("free list broken at slot {i}")),
+            }
+        }
+        if seen != self.slab.len() {
+            return Err(format!(
+                "{seen} slots on lists, slab has {}",
+                self.slab.len()
+            ));
+        }
+        // The current day: sorted, nothing of a later day.
+        if !self
+            .bottom
+            .iter()
+            .zip(self.bottom.iter().skip(1))
+            .all(|(a, b)| a.key() < b.key())
+        {
+            return Err("bottom not sorted".into());
+        }
+        if let Some(latest) = self.bottom.back() {
+            if self.day_of(latest) > self.cur_day {
+                return Err(format!(
+                    "bottom holds an entry at {} past current day {}",
+                    latest.at, self.cur_day
+                ));
+            }
+        }
+        let listed = self.slab.iter().filter(|n| n.entry.is_some()).count();
+        if listed + self.bottom.len() != self.count {
+            return Err(format!(
+                "calendar count {} but {listed} listed + {} in bottom",
+                self.count,
+                self.bottom.len()
+            ));
         }
         Ok(())
+    }
+
+    fn work(&self) -> SchedWork {
+        self.work
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.slab.capacity() * Self::NODE_BYTES
+            + self.heads.capacity() * std::mem::size_of::<u32>()
+            + self.min_day.capacity() * std::mem::size_of::<u64>()
+            + self.bottom.capacity() * std::mem::size_of::<Entry<E>>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stride of the test timestamps: ~1 µs, a link's propagation delay.
+    const DAY: u64 = 1 << 20;
 
     fn entry(at_ps: u64, seq: u64) -> Entry<u64> {
         Entry {
@@ -661,14 +1016,14 @@ mod tests {
     fn calendar_grows_and_shrinks() {
         let mut s = CalendarQueue::new();
         for seq in 0..1000u64 {
-            s.push(entry(seq * 300, seq));
+            s.push(entry(seq * DAY / 3, seq));
         }
-        assert!(s.nbuckets >= 512, "grew to {}", s.nbuckets);
+        assert!(s.heads.len() >= 512, "grew to {}", s.heads.len());
         s.check_backend().unwrap();
         for _ in 0..995 {
             s.pop_min().unwrap();
         }
-        assert!(s.nbuckets <= 16, "shrank to {}", s.nbuckets);
+        assert!(s.heads.len() <= 16, "shrank to {}", s.heads.len());
         s.check_backend().unwrap();
         drains_sorted(&mut s);
     }
@@ -678,7 +1033,7 @@ mod tests {
         let mut s = CalendarQueue::new();
         // One event many "years" past the current day: the one-year scan
         // finds nothing and the direct search must locate it.
-        s.push(entry(INITIAL_WIDTH_PS * MIN_BUCKETS as u64 * 1000 + 17, 0));
+        s.push(entry(DAY * MIN_BUCKETS as u64 * 1000 + 17, 0));
         assert_eq!(s.peek_min().unwrap().seq, 0);
         assert_eq!(s.pop_min().unwrap().seq, 0);
         assert!(s.pop_min().is_none());
@@ -708,7 +1063,8 @@ mod tests {
                 batched.pop_batch(&mut out);
                 assert!(!out.is_empty(), "{kind:?}: non-empty queue, empty batch");
                 let at = out[0].at;
-                for e in &out {
+                // Serve order: the batch is consumed from its tail.
+                for e in out.iter().rev() {
                     let want = sequential.pop_min().unwrap();
                     assert_eq!(e.key(), want.key(), "{kind:?}");
                     assert_eq!(e.at, at, "{kind:?}: mixed timestamps in batch");
@@ -740,7 +1096,7 @@ mod tests {
         for round in 0..50u64 {
             for k in 0..40 {
                 // Heavy ties: ten distinct timestamps per round.
-                s.push(entry(round * INITIAL_WIDTH_PS + (k % 10) * 1000, seq));
+                s.push(entry(round * DAY + (k % 10) * 1000, seq));
                 seq += 1;
             }
             let mut out = Vec::new();
@@ -754,7 +1110,7 @@ mod tests {
         while !s.is_empty() {
             out.clear();
             s.pop_batch(&mut out);
-            for e in &out {
+            for e in out.iter().rev() {
                 if let Some(p) = prev {
                     assert!(e.key() > p);
                 }
@@ -777,7 +1133,7 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                s.push(entry(now + x % (INITIAL_WIDTH_PS * 3), seq));
+                s.push(entry(now + x % (DAY * 3), seq));
                 seq += 1;
             }
             for _ in 0..10 {

@@ -7,6 +7,12 @@
 //! every pop must return the identical `(time, seq, event)` triple — the
 //! executable form of the backend contract: scheduler choice is
 //! unobservable.
+//!
+//! Two delay distributions drive it: a broad mix, and the skewed population
+//! a lossy simulation produces (the one that collapsed the sorted-bucket
+//! calendar into a single sorted `Vec`), on which the backend's structure is
+//! verified after *every* operation and the queues are swapped for their
+//! own snapshot's restoration every few dozen steps.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, SchedKind, Time};
@@ -101,9 +107,31 @@ fn delay_ps(w: u64) -> u64 {
     }
 }
 
+/// The population a lossy run holds: heavy same-instant ties, a packet
+/// cluster tens of ns ahead, RTO-like timers ~1 ms out (the cancellable
+/// ones among them become tombstones ahead of the clock, and retiring those
+/// makes later pushes land *before* the day the calendar had opened), and
+/// a rare `End`-like outlier at 10^4 times the span of everything else.
+fn skewed_delay_ps(w: u64) -> u64 {
+    match (w >> 3) & 7 {
+        0 | 1 => 0,
+        2..=4 => (w >> 6) % 100_000,                    // < 100 ns
+        5 | 6 => 1_000_000_000 + (w >> 6) % 50_000_000, // 1 ms .. 1.05 ms
+        _ if (w >> 6) % 8 == 0 => 10_000_000_000_000,   // 10 s
+        _ => (w >> 6) % 2_000_000,                      // < 2 µs
+    }
+}
+
 /// Drive one op stream through every backend plus the shadow, checking
-/// agreement after each op.
-fn run_differential(ops: &[u64]) -> Result<(), TestCaseError> {
+/// agreement after each op. `delay` decodes an op word into a scheduling
+/// delay. `thorough` verifies every queue's structure after every op (not
+/// every 16th) and, every 48 steps, replaces each queue by the restoration
+/// of its own snapshot — outstanding ids must stay valid across it.
+fn run_differential(
+    ops: &[u64],
+    delay_ps: fn(u64) -> u64,
+    thorough: bool,
+) -> Result<(), TestCaseError> {
     let mut queues: Vec<EventQueue<u64>> = SchedKind::ALL
         .iter()
         .map(|&k| EventQueue::with_sched(k))
@@ -171,7 +199,12 @@ fn run_differential(ops: &[u64]) -> Result<(), TestCaseError> {
             prop_assert_eq!(q.len(), want_len, "step {}: len mismatch on {:?}", step, k);
             prop_assert_eq!(q.is_empty(), want_len == 0, "step {step}: {k:?}");
         }
-        if step % 16 == 0 {
+        if thorough && step % 48 == 47 {
+            for q in queues.iter_mut() {
+                *q = EventQueue::restore(&q.snapshot());
+            }
+        }
+        if thorough || step % 16 == 0 {
             for (q, k) in queues.iter().zip(SchedKind::ALL) {
                 if let Err(e) = q.check_invariants() {
                     return Err(TestCaseError::fail(format!(
@@ -207,7 +240,15 @@ proptest! {
 
     #[test]
     fn backends_agree_with_shadow_model(ops in proptest::collection::vec(0u64..u64::MAX, 0..400)) {
-        run_differential(&ops)?;
+        run_differential(&ops, delay_ps, false)?;
+    }
+
+    /// Long enough for several measurement windows, so the structure check
+    /// after every op also runs across width retunes and grow / shrink
+    /// rebuilds (the directed test below pins that they do happen).
+    #[test]
+    fn backends_agree_on_skewed_population(ops in proptest::collection::vec(0u64..u64::MAX, 0..900)) {
+        run_differential(&ops, skewed_delay_ps, true)?;
     }
 }
 
@@ -229,5 +270,78 @@ fn directed_tie_and_jump_stream() {
         ops.push(4);
         ops.push(7); // peeks interleaved
     }
-    run_differential(&ops).unwrap();
+    run_differential(&ops, delay_ps, false).unwrap();
+}
+
+/// The skewed population as one fixed stream: push-heavy (the calendar
+/// grows), then pop-heavy (it drains across the cluster → timer → outlier
+/// gaps and shrinks), with cancels throughout. The calendar must have
+/// rebuilt — retuned its width and changed its bucket count — while
+/// agreeing with the heap and the model at every step.
+#[test]
+fn directed_skewed_stream_retunes_and_rebuilds() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut word = |ops: &[u64]| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x & !7) | ops[(x >> 61) as usize % ops.len()]
+    };
+    let mut ops: Vec<u64> = (0..1500).map(|_| word(&[0, 1, 3, 3, 4, 6, 7])).collect();
+    ops.extend((0..1500).map(|_| word(&[0, 3, 4, 4, 5, 5, 6, 7])));
+    run_differential(&ops, skewed_delay_ps, true).unwrap();
+
+    // The same pushes and pops on a bare calendar queue, to read its work.
+    let mut q: EventQueue<u64> = EventQueue::with_sched(SchedKind::Calendar);
+    for (i, &w) in ops.iter().enumerate() {
+        match w & 7 {
+            0..=3 => q.schedule_in(Time::from_ps(skewed_delay_ps(w)), i as u64),
+            4 | 5 => drop(q.pop()),
+            _ => {}
+        }
+    }
+    while q.pop().is_some() {}
+    // Growing to the peak and shrinking back are three rebuilds each (the
+    // bucket count moves 4×); the rest are width retunes.
+    let work = q.sched_work();
+    assert!(q.pending_peak() > 128, "peak {}", q.pending_peak());
+    assert!(work.rebuilds > 6, "no width retune in {work:?}");
+}
+
+/// Snapshot with the calendar mid-day: same-instant entries share a day at
+/// any width, so after one of three is popped the other two are in the
+/// sorted current day, not in a bucket. The restored queue must serve them,
+/// then the rest, exactly as the original does — on every backend.
+#[test]
+fn snapshot_round_trip_mid_day() {
+    for kind in SchedKind::ALL {
+        let mut q: EventQueue<u64> = EventQueue::with_sched(kind);
+        let t = Time::from_us(3);
+        for v in 0..3 {
+            q.schedule(t, v);
+        }
+        let timer = q.schedule_cancellable(Time::from_ms(1), 10);
+        q.schedule(Time::from_ns(3_050), 11);
+        q.schedule(Time::from_ms(10_000), 12);
+        assert_eq!(q.pop(), Some((t, 0)), "{kind:?}");
+
+        let mut r = EventQueue::restore(&q.snapshot());
+        r.check_invariants().unwrap();
+        assert_eq!(r.len(), q.len(), "{kind:?}");
+        // An id taken before the snapshot cancels in both.
+        q.cancel(timer);
+        r.cancel(timer);
+        assert_eq!(r.len(), q.len(), "{kind:?}");
+        // A push into the open day, after the snapshot.
+        q.schedule(t, 13);
+        r.schedule(t, 13);
+        loop {
+            let (a, b) = (q.pop(), r.pop());
+            assert_eq!(a, b, "{kind:?}");
+            if a.is_none() {
+                break;
+            }
+        }
+        r.check_invariants().unwrap();
+    }
 }

@@ -19,9 +19,13 @@
 #      bit-identical — on the backend the differentials compare against;
 #   5. ppbench: the benchmark package's own tests (it is outside the
 #      workspace, so leg 2 does not reach them) — BENCHMARK.json drift
-#      guard, `--check` smoke run, composition-vs-experiments differential.
+#      guard, `--check` smoke run, composition-vs-experiments differential —
+#      then two seconds of every workload with its output checks on, so a
+#      change that breaks a workload invariant or run-to-run determinism
+#      fails here and not in the next benchmark run.
 #
-# Each leg prints its wall time; the last line is a table of all of them.
+# Each leg prints its wall time; the last line is a table of all of them,
+# and target/ci/legs.json records the same numbers.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -31,7 +35,9 @@ cd "$(dirname "$0")/.."
 # leg 4 names its backend explicitly.
 unset PRIOPLUS_SCHED
 
+mkdir -p target/ci
 LEG_TABLE=""
+LEG_JSON=""
 leg() {
   LEG_NAME=$2
   LEG_START=$SECONDS
@@ -42,6 +48,7 @@ leg_done() {
   local t=$(( SECONDS - LEG_START ))
   echo "--- leg wall time: ${t}s ---"
   LEG_TABLE+="${LEG_NAME} ${t}s | "
+  LEG_JSON+="${LEG_JSON:+, }{\"name\": \"${LEG_NAME}\", \"seconds\": ${t}}"
 }
 
 leg 1 lint "simlint + clippy (-D warnings)"
@@ -79,8 +86,17 @@ leg_done
 
 leg 5 ppbench "benchmark package tests (drift guard, smoke, composition)"
 cargo test --offline --manifest-path ppbench/Cargo.toml
+# `run` exits 0 whatever it measured: the verdict is in the contract lines,
+# one JSON object per workload (four) at the end of its output.
+cargo run --release --offline --quiet --manifest-path ppbench/Cargo.toml --bin ppbench -- \
+  run --check --seconds 2 --trace 0 --out target/ci/ppbench_check.json | tee target/ci/ppbench_check.log
+if [[ $(grep -c '^{"correct":true,.*"failed":0,' target/ci/ppbench_check.log) -ne 4 ]]; then
+  echo "ci.sh: ppbench --check: a workload failed its output checks" >&2
+  exit 1
+fi
 leg_done
 
 echo
 echo "ci.sh: all gates passed"
 echo "ci.sh: leg times: ${LEG_TABLE}total ${SECONDS}s"
+echo "{\"legs\": [${LEG_JSON}], \"total_seconds\": ${SECONDS}}" > target/ci/legs.json

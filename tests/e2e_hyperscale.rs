@@ -256,6 +256,18 @@ fn open_loop_hyperscale_runs_across_backends_bit_identically() {
         assert_eq!(r.events, base.events, "{sched:?}");
         assert_eq!(r.flows_total, base.flows_total, "{sched:?}");
         assert_eq!(r.flow_live_peak, base.flow_live_peak, "{sched:?}");
+        // Both backends store the same entries, so they peak together; and
+        // the queue's memory follows that peak, not the buckets' history
+        // (sorted-`Vec` buckets each kept the capacity they once grew to,
+        // two orders of magnitude past this bound).
+        assert_eq!(r.sched_pending_peak, base.sched_pending_peak, "{sched:?}");
+        let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
+        assert!(
+            r.sched_bytes_peak <= 4 * r.sched_pending_peak * entry,
+            "{sched:?}: queue holds {} B for a peak of {} entries of {entry} B",
+            r.sched_bytes_peak,
+            r.sched_pending_peak
+        );
     }
 }
 
