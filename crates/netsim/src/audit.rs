@@ -39,12 +39,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use simcore::{EventQueue, RingLog, Time};
+use simcore::{RingLog, Time};
 
 use crate::counters::SimCounters;
-use crate::event::Event;
-use crate::fluid::FluidState;
-use crate::node::{Node, Switch};
+use crate::node::Switch;
 use crate::packet::{FlowId, NodeId, PacketArena};
 
 /// Configuration of the audit layer.
@@ -598,89 +596,6 @@ impl Audit {
         self.cfg.deep_every <= 1 || self.events_audited % self.cfg.deep_every == 0
     }
 
-    /// The O(state) scan: recount every switch, then check conservation,
-    /// counters, fluid mass, PFC deadlock, the event queue, flow-slab
-    /// reclamation and arena references, in that order.
-    pub(crate) fn deep_scan(
-        &mut self,
-        now: Time,
-        sim: &DeepScan<'_>,
-        flows: impl Iterator<Item = FlowHold>,
-    ) {
-        let switches: Vec<(NodeId, &Switch)> = sim
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, n)| Some((id as NodeId, n.as_switch()?)))
-            .collect();
-        let mut buffered_data = 0u64;
-        for &(id, s) in &switches {
-            buffered_data += self.check_switch(now, id, s, sim.arena);
-        }
-        self.check_conservation(now, buffered_data);
-        self.check_counters(now, sim.counters);
-        if let Some(f) = sim.fluid {
-            self.check_fluid(now, &f.audit_view());
-        }
-        if sim.deadlock_armed {
-            // PFC deadlock monitor: a cycle in the wait-for graph over
-            // paused egress attachments is a circular buffer dependency
-            // (see DESIGN.md § Fault model). Only armed alongside a fault
-            // schedule — transient legitimate pause cycles in cyclic
-            // topologies are not deadlocks.
-            let cycle = detect_pause_cycle(&switches, sim.arena);
-            self.check_deadlock(now, cycle.as_deref());
-        }
-        if let Err(msg) = sim.queue.check_invariants() {
-            self.queue_violation(now, msg);
-        }
-        // Flow-state reclamation sweep: a completed flow must have released
-        // its slab slot — `Buggify::FlowReclaimLeak` proves this sweep
-        // notices when it doesn't. O(flows) by design: deep scans are
-        // periodic; the per-event audit state stays O(ports).
-        let mut resident = 0u64;
-        for f in flows {
-            let Some(slot) = f.slot else { continue };
-            resident += 1;
-            if let (false, Some(finish)) = (f.active, f.finish) {
-                self.flow_violation(
-                    ViolationKind::FlowStateLeak,
-                    now,
-                    f.flow,
-                    format!(
-                        "flow {} finished at {} but still holds slab slot {slot}",
-                        f.flow,
-                        finish.as_ps()
-                    ),
-                );
-            }
-        }
-        if resident != sim.slab_occupancy {
-            let occ = sim.slab_occupancy;
-            self.flow_violation(
-                ViolationKind::FlowStateLeak,
-                now,
-                0,
-                format!("flow slab occupancy {occ} != {resident} resident live slots"),
-            );
-        }
-        // Arena accounting: every live slot must be referenced exactly once
-        // — by one port queue or one pending Arrive event — and free slots
-        // never. Count references across the whole topology plus the event
-        // queue, then check the tally.
-        let mut refs = vec![0u32; sim.arena.capacity()];
-        let queued = sim.nodes.iter().flat_map(|n| n.ports()).flat_map(|p| &p.queues);
-        for id in queued.flatten() {
-            refs[id.index()] += 1;
-        }
-        sim.queue.for_each_live(&mut |ev| {
-            if let Event::Arrive { pkt, .. } = ev {
-                refs[pkt.index()] += 1;
-            }
-        });
-        self.check_arena(now, sim.arena, &refs);
-    }
-
     /// Deep-scan one switch: recount every queue against the byte counters,
     /// check occupancy against the physical buffer, and cross-check the PFC
     /// pause mirror. Returns the data wire bytes found buffered (for the
@@ -956,30 +871,6 @@ impl Audit {
             deep_scans: self.deep_scans,
         }
     }
-}
-
-/// What [`Audit::deep_scan`] reads of the simulator, borrowed field by
-/// field: `audit` sits below `sim` in the module graph (simlint
-/// `layering`), so it names the parts, not `Sim`.
-pub(crate) struct DeepScan<'a> {
-    pub(crate) nodes: &'a [Node],
-    pub(crate) arena: &'a PacketArena,
-    pub(crate) queue: &'a EventQueue<Event>,
-    pub(crate) counters: &'a SimCounters,
-    pub(crate) fluid: Option<&'a FluidState>,
-    /// Run the PFC deadlock monitor (a fault schedule is installed).
-    pub(crate) deadlock_armed: bool,
-    /// Occupancy the flow slab reports, checked against the [`FlowHold`]s.
-    pub(crate) slab_occupancy: u64,
-}
-
-/// One flow as the deep scan's slab-reclamation sweep sees it.
-pub(crate) struct FlowHold {
-    pub(crate) flow: FlowId,
-    /// Slab slot the flow's live state still occupies; `None` once reclaimed.
-    pub(crate) slot: Option<u32>,
-    pub(crate) active: bool,
-    pub(crate) finish: Option<Time>,
 }
 
 /// Whether auditing was requested from the environment: `PRIOPLUS_AUDIT`

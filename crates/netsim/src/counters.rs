@@ -90,3 +90,64 @@ pub struct SimCounters {
     /// Peak heap bytes of the event queue (backend + batch buffer).
     pub sched_bytes_peak: u64,
 }
+
+impl SimCounters {
+    /// Fold the counters that event handlers bump during the run. The rest
+    /// are named and left out, each for one of two reasons given below; the
+    /// destructuring has no `..`, so a new counter must pick a side.
+    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
+        let SimCounters {
+            events,
+            data_delivered,
+            pfc_pauses,
+            pfc_resumes,
+            drops,
+            ecn_marks,
+            probes,
+            fluid_epochs,
+            fault_events,
+            fault_link_drops,
+            fault_ctrl_drops,
+            // Copied in by `Sim::run` from a live source that the state
+            // digest folds where it lives (switches, arena, fluid solver,
+            // flow table and slab, event queue); zero until then.
+            max_buffer_used: _,
+            arena_allocs: _,
+            arena_slab_slots: _,
+            arena_peak_live: _,
+            arena_int_allocs: _,
+            arena_int_recycled: _,
+            fluid_flows_started: _,
+            fluid_flows_completed: _,
+            fluid_bytes_injected: _,
+            flows_total: _,
+            flow_live_peak: _,
+            flow_slab_slots: _,
+            flows_reclaimed: _,
+            flow_live_bytes_peak: _,
+            sched_pops: _,
+            // Diagnostics of one scheduler backend: they differ between
+            // backends by design, and the digest must not.
+            sched_ops: _,
+            sched_touches: _,
+            sched_rebuilds: _,
+            sched_pending_peak: _,
+            sched_bytes_peak: _,
+        } = self;
+        for w in [
+            events,
+            data_delivered,
+            pfc_pauses,
+            pfc_resumes,
+            drops,
+            ecn_marks,
+            probes,
+            fluid_epochs,
+            fault_events,
+            fault_link_drops,
+            fault_ctrl_drops,
+        ] {
+            fold(*w);
+        }
+    }
+}

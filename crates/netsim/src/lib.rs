@@ -46,6 +46,7 @@ pub mod record;
 pub mod routing;
 pub mod sim;
 pub mod snapshot;
+mod state;
 pub mod topology;
 pub mod transport_api;
 

@@ -81,6 +81,24 @@ impl Monitor {
     }
 }
 
+impl Monitor {
+    /// What the monitor samples and how often, the reading the next
+    /// throughput sample is a delta from, and the series so far. (The label
+    /// is a display name: results carry it, no event reads it.)
+    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
+        let (tag, node, port, prio) = match self.kind {
+            MonitorKind::QueueBytes { node, port } => (1, node, port, 0),
+            MonitorKind::QueueBytesPrio { node, port, prio } => (2, node, port, prio),
+            MonitorKind::PortThroughput { node, port } => (3, node, port, 0),
+            MonitorKind::SwitchBuffer { node } => (4, node, 0, 0),
+        };
+        fold(tag << 56 | (prio as u64) << 48 | (port as u64) << 32 | node as u64);
+        fold(self.period.as_ps());
+        fold(self.last_tx);
+        self.series.fold_digest(fold);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

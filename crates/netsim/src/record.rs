@@ -131,6 +131,17 @@ pub struct FlowTrace {
     pub cwnd: TimeSeries,
 }
 
+impl FlowTrace {
+    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
+        fold(self.throughput.is_some() as u64);
+        if let Some(m) = &self.throughput {
+            m.fold_digest(fold);
+        }
+        self.delay.fold_digest(fold);
+        self.cwnd.fold_digest(fold);
+    }
+}
+
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct SimResult {

@@ -1,11 +1,13 @@
-//! The simulator: event loop, flow management, switch/host event handlers.
+//! The simulator: construction, flow registration, the event loop and the
+//! switch/host event handlers. The data they work on is in `state.rs`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use simcore::stats::ThroughputMeter;
-use simcore::{EventQueue, ScheduledId, SimRng, Time};
+use simcore::{EventQueue, SimRng, Time};
 
-use crate::audit::{Audit, AuditConfig, DeepScan, FlowHold, SwitchArrive, ViolationKind};
+use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 use crate::faults::FaultKind;
 use crate::fluid::FluidState;
@@ -17,6 +19,7 @@ use crate::packet::{
 };
 use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
 use crate::routing::RoutingTable;
+use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State};
 use crate::topology::{NodeKind, Topology};
 use crate::transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
 
@@ -42,237 +45,19 @@ pub trait ArrivalSource {
 }
 
 pub use crate::event::Event;
+pub use crate::state::FlowSpec;
 
-/// Description of one flow to simulate.
-#[derive(Clone, Debug)]
-pub struct FlowSpec {
-    /// Source host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Payload bytes to transfer.
-    pub size: u64,
-    /// Start time.
-    pub start: Time,
-    /// Physical priority queue (0-based; must be `< SimConfig::num_prios`).
-    pub phys_prio: u8,
-    /// Virtual priority (PrioPlus channel index; informational for
-    /// non-PrioPlus transports).
-    pub virt_prio: u8,
-    /// Arbitrary user tag carried into the flow record.
-    pub tag: u64,
-}
-
-impl FlowSpec {
-    /// Convenience constructor with priority 0 and tag 0.
-    pub fn new(src: NodeId, dst: NodeId, size: u64, start: Time) -> Self {
-        FlowSpec {
-            src,
-            dst,
-            size,
-            start,
-            phys_prio: 0,
-            virt_prio: 0,
-            tag: 0,
-        }
-    }
-}
-
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RecvState {
-    pub(crate) cum: u64,
-    pub(crate) ooo: BTreeMap<u64, u64>,
-    pub(crate) delivered: u64,
-    pub(crate) done: bool,
-    pub(crate) nack_for_cum: u64,
-}
-
-impl RecvState {
-    /// Returns (newly_delivered_bytes, nack_range).
-    fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> (u64, Option<(u64, u64)>) {
-        let mut new_bytes = 0;
-        let dup = seq < self.cum
-            || self
-                .ooo
-                .range(..=seq)
-                .next_back()
-                .is_some_and(|(_, &e)| e > seq);
-        if !dup {
-            new_bytes = len;
-        }
-        if seq == self.cum {
-            self.cum += len;
-            while let Some((&s, &e)) = self.ooo.iter().next() {
-                if s <= self.cum {
-                    self.cum = self.cum.max(e);
-                    self.ooo.remove(&s);
-                } else {
-                    break;
-                }
-            }
-        } else if seq > self.cum && !dup {
-            let entry = self.ooo.entry(seq).or_insert(seq + len);
-            *entry = (*entry).max(seq + len);
-        }
-        self.delivered += new_bytes;
-        let mut nack = None;
-        if lossy && seq > self.cum && self.nack_for_cum != self.cum {
-            nack = Some((self.cum, seq));
-            self.nack_for_cum = self.cum;
-        }
-        (new_bytes, nack)
-    }
-}
-
-/// The permanent per-flow core: spec, derived parameters, and the outcome
-/// record. Intentionally O(total flows) — results need every record. The
-/// heavyweight state (transport + reassembly) lives in the [`FlowSlab`]
-/// behind `live` and is reclaimed at completion.
-#[derive(Clone)]
-pub(crate) struct Flow {
-    pub(crate) spec: FlowSpec,
-    pub(crate) params: FlowParams,
-    pub(crate) record: FlowRecord,
-    pub(crate) active: bool,
-    /// Slab slot of the flow's live state; `u32::MAX` once reclaimed.
-    pub(crate) live: u32,
-}
-
-/// Per-flow state that exists only while the flow is in flight: the
-/// sender-side transport and the receiver reassembly state.
-pub(crate) struct FlowLive {
-    pub(crate) transport: Box<dyn Transport>,
-    pub(crate) recv: RecvState,
-}
-
-impl Clone for FlowLive {
-    fn clone(&self) -> Self {
-        FlowLive {
-            // simlint::allow(hot-path-alloc, cloning happens only at snapshot/restore, not per event)
-            transport: self.transport.clone_box(),
-            recv: self.recv.clone(), // simlint::allow(hot-path-alloc, snapshot/restore only, not per event)
-        }
-    }
-}
-
-/// Slab of live flow state with LIFO slot reuse — the same determinism
-/// argument as the packet arena: the slot sequence is a pure function of
-/// event order, so it is bit-identical across scheduler backends. Slots are
-/// released explicitly at flow completion, which is what makes resident
-/// memory scale with *concurrent* flows rather than total flows.
-#[derive(Clone, Default)]
-pub(crate) struct FlowSlab {
-    pub(crate) slots: Vec<Option<FlowLive>>,
-    pub(crate) free: Vec<u32>,
-    pub(crate) occupancy: u64,
-    pub(crate) peak: u64,
-    pub(crate) reclaimed: u64,
-    pub(crate) bytes: u64,
-    pub(crate) peak_bytes: u64,
-}
-
-impl FlowSlab {
-    fn alloc(&mut self, fl: FlowLive) -> u32 {
-        self.bytes += Self::entry_bytes(&fl);
-        self.occupancy += 1;
-        self.peak = self.peak.max(self.occupancy);
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-        match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(fl);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                // simlint::allow(hot-path-alloc, slab growth only at a new peak of concurrent flows)
-                self.slots.push(Some(fl));
-                slot
-            }
-        }
-    }
-
-    fn get(&self, slot: u32) -> &FlowLive {
-        // simlint::allow(hot-path-unwrap, callers check `live != u32::MAX` before indexing)
-        self.slots[slot as usize].as_ref().expect("live flow slot")
-    }
-
-    fn get_mut(&mut self, slot: u32) -> &mut FlowLive {
-        // simlint::allow(hot-path-unwrap, callers check `live != u32::MAX` before indexing)
-        self.slots[slot as usize].as_mut().expect("live flow slot")
-    }
-
-    fn release(&mut self, slot: u32) -> FlowLive {
-        // simlint::allow(hot-path-unwrap, release is only reached through a valid live slot)
-        let fl = self.slots[slot as usize].take().expect("double release");
-        self.bytes -= Self::entry_bytes(&fl);
-        self.occupancy -= 1;
-        self.reclaimed += 1;
-        self.free.push(slot);
-        fl
-    }
-
-    /// Approximate resident bytes of one entry: the slab slot itself plus
-    /// the boxed transport's state. The reassembly map's heap nodes are not
-    /// counted — the map is empty by the time a flow completes.
-    fn entry_bytes(fl: &FlowLive) -> u64 {
-        (std::mem::size_of::<Option<FlowLive>>() + std::mem::size_of_val(&*fl.transport)) as u64
-    }
-}
-
-/// The simulator.
-///
-/// Fields are `pub(crate)` so [`crate::snapshot`] can capture and rebuild
-/// the full deterministic state by exhaustive struct literal (the
-/// forget-a-field compile guard).
+/// The simulator: the shared, immutable `Env` of a run plus the one copy
+/// of its mutable `State`. The two user callbacks sit beside them — they
+/// hold arbitrary user state, take the whole `Sim`, and are why a run that
+/// has one installed cannot be snapshotted.
 pub struct Sim {
-    pub(crate) cfg: SimConfig,
-    pub(crate) switch_cfg: SwitchConfig,
-    /// Hosts and switches. Each owns its egress ports, and a port owns
-    /// everything about its direction of its link — static attributes,
-    /// dynamic state, fault state — indexed as the routing table indexes it.
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) routes: RoutingTable,
-    /// Per-flow cores, indexed by [`FlowId`]. Intentionally O(total flows)
-    /// (results need every record); the heavyweight live state is in `live`.
-    pub(crate) flows: Vec<Flow>,
-    /// Slab of live (transport + reassembly) flow state, reclaimed at flow
-    /// completion so memory tracks concurrent — not total — flows.
-    pub(crate) live: FlowSlab,
-    /// Slab holding every in-flight packet; events and port queues refer to
-    /// packets by [`PacketId`]. LIFO slot reuse keeps the id sequence a pure
-    /// function of the event order (deterministic across backends).
-    pub(crate) arena: PacketArena,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) counters: SimCounters,
-    pub(crate) monitors: Vec<Monitor>,
-    /// Opt-in ([`SimConfig::trace_flows`]) per-flow time series — O(total
-    /// flows) when enabled, so hyperscale runs leave it off.
-    pub(crate) traces: BTreeMap<FlowId, FlowTrace>,
-    pub(crate) noise_rng: SimRng,
-    pub(crate) ecn_rng: SimRng,
-    pub(crate) nc_rng: SimRng,
-    pub(crate) lossy: bool,
+    pub(crate) env: Arc<Env>,
+    pub(crate) state: State,
     pub(crate) app: Option<Box<dyn App>>,
     /// Open-loop arrival source ([`Event::Inject`]); `None` between the
     /// final injection and the end of the run, and for closed workloads.
     pub(crate) arrivals: Option<Box<dyn ArrivalSource>>,
-    /// Streaming-statistics accumulator ([`SimConfig::streaming_stats`]):
-    /// completed flows fold into quantile sketches at completion time.
-    pub(crate) streaming: Option<Box<StreamingStats>>,
-    pub(crate) completed_buf: Vec<FlowId>,
-    /// Fluid background-traffic solver (hybrid model); `None` — the pure
-    /// packet simulator — keeps every coupling hook to one branch.
-    pub(crate) fluid: Option<Box<FluidState>>,
-    /// The single pending [`Event::FluidEpoch`], if any. Cancellable so a
-    /// coupling hook can pull the epoch earlier without stale events.
-    pub(crate) fluid_epoch: Option<ScheduledId>,
-    /// Whether the run-level bootstrap events ([`Self::ensure_started`])
-    /// have been scheduled. Restored snapshots carry `true`.
-    pub(crate) started: bool,
-    /// Invariant-audit state; `None` keeps the hot path to one branch per
-    /// hook. Boxed so the disabled case costs a single word.
-    pub(crate) audit: Option<Box<Audit>>,
 }
 
 impl Sim {
@@ -318,8 +103,6 @@ impl Sim {
         };
 
         let seed = cfg.seed;
-        let sched = cfg.sched;
-        let lossy = !switch_cfg.pfc_enabled;
         let streaming = cfg
             .streaming_stats
             // simlint::allow(hot-path-alloc, one streaming box per run at construction, not per event)
@@ -356,24 +139,18 @@ impl Sim {
                 }
             }
         }
-        Sim {
-            cfg,
-            switch_cfg,
+        let state = State {
             nodes,
-            routes,
             flows: Vec::new(),
             live: FlowSlab::default(),
             arena: PacketArena::new(),
-            queue: EventQueue::with_sched(sched),
+            queue: EventQueue::with_sched(cfg.sched),
             counters: SimCounters::default(),
             monitors: Vec::new(),
             traces: BTreeMap::new(),
             noise_rng: SimRng::new(seed).split(1),
             ecn_rng: SimRng::new(seed).split(2),
             nc_rng: SimRng::new(seed).split(3),
-            lossy,
-            app: None,
-            arrivals: None,
             streaming,
             completed_buf: Vec::new(),
             fluid,
@@ -389,6 +166,18 @@ impl Sim {
             } else {
                 None
             },
+        };
+        let lossy = !switch_cfg.pfc_enabled;
+        Sim {
+            env: Arc::new(Env {
+                cfg,
+                switch_cfg,
+                routes,
+                lossy,
+            }),
+            state,
+            app: None,
+            arrivals: None,
         }
     }
 
@@ -400,12 +189,12 @@ impl Sim {
     /// Enable the invariant-audit layer with explicit settings.
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
         // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
-        self.audit = Some(Box::new(Audit::new(cfg)));
+        self.state.audit = Some(Box::new(Audit::new(cfg)));
     }
 
     /// True when the audit layer is enabled for this run.
     pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
+        self.state.audit.is_some()
     }
 
     /// Install a closed-loop application driver.
@@ -422,51 +211,47 @@ impl Sim {
     /// Live flow-slab occupancy (flows whose transport + reassembly state is
     /// still resident). Exposed for reclamation tests and progress logging.
     pub fn live_flows(&self) -> u64 {
-        self.live.occupancy
+        self.state.live.occupancy
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.queue.now()
+        self.state.queue.now()
     }
 
     /// The record of a flow (live view during the run for [`App`]s).
     pub fn record(&self, flow: FlowId) -> &FlowRecord {
-        &self.flows[flow as usize].record
+        &self.state.flows[flow as usize].record
     }
 
     /// Number of flows registered so far.
     pub fn num_flows(&self) -> usize {
-        self.flows.len()
+        self.state.flows.len()
     }
 
     /// The simulator's configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.env.cfg
     }
 
     /// The switch configuration.
     pub fn switch_config(&self) -> &SwitchConfig {
-        &self.switch_cfg
+        &self.env.switch_cfg
     }
 
-    /// Egress port `port` of `node` — a switch port or a host's NIC (port 0).
-    #[inline]
-    fn port(&self, node: NodeId, port: u16) -> &EgressPort {
-        &self.nodes[node as usize].ports()[port as usize]
-    }
-
-    /// Mutable [`Self::port`].
-    #[inline]
-    fn port_mut(&mut self, node: NodeId, port: u16) -> &mut EgressPort {
-        &mut self.nodes[node as usize].ports_mut()[port as usize]
+    /// True when `other` runs in the very same [`Env`] allocation — forks
+    /// of one snapshot do; the routing table is shared, not copied per fork.
+    #[doc(hidden)]
+    pub fn shares_env_with(&self, other: &Sim) -> bool {
+        Arc::ptr_eq(&self.env, &other.env)
     }
 
     /// Compute per-flow parameters (base RTTs, line rate) for a prospective
     /// flow, so transport factories can be configured before registration.
     pub fn flow_params(&self, spec: &FlowSpec, flow: FlowId) -> FlowParams {
-        let line_rate = self.port(spec.src, 0).rate;
-        let data_wire = (self.cfg.mtu + HEADER_BYTES) as u64;
+        let cfg = &self.env.cfg;
+        let line_rate = self.state.port(spec.src, 0).rate;
+        let data_wire = (cfg.mtu + HEADER_BYTES) as u64;
         let base_rtt = self.path_delay(spec.src, spec.dst, flow, data_wire)
             + self.path_delay(spec.dst, spec.src, flow, CONTROL_BYTES as u64);
         let base_rtt_probe = self.path_delay(spec.src, spec.dst, flow, CONTROL_BYTES as u64)
@@ -477,9 +262,9 @@ impl Sim {
             line_rate,
             base_rtt,
             base_rtt_probe,
-            mtu: self.cfg.mtu,
+            mtu: cfg.mtu,
             virt_prio: spec.virt_prio,
-            seed: SimRng::new(self.cfg.seed)
+            seed: SimRng::new(cfg.seed)
                 .split(0x1000 + flow as u64)
                 .next(),
         }
@@ -492,8 +277,8 @@ impl Sim {
         let mut total = Time::ZERO;
         let mut hops = 0;
         while node != dst {
-            let port = self.routes.port_for(node, dst, flow);
-            let p = self.port(node, port);
+            let port = self.env.routes.port_for(node, dst, flow);
+            let p = self.state.port(node, port);
             total += p.rate.serialize_time(wire_bytes) + p.prop;
             node = p.peer;
             hops += 1;
@@ -509,14 +294,15 @@ impl Sim {
         spec: FlowSpec,
         make: impl FnOnce(&FlowParams) -> Box<dyn Transport>,
     ) -> FlowId {
+        let cfg = &self.env.cfg;
         assert!(
-            spec.phys_prio < self.cfg.num_prios,
+            spec.phys_prio < cfg.num_prios,
             "phys_prio {} out of range (num_prios {})",
             spec.phys_prio,
-            self.cfg.num_prios
+            cfg.num_prios
         );
         assert!(spec.size > 0, "zero-size flow");
-        let id = self.flows.len() as FlowId;
+        let id = self.state.flows.len() as FlowId;
         let params = self.flow_params(&spec, id);
         let transport = make(&params);
         let record = FlowRecord {
@@ -534,22 +320,22 @@ impl Sim {
             base_rtt: params.base_rtt,
             line_rate: params.line_rate,
         };
-        if self.cfg.trace_flows {
-            self.traces.insert(
+        let st = &mut self.state;
+        if cfg.trace_flows {
+            st.traces.insert(
                 id,
                 FlowTrace {
-                    throughput: Some(ThroughputMeter::new(self.cfg.trace_bucket)),
+                    throughput: Some(ThroughputMeter::new(cfg.trace_bucket)),
                     ..Default::default()
                 },
             );
         }
-        self.queue
-            .schedule(spec.start, Event::FlowStart { flow: id });
-        let live = self.live.alloc(FlowLive {
+        st.queue.schedule(spec.start, Event::FlowStart { flow: id });
+        let live = st.live.alloc(FlowLive {
             transport,
             recv: RecvState::default(),
         });
-        self.flows.push(Flow {
+        st.flows.push(Flow {
             spec,
             params,
             record,
@@ -566,15 +352,15 @@ impl Sim {
         kind: MonitorKind,
         period: Time,
     ) -> usize {
-        let idx = self.monitors.len();
-        self.monitors.push(Monitor::new(label, kind, period));
+        let idx = self.state.monitors.len();
+        self.state.monitors.push(Monitor::new(label, kind, period));
         idx
     }
 
     /// Egress port index a switch uses toward `dst` for `flow` (exposed for
     /// tests and monitor setup).
     pub fn route_port(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
-        self.routes.port_for(node, dst, flow)
+        self.env.routes.port_for(node, dst, flow)
     }
 
     /// Schedule the run-level bootstrap events (End, first Inject, monitor
@@ -583,81 +369,57 @@ impl Sim {
     /// restored simulation carries `started = true`, so the bootstrap is
     /// never re-applied to forked state.
     fn ensure_started(&mut self) {
-        if self.started {
+        let (cfg, st) = (&self.env.cfg, &mut self.state);
+        if st.started {
             return;
         }
-        self.started = true;
-        self.queue.schedule(self.cfg.end_time, Event::End);
+        st.started = true;
+        st.queue.schedule(cfg.end_time, Event::End);
         if self.arrivals.is_some() {
-            self.queue.schedule(Time::ZERO, Event::Inject);
+            st.queue.schedule(Time::ZERO, Event::Inject);
         }
-        for i in 0..self.monitors.len() {
-            let period = self.monitors[i].period;
-            self.queue
-                .schedule(period, Event::Sample { monitor: i as u32 });
+        for (i, m) in st.monitors.iter().enumerate() {
+            st.queue
+                .schedule(m.period, Event::Sample { monitor: i as u32 });
         }
         // Hybrid model: the fluid solver keeps exactly one pending epoch in
         // the queue; the first sits at the first background arrival.
-        if let Some(first) = self.fluid.as_deref().and_then(|f| f.first_epoch()) {
-            self.fluid_epoch = Some(self.queue.schedule_cancellable(first, Event::FluidEpoch));
+        if let Some(first) = st.fluid.as_deref().and_then(|f| f.first_epoch()) {
+            st.fluid_epoch = Some(st.queue.schedule_cancellable(first, Event::FluidEpoch));
         }
         // The fault schedule is fixed up-front: every transition becomes a
         // first-class event through the same scheduler backend as data
         // traffic, so fault runs stay bit-identical across backends.
-        for (i, ev) in self.cfg.faults.iter().flat_map(|s| &s.events).enumerate() {
-            self.queue.schedule(ev.at, Event::Fault { idx: i as u32 });
+        for (i, ev) in cfg.faults.iter().flat_map(|s| &s.events).enumerate() {
+            st.queue.schedule(ev.at, Event::Fault { idx: i as u32 });
         }
     }
 
-    /// Dispatch the next same-timestamp batch of events: one scheduler
-    /// interaction, clock advanced once, events served in `(time, seq)`
-    /// order — the per-event semantics (audit hooks, app delivery, boundary
-    /// checks) are identical to sequential dispatch. Returns `false` when
-    /// the run is over (queue drained or [`Event::End`] fired) or, with a
-    /// horizon, when the next batch would be at or past it.
-    fn pump(&mut self, until: Option<Time>) -> bool {
-        let next = match until {
-            Some(horizon) => self.queue.pop_batch_before(horizon),
-            None => self.queue.pop_batch(),
-        };
-        let Some(now) = next else {
-            return false;
-        };
-        while let Some(ev) = self.queue.batch_next() {
-            self.counters.events += 1;
-            if let Some(a) = self.audit.as_deref_mut() {
-                let (kind, id) = ev.name_and_id();
-                a.on_event(now, kind, id);
+    /// The event loop: dispatch batch after batch until the run is over
+    /// (queue drained or [`Event::End`] fired) or, with a horizon, until the
+    /// next batch would be at or past it. The loop itself is
+    /// [`State::advance`], lent the [`Env`]; it comes back here only for the
+    /// two things that hand the whole simulator to user code — an
+    /// [`Event::Inject`] and [`App`] delivery — and is re-entered once the
+    /// event that needed them is finished.
+    fn pump(&mut self, until: Option<Time>) {
+        loop {
+            match self.state.advance(&self.env, until, self.app.is_some()) {
+                Yield::Stopped => return,
+                Yield::Inject => self.on_inject(),
+                Yield::Completed => {}
             }
-            match ev {
-                Event::End => return false,
-                Event::FlowStart { flow } => self.on_flow_start(flow, now),
-                Event::FlowTimer { flow, token } => self.on_flow_timer(flow, token, now),
-                Event::HostPoke { node } => {
-                    if let Node::Host(h) = &mut self.nodes[node as usize] {
-                        h.next_poke = Time::MAX;
+            if !self.state.completed_buf.is_empty() {
+                // Taken out while it runs: the callback gets the whole `Sim`.
+                if let Some(mut app) = self.app.take() {
+                    for f in std::mem::take(&mut self.state.completed_buf) {
+                        app.on_flow_complete(f, self);
                     }
-                    self.host_poke(node, now);
+                    self.app = Some(app);
                 }
-                Event::PortFree { node, port } => self.on_port_free(node, port, now),
-                Event::Arrive { node, in_port, pkt } => self.on_arrive(node, in_port, pkt, now),
-                Event::Sample { monitor } => self.on_sample(monitor, now),
-                Event::FluidEpoch => self.on_fluid_epoch(now),
-                Event::Fault { idx } => self.on_fault(idx, now),
-                Event::Inject => self.on_inject(now),
             }
-            if !self.completed_buf.is_empty() && self.app.is_some() {
-                // simlint::allow(hot-path-unwrap, guarded by the is_some() check one line up)
-                let mut app = self.app.take().expect("checked");
-                let done = std::mem::take(&mut self.completed_buf);
-                for f in done {
-                    app.on_flow_complete(f, self);
-                }
-                self.app = Some(app);
-            }
-            self.audit_boundary(now);
+            self.state.audit_boundary(&self.env, self.state.queue.now());
         }
-        true
     }
 
     /// Advance the simulation up to (but not into) `horizon`: every batch
@@ -670,62 +432,63 @@ impl Sim {
     /// `End` event and a later `run()` could not terminate at `end_time`).
     pub fn run_until(&mut self, horizon: Time) {
         assert!(
-            horizon <= self.cfg.end_time,
+            horizon <= self.env.cfg.end_time,
             "run_until horizon {horizon} past end_time {}",
-            self.cfg.end_time
+            self.env.cfg.end_time
         );
         self.ensure_started();
-        while self.pump(Some(horizon)) {}
+        self.pump(Some(horizon));
     }
 
     /// Run to completion (all events drained or `end_time` reached).
     pub fn run(mut self) -> SimResult {
         self.ensure_started();
-        while self.pump(None) {}
-        let end_time = self.queue.now();
-        for sw in self.nodes.iter().filter_map(Node::as_switch) {
-            self.counters.max_buffer_used = self.counters.max_buffer_used.max(sw.max_buffered);
+        self.pump(None);
+        let st = self.state;
+        let mut counters = st.counters;
+        let end_time = st.queue.now();
+        for sw in st.nodes.iter().filter_map(Node::as_switch) {
+            counters.max_buffer_used = counters.max_buffer_used.max(sw.max_buffered);
         }
-        if let Some(f) = self.fluid.as_deref() {
-            self.counters.fluid_flows_started = f.flows_started();
-            self.counters.fluid_flows_completed = f.flows_completed();
-            self.counters.fluid_bytes_injected = f.injected_bytes();
+        if let Some(f) = st.fluid.as_deref() {
+            counters.fluid_flows_started = f.flows_started();
+            counters.fluid_flows_completed = f.flows_completed();
+            counters.fluid_bytes_injected = f.injected_bytes();
         }
-        let astats = self.arena.stats();
-        self.counters.arena_allocs = astats.allocs;
-        self.counters.arena_slab_slots = astats.slot_allocs;
-        self.counters.arena_peak_live = astats.peak_live;
-        self.counters.arena_int_allocs = astats.int_allocs;
-        self.counters.arena_int_recycled = astats.int_recycled;
-        self.counters.sched_pops = self.queue.pops();
-        let work = self.queue.sched_work();
-        self.counters.sched_ops = work.ops();
-        self.counters.sched_touches = work.touches();
-        self.counters.sched_rebuilds = work.rebuilds;
-        self.counters.sched_pending_peak = self.queue.pending_peak() as u64;
-        self.counters.sched_bytes_peak = self.queue.resident_bytes() as u64;
-        self.counters.flows_total = self.flows.len() as u64;
-        self.counters.flow_live_peak = self.live.peak;
-        self.counters.flow_slab_slots = self.live.slots.len() as u64;
-        self.counters.flows_reclaimed = self.live.reclaimed;
-        self.counters.flow_live_bytes_peak = self.live.peak_bytes;
-        let audit = self.audit.take().map(|a| a.into_report());
+        let astats = st.arena.stats();
+        counters.arena_allocs = astats.allocs;
+        counters.arena_slab_slots = astats.slot_allocs;
+        counters.arena_peak_live = astats.peak_live;
+        counters.arena_int_allocs = astats.int_allocs;
+        counters.arena_int_recycled = astats.int_recycled;
+        counters.sched_pops = st.queue.pops();
+        let work = st.queue.sched_work();
+        counters.sched_ops = work.ops();
+        counters.sched_touches = work.touches();
+        counters.sched_rebuilds = work.rebuilds;
+        counters.sched_pending_peak = st.queue.pending_peak() as u64;
+        counters.sched_bytes_peak = st.queue.resident_bytes() as u64;
+        counters.flows_total = st.flows.len() as u64;
+        counters.flow_live_peak = st.live.peak;
+        counters.flow_slab_slots = st.live.slots.len() as u64;
+        counters.flows_reclaimed = st.live.reclaimed;
+        counters.flow_live_bytes_peak = st.live.peak_bytes;
         // Streaming mode returns empty records: quantiles come from the
-        // sketches, and cloning O(total flows) records would defeat the
-        // point of streaming at hyperscale.
-        let records = if self.streaming.is_some() {
+        // sketches, and O(total flows) records would defeat the point of
+        // streaming at hyperscale.
+        let live = st.live;
+        let records = if st.streaming.is_some() {
             Vec::new()
         } else {
-            self.flows
-                .iter()
+            st.flows
+                .into_iter()
                 .map(|f| {
-                    // simlint::allow(hot-path-alloc, result assembly after the event loop has ended)
-                    let mut r = f.record.clone();
+                    let mut r = f.record;
                     if f.live != u32::MAX {
                         // Unreclaimed (censored or leaked) flows still hold a
                         // transport; reclaimed ones snapshotted retransmits
                         // into the record at release time.
-                        r.retransmits = self.live.get(f.live).transport.retransmits();
+                        r.retransmits = live.get(f.live).transport.retransmits();
                     }
                     r
                 })
@@ -733,41 +496,120 @@ impl Sim {
         };
         SimResult {
             records,
-            counters: self.counters,
-            traces: self.traces,
-            monitors: self
+            counters,
+            traces: st.traces,
+            monitors: st
                 .monitors
                 .into_iter()
                 .map(|m| (m.label, m.series))
                 .collect(),
             end_time,
-            audit,
-            streaming: self.streaming,
+            audit: st.audit.map(|a| a.into_report()),
+            streaming: st.streaming,
         }
     }
 
     /// Handle [`Event::Inject`]: hand the simulator to the arrival source
     /// (take/put-back, same pattern as [`App`] delivery) and reschedule at
     /// the time it asks for.
-    fn on_inject(&mut self, now: Time) {
+    fn on_inject(&mut self) {
         let Some(mut src) = self.arrivals.take() else {
             return;
         };
+        let now = self.state.queue.now();
         if let Some(next) = src.inject(self, now) {
             assert!(next > now, "arrival source must make progress");
-            self.queue.schedule(next, Event::Inject);
+            self.state.queue.schedule(next, Event::Inject);
             self.arrivals = Some(src);
+        }
+    }
+}
+
+/// Why [`State::advance`] came back.
+enum Yield {
+    /// The run is over — the queue drained or [`Event::End`] fired — or the
+    /// next batch is at or past the horizon.
+    Stopped,
+    /// An [`Event::Inject`] is due: the arrival source takes the whole `Sim`.
+    Inject,
+    /// The event just dispatched completed flows an [`App`] is waiting for.
+    Completed,
+}
+
+/// The event loop and its handlers. Each changes `State` and reads the
+/// run's [`Env`]; none can reach the user callbacks on [`Sim`].
+impl State {
+    /// Dispatch same-timestamp batches — one scheduler interaction and one
+    /// clock advance each, events served in `(time, seq)` order, so the
+    /// per-event semantics (audit hooks, app delivery, boundary checks) are
+    /// those of sequential dispatch — until the run stops or an event needs
+    /// the whole [`Sim`] (see [`Yield`]). In the latter case the caller
+    /// finishes that event (app delivery, [`Self::audit_boundary`]) and
+    /// calls again; the rest of its batch is served first.
+    ///
+    /// The loop is on `State`, next to the handlers, for speed: rustc files
+    /// an inherent method under its `Self` type when it cuts the crate into
+    /// codegen units, so a loop on `Sim` reaches every handler across a unit
+    /// boundary, where they are too large to be inlined into it (measured
+    /// on `ppbench incast_pp`: +3–5 % CPU).
+    fn advance(&mut self, env: &Env, until: Option<Time>, has_app: bool) -> Yield {
+        loop {
+            let now = self.queue.now();
+            while let Some(ev) = self.queue.batch_next() {
+                self.counters.events += 1;
+                if let Some(a) = self.audit.as_deref_mut() {
+                    let (kind, id) = ev.name_and_id();
+                    a.on_event(now, kind, id);
+                }
+                match ev {
+                    Event::End => return Yield::Stopped,
+                    Event::Inject => return Yield::Inject,
+                    Event::FlowStart { flow } => self.on_flow_start(env, flow, now),
+                    Event::FlowTimer { flow, token } => self.on_flow_timer(env, flow, token, now),
+                    Event::HostPoke { node } => {
+                        if let Node::Host(h) = &mut self.nodes[node as usize] {
+                            h.next_poke = Time::MAX;
+                        }
+                        self.host_poke(env, node, now);
+                    }
+                    Event::PortFree { node, port } => self.on_port_free(env, node, port, now),
+                    Event::Arrive { node, in_port, pkt } => {
+                        self.on_arrive(env, node, in_port, pkt, now)
+                    }
+                    Event::Sample { monitor } => self.on_sample(env, monitor, now),
+                    Event::FluidEpoch => self.on_fluid_epoch(now),
+                    Event::Fault { idx } => self.on_fault(env, idx, now),
+                }
+                if has_app && !self.completed_buf.is_empty() {
+                    return Yield::Completed;
+                }
+                self.audit_boundary(env, now);
+            }
+            let next = match until {
+                Some(horizon) => self.queue.pop_batch_before(horizon),
+                None => self.queue.pop_batch(),
+            };
+            if next.is_none() {
+                return Yield::Stopped;
+            }
+        }
+    }
+
+    /// End-of-event audit hook: one branch when the audit is off. The audit
+    /// is taken out while it inspects the state it is a field of.
+    #[inline]
+    fn audit_boundary(&mut self, env: &Env, now: Time) {
+        if let Some(mut a) = self.audit.take() {
+            self.audit_checks(env, &mut a, now);
+            self.audit = Some(a);
         }
     }
 
     /// Verify cross-cutting invariants at the end of one event: flows the
     /// event touched, the Xoff-must-fire condition for an admission in this
     /// event, and (per [`AuditConfig::deep_every`]) the O(state)
-    /// [`Audit::deep_scan`].
-    fn audit_boundary(&mut self, now: Time) {
-        let Some(mut a) = self.audit.take() else {
-            return;
-        };
+    /// [`State::deep_scan`].
+    fn audit_checks(&self, env: &Env, a: &mut Audit, now: Time) {
         while let Some(fid) = a.pop_touched() {
             let f = &self.flows[fid as usize];
             if f.live != u32::MAX {
@@ -791,24 +633,8 @@ impl Sim {
             }
         }
         if a.should_deep_scan() {
-            let holds = self.flows.iter().map(|f| FlowHold {
-                flow: f.record.flow,
-                slot: (f.live != u32::MAX).then_some(f.live),
-                active: f.active,
-                finish: f.record.finish,
-            });
-            let scan = DeepScan {
-                nodes: &self.nodes,
-                arena: &self.arena,
-                queue: &self.queue,
-                counters: &self.counters,
-                fluid: self.fluid.as_deref(),
-                deadlock_armed: self.cfg.faults.as_ref().is_some_and(|s| !s.is_empty()),
-                slab_occupancy: self.live.occupancy,
-            };
-            a.deep_scan(now, &scan, holds);
+            self.deep_scan(env, a, now);
         }
-        self.audit = Some(a);
     }
 
     fn ctx<'a>(
@@ -837,7 +663,7 @@ impl Sim {
         }
     }
 
-    fn on_flow_start(&mut self, flow: FlowId, now: Time) {
+    fn on_flow_start(&mut self, env: &Env, flow: FlowId, now: Time) {
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(flow);
         }
@@ -855,10 +681,10 @@ impl Sim {
         } else {
             panic!("flow source {src} is not a host");
         }
-        self.host_poke(src, now);
+        self.host_poke(env, src, now);
     }
 
-    fn on_flow_timer(&mut self, flow: FlowId, token: u64, now: Time) {
+    fn on_flow_timer(&mut self, env: &Env, flow: FlowId, token: u64, now: Time) {
         let f = &mut self.flows[flow as usize];
         if !f.active {
             return;
@@ -873,12 +699,12 @@ impl Sim {
             let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, flow);
             self.live.get_mut(live).transport.on_timer(token, &mut ctx);
         }
-        self.host_poke(src, now);
+        self.host_poke(env, src, now);
     }
 
-    fn on_port_free(&mut self, node: NodeId, port: u16, now: Time) {
+    fn on_port_free(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
         self.port_mut(node, port).busy = false;
-        self.kick(node, port, now);
+        self.kick(env, node, port, now);
         // The port may have gone idle: hand its bandwidth back to the fluid
         // class.
         self.fluid_sync_port(node, port, now);
@@ -919,9 +745,9 @@ impl Sim {
     }
 
     /// Apply fault-schedule transition `idx` at its scheduled time.
-    fn on_fault(&mut self, idx: u32, now: Time) {
+    fn on_fault(&mut self, env: &Env, idx: u32, now: Time) {
         self.counters.fault_events += 1;
-        let kind = self
+        let kind = env
             .cfg
             .faults
             .as_ref()
@@ -930,8 +756,8 @@ impl Sim {
             .events[idx as usize]
             .kind;
         match kind {
-            FaultKind::LinkDown { node, port } => self.set_link_down(node, port, true, now),
-            FaultKind::LinkUp { node, port } => self.set_link_down(node, port, false, now),
+            FaultKind::LinkDown { node, port } => self.set_link_down(env, node, port, true, now),
+            FaultKind::LinkUp { node, port } => self.set_link_down(env, node, port, false, now),
             FaultKind::DegradeStart {
                 node,
                 port,
@@ -940,10 +766,10 @@ impl Sim {
             } => self.set_degrade(node, port, Some((rate_factor, extra_prop))),
             FaultKind::DegradeEnd { node, port } => self.set_degrade(node, port, None),
             FaultKind::PauseStart { node, port, prio } => {
-                self.set_storm(node, port, prio, true, now)
+                self.set_storm(env, node, port, prio, true, now)
             }
             FaultKind::PauseEnd { node, port, prio } => {
-                self.set_storm(node, port, prio, false, now)
+                self.set_storm(env, node, port, prio, false, now)
             }
         }
     }
@@ -959,7 +785,7 @@ impl Sim {
     /// neither attachment serializes and every non-PFC packet in flight on
     /// the link is dropped at arrival; on recovery both sides are kicked so
     /// queued traffic resumes.
-    fn set_link_down(&mut self, node: NodeId, port: u16, down: bool, now: Time) {
+    fn set_link_down(&mut self, env: &Env, node: NodeId, port: u16, down: bool, now: Time) {
         let ends = self.link_ends(node, port);
         for (n, p) in ends {
             self.port_mut(n, p).down = down;
@@ -967,7 +793,7 @@ impl Sim {
         for (n, p) in ends {
             self.fault_fluid_sync(n, p, now);
             if !down {
-                self.kick(n, p, now);
+                self.kick(env, n, p, now);
             }
         }
     }
@@ -987,7 +813,7 @@ impl Sim {
     /// PFC frames addressed to that attachment are swallowed so the pin
     /// holds; on release the pause bit is restored from the peer's real
     /// pause authority (its ingress pause state).
-    fn set_storm(&mut self, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
+    fn set_storm(&mut self, env: &Env, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
         let [_, (peer, peer_port)] = self.link_ends(node, port);
         let peer_pauses = |ps: &Switch| ps.ingress_paused[peer_port as usize][prio as usize];
         let paused = on || self.nodes[peer as usize].as_switch().is_some_and(peer_pauses);
@@ -998,7 +824,7 @@ impl Sim {
             self.fault_fluid_sync(node, port, now);
         }
         if !paused {
-            self.kick(node, port, now);
+            self.kick(env, node, port, now);
         }
     }
 
@@ -1020,14 +846,14 @@ impl Sim {
     /// the audit notices); control losses are counted in
     /// [`SimCounters::fault_ctrl_drops`] but never audited, since control
     /// packets are not part of the injected tallies.
-    fn fault_drop(&mut self, pid: PacketId) {
+    fn fault_drop(&mut self, env: &Env, pid: PacketId) {
         let (is_data, wire) = {
             let pkt = self.arena.get(pid);
             (pkt.kind.is_data(), pkt.size as u64)
         };
         if is_data {
             self.counters.fault_link_drops += 1;
-            if self.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
+            if env.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
                 if let Some(a) = self.audit.as_deref_mut() {
                     a.on_link_drop(wire);
                 }
@@ -1043,10 +869,10 @@ impl Sim {
     /// Give the attachment at `(node, port)` a chance to transmit: the one
     /// re-kick used after a serialization ends, a PFC resume, a link
     /// recovery and a storm release.
-    fn kick(&mut self, node: NodeId, port: u16, now: Time) {
+    fn kick(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
         match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_dequeue(node, port, now),
-            Node::Host(_) => self.host_poke(node, now),
+            Node::Switch(_) => self.switch_dequeue(env, node, port, now),
+            Node::Host(_) => self.host_poke(env, node, now),
         }
     }
 
@@ -1086,7 +912,7 @@ impl Sim {
     }
 
     /// Try to start transmitting the next packet on a switch egress port.
-    fn switch_dequeue(&mut self, node: NodeId, port: u16, now: Time) {
+    fn switch_dequeue(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
         // Hybrid coupling: fluid backlog at this port consumes buffer (PFC
         // resume threshold).
         let fluid_occ = match self.fluid.as_deref() {
@@ -1119,12 +945,12 @@ impl Sim {
             Some(f) if queue_index(prio, nq) == 0 => f.pop_stamp(node, port, now),
             _ => 0,
         };
-        let nc = match &self.switch_cfg.nc_delay {
+        let nc = match &env.switch_cfg.nc_delay {
             Some(nc) if is_data => nc.sample(&mut self.nc_rng),
             _ => Time::ZERO,
         };
         self.transmit(node, port, pid, fluid_owed, nc, now);
-        if self.switch_cfg.int_enabled && is_data {
+        if env.switch_cfg.int_enabled && is_data {
             // Read after the transmit step, so telemetry reports this
             // packet's bytes and the effective (possibly degraded) rate.
             let p = self.port(node, port);
@@ -1169,35 +995,36 @@ impl Sim {
         }
     }
 
-    fn on_arrive(&mut self, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
+    fn on_arrive(&mut self, env: &Env, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
         if let PktTag::Pfc { prio, pause } = self.arena.get(pkt).kind {
-            return self.on_pfc_frame(node, in_port, pkt, prio, pause, now);
+            // Consumed at the MAC, never queued.
+            self.arena.release(pkt);
+            return self.on_pfc_frame(env, node, in_port, prio, pause, now);
         }
         if self.port(node, in_port).down {
             // A dead link drops everything in flight on it — except PFC
             // frames (handled above), which model an out-of-band reliable
             // control plane.
-            return self.fault_drop(pkt);
+            return self.fault_drop(env, pkt);
         }
         match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_arrive(node, in_port, pkt, now),
-            Node::Host(_) => self.host_arrive(node, pkt, now),
+            Node::Switch(_) => self.switch_arrive(env, node, in_port, pkt, now),
+            Node::Host(_) => self.host_arrive(env, node, pkt, now),
         }
     }
 
     /// A PFC frame reached the MAC of `(node, port)` — a switch port or a
-    /// host NIC alike. Consumed here, never queued: sets or clears the
-    /// egress pause bit and, on a resume, kicks the attachment.
+    /// host NIC alike: sets or clears the egress pause bit and, on a resume,
+    /// kicks the attachment.
     fn on_pfc_frame(
         &mut self,
+        env: &Env,
         node: NodeId,
         port: u16,
-        pid: PacketId,
         prio: u8,
         pause: bool,
         now: Time,
     ) {
-        self.arena.release(pid);
         let p = self.port_mut(node, port);
         if p.is_stormed(prio as usize) {
             // Storm pin holds: genuine frames are swallowed. The peer's
@@ -1213,11 +1040,11 @@ impl Sim {
             self.fault_fluid_sync(node, port, now);
         }
         if !pause {
-            self.kick(node, port, now);
+            self.kick(env, node, port, now);
         }
     }
 
-    fn switch_arrive(&mut self, node: NodeId, in_port: u16, pid: PacketId, now: Time) {
+    fn switch_arrive(&mut self, env: &Env, node: NodeId, in_port: u16, pid: PacketId, now: Time) {
         let (dst, flow, is_data, data_q, dscp) = {
             let pkt = self.arena.get(pid);
             (
@@ -1228,7 +1055,7 @@ impl Sim {
                 pkt.dscp,
             )
         };
-        let egress = self.routes.port_for(node, dst, flow);
+        let egress = env.routes.port_for(node, dst, flow);
         // Hybrid coupling: projected fluid backlog at the egress inflates
         // the occupancy ECN sees and shrinks the free buffer DT/PFC use.
         let fluid_occ = match self.fluid.as_deref() {
@@ -1291,12 +1118,12 @@ impl Sim {
                     self.fluid_sync_port(node, egress, now);
                 }
                 self.emit_pfc(node, &pauses, true, now);
-                self.switch_dequeue(node, egress, now);
+                self.switch_dequeue(env, node, egress, now);
             }
         }
     }
 
-    fn host_arrive(&mut self, node: NodeId, pid: PacketId, now: Time) {
+    fn host_arrive(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
         match self.arena.get(pid).kind {
             PktTag::Data => {
                 self.counters.data_delivered += 1;
@@ -1305,7 +1132,7 @@ impl Sim {
                     a.on_data_delivered(now, pkt.flow, pkt.size as u64);
                 }
                 debug_assert_eq!(self.arena.get(pid).dst, node, "data packet misrouted");
-                self.receiver_data(node, pid, now);
+                self.receiver_data(env, node, pid, now);
             }
             PktTag::Probe => {
                 let (flow, src, ts_tx, in_prio) = {
@@ -1325,22 +1152,22 @@ impl Sim {
                     nack: None,
                     int: None,
                 };
-                let prio = self.ack_prio(in_prio);
+                let prio = Self::ack_prio(&env.cfg, in_prio);
                 let ack = Packet::ack(flow, node, src, prio, info, true, now);
-                self.host_enqueue_control(node, ack, now);
+                self.host_enqueue_control(env, node, ack, now);
             }
             // ACKs and probe echoes. `on_arrive` consumed any PFC frame at
             // the MAC, and `sender_ack` rejects every other tag.
             _ => {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
-                self.sender_ack(node, pid, now);
+                self.sender_ack(env, node, pid, now);
             }
         }
     }
 
-    fn ack_prio(&self, data_prio: u8) -> u8 {
-        match self.cfg.ack_prio {
-            AckPriority::Control => self.cfg.num_prios,
+    fn ack_prio(cfg: &SimConfig, data_prio: u8) -> u8 {
+        match cfg.ack_prio {
+            AckPriority::Control => cfg.num_prios,
             AckPriority::SameAsData => data_prio,
         }
     }
@@ -1349,7 +1176,7 @@ impl Sim {
     /// emit a per-packet ACK, record delivery/completion. Consumes the
     /// arena slot: the data packet is retired and its slot immediately
     /// reused (LIFO) by the ACK this method emits.
-    fn receiver_data(&mut self, node: NodeId, pid: PacketId, now: Time) {
+    fn receiver_data(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
         let (fid, src, seq, payload, ts_tx, ecn_ce, in_prio) = {
             let pkt = self.arena.get(pid);
             (
@@ -1374,7 +1201,7 @@ impl Sim {
         } else {
             let flow = &mut self.flows[fid as usize];
             let fl = self.live.get_mut(live);
-            let (new_bytes, nack) = fl.recv.on_data(seq, payload as u64, self.lossy);
+            let (new_bytes, nack) = fl.recv.on_data(seq, payload as u64, env.lossy);
             flow.record.delivered = fl.recv.delivered;
             if new_bytes > 0 {
                 if let Some(t) = self.traces.get_mut(&fid) {
@@ -1407,15 +1234,15 @@ impl Sim {
             nack,
             int,
         };
-        let prio = self.ack_prio(in_prio);
+        let prio = Self::ack_prio(&env.cfg, in_prio);
         let ack = Packet::ack(fid, node, src, prio, info, false, now);
-        self.host_enqueue_control(node, ack, now);
+        self.host_enqueue_control(env, node, ack, now);
     }
 
     /// Sender-side handling of an ACK or probe echo. Consumes the arena
     /// slot; the echoed INT box (if any) returns to the arena's recycle
     /// stack after the transport callback.
-    fn sender_ack(&mut self, node: NodeId, pid: PacketId, now: Time) {
+    fn sender_ack(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
         let fid = self.arena.get(pid).flow;
         if !self.flows[fid as usize].active {
             self.arena.release(pid);
@@ -1446,7 +1273,7 @@ impl Sim {
             AckKind::Data => raw,
             AckKind::Probe => raw + f.params.base_rtt.saturating_sub(f.params.base_rtt_probe),
         };
-        let noise = self.cfg.meas_noise.sample(&mut self.noise_rng);
+        let noise = env.cfg.meas_noise.sample(&mut self.noise_rng);
         let delay = normalized + noise;
         let ack = AckEvent {
             kind,
@@ -1474,17 +1301,17 @@ impl Sim {
             if let Node::Host(h) = &mut self.nodes[src as usize] {
                 h.deactivate(prio, fid);
             }
-            self.release_flow_state(fid);
+            self.release_flow_state(env, fid);
         }
-        self.host_poke(node, now);
+        self.host_poke(env, node, now);
     }
 
     /// Release a finished flow's live-state slab slot, snapshotting the
     /// transport's retransmit count into the record first. The
     /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the audit
     /// deep scan's flow-state sweep can prove it notices the leak.
-    fn release_flow_state(&mut self, fid: FlowId) {
-        if self.switch_cfg.buggify == Some(Buggify::FlowReclaimLeak) {
+    fn release_flow_state(&mut self, env: &Env, fid: FlowId) {
+        if env.switch_cfg.buggify == Some(Buggify::FlowReclaimLeak) {
             return;
         }
         let f = &mut self.flows[fid as usize];
@@ -1499,16 +1326,16 @@ impl Sim {
 
     /// Queue a locally generated control packet (ACK/probe echo) on the
     /// host's NIC and kick transmission.
-    fn host_enqueue_control(&mut self, node: NodeId, pkt: Packet, now: Time) {
+    fn host_enqueue_control(&mut self, env: &Env, node: NodeId, pkt: Packet, now: Time) {
         let pid = self.arena.alloc(pkt);
         self.nodes[node as usize].ports_mut()[0].enqueue(pid, &self.arena);
-        self.host_poke(node, now);
+        self.host_poke(env, node, now);
     }
 
     /// The host NIC pull loop: if the NIC is idle, select the next packet
     /// (queued control first, then strict-priority pull across flows) and
     /// start transmitting it.
-    fn host_poke(&mut self, node: NodeId, now: Time) {
+    fn host_poke(&mut self, env: &Env, node: NodeId, now: Time) {
         let Node::Host(h) = &mut self.nodes[node as usize] else {
             panic!("host_poke on switch {node}")
         };
@@ -1603,14 +1430,14 @@ impl Sim {
         // `h` no longer borrows `self.nodes`; nothing above allocates a slab
         // slot, so releasing here leaves the free list as if done in place.
         for fid in finished {
-            self.release_flow_state(fid);
+            self.release_flow_state(env, fid);
         }
         if let Some(pid) = selected {
             self.transmit(node, 0, pid, 0, Time::ZERO, now);
         }
     }
 
-    fn on_sample(&mut self, monitor: u32, now: Time) {
+    fn on_sample(&mut self, env: &Env, monitor: u32, now: Time) {
         let m = &mut self.monitors[monitor as usize];
         match m.kind {
             MonitorKind::QueueBytes { node, port } => {
@@ -1630,7 +1457,7 @@ impl Sim {
                 m.record_gauge(now, buffered as f64);
             }
         }
-        if now + m.period < self.cfg.end_time {
+        if now + m.period < env.cfg.end_time {
             let period = m.period;
             self.queue.schedule(now + period, Event::Sample { monitor });
         }
@@ -1660,19 +1487,20 @@ mod tests {
             ..Default::default()
         };
         let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
-        sim.on_fault(0, Time::ZERO);
-        sim.on_fault(1, Time::ZERO);
+        let Sim { env, state: st, .. } = &mut sim;
+        st.on_fault(env, 0, Time::ZERO);
+        st.on_fault(env, 1, Time::ZERO);
         for node in [host, switch] {
-            let is_host = matches!(sim.nodes[node as usize], Node::Host(_));
+            let is_host = matches!(st.nodes[node as usize], Node::Host(_));
             assert_eq!(is_host, node == host, "node {node}");
-            sim.port_mut(node, 0).set_paused(1, true);
+            st.port_mut(node, 0).set_paused(1, true);
             for prio in [0, 1] {
-                let peer = sim.port(node, 0).peer;
-                let frame = sim.arena.alloc(Packet::pfc(peer, node, prio, false));
-                sim.on_arrive(node, 0, frame, Time::from_us(1));
+                let peer = st.port(node, 0).peer;
+                let frame = st.arena.alloc(Packet::pfc(peer, node, prio, false));
+                st.on_arrive(env, node, 0, frame, Time::from_us(1));
             }
-            assert_eq!(sim.arena.live_count(), 0, "PFC frames are consumed, never queued");
-            let p = sim.port(node, 0);
+            assert_eq!(st.arena.live_count(), 0, "PFC frames are consumed, never queued");
+            let p = st.port(node, 0);
             assert!(p.is_paused(0), "node {node}: the storm pin swallows the resume");
             assert!(!p.is_paused(1), "node {node}: an unpinned priority resumes");
         }

@@ -53,6 +53,14 @@ struct Slot {
 }
 
 /// A deterministic min-priority event queue.
+///
+/// `Clone` copies the queue as it stands — backend structure, tuning state
+/// and work profile, the cancellation slot table, an unserved batch — so a
+/// clone pops the same stream, honours the same outstanding
+/// [`ScheduledId`]s and continues the same [`SchedWork`] count as the
+/// original. (Buffers are cloned to their length, so
+/// [`resident_bytes`](Self::resident_bytes) is the clone's own.)
+#[derive(Clone)]
 pub struct EventQueue<E> {
     sched: AnySched<E>,
     next_seq: u64,
@@ -447,114 +455,53 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E: Clone> EventQueue<E> {
-    /// Capture the queue's complete state into an owned
-    /// [`QueueSnapshot`]. Entries (backend + any pending batch) are stored
-    /// in canonical `(at, seq)` order, so two queues with the same live
-    /// state produce identical snapshots regardless of backend internals.
+impl<E> EventQueue<E> {
+    /// Fold the queue's logical state into a state digest: clock, counters,
+    /// the cancellation slot table, and every stored entry — the backend's
+    /// and an unserved batch's, cancelled ones included. `event` folds one
+    /// payload as a fixed sequence of words.
     ///
-    /// Cold path by design (clones every entry); used by simulation
-    /// snapshot/warm-start, never per event.
-    pub fn snapshot(&self) -> QueueSnapshot<E> {
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.sched.len() + self.batch.len());
-        // simlint::allow(hot-path-alloc, snapshot is an explicit cold path, never per event)
-        self.sched.for_each(&mut |e| entries.push(e.clone()));
-        for e in &self.batch {
-            // simlint::allow(hot-path-alloc, snapshot is an explicit cold path, never per event)
-            entries.push(e.clone());
+    /// Backend-agnostic without cloning or sorting: each entry is mixed on
+    /// its own from `(seq, at, slot, payload)` and the results are summed.
+    /// `seq` is unique, so the sum names the *set* of entries, whatever order
+    /// a backend stores them in. `pending_peak` and the backend's work
+    /// profile are diagnostics of one backend and stay out.
+    pub fn fold_digest(&self, fold: &mut impl FnMut(u64), event: impl Fn(&E, &mut dyn FnMut(u64))) {
+        let EventQueue {
+            sched,
+            next_seq,
+            slots,
+            free_slots,
+            cancelled_in_heap,
+            now,
+            popped,
+            pops,
+            pending_peak: _,
+            batch,
+        } = self;
+        for w in [now.as_ps(), *popped, *pops, *next_seq] {
+            fold(w);
         }
-        entries.sort_by_key(Entry::key);
-        QueueSnapshot {
-            kind: self.sched.kind(),
-            entries,
-            // simlint::allow(hot-path-alloc, snapshot is an explicit cold path, never per event)
-            slots: self.slots.clone(),
-            // simlint::allow(hot-path-alloc, snapshot is an explicit cold path, never per event)
-            free_slots: self.free_slots.clone(),
-            cancelled_in_heap: self.cancelled_in_heap,
-            now: self.now,
-            popped: self.popped,
-            pops: self.pops,
-            next_seq: self.next_seq,
+        fold(*cancelled_in_heap as u64);
+        fold(slots.len() as u64);
+        for s in slots {
+            fold(s.gen as u64 | (s.live as u64) << 32);
         }
-    }
-
-    /// Rebuild a queue from a [`QueueSnapshot`]. The slot table, free list,
-    /// clock, and counters are restored verbatim — outstanding
-    /// [`ScheduledId`]s taken before the snapshot remain valid against the
-    /// restored queue — and every entry is re-inserted into a fresh backend
-    /// of the snapshot's kind. The stable `(at, seq)` order contract makes
-    /// the rebuilt backend's internal layout irrelevant: pop order is
-    /// bit-identical to the original queue's.
-    pub fn restore(snap: &QueueSnapshot<E>) -> EventQueue<E> {
-        let mut q = EventQueue {
-            sched: AnySched::new(snap.kind),
-            next_seq: snap.next_seq,
-            // simlint::allow(hot-path-alloc, snapshot restore is an explicit cold path, never per event)
-            slots: snap.slots.clone(),
-            // simlint::allow(hot-path-alloc, snapshot restore is an explicit cold path, never per event)
-            free_slots: snap.free_slots.clone(),
-            cancelled_in_heap: snap.cancelled_in_heap,
-            now: snap.now,
-            popped: snap.popped,
-            pops: snap.pops,
-            pending_peak: snap.entries.len(),
-            batch: Vec::new(),
+        fold(free_slots.len() as u64);
+        free_slots.iter().for_each(|&s| fold(s as u64));
+        let mut sum = 0u64;
+        let mut entry = |e: &Entry<E>| {
+            let mut h = e.seq;
+            let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+            mix(e.at.as_ps());
+            mix(e.slot as u64);
+            event(&e.event, &mut mix);
+            sum = sum.wrapping_add(h);
         };
-        for e in &snap.entries {
-            // simlint::allow(hot-path-alloc, snapshot restore is an explicit cold path, never per event)
-            q.sched.push(e.clone());
-        }
-        q
-    }
-}
-
-/// Owned image of an [`EventQueue`]'s complete deterministic state:
-/// canonically ordered entries plus the cancellation slot table, clock, and
-/// counters. Produced by [`EventQueue::snapshot`], consumed by
-/// [`EventQueue::restore`]. Entry order is `(at, seq)` — backend-layout
-/// independent — so snapshots of equivalent queues compare equal
-/// field-by-field and digest identically.
-#[derive(Clone, Debug)]
-pub struct QueueSnapshot<E> {
-    kind: SchedKind,
-    entries: Vec<Entry<E>>,
-    slots: Vec<Slot>,
-    free_slots: Vec<u32>,
-    cancelled_in_heap: usize,
-    now: Time,
-    popped: u64,
-    pops: u64,
-    next_seq: u64,
-}
-
-impl<E> QueueSnapshot<E> {
-    /// The captured entries in canonical `(at, seq)` order, cancelled ones
-    /// included (their slots are dead in the captured slot table). Exposed
-    /// so state digests can hash exactly what a restore would rebuild.
-    pub fn entries(&self) -> &[Entry<E>] {
-        &self.entries
-    }
-
-    /// The captured clock.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The captured pop counter.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// The captured sequence counter (next `seq` to be assigned).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Scheduler backend the snapshot was taken on (restores rebuild the
-    /// same kind).
-    pub fn kind(&self) -> SchedKind {
-        self.kind
+        batch.iter().for_each(&mut entry);
+        sched.for_each(&mut entry);
+        fold((sched.len() + batch.len()) as u64);
+        fold(sum);
     }
 }
 
@@ -1023,9 +970,9 @@ mod tests {
         });
     }
 
-    /// Snapshot/restore round-trip: the restored queue pops the exact same
-    /// (time, event) stream, honors pre-snapshot ScheduledIds, and keeps
-    /// counters — on every backend.
+    /// A clone pops the exact same (time, event) stream, honors ids taken
+    /// before it, and keeps counters and the backend's diagnostics — on
+    /// every backend.
     #[test]
     fn snapshot_restore_preserves_stream_and_ids() {
         on_all_backends(|q, kind| {
@@ -1043,14 +990,16 @@ mod tests {
                 q.pop();
             }
             q.cancel(ids[20]);
-            let snap = q.snapshot();
-            let mut restored = EventQueue::restore(&snap);
+            let mut restored = q.clone();
             assert_eq!(restored.sched_kind(), kind);
             assert_eq!(restored.now(), q.now());
             assert_eq!(restored.popped(), q.popped());
             assert_eq!(restored.len(), q.len());
+            // The clone is the same structure, not a rebuild of it.
+            assert_eq!(restored.sched_work(), q.sched_work(), "{kind:?}");
+            assert_eq!(restored.pending_peak(), q.pending_peak(), "{kind:?}");
             restored.check_invariants().unwrap();
-            // A pre-snapshot id cancels the same event in both queues.
+            // A pre-clone id cancels the same event in both queues.
             q.cancel(ids[40]);
             restored.cancel(ids[40]);
             // Diverge identically: same schedules after the fork.
@@ -1064,11 +1013,12 @@ mod tests {
                     break;
                 }
             }
+            assert_eq!(restored.sched_work(), q.sched_work(), "{kind:?}");
         });
     }
 
-    /// Snapshotting mid-batch captures the unserved batch entries: the
-    /// restored queue re-delivers exactly the remainder.
+    /// Cloning mid-batch keeps the unserved batch entries: the clone
+    /// re-delivers exactly the remainder.
     #[test]
     fn snapshot_mid_batch_keeps_unserved_entries() {
         on_all_backends(|q, kind| {
@@ -1079,15 +1029,54 @@ mod tests {
             assert_eq!(q.pop_batch(), Some(t));
             assert_eq!(q.batch_next(), Some(0));
             assert_eq!(q.batch_next(), Some(1));
-            let snap = q.snapshot();
-            let mut restored = EventQueue::restore(&snap);
+            let mut restored = q.clone();
             assert_eq!(restored.len(), 3, "{kind:?}");
+            restored.check_invariants().unwrap();
             let rest: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
-            assert_eq!(
-                rest,
-                vec![(t, 2), (t, 3), (t, 4)],
-                "{kind:?}"
-            );
+            assert_eq!(rest, vec![(t, 2), (t, 3), (t, 4)], "{kind:?}");
         });
+    }
+
+    /// The digest names the logical queue: equal across backends and for a
+    /// clone, moved by one more entry, by a cancel, and by a pop.
+    #[test]
+    fn fold_digest_is_backend_agnostic_and_sees_every_entry() {
+        fn digest(q: &EventQueue<u64>) -> Vec<u64> {
+            let mut words = Vec::new();
+            q.fold_digest(&mut |w| words.push(w), |e, fold| fold(*e));
+            words
+        }
+        let build = |kind| {
+            let mut q = EventQueue::with_sched(kind);
+            let mut ids = Vec::new();
+            for i in 0..300u64 {
+                let at = Time::from_ns((i * 53) % 2_000);
+                if i % 7 == 0 {
+                    ids.push(q.schedule_cancellable(at, i));
+                } else {
+                    q.schedule(at, i);
+                }
+            }
+            for _ in 0..40 {
+                q.pop();
+            }
+            // Leave a partially served batch behind.
+            q.pop_batch();
+            q.batch_next();
+            (q, ids)
+        };
+        let (binary, _) = build(SchedKind::Binary);
+        let (mut q, ids) = build(SchedKind::Calendar);
+        let base = digest(&q);
+        assert_eq!(base, digest(&binary), "backends disagree");
+        assert_eq!(base, digest(&q.clone()), "a clone digests differently");
+        let mut more = q.clone();
+        more.schedule(Time::from_ms(5), 7);
+        assert_ne!(base, digest(&more), "blind to a new entry");
+        let mut cancelled = q.clone();
+        cancelled.cancel(*ids.last().unwrap());
+        assert_ne!(base, digest(&cancelled), "blind to a cancellation");
+        q.pop();
+        assert_ne!(base, digest(&q), "blind to a pop");
     }
 }

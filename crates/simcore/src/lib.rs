@@ -26,7 +26,7 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, QueueSnapshot, ScheduledId};
+pub use event::{EventQueue, ScheduledId};
 pub use sched::{Entry, SchedKind, SchedWork, Scheduler};
 pub use rate::Rate;
 pub use ringlog::RingLog;

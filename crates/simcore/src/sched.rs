@@ -45,8 +45,8 @@ use crate::time::Time;
 /// One pending event: absolute timestamp, tie-breaking sequence number, the
 /// cancellation slot carried opaquely for [`crate::EventQueue`] (its
 /// sentinel for "not cancellable" is `u32::MAX`), and the payload.
-/// `Clone` (when `E: Clone`) exists for the queue's snapshot support — the
-/// hot path only ever moves entries.
+/// `Clone` (when `E: Clone`) exists so a whole queue can be cloned — the hot
+/// path only ever moves entries.
 #[derive(Debug, Clone)]
 pub struct Entry<E> {
     /// Absolute due time.
@@ -231,7 +231,7 @@ impl SchedKind {
 
 /// Enum-dispatched backend: one concrete type the event queue can hold while
 /// the kind is chosen at runtime, with static dispatch inside each arm.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum AnySched<E> {
     /// Binary-heap backend.
     Binary(BinaryHeapSched<E>),
@@ -306,7 +306,7 @@ impl<E> Scheduler<E> for AnySched<E> {
 // ---------------------------------------------------------------------------
 
 /// Reversed-order wrapper so the std max-heap pops the smallest key first.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Rev<E>(Entry<E>);
 
 impl<E> PartialEq for Rev<E> {
@@ -327,7 +327,7 @@ impl<E> Ord for Rev<E> {
 }
 
 /// The reference backend: `std::collections::BinaryHeap` in min-order.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BinaryHeapSched<E> {
     heap: BinaryHeap<Rev<E>>,
 }
@@ -423,7 +423,7 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
 ///
 /// Same-timestamp entries share a day, and `bottom`'s order is total over
 /// `(at, seq)`, so the stable-order contract holds exactly.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CalendarQueue<E> {
     /// Every entry outside the current day, plus free slots; `next` threads
     /// a bucket's list or the free list.
@@ -457,7 +457,7 @@ pub struct CalendarQueue<E> {
 
 /// One slab slot: an entry threaded into a bucket's list, or a free slot
 /// (`entry` is `None`) threaded into the free list.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Node<E> {
     entry: Option<Entry<E>>,
     next: u32,

@@ -11,8 +11,8 @@
 //! Two delay distributions drive it: a broad mix, and the skewed population
 //! a lossy simulation produces (the one that collapsed the sorted-bucket
 //! calendar into a single sorted `Vec`), on which the backend's structure is
-//! verified after *every* operation and the queues are swapped for their
-//! own snapshot's restoration every few dozen steps.
+//! verified after *every* operation and the queues are swapped for clones
+//! of themselves every few dozen steps.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, SchedKind, Time};
@@ -125,8 +125,9 @@ fn skewed_delay_ps(w: u64) -> u64 {
 /// Drive one op stream through every backend plus the shadow, checking
 /// agreement after each op. `delay` decodes an op word into a scheduling
 /// delay. `thorough` verifies every queue's structure after every op (not
-/// every 16th) and, every 48 steps, replaces each queue by the restoration
-/// of its own snapshot — outstanding ids must stay valid across it.
+/// every 16th) and, every 48 steps, replaces each queue by a clone of itself
+/// — outstanding ids must stay valid across it, and the clone must carry the
+/// original's diagnostics.
 fn run_differential(
     ops: &[u64],
     delay_ps: fn(u64) -> u64,
@@ -201,7 +202,10 @@ fn run_differential(
         }
         if thorough && step % 48 == 47 {
             for q in queues.iter_mut() {
-                *q = EventQueue::restore(&q.snapshot());
+                let clone = q.clone();
+                prop_assert_eq!(clone.sched_work(), q.sched_work(), "step {}", step);
+                prop_assert_eq!(clone.pending_peak(), q.pending_peak(), "step {}", step);
+                *q = clone;
             }
         }
         if thorough || step % 16 == 0 {
@@ -308,10 +312,10 @@ fn directed_skewed_stream_retunes_and_rebuilds() {
     assert!(work.rebuilds > 6, "no width retune in {work:?}");
 }
 
-/// Snapshot with the calendar mid-day: same-instant entries share a day at
-/// any width, so after one of three is popped the other two are in the
-/// sorted current day, not in a bucket. The restored queue must serve them,
-/// then the rest, exactly as the original does — on every backend.
+/// Clone with the calendar mid-day: same-instant entries share a day at any
+/// width, so after one of three is popped the other two are in the sorted
+/// current day (a non-empty `bottom`), not in a bucket. The clone must serve
+/// them, then the rest, exactly as the original does — on every backend.
 #[test]
 fn snapshot_round_trip_mid_day() {
     for kind in SchedKind::ALL {
@@ -325,14 +329,16 @@ fn snapshot_round_trip_mid_day() {
         q.schedule(Time::from_ms(10_000), 12);
         assert_eq!(q.pop(), Some((t, 0)), "{kind:?}");
 
-        let mut r = EventQueue::restore(&q.snapshot());
+        let mut r = q.clone();
         r.check_invariants().unwrap();
         assert_eq!(r.len(), q.len(), "{kind:?}");
-        // An id taken before the snapshot cancels in both.
+        assert_eq!(r.sched_work(), q.sched_work(), "{kind:?}");
+        assert_eq!(r.pending_peak(), q.pending_peak(), "{kind:?}");
+        // An id taken before the clone cancels in both.
         q.cancel(timer);
         r.cancel(timer);
         assert_eq!(r.len(), q.len(), "{kind:?}");
-        // A push into the open day, after the snapshot.
+        // A push into the open day, after the clone.
         q.schedule(t, 13);
         r.schedule(t, 13);
         loop {

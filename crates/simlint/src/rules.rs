@@ -137,9 +137,12 @@ impl Rule {
             Rule::WallClock => true,
             Rule::UnseededRng => true,
             Rule::LossyTimeCast => true,
-            // The two hottest files named by the rule.
+            // The hottest files named by the rule: scheduler, event
+            // handlers, and the flow slab they index on every ACK.
             Rule::HotPathUnwrap => {
-                path == "crates/simcore/src/sched.rs" || path == "crates/netsim/src/sim.rs"
+                path == "crates/simcore/src/sched.rs"
+                    || path == "crates/netsim/src/sim.rs"
+                    || path == "crates/netsim/src/state.rs"
             }
             Rule::AllowWithoutReason => true,
             // The per-event files: scheduler sift, event loop (including
@@ -151,6 +154,7 @@ impl Rule {
                 path == "crates/simcore/src/sched.rs"
                     || path == "crates/simcore/src/event.rs"
                     || path == "crates/netsim/src/sim.rs"
+                    || path == "crates/netsim/src/state.rs"
                     || path == "crates/netsim/src/node.rs"
             }
             // Same scope as R1: the crates whose values feed simulation

@@ -187,6 +187,7 @@ fn r7_only_applies_to_per_event_files() {
     assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
     for hot in [
         "crates/netsim/src/sim.rs",
+        "crates/netsim/src/state.rs",
         "crates/netsim/src/node.rs",
         "crates/simcore/src/sched.rs",
         "crates/simcore/src/event.rs",

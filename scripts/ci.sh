@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full CI gauntlet: five legs, six test invocations.
+# Full CI gauntlet: five legs, seven test invocations.
 #
 #   1. lint: simlint (token rules plus the symbol-index semantic passes)
 #      must report zero unallowed findings — the JSON report lands in
@@ -14,9 +14,13 @@
 #      the deep scan forced to every event boundary; then the hyperscale
 #      suite (thousands of streamed flows, slab reclamation sweep) at a
 #      deep-scan cadence of 256;
-#   4. reference scheduler: tier-1 tests rerun on the binary heap, so every
-#      code path pinned on the calendar default also runs — and stays
-#      bit-identical — on the backend the differentials compare against;
+#   4. reference scheduler: the tests whose outcome can depend on the
+#      scheduler backend, rerun on the binary heap — the scheduler and
+#      simulator crates, and of the experiments suite the golden traces
+#      (byte-identical files on both backends), the determinism, snapshot
+#      and hyperscale suites. The rest of tier-1 asserts properties of
+#      simulator output, and these suites pin that output as identical on
+#      both backends, so rerunning it would test the same bytes twice;
 #   5. ppbench: the benchmark package's own tests (it is outside the
 #      workspace, so leg 2 does not reach them) — BENCHMARK.json drift
 #      guard, `--check` smoke run, composition-vs-experiments differential —
@@ -80,8 +84,12 @@ PRIOPLUS_AUDIT_DEEP=256 cargo test -q --release -p experiments --test e2e_hypers
 unset PRIOPLUS_AUDIT PRIOPLUS_AUDIT_PANIC
 leg_done
 
-leg 4 reference-sched "tier-1 tests on the binary heap"
-PRIOPLUS_SCHED=binary cargo test -q
+leg 4 reference-sched "backend-sensitive tests on the binary heap"
+export PRIOPLUS_SCHED=binary
+cargo test -q -p simcore -p netsim
+cargo test -q -p experiments \
+  --test golden_traces --test e2e_determinism --test e2e_snapshot --test e2e_hyperscale
+unset PRIOPLUS_SCHED
 leg_done
 
 leg 5 ppbench "benchmark package tests (drift guard, smoke, composition)"

@@ -15,23 +15,12 @@ export REPRO_JSON_DIR="$PWD/results/json"
 
 cargo build --release -p experiments --bins
 
-bins=(
-  fig02_buffer_ratio
-  fig03_motivation
-  tab02_start_strategies
-  fig07_noise_cdf
-  fig08_testbed_prios
-  fig09_fluctuation
-  fig10_micro
-  fig11_flow_scheduling
-  fig12_coflow
-  fig13_noncongestive
-  fig14_breakdown
-  fig16_hpcc_ackprio
-  fig17_lossy_coflow
-  fig18_coflow_extra
-  appd_fluctuation
-)
+# Every binary of the experiments crate, sorted: a new figure is picked up
+# by adding its file, not by remembering to list it here.
+bins=()
+for src in crates/experiments/src/bin/*.rs; do
+  bins+=("$(basename "$src" .rs)")
+done
 
 for b in "${bins[@]}"; do
   echo "=== $b ==="

@@ -4,14 +4,17 @@
 //! - **Resume bit-identity (headline)**: a CC matrix of incast scenarios,
 //!   interrupted mid-run, snapshotted, restored, and finished, must
 //!   reproduce the uninterrupted summary byte-for-byte on every scheduler
-//!   backend, with the invariant audit clean on both halves.
+//!   backend, with the invariant audit clean on both halves — and, the
+//!   queue being cloned rather than rebuilt, the calendar's own work
+//!   profile must come out equal too.
 //! - **Mid-fault resume**: the same, snapshotting while a link is down, a
 //!   pause storm is pinned and a link is degraded.
 //! - **Digest soundness**: [`netsim::Sim::state_digest`] survives a
 //!   snapshot round-trip unchanged and is backend-agnostic.
 //! - **Completeness fleet**: buggify-style tampers ([`StateTamper`])
 //!   mutate one class of simulator state at a time — counters, RNG
-//!   streams, port state, streaming sketches, fluid backlog — and the
+//!   streams, port state, the event queue, a live flow's reassembly point,
+//!   a monitor's baseline, streaming sketches, fluid backlog — and the
 //!   digest must notice every one; classes absent from a run must report
 //!   `false` and leave the digest alone.
 //! - **Warm-start differential**: `experiments::sweep::run_warm` over a
@@ -147,29 +150,69 @@ fn assert_clean_audit(res: &SimResult, what: &str) {
 /// the run at the horizon, snapshotting, dropping the original simulator,
 /// and finishing on a restore is byte-identical to running straight
 /// through — and the invariant audit (whose mirror rides in the snapshot)
-/// stays clean on both paths.
+/// stays clean on both paths. The snapshot clones the scheduler as it
+/// stands, so the resumed run's backend diagnostics — operations, touches,
+/// rebuilds, peak population — are the straight run's too (checked on the
+/// calendar queue; the binary heap keeps no work profile). Peak *bytes* are
+/// read from buffer capacities, and a clone's buffers are sized to their
+/// length, so that one is each queue's own and only bounded here.
 #[test]
 fn cc_matrix_snapshot_resume_is_bit_identical_on_every_backend() {
+    // Mid-transfer (every flow in flight, the queue populated) and late (the
+    // fast schemes have drained, only timers and `End` pending).
+    let horizons = [Time::from_us(100), horizon()];
     for (name, cc) in cc_matrix() {
         for kind in SchedKind::ALL {
             let straight_res = incast(&cc, kind, true).sim.run();
             assert_clean_audit(&straight_res, name);
             let straight = summarize(&straight_res);
 
-            let mut m = incast(&cc, kind, true);
-            m.sim.run_until(horizon());
-            let snap = m.sim.snapshot();
-            drop(m);
-            let resumed_res = Sim::restore(&snap).run();
-            assert_clean_audit(&resumed_res, name);
-            let resumed = summarize(&resumed_res);
+            for at in horizons {
+                let mut m = incast(&cc, kind, true);
+                m.sim.run_until(at);
+                let snap = m.sim.snapshot();
+                drop(m);
+                let resumed_res = Sim::restore(&snap).run();
+                assert_clean_audit(&resumed_res, name);
+                let resumed = summarize(&resumed_res);
 
-            assert_eq!(
-                straight, resumed,
-                "{name} on {}: snapshot/resume at {} changed the simulation",
-                kind.name(),
-                horizon()
-            );
+                assert_eq!(
+                    straight,
+                    resumed,
+                    "{name} on {}: snapshot/resume at {at} changed the simulation",
+                    kind.name(),
+                );
+                if kind == SchedKind::Calendar {
+                    let diag = |r: &SimResult| {
+                        let c = &r.counters;
+                        assert!(
+                            c.sched_ops > 0 && c.sched_touches > 0,
+                            "{name}: no work profile"
+                        );
+                        // The bound `e2e_hyperscale` puts on the queue's
+                        // memory holds for a fork's own buffers too.
+                        let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
+                        assert!(
+                            c.sched_bytes_peak <= 4 * c.sched_pending_peak * entry,
+                            "{name}: queue holds {} B for a peak of {} entries",
+                            c.sched_bytes_peak,
+                            c.sched_pending_peak
+                        );
+                        [
+                            c.sched_ops,
+                            c.sched_touches,
+                            c.sched_rebuilds,
+                            c.sched_pending_peak,
+                        ]
+                    };
+                    assert_eq!(
+                        diag(&straight_res),
+                        diag(&resumed_res),
+                        "{name}: resumed at {at}, the calendar queue is not the straight run's \
+                         (ops, touches, rebuilds, pending peak)"
+                    );
+                }
+            }
         }
     }
 }
@@ -230,7 +273,8 @@ fn snapshot_with_a_link_down_and_a_storm_pinned_resumes_bit_identically() {
 
 /// A snapshot is a pure fork point: restoring twice from the same snapshot
 /// and finishing both forks yields byte-identical results (warm-start
-/// sweeps restore one snapshot once per group member).
+/// sweeps restore one snapshot once per group member). The forks copy the
+/// state only: they run in the original's `Env`.
 #[test]
 fn one_snapshot_forks_into_identical_runs() {
     let cc = CcSpec::PrioPlusSwift {
@@ -239,15 +283,20 @@ fn one_snapshot_forks_into_identical_runs() {
     let mut m = incast(&cc, SchedKind::default(), false);
     m.sim.run_until(horizon());
     let snap = m.sim.snapshot();
+    let (a, b) = (Sim::restore(&snap), Sim::restore(&snap));
+    assert!(
+        a.shares_env_with(&b) && a.shares_env_with(&m.sim),
+        "a fork copied its Env (config, routing table) instead of sharing it"
+    );
     drop(m);
-    let a = summarize(&Sim::restore(&snap).run());
-    let b = summarize(&Sim::restore(&snap).run());
+    let (a, b) = (summarize(&a.run()), summarize(&b.run()));
     assert_eq!(a, b, "two forks of one snapshot diverged");
 }
 
 /// The state digest survives a snapshot round-trip unchanged and — because
-/// it hashes the queue in canonical `(at, seq)` order — is identical
-/// across scheduler backends at the same simulated instant.
+/// it hashes the queue as a set of entries, not in a backend's storage
+/// order — is identical across scheduler backends at the same simulated
+/// instant.
 #[test]
 fn state_digest_round_trips_and_is_backend_agnostic() {
     let cc = CcSpec::PrioPlusSwift {
@@ -332,9 +381,10 @@ fn hybrid_sim() -> Sim {
     sim
 }
 
-/// Completeness fleet, part 1: on a pure packet run, the Counter and Rng
-/// tampers land and move the digest; the Sketch and FluidBacklog classes
-/// are absent, so the hooks report `false` and the digest must not move.
+/// Completeness fleet, part 1: on a pure packet run, the Counter, Rng,
+/// PortState, Queue and FlowRecv tampers land and move the digest; the
+/// Sketch, FluidBacklog and Monitor classes are absent, so the hooks report
+/// `false` and the digest must not move.
 #[test]
 fn tamper_fleet_packet_run_counters_and_rng() {
     let cc = CcSpec::Swift {
@@ -342,10 +392,22 @@ fn tamper_fleet_packet_run_counters_and_rng() {
         scaling: false,
     };
     let mut m = incast(&cc, SchedKind::default(), false);
-    m.sim.run_until(horizon());
+    // Earlier than `horizon()`: Swift has drained the incast by then, and
+    // FlowRecv needs a flow in flight.
+    m.sim.run_until(Time::from_us(150));
+    assert!(
+        m.sim.live_flows() > 0,
+        "no flow in flight at the tamper point"
+    );
     let base = m.sim.state_digest();
     let snap = m.sim.snapshot();
-    for tamper in [StateTamper::Counter, StateTamper::Rng, StateTamper::PortState] {
+    for tamper in [
+        StateTamper::Counter,
+        StateTamper::Rng,
+        StateTamper::PortState,
+        StateTamper::Queue,
+        StateTamper::FlowRecv,
+    ] {
         let mut fork = Sim::restore(&snap);
         assert!(
             fork.snap_mutate(tamper),
@@ -357,7 +419,11 @@ fn tamper_fleet_packet_run_counters_and_rng() {
             "state digest is blind to {tamper:?}"
         );
     }
-    for tamper in [StateTamper::Sketch, StateTamper::FluidBacklog] {
+    for tamper in [
+        StateTamper::Sketch,
+        StateTamper::FluidBacklog,
+        StateTamper::Monitor,
+    ] {
         let mut fork = Sim::restore(&snap);
         assert!(
             !fork.snap_mutate(tamper),
@@ -369,6 +435,58 @@ fn tamper_fleet_packet_run_counters_and_rng() {
             "a no-op {tamper:?} must not move the digest"
         );
     }
+}
+
+/// Completeness fleet, part 1b: a monitor's `last_tx` is the baseline of
+/// its next throughput sample, so it is state; with a monitor registered the
+/// tamper lands and the digest notices. And with no flow in flight there is
+/// no reassembly state to tamper with.
+#[test]
+fn tamper_fleet_monitor_baseline_and_idle_flow_slab() {
+    let cc = CcSpec::Swift {
+        queuing: Time::from_us(4),
+        scaling: false,
+    };
+    let monitored = || {
+        let mut m = incast(&cc, SchedKind::default(), false);
+        m.monitor_bottleneck_throughput(Time::from_us(50));
+        m.sim
+    };
+    let mut sim = monitored();
+    sim.run_until(horizon());
+    let base = sim.state_digest();
+    let snap = sim.snapshot();
+    let mut fork = Sim::restore(&snap);
+    assert_eq!(base, fork.state_digest(), "digest moved across restore");
+    assert!(
+        fork.snap_mutate(StateTamper::Monitor),
+        "Monitor tamper must land when a monitor is registered"
+    );
+    assert_ne!(
+        base,
+        fork.state_digest(),
+        "digest is blind to a monitor's baseline"
+    );
+    // The monitored run resumes bit-identically, series included.
+    let straight = monitored().run();
+    let resumed = Sim::restore(&snap).run();
+    assert_eq!(summarize(&straight), summarize(&resumed));
+    assert_eq!(
+        straight.monitors[0].1.v, resumed.monitors[0].1.v,
+        "throughput series diverged"
+    );
+
+    let mut idle = Micro::build(&MicroEnv::default()).sim;
+    let base = idle.state_digest();
+    assert!(
+        !idle.snap_mutate(StateTamper::FlowRecv),
+        "FlowRecv cannot land with no flow in flight"
+    );
+    assert_eq!(
+        base,
+        idle.state_digest(),
+        "a no-op FlowRecv must not move the digest"
+    );
 }
 
 /// Completeness fleet, part 2: the Sketch tamper lands on a streaming run
