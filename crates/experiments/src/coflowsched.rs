@@ -5,14 +5,14 @@
 //! ratio* against the scenario baseline (Swift, single queue, no
 //! priorities).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::stats::Summary;
 use simcore::{Rate, Time};
 use workloads::{Coflow, CoflowGen, SizeClassifier};
 
-use crate::Scheme;
+use crate::{Scale, Scheme};
 
 /// Coflow scenario parameters.
 #[derive(Clone, Debug)]
@@ -68,6 +68,20 @@ impl CoflowConfig {
             lossless: true,
         }
     }
+
+    /// [`CoflowConfig::new`] at `scale`: `Full` is the paper's fabric and
+    /// arrival window.
+    pub fn at(scheme: Scheme, load: f64, scale: Scale) -> Self {
+        let mut cfg = CoflowConfig::new(scheme, load);
+        if scale == Scale::Full {
+            cfg.leaves = 16;
+            cfg.hosts_per_leaf = 20;
+            cfg.spines = 8;
+            cfg.duration = Time::from_ms(30);
+            cfg.fanin = 20;
+        }
+        cfg
+    }
 }
 
 /// Per-coflow outcome.
@@ -104,27 +118,17 @@ impl CoflowResult {
     }
 }
 
-/// Ids of coflows that completed in every given result — scheme comparisons
-/// must be computed over this common set, otherwise schemes that starve
-/// (and censor) their slowest coflows get a survivorship advantage.
-pub fn common_ids(results: &[&CoflowResult]) -> std::collections::HashSet<u64> {
-    let mut iter = results.iter();
-    let Some(first) = iter.next() else {
-        return Default::default();
-    };
-    let mut set: std::collections::HashSet<u64> = first
-        .coflows
-        .iter()
-        .filter(|c| c.cct_us.is_some())
-        .map(|c| c.id)
-        .collect();
-    for r in iter {
-        let ids: std::collections::HashSet<u64> = r
-            .coflows
+/// Ids of coflows that completed in every given result.
+fn common_ids<'a>(results: impl IntoIterator<Item = &'a CoflowResult>) -> HashSet<u64> {
+    let mut done = results.into_iter().map(|r| {
+        r.coflows
             .iter()
             .filter(|c| c.cct_us.is_some())
             .map(|c| c.id)
-            .collect();
+            .collect::<HashSet<u64>>()
+    });
+    let mut set = done.next().unwrap_or_default();
+    for ids in done {
         set.retain(|id| ids.contains(id));
     }
     set
@@ -296,4 +300,92 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
 /// in input order, identical to calling [`run`] on each config serially.
 pub fn run_many(cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResult> {
     crate::sweep::run_ordered(cfgs, jobs, &run)
+}
+
+/// Every priority class, as a `(lowest, highest)` band.
+pub const OVERALL: (u8, u8) = (0, u8::MAX);
+/// The class bands the coflow figures report, in column order: high
+/// priorities (4–7), low priorities (0–3), overall.
+pub const BANDS: [(u8, u8); 3] = [(4, 7), (0, 3), OVERALL];
+
+/// One workload run under the no-priority Swift baseline and under each
+/// scheme. Speedups are taken over the coflows that completed in *every*
+/// run, otherwise schemes that starve (and censor) their slowest coflows
+/// get a survivorship advantage.
+pub struct Comparison {
+    /// The baseline run.
+    pub base: CoflowResult,
+    /// The scheme runs, in the order asked for.
+    pub schemes: Vec<(Scheme, CoflowResult)>,
+    common: HashSet<u64>,
+}
+
+impl Comparison {
+    fn in_band(&self, c: &CoflowOut, (lo, hi): (u8, u8)) -> bool {
+        self.common.contains(&c.id) && (lo..=hi).contains(&c.class)
+    }
+
+    /// [`mean_speedup`] of `r` over the band's commonly completed coflows.
+    pub fn mean(&self, r: &CoflowResult, band: (u8, u8)) -> Option<f64> {
+        mean_speedup(r, &self.base, |c| self.in_band(c, band))
+    }
+
+    /// [`tail_speedup`] of `r` over the band's commonly completed coflows.
+    pub fn tail(&self, r: &CoflowResult, band: (u8, u8)) -> Option<f64> {
+        tail_speedup(r, &self.base, |c| self.in_band(c, band))
+    }
+}
+
+/// A speedup as a table cell (`1.23x`, `-` when no coflow qualifies).
+pub fn speedup_cell(v: Option<f64>) -> String {
+    v.map(|x| format!("{x:.2}x")).unwrap_or("-".into())
+}
+
+/// Run every `template` (whatever its own `scheme` says) under
+/// [`Scheme::BaselineSwift`] and under each of `schemes` — one sweep over all
+/// of them — and pair each template's runs up as a [`Comparison`].
+pub fn vs_baseline(templates: &[CoflowConfig], schemes: &[Scheme], jobs: usize) -> Vec<Comparison> {
+    let cfgs: Vec<CoflowConfig> = templates
+        .iter()
+        .flat_map(|t| {
+            std::iter::once(Scheme::BaselineSwift)
+                .chain(schemes.iter().copied())
+                .map(|scheme| CoflowConfig {
+                    scheme,
+                    ..t.clone()
+                })
+        })
+        .collect();
+    let mut outs = run_many(&cfgs, jobs).into_iter();
+    templates
+        .iter()
+        .map(|_| {
+            let base = outs.next().expect("one baseline run per template");
+            let schemes: Vec<(Scheme, CoflowResult)> =
+                schemes.iter().copied().zip(outs.by_ref()).collect();
+            let common = common_ids(std::iter::once(&base).chain(schemes.iter().map(|(_, r)| r)));
+            Comparison {
+                base,
+                schemes,
+                common,
+            }
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn full_scale_is_the_papers_fabric() {
+        let full = CoflowConfig::at(Scheme::PrioPlusSwift, 0.7, Scale::Full);
+        assert_eq!(
+            (full.leaves, full.hosts_per_leaf, full.spines, full.fanin),
+            (16, 20, 8, 20)
+        );
+        assert_eq!(full.duration, Time::from_ms(30));
+        let quick = CoflowConfig::at(Scheme::PrioPlusSwift, 0.7, Scale::Quick);
+        assert_eq!((quick.leaves, quick.duration), (4, Time::from_ms(16)));
+    }
 }

@@ -8,9 +8,9 @@
 //! flow keeps (most of) the link. As the paper notes, this needs a switch
 //! change, so it is a direction, not a deployable PrioPlus feature.
 
-use experiments::micro::{Micro, MicroEnv};
-use experiments::report::f3;
-use experiments::Table;
+use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::report::f3;
+use crate::{Scale, Table};
 use netsim::SwitchConfig;
 use simcore::Time;
 use transport::CcSpec;
@@ -36,20 +36,13 @@ fn run(scaled: bool) -> (f64, f64) {
     let hi = m.add_flow(1, 60_000_000, Time::ZERO, 0, 6, &cc);
     let lo = m.add_flow(2, 60_000_000, Time::ZERO, 0, 0, &cc);
     let res = m.sim.run();
-    let g = |id: u32| {
-        res.traces[&id]
-            .throughput
-            .as_ref()
-            .unwrap()
-            .series_gbps()
-            .window_mean(2_000.0, 6_000.0)
-            .unwrap_or(0.0)
-    };
+    let g = |id: u32| goodput_gbps(&res, &[id], 2_000.0, 6_000.0);
     (g(hi), g(lo))
 }
 
-fn main() {
+pub(crate) fn appb_ecn(_: Scale, _: usize) -> Vec<Table> {
     let mut t = Table::new(
+        "appb_ecn",
         "Appendix B: DCTCP pair in one queue — plain vs priority-scaled ECN marking",
         &["marking", "high-prio Gbps", "low-prio Gbps", "high share"],
     );
@@ -62,9 +55,9 @@ fn main() {
             f3(hi / (hi + lo).max(1e-9)),
         ]);
     }
-    t.emit("appb_ecn");
-    println!(
+    t.note(
         "Expected: plain marking gives ~fair sharing (the §3.1 failure);\n\
-         priority-scaled marking pushes most of the link to the high priority."
+         priority-scaled marking pushes most of the link to the high priority.",
     );
+    vec![t]
 }

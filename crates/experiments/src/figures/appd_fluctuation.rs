@@ -7,9 +7,9 @@
 //! steady state, and check it stays within the analytic bound (which is a
 //! worst case, so measured <= bound).
 
-use experiments::micro::{Micro, MicroEnv};
-use experiments::report::f3;
-use experiments::Table;
+use crate::micro::{Micro, MicroEnv};
+use crate::report::f3;
+use crate::{Scale, Table};
 use prioplus::channel::swift_fluctuation;
 use simcore::{Rate, Time};
 use transport::CcSpec;
@@ -43,10 +43,11 @@ fn measure(n: usize) -> f64 {
     (max - min) * 8.0 / 100e9 * 1e6
 }
 
-fn main() {
+pub(crate) fn appd_fluctuation(_: Scale, _: usize) -> Vec<Table> {
     let rate = Rate::from_gbps(100);
     let target = Time::from_us(16);
     let mut t = Table::new(
+        "appd_fluctuation",
         "Appendix D (Fig 19): Swift delay fluctuation — measured vs analytic bound",
         &[
             "flows",
@@ -65,9 +66,9 @@ fn main() {
             (measured <= bound * 1.05).to_string(),
         ]);
     }
-    t.emit("appd_fluctuation");
-    println!(
+    t.note(
         "The bound assumes fully synchronized worst-case flows; measured swings\n\
-         should sit below it and grow with n (the trend §4.3.2 sizes channels by)."
+         should sit below it and grow with n (the trend §4.3.2 sizes channels by).",
     );
+    vec![t]
 }

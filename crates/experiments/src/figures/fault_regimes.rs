@@ -3,16 +3,15 @@
 //!
 //! Emits the EXPERIMENTS.md "Fault regimes" table: completion, mean/max
 //! FCT slowdown, priority-inversion counts and fault-loss counters per
-//! (scheme, regime) cell.
-//!
-//! Usage: `fault_regimes` (seeds fixed; the run is deterministic).
+//! (scheme, regime) cell. Seeds are fixed; the run is deterministic.
 
-use experiments::faults::{run_cell, FaultCc, FaultRegime};
-use experiments::report::f3;
-use experiments::Table;
+use crate::faults::{run_cell, FaultCc, FaultRegime};
+use crate::report::f3;
+use crate::{Scale, Table};
 
-fn main() {
+pub(crate) fn fault_regimes(_: Scale, _: usize) -> Vec<Table> {
     let mut t = Table::new(
+        "fault_regimes",
         "Fault regimes: 8-sender incast, 4 virtual priorities, 2 MB flows",
         &[
             "cc",
@@ -42,5 +41,5 @@ fn main() {
             ]);
         }
     }
-    t.emit("fault_regimes");
+    vec![t]
 }

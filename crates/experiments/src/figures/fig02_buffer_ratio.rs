@@ -3,9 +3,9 @@
 //! the paper's motivation table: the ratio declines ~2x per generation,
 //! squeezing PFC headroom and hence the number of lossless priorities.
 
-use experiments::Table;
+use crate::{Scale, Table};
 
-fn main() {
+pub(crate) fn fig02(_: Scale, _: usize) -> Vec<Table> {
     // (chip, year, buffer MB, bandwidth Tbps)
     let chips: &[(&str, u32, f64, f64)] = &[
         ("Trident+ (BCM56840)", 2010, 9.0, 0.64),
@@ -16,6 +16,7 @@ fn main() {
         ("Tomahawk4 (BCM56990)", 2020, 113.0, 25.6),
     ];
     let mut t = Table::new(
+        "fig02",
         "Figure 2: switch buffer/bandwidth ratio by chip generation",
         &["chip", "year", "buffer (MB)", "bandwidth (Tbps)", "MB/Tbps"],
     );
@@ -28,9 +29,9 @@ fn main() {
             format!("{:.1}", mb / tbps),
         ]);
     }
-    t.emit("fig02");
-    println!(
+    t.note(
         "Paper's anchors: Trident2 = 9.4 MB/Tbps, Tomahawk4 = 4.4 MB/Tbps (2.1x smaller);\n\
-         Microsoft fit only two lossless priorities on Trident2 (§2.2)."
+         Microsoft fit only two lossless priorities on Trident2 (§2.2).",
     );
+    vec![t]
 }

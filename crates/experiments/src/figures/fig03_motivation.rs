@@ -10,32 +10,24 @@
 //! - `d`: Swift without scaling, 2 high then 2 low at 100 µs — shows the
 //!   line-rate-start buffer spike and the min-rate signal-frequency
 //!   trade-offs (Observation 3).
-//!
-//! Usage: `fig03_motivation [a|b|c|d]` (default: all).
 
-use experiments::micro::{Micro, MicroEnv};
-use experiments::report::f3;
-use experiments::{Scale, Table};
+use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::report::f3;
+use crate::{Scale, Table};
 use simcore::Time;
 use transport::CcSpec;
 
-fn goodput_share(res: &netsim::SimResult, flows: &[u32], from_us: f64, to_us: f64) -> f64 {
-    flows
-        .iter()
-        .map(|f| {
-            res.traces[f]
-                .throughput
-                .as_ref()
-                .unwrap()
-                .series_gbps()
-                .window_mean(from_us, to_us)
-                .unwrap_or(0.0)
-        })
-        .sum()
+/// Swift at the high (+15 µs) and the low (+5 µs) priority's delay target.
+fn swift_high_low(scaling: bool) -> (CcSpec, CcSpec) {
+    let at = |queuing_us| CcSpec::Swift {
+        queuing: Time::from_us(queuing_us),
+        scaling,
+    };
+    (at(15), at(5))
 }
 
 /// Fig 3a: D2TCP cannot strictly prioritize the urgent flow.
-fn sub_a() {
+pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(3),
@@ -69,6 +61,7 @@ fn sub_a() {
     let ideal_us = size as f64 * 8.0 / 100e9 * 1e6 + 12.0;
 
     let mut t = Table::new(
+        "fig03a",
         "Figure 3a: D2TCP, urgent (DDL=1x ideal) vs relaxed (DDL=2x) flow",
         &["t (us)", "urgent Gbps", "relaxed Gbps"],
     );
@@ -76,37 +69,33 @@ fn sub_a() {
         let (f, to) = (w as f64 * 100.0, w as f64 * 100.0 + 100.0);
         t.row(vec![
             format!("{:.0}", f),
-            f3(goodput_share(&res, &[urgent], f, to)),
-            f3(goodput_share(&res, &[relaxed], f, to)),
+            f3(goodput_gbps(&res, &[urgent], f, to)),
+            f3(goodput_gbps(&res, &[relaxed], f, to)),
         ]);
     }
-    t.emit("fig03a");
     let fu = res.records[urgent as usize].fct().unwrap().as_us_f64();
     let fr = res.records[relaxed as usize].fct().unwrap().as_us_f64();
-    println!(
+    t.note(format!(
         "ideal FCT: {ideal_us:.0}us; urgent FCT {fu:.0}us (DDL {ideal_us:.0}us, met: {});",
         fu <= ideal_us * 1.05
-    );
-    println!("relaxed FCT {fr:.0}us (DDL {:.0}us)", 2.0 * ideal_us);
-    println!("Expected (paper): both flows slow on ECN; urgent misses strict priority.\n");
+    ));
+    t.note(format!(
+        "relaxed FCT {fr:.0}us (DDL {:.0}us)",
+        2.0 * ideal_us
+    ));
+    t.note("Expected (paper): both flows slow on ECN; urgent misses strict priority.\n");
+    vec![t]
 }
 
 /// Fig 3b: Swift with target scaling converges to weighted sharing.
-fn sub_b() {
+pub(crate) fn fig03b(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(6),
         trace: true,
         ..Default::default()
     });
-    let hi_cc = CcSpec::Swift {
-        queuing: Time::from_us(15),
-        scaling: true,
-    };
-    let lo_cc = CcSpec::Swift {
-        queuing: Time::from_us(5),
-        scaling: true,
-    };
+    let (hi_cc, lo_cc) = swift_high_low(true);
     let hi: Vec<u32> = (1..=2)
         .map(|s| m.add_flow(s, 60_000_000, Time::ZERO, 0, 1, &hi_cc))
         .collect();
@@ -115,6 +104,7 @@ fn sub_b() {
         .collect();
     let res = m.sim.run();
     let mut t = Table::new(
+        "fig03b",
         "Figure 3b: Swift WITH target scaling — 2 high (target +15us) vs 2 low (+5us)",
         &["t (ms)", "high total Gbps", "low total Gbps"],
     );
@@ -122,22 +112,22 @@ fn sub_b() {
         let (f, to) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         t.row(vec![
             format!("{w}"),
-            f3(goodput_share(&res, &hi, f, to)),
-            f3(goodput_share(&res, &lo, f, to)),
+            f3(goodput_gbps(&res, &hi, f, to)),
+            f3(goodput_gbps(&res, &lo, f, to)),
         ]);
     }
-    t.emit("fig03b");
-    let hi_ss = goodput_share(&res, &hi, 3_000.0, 6_000.0);
-    let lo_ss = goodput_share(&res, &lo, 3_000.0, 6_000.0);
-    println!(
+    let hi_ss = goodput_gbps(&res, &hi, 3_000.0, 6_000.0);
+    let lo_ss = goodput_gbps(&res, &lo, 3_000.0, 6_000.0);
+    t.note(format!(
         "steady state: high {hi_ss:.1} Gbps vs low {lo_ss:.1} Gbps — weighted sharing,\n\
          NOT strict priority (low keeps a large share; O1 violated).\n"
-    );
+    ));
+    vec![t]
 }
 
 /// Fig 3c: Swift without scaling under many low-priority flows.
-fn sub_c() {
-    let n_low = Scale::from_args().pick(100, 300);
+pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
+    let n_low = scale.pick(100, 300);
     let mut m = Micro::build(&MicroEnv {
         senders: n_low + 1,
         end: Time::from_ms(6),
@@ -146,14 +136,7 @@ fn sub_c() {
     });
     m.monitor_bottleneck_queue(Time::from_us(10));
     m.monitor_bottleneck_throughput(Time::from_us(100));
-    let lo_cc = CcSpec::Swift {
-        queuing: Time::from_us(5),
-        scaling: false,
-    };
-    let hi_cc = CcSpec::Swift {
-        queuing: Time::from_us(15),
-        scaling: false,
-    };
+    let (hi_cc, lo_cc) = swift_high_low(false);
     for s in 1..=n_low {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &lo_cc);
     }
@@ -162,6 +145,7 @@ fn sub_c() {
     let (_, q) = &res.monitors[0];
     let (_, tput) = &res.monitors[1];
     let mut t = Table::new(
+        "fig03c",
         format!("Figure 3c: Swift w/o scaling — {n_low} low flows + 1 high at 2ms"),
         &[
             "t (ms)",
@@ -178,22 +162,22 @@ fn sub_c() {
             f3(tput.window_mean(f, to).unwrap_or(0.0)),
             f3(q.window_mean(f, to).unwrap_or(0.0) / 1000.0),
             f3(q.window_max(f, to).unwrap_or(0.0) / 1000.0),
-            f3(goodput_share(&res, &[hi], f, to)),
+            f3(goodput_gbps(&res, &[hi], f, to)),
         ]);
     }
-    t.emit("fig03c");
     let util = tput.window_mean(500.0, 2_000.0).unwrap_or(0.0);
-    let hi_share = goodput_share(&res, &[hi], 3_000.0, 6_000.0);
-    println!(
+    let hi_share = goodput_gbps(&res, &[hi], 3_000.0, 6_000.0);
+    t.note(format!(
         "utilization before the high flow: {util:.1}/100 Gbps; high flow's share after\n\
          joining: {hi_share:.1} Gbps. Expected (paper, 300 flows): queue fluctuations of\n\
          many flows swamp the high flow's higher target, so it decelerates (O1\n\
          violated) and the queue cannot be held near the low-priority target (O2).\n"
-    );
+    ));
+    vec![t]
 }
 
 /// Fig 3d: start-rate and min-rate trade-offs.
-fn sub_d() {
+pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(4),
@@ -201,14 +185,7 @@ fn sub_d() {
         ..Default::default()
     });
     m.monitor_bottleneck_queue(Time::from_us(5));
-    let hi_cc = CcSpec::Swift {
-        queuing: Time::from_us(15),
-        scaling: false,
-    };
-    let lo_cc = CcSpec::Swift {
-        queuing: Time::from_us(5),
-        scaling: false,
-    };
+    let (hi_cc, lo_cc) = swift_high_low(false);
     // Two high flows converge first; highs are finite so the lows' slow
     // reclaim is visible; lows start (line-rate!) at 100us.
     let hi: Vec<u32> = (1..=2)
@@ -220,6 +197,7 @@ fn sub_d() {
     let res = m.sim.run();
     let (_, q) = &res.monitors[0];
     let mut t = Table::new(
+        "fig03d",
         "Figure 3d: Swift w/o scaling — 2 high converged, 2 low line-rate start at 100us",
         &[
             "t (us)",
@@ -240,35 +218,16 @@ fn sub_d() {
     ] {
         t.row(vec![
             format!("{f:.0}-{to:.0}"),
-            f3(goodput_share(&res, &hi, f, to)),
-            f3(goodput_share(&res, &lo, f, to)),
+            f3(goodput_gbps(&res, &hi, f, to)),
+            f3(goodput_gbps(&res, &lo, f, to)),
             f3(q.window_max(f, to).unwrap_or(0.0) / 1000.0),
         ]);
     }
-    t.emit("fig03d");
     let spike = q.window_max(100.0, 160.0).unwrap_or(0.0);
-    println!(
+    t.note(format!(
         "line-rate start of low flows spikes the queue to {:.0} KB (hurts high prio);\n\
          low flows then idle at the min-rate floor — slow signal, slow reclaim (Obs. 3).\n",
         spike / 1000.0
-    );
-}
-
-fn main() {
-    let which = experiments::sweep::positional_args()
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "all".into());
-    match which.as_str() {
-        "a" => sub_a(),
-        "b" => sub_b(),
-        "c" => sub_c(),
-        "d" => sub_d(),
-        _ => {
-            sub_a();
-            sub_b();
-            sub_c();
-            sub_d();
-        }
-    }
+    ));
+    vec![t]
 }

@@ -7,45 +7,33 @@
 //! keeps the observed delay near D_target = 37 µs (priority 6); Swift's
 //! delay repeatedly overshoots the same target.
 
-use experiments::micro::{testbed_env, Micro};
-use experiments::report::f3;
-use experiments::Table;
-use netsim::{FlowSpec, Transport};
+use crate::micro::{prioplus_swift, testbed_env, Micro};
+use crate::report::f3;
+use crate::{Scale, Table};
 use prioplus::PrioPlusConfig;
 use simcore::Time;
 use transport::plain::CcTransport;
-use transport::pp_transport::PrioPlusTransport;
 use transport::sender::SenderBase;
 use transport::swift::{SwiftCc, SwiftConfig};
 
 const D_TARGET_US: f64 = 37.0;
 const D_LIMIT_US: f64 = 39.4;
+/// Swift's additive-increase step: 0.75 KB, ~5x the recommended value.
+const W_AI: f64 = 750.0;
 
 fn run(prioplus: bool) -> (Table, f64, f64) {
     let mut env = testbed_env();
     env.end = Time::from_ms(30);
     env.trace = true;
     let mut m = Micro::build(&env);
-    for s in 1..=4u32 {
-        let spec = FlowSpec {
-            src: s,
-            dst: 0,
-            size: 200_000_000,
-            start: Time::ZERO,
-            phys_prio: 0,
-            virt_prio: 6,
-            tag: 6,
-        };
-        m.sim.add_flow(spec, |params| {
+    for s in 1..=4 {
+        m.add_flow_with(s, 200_000_000, Time::ZERO, 0, 6, |params| {
             // Swift target = 37us absolute (base ~13us + 24us), the paper's
             // priority-6 channel on the testbed.
-            let queuing = Time::from_us_f64(D_TARGET_US) - params.base_rtt;
-            let mut scfg = SwiftConfig::datacenter(params.base_rtt, queuing, params.mtu);
-            scfg.ai = 750.0; // 0.75 KB, ~5x recommended
-            scfg.init_cwnd = params.base_bdp().max(scfg.min_cwnd);
+            let d_target = Time::from_us_f64(D_TARGET_US);
             if prioplus {
                 let pp_cfg = PrioPlusConfig {
-                    d_target: Time::from_us_f64(D_TARGET_US),
+                    d_target,
                     d_limit: Time::from_us_f64(D_LIMIT_US),
                     base_rtt: params.base_rtt,
                     near_base_eps: Time::from_us_f64(0.8),
@@ -60,13 +48,12 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
                     seed: params.seed,
                     dual_rtt: true,
                 };
-                scfg.init_cwnd = pp_cfg.w_ls;
-                Box::new(PrioPlusTransport::new(
-                    SenderBase::new(params.clone()),
-                    pp_cfg,
-                    SwiftCc::new(scfg),
-                )) as Box<dyn Transport>
+                prioplus_swift(params, pp_cfg, Some(W_AI))
             } else {
+                let queuing = d_target - params.base_rtt;
+                let mut scfg = SwiftConfig::datacenter(params.base_rtt, queuing, params.mtu);
+                scfg.ai = W_AI;
+                scfg.init_cwnd = params.base_bdp().max(scfg.min_cwnd);
                 Box::new(CcTransport::new(
                     SenderBase::new(params.clone()),
                     SwiftCc::new(scfg),
@@ -76,9 +63,22 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
     }
     let res = m.sim.run();
     // Observed delay of flow 0 over time.
-    let trace = &res.traces[&0];
-    let name = if prioplus { "PrioPlus+Swift" } else { "Swift" };
+    let delay = &res.traces[&0].delay;
+    let samples = |lo: f64, hi: f64| {
+        let in_window = delay
+            .t_us
+            .iter()
+            .zip(&delay.v)
+            .filter(move |(ts, _)| **ts >= lo && **ts < hi);
+        in_window.map(|(_, v)| *v)
+    };
+    let (slug, name) = if prioplus {
+        ("fig09_prioplus", "PrioPlus+Swift")
+    } else {
+        ("fig09_swift", "Swift")
+    };
     let mut t = Table::new(
+        slug,
         format!("Figure 9 ({name}): delay observed by one flow (W_AI=0.75KB / W_LS=BDP/2)"),
         &[
             "t (ms)",
@@ -91,61 +91,43 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
     let mut n_total = 0usize;
     for w in 0..30 {
         let (lo, hi) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
-        let in_win: Vec<f64> = trace
-            .delay
-            .t_us
-            .iter()
-            .zip(&trace.delay.v)
-            .filter(|(ts, _)| **ts >= lo && **ts < hi)
-            .map(|(_, v)| *v)
-            .collect();
-        if in_win.is_empty() {
+        let (Some(mean), Some(max)) = (delay.window_mean(lo, hi), delay.window_max(lo, hi)) else {
             continue;
-        }
-        let mean = in_win.iter().sum::<f64>() / in_win.len() as f64;
-        let max = in_win.iter().copied().fold(0.0, f64::max);
-        let over = in_win.iter().filter(|&&d| d > D_LIMIT_US).count();
+        };
+        let n = samples(lo, hi).count();
+        let over = samples(lo, hi).filter(|&d| d > D_LIMIT_US).count();
         if w >= 5 {
             over_total += over;
-            n_total += in_win.len();
+            n_total += n;
         }
         if w % 3 == 0 {
             t.row(vec![
                 w.to_string(),
                 f3(mean),
                 f3(max),
-                f3(over as f64 / in_win.len() as f64 * 100.0),
+                f3(over as f64 / n as f64 * 100.0),
             ]);
         }
     }
     let over_frac = over_total as f64 / n_total.max(1) as f64 * 100.0;
     // Steady-state mean delay (5ms onward).
-    let ss: Vec<f64> = trace
-        .delay
-        .t_us
-        .iter()
-        .zip(&trace.delay.v)
-        .filter(|(ts, _)| **ts >= 5_000.0)
-        .map(|(_, v)| *v)
-        .collect();
-    let ss_mean = ss.iter().sum::<f64>() / ss.len().max(1) as f64;
+    let ss_mean = delay.window_mean(5_000.0, f64::INFINITY).unwrap_or(0.0);
     (t, ss_mean, over_frac)
 }
 
-fn main() {
+pub(crate) fn fig09(_: Scale, _: usize) -> Vec<Table> {
     let (tp, pp_mean, pp_over) = run(true);
-    tp.emit("fig09_prioplus");
-    let (ts, sw_mean, sw_over) = run(false);
-    ts.emit("fig09_swift");
-    println!(
+    let (mut ts, sw_mean, sw_over) = run(false);
+    ts.note(format!(
         "steady-state (>=5ms): PrioPlus mean delay {pp_mean:.1} us, {pp_over:.2}% above D_limit"
-    );
-    println!(
+    ));
+    ts.note(format!(
         "                      Swift    mean delay {sw_mean:.1} us, {sw_over:.2}% above D_limit"
-    );
-    println!(
+    ));
+    ts.note(format!(
         "Expected (paper): PrioPlus estimates cardinality after the first\n\
          over-limit excursion and then holds the delay near D_target = {D_TARGET_US} us;\n\
          Swift keeps overshooting {D_LIMIT_US} us."
-    );
+    ));
+    vec![tp, ts]
 }

@@ -8,22 +8,17 @@
 //!   variant overshoots badly;
 //! - `d`: noise tolerance — channel width needed for ≥ 98 % utilization
 //!   grows linearly with the noise scale.
-//!
-//! Usage: `fig10_micro [a|b|c|d]` (default: all; `--full` for paper scale).
 
-use experiments::micro::{Micro, MicroEnv};
-use experiments::report::f3;
-use experiments::{Scale, Table};
-use netsim::{FlowSpec, NoiseModel, Transport};
+use crate::micro::{goodput_gbps, ids_at, prioplus_swift, Micro, MicroEnv};
+use crate::report::f3;
+use crate::{Scale, Table};
+use netsim::NoiseModel;
 use prioplus::PrioPlusConfig;
 use simcore::Time;
-use transport::pp_transport::PrioPlusTransport;
-use transport::sender::SenderBase;
-use transport::swift::{SwiftCc, SwiftConfig};
 use transport::{CcSpec, PrioPlusPolicy};
 
 /// Fig 10a: the 8-priority staircase.
-fn sub_a(scale: Scale) {
+pub(crate) fn fig10a(scale: Scale, _: usize) -> Vec<Table> {
     let per_prio = scale.pick(6, 30);
     let mut m = Micro::build(&MicroEnv {
         senders: 8 * per_prio,
@@ -52,6 +47,7 @@ fn sub_a(scale: Scale) {
     }
     let res = m.sim.run();
     let mut t = Table::new(
+        "fig10a",
         format!("Figure 10a: 8 virtual priorities x {per_prio} flows, 5 ms staggered"),
         &["t (ms)", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"],
     );
@@ -59,32 +55,20 @@ fn sub_a(scale: Scale) {
         let (lo, hi) = (w as f64 * 1000.0, (w + 2) as f64 * 1000.0);
         let mut cells = vec![w.to_string()];
         for p in 0..8u8 {
-            let g: f64 = flows
-                .iter()
-                .filter(|(fp, _)| *fp == p)
-                .map(|(_, id)| {
-                    res.traces[id]
-                        .throughput
-                        .as_ref()
-                        .unwrap()
-                        .series_gbps()
-                        .window_mean(lo, hi)
-                        .unwrap_or(0.0)
-                })
-                .sum();
+            let g = goodput_gbps(&res, &ids_at(&flows, p), lo, hi);
             cells.push(format!("{g:.0}"));
         }
         t.row(cells);
     }
-    t.emit("fig10a");
-    println!(
+    t.note(
         "Expected (paper): a diagonal staircase — at any time only the highest\n\
-         live priority carries ~full bandwidth (O1 + O2).\n"
+         live priority carries ~full bandwidth (O1 + O2).\n",
     );
+    vec![t]
 }
 
 /// Fig 10b: 300-flow incast, delay held near D_target = 32 µs.
-fn sub_b(scale: Scale) {
+pub(crate) fn fig10b(scale: Scale, _: usize) -> Vec<Table> {
     let n = scale.pick(150, 300);
     let mut m = Micro::build(&MicroEnv {
         senders: n,
@@ -106,6 +90,7 @@ fn sub_b(scale: Scale) {
     let (_, q) = &res.monitors[0];
     let (_, tput) = &res.monitors[1];
     let mut t = Table::new(
+        "fig10b",
         format!("Figure 10b: {n}-flow incast at priority 4 (D_target 32us, D_limit 34.4us)"),
         &[
             "t (ms)",
@@ -124,15 +109,16 @@ fn sub_b(scale: Scale) {
             f3(tput.window_mean(lo, hi).unwrap_or(0.0)),
         ]);
     }
-    t.emit("fig10b");
-    println!(
+    t.note(
         "Expected (paper): after the initial excursion past D_limit, cardinality\n\
-         estimation pins the delay near 32 us with full goodput.\n"
+         estimation pins the delay near 32 us with full goodput.\n",
     );
+    vec![t]
 }
 
 /// Fig 10c: dual-RTT vs per-RTT adaptive increase.
-fn sub_c() {
+pub(crate) fn fig10c(_: Scale, _: usize) -> Vec<Table> {
+    let mut tables = Vec::new();
     for (label, dual) in [
         ("dual-RTT (PrioPlus)", true),
         ("every-RTT (ablation)", false),
@@ -148,29 +134,12 @@ fn sub_c() {
         let policy = PrioPlusPolicy::paper_default(8);
         // 10 low-priority flows converged, then 10 high-priority at 1 ms.
         let mk = |m: &mut Micro, s: usize, prio: u8, start: Time| {
-            let spec = FlowSpec {
-                src: s as u32,
-                dst: 0,
-                size: 60_000_000,
-                start,
-                phys_prio: 0,
-                virt_prio: prio,
-                tag: prio as u64,
-            };
-            m.sim.add_flow(spec, |params| {
-                let mut pp_cfg: PrioPlusConfig = policy.flow_config(params);
-                pp_cfg.dual_rtt = dual;
-                let mut scfg = SwiftConfig::datacenter(
-                    params.base_rtt,
-                    pp_cfg.d_target - params.base_rtt,
-                    params.mtu,
-                );
-                scfg.init_cwnd = pp_cfg.w_ls;
-                Box::new(PrioPlusTransport::new(
-                    SenderBase::new(params.clone()),
-                    pp_cfg,
-                    SwiftCc::new(scfg),
-                )) as Box<dyn Transport>
+            m.add_flow_with(s, 60_000_000, start, 0, prio, |params| {
+                let pp_cfg = PrioPlusConfig {
+                    dual_rtt: dual,
+                    ..policy.flow_config(params)
+                };
+                prioplus_swift(params, pp_cfg, None)
             })
         };
         for s in 1..=10 {
@@ -182,6 +151,7 @@ fn sub_c() {
         let res = m.sim.run();
         let (_, q) = &res.monitors[0];
         let mut t = Table::new(
+            if dual { "fig10c_dual" } else { "fig10c_every" },
             format!("Figure 10c ({label}): 10 high preempt 10 low at 1 ms"),
             &["t (us)", "queue delay mean (us)", "queue delay max (us)"],
         );
@@ -194,21 +164,25 @@ fn sub_c() {
                 f3(to_us(q.window_max(lo, hi).unwrap_or(0.0))),
             ]);
         }
-        t.emit(if dual { "fig10c_dual" } else { "fig10c_every" });
         // High-priority channel: D_target 28us queuing (40us abs - 12us).
         let overshoot = to_us(q.window_max(1_000.0, 2_500.0).unwrap_or(0.0));
-        println!("{label}: max queuing delay during takeover = {overshoot:.1} us (target 28 us)\n");
+        t.note(format!(
+            "{label}: max queuing delay during takeover = {overshoot:.1} us (target 28 us)\n"
+        ));
+        tables.push(t);
     }
-    println!(
+    tables.last_mut().expect("two variants ran").note(
         "Expected (paper): the dual-RTT variant raises the delay to the high\n\
          priority's D_target without overshoot; the every-RTT ablation double-\n\
-         applies the increase and overshoots severely.\n"
+         applies the increase and overshoots severely.\n",
     );
+    tables
 }
 
 /// Fig 10d: channel width needed for ≥98 % utilization vs noise scale.
-fn sub_d() {
+pub(crate) fn fig10d(_: Scale, jobs: usize) -> Vec<Table> {
     let mut t = Table::new(
+        "fig10d",
         "Figure 10d: channel width for >=98% utilization vs delay-noise scale",
         &[
             "noise scale",
@@ -227,11 +201,7 @@ fn sub_d() {
         .iter()
         .flat_map(|&s| widths.iter().map(move |&w| (s, w)))
         .collect();
-    let utils = experiments::sweep::run_ordered(
-        &grid,
-        experiments::sweep::default_jobs(),
-        &|&(s, w)| run_noise_case(s, w),
-    );
+    let utils = crate::sweep::run_ordered(&grid, jobs, &|&(s, w)| run_noise_case(s, w));
     let mut utils = utils.into_iter();
     for scale in scales {
         let mut row = vec![format!("{scale}x")];
@@ -251,12 +221,12 @@ fn sub_d() {
         );
         t.row(row);
     }
-    t.emit("fig10d");
-    println!(
+    t.note(
         "(cells are achieved utilization; * marks >=98%.)\n\
          Expected (paper): the required channel width grows linearly with the\n\
-         noise magnitude."
+         noise magnitude.",
     );
+    vec![t]
 }
 
 /// Utilization of 5 same-priority PrioPlus flows under `noise_scale`-scaled
@@ -282,24 +252,4 @@ fn run_noise_case(noise_scale: f64, width_mul: f64) -> f64 {
     let res = m.sim.run();
     let (_, tput) = &res.monitors[0];
     tput.window_mean(2_000.0, 8_000.0).unwrap_or(0.0) / 100.0
-}
-
-fn main() {
-    let scale = Scale::from_args();
-    let which = experiments::sweep::positional_args()
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "all".into());
-    match which.as_str() {
-        "a" => sub_a(scale),
-        "b" => sub_b(scale),
-        "c" => sub_c(),
-        "d" => sub_d(),
-        _ => {
-            sub_a(scale);
-            sub_b(scale);
-            sub_c();
-            sub_d();
-        }
-    }
 }

@@ -7,11 +7,12 @@
 //! (§6.3), probe-before-start costs little, and PrioPlus stays within
 //! ~21 % of ideal physical priorities everywhere.
 
-use experiments::report::opt3;
-use experiments::{Scale, Scheme, Table};
+use crate::flowsched::{bucket_of, fabric_at};
+use crate::report::opt3;
+use crate::{Scale, Scheme, Table};
 use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use simcore::stats::Summary;
 use simcore::{Rate, Time};
-use transport::{CcSpec, PrioPlusPolicy};
 use workloads::{PoissonArrivals, SizeDist};
 
 const CLASSES: u8 = 12;
@@ -23,8 +24,7 @@ struct Out {
 }
 
 fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
-    let k = scale.pick(4, 6);
-    let duration = scale.pick(Time::from_ms(3), Time::from_ms(20));
+    let (k, duration) = fabric_at(scale);
     let rate = Rate::from_gbps(100);
     let topo = Topology::fat_tree(k, rate, Time::from_us(1));
     let hosts = topo.hosts.clone();
@@ -56,22 +56,10 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
             1000 + prio as u64,
         );
         for a in arr.generate_until(duration) {
-            let cc = match scheme {
-                Scheme::PhysicalStarSwift => CcSpec::Swift {
-                    queuing: Time::from_us(4),
-                    scaling: false,
-                },
-                Scheme::PrioPlusSwift => CcSpec::PrioPlusSwift {
-                    policy: PrioPlusPolicy::paper_default(CLASSES),
-                },
-                Scheme::PhysicalStarNoCc => CcSpec::Blast,
-                Scheme::D2tcp => CcSpec::D2tcp {
-                    deadline_factor: Some(
-                        1.5 + (12.0 - 1.5) * (CLASSES - 1 - prio) as f64 / (CLASSES - 1) as f64,
-                    ),
-                },
-                _ => unreachable!(),
-            };
+            // Probe-before-start stays on; D2TCP deadlines run from 12 ideal
+            // FCTs at the lowest priority down to 1.5 at the highest.
+            let deadline = 1.5 + (12.0 - 1.5) * (CLASSES - 1 - prio) as f64 / (CLASSES - 1) as f64;
+            let cc = scheme.cc(CLASSES, true, deadline);
             let spec = FlowSpec {
                 src: hosts[a.src],
                 dst: hosts[a.dst],
@@ -108,30 +96,19 @@ fn band(prio: u8) -> &'static str {
 fn size_class(size: u64) -> &'static str {
     if size <= 12_000 {
         "sub-RTT"
-    } else if size < 300_000 {
-        "small"
-    } else if size < 6_000_000 {
-        "middle"
     } else {
-        "large"
+        bucket_of(size)
     }
 }
 
 fn mean_fct(outs: &[Out], b: &str, s: &str) -> Option<f64> {
-    let v: Vec<f64> = outs
+    let in_cell = outs
         .iter()
-        .filter(|o| band(o.prio) == b && size_class(o.size) == s)
-        .filter_map(|o| o.fct_us)
-        .collect();
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.iter().sum::<f64>() / v.len() as f64)
-    }
+        .filter(|o| band(o.prio) == b && size_class(o.size) == s);
+    in_cell.filter_map(|o| o.fct_us).collect::<Summary>().mean()
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
     let schemes = [
         Scheme::PrioPlusSwift,
         Scheme::PhysicalStarNoCc,
@@ -141,15 +118,15 @@ fn main() {
     // four out together (`--jobs N`), results in input order.
     let mut cases = vec![Scheme::PhysicalStarSwift];
     cases.extend(schemes);
-    let mut all = experiments::sweep::run_ordered(
-        &cases,
-        experiments::sweep::default_jobs(),
-        &|&scheme| run(scheme, scale),
-    );
+    let mut all = crate::sweep::run_ordered(&cases, jobs, &|&scheme| run(scheme, scale));
     let reference = all.remove(0);
+    let mut tables = Vec::new();
     for (scheme, outs) in schemes.into_iter().zip(all) {
-        eprintln!("ran {}...", scheme.label());
         let mut t = Table::new(
+            format!(
+                "fig14_{}",
+                scheme.label().replace(['*', '+', ' ', '/'], "_")
+            ),
             format!(
                 "Figure 14 ({}): mean FCT normalized by Physical*+Swift",
                 scheme.label()
@@ -167,18 +144,16 @@ fn main() {
             }
             t.row(cells);
         }
-        t.emit(&format!(
-            "fig14_{}",
-            scheme.label().replace(['*', '+', ' ', '/'], "_")
-        ));
+        tables.push(t);
     }
     // §6.3 check: absolute FCT of sub-RTT flows at the highest priority.
     let hi_subrtt = mean_fct(&reference, "high", "sub-RTT");
-    println!(
+    tables.last_mut().expect("three schemes ran").note(format!(
         "Physical*+Swift high-priority sub-RTT mean FCT: {} us.\n\
          Expected (paper): PrioPlus sub-RTT high-priority FCT ~20.9 us even though\n\
          D_target is 60 us — thresholds don't set experienced delay; PrioPlus within\n\
          ~21% of Physical* across cells; w/o-CC wrecks small flows at low bands.",
         opt3(hi_subrtt)
-    );
+    ));
+    tables
 }

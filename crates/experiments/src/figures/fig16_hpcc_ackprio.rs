@@ -4,13 +4,11 @@
 //! Expected: PrioPlus* within ~10 % of PrioPlus; both beat HPCC (≥15 % on
 //! average FCT); HPCC protects small flows at the cost of medium/large.
 
-use experiments::flowsched::{bucket_of, run_many, FlowSchedConfig};
-use experiments::report::opt3;
-use experiments::{Scale, Scheme, Table};
-use simcore::Time;
+use crate::flowsched::{run_many, FlowSchedConfig};
+use crate::report::opt3;
+use crate::{Scale, Scheme, Table};
 
-fn main() {
-    let scale = Scale::from_args();
+pub(crate) fn fig16(scale: Scale, jobs: usize) -> Vec<Table> {
     let classes = 8u8;
     let schemes = [
         Scheme::PrioPlusSwift,
@@ -18,34 +16,29 @@ fn main() {
         Scheme::PhysicalStarHpcc,
     ];
     let mut t = Table::new(
+        "fig16",
         "Figure 16: avg FCT (us) — PrioPlus vs PrioPlus* (in-band ACKs) vs HPCC",
         &["scheme", "total", "small", "middle", "large", "p99 total"],
     );
     let cfgs: Vec<FlowSchedConfig> = schemes
         .iter()
         .map(|&scheme| {
-            let mut cfg = FlowSchedConfig::new(scheme, classes);
-            cfg.k = scale.pick(4, 6);
-            cfg.duration = scale.pick(Time::from_ms(3), Time::from_ms(20));
+            let mut cfg = FlowSchedConfig::at(scheme, classes, scale);
             cfg.seed = 16;
             cfg
         })
         .collect();
-    let results = run_many(&cfgs, experiments::sweep::default_jobs());
+    let results = run_many(&cfgs, jobs);
     for (scheme, r) in schemes.into_iter().zip(results) {
-        t.row(vec![
-            scheme.label().into(),
-            opt3(r.mean_fct_us(|_| true)),
-            opt3(r.mean_fct_us(|f| bucket_of(f.size) == "small")),
-            opt3(r.mean_fct_us(|f| bucket_of(f.size) == "middle")),
-            opt3(r.mean_fct_us(|f| bucket_of(f.size) == "large")),
-            opt3(r.p99_fct_us(|_| true)),
-        ]);
+        let mut cells = vec![scheme.label().to_string()];
+        cells.extend(r.mean_fct_us_by_bucket().map(opt3));
+        cells.push(opt3(r.p99_fct_us(|_| true)));
+        t.row(cells);
     }
-    t.emit("fig16");
-    println!(
+    t.note(
         "Expected (paper): PrioPlus* <10% worse than PrioPlus; HPCC >=15% worse on\n\
          average and >=11% on p99, with medium/large flows paying for its small-flow\n\
-         protection."
+         protection.",
     );
+    vec![t]
 }

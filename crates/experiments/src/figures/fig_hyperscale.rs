@@ -9,27 +9,20 @@
 //!
 //! Also reports the memory-scaling counters: peak live flows vs total flow
 //! lifetimes, and the peak resident budget (flow slab + packet arena).
-//!
-//! Usage: `fig_hyperscale [--full]`
 
-use experiments::hyperscale::{run_many, HyperScheme, HyperTopo, HyperscaleConfig};
-use experiments::report::f3;
-use experiments::{Scale, Table};
+use crate::hyperscale::{run_many, HyperScheme, HyperTopo, HyperscaleConfig};
+use crate::report::f3;
+use crate::{Scale, Table};
 use netsim::ThreeTierWanSpec;
 use simcore::Time;
 
-fn main() {
-    let scale = Scale::from_args();
-    let jobs = experiments::sweep::default_jobs();
+pub(crate) fn fig_hyperscale(scale: Scale, jobs: usize) -> Vec<Table> {
     let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
     for scheme in [HyperScheme::PrioPlus, HyperScheme::Dctcp] {
-        let base = match scale {
+        cfgs.push(match scale {
             Scale::Quick => HyperscaleConfig::quick(scheme),
             Scale::Full => HyperscaleConfig::full(scheme),
-        };
-        labels.push(base.topo.name());
-        cfgs.push(base);
+        });
         if scale == Scale::Full {
             // Second fabric: a small multi-DC 3-tier+WAN slice (2 DCs,
             // 1024 hosts) exercising the compressed routing mode and the
@@ -44,17 +37,16 @@ fn main() {
                 wan_routers: 4,
                 ..Default::default()
             };
-            let cfg = HyperscaleConfig {
+            cfgs.push(HyperscaleConfig {
                 topo: HyperTopo::ThreeTierWan(spec),
                 duration: Time::from_ms(5),
                 ..HyperscaleConfig::full(scheme)
-            };
-            labels.push(cfg.topo.name());
-            cfgs.push(cfg);
+            });
         }
     }
     let results = run_many(&cfgs, jobs);
     let mut t = Table::new(
+        "fig_hyperscale",
         "Hyperscale: PrioPlus vs DCTCP, single physical queue, open-loop WebSearch + incast",
         &[
             "cc",
@@ -69,10 +61,10 @@ fn main() {
             "peak MB",
         ],
     );
-    for ((cfg, label), r) in cfgs.iter().zip(&labels).zip(&results) {
+    for (cfg, r) in cfgs.iter().zip(&results) {
         t.row(vec![
             cfg.scheme.name().to_string(),
-            label.clone(),
+            cfg.topo.name(),
             r.flows_total.to_string(),
             format!("{:.0}%", r.finished as f64 / r.flows_total.max(1) as f64 * 100.0),
             f3(r.fct_us.p50),
@@ -83,5 +75,5 @@ fn main() {
             f3(r.mem_budget_bytes as f64 / 1e6),
         ]);
     }
-    t.emit("fig_hyperscale");
+    vec![t]
 }

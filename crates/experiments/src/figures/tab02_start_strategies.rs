@@ -4,16 +4,17 @@
 //! verification that the linear ramp minimizes worst-case backlog among a
 //! family of alternative ramps (the variational-method theorem).
 
-use experiments::report::f3;
-use experiments::Table;
+use crate::report::f3;
+use crate::{Scale, Table};
 use prioplus::linear_start::{
     bytes_delayed_bdp, max_extra_buffer_bdp, table2_closed_form, ExponentialStart, LineRateStart,
     LinearStart, StartStrategy,
 };
 
-fn main() {
+pub(crate) fn tab02(_: Scale, _: usize) -> Vec<Table> {
     let n = 8;
     let mut t = Table::new(
+        "tab02",
         format!("Table 2: start strategies (ramp of n = {n} RTTs; units of BDP)"),
         &[
             "strategy",
@@ -38,10 +39,9 @@ fn main() {
             f3(b_cf),
         ]);
     }
-    t.emit("tab02");
-    println!(
+    t.note(
         "Paper: line-rate = (0, 1 BDP); exponential = (n-3/2, 0.5 BDP);\n\
-         linear = (n/2, 1/(2n) BDP)  [Theorem 4.1: linear is backlog-optimal]"
+         linear = (n/2, 1/(2n) BDP)  [Theorem 4.1: linear is backlog-optimal]",
     );
 
     // Theorem 4.1 spot check: linear beats power-law ramps of equal length.
@@ -61,6 +61,7 @@ fn main() {
         }
     }
     let mut v = Table::new(
+        "tab02_theorem",
         "Theorem 4.1 verification: worst-case backlog by ramp shape (n = 8)",
         &["ramp", "max extra buffer (BDP)"],
     );
@@ -78,5 +79,5 @@ fn main() {
         "exponential".into(),
         f3(max_extra_buffer_bdp(&ExponentialStart { n })),
     ]);
-    v.emit("tab02_theorem");
+    vec![t, v]
 }

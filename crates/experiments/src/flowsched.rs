@@ -8,7 +8,7 @@ use simcore::{Rate, Time};
 use transport::CcSpec;
 use workloads::{PoissonArrivals, SizeClassifier, SizeDist};
 
-use crate::Scheme;
+use crate::{Scale, Scheme};
 
 /// Flow-scheduling scenario parameters.
 #[derive(Clone, Debug)]
@@ -56,6 +56,21 @@ impl FlowSchedConfig {
             sched: SchedKind::from_env(),
         }
     }
+
+    /// [`FlowSchedConfig::new`] on the [`fabric_at`] `scale`.
+    pub fn at(scheme: Scheme, classes: u8, scale: Scale) -> Self {
+        let (k, duration) = fabric_at(scale);
+        FlowSchedConfig {
+            k,
+            duration,
+            ..FlowSchedConfig::new(scheme, classes)
+        }
+    }
+}
+
+/// Fat-tree arity and arrival window the Fig 11/14/16 runs use at `scale`.
+pub fn fabric_at(scale: Scale) -> (usize, Time) {
+    scale.pick((4, Time::from_ms(3)), (6, Time::from_ms(20)))
 }
 
 /// Outcome of one flow in the scenario.
@@ -116,9 +131,15 @@ impl FlowSchedResult {
         self.summary(pred, |f| f.fct_us).p99()
     }
 
-    /// p99 slowdown over finished flows matching `pred`.
-    pub fn p99_slowdown(&self, pred: impl Fn(&FlowOut) -> bool) -> Option<f64> {
-        self.summary(pred, |f| f.slowdown).p99()
+    /// Mean raw FCT (µs) of all flows and of each [`bucket_of`] size bucket:
+    /// `[total, small, middle, large]`.
+    pub fn mean_fct_us_by_bucket(&self) -> [Option<f64>; 4] {
+        [
+            self.mean_fct_us(|_| true),
+            self.mean_fct_us(|f| bucket_of(f.size) == "small"),
+            self.mean_fct_us(|f| bucket_of(f.size) == "middle"),
+            self.mean_fct_us(|f| bucket_of(f.size) == "large"),
+        ]
     }
 }
 
@@ -245,4 +266,18 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
 /// in input order, identical to calling [`run`] on each config serially.
 pub fn run_many(cfgs: &[FlowSchedConfig], jobs: usize) -> Vec<FlowSchedResult> {
     crate::sweep::run_ordered(cfgs, jobs, &run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn full_scale_is_k6_for_20ms() {
+        assert_eq!(fabric_at(Scale::Full), (6, Time::from_ms(20)));
+        let full = FlowSchedConfig::at(Scheme::PrioPlusSwift, 8, Scale::Full);
+        assert_eq!((full.k, full.duration), fabric_at(Scale::Full));
+        let quick = FlowSchedConfig::at(Scheme::PrioPlusSwift, 8, Scale::Quick);
+        assert_eq!((quick.k, quick.duration), (4, Time::from_ms(3)));
+    }
 }

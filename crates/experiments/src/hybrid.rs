@@ -267,20 +267,6 @@ impl HybridOutcome {
         &self.result.records[..self.fg_flows]
     }
 
-    /// Mean foreground FCT in µs over flows finished in this run.
-    pub fn fg_mean_fct_us(&self) -> f64 {
-        let fcts: Vec<f64> = self
-            .fg_records()
-            .iter()
-            .filter_map(|r| r.fct())
-            .map(|t| t.as_us_f64())
-            .collect();
-        if fcts.is_empty() {
-            return f64::NAN;
-        }
-        fcts.iter().sum::<f64>() / fcts.len() as f64
-    }
-
     /// Events processed.
     pub fn events(&self) -> u64 {
         self.result.counters.events

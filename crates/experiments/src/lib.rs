@@ -1,7 +1,8 @@
 //! Experiment harness for the PrioPlus reproduction.
 //!
-//! One binary per paper figure/table lives in `src/bin/`; this library
-//! provides the shared scenario runners:
+//! Every paper figure/table is a value in [`registry::FIGURES`], run by the
+//! one binary `repro` (`repro list | run <name>… | all`); the figure bodies
+//! live in `src/figures/` on top of the shared scenario runners:
 //!
 //! - [`micro`]: single-bottleneck micro-benchmarks (§3 motivation, §5
 //!   testbed, §6.1);
@@ -17,12 +18,12 @@
 //! - [`hyperscale`]: the hyperscale scenario — large fat-tree / 3-tier+WAN
 //!   fabrics, open-loop streamed arrivals, slab-reclaimed flow state, and
 //!   streaming quantile sketches instead of per-flow records;
-//! - [`report`]: plain-text table + JSON emission so EXPERIMENTS.md entries
-//!   can be regenerated and diffed;
-//! - [`sweep`]: the parallel sweep runner (`--jobs N` / `PRIOPLUS_JOBS`)
-//!   that fans independent runs across threads with input-order results.
+//! - [`report`]: the [`Table`] a figure returns — aligned plain text plus
+//!   JSON rows, so EXPERIMENTS.md entries can be regenerated and diffed;
+//! - [`sweep`]: the parallel sweep runner that fans independent runs across
+//!   `jobs` threads with input-order results.
 //!
-//! Every runner accepts a [`Scale`] so the default invocation finishes in
+//! Every figure takes a [`Scale`] so the default invocation finishes in
 //! seconds while `--full` reproduces the paper-scale parameters.
 
 #![forbid(unsafe_code)]
@@ -31,12 +32,14 @@
 
 pub mod coflowsched;
 pub mod faults;
+mod figures;
 pub mod flowsched;
 pub mod golden;
 pub mod hybrid;
 pub mod hyperscale;
 pub mod micro;
 pub mod mltrain;
+pub mod registry;
 pub mod report;
 pub mod sweep;
 
@@ -56,16 +59,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from argv: any argument equal to `--full` selects
-    /// [`Scale::Full`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Pick a value by scale.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {

@@ -5,8 +5,15 @@
 //! give the paper's ≈ 12 µs data-packet RTT.
 
 use netsim::monitor::MonitorKind;
-use netsim::{FaultSchedule, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{
+    FaultSchedule, FlowParams, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult,
+    SwitchConfig, Topology, Transport,
+};
+use prioplus::PrioPlusConfig;
 use simcore::{Rate, Time};
+use transport::pp_transport::PrioPlusTransport;
+use transport::sender::SenderBase;
+use transport::swift::{SwiftCc, SwiftConfig};
 use transport::CcSpec;
 
 /// Micro-benchmark environment configuration.
@@ -104,6 +111,22 @@ impl Micro {
         virt_prio: u8,
         cc: &CcSpec,
     ) -> u32 {
+        self.add_flow_with(sender, size, start, phys_prio, virt_prio, |p| {
+            cc.make(p, start)
+        })
+    }
+
+    /// [`Micro::add_flow`] with a hand-built transport instead of a
+    /// [`CcSpec`].
+    pub fn add_flow_with(
+        &mut self,
+        sender: usize,
+        size: u64,
+        start: Time,
+        phys_prio: u8,
+        virt_prio: u8,
+        make: impl FnOnce(&FlowParams) -> Box<dyn Transport>,
+    ) -> u32 {
         assert!(sender >= 1, "sender hosts start at 1 (0 is the receiver)");
         let spec = FlowSpec {
             src: sender as u32,
@@ -114,7 +137,7 @@ impl Micro {
             virt_prio,
             tag: virt_prio as u64,
         };
-        self.sim.add_flow(spec, |p| cc.make(p, start))
+        self.sim.add_flow(spec, make)
     }
 
     /// Monitor the bottleneck queue length.
@@ -152,6 +175,78 @@ pub fn testbed_env() -> MicroEnv {
         noise: NoiseModel::testbed(),
         ..Default::default()
     }
+}
+
+/// Total goodput (Gbps) of `flows` over `[from_us, to_us)`, from their
+/// throughput traces (the run must have `trace` on).
+pub fn goodput_gbps(res: &SimResult, flows: &[u32], from_us: f64, to_us: f64) -> f64 {
+    flows
+        .iter()
+        .map(|f| {
+            res.traces[f]
+                .throughput
+                .as_ref()
+                .expect("flow traces are enabled")
+                .series_gbps()
+                .window_mean(from_us, to_us)
+                .unwrap_or(0.0)
+        })
+        .sum()
+}
+
+/// The flow ids among `(priority, flow id)` pairs that are at `prio`.
+pub fn ids_at(flows: &[(u8, u32)], prio: u8) -> Vec<u32> {
+    let at_prio = flows.iter().filter(|(p, _)| *p == prio);
+    at_prio.map(|&(_, id)| id).collect()
+}
+
+/// The Fig 8 flow set: virtual priorities 3–6, two flows each (senders 1..4
+/// map to levels), started 4 ms apart lowest first and sized so that they
+/// also finish 4 ms apart, highest first. `physical` gives every priority
+/// its own queue; otherwise all share queue 0. Returns `(priority, flow id)`.
+pub fn add_fig8_flows(
+    m: &mut Micro,
+    physical: bool,
+    cc_of: impl Fn(u8) -> CcSpec,
+) -> Vec<(u8, u32)> {
+    let mut flows = Vec::new();
+    for (i, prio) in [3u8, 4, 5, 6].into_iter().enumerate() {
+        let start = Time::from_ms(4 * i as u64);
+        // Each level transmits ~4 ms at full rate while it is the top one.
+        let size_each = match prio {
+            6 => 2_400_000u64, // top: ~4ms at 5 Gbps per flow
+            5 => 4_400_000,
+            4 => 6_400_000,
+            _ => 8_400_000,
+        };
+        for f in 0..2 {
+            let sender = 1 + ((i * 2 + f) % 4);
+            let phys_prio = if physical { prio } else { 0 };
+            let id = m.add_flow(sender, size_each, start, phys_prio, prio, &cc_of(prio));
+            flows.push((prio, id));
+        }
+    }
+    flows
+}
+
+/// A PrioPlus+Swift sender from an explicit [`PrioPlusConfig`], for the
+/// ablations [`CcSpec`] has no switch for (per-RTT increase, inflated
+/// steps). Swift targets the channel's `D_target` and starts from `W_LS`;
+/// `w_ai` overrides its additive-increase step.
+pub fn prioplus_swift(
+    params: &FlowParams,
+    pp_cfg: PrioPlusConfig,
+    w_ai: Option<f64>,
+) -> Box<dyn Transport> {
+    let queuing = pp_cfg.d_target - params.base_rtt;
+    let mut scfg = SwiftConfig::datacenter(params.base_rtt, queuing, params.mtu);
+    scfg.init_cwnd = pp_cfg.w_ls;
+    scfg.ai = w_ai.unwrap_or(scfg.ai);
+    Box::new(PrioPlusTransport::new(
+        SenderBase::new(params.clone()),
+        pp_cfg,
+        SwiftCc::new(scfg),
+    ))
 }
 
 #[cfg(test)]

@@ -1,29 +1,41 @@
 //! Result tables: aligned plain text for the terminal plus JSON rows for
-//! machine diffing (written next to the binary's stdout when
-//! `REPRO_JSON_DIR` is set).
+//! machine diffing. A [`Table`] is a value — the `repro` binary is what
+//! prints it and, when `REPRO_JSON_DIR` is set, writes `<slug>.json`.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple result table.
 #[derive(Clone, Debug)]
 pub struct Table {
+    /// Stem of the table's JSON file.
+    pub slug: String,
     /// Title printed above the table (figure/table reference).
     pub title: String,
     /// Column headers.
     pub columns: Vec<String>,
     /// Rows of stringified cells.
     pub rows: Vec<Vec<String>>,
+    /// Commentary printed after the table (measured one-liners, the shape
+    /// the paper expects); every line ends in `\n`. Not part of the JSON.
+    pub notes: String,
 }
 
 impl Table {
     /// New empty table.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub fn new(slug: impl Into<String>, title: impl Into<String>, columns: &[&str]) -> Self {
         Table {
+            slug: slug.into(),
             title: title.into(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: String::new(),
         }
+    }
+
+    /// Append one line (or a `\n`-joined block) of commentary.
+    pub fn note(&mut self, text: impl AsRef<str>) {
+        self.notes.push_str(text.as_ref());
+        self.notes.push('\n');
     }
 
     /// Append a row (must match the column count).
@@ -67,18 +79,6 @@ impl Table {
             let _ = writeln!(out, "{}", cells.join("  "));
         }
         out
-    }
-
-    /// Print to stdout and, when `REPRO_JSON_DIR` is set, also write
-    /// `<dir>/<slug>.json` with the structured rows.
-    pub fn emit(&self, slug: &str) {
-        println!("{}", self.render());
-        if let Ok(dir) = std::env::var("REPRO_JSON_DIR") {
-            let path = Path::new(&dir).join(format!("{slug}.json"));
-            if let Err(e) = std::fs::write(&path, self.to_json()) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            }
-        }
     }
 
     /// Structured JSON form (`{"title", "columns", "rows"}`), pretty-printed
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new("Demo", &["a", "bbbb"]);
+        let mut t = Table::new("demo", "Demo", &["a", "bbbb"]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["100".into(), "20000".into()]);
         let r = t.render();
@@ -156,15 +156,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_checked() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", "x", &["a", "b"]);
         t.row(vec!["1".into()]);
     }
 
     #[test]
     fn json_escapes_and_shape() {
-        let mut t = Table::new("Quote \"q\"\n", &["a"]);
+        let mut t = Table::new("q", "Quote \"q\"\n", &["a"]);
         t.row(vec!["x\\y".into()]);
+        t.note("printed, not serialized");
         let j = t.to_json();
+        assert!(!j.contains("serialized"));
         assert!(j.contains("\"title\": \"Quote \\\"q\\\"\\n\""));
         assert!(j.contains("[\"x\\\\y\"]"));
         assert!(j.starts_with("{\n"));

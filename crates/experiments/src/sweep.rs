@@ -1,4 +1,4 @@
-//! Parallel sweep runner for experiment binaries.
+//! Parallel sweep runner for the figure registry.
 //!
 //! Every paper figure is a sweep of *independent* `(scheme × load × seed)`
 //! simulations: each run is a pure function of its config, so the runs can
@@ -6,66 +6,11 @@
 //! does exactly that — it executes a list of configs on
 //! `std::thread::scope` workers and returns the results **in input
 //! order**, which keeps every output table byte-identical to a serial run.
-//!
-//! Worker count resolution, highest priority first:
-//!
-//! 1. `--jobs N` (or `--jobs=N`) on the command line;
-//! 2. the `PRIOPLUS_JOBS` environment variable;
-//! 3. [`std::thread::available_parallelism`].
+//! The worker count is the `jobs` argument every figure is handed; the
+//! `repro` binary resolves it from `--jobs` / `PRIOPLUS_JOBS`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Default worker count: `--jobs` / `PRIOPLUS_JOBS` / available cores.
-pub fn default_jobs() -> usize {
-    jobs_from(std::env::args().skip(1), std::env::var("PRIOPLUS_JOBS").ok())
-}
-
-/// Resolution logic behind [`default_jobs`], testable without touching the
-/// process environment.
-fn jobs_from(args: impl Iterator<Item = String>, env: Option<String>) -> usize {
-    if let Some(n) = parse_jobs_flag(args) {
-        return n.max(1);
-    }
-    if let Some(n) = env.and_then(|v| v.trim().parse::<usize>().ok()) {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Extract `--jobs N` / `--jobs=N` from an argument list.
-fn parse_jobs_flag(mut args: impl Iterator<Item = String>) -> Option<usize> {
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next()?.parse().ok();
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-/// Positional (non-flag) command-line arguments, with `--jobs` and its value
-/// stripped. Figure binaries use this for subcommand parsing so `fig10
-/// sub_d --jobs 4` and `fig10 --jobs 4 sub_d` both work.
-pub fn positional_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            let _ = args.next();
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        out.push(a);
-    }
-    out
-}
 
 /// Fan `configs` out over `jobs` scoped worker threads; results come back in
 /// input order. `jobs <= 1` (or a single config) runs inline on the calling
@@ -246,19 +191,5 @@ mod tests {
             });
             assert_eq!(out, configs.iter().map(|c| c + 1).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs_flag(args(&["--jobs", "5"]).into_iter()), Some(5));
-        assert_eq!(parse_jobs_flag(args(&["--jobs=3"]).into_iter()), Some(3));
-        assert_eq!(
-            parse_jobs_flag(args(&["sub_d", "--full", "--jobs", "2"]).into_iter()),
-            Some(2)
-        );
-        assert_eq!(parse_jobs_flag(args(&["--full"]).into_iter()), None);
-        assert_eq!(jobs_from(args(&["--jobs", "0"]).into_iter(), None), 1);
-        assert_eq!(jobs_from(args(&[]).into_iter(), Some("6".into())), 6);
     }
 }

@@ -412,11 +412,6 @@ impl FluidState {
         self.lookup.get(&(node, port)).map(|&i| i as usize)
     }
 
-    /// Is `(node, port)` carrying fluid background load?
-    pub fn loads_port(&self, node: NodeId, port: u16) -> bool {
-        self.lookup.contains_key(&(node, port))
-    }
-
     /// Current fluid service rate at a port, bits/s (0 if not loaded).
     pub fn service_bps(&self, node: NodeId, port: u16) -> u64 {
         match self.port_index(node, port) {

@@ -224,11 +224,6 @@ impl Sim {
         &self.state.flows[flow as usize].record
     }
 
-    /// Number of flows registered so far.
-    pub fn num_flows(&self) -> usize {
-        self.state.flows.len()
-    }
-
     /// The simulator's configuration.
     pub fn config(&self) -> &SimConfig {
         &self.env.cfg

@@ -135,14 +135,6 @@ impl SimRng {
     pub fn next_u32(&mut self) -> u32 {
         (self.next() >> 32) as u32
     }
-
-    /// Fill a byte slice from the stream (little-endian word order).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]

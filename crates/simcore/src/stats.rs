@@ -84,11 +84,6 @@ impl Summary {
         self.percentile(99.0)
     }
 
-    /// Consume and return the raw samples.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples
-    }
-
     /// Borrow the raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples

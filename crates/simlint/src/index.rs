@@ -171,11 +171,6 @@ impl Workspace {
         }
     }
 
-    /// Number of `.rs` sources added.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Run every pass; see [`crate::Report`].
     pub fn lint(&self) -> crate::Report {
         crate::lint_workspace_data(&self.sources, &self.manifests)

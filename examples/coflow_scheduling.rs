@@ -5,38 +5,33 @@
 //!
 //! Run with: `cargo run --release --example coflow_scheduling`
 
-use experiments::coflowsched::{self, mean_speedup, CoflowConfig};
+use experiments::coflowsched::{speedup_cell, vs_baseline, CoflowConfig, BANDS};
 use experiments::Scheme;
 use simcore::Time;
 
 fn main() {
-    let mut base_cfg = CoflowConfig::new(Scheme::BaselineSwift, 0.5);
-    base_cfg.duration = Time::from_ms(4);
-    let mut pp_cfg = CoflowConfig::new(Scheme::PrioPlusSwift, 0.5);
-    pp_cfg.duration = Time::from_ms(4);
-
-    println!("running baseline (Swift, no priorities)...");
-    let base = coflowsched::run(&base_cfg);
-    println!("running PrioPlus+Swift (8 virtual priorities, 1 queue)...");
-    let pp = coflowsched::run(&pp_cfg);
+    let template = CoflowConfig {
+        duration: Time::from_ms(4),
+        ..CoflowConfig::new(Scheme::BaselineSwift, 0.5)
+    };
+    println!("running Swift (no priorities) and PrioPlus+Swift (8 virtual priorities, 1 queue)...");
+    let cmp = &vs_baseline(&[template], &[Scheme::PrioPlusSwift], 2)[0];
+    let (_, pp) = &cmp.schemes[0];
 
     println!(
         "\ncoflows: {} | completion: baseline {:.0}%, prioplus {:.0}%",
-        base.coflows.len(),
-        base.completion * 100.0,
+        cmp.base.coflows.len(),
+        cmp.base.completion * 100.0,
         pp.completion * 100.0
     );
 
     println!("\nCCT speedup of PrioPlus vs baseline (ratio > 1 = faster):");
-    for (label, lo, hi) in [
-        ("high priorities (4-7, small coflows)", 4u8, 7u8),
-        ("low priorities  (0-3, large coflows)", 0, 3),
-        ("overall", 0, 7),
-    ] {
-        let s = mean_speedup(&pp, &base, |c| c.class >= lo && c.class <= hi);
-        println!(
-            "  {label}: {}",
-            s.map(|v| format!("{v:.2}x")).unwrap_or("n/a".into())
-        );
+    let labels = [
+        "high priorities (4-7, small coflows)",
+        "low priorities  (0-3, large coflows)",
+        "overall",
+    ];
+    for (label, band) in labels.into_iter().zip(BANDS) {
+        println!("  {label}: {}", speedup_cell(cmp.mean(pp, band)));
     }
 }
