@@ -6,7 +6,8 @@
 //! The summaries are pure integers — no floats — so the files are stable
 //! across platforms and rustc versions; any diff is a behavioral change of
 //! the simulator, not formatting noise. Regenerate intentionally with
-//! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces`.
+//! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces --
+//! --nocapture` (prints what it is about to change, by line kind).
 
 use crate::micro::{testbed_env, Micro, MicroEnv};
 use netsim::{NoiseModel, SchedKind, Sim, SimResult, SwitchConfig};

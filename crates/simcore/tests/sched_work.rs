@@ -63,10 +63,11 @@ fn uniform_population_is_constant_work() {
     finish("uniform", q);
 }
 
-/// What a lossy run looks like: a dense cluster of packet events ~10 ns
-/// apart, a per-flow RTO timer 1 ms out that every ACK cancels and re-arms
-/// (so the far population is mostly tombstones), and one `End` event at
-/// 10^4 times the span of everything else.
+/// What a timer cancelled per packet does to the queue (the RTO did, until
+/// it became a lazy deadline): a dense cluster of packet events ~10 ns
+/// apart, a per-flow timer 1 ms out that every ACK cancels and re-arms (so
+/// the far population is mostly tombstones), and one `End` event at 10^4
+/// times the span of everything else.
 #[test]
 fn bimodal_population_is_constant_work() {
     let mut q = calendar();

@@ -54,13 +54,14 @@ mod tests {
         // without a single ACK: only "everything sent" blocks it.
         let mut t = mk(10_000);
         assert!(t.cwnd_bytes() >= 1e12);
+        let mut q = EventQueue::<Event>::new();
+        t.on_start(&mut TransportCtx::for_test(&mut q, Time::ZERO, 0));
         for i in 0..10u64 {
             let d = t.try_send(Time::ZERO);
             assert!(
                 matches!(d, TrySend::Data { seq, bytes: 1000 } if seq == i * 1000),
                 "send {i}: {d:?}"
             );
-            let mut q = EventQueue::<Event>::new();
             let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
             t.on_sent(d, &mut ctx);
         }

@@ -1,6 +1,9 @@
 //! Shared sender-side mechanics: sequencing, window gating, sub-MTU pacing,
 //! selective (IRN-style) retransmission, and the retransmission timer with
-//! its whole lifecycle — arm, re-arm or cancel after an ACK, fire.
+//! its whole lifecycle: a *deadline* that every arm moves, and at most one
+//! scheduler entry that checks it — pushed when none is armed, left alone
+//! by an ACK, re-pushed at the deadline when it fires early, cancelled when
+//! the flow finishes.
 //!
 //! [`SenderBase`] is the data plane of both `Transport` implementations in
 //! this crate: [`crate::plain::CcTransport`], which adds nothing but a
@@ -46,8 +49,12 @@ pub struct SenderBase {
     /// backoff; a starved low-priority flow must not spray go-back-N
     /// retransmissions while it is simply being preempted).
     pub rto_backoff: u32,
-    /// The pending retransmission timer, if armed.
-    rto_timer: Option<ScheduledId>,
+    /// The one scheduler entry that will check the timeout, and the time it
+    /// sits at: never after `rto_deadline`, so a timeout can be checked
+    /// early but never late.
+    rto_timer: Option<(ScheduledId, Time)>,
+    /// When the timeout is due: one [`SenderBase::rto`] after the last arm.
+    rto_deadline: Time,
 }
 
 impl SenderBase {
@@ -68,6 +75,7 @@ impl SenderBase {
             pace_next: Time::ZERO,
             rto_backoff: 0,
             rto_timer: None,
+            rto_deadline: Time::ZERO,
         }
     }
 
@@ -192,32 +200,54 @@ impl SenderBase {
         self.rto_backoff = (self.rto_backoff + 1).min(8);
     }
 
-    /// (Re)start the retransmission timer one [`SenderBase::rto`] from now.
+    /// (Re)start the retransmission timeout: it is due one
+    /// [`SenderBase::rto`] from now. Only the deadline moves unless no entry
+    /// is armed, or the armed one now lies after the deadline (`rto()`
+    /// shrank: `srtt` fell or the backoff reset).
     pub fn arm_rto(&mut self, ctx: &mut TransportCtx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel_timer(id);
+        self.rto_deadline = ctx.now + self.rto();
+        match self.rto_timer {
+            Some((_, at)) if at <= self.rto_deadline => {}
+            armed => {
+                if let Some((id, _)) = armed {
+                    ctx.cancel_timer(id);
+                }
+                self.push_rto_entry(ctx);
+            }
         }
-        let at = ctx.now + self.rto();
-        self.rto_timer = Some(ctx.schedule_timer(at, RTO_TOKEN));
     }
 
-    /// After a data ACK: push the timer out while bytes remain, cancel it
-    /// once the flow is finished.
+    /// Push the one entry, at the deadline.
+    fn push_rto_entry(&mut self, ctx: &mut TransportCtx<'_>) {
+        let at = self.rto_deadline;
+        self.rto_timer = Some((ctx.schedule_timer(at, RTO_TOKEN), at));
+    }
+
+    /// After a data ACK: push the deadline out while bytes remain, cancel
+    /// the entry once the flow is finished.
     pub fn rearm_rto_after_ack(&mut self, ctx: &mut TransportCtx<'_>) {
         if !self.finished() {
             self.arm_rto(ctx);
-        } else if let Some(id) = self.rto_timer.take() {
+        } else if let Some((id, _)) = self.rto_timer.take() {
             ctx.cancel_timer(id);
         }
     }
 
-    /// The [`RTO_TOKEN`] timer fired. If a full RTO has passed since the
-    /// last ACK with packets outstanding, requeue them all and return
-    /// `true` so the caller can apply its window reaction; either way the
-    /// timer keeps running while bytes remain. `hold` (a suspended PrioPlus
-    /// flow, silent by design) keeps it running without declaring loss.
+    /// The [`RTO_TOKEN`] entry fired. Before the deadline (ACKs moved it
+    /// since the entry was pushed) this is an *early fire*: the entry goes
+    /// back in at the deadline and nothing else happens. At the deadline:
+    /// if a full RTO has passed since the last ACK with packets
+    /// outstanding, requeue them all and return `true` so the caller can
+    /// apply its window reaction; either way the timer keeps running while
+    /// bytes remain. `hold` (a suspended PrioPlus flow, silent by design)
+    /// keeps it running without declaring loss.
     pub fn on_rto_timer(&mut self, hold: bool, ctx: &mut TransportCtx<'_>) -> bool {
+        self.rto_timer = None;
         if self.finished() {
+            return false;
+        }
+        if ctx.now < self.rto_deadline {
+            self.push_rto_entry(ctx);
             return false;
         }
         let timed_out = !hold
@@ -266,6 +296,21 @@ impl SenderBase {
                 self.rtx_queue.len()
             ));
         }
+        match self.rto_timer {
+            Some((_, at)) if at > self.rto_deadline => {
+                return Err(format!(
+                    "rto entry at {at} lies after the deadline {}",
+                    self.rto_deadline
+                ));
+            }
+            None if !self.finished() && !self.outstanding.is_empty() => {
+                return Err(format!(
+                    "{} packets outstanding and no rto entry armed",
+                    self.outstanding.len()
+                ));
+            }
+            _ => {}
+        }
         Ok(())
     }
 }
@@ -274,6 +319,39 @@ impl SenderBase {
 mod tests {
     use super::*;
     use crate::fixtures::{ack, params};
+    use netsim::Event;
+    use simcore::EventQueue;
+
+    #[test]
+    fn audit_sees_an_rto_entry_after_its_deadline_or_missing() {
+        let mut b = SenderBase::new(params(1_000));
+        let mut q = EventQueue::<Event>::new();
+        let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
+        b.arm_rto(&mut ctx);
+        let d = b.try_send(1e9, Time::ZERO);
+        b.on_sent(d, 1e9, Time::ZERO);
+        b.check_invariants().unwrap();
+
+        // The deadline moved before the entry and nobody re-pushed: the
+        // timeout would be noticed late.
+        b.rto_deadline = b.rto_deadline.saturating_sub(Time::from_ps(1));
+        let err = b.check_invariants().unwrap_err();
+        assert!(err.contains("lies after the deadline"), "{err}");
+
+        // The entry fired and nobody put it back: the packet in flight has
+        // no timeout at all.
+        b.rto_timer = None;
+        let err = b.check_invariants().unwrap_err();
+        assert!(
+            err.contains("1 packets outstanding and no rto entry armed"),
+            "{err}"
+        );
+
+        // A finished flow has cancelled its entry and needs none.
+        b.on_ack(&ack(0, 1_000, 12), Time::from_us(12));
+        assert!(b.finished());
+        b.check_invariants().unwrap();
+    }
 
     #[test]
     fn window_gates_inflight() {

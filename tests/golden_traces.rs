@@ -4,8 +4,11 @@
 //! observational) with zero violations.
 //!
 //! On an intentional behavior change, regenerate the files with
-//! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces` and
-//! review the diff like any other code change.
+//! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces --
+//! --nocapture` and review the diff like any other code change: the run
+//! prints, per file, how many `flow`, `counters` and `digest` lines it is
+//! about to change (the report a mismatch fails with), so a re-bless that
+//! moves no flow can be seen to be one.
 
 use experiments::golden::{cases, summarize_case, GoldenOpts};
 use experiments::SchedKind;
@@ -20,6 +23,66 @@ fn blessing() -> bool {
     std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1")
 }
 
+/// What differs between a pinned summary and a fresh one: lines paired by
+/// position and grouped by their first word (`flow`, `counters`, `digest`;
+/// a `== label ==` header or a missing line is `other`), each under the
+/// section it belongs to, below a one-line tally that names the counter
+/// fields that moved. `None` when the two are equal.
+fn drift_report(name: &str, want: &str, got: &str) -> Option<String> {
+    const KINDS: [&str; 4] = ["flow", "counters", "digest", "other"];
+    if want == got {
+        return None;
+    }
+    fn first_word(line: &str) -> &str {
+        line.split(' ').next().unwrap_or("")
+    }
+    let mut groups: [Vec<String>; 4] = Default::default();
+    let mut fields = std::collections::BTreeSet::new();
+    let mut section = "";
+    let (mut want, mut got) = (want.lines(), got.lines());
+    loop {
+        let (w, g) = match (want.next(), got.next()) {
+            (None, None) => break,
+            (w, g) => (w.unwrap_or("<no line>"), g.unwrap_or("<no line>")),
+        };
+        if let Some(label) = g.strip_prefix("== ") {
+            section = label.trim_end_matches(" ==");
+        }
+        if w == g {
+            continue;
+        }
+        let kind = KINDS
+            .iter()
+            .position(|k| first_word(w) == *k && first_word(g) == *k)
+            .unwrap_or(3);
+        if KINDS[kind] == "counters" {
+            let moved = w.split(' ').zip(g.split(' ')).filter(|(a, b)| a != b);
+            fields.extend(moved.map(|(_, b)| b.split('=').next().unwrap_or(b)));
+        }
+        let tag = if section.is_empty() {
+            String::new()
+        } else {
+            format!("[{section}] ")
+        };
+        groups[kind].push(format!("  {tag}- {w}\n  {tag}+ {g}"));
+    }
+    let fields: Vec<&str> = fields.into_iter().collect();
+    let mut out = format!(
+        "== {name}: {} flow, {} counters (fields: {}), {} digest, {} other lines changed ==",
+        groups[0].len(),
+        groups[1].len(),
+        fields.join(" "),
+        groups[2].len(),
+        groups[3].len(),
+    );
+    for (kind, lines) in KINDS.iter().zip(&groups) {
+        if !lines.is_empty() {
+            out.push_str(&format!("\n {kind}:\n{}", lines.join("\n")));
+        }
+    }
+    Some(out)
+}
+
 #[test]
 fn golden_traces_match_the_pinned_summaries() {
     let dir = golden_dir();
@@ -27,24 +90,24 @@ fn golden_traces_match_the_pinned_summaries() {
     for case in cases() {
         let got = summarize_case(&(case.run)(GoldenOpts::default()));
         let path = dir.join(format!("{}.txt", case.name));
+        let pinned = std::fs::read_to_string(&path);
         if blessing() {
+            let drift = drift_report(case.name, pinned.as_deref().unwrap_or(""), &got);
+            println!(
+                "{}",
+                drift.unwrap_or_else(|| format!("== {}: unchanged ==", case.name))
+            );
             std::fs::create_dir_all(&dir).expect("create tests/golden");
             std::fs::write(&path, &got).expect("write golden file");
             continue;
         }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        let want = pinned.unwrap_or_else(|e| {
             panic!(
                 "missing golden file {} ({e}); run with GOLDEN_BLESS=1 to create it",
                 path.display()
             )
         });
-        if got != want {
-            mismatches.push(format!(
-                "== {} drifted from {} ==\n-- pinned --\n{want}\n-- got --\n{got}",
-                case.name,
-                path.display()
-            ));
-        }
+        mismatches.extend(drift_report(case.name, &want, &got));
     }
     assert!(
         mismatches.is_empty(),
@@ -52,6 +115,47 @@ fn golden_traces_match_the_pinned_summaries() {
          (GOLDEN_BLESS=1 regenerates after review):\n{}",
         mismatches.join("\n")
     );
+}
+
+/// The drift report groups by line kind, names the section and the moved
+/// counter fields, and leaves equal lines out.
+#[test]
+fn drift_report_groups_the_lines_that_differ() {
+    let pinned = "== a ==\ndigest fnv1a64=01\nflow 0 finish_ps=5 rtx=0\ncounters events=10 drops=2\n\
+                  == b ==\ndigest fnv1a64=02\nflow 0 finish_ps=7 rtx=1\ncounters events=20 drops=0\n";
+    assert_eq!(drift_report("same", pinned, pinned), None);
+    let benign = pinned
+        .replace("fnv1a64=02", "fnv1a64=03")
+        .replace("events=20", "events=21");
+    let report = drift_report("case", pinned, &benign).expect("two lines differ");
+    assert!(
+        report.starts_with(
+            "== case: 0 flow, 1 counters (fields: events), 1 digest, 0 other lines changed =="
+        ),
+        "{report}"
+    );
+    assert!(
+        report.contains("[b] + counters events=21 drops=0"),
+        "{report}"
+    );
+    assert!(
+        !report.contains("[a]"),
+        "equal lines are left out: {report}"
+    );
+    let moved = pinned
+        .replace("finish_ps=5", "finish_ps=6")
+        .replace("drops=2", "drops=3");
+    let report = drift_report("case", pinned, &moved).expect("two lines differ");
+    assert!(
+        report.contains("1 flow, 1 counters (fields: drops), 0 digest"),
+        "{report}"
+    );
+    assert!(
+        report.contains("[a] - flow 0 finish_ps=5 rtx=0"),
+        "{report}"
+    );
+    let shorter = drift_report("case", pinned, "== a ==\n").expect("lines are missing");
+    assert!(shorter.contains("7 other lines changed"), "{shorter}");
 }
 
 #[test]
@@ -114,6 +218,47 @@ fn golden_traces_are_bit_identical_across_scheduler_backends() {
                 "{}: scheduler backend {} changed the simulation",
                 case.name,
                 kind.name()
+            );
+        }
+    }
+}
+
+/// The event queue holds no garbage: on the lossy cases, the most entries
+/// it ever stored is bounded by what can be *live* at once —
+///
+/// `sched_pending_peak ≤ arena_peak_live + ports + k · flow_live_peak + c`
+///
+/// — a live packet has at most one `Arrive` pending and a port one
+/// `PortFree`; `k` is the entries a flow can own: 1 for a plain sender (its
+/// `FlowStart`, then the one RTO entry), 3 under PrioPlus (RTO entry, probe
+/// timer, probe-RTO timer); `c` is a `HostPoke` per host plus `End`. The
+/// right-hand side adds peaks reached at different instants (most of
+/// `arena_peak_live` sits in the switch buffer with no entry at all), so it
+/// is 109–140 above the measured peaks (367–434), and that margin is where
+/// the few tombstones live: an RTO entry re-pushed because `rto()` shrank,
+/// a cancelled probe timer. A timer re-armed on every ACK leaves one
+/// tombstone per ACK an RTO deep instead and breaks it 4–5× over (2,265
+/// against 535 on `lossy_dt_incast` at the commit before the lazy deadline).
+#[test]
+fn the_queue_holds_no_garbage_on_the_lossy_cases() {
+    // `Micro` with 8 senders: 9 hosts on one switch, two egress ports a link.
+    let (hosts, ports) = (9, 18);
+    for case in cases() {
+        if !["lossy_dt_incast", "cc_matrix"].contains(&case.name) {
+            continue;
+        }
+        for (label, res) in (case.run)(GoldenOpts::default()) {
+            let c = &res.counters;
+            let k = if label.starts_with("prioplus") { 3 } else { 1 };
+            let bound = c.arena_peak_live + ports + k * c.flow_live_peak + hosts + 1;
+            assert!(
+                c.sched_pending_peak <= bound,
+                "{} {label}: the queue held {} entries at once, above {bound} = \
+                 {} packets + {ports} ports + {k} x {} flows + {hosts} hosts + End",
+                case.name,
+                c.sched_pending_peak,
+                c.arena_peak_live,
+                c.flow_live_peak,
             );
         }
     }
