@@ -542,11 +542,20 @@ impl State {
     /// finishes that event (app delivery, [`Self::audit_boundary`]) and
     /// calls again; the rest of its batch is served first.
     ///
-    /// The loop is on `State`, next to the handlers, for speed: rustc files
-    /// an inherent method under its `Self` type when it cuts the crate into
-    /// codegen units, so a loop on `Sim` reaches every handler across a unit
-    /// boundary, where they are too large to be inlined into it (measured
-    /// on `ppbench incast_pp`: +3–5 % CPU).
+    /// What this loop does per event has to be compiled *into* it, and that
+    /// is not automatic: rustc cuts the crate into codegen units by the
+    /// module of each function's `Self` type, and LLVM's inliner works one
+    /// unit at a time. A per-event callee filed elsewhere stays a call that
+    /// hands its `Entry` or `Option<Event>` back through memory. Two such
+    /// costs have been measured with alternating `ppbench` pairs, output
+    /// identical in both: the queue's serve path ([`EventQueue`]'s
+    /// `batch_next`, `settle_head`, `pop_batch`, `pop_batch_before`,
+    /// `take_batch` — instances of a `simcore` generic, so filed under
+    /// `simcore::event`) cost 8–13 % of wall time on every workload until it
+    /// carried `#[inline]`, which has rustc instantiate it in the caller's
+    /// unit; and this loop cost 3–5 % CPU while it was a method of `Sim`,
+    /// a unit away from the handlers. `scripts/check_hot_calls.sh` (CI leg 2)
+    /// fails when the disassembly of `advance` calls any of the five.
     fn advance(&mut self, env: &Env, until: Option<Time>, has_app: bool) -> Yield {
         loop {
             let now = self.queue.now();

@@ -278,6 +278,7 @@ impl<E> EventQueue<E> {
     /// entry left there. After this `peek_time`, `pop` and `pop_batch`
     /// necessarily agree on the head. Amortized O(1): each cancelled entry
     /// is discarded exactly once, and the backend's peek is O(1).
+    #[inline]
     fn settle_head(&mut self) -> Option<Time> {
         while let Some(entry) = self.batch.last() {
             let (at, slot) = (entry.at, entry.slot);
@@ -331,6 +332,7 @@ impl<E> EventQueue<E> {
     /// seq)` order, and events cancelled *mid-batch* (by an earlier event of
     /// the same batch) are still skipped, because liveness is re-checked
     /// when each entry is served, not when the batch is formed.
+    #[inline]
     pub fn pop_batch(&mut self) -> Option<Time> {
         let at = self.settle_head()?;
         Some(self.take_batch(at))
@@ -339,6 +341,7 @@ impl<E> EventQueue<E> {
     /// [`pop_batch`](Self::pop_batch), unless the next live event is at or
     /// past `horizon`: then nothing is removed, the clock stays, and the
     /// result is `None`.
+    #[inline]
     pub fn pop_batch_before(&mut self, horizon: Time) -> Option<Time> {
         let at = self.settle_head().filter(|&at| at < horizon)?;
         Some(self.take_batch(at))
@@ -347,6 +350,7 @@ impl<E> EventQueue<E> {
     /// Form the batch at `at`, the settled head's timestamp. Leftovers from
     /// a batch whose dispatch stopped early are served before the backend
     /// is touched again.
+    #[inline]
     fn take_batch(&mut self, at: Time) -> Time {
         if self.batch.is_empty() {
             self.sched.pop_batch(&mut self.batch);
@@ -361,6 +365,7 @@ impl<E> EventQueue<E> {
     /// [`pop_batch`](Self::pop_batch), or `None` when the batch is
     /// exhausted. Entries cancelled since the batch was formed are skipped
     /// and their slots recycled, exactly as the sequential pop path would.
+    #[inline]
     pub fn batch_next(&mut self) -> Option<E> {
         while let Some(entry) = self.batch.pop() {
             if self.retire(entry.slot) {

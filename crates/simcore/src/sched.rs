@@ -11,10 +11,9 @@
 //! - [`CalendarQueue`]: a calendar queue (Brown 1988) whose day width
 //!   follows the *measured* gap between pops, with unsorted buckets in one
 //!   slab and a sorted current day. O(1) per operation on the populations
-//!   the simulator produces — a dense near-term packet cluster, thousands of
-//!   far RTO timers and their tombstones, pre-registered flow starts, one
-//!   `End` outlier. The default, and the backend every `ppbench` workload
-//!   runs on.
+//!   the simulator produces — a dense near-term packet cluster, one far RTO
+//!   timer per live flow, pre-registered flow starts, one `End` outlier.
+//!   The default, and the backend every `ppbench` workload runs on.
 //!
 //! # Contract
 //!

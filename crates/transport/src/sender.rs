@@ -11,7 +11,8 @@
 //! [`crate::pp_transport::PrioPlusTransport`], which adds probing and
 //! suspension.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{vec_deque, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use netsim::{AckEvent, FlowParams, TransportCtx, TrySend};
 use simcore::event::ScheduledId;
@@ -19,6 +20,97 @@ use simcore::Time;
 
 /// Timer token of the retransmission timeout [`SenderBase`] schedules.
 pub const RTO_TOKEN: u64 = 0x5210;
+
+/// A set of sequence numbers held as a sorted `VecDeque`, for a set that is
+/// used as a sliding window: sending appends at the back and the in-order
+/// ACK removes the front, both O(1) with no tree to descend. Anything else
+/// is a binary search plus a shift of the shorter side, which stays short
+/// on the traffic there is: a hole is old, so a middle `remove` moves the
+/// few entries in front of it, and a retransmission re-inserts near the
+/// front.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SeqSet(VecDeque<u64>);
+
+impl SeqSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of sequences held.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when no sequence is held.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The lowest sequence.
+    pub fn first(&self) -> Option<&u64> {
+        self.0.front()
+    }
+
+    /// Every sequence, ascending.
+    pub fn iter(&self) -> vec_deque::Iter<'_, u64> {
+        self.0.iter()
+    }
+
+    /// True when `seq` is held.
+    pub fn contains(&self, seq: u64) -> bool {
+        self.0.binary_search(&seq).is_ok()
+    }
+
+    /// Add `seq`; false when it was already held.
+    pub fn insert(&mut self, seq: u64) -> bool {
+        match self.0.back() {
+            Some(&back) if seq <= back => match self.0.binary_search(&seq) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.0.insert(i, seq);
+                    true
+                }
+            },
+            _ => {
+                self.0.push_back(seq);
+                true
+            }
+        }
+    }
+
+    /// Take `seq` out; false when it was not held.
+    pub fn remove(&mut self, seq: u64) -> bool {
+        if self.0.front() == Some(&seq) {
+            self.0.pop_front();
+            return true;
+        }
+        match self.0.binary_search(&seq) {
+            Ok(i) => {
+                self.0.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Positions of the sequences in `[from, to)`; empty when `to <= from`.
+    fn span(&self, seqs: Range<u64>) -> Range<usize> {
+        let lo = self.0.partition_point(|&s| s < seqs.start);
+        let hi = self.0.partition_point(|&s| s < seqs.end);
+        lo..hi.max(lo)
+    }
+
+    /// The sequences in `[from, to)`, ascending; none when `to <= from`.
+    pub fn range(&self, seqs: Range<u64>) -> vec_deque::Iter<'_, u64> {
+        self.0.range(self.span(seqs))
+    }
+
+    /// Take the sequences in `[from, to)` out, ascending, in place.
+    pub fn drain(&mut self, seqs: Range<u64>) -> vec_deque::Drain<'_, u64> {
+        self.0.drain(self.span(seqs))
+    }
+}
 
 /// Sender-side data-plane state shared by all window-based transports.
 #[derive(Clone, Debug)]
@@ -32,7 +124,7 @@ pub struct SenderBase {
     /// Bytes currently in flight.
     pub inflight: u64,
     /// Sequences of sent-but-unacknowledged packets.
-    pub outstanding: BTreeSet<u64>,
+    pub outstanding: SeqSet,
     /// Packets queued for retransmission `(seq, len)`.
     pub rtx_queue: VecDeque<(u64, u32)>,
     /// Sequences already queued for retransmission (dedup).
@@ -66,7 +158,7 @@ impl SenderBase {
             snd_nxt: 0,
             acked: 0,
             inflight: 0,
-            outstanding: BTreeSet::new(),
+            outstanding: SeqSet::new(),
             rtx_queue: VecDeque::new(),
             rtx_pending: BTreeSet::new(),
             retransmits: 0,
@@ -161,7 +253,7 @@ impl SenderBase {
         // Srtt EWMA (alpha = 1/8), on the normalized delay.
         let s = self.srtt.as_ps() as f64 * 0.875 + ack.delay.as_ps() as f64 * 0.125;
         self.srtt = Time::from_ps(s as u64);
-        if self.outstanding.remove(&ack.acked_seq) {
+        if self.outstanding.remove(ack.acked_seq) {
             self.acked += ack.acked_bytes as u64;
             self.inflight = self.inflight.saturating_sub(ack.acked_bytes as u64);
         } else if self.rtx_pending.remove(&ack.acked_seq) {
@@ -178,14 +270,9 @@ impl SenderBase {
     /// Queue every outstanding packet in `[from, to)` for retransmission
     /// (selective repeat, IRN-style).
     pub fn queue_rtx_range(&mut self, from: u64, to: u64) {
-        let seqs: Vec<u64> = self
-            .outstanding
-            .range(from..to)
-            .copied()
-            .filter(|s| !self.rtx_pending.contains(s))
-            .collect();
-        for seq in seqs {
-            self.outstanding.remove(&seq);
+        // Nothing outstanding is already queued: `check_invariants` holds
+        // the two sets disjoint.
+        for seq in self.outstanding.drain(from..to) {
             let len = (self.params.size - seq).min(self.params.mtu as u64) as u32;
             self.inflight = self.inflight.saturating_sub(len as u64);
             self.rtx_queue.push_back((seq, len));
@@ -296,6 +383,21 @@ impl SenderBase {
                 self.rtx_queue.len()
             ));
         }
+        let seqs = &self.outstanding;
+        if let Some((a, b)) = seqs.iter().zip(seqs.iter().skip(1)).find(|(a, b)| a >= b) {
+            return Err(format!(
+                "outstanding not strictly ascending: {a} before {b}"
+            ));
+        }
+        if let Some(seq) = self
+            .rtx_pending
+            .iter()
+            .find(|&&s| self.outstanding.contains(s))
+        {
+            return Err(format!(
+                "seq {seq} both outstanding and queued for retransmission"
+            ));
+        }
         match self.rto_timer {
             Some((_, at)) if at > self.rto_deadline => {
                 return Err(format!(
@@ -351,6 +453,42 @@ mod tests {
         b.on_ack(&ack(0, 1_000, 12), Time::from_us(12));
         assert!(b.finished());
         b.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn audit_sees_a_disordered_window_and_a_doubly_held_sequence() {
+        let mut b = SenderBase::new(params(5_000));
+        let mut q = EventQueue::<Event>::new();
+        let mut ctx = TransportCtx::for_test(&mut q, Time::ZERO, 0);
+        b.arm_rto(&mut ctx);
+        for _ in 0..4 {
+            let d = b.try_send(1e9, Time::ZERO);
+            b.on_sent(d, 1e9, Time::ZERO);
+        }
+        b.queue_rtx_range(1000, 2000);
+        b.check_invariants().unwrap();
+
+        // A sequence out of place: every binary search after it is wrong.
+        let sorted = b.outstanding.clone();
+        b.outstanding.0.swap(1, 2);
+        let err = b.check_invariants().unwrap_err();
+        assert!(
+            err.contains("outstanding not strictly ascending: 3000 before 2000"),
+            "{err}"
+        );
+        b.outstanding.0[1] = 0;
+        let err = b.check_invariants().unwrap_err();
+        assert!(err.contains("ascending: 0 before 0"), "{err}");
+        b.outstanding = sorted;
+
+        // In flight again while still queued: it would be sent twice and
+        // counted in `inflight` once.
+        b.outstanding.insert(1000);
+        let err = b.check_invariants().unwrap_err();
+        assert!(
+            err.contains("seq 1000 both outstanding and queued for retransmission"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 #      must report zero unallowed findings — the JSON report lands in
 #      target/simlint.json as a CI artifact — then clippy with -D warnings
 #      (skipped with a warning if the toolchain has no clippy component);
-#   2. tier-1: release build + the full test suite on the default
+#   2. tier-1: release build, the disassembly guard on the event loop's
+#      callee list (scripts/check_hot_calls.sh; skipped with a warning if
+#      there is no objdump), then the full test suite on the default
 #      (calendar) scheduler — property fleets, golden-trace diffs, the
 #      cross-backend differentials;
 #   3. audited: the whole experiments suite rerun with the invariant audit
@@ -67,6 +69,7 @@ leg_done
 
 leg 2 tier-1 "release build + tests"
 cargo build --release
+scripts/check_hot_calls.sh
 cargo test -q
 leg_done
 

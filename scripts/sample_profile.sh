@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Where does one `ppbench rep` spend its time? A sampling profile for a box
+# that has no `perf`: builds scripts/sigprof.c into target/ci/sigprof.so, runs
+# one rep of WORKLOAD under LD_PRELOAD (seed 1, tracing off) and prints
+# samples per function, symbolised against `nm -S -C` of the binary.
+#
+# Why a ticker thread and not setitimer(ITIMER_PROF): that timer ticks at the
+# kernel's CONFIG_HZ, which yields only ~300 samples/s on this kernel — a few
+# hundred per rep. The shim's 100 µs nanosleep loop gives 5–10 k.
+#
+# Reading the table: a sample belongs to the function whose *symbol* holds
+# the PC, so everything inlined into `State::advance` reads as `advance`.
+# To split such a row by source line, feed its PCs (decimal, one per line in
+# target/ci/sigprof.WORKLOAD.pcs) to `addr2line -i -f -C -e BINARY`. Samples
+# in libc/libm/the vDSO read `[outside the binary]`. Not a CI leg: the table
+# is for choosing what to measure next with alternating `ppbench` pairs, not
+# evidence by itself.
+#
+# Usage: scripts/sample_profile.sh WORKLOAD [BINARY]
+#   WORKLOAD  incast_pp | fattree_flowsched | coflow_lossy | hyperscale_openloop
+#   BINARY    a ppbench executable (default: ppbench/target/release/ppbench,
+#             built first)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+WORKLOAD=${1:?usage: scripts/sample_profile.sh WORKLOAD [BINARY]}
+BIN=${2:-}
+if [[ -z $BIN ]]; then
+  cargo build --release --offline --quiet --manifest-path ppbench/Cargo.toml
+  BIN=ppbench/target/release/ppbench
+fi
+mkdir -p target/ci
+SO=target/ci/sigprof.so
+PCS=target/ci/sigprof.$WORKLOAD.pcs
+gcc -O2 -shared -fPIC -o "$SO" scripts/sigprof.c -lpthread
+
+SIGPROF_OUT=$PCS LD_PRELOAD=$PWD/$SO \
+  "$BIN" rep --workload "$WORKLOAD" --seed 1 --div 1 --trace 0 > /dev/null
+
+# Symbols (`addr S size name`) and samples (`addr P`) sorted into one stream
+# by address, symbols first at a tie: each sample then follows the last
+# symbol that starts at or before it.
+{
+  nm -S -C -t d --defined-only "$BIN" | awk '$3 ~ /^[tTwW]$/ { a = $1; s = $2; $1 = $2 = $3 = ""; print a + 0, "S", s + 0, $0 }'
+  awk '{ print $1, "P" }' "$PCS"
+} | sort -k1,1n -k2,2r |
+  awk '$2 == "S" { start = $1; end = $1 + $3; $1 = $2 = $3 = ""; sub(/^ +/, ""); name = $0; next }
+       { total++; count[$1 < end ? name : "[outside the binary]"]++ }
+       END { for (f in count) printf "%7d %5.1f %%  %s\n", count[f], 100 * count[f] / total, f
+             printf "%7d samples\n", total > "/dev/stderr" }' |
+  sort -k1,1nr | head -40
