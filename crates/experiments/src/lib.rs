@@ -11,8 +11,6 @@
 //! - [`coflowsched`]: the coflow + file-request scenario (Fig 12ab, 15,
 //!   17, 18);
 //! - [`mltrain`]: the ring all-reduce ML-cluster scenario (Fig 12c);
-//! - [`hybrid`]: the hybrid packet/fluid runner — fluid background
-//!   traffic against a packet-level reference from one shared trace;
 //! - [`faults`]: the fault-regime comparison (link flaps and PFC pause
 //!   storms vs the fault-free reference, FCT + priority inversions);
 //! - [`hyperscale`]: the hyperscale scenario — large fat-tree / 3-tier+WAN
@@ -35,7 +33,6 @@ pub mod faults;
 mod figures;
 pub mod flowsched;
 pub mod golden;
-pub mod hybrid;
 pub mod hyperscale;
 pub mod micro;
 pub mod mltrain;

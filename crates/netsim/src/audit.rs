@@ -26,11 +26,7 @@
 //! - **arena accounting** — every live packet-arena slot is referenced by
 //!   exactly one queue position or pending arrival, free slots by none, and
 //!   the arena's free-list/live bookkeeping is internally consistent
-//!   ([`crate::packet::PacketArena::check`]);
-//! - **fluid mass conservation** — with hybrid background traffic
-//!   ([`crate::fluid`]), every fluid-loaded port's cumulative injected mass
-//!   equals drained plus backlog, in exact integer units (no mass is ever
-//!   created or destroyed by the piecewise-constant rate solver).
+//!   ([`crate::packet::PacketArena::check`]).
 //!
 //! Violations become structured [`Violation`] records pinpointing the event,
 //! node, port, queue, and flow, alongside a ring buffer of the most recent
@@ -103,10 +99,6 @@ pub enum ViolationKind {
     /// slot is still referenced, or the arena's internal consistency check
     /// ([`crate::packet::PacketArena::check`]) found corruption.
     ArenaAccounting,
-    /// The fluid background solver's mass accounting failed: cumulative
-    /// injected units no longer equal drained plus backlog on some port
-    /// (hybrid model, [`crate::fluid`]).
-    FluidConservation,
     /// The PFC wait-for graph over paused ports contains a cycle — a
     /// circular buffer dependency that cannot drain
     /// ([`detect_pause_cycle`]). Reported once per deadlock
@@ -235,12 +227,7 @@ pub(crate) struct SwitchArrive {
     pub(crate) is_data: bool,
     pub(crate) dropped: bool,
     /// For data packets: (egress queue bytes before enqueue, dscp, marked).
-    /// With fluid background load the first element already includes the
-    /// projected fluid occupancy — the value `ecn_mark` actually compared.
     pub(crate) ecn: Option<(u64, u8, bool)>,
-    /// Projected fluid background occupancy at the egress port when the
-    /// switch made its admission/ECN decisions (0 without fluid load).
-    pub(crate) fluid_occ: u64,
 }
 
 /// The (switch, ingress port, queue) an admission in the current event
@@ -250,9 +237,6 @@ pub(crate) struct Focus {
     pub(crate) node: NodeId,
     pub(crate) in_port: u16,
     pub(crate) queue: u8,
-    /// Fluid occupancy at admission time, for recomputing the pause
-    /// threshold the switch actually used.
-    pub(crate) fluid_occ: u64,
 }
 
 /// Live audit state held by the simulator while auditing is enabled.
@@ -531,7 +515,7 @@ impl Audit {
         // under alpha * (free-at-admission) = alpha * (free_now + size).
         if !sw.cfg.pfc_enabled && info.is_data {
             let q_post = sw.ports[info.egress as usize].queued_bytes_q[info.queue as usize];
-            let free_at_admission = (sw.free_buffer() + info.wire).saturating_sub(info.fluid_occ);
+            let free_at_admission = sw.free_buffer() + info.wire;
             let limit = (sw.cfg.dt_alpha * free_at_admission as f64) as u64 + info.wire;
             if q_post > limit {
                 self.report(
@@ -552,7 +536,6 @@ impl Audit {
                 node: info.node,
                 in_port: info.in_port,
                 queue: info.queue,
-                fluid_occ: info.fluid_occ,
             });
         }
     }
@@ -570,14 +553,11 @@ impl Audit {
     /// can only fall and the threshold can only rise, and a resume requires
     /// falling below `threshold - resume_offset`. So `bytes > threshold`
     /// still holding here means the admission itself saw it and must have
-    /// paused. With fluid load the admission-time fluid occupancy is
-    /// replayed: the boundary threshold then upper-bounds the one the
-    /// switch used (free buffer only grows between admission and boundary),
-    /// keeping the implication sound.
+    /// paused.
     pub(crate) fn check_xoff(&mut self, time: Time, focus: &Focus, sw: &Switch) {
         let (ip, q) = (focus.in_port as usize, focus.queue as usize);
         let bytes = sw.ingress_bytes[ip][q];
-        let threshold = sw.pfc_pause_threshold(focus.fluid_occ);
+        let threshold = sw.pfc_pause_threshold();
         if bytes > threshold && !sw.ingress_paused[ip][q] {
             self.report(
                 ViolationKind::PfcXoffMissed,
@@ -752,29 +732,6 @@ impl Audit {
                     None,
                     None,
                     format!("free arena slot {i} still referenced {n} times"),
-                );
-            }
-        }
-    }
-
-    /// Fluid mass conservation (hybrid model): on every fluid-loaded port,
-    /// cumulative injected units must equal cumulative drained units plus
-    /// the current backlog — the solver's integer rate×time arithmetic
-    /// makes this identity exact, so any deviation is an accounting bug.
-    pub(crate) fn check_fluid(&mut self, time: Time, view: &crate::fluid::FluidAudit) {
-        for p in &view.ports {
-            if p.injected != p.drained + p.backlog {
-                self.report(
-                    ViolationKind::FluidConservation,
-                    time,
-                    Some(p.node),
-                    Some(p.port),
-                    None,
-                    None,
-                    format!(
-                        "fluid mass leak: injected {} != drained {} + backlog {} units",
-                        p.injected, p.drained, p.backlog
-                    ),
                 );
             }
         }
@@ -1137,11 +1094,10 @@ mod tests {
         assert!(result.is_err());
     }
 
-    // ---- Buggify coverage: every injected switch/fluid fault must be ----
+    // ---- Buggify coverage: every injected switch fault must be       ----
     // ---- caught by the audit check that owns its invariant.          ----
 
     use crate::config::{Buggify, SwitchConfig};
-    use crate::fluid::{BackgroundLoad, FluidFlowSpec, FluidState};
     use crate::node::{Admission, EgressPort};
     use crate::packet::Packet;
     use simcore::{Rate, SimRng};
@@ -1206,7 +1162,6 @@ mod tests {
                 node: 0,
                 in_port: 1,
                 queue: 0,
-                fluid_occ: 0,
             };
             a.check_xoff(Time::from_us(i), &focus, &s);
         }
@@ -1239,40 +1194,11 @@ mod tests {
             is_data: true,
             dropped: false,
             ecn: Some((0, 0, marked)),
-            fluid_occ: 0,
         };
         a.note_switch_arrive(Time::ZERO, &info, &s);
         let r = a.into_report();
         assert_eq!(r.total_violations, 1);
         assert_eq!(r.violations[0].kind, ViolationKind::EcnBounds);
-    }
-
-    #[test]
-    fn fluid_drain_leak_buggify_caught_by_fluid_conservation() {
-        let bg = BackgroundLoad {
-            ports: vec![(5, 0)],
-            flows: vec![FluidFlowSpec {
-                start: Time::ZERO,
-                bytes: 1_000_000,
-                port: 0,
-            }],
-            access_bps: 0,
-        };
-        let mut f = FluidState::new(&bg, |_, _| 100_000_000_000, true);
-        let mut now = Time::ZERO;
-        f.on_epoch(now);
-        while let Some(next) = f.plan(now) {
-            now = next;
-            f.on_epoch(now);
-        }
-        let mut a = Audit::new(AuditConfig::default());
-        a.check_fluid(now, &f.audit_view());
-        let r = a.into_report();
-        assert!(r.total_violations >= 1, "drain leak must be detected");
-        assert!(r
-            .violations
-            .iter()
-            .all(|v| v.kind == ViolationKind::FluidConservation));
     }
 
     #[test]

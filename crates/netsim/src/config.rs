@@ -28,10 +28,6 @@ pub enum Buggify {
     PfcPauseOffByOne,
     /// `ecn_mark` marks every data packet, even below `kmin`.
     EcnMarkBelowKmin,
-    /// The fluid background solver under-counts drained mass by one byte
-    /// per settled segment, breaking the `injected == drained + backlog`
-    /// conservation identity the audit checks.
-    FluidDrainLeak,
     /// Data packets dropped on a downed link are counted in
     /// [`crate::record::SimCounters::fault_link_drops`] but never reported
     /// to the audit's conservation tallies, breaking the
@@ -152,10 +148,6 @@ pub struct SimConfig {
     /// across choices (pinned by the golden-trace suite). Defaults to the
     /// `PRIOPLUS_SCHED` environment variable (calendar queue when unset).
     pub sched: SchedKind,
-    /// Fluid background traffic (hybrid packet/fluid model). `None` — the
-    /// default — is the pure packet simulator; the zero-background e2e
-    /// suite pins that an empty background load is bit-identical to it.
-    pub background: Option<crate::fluid::BackgroundLoad>,
     /// Deterministic fault schedule (link flaps, degradation epochs, PFC
     /// pause storms). `None` — the default — runs fault-free and keeps
     /// every fault hook to one branch; an installed schedule also arms the
@@ -181,7 +173,6 @@ impl Default for SimConfig {
             trace_flows: false,
             trace_bucket: Time::from_us(20),
             sched: SchedKind::from_env(),
-            background: None,
             faults: None,
             streaming_stats: false,
         }

@@ -36,15 +36,6 @@ pub struct SimCounters {
     pub arena_int_allocs: u64,
     /// `IntPath` boxes served from / returned to the recycle pool.
     pub arena_int_recycled: u64,
-    /// Fluid background flows that started injecting (hybrid model).
-    pub fluid_flows_started: u64,
-    /// Fluid background flows fully drained through their port.
-    pub fluid_flows_completed: u64,
-    /// Total fluid background bytes injected.
-    pub fluid_bytes_injected: u64,
-    /// Fluid rate-change epochs processed (the scheduler events the whole
-    /// background load cost, in place of per-packet events).
-    pub fluid_epochs: u64,
     /// Fault-schedule transitions applied ([`crate::faults::FaultSchedule`]).
     pub fault_events: u64,
     /// Data packets dropped because their link was down at arrival.
@@ -104,22 +95,18 @@ impl SimCounters {
             drops,
             ecn_marks,
             probes,
-            fluid_epochs,
             fault_events,
             fault_link_drops,
             fault_ctrl_drops,
             // Copied in by `Sim::run` from a live source that the state
-            // digest folds where it lives (switches, arena, fluid solver,
-            // flow table and slab, event queue); zero until then.
+            // digest folds where it lives (switches, arena, flow table and
+            // slab, event queue); zero until then.
             max_buffer_used: _,
             arena_allocs: _,
             arena_slab_slots: _,
             arena_peak_live: _,
             arena_int_allocs: _,
             arena_int_recycled: _,
-            fluid_flows_started: _,
-            fluid_flows_completed: _,
-            fluid_bytes_injected: _,
             flows_total: _,
             flow_live_peak: _,
             flow_slab_slots: _,
@@ -142,7 +129,6 @@ impl SimCounters {
             drops,
             ecn_marks,
             probes,
-            fluid_epochs,
             fault_events,
             fault_link_drops,
             fault_ctrl_drops,

@@ -58,12 +58,6 @@ pub enum Event {
         /// Monitor index.
         monitor: u32,
     },
-    /// A fluid background rate-change epoch (hybrid model): the single
-    /// pending epoch the fluid solver keeps in the queue, rescheduled via
-    /// cancellable scheduling whenever a coupling hook changes the
-    /// piecewise-constant rates. Never scheduled when
-    /// [`crate::config::SimConfig::background`] is `None`.
-    FluidEpoch,
     /// Apply fault-schedule transition `idx`
     /// ([`crate::faults::FaultSchedule`]). Scheduled up-front at run start
     /// — through the same scheduler backend as every other event — so
@@ -93,7 +87,6 @@ impl Event {
             Event::FlowTimer { flow, .. } => ("flow_timer", flow),
             Event::HostPoke { node } => ("host_poke", node),
             Event::Sample { monitor } => ("sample", monitor),
-            Event::FluidEpoch => ("fluid_epoch", 0),
             Event::Fault { idx } => ("fault", idx),
             Event::Inject => ("inject", 0),
             Event::End => ("end", 0),
@@ -135,7 +128,6 @@ impl Event {
                 fold(6);
                 fold(monitor as u64);
             }
-            Event::FluidEpoch => fold(7),
             Event::Fault { idx } => {
                 fold(8);
                 fold(idx as u64);

@@ -30,8 +30,7 @@
 //!   [`FaultKind::DegradeEnd`]): the link serializes at
 //!   `rate × rate_factor` and adds `extra_prop` propagation delay for the
 //!   duration of the epoch. Applied at dequeue time, so packets already in
-//!   flight are unaffected. Unsupported on fluid-loaded ports (the fluid
-//!   solver captures drain rates at construction);
+//!   flight are unaffected;
 //! - **PFC pause storms** ([`FaultKind::PauseStart`] /
 //!   [`FaultKind::PauseEnd`]): the egress pause bit for (port, priority)
 //!   is pinned on, and genuine PFC frames for that (port, priority) are

@@ -37,7 +37,6 @@ pub mod config;
 pub mod counters;
 pub mod event;
 pub mod faults;
-pub mod fluid;
 pub mod monitor;
 pub mod node;
 pub mod noise;
@@ -54,7 +53,6 @@ pub use audit::{AuditConfig, AuditReport, Violation, ViolationKind};
 pub use config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 pub use event::Event;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
-pub use fluid::{BackgroundLoad, FluidFlowSpec, FluidState};
 pub use noise::NoiseModel;
 pub use packet::{ArenaStats, FlowId, NodeId, Packet, PacketArena, PacketId, PktHeader, PktTag};
 pub use record::{FlowRecord, SimCounters, SimResult, StreamingStats};

@@ -239,47 +239,38 @@ impl Switch {
     }
 
     /// Dynamic-Threshold admission limit for one queue (Choudhury–Hahne):
-    /// a queue may grow up to `alpha * free_buffer`. `fluid_occ` is the
-    /// projected fluid background occupancy at the egress port (hybrid
-    /// model); it consumes shared buffer the same way packet bytes do, so
-    /// it shrinks the free pool the threshold scales with. Zero whenever
-    /// the port carries no fluid load (pure packet runs are unchanged).
+    /// a queue may grow up to `alpha * free_buffer`.
     #[inline]
-    pub fn dt_limit(&self, fluid_occ: u64) -> u64 {
-        (self.cfg.dt_alpha * self.free_buffer().saturating_sub(fluid_occ) as f64) as u64
+    pub fn dt_limit(&self) -> u64 {
+        (self.cfg.dt_alpha * self.free_buffer() as f64) as u64
     }
 
     /// PFC pause threshold for one (ingress port, priority) counter.
     /// Dynamic: proportional to the free buffer with the (small) ingress
     /// alpha, floored at three MTUs so the switch can always absorb a final
-    /// in-flight packet pair. `fluid_occ` as in [`Self::dt_limit`]: fluid
-    /// background backlog shrinks the free pool, pausing packet ingress
-    /// earlier on fluid-loaded switches.
+    /// in-flight packet pair.
     #[inline]
-    pub fn pfc_pause_threshold(&self, fluid_occ: u64) -> u64 {
-        ((self.cfg.pfc_alpha * self.free_buffer().saturating_sub(fluid_occ) as f64) as u64)
-            .max(3_000)
+    pub fn pfc_pause_threshold(&self) -> u64 {
+        ((self.cfg.pfc_alpha * self.free_buffer() as f64) as u64).max(3_000)
     }
 
     /// Decide ECN marking for a data packet about to be enqueued on `port`,
     /// given current queue occupancy (RED on the per-queue bytes). With
     /// priority-scaled ECN (Appendix B extension) the thresholds grow with
     /// the packet's DSCP, so lower virtual priorities mark first.
-    /// `fluid_occ` adds the projected fluid background backlog at the port
-    /// to the occupancy RED sees, so fluid load back-pressures ECN-driven
-    /// foreground senders exactly as queued packet bytes would.
+    /// `_unused` is ignored: the frozen `ppbench/src/kernels.rs` passes a `0` there (ROADMAP item 3).
     pub fn ecn_mark(
         &self,
         port: u16,
         queue: usize,
         dscp: u8,
-        fluid_occ: u64,
+        _unused: u64,
         rng: &mut SimRng,
     ) -> bool {
         if self.cfg.buggify == Some(Buggify::EcnMarkBelowKmin) {
             return true;
         }
-        let q = self.ports[port as usize].queued_bytes_q[queue] + fluid_occ;
+        let q = self.ports[port as usize].queued_bytes_q[queue];
         let scale = if self.cfg.ecn_prio_scaled {
             dscp as u64 + 1
         } else {
@@ -306,12 +297,13 @@ impl Switch {
     /// any PFC pause frames to emit as `(ingress_port, prio)`. A `Dropped`
     /// packet is released back to the arena here — its id is dead after the
     /// call.
+    /// `_unused` is ignored: the frozen `ppbench/src/kernels.rs` passes a `0` there (ROADMAP item 3).
     pub fn admit(
         &mut self,
         port: u16,
         in_port: u16,
         id: PacketId,
-        fluid_occ: u64,
+        _unused: u64,
         arena: &mut PacketArena,
         pauses: &mut Vec<(u16, u8)>,
     ) -> Admission {
@@ -322,7 +314,7 @@ impl Switch {
         };
         if !self.cfg.pfc_enabled && is_data {
             // Lossy: Dynamic-Threshold admission on the egress queue.
-            let limit = self.dt_limit(fluid_occ);
+            let limit = self.dt_limit();
             if self.ports[port as usize].queued_bytes_q[q] + size > limit {
                 arena.release(id);
                 return Admission::Dropped;
@@ -336,7 +328,7 @@ impl Switch {
 
         if self.cfg.pfc_enabled && q < nq - 1 {
             // PFC protects data priorities; control queue is never paused.
-            let threshold = self.pfc_pause_threshold(fluid_occ);
+            let threshold = self.pfc_pause_threshold();
             let counted = if self.cfg.buggify == Some(Buggify::PfcPauseOffByOne) {
                 // Injected fault: compare the pre-admission counter, so the
                 // pause fires one packet late.
@@ -353,10 +345,9 @@ impl Switch {
     }
 
     /// Account a packet leaving the switch from egress `port`. Returns PFC
-    /// resume frames to emit as `(ingress_port, prio)`. `fluid_occ` as in
-    /// [`Self::dt_limit`] (shrinks the resume threshold symmetrically with
-    /// the pause threshold).
-    pub fn on_dequeue(&mut self, pkt: &PktHeader, fluid_occ: u64, resumes: &mut Vec<(u16, u8)>) {
+    /// resume frames to emit as `(ingress_port, prio)`.
+    /// `_unused` is ignored: the frozen `ppbench/src/kernels.rs` passes a `0` there (ROADMAP item 3).
+    pub fn on_dequeue(&mut self, pkt: &PktHeader, _unused: u64, resumes: &mut Vec<(u16, u8)>) {
         if self.cfg.buggify == Some(Buggify::DequeueLeak) {
             // Injected fault: departure accounting is skipped entirely.
             return;
@@ -371,7 +362,7 @@ impl Switch {
         self.ingress_bytes[in_port][q] -= size;
 
         if self.ingress_paused[in_port][q] {
-            let threshold = self.pfc_pause_threshold(fluid_occ);
+            let threshold = self.pfc_pause_threshold();
             let resume_at = threshold.saturating_sub(self.cfg.pfc_resume_offset_bytes);
             if self.ingress_bytes[in_port][q] <= resume_at {
                 self.ingress_paused[in_port][q] = false;

@@ -10,7 +10,6 @@ use simcore::{EventQueue, SimRng, Time};
 use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 use crate::faults::FaultKind;
-use crate::fluid::FluidState;
 use crate::monitor::{Monitor, MonitorKind};
 use crate::node::{queue_index, Admission, EgressPort, Host, Node, Switch};
 use crate::packet::{
@@ -107,36 +106,10 @@ impl Sim {
             .streaming_stats
             // simlint::allow(hot-path-alloc, one streaming box per run at construction, not per event)
             .then(|| Box::new(StreamingStats::default()));
-        let fluid = cfg.background.as_ref().map(|bg| {
-            for &(node, port) in &bg.ports {
-                assert!(
-                    nodes.get(node as usize).is_some_and(|n| n.as_switch().is_some()),
-                    "background port ({node}, {port}) is not a switch egress"
-                );
-            }
-            let leak = switch_cfg.buggify == Some(Buggify::FluidDrainLeak);
-            // simlint::allow(hot-path-alloc, one fluid box per run at construction, not per event)
-            Box::new(FluidState::new(
-                bg,
-                |node, port| port_at(node, port).map_or(0, |p| p.rate.as_bps()),
-                leak,
-            ))
-        });
         for ev in cfg.faults.iter().flat_map(|s| &s.events) {
             let (node, port) = ev.kind.link();
-            let Some(p) = port_at(node, port) else {
+            if port_at(node, port).is_none() {
                 panic!("fault schedule targets nonexistent link attachment ({node}, {port})");
-            };
-            if matches!(ev.kind, FaultKind::DegradeStart { .. }) {
-                if let Some(bg) = cfg.background.as_ref() {
-                    assert!(
-                        !bg.ports.contains(&(node, port))
-                            && !bg.ports.contains(&(p.peer, p.peer_port)),
-                        "link degradation on fluid-loaded port ({node}, {port}) is \
-                         unsupported: the fluid solver captures drain rates at \
-                         construction (flaps and pause storms are fine)"
-                    );
-                }
             }
         }
         let state = State {
@@ -153,8 +126,6 @@ impl Sim {
             nc_rng: SimRng::new(seed).split(3),
             streaming,
             completed_buf: Vec::new(),
-            fluid,
-            fluid_epoch: None,
             started: false,
             audit: if crate::audit::env_enabled() {
                 // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
@@ -359,10 +330,10 @@ impl Sim {
     }
 
     /// Schedule the run-level bootstrap events (End, first Inject, monitor
-    /// samples, the first fluid epoch, the fault schedule). Runs once, on
-    /// whichever of [`Self::run`] / [`Self::run_until`] is called first; a
-    /// restored simulation carries `started = true`, so the bootstrap is
-    /// never re-applied to forked state.
+    /// samples, the fault schedule). Runs once, on whichever of
+    /// [`Self::run`] / [`Self::run_until`] is called first; a restored
+    /// simulation carries `started = true`, so the bootstrap is never
+    /// re-applied to forked state.
     fn ensure_started(&mut self) {
         let (cfg, st) = (&self.env.cfg, &mut self.state);
         if st.started {
@@ -376,11 +347,6 @@ impl Sim {
         for (i, m) in st.monitors.iter().enumerate() {
             st.queue
                 .schedule(m.period, Event::Sample { monitor: i as u32 });
-        }
-        // Hybrid model: the fluid solver keeps exactly one pending epoch in
-        // the queue; the first sits at the first background arrival.
-        if let Some(first) = st.fluid.as_deref().and_then(|f| f.first_epoch()) {
-            st.fluid_epoch = Some(st.queue.schedule_cancellable(first, Event::FluidEpoch));
         }
         // The fault schedule is fixed up-front: every transition becomes a
         // first-class event through the same scheduler backend as data
@@ -444,11 +410,6 @@ impl Sim {
         let end_time = st.queue.now();
         for sw in st.nodes.iter().filter_map(Node::as_switch) {
             counters.max_buffer_used = counters.max_buffer_used.max(sw.max_buffered);
-        }
-        if let Some(f) = st.fluid.as_deref() {
-            counters.fluid_flows_started = f.flows_started();
-            counters.fluid_flows_completed = f.flows_completed();
-            counters.fluid_bytes_injected = f.injected_bytes();
         }
         let astats = st.arena.stats();
         counters.arena_allocs = astats.allocs;
@@ -581,7 +542,6 @@ impl State {
                         self.on_arrive(env, node, in_port, pkt, now)
                     }
                     Event::Sample { monitor } => self.on_sample(env, monitor, now),
-                    Event::FluidEpoch => self.on_fluid_epoch(now),
                     Event::Fault { idx } => self.on_fault(env, idx, now),
                 }
                 if has_app && !self.completed_buf.is_empty() {
@@ -709,43 +669,6 @@ impl State {
     fn on_port_free(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
         self.port_mut(node, port).busy = false;
         self.kick(env, node, port, now);
-        // The port may have gone idle: hand its bandwidth back to the fluid
-        // class.
-        self.fluid_sync_port(node, port, now);
-    }
-
-    /// Process the pending fluid rate-change epoch and schedule the next.
-    fn on_fluid_epoch(&mut self, now: Time) {
-        self.counters.fluid_epochs += 1;
-        self.fluid_epoch = None;
-        if let Some(f) = self.fluid.as_deref_mut() {
-            f.on_epoch(now);
-        }
-        self.fluid_reschedule(now);
-    }
-
-    /// Replace the pending fluid epoch with the solver's next rate-change
-    /// instant (cancelling any stale one).
-    fn fluid_reschedule(&mut self, now: Time) {
-        if let Some(id) = self.fluid_epoch.take() {
-            self.queue.cancel(id);
-        }
-        if let Some(next) = self.fluid.as_deref().and_then(|f| f.plan(now)) {
-            self.fluid_epoch = Some(self.queue.schedule_cancellable(next, Event::FluidEpoch));
-        }
-    }
-
-    /// Push an egress port's foreground-presence state (packets queued or
-    /// serializing) into the fluid solver; reschedules the pending epoch
-    /// when the bandwidth split changed. Cheap no-op for ports carrying no
-    /// fluid load (every host NIC among them).
-    fn fluid_sync_port(&mut self, node: NodeId, port: u16, now: Time) {
-        let p = self.port(node, port);
-        let presence = p.busy || p.queued_bytes > 0;
-        let fluid = self.fluid.as_deref_mut();
-        if fluid.is_some_and(|f| f.set_presence(node, port, presence, now)) {
-            self.fluid_reschedule(now);
-        }
     }
 
     /// Apply fault-schedule transition `idx` at its scheduled time.
@@ -794,9 +717,8 @@ impl State {
         for (n, p) in ends {
             self.port_mut(n, p).down = down;
         }
-        for (n, p) in ends {
-            self.fault_fluid_sync(n, p, now);
-            if !down {
+        if !down {
+            for (n, p) in ends {
                 self.kick(env, n, p, now);
             }
         }
@@ -824,23 +746,8 @@ impl State {
         let p = self.port_mut(node, port);
         p.set_storm(prio as usize, on);
         p.set_paused(prio as usize, paused);
-        if prio == 0 {
-            self.fault_fluid_sync(node, port, now);
-        }
         if !paused {
             self.kick(env, node, port, now);
-        }
-    }
-
-    /// Recompute the effective fluid pause on an egress attachment: fluid
-    /// service halts while the link is down or priority 0 (the class fluid
-    /// traffic rides) is paused, genuinely or storm-pinned.
-    fn fault_fluid_sync(&mut self, node: NodeId, port: u16, now: Time) {
-        let p = self.port(node, port);
-        let halted = p.is_paused(0) || p.down;
-        let fluid = self.fluid.as_deref_mut();
-        if fluid.is_some_and(|f| f.set_paused(node, port, halted, now)) {
-            self.fluid_reschedule(now);
         }
     }
 
@@ -884,25 +791,16 @@ impl State {
     /// wire. Marks the port busy, counts the bytes, and schedules the end
     /// of serialization ([`Event::PortFree`]) and then the arrival at the
     /// peer, at the link's effective rate and delay (degradation epochs
-    /// included). `owed` is extra bytes the packet serializes behind (fluid
-    /// FIFO emulation), `extra` extra one-way delay (non-congestive delay);
-    /// both are zero for host NICs.
-    fn transmit(
-        &mut self,
-        node: NodeId,
-        port: u16,
-        pid: PacketId,
-        owed: u64,
-        extra: Time,
-        now: Time,
-    ) {
+    /// included). `extra` is extra one-way delay (non-congestive delay),
+    /// zero for host NICs.
+    fn transmit(&mut self, node: NodeId, port: u16, pid: PacketId, extra: Time, now: Time) {
         let size = self.arena.get(pid).size as u64;
         let p = self.port_mut(node, port);
         p.busy = true;
         p.tx_bytes += size;
         let (peer, in_port) = (p.peer, p.peer_port);
         let (rate, prop) = p.effective_link();
-        let ser = rate.serialize_time(size.saturating_add(owed));
+        let ser = rate.serialize_time(size);
         self.queue
             .schedule(now + ser, Event::PortFree { node, port });
         self.queue.schedule(
@@ -917,12 +815,6 @@ impl State {
 
     /// Try to start transmitting the next packet on a switch egress port.
     fn switch_dequeue(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
-        // Hybrid coupling: fluid backlog at this port consumes buffer (PFC
-        // resume threshold).
-        let fluid_occ = match self.fluid.as_deref() {
-            Some(f) => f.occupancy_bytes(node, port, now),
-            None => 0,
-        };
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             return;
         };
@@ -934,26 +826,17 @@ impl State {
         let Some(pid) = p.dequeue(&self.arena) else {
             return;
         };
-        let nq = p.queues.len();
         let mut resumes = Vec::new();
-        s.on_dequeue(self.arena.get(pid), fluid_occ, &mut resumes);
+        s.on_dequeue(self.arena.get(pid), 0, &mut resumes);
         let (is_data, prio) = {
             let pkt = self.arena.get(pid);
             (pkt.kind.is_data(), pkt.prio)
-        };
-        // Hybrid coupling: a data-class packet leaving a fluid-loaded port
-        // serializes behind the fluid bytes injected before its admission
-        // that have neither drained nor been charged to an earlier packet
-        // (FIFO emulation; see `fluid::FluidState::pop_stamp`).
-        let fluid_owed = match self.fluid.as_deref_mut() {
-            Some(f) if queue_index(prio, nq) == 0 => f.pop_stamp(node, port, now),
-            _ => 0,
         };
         let nc = match &env.switch_cfg.nc_delay {
             Some(nc) if is_data => nc.sample(&mut self.nc_rng),
             _ => Time::ZERO,
         };
-        self.transmit(node, port, pid, fluid_owed, nc, now);
+        self.transmit(node, port, pid, nc, now);
         if env.switch_cfg.int_enabled && is_data {
             // Read after the transmit step, so telemetry reports this
             // packet's bytes and the effective (possibly degraded) rate.
@@ -1036,13 +919,6 @@ impl State {
             return;
         }
         p.set_paused(prio as usize, pause);
-        if prio == 0 {
-            // Hybrid coupling: a pause of the lowest data priority — the
-            // class fluid background traffic rides — halts fluid service on
-            // this egress port until resume. Composited with the fault
-            // state (a down link also halts fluid service).
-            self.fault_fluid_sync(node, port, now);
-        }
         if !pause {
             self.kick(env, node, port, now);
         }
@@ -1060,19 +936,13 @@ impl State {
             )
         };
         let egress = env.routes.port_for(node, dst, flow);
-        // Hybrid coupling: projected fluid backlog at the egress inflates
-        // the occupancy ECN sees and shrinks the free buffer DT/PFC use.
-        let fluid_occ = match self.fluid.as_deref() {
-            Some(f) => f.occupancy_bytes(node, egress, now),
-            None => 0,
-        };
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             unreachable!()
         };
         let mut ecn_info = None;
         if is_data {
-            let q_pre = s.ports[egress as usize].queued_bytes_q[data_q] + fluid_occ;
-            let marked = s.ecn_mark(egress, data_q, dscp, fluid_occ, &mut self.ecn_rng);
+            let q_pre = s.ports[egress as usize].queued_bytes_q[data_q];
+            let marked = s.ecn_mark(egress, data_q, dscp, 0, &mut self.ecn_rng);
             if marked {
                 self.arena.get_mut(pid).ecn_ce = true;
                 self.counters.ecn_marks += 1;
@@ -1089,10 +959,9 @@ impl State {
             is_data,
             dropped: false,
             ecn: ecn_info,
-            fluid_occ,
         };
         let mut pauses = Vec::new();
-        let admission = s.admit(egress, in_port, pid, fluid_occ, &mut self.arena, &mut pauses);
+        let admission = s.admit(egress, in_port, pid, 0, &mut self.arena, &mut pauses);
         // The `s` borrow ends here so the audit can re-inspect the switch.
         if let (Some(a), Some(sw)) = (self.audit.as_deref_mut(), self.nodes[node as usize].as_switch()) {
             a.note_switch_arrive(
@@ -1109,18 +978,6 @@ impl State {
                 self.counters.drops += 1;
             }
             Admission::Queued => {
-                if self.fluid.is_some() {
-                    // Hybrid coupling: admitted data-class packets get a
-                    // FIFO stamp of the fluid mass logically ahead of them
-                    // in the shared queue, and the queue just became (or
-                    // stayed) non-empty.
-                    if info.queue == 0 {
-                        if let Some(f) = self.fluid.as_deref_mut() {
-                            f.push_stamp(node, egress, now);
-                        }
-                    }
-                    self.fluid_sync_port(node, egress, now);
-                }
                 self.emit_pfc(node, &pauses, true, now);
                 self.switch_dequeue(env, node, egress, now);
             }
@@ -1437,7 +1294,7 @@ impl State {
             self.release_flow_state(env, fid);
         }
         if let Some(pid) = selected {
-            self.transmit(node, 0, pid, 0, Time::ZERO, now);
+            self.transmit(node, 0, pid, Time::ZERO, now);
         }
     }
 

@@ -3,15 +3,15 @@
 //! A [`Sim`] is an immutable, shared `Env` (configuration, switch
 //! configuration, routing table) plus one `State` (everything events
 //! change: nodes and ports, flows, packet arena, scheduler queue, counters,
-//! monitors, traces, RNG streams, sketches, fluid backlogs, the audit
-//! mirror). [`Sim::snapshot`] is `state.clone()` beside another handle on
-//! the same `Env`; [`Sim::restore`] is the same clone in the other
-//! direction, any number of times. The scheduler queue is cloned as it
-//! stands — backend structure, tuning and work profile included — so a
-//! restored simulator does not merely pop the same events: it continues
-//! the original's scheduler, work counts and all. That
-//! restore-equals-straight-through property is pinned by the
-//! `e2e_snapshot` suite on every scheduler backend.
+//! monitors, traces, RNG streams, sketches, the audit mirror).
+//! [`Sim::snapshot`] is `state.clone()` beside another handle on the same
+//! `Env`; [`Sim::restore`] is the same clone in the other direction, any
+//! number of times. The scheduler queue is cloned as it stands — backend
+//! structure, tuning and work profile included — so a restored simulator
+//! does not merely pop the same events: it continues the original's
+//! scheduler, work counts and all. That restore-equals-straight-through
+//! property is pinned by the `e2e_snapshot` suite on every scheduler
+//! backend.
 //!
 //! The intended use is prefix-sharing parameter sweeps
 //! (`experiments::sweep::run_warm`): configs that share a warmup prefix
@@ -72,9 +72,6 @@ pub enum StateTamper {
     /// Fold a sample into the streaming quantile sketch (requires
     /// [`crate::SimConfig::streaming_stats`]).
     Sketch,
-    /// Leak one unit of fluid backlog mass (requires a hybrid run with
-    /// [`crate::SimConfig::background`]).
-    FluidBacklog,
     /// Flip the priority-0 PFC pause bit on node 0's first egress port.
     PortState,
     /// Bump the first monitor's `last_tx`, the reading its next throughput
@@ -128,11 +125,11 @@ impl Sim {
     /// FNV-1a fingerprint of the simulator's complete deterministic state
     /// (`State::fold_digest`): scheduler queue, counters, RNG streams,
     /// packet arena, nodes and their ports (link fault state included),
-    /// flow table and slab, monitors, traces, fluid backlogs, and streaming
-    /// sketches. Two simulators in the same `Env` with equal digests
-    /// dispatch identically from here on, whatever their scheduler backend;
-    /// the snapshot-completeness fleet pins that every [`StateTamper`]
-    /// class moves it.
+    /// flow table and slab, monitors, traces, and streaming sketches. Two
+    /// simulators in the same `Env` with equal digests dispatch identically
+    /// from here on, whatever their scheduler backend; the
+    /// snapshot-completeness fleet pins that every [`StateTamper`] class
+    /// moves it.
     pub fn state_digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         self.state.fold_digest(&mut |w: u64| {
@@ -145,9 +142,9 @@ impl Sim {
 
     /// Buggify-style hook for the snapshot-completeness fleet: mutate one
     /// class of deterministic state in place. Returns `false` when the run
-    /// does not carry that state class (e.g. [`StateTamper::FluidBacklog`]
-    /// on a pure packet run), so tests can assert the tamper actually
-    /// landed before asserting digest divergence.
+    /// does not carry that state class (e.g. [`StateTamper::Sketch`]
+    /// without streaming statistics), so tests can assert the tamper
+    /// actually landed before asserting digest divergence.
     #[doc(hidden)]
     pub fn snap_mutate(&mut self, tamper: StateTamper) -> bool {
         let st = &mut self.state;
@@ -163,13 +160,6 @@ impl Sim {
             StateTamper::Sketch => match st.streaming.as_deref_mut() {
                 Some(s) => {
                     s.fct_ps.add(1);
-                    true
-                }
-                None => false,
-            },
-            StateTamper::FluidBacklog => match st.fluid.as_deref_mut() {
-                Some(f) => {
-                    f.tamper_backlog();
                     true
                 }
                 None => false,
@@ -209,14 +199,3 @@ const _: fn() = || {
     assert_send_sync::<SimSnapshot>();
     assert_send_sync::<Box<dyn Transport>>();
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tamper_classes_are_distinct() {
-        assert_ne!(StateTamper::Counter, StateTamper::Rng);
-        assert_ne!(StateTamper::Sketch, StateTamper::FluidBacklog);
-    }
-}

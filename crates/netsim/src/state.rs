@@ -11,12 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{EventQueue, ScheduledId, SimRng, Time};
+use simcore::{EventQueue, SimRng, Time};
 
 use crate::audit::{detect_pause_cycle, Audit, ViolationKind};
 use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
-use crate::fluid::FluidState;
 use crate::monitor::Monitor;
 use crate::node::{EgressPort, Node, Switch};
 use crate::packet::{FlowId, NodeId, PacketArena};
@@ -319,12 +318,6 @@ pub(crate) struct State {
     /// Flows completed by the event being dispatched, awaiting delivery to
     /// the [`crate::sim::App`].
     pub(crate) completed_buf: Vec<FlowId>,
-    /// Fluid background-traffic solver (hybrid model); `None` — the pure
-    /// packet simulator — keeps every coupling hook to one branch.
-    pub(crate) fluid: Option<Box<FluidState>>,
-    /// The single pending [`Event::FluidEpoch`], if any. Cancellable so a
-    /// coupling hook can pull the epoch earlier without stale events.
-    pub(crate) fluid_epoch: Option<ScheduledId>,
     /// Whether the run-level bootstrap events have been scheduled. A
     /// snapshot of a running simulation carries `true`.
     pub(crate) started: bool,
@@ -368,8 +361,6 @@ impl State {
             nc_rng,
             streaming,
             completed_buf,
-            fluid,
-            fluid_epoch,
             started,
             // An observer of the state, not part of it: an audited and an
             // unaudited run dispatch identically, and must digest equally.
@@ -377,9 +368,7 @@ impl State {
         } = self;
 
         queue.fold_digest(fold, |ev, fold| ev.fold_digest(fold));
-        // A `ScheduledId` is opaque; whether the epoch is armed is the
-        // state, and the armed entry itself is in the queue fold above.
-        fold(fluid_epoch.is_some() as u64 | (*started as u64) << 1);
+        fold(*started as u64);
         counters.fold_digest(fold);
         for rng in [noise_rng, ecn_rng, nc_rng] {
             for w in rng.state() {
@@ -408,10 +397,6 @@ impl State {
             fold(flow as u64);
             t.fold_digest(fold);
         }
-        fold(fluid.is_some() as u64);
-        if let Some(f) = fluid.as_deref() {
-            f.fold_digest(fold);
-        }
         fold(streaming.is_some() as u64);
         if let Some(s) = streaming.as_deref() {
             fold(s.fingerprint());
@@ -419,10 +404,10 @@ impl State {
     }
 
     /// The audit's O(state) scan: recount every switch, then check
-    /// conservation, counters, fluid mass, PFC deadlock, the event queue,
-    /// flow-slab reclamation and arena references, in that order. It reads
-    /// the whole state, so it lives here rather than in [`crate::audit`],
-    /// which sits below this module and is handed the parts it checks.
+    /// conservation, counters, PFC deadlock, the event queue, flow-slab
+    /// reclamation and arena references, in that order. It reads the whole
+    /// state, so it lives here rather than in [`crate::audit`], which sits
+    /// below this module and is handed the parts it checks.
     pub(crate) fn deep_scan(&self, env: &Env, a: &mut Audit, now: Time) {
         let switches: Vec<(NodeId, &Switch)> = self
             .nodes
@@ -436,9 +421,6 @@ impl State {
         }
         a.check_conservation(now, buffered_data);
         a.check_counters(now, &self.counters);
-        if let Some(f) = self.fluid.as_deref() {
-            a.check_fluid(now, &f.audit_view());
-        }
         if env.cfg.faults.as_ref().is_some_and(|s| !s.is_empty()) {
             // PFC deadlock monitor: a cycle in the wait-for graph over
             // paused egress attachments is a circular buffer dependency

@@ -170,7 +170,7 @@ proptest! {
             // received a packet (data priorities only; control is unpaused).
             if let Some((ip, q)) = hit {
                 if q < NQ - 1 {
-                    let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold(0);
+                    let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold();
                     prop_assert!(
                         !over || s.ingress_paused[ip as usize][q],
                         "ingress ({ip}, {q}) above pause threshold but not paused"
@@ -231,7 +231,7 @@ proptest! {
                     let q = queue_index(pkt.header.prio, NQ);
                     let wire = pkt.header.size as u64;
                     let would_exceed =
-                        s.ports[port as usize].queued_bytes_q[q] + wire > s.dt_limit(0);
+                        s.ports[port as usize].queued_bytes_q[q] + wire > s.dt_limit();
                     let mut pauses = Vec::new();
                     let id = arena.alloc(pkt);
                     let adm = s.admit(port, in_port, id, 0, &mut arena, &mut pauses);
@@ -320,7 +320,7 @@ proptest! {
                     };
                     if let Some((ip, q)) = hit {
                         if q < NQ - 1 {
-                            let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold(0);
+                            let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold();
                             prop_assert!(
                                 !over || s.ingress_paused[ip as usize][q],
                                 "ingress ({ip}, {q}) above pause threshold but not paused"
@@ -399,7 +399,7 @@ proptest! {
             let mut pauses = Vec::new();
             let id = arena.alloc(data_pkt(0, payload, i as u64));
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
-            if s.ingress_bytes[1][0] > s.pfc_pause_threshold(0) && !s.ingress_paused[1][0] {
+            if s.ingress_bytes[1][0] > s.pfc_pause_threshold() && !s.ingress_paused[1][0] {
                 violated = true;
             }
         }

@@ -57,9 +57,10 @@ pub enum Rule {
     /// (`.sum::<f64>()`, float-typed `.sum()`/`.product()`, float-seeded
     /// `.fold(...)`) in simulation-state crates — float addition is not
     /// associative, so any refactor that reorders the iteration silently
-    /// perturbs results. Accumulate in integer units (the fluid model's
-    /// u128 byte-picoseconds, `u64` byte counters) and convert to float at
-    /// the edge, or annotate why the ordering is pinned.
+    /// perturbs results. Accumulate in integer units (the streaming
+    /// sketches' `u64` picoseconds and milli-slowdowns, `u64` byte counters)
+    /// and convert to float at the edge, or annotate why the ordering is
+    /// pinned.
     FloatOrder,
     /// R9: the crate DAG is one-way (`simcore <- {netsim, prioplus} <-
     /// transport <- workloads <- experiments`) and module graphs

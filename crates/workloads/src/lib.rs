@@ -2,9 +2,6 @@
 //!
 //! - [`websearch`]: the DCTCP WebSearch flow-size distribution with Poisson
 //!   open-loop arrivals at a target load (flow-scheduling scenario, §6.2);
-//! - [`background`]: per-port Poisson background-traffic traces for the
-//!   hybrid packet/fluid model (same trace drives the fluid solver and the
-//!   packet-level reference run);
 //! - [`coflow`]: a synthetic coflow generator statistically matched to the
 //!   published characterization of the Facebook Hadoop trace, plus the
 //!   20-into-1 file-request incast pattern (coflow scenario, §6.2);
@@ -26,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod allreduce;
-pub mod background;
 pub mod coflow;
 pub mod faults;
 pub mod openloop;
@@ -34,7 +30,6 @@ pub mod priomap;
 pub mod websearch;
 
 pub use allreduce::RingJob;
-pub use background::BackgroundSpec;
 pub use faults::FaultPlanSpec;
 pub use coflow::{Coflow, CoflowGen};
 pub use openloop::{IncastMix, OpenLoopGen};

@@ -12,10 +12,9 @@
 #      cross-backend differentials;
 #   3. audited: the whole experiments suite rerun with the invariant audit
 #      force-enabled on every Sim and panicking on any violation; then the
-#      arena, audit, hybrid (fluid mass conservation) and fault suites with
-#      the deep scan forced to every event boundary; then the hyperscale
-#      suite (thousands of streamed flows, slab reclamation sweep) at a
-#      deep-scan cadence of 256;
+#      arena, audit and fault suites with the deep scan forced to every
+#      event boundary; then the hyperscale suite (thousands of streamed
+#      flows, slab reclamation sweep) at a deep-scan cadence of 256;
 #   4. reference scheduler: the tests whose outcome can depend on the
 #      scheduler backend, rerun on the binary heap — the scheduler and
 #      simulator crates, and of the experiments suite the golden traces
@@ -76,9 +75,9 @@ leg_done
 leg 3 audited "experiments suite under the invariant audit (violations are fatal)"
 export PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1
 cargo test -q --release -p experiments
-echo "--- deep scan at every event boundary: arena, audit, hybrid, faults ---"
+echo "--- deep scan at every event boundary: arena, audit, faults ---"
 PRIOPLUS_AUDIT_DEEP=1 cargo test -q --release -p experiments \
-  --test e2e_arena --test e2e_audit --test e2e_hybrid --test e2e_faults
+  --test e2e_arena --test e2e_audit --test e2e_faults
 echo "--- hyperscale (k=8 open-loop), deep scan every 256 events ---"
 # 256, not 1: the deep scan's flow sweep is O(flows) and the suite streams
 # thousands of flows over millions of events, so an every-event sweep takes

@@ -14,9 +14,9 @@
 //! - **Completeness fleet**: buggify-style tampers ([`StateTamper`])
 //!   mutate one class of simulator state at a time — counters, RNG
 //!   streams, port state, the event queue, a live flow's reassembly point,
-//!   a monitor's baseline, streaming sketches, fluid backlog — and the
-//!   digest must notice every one; classes absent from a run must report
-//!   `false` and leave the digest alone.
+//!   a monitor's baseline, streaming sketches — and the digest must
+//!   notice every one; classes absent from a run must report `false` and
+//!   leave the digest alone.
 //! - **Warm-start differential**: `experiments::sweep::run_warm` over a
 //!   prefix-sharing config family must be bit-identical to cold
 //!   per-config runs, serial and parallel, with the cache accounting
@@ -25,7 +25,6 @@
 use experiments::golden::summarize;
 use experiments::micro::{Micro, MicroEnv};
 use experiments::sweep::{run_warm, WarmCache};
-use netsim::fluid::BackgroundLoad;
 use netsim::{
     FaultSchedule, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult, StateTamper,
     SwitchConfig, Topology,
@@ -346,45 +345,10 @@ fn streaming_sim() -> Sim {
     sim
 }
 
-/// Hybrid packet/fluid run for the FluidBacklog tamper class: fluid
-/// background mass against packet foreground, mirroring the `hybrid`
-/// experiment's `from_shared_hosts` setup.
-fn hybrid_sim() -> Sim {
-    let hosts = 4; // 2 foreground senders + 2 background blast hosts
-    let topo = Topology::single_switch(hosts, Rate::from_gbps(100), Time::from_us(3));
-    let switch = hosts as u32 + 1; // hosts 0..=hosts, then the switch
-    let trace: Vec<(Time, u64)> = (0..8u64).map(|i| (Time::from_us(i * 50), 60_000)).collect();
-    let background = BackgroundLoad::from_shared_hosts(
-        (switch, 0),
-        &trace,
-        2,
-        Rate::from_gbps(100).as_bps(),
-        SimConfig::default().mtu,
-    );
-    let cfg = SimConfig {
-        end_time: Time::from_ms(2),
-        seed: 13,
-        trace_flows: false,
-        background: Some(background),
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
-    let cc = CcSpec::Swift {
-        queuing: Time::from_us(4),
-        scaling: false,
-    };
-    for s in 1..=2u32 {
-        let spec = FlowSpec::new(s, 0, 300_000, Time::from_us(5 * s as u64));
-        let start = spec.start;
-        sim.add_flow(spec, |p| cc.make(p, start));
-    }
-    sim
-}
-
-/// Completeness fleet, part 1: on a pure packet run, the Counter, Rng,
-/// PortState, Queue and FlowRecv tampers land and move the digest; the
-/// Sketch, FluidBacklog and Monitor classes are absent, so the hooks report
-/// `false` and the digest must not move.
+/// Completeness fleet, part 1: on a plain run, the Counter, Rng, PortState,
+/// Queue and FlowRecv tampers land and move the digest; the Sketch and
+/// Monitor classes are absent, so the hooks report `false` and the digest
+/// must not move.
 #[test]
 fn tamper_fleet_packet_run_counters_and_rng() {
     let cc = CcSpec::Swift {
@@ -419,11 +383,7 @@ fn tamper_fleet_packet_run_counters_and_rng() {
             "state digest is blind to {tamper:?}"
         );
     }
-    for tamper in [
-        StateTamper::Sketch,
-        StateTamper::FluidBacklog,
-        StateTamper::Monitor,
-    ] {
+    for tamper in [StateTamper::Sketch, StateTamper::Monitor] {
         let mut fork = Sim::restore(&snap);
         assert!(
             !fork.snap_mutate(tamper),
@@ -507,30 +467,6 @@ fn tamper_fleet_streaming_sketch() {
     let straight = summarize(&streaming_sim().run());
     let resumed = summarize(&Sim::restore(&snap).run());
     assert_eq!(straight, resumed, "streaming run diverged after resume");
-}
-
-/// Completeness fleet, part 3: the FluidBacklog tamper lands on a hybrid
-/// run and the digest notices (via the fluid mass fold).
-#[test]
-fn tamper_fleet_fluid_backlog() {
-    let mut sim = hybrid_sim();
-    sim.run_until(Time::from_us(400));
-    let base = sim.state_digest();
-    let snap = sim.snapshot();
-    let mut fork = Sim::restore(&snap);
-    assert!(
-        fork.snap_mutate(StateTamper::FluidBacklog),
-        "FluidBacklog tamper must land on a hybrid run"
-    );
-    assert_ne!(
-        base,
-        fork.state_digest(),
-        "digest is blind to fluid backlog"
-    );
-    // And the hybrid run itself resumes bit-identically.
-    let straight = summarize(&hybrid_sim().run());
-    let resumed = summarize(&Sim::restore(&snap).run());
-    assert_eq!(straight, resumed, "hybrid run diverged after resume");
 }
 
 /// One config of the prefix-sharing family: `seed` selects the warmup
