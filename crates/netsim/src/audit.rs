@@ -573,7 +573,7 @@ impl Audit {
 
     /// True when the periodic deep scan is due for the event just processed.
     pub(crate) fn should_deep_scan(&self) -> bool {
-        self.cfg.deep_every <= 1 || self.events_audited % self.cfg.deep_every == 0
+        self.cfg.deep_every <= 1 || self.events_audited.is_multiple_of(self.cfg.deep_every)
     }
 
     /// Deep-scan one switch: recount every queue against the byte counters,

@@ -64,21 +64,29 @@ pub struct SimCounters {
     /// sched_pops` is the average number of events dispatched per scheduler
     /// interaction — the batching win batch dispatch is after.
     pub sched_pops: u64,
-    /// Entries pushed plus entries popped at the scheduler backend. With
-    /// the four counters below: diagnostics of the *backend*, so they
-    /// differ between backends (zero work on the binary heap) and are kept
-    /// out of state digests and golden summaries.
+    /// Entries pushed plus entries popped at the event queue — its FIFO
+    /// lanes ([`simcore::EventQueue::declare_delay`]) and the scheduler
+    /// backend together, so "queue operations per delivered packet" means
+    /// the same before and after lanes. With the five counters below:
+    /// diagnostics of how the queue stored the run's events, not of the run,
+    /// so they differ between backends (zero work on the binary heap) and
+    /// are kept out of state digests and golden summaries.
     pub sched_ops: u64,
+    /// Of the pushes in `sched_ops`, those a lane took: entries that never
+    /// entered the backend. `sched_lane_pushes / pushes` is the share of
+    /// traffic scheduled at a declared link delay — an exact count of how
+    /// much of a run the lanes serve.
+    pub sched_lane_pushes: u64,
     /// Entries moved, buckets scanned and list nodes walked by the backend
-    /// ([`simcore::SchedWork::touches`]). `sched_touches / sched_ops` is
-    /// its deterministic cost per operation.
+    /// ([`simcore::SchedWork::touches`]) for the operations that reached it
+    /// (`sched_ops` less the lanes' pushes and pops).
     pub sched_touches: u64,
     /// Backend rebuilds (width retunes and bucket-count changes).
     pub sched_rebuilds: u64,
     /// Most entries the event queue stored at once, cancelled timers
     /// awaiting lazy retirement included.
     pub sched_pending_peak: u64,
-    /// Peak heap bytes of the event queue (backend + batch buffer).
+    /// Peak heap bytes of the event queue (backend + lanes).
     pub sched_bytes_peak: u64,
 }
 
@@ -113,9 +121,11 @@ impl SimCounters {
             flows_reclaimed: _,
             flow_live_bytes_peak: _,
             sched_pops: _,
-            // Diagnostics of one scheduler backend: they differ between
-            // backends by design, and the digest must not.
+            // Diagnostics of one scheduler backend, or of where the queue
+            // kept an entry: they differ between backends by design, and
+            // the digest must not.
             sched_ops: _,
+            sched_lane_pushes: _,
             sched_touches: _,
             sched_rebuilds: _,
             sched_pending_peak: _,

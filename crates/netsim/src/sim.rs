@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simcore::stats::ThroughputMeter;
-use simcore::{EventQueue, SimRng, Time};
+use simcore::{EventQueue, Rate, SimRng, Time};
 
 use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
@@ -112,12 +112,14 @@ impl Sim {
                 panic!("fault schedule targets nonexistent link attachment ({node}, {port})");
             }
         }
+        let mut queue = EventQueue::with_sched(cfg.sched);
+        declare_link_delays(&mut queue, topo, cfg.mtu);
         let state = State {
             nodes,
             flows: Vec::new(),
             live: FlowSlab::default(),
             arena: PacketArena::new(),
-            queue: EventQueue::with_sched(cfg.sched),
+            queue,
             counters: SimCounters::default(),
             monitors: Vec::new(),
             traces: BTreeMap::new(),
@@ -419,7 +421,8 @@ impl Sim {
         counters.arena_int_recycled = astats.int_recycled;
         counters.sched_pops = st.queue.pops();
         let work = st.queue.sched_work();
-        counters.sched_ops = work.ops();
+        counters.sched_lane_pushes = st.queue.lane_pushes();
+        counters.sched_ops = work.ops() + st.queue.lane_pushes() + st.queue.lane_pops();
         counters.sched_touches = work.touches();
         counters.sched_rebuilds = work.rebuilds;
         counters.sched_pending_peak = st.queue.pending_peak() as u64;
@@ -481,6 +484,38 @@ impl Sim {
     }
 }
 
+/// Tell the queue which delays [`State::transmit`] will schedule at: per
+/// link class `(rate, prop)`, the serialization time of a full data packet
+/// and of a control packet, each with and without the propagation delay —
+/// the four delays nearly every [`Event::PortFree`] and [`Event::Arrive`]
+/// of that class carries, so they queue in FIFO lanes instead of the
+/// scheduler backend ([`EventQueue::declare_delay`]). Classes go in
+/// descending order of how many links have them (ties in topology order),
+/// so when there are more delays than lanes the refused ones are the rarest.
+/// Only a hint: a flow's short tail packet, a degraded link, a
+/// non-congestive delay or a refused class schedules through the backend,
+/// in the same order either way.
+fn declare_link_delays(queue: &mut EventQueue<Event>, topo: &Topology, mtu: u32) {
+    let mut classes: Vec<(Rate, Time, usize)> = Vec::new();
+    for &(_, _, link) in &topo.links {
+        match classes
+            .iter_mut()
+            .find(|(rate, prop, _)| (*rate, *prop) == (link.rate, link.prop))
+        {
+            Some((_, _, links)) => *links += 1,
+            None => classes.push((link.rate, link.prop, 1)),
+        }
+    }
+    classes.sort_by_key(|&(_, _, links)| std::cmp::Reverse(links));
+    for (rate, prop, _) in classes {
+        for bytes in [mtu + HEADER_BYTES, CONTROL_BYTES] {
+            let ser = rate.serialize_time(bytes as u64);
+            queue.declare_delay(ser);
+            queue.declare_delay(ser + prop);
+        }
+    }
+}
+
 /// Why [`State::advance`] came back.
 enum Yield {
     /// The run is over — the queue drained or [`Event::End`] fired — or the
@@ -507,16 +542,19 @@ impl State {
     /// is not automatic: rustc cuts the crate into codegen units by the
     /// module of each function's `Self` type, and LLVM's inliner works one
     /// unit at a time. A per-event callee filed elsewhere stays a call that
-    /// hands its `Entry` or `Option<Event>` back through memory. Two such
-    /// costs have been measured with alternating `ppbench` pairs, output
-    /// identical in both: the queue's serve path ([`EventQueue`]'s
-    /// `batch_next`, `settle_head`, `pop_batch`, `pop_batch_before`,
-    /// `take_batch` — instances of a `simcore` generic, so filed under
-    /// `simcore::event`) cost 8–13 % of wall time on every workload until it
-    /// carried `#[inline]`, which has rustc instantiate it in the caller's
-    /// unit; and this loop cost 3–5 % CPU while it was a method of `Sim`,
-    /// a unit away from the handlers. `scripts/check_hot_calls.sh` (CI leg 2)
-    /// fails when the disassembly of `advance` calls any of the five.
+    /// hands its `Option<Event>` back through memory. Two such costs have
+    /// been measured with alternating `ppbench` pairs, output identical in
+    /// both: the queue's serve path ([`EventQueue`]'s `batch_next`,
+    /// `pop_batch`, `pop_batch_before` and what they are made of — `head`,
+    /// `scan_head`, `settle_head`, `take_batch`, `pop_lane` — instances of a
+    /// `simcore` generic, so filed under `simcore::event`) cost 8–13 % of
+    /// wall time on every workload until it carried `#[inline]`, which has
+    /// rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU
+    /// while it was a method of `Sim`, a unit away from the handlers.
+    /// `scripts/check_hot_calls.sh` (CI leg 2) fails when the disassembly of
+    /// `advance` calls any of them. (The backend's side of the queue —
+    /// `find_head`, `pop_backend`, `retire_cancelled_head` — is
+    /// out of line on purpose: a hundredth of the events.)
     fn advance(&mut self, env: &Env, until: Option<Time>, has_app: bool) -> Yield {
         loop {
             let now = self.queue.now();
@@ -1372,7 +1410,9 @@ mod tests {
     /// 16 bytes (or an `Entry<Event>` past 40), someone put a payload back
     /// into the queue by value — route it through the arena instead. A
     /// pending entry outside the calendar's current day occupies one slab
-    /// node: the entry plus a 4-byte link.
+    /// node: the entry plus a 4-byte link; one waiting in a FIFO lane
+    /// occupies a ring slot: a 16-byte key plus the event, whose `Option`
+    /// must cost nothing.
     #[test]
     fn event_stays_slim() {
         assert!(
@@ -1387,5 +1427,7 @@ mod tests {
         );
         let node = simcore::sched::CalendarQueue::<Event>::NODE_BYTES;
         assert!(node <= 48, "calendar slab node grew to {node} bytes");
+        let slot = EventQueue::<Event>::LANE_ENTRY_BYTES;
+        assert!(slot <= 32, "lane slot grew to {slot} bytes");
     }
 }

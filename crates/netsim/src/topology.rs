@@ -214,7 +214,7 @@ impl Topology {
     /// # Panics
     /// Panics when `k` is odd or zero.
     pub fn fat_tree(k: usize, rate: Rate, prop: Time) -> Self {
-        assert!(k >= 2 && k % 2 == 0, "fat-tree requires even k");
+        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree requires even k");
         let half = k / 2;
         let mut t = Topology::new();
         // Hosts first: pod p, edge e, host h.

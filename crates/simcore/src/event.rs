@@ -9,6 +9,47 @@
 //! the calendar queue, and the binary heap is the reference the tests
 //! compare it against.
 //!
+//! # FIFO lanes
+//!
+//! A link is a constant serialization time plus a constant propagation
+//! delay, so nearly every event of a packet simulation is scheduled a
+//! *constant* delay after the clock. The clock never runs backwards and
+//! `seq` only grows, so the pushes that share one delay `d` arrive already
+//! sorted by `(now + d, seq)`: a FIFO ring holds them in pop order and there
+//! is nothing for a priority queue to do.
+//! [`declare_delay`](EventQueue::declare_delay) gives such a delay a
+//! *lane*; a non-cancellable push whose `at − now` equals a declared delay
+//! goes to that lane's ring and everything else goes to the backend. The
+//! order inside a ring follows from the clock alone, never from what was
+//! declared — a declaration is a hint about where pushes will land, and a
+//! wrong, missing or refused one costs speed, not correctness.
+//!
+//! The queue's head is the smallest of the backend's head and the rings'
+//! fronts. Each source keeps its head as one dense `u128` key
+//! (`at << 64 | seq`, `u128::MAX` when empty), so choosing among them is a
+//! tournament of compare-and-select over at most [`MAX_LANES`]` + 1` words —
+//! no pointer is followed and no branch depends on the data. It runs once
+//! per served event, when a lane's front is popped: every key is known
+//! then, so the answer is ready before the popped event's handler returns
+//! and the event loop never waits on it. A push replaces the remembered head
+//! only when the new key sorts before it. (After a *backend* pop the head is
+//! left unknown and found on the next request: looking the backend's new
+//! head up before the handler has pushed would open a calendar day those
+//! pushes then land before.)
+//!
+//! # Batches
+//!
+//! Events sharing a timestamp are dispatched as one *batch*
+//! ([`pop_batch`](EventQueue::pop_batch) then
+//! [`batch_next`](EventQueue::batch_next) until `None`): one clock advance
+//! and one counted scheduler interaction. A batch is not a buffer. It is the
+//! bound `batch_end = next_seq` taken when it forms: the head belongs to the
+//! batch while `at == now && seq < batch_end`, and is served from wherever it
+//! was pushed. An event pushed for the same instant from inside a batch has
+//! `seq ≥ batch_end`, so it waits for the next batch at that timestamp.
+//!
+//! # Cancellation
+//!
 //! Cancellation uses generation-stamped slots instead of a tombstone set:
 //! [`schedule_cancellable`](EventQueue::schedule_cancellable) hands out a
 //! [`ScheduledId`] naming a slot plus the generation it was issued under, and
@@ -19,11 +60,14 @@
 //! fired or already cancelled) fails the generation check and is a no-op, so
 //! `len()` can never under-count and no tombstone can leak.
 //!
-//! Cancelled entries are retired *lazily*: they stay in the backend until
-//! they reach the head, where [`pop`](EventQueue::pop),
-//! [`pop_batch`](EventQueue::pop_batch) and
-//! [`peek_time`](EventQueue::peek_time) discard them (see
-//! [`settle_head`](EventQueue::settle_head)).
+//! Cancelled entries always live in the backend (lanes take only
+//! non-cancellable pushes) and are retired *lazily*: they stay there until
+//! they reach the queue's head, where [`pop`](EventQueue::pop),
+//! [`pop_batch`](EventQueue::pop_batch),
+//! [`batch_next`](EventQueue::batch_next) and
+//! [`peek_time`](EventQueue::peek_time) discard them.
+
+use std::hint::select_unpredictable;
 
 use crate::sched::{AnySched, Entry, SchedKind, SchedWork, Scheduler};
 use crate::time::Time;
@@ -43,6 +87,69 @@ pub struct ScheduledId {
 /// cancellation handle.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Most delays one queue gives a lane. The head scan reads one key per
+/// lane, so the cap bounds what a served event can cost; sixteen covers
+/// four link classes at two packet sizes, with and without propagation.
+pub const MAX_LANES: usize = 16;
+
+/// "The backend" as a head source — lanes are `0..MAX_LANES` — and "no
+/// lane" as a push destination.
+const BACKEND: usize = MAX_LANES;
+
+/// Head key of an empty source.
+const EMPTY: u128 = u128::MAX;
+
+/// The remembered head when it is not known. No push sorts before key 0,
+/// so pushes leave an unknown head unknown without testing for it.
+const UNKNOWN: (u128, usize) = (0, BACKEND);
+
+/// The `(at, seq)` order as one integer.
+#[inline]
+fn key_of(at: Time, seq: u64) -> u128 {
+    (at.as_ps() as u128) << 64 | seq as u128
+}
+
+/// A key's `(at, seq)`.
+#[inline]
+fn split_key(key: u128) -> (Time, u64) {
+    (Time::from_ps((key >> 64) as u64), key as u64)
+}
+
+/// The earlier of two `(key, source)` pairs, as a select: which source
+/// holds the head is data a branch predictor cannot learn — a branching
+/// scan mispredicts once or twice per event and costs what the lanes save.
+/// (`select_unpredictable` because a plain `if` is no promise: LLVM turned
+/// three of the four selects of an unrolled scan back into branches.)
+#[inline(always)]
+fn earlier(a: (u128, usize), b: (u128, usize)) -> (u128, usize) {
+    let lt = b.0 < a.0;
+    (
+        select_unpredictable(lt, b.0, a.0),
+        select_unpredictable(lt, b.1, a.1),
+    )
+}
+
+/// The earliest of lanes `at..at + 4`, as a two-level tournament: the event
+/// loop waits on this result, so its depth counts, not only its length.
+#[inline(always)]
+fn earliest4(keys: &[u128; MAX_LANES], at: usize) -> (u128, usize) {
+    earlier(
+        earlier((keys[at], at), (keys[at + 1], at + 1)),
+        earlier((keys[at + 2], at + 2), (keys[at + 3], at + 3)),
+    )
+}
+
+/// The index of `delay_ps` among the first `N` of `delays` (the lowest, if
+/// several hold it), or [`BACKEND`].
+#[inline(always)]
+fn find_delay<const N: usize>(delays: &[u64; MAX_LANES], delay_ps: u64) -> usize {
+    let mut lane = BACKEND;
+    for (i, &d) in delays[..N].iter().enumerate().rev() {
+        lane = select_unpredictable(d == delay_ps, i, lane);
+    }
+    lane
+}
+
 /// Per-slot cancellation state. `gen` advances every time the slot is
 /// retired (fire or cancel), invalidating outstanding ids; `live` is false
 /// while a cancelled entry is still sitting in the backend.
@@ -52,38 +159,137 @@ struct Slot {
     live: bool,
 }
 
+/// One lane: a FIFO ring of `(key, event)` pairs, ascending in key, kept as
+/// two parallel rings so that the next head key is one aligned load and an
+/// event moves in and out as the `Option<E>` the serve path returns —
+/// nothing is repacked on the way.
+///
+/// An entry's slot is its push count modulo the capacity (a power of two,
+/// zero before the first push). Slots outside `head..tail` hold `EMPTY` and
+/// `None`, so the front key reads `EMPTY` from an empty ring without a test.
+#[derive(Clone, Debug)]
+struct Lane<E> {
+    keys: Vec<u128>,
+    events: Vec<Option<E>>,
+    /// Entries ever popped.
+    head: usize,
+    /// Entries ever pushed.
+    tail: usize,
+}
+
+impl<E> Lane<E> {
+    fn new() -> Self {
+        Lane {
+            keys: Vec::new(),
+            events: Vec::new(),
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.tail - self.head
+    }
+
+    #[inline]
+    fn push(&mut self, key: u128, event: E) {
+        if self.len() == self.keys.len() {
+            self.grow();
+        }
+        let slot = self.tail & (self.keys.len() - 1);
+        self.keys[slot] = key;
+        self.events[slot] = Some(event);
+        self.tail += 1;
+    }
+
+    /// Remove the front entry of a ring that has one; returns its event and
+    /// the key of the entry behind it (`EMPTY` when there is none).
+    #[inline]
+    fn pop(&mut self) -> (Option<E>, u128) {
+        debug_assert!(self.head != self.tail);
+        let mask = self.keys.len() - 1;
+        let slot = self.head & mask;
+        self.keys[slot] = EMPTY;
+        self.head += 1;
+        (self.events[slot].take(), self.keys[self.head & mask])
+    }
+
+    /// Double a full ring (or give an unused one its first slots). Slots are
+    /// push counts modulo the capacity, so an entry either stays or moves up
+    /// by the old capacity, into the new half.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let old = self.keys.len();
+        let cap = (2 * old).max(MIN_RING);
+        self.keys.resize(cap, EMPTY);
+        self.events.resize_with(cap, || None);
+        for i in self.head..self.tail {
+            let (from, to) = (i & (old - 1), i & (cap - 1));
+            if from != to {
+                self.keys[to] = std::mem::replace(&mut self.keys[from], EMPTY);
+                self.events[to] = self.events[from].take();
+            }
+        }
+    }
+
+    /// The stored entries, front to back.
+    fn iter(&self) -> impl Iterator<Item = (u128, &E)> {
+        let mask = self.keys.len().wrapping_sub(1);
+        (self.head..self.tail)
+            .filter_map(move |i| Some((self.keys[i & mask], self.events[i & mask].as_ref()?)))
+    }
+}
+
+/// Slots a lane's ring starts with.
+const MIN_RING: usize = 16;
+
 /// A deterministic min-priority event queue.
 ///
 /// `Clone` copies the queue as it stands — backend structure, tuning state
-/// and work profile, the cancellation slot table, an unserved batch — so a
-/// clone pops the same stream, honours the same outstanding
+/// and work profile, lanes, the cancellation slot table, a batch in progress
+/// — so a clone pops the same stream, honours the same outstanding
 /// [`ScheduledId`]s and continues the same [`SchedWork`] count as the
 /// original. (Buffers are cloned to their length, so
 /// [`resident_bytes`](Self::resident_bytes) is the clone's own.)
 #[derive(Clone)]
 pub struct EventQueue<E> {
     sched: AnySched<E>,
+    /// One ring per declared delay, each ascending in `(at, seq)`.
+    lanes: Vec<Lane<E>>,
+    /// `delays[i]` (ps) is the delay of `lanes[i]`.
+    delays: [u64; MAX_LANES],
+    /// `lane_keys[i]` is the key of `lanes[i]`'s front, `EMPTY` without one.
+    lane_keys: [u128; MAX_LANES],
+    /// Key of the backend's head. Trusted only while `!backend_stale`.
+    backend_key: u128,
+    /// The backend's head was popped and has not been looked up again. The
+    /// lookup waits for the next head scan, after the popped event's handler
+    /// has pushed: a calendar queue asked earlier would open a day that
+    /// those pushes then land before.
+    backend_stale: bool,
+    /// Key and source of the queue's head — the smallest key stored,
+    /// cancelled entries included — or [`UNKNOWN`].
+    head: (u128, usize),
+    /// Entries stored, backend and lanes together, cancelled ones included.
+    stored: usize,
     next_seq: u64,
+    /// The batch in progress is every entry with `at == now` and a `seq`
+    /// below this.
+    batch_end: u64,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Entries still in the backend whose slot was cancelled.
     cancelled_in_heap: usize,
     now: Time,
     popped: u64,
-    /// Scheduler interactions: one per [`pop_batch`](Self::pop_batch) (or
-    /// per backend pop on the sequential path). `popped / pops` is the
-    /// average batch size.
+    /// Scheduler interactions: one per batch formed, one per sequential
+    /// [`pop`](Self::pop) outside a batch. `popped / pops` is the average
+    /// batch size.
     pops: u64,
     /// Most entries ever stored at once, cancelled ones included.
     pending_peak: usize,
-    /// The pending same-timestamp batch, **in reverse `(at, seq)` order**
-    /// (the order backends hand it over in), so
-    /// [`batch_next`](Self::batch_next) serves from the tail. Entries
-    /// here have left the backend but are still logically queued: `len`,
-    /// `for_each_live`, and the invariant check all account for them, and
-    /// [`cancel`](Self::cancel) still works on them (liveness is re-checked
-    /// at serve time).
-    batch: Vec<Entry<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -104,7 +310,15 @@ impl<E> EventQueue<E> {
     pub fn with_sched(kind: SchedKind) -> Self {
         EventQueue {
             sched: AnySched::new(kind),
+            lanes: Vec::new(),
+            delays: [u64::MAX; MAX_LANES],
+            lane_keys: [EMPTY; MAX_LANES],
+            backend_key: EMPTY,
+            backend_stale: false,
+            head: (EMPTY, BACKEND),
+            stored: 0,
             next_seq: 0,
+            batch_end: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
             cancelled_in_heap: 0,
@@ -112,8 +326,27 @@ impl<E> EventQueue<E> {
             popped: 0,
             pops: 0,
             pending_peak: 0,
-            batch: Vec::new(),
         }
+    }
+
+    /// Give pushes scheduled exactly `delay` after the clock a FIFO lane
+    /// (see the module docs). Returns whether the delay has one: `true` for
+    /// a new or an already declared delay, `false` once [`MAX_LANES`] others
+    /// are taken — such pushes keep going to the backend. May be called at
+    /// any time; entries already stored stay where they are. Pop order never
+    /// depends on what was declared.
+    pub fn declare_delay(&mut self, delay: Time) -> bool {
+        let n = self.lanes.len();
+        if self.delays[..n].contains(&delay.as_ps()) {
+            return true;
+        }
+        if n == MAX_LANES {
+            return false;
+        }
+        self.delays[n] = delay.as_ps();
+        // Construction time: one (still empty) ring per declared delay.
+        self.lanes.push(Lane::new());
+        true
     }
 
     /// Which scheduler backend this queue runs on.
@@ -133,43 +366,77 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of scheduler interactions so far: one per
-    /// [`pop_batch`](Self::pop_batch), one per sequential [`pop`](Self::pop)
-    /// that reached the backend. `popped() / pops()` is the average number
-    /// of events served per scheduler interaction.
+    /// Number of scheduler interactions so far: one per batch formed by
+    /// [`pop_batch`](Self::pop_batch), one per sequential
+    /// [`pop`](Self::pop) outside a batch. `popped() / pops()` is the
+    /// average number of events served per scheduler interaction.
     #[inline]
     pub fn pops(&self) -> u64 {
         self.pops
     }
 
     /// The backend's deterministic work profile (all zero on the binary
-    /// heap, which keeps none).
+    /// heap, which keeps none). Lanes are not in it: see
+    /// [`lane_pushes`](Self::lane_pushes).
     pub fn sched_work(&self) -> SchedWork {
         self.sched.work()
     }
 
+    /// Entries ever pushed to a lane instead of the backend. The same run
+    /// always reads the same number, so the share of traffic the lanes
+    /// carry is an exact count.
+    pub fn lane_pushes(&self) -> u64 {
+        self.lanes.iter().map(|l| l.tail as u64).sum()
+    }
+
+    /// Entries ever popped from a lane.
+    pub fn lane_pops(&self) -> u64 {
+        self.lanes.iter().map(|l| l.head as u64).sum()
+    }
+
     /// Most entries the queue ever stored at once, cancelled ones awaiting
-    /// lazy retirement included — what the backend's memory is sized by.
+    /// lazy retirement included — what its memory is sized by.
     pub fn pending_peak(&self) -> usize {
         self.pending_peak
     }
 
-    /// Heap bytes held by the backend and the batch buffer, by capacity.
+    /// Heap bytes held by the backend and the lanes, by capacity.
     /// Capacities only grow, so the value at the end of a run is its peak.
     pub fn resident_bytes(&self) -> usize {
-        self.sched.resident_bytes() + self.batch.capacity() * std::mem::size_of::<Entry<E>>()
+        let ring_slots: usize = self.lanes.iter().map(|l| l.keys.capacity()).sum();
+        self.sched.resident_bytes()
+            + self.lanes.capacity() * std::mem::size_of::<Lane<E>>()
+            + ring_slots * Self::LANE_ENTRY_BYTES
     }
 
-    /// Number of pending (non-cancelled) events, including any entries of a
-    /// partially served batch.
+    /// Bytes per ring slot of a lane: the key and the event.
+    pub const LANE_ENTRY_BYTES: usize =
+        std::mem::size_of::<u128>() + std::mem::size_of::<Option<E>>();
+
+    /// Number of pending (non-cancelled) events, including the unserved
+    /// entries of a batch in progress.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sched.len() + self.batch.len() - self.cancelled_in_heap
+        self.stored - self.cancelled_in_heap
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The lane whose delay is `delay_ps`, or [`BACKEND`]. Scanned like the
+    /// head keys ([`scan_head`](Self::scan_head)): 4, 8 or all delays as
+    /// straight-line selects. An undeclared slot holds `u64::MAX`; a push
+    /// that far ahead finds a lane index past the declared ones, which
+    /// [`push_entry`](Self::push_entry) treats as the backend.
+    #[inline]
+    fn lane_for(&self, delay_ps: u64) -> usize {
+        match self.lanes.len() {
+            0..=4 => find_delay::<4>(&self.delays, delay_ps),
+            5..=8 => find_delay::<8>(&self.delays, delay_ps),
+            _ => find_delay::<MAX_LANES>(&self.delays, delay_ps),
+        }
     }
 
     #[inline]
@@ -181,13 +448,38 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.sched.push(Entry {
-            at,
-            seq,
-            slot,
-            event,
-        });
-        self.pending_peak = self.pending_peak.max(self.sched.len() + self.batch.len());
+        let key = key_of(at, seq);
+        let lane = if slot == NO_SLOT {
+            self.lane_for(at.as_ps() - self.now.as_ps())
+        } else {
+            BACKEND
+        };
+        let src = match self.lanes.get_mut(lane) {
+            Some(ring) => {
+                // `at = now + delays[lane]` with `now` and `seq` monotone:
+                // the new entry sorts after everything in the ring, so the
+                // ring's front key changes only when the ring was empty
+                // (`EMPTY`).
+                ring.push(key, event);
+                self.lane_keys[lane] = self.lane_keys[lane].min(key);
+                lane
+            }
+            None => {
+                // (A stale key is not made fresh by this: it is looked up
+                // again before it is next read.)
+                self.backend_key = self.backend_key.min(key);
+                self.sched.push(Entry {
+                    at,
+                    seq,
+                    slot,
+                    event,
+                });
+                BACKEND
+            }
+        };
+        self.head = earlier(self.head, (key, src));
+        self.stored += 1;
+        self.pending_peak = self.pending_peak.max(self.stored);
     }
 
     /// Schedule `event` at absolute time `at`. The event cannot be
@@ -272,66 +564,146 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The explicit lazy-skip step: discard cancelled entries at the serving
-    /// end — the tail of a partially served batch first, then the backend
-    /// head — recycling their slots, and return the timestamp of the live
-    /// entry left there. After this `peek_time`, `pop` and `pop_batch`
-    /// necessarily agree on the head. Amortized O(1): each cancelled entry
-    /// is discarded exactly once, and the backend's peek is O(1).
+    /// Key and source of the queue's head, looking for it unless it is
+    /// remembered. `(EMPTY, BACKEND)` when nothing is stored.
+    #[inline]
+    fn head(&mut self) -> (u128, usize) {
+        if self.head == UNKNOWN {
+            self.find_head();
+        }
+        self.head
+    }
+
+    /// The slow way to the head, taken after a backend pop (and on a new
+    /// queue): look the backend's head up, then scan. Out of line, so that
+    /// the one scan compiled into the event loop is the one that runs per
+    /// event ([`pop_lane`](Self::pop_lane)'s).
+    #[inline(never)]
+    fn find_head(&mut self) {
+        if self.backend_stale {
+            self.backend_key = self.sched.peek_min().map_or(EMPTY, |e| key_of(e.at, e.seq));
+            self.backend_stale = false;
+        }
+        self.scan_head();
+    }
+
+    /// The head scan: the smallest of the backend's head key (which must
+    /// not be stale) and the lanes' front keys. Keys are unique, so ties
+    /// need no rule. Undeclared lanes read `EMPTY`, so scanning a few of
+    /// them is harmless, and the scan is cut to 4, 8 or all lanes rather
+    /// than to the declared count: a fixed count is straight-line selects
+    /// ([`earliest4`]), where LLVM hands the selects of a loop that carries
+    /// its minimum back to the branch predictor.
+    #[inline(always)]
+    fn scan_head(&mut self) {
+        let keys = &self.lane_keys;
+        let lanes = match self.lanes.len() {
+            0..=4 => earliest4(keys, 0),
+            5..=8 => earlier(earliest4(keys, 0), earliest4(keys, 4)),
+            _ => earlier(
+                earlier(earliest4(keys, 0), earliest4(keys, 4)),
+                earlier(earliest4(keys, 8), earliest4(keys, 12)),
+            ),
+        };
+        self.head = earlier((self.backend_key, BACKEND), lanes);
+    }
+
+    /// Remove lane `src`'s front, which is the queue's head, and find the
+    /// next head at once: every key is known here, and scanned now the
+    /// result is ready by the time the event's handler returns, instead of
+    /// the event loop waiting on it. (Unless the backend's key is stale —
+    /// that lookup has to wait for the handler's pushes.)
+    #[inline]
+    fn pop_lane(&mut self, src: usize) -> Option<E> {
+        let (event, front) = self.lanes[src].pop();
+        self.lane_keys[src] = front;
+        self.stored -= 1;
+        if self.backend_stale {
+            self.head = UNKNOWN;
+        } else {
+            self.scan_head();
+        }
+        event
+    }
+
+    /// Remove the backend's head, which is the queue's head, retiring its
+    /// slot. `None` when it had been cancelled. Out of line: a hundredth of
+    /// the traffic, and the backend's pop is a call anyway.
+    #[inline(never)]
+    fn pop_backend(&mut self) -> Option<E> {
+        let entry = self.sched.pop_min()?;
+        self.backend_stale = true;
+        self.stored -= 1;
+        self.head = UNKNOWN;
+        self.retire(entry.slot).then_some(entry.event)
+    }
+
+    /// With the backend's head as the queue's head: discard it if it was
+    /// cancelled, and say so.
+    #[inline(never)]
+    fn retire_cancelled_head(&mut self) -> bool {
+        let dead = self
+            .sched
+            .peek_min()
+            .is_some_and(|e| e.slot != NO_SLOT && !self.slots[e.slot as usize].live);
+        if dead {
+            let _cancelled = self.pop_backend();
+            debug_assert!(_cancelled.is_none());
+        }
+        dead
+    }
+
+    /// The explicit lazy-skip step: discard cancelled entries at the head,
+    /// recycling their slots, and return the timestamp of the live entry
+    /// left there (remembered as [`head`](Self::head)). After this
+    /// `peek_time`, `pop` and `pop_batch` necessarily agree on the head.
+    /// Amortized O(1): each cancelled entry is discarded exactly once.
     #[inline]
     fn settle_head(&mut self) -> Option<Time> {
-        while let Some(entry) = self.batch.last() {
-            let (at, slot) = (entry.at, entry.slot);
-            if slot == NO_SLOT || self.slots[slot as usize].live {
-                return Some(at);
+        loop {
+            let (key, src) = self.head();
+            // Only the backend holds cancellable entries, and an empty
+            // queue's head reads as the backend's.
+            if src == BACKEND {
+                if key == EMPTY {
+                    return None;
+                }
+                if self.retire_cancelled_head() {
+                    continue;
+                }
             }
-            self.batch.pop();
-            self.retire(slot);
+            return Some(split_key(key).0);
         }
-        while let Some(entry) = self.sched.peek_min() {
-            let (at, slot) = (entry.at, entry.slot);
-            if slot == NO_SLOT || self.slots[slot as usize].live {
-                return Some(at);
-            }
-            self.sched.pop_min();
-            self.retire(slot);
-        }
-        None
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
-    /// Serves any partially dispatched batch first, so sequential and
-    /// batched consumption can be mixed freely without reordering.
+    /// Serves a batch in progress first, so sequential and batched
+    /// consumption can be mixed freely without reordering; outside one, the
+    /// event is a batch of its own.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if let Some(event) = self.batch_next() {
             return Some((self.now, event));
         }
-        self.settle_head()?;
-        let entry = self.sched.pop_min()?;
-        debug_assert!(
-            entry.slot == NO_SLOT || self.slots[entry.slot as usize].live,
-            "head still cancelled after settle_head"
-        );
-        self.retire(entry.slot);
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        self.popped += 1;
+        let at = self.settle_head()?;
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.batch_end = split_key(self.head.0).1 + 1;
         self.pops += 1;
-        Some((entry.at, entry.event))
+        self.batch_next().map(|event| (at, event))
     }
 
-    /// Remove the next live event *and every further event sharing its
-    /// timestamp* from the backend in one scheduler interaction, advancing
-    /// the clock once. Returns the batch timestamp; the events themselves
-    /// are then served in `(at, seq)` order by
+    /// Advance the clock to the next live event and make it *and every
+    /// further event sharing its timestamp* the batch in progress: one
+    /// scheduler interaction. Returns the batch timestamp; the events
+    /// themselves are then served in `(at, seq)` order by
     /// [`batch_next`](Self::batch_next). Returns `None` when no live events
     /// remain.
     ///
     /// Dispatching via pop_batch/batch_next is observably identical to
     /// sequential [`pop`](Self::pop)s: in-batch order is the same `(at,
     /// seq)` order, and events cancelled *mid-batch* (by an earlier event of
-    /// the same batch) are still skipped, because liveness is re-checked
-    /// when each entry is served, not when the batch is formed.
+    /// the same batch) are still skipped, because liveness is checked when
+    /// each entry is served, not when the batch is formed.
     #[inline]
     pub fn pop_batch(&mut self) -> Option<Time> {
         let at = self.settle_head()?;
@@ -339,23 +711,24 @@ impl<E> EventQueue<E> {
     }
 
     /// [`pop_batch`](Self::pop_batch), unless the next live event is at or
-    /// past `horizon`: then nothing is removed, the clock stays, and the
-    /// result is `None`.
+    /// past `horizon`: then no batch forms, the clock stays, and the result
+    /// is `None`.
     #[inline]
     pub fn pop_batch_before(&mut self, horizon: Time) -> Option<Time> {
         let at = self.settle_head().filter(|&at| at < horizon)?;
         Some(self.take_batch(at))
     }
 
-    /// Form the batch at `at`, the settled head's timestamp. Leftovers from
-    /// a batch whose dispatch stopped early are served before the backend
-    /// is touched again.
+    /// Form the batch at `at`, the settled head's timestamp — unless that
+    /// head is a leftover of a batch whose dispatch stopped early, which is
+    /// served before a new one is counted.
     #[inline]
     fn take_batch(&mut self, at: Time) -> Time {
-        if self.batch.is_empty() {
-            self.sched.pop_batch(&mut self.batch);
+        let leftover = at == self.now && split_key(self.head.0).1 < self.batch_end;
+        if !leftover {
             debug_assert!(at >= self.now);
             self.now = at;
+            self.batch_end = self.next_seq;
             self.pops += 1;
         }
         at
@@ -367,13 +740,24 @@ impl<E> EventQueue<E> {
     /// and their slots recycled, exactly as the sequential pop path would.
     #[inline]
     pub fn batch_next(&mut self) -> Option<E> {
-        while let Some(entry) = self.batch.pop() {
-            if self.retire(entry.slot) {
+        loop {
+            let (key, src) = self.head();
+            // (An empty queue's key has `seq = u64::MAX`, past any bound.)
+            let (at, seq) = split_key(key);
+            if at != self.now || seq >= self.batch_end {
+                return None;
+            }
+            // The lane arm returns what the ring hands over as it is: an
+            // `Option` rebuilt on the way is copied field by field.
+            if src != BACKEND {
                 self.popped += 1;
-                return Some(entry.event);
+                return self.pop_lane(src);
+            }
+            if let Some(event) = self.pop_backend() {
+                self.popped += 1;
+                return Some(event);
             }
         }
-        None
     }
 
     /// Timestamp of the next live event without popping it.
@@ -385,22 +769,25 @@ impl<E> EventQueue<E> {
         self.settle_head()
     }
 
-    /// Visit every live (non-cancelled) pending event, in backend storage
-    /// order (NOT time order). Used by audit layers that need to account for
+    /// Visit every stored entry — lanes first, then the backend, neither in
+    /// time order — as `(at, seq, slot, event)`.
+    fn for_each_entry(&self, f: &mut dyn FnMut(Time, u64, u32, &E)) {
+        for (key, event) in self.lanes.iter().flat_map(Lane::iter) {
+            let (at, seq) = split_key(key);
+            f(at, seq, NO_SLOT, event);
+        }
+        self.sched
+            .for_each(&mut |e| f(e.at, e.seq, e.slot, &e.event));
+    }
+
+    /// Visit every live (non-cancelled) pending event, in storage order
+    /// (NOT time order). Used by audit layers that need to account for
     /// resources referenced by in-flight events; O(entries), so callers
     /// should rate-limit it.
     pub fn for_each_live(&self, f: &mut dyn FnMut(&E)) {
-        // Entries of a partially served batch are still pending: anything
-        // they reference (e.g. packet-arena slots) is still owned by the
-        // queue, so audits must see them.
-        for entry in &self.batch {
-            if entry.slot == NO_SLOT || self.slots[entry.slot as usize].live {
-                f(&entry.event);
-            }
-        }
-        self.sched.for_each(&mut |entry| {
-            if entry.slot == NO_SLOT || self.slots[entry.slot as usize].live {
-                f(&entry.event);
+        self.for_each_entry(&mut |_, _, slot, event| {
+            if slot == NO_SLOT || self.slots[slot as usize].live {
+                f(event);
             }
         });
     }
@@ -410,35 +797,31 @@ impl<E> EventQueue<E> {
     ///
     /// Checks: no live entry is scheduled before `now`, the count of dead
     /// backend entries matches `cancelled_in_heap` (so `len()` is exact),
-    /// every live slot has exactly one backend entry referring to it, and
-    /// the backend's own structural invariants hold
-    /// ([`Scheduler::check_backend`]).
+    /// every live slot has exactly one backend entry referring to it, the
+    /// backend's own structural invariants hold
+    /// ([`Scheduler::check_backend`]), every lane is ascending in
+    /// `(at, seq)` with its head key equal to its front, and the remembered
+    /// head, when there is one, is the smallest key stored.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.sched.check_backend()?;
+        self.check_lanes()?;
         let mut dead = 0usize;
         // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by callers)
         let mut live_refs = vec![0u32; self.slots.len()];
         let mut err = None;
-        let mut visit = |entry: &Entry<E>| {
-            let slot_live = entry.slot == NO_SLOT || self.slots[entry.slot as usize].live;
+        self.for_each_entry(&mut |at, _, slot, _| {
+            let slot_live = slot == NO_SLOT || self.slots[slot as usize].live;
             if slot_live {
-                if entry.at < self.now && err.is_none() {
-                    err = Some(format!(
-                        "live event at {} is before now {}",
-                        entry.at, self.now
-                    ));
+                if at < self.now && err.is_none() {
+                    err = Some(format!("live event at {at} is before now {}", self.now));
                 }
             } else {
                 dead += 1;
             }
-            if entry.slot != NO_SLOT {
-                live_refs[entry.slot as usize] += 1;
+            if slot != NO_SLOT {
+                live_refs[slot as usize] += 1;
             }
-        };
-        for entry in &self.batch {
-            visit(entry);
-        }
-        self.sched.for_each(&mut visit);
+        });
         if let Some(e) = err {
             return Err(e);
         }
@@ -458,23 +841,100 @@ impl<E> EventQueue<E> {
         }
         Ok(())
     }
+
+    /// The lane half of [`check_invariants`](Self::check_invariants): ring
+    /// order, head keys, the entry count, and the remembered head against
+    /// the true minimum over lanes and backend.
+    fn check_lanes(&self) -> Result<(), String> {
+        let mut stored = self.sched.len();
+        let mut min = EMPTY;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let keys = || lane.iter().map(|(key, _)| key);
+            if keys().count() != lane.len() {
+                return Err(format!("lane {i} has a slot without an event"));
+            }
+            if !keys().zip(keys().skip(1)).all(|(a, b)| a < b) {
+                return Err(format!("lane {i} not ascending in (at, seq)"));
+            }
+            let front = keys().next().unwrap_or(EMPTY);
+            if self.lane_keys[i] != front {
+                return Err(format!(
+                    "lane {i}: head key {:#x} but the ring's front is {front:#x}",
+                    self.lane_keys[i]
+                ));
+            }
+            let vacant = lane.keys.iter().filter(|&&k| k == EMPTY).count();
+            if !(lane.keys.is_empty() || lane.keys.len().is_power_of_two())
+                || lane.events.len() != lane.keys.len()
+                || vacant != lane.keys.len() - lane.len()
+            {
+                return Err(format!(
+                    "lane {i}: ring shape or a stale key in a vacant slot"
+                ));
+            }
+            stored += lane.len();
+            min = min.min(front);
+        }
+        if let Some(i) = (self.lanes.len()..MAX_LANES).find(|&i| self.lane_keys[i] != EMPTY) {
+            return Err(format!("undeclared lane {i} has a head key"));
+        }
+        if stored != self.stored {
+            return Err(format!(
+                "stored {} but {stored} entries in backend and lanes",
+                self.stored
+            ));
+        }
+        let mut backend_min = EMPTY;
+        self.sched
+            .for_each(&mut |e| backend_min = backend_min.min(key_of(e.at, e.seq)));
+        if !self.backend_stale && self.backend_key != backend_min {
+            return Err(format!(
+                "backend head key {:#x} but its smallest entry is {backend_min:#x}",
+                self.backend_key
+            ));
+        }
+        if self.head != UNKNOWN {
+            let (key, src) = self.head;
+            let at_src = match src {
+                BACKEND => backend_min,
+                lane => self.lane_keys[lane],
+            };
+            if self.backend_stale || key != min.min(backend_min) || key != at_src {
+                return Err(format!(
+                    "remembered head {key:#x} (source {src}) but the smallest key stored is {:#x}",
+                    min.min(backend_min)
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<E> EventQueue<E> {
     /// Fold the queue's logical state into a state digest: clock, counters,
-    /// the cancellation slot table, and every stored entry — the backend's
-    /// and an unserved batch's, cancelled ones included. `event` folds one
-    /// payload as a fixed sequence of words.
+    /// the batch bound, the cancellation slot table, and every stored entry,
+    /// cancelled ones included. `event` folds one payload as a fixed
+    /// sequence of words.
     ///
-    /// Backend-agnostic without cloning or sorting: each entry is mixed on
+    /// Container-agnostic without cloning or sorting: each entry is mixed on
     /// its own from `(seq, at, slot, payload)` and the results are summed.
-    /// `seq` is unique, so the sum names the *set* of entries, whatever order
-    /// a backend stores them in. `pending_peak` and the backend's work
-    /// profile are diagnostics of one backend and stay out.
+    /// `seq` is unique, so the sum names the *set* of entries, whichever
+    /// backend or lane stores them and in whatever order. What was declared,
+    /// the head keys derived from the entries, `pending_peak`, the lane push
+    /// count and the backend's work profile are diagnostics or functions of
+    /// the rest and stay out.
     pub fn fold_digest(&self, fold: &mut impl FnMut(u64), event: impl Fn(&E, &mut dyn FnMut(u64))) {
         let EventQueue {
-            sched,
+            sched: _,
+            lanes: _,
+            delays: _,
+            lane_keys: _,
+            backend_key: _,
+            backend_stale: _,
+            head: _,
+            stored,
             next_seq,
+            batch_end,
             slots,
             free_slots,
             cancelled_in_heap,
@@ -482,9 +942,8 @@ impl<E> EventQueue<E> {
             popped,
             pops,
             pending_peak: _,
-            batch,
         } = self;
-        for w in [now.as_ps(), *popped, *pops, *next_seq] {
+        for w in [now.as_ps(), *popped, *pops, *next_seq, *batch_end] {
             fold(w);
         }
         fold(*cancelled_in_heap as u64);
@@ -495,17 +954,15 @@ impl<E> EventQueue<E> {
         fold(free_slots.len() as u64);
         free_slots.iter().for_each(|&s| fold(s as u64));
         let mut sum = 0u64;
-        let mut entry = |e: &Entry<E>| {
-            let mut h = e.seq;
+        self.for_each_entry(&mut |at, seq, slot, e| {
+            let mut h = seq;
             let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
-            mix(e.at.as_ps());
-            mix(e.slot as u64);
-            event(&e.event, &mut mix);
+            mix(at.as_ps());
+            mix(slot as u64);
+            event(e, &mut mix);
             sum = sum.wrapping_add(h);
-        };
-        batch.iter().for_each(&mut entry);
-        sched.for_each(&mut entry);
-        fold((sched.len() + batch.len()) as u64);
+        });
+        fold(*stored as u64);
         fold(sum);
     }
 }
@@ -514,13 +971,25 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Run a test body against a fresh queue on every backend, so every
-    /// scenario below pins identical behavior across all of them.
+    /// The delays [`on_all_backends`] declares: the ones the scenarios
+    /// below schedule at from time zero, and the zero delay of a self-post.
+    const DECLARED_US: [u64; 7] = [0, 1, 2, 3, 5, 7, 10];
+
+    /// Run a test body against a fresh queue on every backend, without
+    /// lanes and with [`DECLARED_US`] declared, so every scenario below pins
+    /// identical behavior across all four.
     fn on_all_backends<E>(f: impl Fn(&mut EventQueue<E>, SchedKind)) {
         for kind in SchedKind::ALL {
-            let mut q = EventQueue::with_sched(kind);
-            assert_eq!(q.sched_kind(), kind);
-            f(&mut q, kind);
+            for lanes in [false, true] {
+                let mut q = EventQueue::with_sched(kind);
+                assert_eq!(q.sched_kind(), kind);
+                if lanes {
+                    for us in DECLARED_US {
+                        assert!(q.declare_delay(Time::from_us(us)));
+                    }
+                }
+                f(&mut q, kind);
+            }
         }
     }
 
@@ -1042,8 +1511,9 @@ mod tests {
         });
     }
 
-    /// The digest names the logical queue: equal across backends and for a
-    /// clone, moved by one more entry, by a cancel, and by a pop.
+    /// The digest names the logical queue: equal across backends, whichever
+    /// container holds an entry, and for a clone; moved by one more entry,
+    /// by a cancel, and by a pop.
     #[test]
     fn fold_digest_is_backend_agnostic_and_sees_every_entry() {
         fn digest(q: &EventQueue<u64>) -> Vec<u64> {
@@ -1051,8 +1521,13 @@ mod tests {
             q.fold_digest(&mut |w| words.push(w), |e, fold| fold(*e));
             words
         }
-        let build = |kind| {
+        let build = |kind, lanes: bool| {
             let mut q = EventQueue::with_sched(kind);
+            if lanes {
+                for ns in [0, 53, 106, 1_007] {
+                    q.declare_delay(Time::from_ns(ns));
+                }
+            }
             let mut ids = Vec::new();
             for i in 0..300u64 {
                 let at = Time::from_ns((i * 53) % 2_000);
@@ -1070,10 +1545,19 @@ mod tests {
             q.batch_next();
             (q, ids)
         };
-        let (binary, _) = build(SchedKind::Binary);
-        let (mut q, ids) = build(SchedKind::Calendar);
+        let (binary, _) = build(SchedKind::Binary, false);
+        let (mut q, ids) = build(SchedKind::Calendar, false);
         let base = digest(&q);
         assert_eq!(base, digest(&binary), "backends disagree");
+        for kind in SchedKind::ALL {
+            let (laned, _) = build(kind, true);
+            assert!(laned.lane_pushes() > 0 && laned.sched_work().pushes < 300);
+            assert_eq!(
+                base,
+                digest(&laned),
+                "{kind:?}: an entry in a lane digests differently"
+            );
+        }
         assert_eq!(base, digest(&q.clone()), "a clone digests differently");
         let mut more = q.clone();
         more.schedule(Time::from_ms(5), 7);
@@ -1083,5 +1567,155 @@ mod tests {
         assert_ne!(base, digest(&cancelled), "blind to a cancellation");
         q.pop();
         assert_ne!(base, digest(&q), "blind to a pop");
+    }
+
+    /// Declarations are deduplicated, capped at [`MAX_LANES`], and only
+    /// route pushes: a refused or a late one changes where entries wait,
+    /// never the order they pop in.
+    #[test]
+    fn declare_delay_dedups_caps_and_never_reorders() {
+        on_all_backends(|q: &mut EventQueue<u64>, kind| {
+            let declared = q.lanes.len();
+            assert!(q.declare_delay(Time::from_us(40)));
+            assert!(
+                q.declare_delay(Time::from_us(40)),
+                "a repeat is not a new lane"
+            );
+            assert_eq!(q.lanes.len(), declared + 1);
+            // One entry before the declaration (backend), then the same
+            // delay again (lane): the backend's pops first, by `seq`.
+            let mut plain = EventQueue::with_sched(kind);
+            for i in 0..4 {
+                if i == 1 {
+                    assert!(q.declare_delay(Time::from_us(9)));
+                }
+                q.schedule(Time::from_us(9), i);
+                plain.schedule(Time::from_us(9), i);
+            }
+            let granted = (0..MAX_LANES as u64)
+                .filter(|extra| q.declare_delay(Time::from_us(100 + extra)))
+                .count();
+            assert_eq!(granted, MAX_LANES - (declared + 2), "{kind:?}");
+            assert_eq!(q.lanes.len(), MAX_LANES, "{kind:?}");
+            assert!(
+                !q.declare_delay(Time::from_us(999)),
+                "{kind:?}: a 17th delay is refused"
+            );
+            assert!(
+                q.declare_delay(Time::from_us(40)),
+                "{kind:?}: a declared one still has its lane"
+            );
+            q.schedule(Time::from_us(999), 4);
+            plain.schedule(Time::from_us(999), 4);
+            q.check_invariants().unwrap();
+            assert_eq!((q.lane_pushes(), q.len()), (3, 5), "{kind:?}");
+            let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let want: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
+            assert_eq!(got, want, "{kind:?}");
+            assert_eq!(q.lane_pops(), q.lane_pushes(), "{kind:?}");
+        });
+    }
+
+    /// A ring doubles in place while it wraps, and a clone taken then pops
+    /// the same stream.
+    #[test]
+    fn lane_ring_grows_while_wrapped() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.declare_delay(Time::from_ns(500));
+        let mut next = 0u64;
+        let mut want = 0u64;
+        // Keep ~3/4 of each push burst pending so head and tail both run
+        // well past the capacity before every doubling.
+        for round in 0..200u64 {
+            for _ in 0..4 {
+                q.schedule_in(Time::from_ns(500), next);
+                next += 1;
+            }
+            for _ in 0..1 + round % 3 {
+                assert_eq!(q.pop().map(|(_, v)| v), Some(want));
+                want += 1;
+            }
+            q.check_invariants().unwrap();
+        }
+        assert!(
+            q.lanes[0].keys.len() >= 8 * MIN_RING,
+            "grew to {}",
+            q.lanes[0].keys.len()
+        );
+        assert_eq!(q.sched_work().pushes, 0, "everything went through the lane");
+        let mut clone = q.clone();
+        clone.check_invariants().unwrap();
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
+        assert_eq!(rest, (want..next).collect::<Vec<_>>());
+        assert_eq!(std::iter::from_fn(|| clone.pop()).count(), rest.len());
+    }
+
+    /// The audit must see lanes: each way their bookkeeping can go wrong is
+    /// reported by [`EventQueue::check_invariants`]. (Before it looked, a
+    /// queue serving every packet from lanes passed every check.)
+    #[test]
+    fn check_invariants_reports_broken_lanes() {
+        let us = Time::from_us;
+        let build = || {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            assert!(q.declare_delay(us(1)));
+            for i in 0..3 {
+                q.schedule(us(1), i);
+            }
+            q.schedule(us(2), 3); // undeclared: the backend's
+            assert_eq!(q.lane_pushes(), 3);
+            q
+        };
+        let broken = |what: &str, q: &EventQueue<u64>| {
+            let err = q.check_invariants().expect_err(what);
+            assert!(err.contains(what), "{what}: reported as {err:?}");
+        };
+        build().check_invariants().unwrap();
+
+        let mut q = build();
+        q.lanes[0].keys.swap(1, 2);
+        broken("not ascending", &q);
+
+        let mut q = build();
+        q.lane_keys[0] = key_of(us(1), 1);
+        broken("head key", &q);
+
+        let mut q = build();
+        assert_eq!(q.peek_time(), Some(us(1)));
+        q.head = (key_of(us(2), 3), BACKEND);
+        broken("remembered head", &q);
+
+        let mut q = build();
+        q.backend_key = EMPTY;
+        broken("backend head key", &q);
+
+        let mut q = build();
+        q.stored += 1;
+        broken("stored", &q);
+
+        let mut q = build();
+        q.lanes[0].events[1] = None;
+        broken("without an event", &q);
+
+        let mut q = build();
+        q.lanes[0].keys[7] = 0;
+        broken("vacant slot", &q);
+
+        let mut q = build();
+        q.now = us(5);
+        broken("before now", &q);
+
+        // And what the arena audit relies on: lane entries are visited.
+        let mut seen = Vec::new();
+        build().for_each_live(&mut |&v| seen.push(v));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    /// A lane slot is the key and the event: 32 bytes for a payload that
+    /// packs into 16 with its `Option` (`netsim` pins `Event`'s the same).
+    #[test]
+    fn lane_slot_stays_small() {
+        assert_eq!(EventQueue::<u64>::LANE_ENTRY_BYTES, 32);
     }
 }

@@ -1,9 +1,13 @@
 //! Pluggable event-scheduler backends.
 //!
 //! [`EventQueue`](crate::EventQueue) separates *policy* — generation-slot
-//! cancellation, the monotonic clock, sequence-number tie-breaking — from
-//! the ordered container that actually holds pending entries. The container
-//! side is the [`Scheduler`] trait, with two deterministic backends:
+//! cancellation, the monotonic clock, sequence-number tie-breaking,
+//! same-timestamp batches — from the ordered container that holds the
+//! pending entries which need ordering. (Those that do not — pushes at a
+//! declared constant delay, in a simulation nearly all of them — wait in the
+//! queue's own FIFO lanes above any backend and never reach one; see
+//! [`crate::event`].) The container side is the [`Scheduler`] trait, with two
+//! deterministic backends:
 //!
 //! - [`BinaryHeapSched`]: `std::collections::BinaryHeap` with reversed
 //!   ordering — the reference backend the property and golden tests
@@ -11,9 +15,11 @@
 //! - [`CalendarQueue`]: a calendar queue (Brown 1988) whose day width
 //!   follows the *measured* gap between pops, with unsorted buckets in one
 //!   slab and a sorted current day. O(1) per operation on the populations
-//!   the simulator produces — a dense near-term packet cluster, one far RTO
-//!   timer per live flow, pre-registered flow starts, one `End` outlier.
-//!   The default, and the backend every `ppbench` workload runs on.
+//!   the simulator produces — a dense near-term packet cluster (all of it
+//!   when arrivals carry a random extra delay, otherwise the odd-sized and
+//!   PFC remainder the lanes miss), one far RTO timer per live flow,
+//!   pre-registered flow starts, one `End` outlier. The default, and the
+//!   backend every `ppbench` workload runs on.
 //!
 //! # Contract
 //!
@@ -80,27 +86,6 @@ pub trait Scheduler<E> {
 
     /// The entry `pop_min` would return next, without removing it.
     fn peek_min(&mut self) -> Option<&Entry<E>>;
-
-    /// Remove the minimum entry *and every further entry sharing its
-    /// timestamp*, appending them to `out` in **serve order**: descending
-    /// `(at, seq)`, so the caller's `out.pop()` yields them smallest first.
-    /// Appends nothing when empty. Equivalent to repeated `pop_min` while
-    /// the head timestamp is unchanged — the default does exactly that —
-    /// but the calendar queue hands over the tail of its sorted current day
-    /// in one move.
-    fn pop_batch(&mut self, out: &mut Vec<Entry<E>>) {
-        let start = out.len();
-        let Some(first) = self.pop_min() else { return };
-        let at = first.at;
-        out.push(first);
-        while self.peek_min().is_some_and(|e| e.at == at) {
-            match self.pop_min() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out[start..].reverse();
-    }
 
     /// Number of stored entries (live and cancelled alike — cancellation is
     /// the queue's business, not the backend's).
@@ -279,10 +264,6 @@ impl<E> Scheduler<E> for AnySched<E> {
         dispatch!(self, b => b.peek_min())
     }
     #[inline]
-    fn pop_batch(&mut self, out: &mut Vec<Entry<E>>) {
-        dispatch!(self, b => b.pop_batch(out))
-    }
-    #[inline]
     fn len(&self) -> usize {
         dispatch!(self, b => b.len())
     }
@@ -390,8 +371,8 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
 /// - **The current day is sorted.** When the clock reaches a day, one walk
 ///   of its bucket moves that day's entries into `bottom`, a small ring
 ///   buffer sorted by `(at, seq)`; other years' entries stay threaded.
-///   `peek_min` / `pop_min` / `pop_batch` are then front operations. A push
-///   that lands in the current day is a sorted insert into `bottom`, which
+///   `peek_min` / `pop_min` are then front operations. A push that
+///   lands in the current day is a sorted insert into `bottom`, which
 ///   shifts whichever side of the ring is shorter — nothing at all for the
 ///   two patterns a simulation produces in bulk, a tie with the latest
 ///   entry and an event earlier than everything pending. A push that lands
@@ -781,25 +762,6 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         self.bottom.front()
     }
 
-    /// Same-timestamp entries share a day, so the rest of the batch is at
-    /// `bottom`'s front. (The default would `peek_min` past the batch and
-    /// open the next day before the batch's handlers have pushed.)
-    fn pop_batch(&mut self, out: &mut Vec<Entry<E>>) {
-        let start = out.len();
-        let Some(first) = self.pop_min() else { return };
-        let at = first.at;
-        out.push(first);
-        while self.bottom.front().is_some_and(|e| e.at == at) {
-            out.extend(self.bottom.pop_front());
-        }
-        let more = out.len() - start - 1;
-        if more > 0 {
-            self.count -= more;
-            self.work.pops += more as u64;
-            out[start..].reverse();
-        }
-    }
-
     #[inline]
     fn len(&self) -> usize {
         self.count
@@ -1036,87 +998,6 @@ mod tests {
         assert_eq!(s.peek_min().unwrap().seq, 0);
         assert_eq!(s.pop_min().unwrap().seq, 0);
         assert!(s.pop_min().is_none());
-    }
-
-    #[test]
-    fn batch_pop_matches_sequential_on_all_backends() {
-        // Differential: pop_batch must yield exactly the entries repeated
-        // pop_min would, grouped by timestamp, on every backend — including
-        // across calendar resizes.
-        for kind in SchedKind::ALL {
-            let mut batched = AnySched::new(kind);
-            let mut sequential = AnySched::new(kind);
-            let mut x = 0xA3C59AC2F1039EB7u64;
-            for seq in 0..3000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Coarse timestamps force plenty of same-time collisions.
-                let at = (x % 200) * 10_000;
-                batched.push(entry(at, seq));
-                sequential.push(entry(at, seq));
-            }
-            let mut out = Vec::new();
-            while !batched.is_empty() {
-                out.clear();
-                batched.pop_batch(&mut out);
-                assert!(!out.is_empty(), "{kind:?}: non-empty queue, empty batch");
-                let at = out[0].at;
-                // Serve order: the batch is consumed from its tail.
-                for e in out.iter().rev() {
-                    let want = sequential.pop_min().unwrap();
-                    assert_eq!(e.key(), want.key(), "{kind:?}");
-                    assert_eq!(e.at, at, "{kind:?}: mixed timestamps in batch");
-                }
-                // The batch must be exhaustive: the next head is strictly
-                // later.
-                if let Some(next) = batched.peek_min() {
-                    assert!(next.at > at, "{kind:?}: batch left same-time entry");
-                }
-            }
-            assert!(sequential.pop_min().is_none(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn batch_pop_on_empty_appends_nothing() {
-        for kind in SchedKind::ALL {
-            let mut s: AnySched<u64> = AnySched::new(kind);
-            let mut out = Vec::new();
-            s.pop_batch(&mut out);
-            assert!(out.is_empty(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn calendar_batch_pop_keeps_structure_valid() {
-        let mut s = CalendarQueue::new();
-        let mut seq = 0u64;
-        for round in 0..50u64 {
-            for k in 0..40 {
-                // Heavy ties: ten distinct timestamps per round.
-                s.push(entry(round * DAY + (k % 10) * 1000, seq));
-                seq += 1;
-            }
-            let mut out = Vec::new();
-            s.pop_batch(&mut out);
-            assert!(!out.is_empty());
-            s.check_backend().unwrap();
-        }
-        // Drain entirely by batches; shrink path must stay consistent.
-        let mut prev: Option<(Time, u64)> = None;
-        let mut out = Vec::new();
-        while !s.is_empty() {
-            out.clear();
-            s.pop_batch(&mut out);
-            for e in out.iter().rev() {
-                if let Some(p) = prev {
-                    assert!(e.key() > p);
-                }
-                prev = Some(e.key());
-            }
-            s.check_backend().unwrap();
-        }
     }
 
     #[test]

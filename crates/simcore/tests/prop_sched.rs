@@ -117,7 +117,7 @@ fn skewed_delay_ps(w: u64) -> u64 {
         0 | 1 => 0,
         2..=4 => (w >> 6) % 100_000,                    // < 100 ns
         5 | 6 => 1_000_000_000 + (w >> 6) % 50_000_000, // 1 ms .. 1.05 ms
-        _ if (w >> 6) % 8 == 0 => 10_000_000_000_000,   // 10 s
+        _ if (w >> 6).is_multiple_of(8) => 10_000_000_000_000,   // 10 s
         _ => (w >> 6) % 2_000_000,                      // < 2 µs
     }
 }
@@ -265,7 +265,7 @@ fn directed_tie_and_jump_stream() {
     for i in 0..64u64 {
         ops.push(i << 5); // op 0 in the low bits: 64-way zero-delay tie
     }
-    ops.extend(std::iter::repeat(4).take(32)); // pops through the tie run
+    ops.extend(std::iter::repeat_n(4, 32)); // pops through the tie run
     for i in 0..64u64 {
         ops.push((i << 5) | (3 << 3) | 3); // cancellable, multi-ms spread
     }

@@ -239,7 +239,7 @@ pub(crate) fn crate_of_files(
         for meta in crates.values() {
             let prefix = format!("{}/", meta.dir);
             if path.starts_with(&prefix)
-                && best.map_or(true, |(_, len)| prefix.len() > len)
+                && best.is_none_or(|(_, len)| prefix.len() > len)
             {
                 best = Some((&meta.ident, prefix.len()));
             }

@@ -147,10 +147,11 @@ impl Rule {
             }
             Rule::AllowWithoutReason => true,
             // The per-event files: scheduler sift, event loop (including
-            // the `pop_batch` queue front-end in event.rs) and switch
-            // model. A static file list only approximates "per event"; the
-            // zero-steady-state-allocation contract itself is enforced
-            // dynamically by the arena counters (`tests/e2e_arena.rs`).
+            // the queue front-end and its FIFO lanes in event.rs) and
+            // switch model. A static file list only approximates "per
+            // event"; the zero-steady-state-allocation contract itself is
+            // enforced dynamically by the arena counters
+            // (`tests/e2e_arena.rs`).
             Rule::HotPathAlloc => {
                 path == "crates/simcore/src/sched.rs"
                     || path == "crates/simcore/src/event.rs"

@@ -95,7 +95,12 @@ unset PRIOPLUS_SCHED
 leg_done
 
 leg 5 ppbench "benchmark package tests (drift guard, smoke, composition)"
-cargo test --offline --manifest-path ppbench/Cargo.toml
+# One test at a time: the smoke suite's traced `--check` reps take ~10 ms
+# and must account for 99 % of that in spans, so the ~40 µs a child spends
+# before its root span opens has 100 µs to grow into — which it does when
+# seven tests spawn children at once (2 failures in 15 runs since PR 23 made
+# the reps a quarter shorter; none in 15 runs one at a time).
+cargo test --offline --manifest-path ppbench/Cargo.toml -- --test-threads=1
 # `run` exits 0 whatever it measured: the verdict is in the contract lines,
 # one JSON object per workload (four) at the end of its output.
 cargo run --release --offline --quiet --manifest-path ppbench/Cargo.toml --bin ppbench -- \

@@ -9,21 +9,32 @@
 # hundred per rep. The shim's 100 µs nanosleep loop gives 5–10 k.
 #
 # Reading the table: a sample belongs to the function whose *symbol* holds
-# the PC, so everything inlined into `State::advance` reads as `advance`.
-# To split such a row by source line, feed its PCs (decimal, one per line in
-# target/ci/sigprof.WORKLOAD.pcs) to `addr2line -i -f -C -e BINARY`. Samples
-# in libc/libm/the vDSO read `[outside the binary]`. Not a CI leg: the table
-# is for choosing what to measure next with alternating `ppbench` pairs, not
-# evidence by itself.
+# the PC, so everything inlined into `State::advance` reads as `advance` —
+# over 40 % of a rep since the queue's serve path and the handlers' fast
+# halves all compile into it. `--inlined` splits such rows: each sample is
+# resolved through the debug info's inline records (`addr2line -i`) and filed
+# under its outermost two frames that are this repository's code, so it reads
+# `advance > batch_next`, `advance > on_arrive`, `push_entry > lane_for`; a
+# frame from the standard library counts for the repository frame that
+# called it. (To go further down, feed the PCs — decimal, one per line in
+# target/ci/sigprof.WORKLOAD.pcs — to `addr2line -i -f -C -e BINARY`.)
+# Samples in libc/libm/the vDSO read `[outside the binary]`. Not a CI leg:
+# the table is for choosing what to measure next with alternating `ppbench`
+# pairs, not evidence by itself.
 #
-# Usage: scripts/sample_profile.sh WORKLOAD [BINARY]
+# Usage: scripts/sample_profile.sh [--inlined] WORKLOAD [BINARY]
 #   WORKLOAD  incast_pp | fattree_flowsched | coflow_lossy | hyperscale_openloop
 #   BINARY    a ppbench executable (default: ppbench/target/release/ppbench,
 #             built first)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-WORKLOAD=${1:?usage: scripts/sample_profile.sh WORKLOAD [BINARY]}
+INLINED=0
+if [[ ${1:-} == --inlined ]]; then
+  INLINED=1
+  shift
+fi
+WORKLOAD=${1:?usage: scripts/sample_profile.sh [--inlined] WORKLOAD [BINARY]}
 BIN=${2:-}
 if [[ -z $BIN ]]; then
   cargo build --release --offline --quiet --manifest-path ppbench/Cargo.toml
@@ -36,6 +47,21 @@ gcc -O2 -shared -fPIC -o "$SO" scripts/sigprof.c -lpthread
 
 SIGPROF_OUT=$PCS LD_PRELOAD=$PWD/$SO \
   "$BIN" rep --workload "$WORKLOAD" --seed 1 --div 1 --trace 0 > /dev/null
+
+if ((INLINED)); then
+  # `-a` heads each sample's frames with its address; frames come innermost
+  # first, one `function` line and one `file:line` line each. The standard
+  # library's are the ones whose file is under /rustc/; `??` is no debug info.
+  awk '{ printf "0x%x\n", $1 }' "$PCS" | addr2line -a -i -f -C -e "$BIN" |
+    awk 'function file() { if (seen) count[n > 1 ? fr[n-1] " > " fr[n-2] : n ? fr[0] : "[outside the binary]"]++ }
+         /^0x[0-9a-f]+$/ { file(); seen = 1; n = 0; total++; next }
+         { fn = $0; getline loc; if (loc !~ /^\/rustc\// && loc !~ /^\?\?/) fr[n++] = fn }
+         END { file()
+               for (f in count) printf "%7d %5.1f %%  %s\n", count[f], 100 * count[f] / total, f
+               printf "%7d samples\n", total > "/dev/stderr" }' |
+    sort -k1,1nr | head -60
+  exit
+fi
 
 # Symbols (`addr S size name`) and samples (`addr P`) sorted into one stream
 # by address, symbols first at a tie: each sample then follows the last

@@ -230,3 +230,71 @@ fn injected_ecn_below_kmin_is_caught() {
         "below-kmin marks not caught: {ks:?}"
     );
 }
+
+/// The audit sees events that wait in the queue's FIFO lanes. On
+/// `three_tier_wan` — host, fabric and WAN links: the most link classes of
+/// any topology here, twelve declared delays — nearly every packet in
+/// flight is referenced from a lane and not from the scheduler backend, so
+/// an arena-accounting pass that visited only the backend would report each
+/// of them leaked, and a lane whose bookkeeping slipped would fail the
+/// queue's own check; the deep scan runs after every event. Declarations
+/// are made in a fixed order (by link count, then topology order), so two
+/// runs are the same run.
+#[test]
+fn audit_is_clean_with_packets_in_lanes_across_three_link_classes() {
+    use netsim::{AuditConfig, FlowSpec, Sim, SimConfig, ThreeTierWanSpec, Topology};
+    let run = || {
+        let topo = Topology::three_tier_wan(&ThreeTierWanSpec::tiny());
+        let hosts = topo.hosts.clone();
+        let cfg = SimConfig {
+            num_prios: 1,
+            end_time: Time::from_ms(5),
+            seed: 23,
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
+        sim.enable_audit_with(AuditConfig {
+            deep_every: 1,
+            ..Default::default()
+        });
+        let cc = CcSpec::Swift {
+            queuing: Time::from_us(4),
+            scaling: false,
+        };
+        // Every host sends across the WAN, to its mirror in the other
+        // datacenter, and to its ToR neighbour.
+        for (i, &src) in hosts.iter().enumerate() {
+            for dst in [hosts[hosts.len() - 1 - i], hosts[i ^ 1]] {
+                let start = Time::from_us(i as u64);
+                let spec = FlowSpec {
+                    src,
+                    dst,
+                    size: 60_000,
+                    start,
+                    phys_prio: 0,
+                    virt_prio: 0,
+                    tag: i as u64,
+                };
+                sim.add_flow(spec, |p| cc.make(p, start));
+            }
+        }
+        sim.run()
+    };
+    let res = run();
+    let report = res.audit.as_ref().expect("audit enabled");
+    assert_eq!(report.total_violations, 0, "{:?}", report.violations);
+    assert_eq!(res.completion_rate(), 1.0);
+    let c = &res.counters;
+    assert!(
+        c.sched_lane_pushes * 2 * 10 > c.sched_ops * 9,
+        "{} of ~{} pushes through a lane: the audit was not looking at lanes",
+        c.sched_lane_pushes,
+        c.sched_ops / 2
+    );
+    let finishes =
+        |r: &SimResult| -> Vec<_> { r.records.iter().map(|f| (f.flow, f.finish)).collect() };
+    let again = run();
+    assert_eq!(c.events, again.counters.events);
+    assert_eq!(c.sched_lane_pushes, again.counters.sched_lane_pushes);
+    assert_eq!(finishes(&res), finishes(&again));
+}

@@ -263,3 +263,40 @@ fn the_queue_holds_no_garbage_on_the_lossy_cases() {
         }
     }
 }
+
+/// The mechanism of the FIFO lanes as an exact count: the share of queue
+/// pushes scheduled at a declared link delay, which never enter the
+/// scheduler backend. `Sim::new` declares each link's serialization and
+/// propagation delays, so on every case whose links are plain it is nearly
+/// all of them — what is left is RTO and pacing timers, flow starts, each
+/// flow's short last packet and PFC frames. `fig13_nc_delay` is the bypass:
+/// every data packet leaving the switch carries a random extra delay and
+/// must miss, one push in eight. Drop a declaration in `Sim::new` and the
+/// first bound fails; route a randomly delayed arrival into a lane and the
+/// second does (and `prop_lanes` long before it).
+///
+/// (`sched_ops` is pushes plus pops, and all but the entries still pending
+/// at `End` are popped, so half of it, rounded up, is the push count to
+/// within `sched_pending_peak / 2` — under 0.6 % on every case.)
+#[test]
+fn lanes_carry_the_constant_delay_traffic() {
+    for case in cases() {
+        for (label, res) in (case.run)(GoldenOpts::default()) {
+            let c = &res.counters;
+            let pushes = c.sched_ops.div_ceil(2);
+            assert!(c.sched_pending_peak * 80 < pushes, "{} {label}", case.name);
+            let share = c.sched_lane_pushes as f64 / pushes as f64;
+            let expected = if case.name == "fig13_nc_delay" {
+                0.86..0.89 // measured 0.8735: 14,040 of 16,074
+            } else {
+                0.95..1.0 // measured 0.9816 (fig10_staircase) .. 0.9983
+            };
+            assert!(
+                expected.contains(&share),
+                "{} {label}: {} of {pushes} pushes ({share:.4}) went through a lane, expected {expected:?}",
+                case.name,
+                c.sched_lane_pushes,
+            );
+        }
+    }
+}
