@@ -16,7 +16,7 @@
 //! | 12–16 | linear start + countdown | same |
 //! | 17–19 | dual-RTT adaptive increase | same |
 //! | 21 | `OriginalCC(delay)` | [`DelayCc::on_ack`] |
-//! | 22–24 | probe with collision avoidance | [`PrioPlus::schedule_probe`] |
+//! | 22–24 | probe with collision avoidance | `PrioPlus::schedule_probe` |
 //! | 25–34 | probe echo handling, resume | [`PrioPlus::on_probe_ack`] |
 //!
 //! One documented deviation: line 15 of the printed pseudocode reads

@@ -3,7 +3,7 @@
 //! The paper's PrioPlus provides *strict* priority: higher channels preempt
 //! all bandwidth. Its §7 discusses the weighted variant — groups sharing
 //! bandwidth in proportion to weights — and notes the classic approach
-//! (weight-scaled AIMD, Crowcroft & Oechslin [32]) plus its failure mode:
+//! (weight-scaled AIMD, Crowcroft & Oechslin \[32\]) plus its failure mode:
 //! *priority inversion*, where enough low-weight flows collectively out-
 //! compete a high-weight group.
 //!

@@ -35,7 +35,8 @@ pub struct FlowSchedConfig {
     pub noise: NoiseModel,
     /// Per-flow D2TCP deadline span (lowest..highest priority factor).
     pub d2tcp_factors: (f64, f64),
-    /// Event-scheduler backend (results are identical across backends).
+    /// Selects nothing: the event queue has one backend.
+    #[doc(hidden)]
     pub sched: SchedKind,
 }
 
@@ -53,7 +54,7 @@ impl FlowSchedConfig {
             buffer_mb_per_tbps: 4.4,
             noise: NoiseModel::testbed(),
             d2tcp_factors: (12.0, 1.5),
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
         }
     }
 
@@ -207,7 +208,6 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
         } else {
             AckPriority::Control
         },
-        sched: cfg.sched,
         ..Default::default()
     };
     // Every switch in a k-ary fat-tree has k ports.

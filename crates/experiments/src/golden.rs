@@ -10,7 +10,7 @@
 //! --nocapture` (prints what it is about to change, by line kind).
 
 use crate::micro::{testbed_env, Micro, MicroEnv};
-use netsim::{NoiseModel, SchedKind, Sim, SimResult, SwitchConfig};
+use netsim::{NoiseModel, Sim, SimResult, SwitchConfig};
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
@@ -25,14 +25,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Per-run switches for a pinned scenario. None may change the summary:
-/// the audit is observational, scheduler backends are order-identical, and
-/// snapshot/resume is bit-exact — exactly what the golden suite pins.
+/// the audit is observational and snapshot/resume is bit-exact — exactly
+/// what the golden suite pins.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GoldenOpts {
     /// Enable the invariant audit.
     pub audit: bool,
-    /// Event-scheduler backend.
-    pub sched: SchedKind,
     /// Interrupt the run at this horizon, snapshot, restore, and finish on
     /// the restored simulator ([`netsim::Sim::snapshot`] round-trip) —
     /// instead of running straight through.
@@ -40,7 +38,7 @@ pub struct GoldenOpts {
 }
 
 impl GoldenOpts {
-    /// Audit-only toggle on the default backend.
+    /// Audit-only toggle.
     pub fn audited(audit: bool) -> Self {
         GoldenOpts {
             audit,
@@ -48,15 +46,7 @@ impl GoldenOpts {
         }
     }
 
-    /// Backend selection without the audit.
-    pub fn on(sched: SchedKind) -> Self {
-        GoldenOpts {
-            sched,
-            ..Default::default()
-        }
-    }
-
-    /// Snapshot/resume round-trip at `at` on the default backend.
+    /// Snapshot/resume round-trip at `at`.
     pub fn resumed(at: Time) -> Self {
         GoldenOpts {
             resume_at: Some(at),
@@ -70,7 +60,7 @@ impl GoldenOpts {
 /// to the horizon, snapshot, rebuild from the snapshot, and run the
 /// restored simulator to completion. Golden cases route every run through
 /// this helper so the snapshot round-trip is pinned against the exact
-/// scenarios the suite already pins across backends.
+/// scenarios the suite already pins.
 pub fn finish(mut sim: Sim, opts: GoldenOpts) -> SimResult {
     match opts.resume_at {
         None => sim.run(),
@@ -123,7 +113,6 @@ fn staircase(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
         trace: false,
         noise: NoiseModel::testbed(),
         seed: 3,
-        sched: opts.sched,
         ..Default::default()
     });
     if opts.audit {
@@ -149,7 +138,6 @@ fn nc_delay(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
     env.end = Time::from_ms(8);
     env.trace = false;
     env.seed = 5;
-    env.sched = opts.sched;
     env.switch.nc_delay = Some(NoiseModel::Uniform {
         range_ps: Time::from_us(10).as_ps(),
     });
@@ -191,7 +179,6 @@ fn lossy_incast(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
             buffer_bytes: 200_000,
             ..Default::default()
         },
-        sched: opts.sched,
         ..Default::default()
     });
     if opts.audit {
@@ -262,7 +249,6 @@ fn cc_matrix(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
                     int_enabled: true,
                     ..Default::default()
                 },
-                sched: opts.sched,
                 ..Default::default()
             });
             if opts.audit {

@@ -96,7 +96,8 @@ pub struct HyperscaleConfig {
     pub chunk: Time,
     /// Seed.
     pub seed: u64,
-    /// Scheduler backend.
+    /// Selects nothing: the event queue has one backend.
+    #[doc(hidden)]
     pub sched: SchedKind,
 }
 
@@ -117,7 +118,7 @@ impl HyperscaleConfig {
             duration: Time::from_ms(2),
             chunk: Time::from_us(200),
             seed: 1,
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
         }
     }
 
@@ -161,13 +162,13 @@ pub struct HyperscaleResult {
     /// Most entries the event queue stored at once (cancelled timers
     /// awaiting retirement included).
     pub sched_pending_peak: u64,
-    /// Peak heap bytes of the event queue.
+    /// Peak allocated bytes of the event queue.
     pub sched_bytes_peak: u64,
     /// Peak resident memory budget: live flow state + packet-arena slots +
     /// the event queue.
     pub mem_budget_bytes: u64,
     /// Order-independent fingerprint of the full streaming state (pinned
-    /// bit-identical across scheduler backends).
+    /// bit-identical across runs).
     pub streaming_fingerprint: u64,
 }
 
@@ -250,7 +251,6 @@ pub fn run(cfg: &HyperscaleConfig) -> HyperscaleResult {
         num_prios: 1,
         end_time: cfg.duration + Time::from_ps(cfg.duration.as_ps() / 2),
         seed: cfg.seed,
-        sched: cfg.sched,
         streaming_stats: true,
         ..Default::default()
     };

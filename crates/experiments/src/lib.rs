@@ -40,7 +40,6 @@ pub mod registry;
 pub mod report;
 pub mod sweep;
 
-pub use netsim::SchedKind;
 pub use report::Table;
 
 use simcore::Time;

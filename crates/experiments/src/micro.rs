@@ -6,8 +6,8 @@
 
 use netsim::monitor::MonitorKind;
 use netsim::{
-    FaultSchedule, FlowParams, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult,
-    SwitchConfig, Topology, Transport,
+    FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SimResult, SwitchConfig,
+    Topology, Transport,
 };
 use prioplus::PrioPlusConfig;
 use simcore::{Rate, Time};
@@ -37,8 +37,6 @@ pub struct MicroEnv {
     pub trace: bool,
     /// Switch overrides.
     pub switch: SwitchConfig,
-    /// Event-scheduler backend (results are identical across backends).
-    pub sched: SchedKind,
     /// Deterministic fault schedule (link flaps, degradation, PFC pause
     /// storms); `None` runs fault-free.
     pub faults: Option<FaultSchedule>,
@@ -56,7 +54,6 @@ impl Default for MicroEnv {
             noise: NoiseModel::None,
             trace: true,
             switch: SwitchConfig::default(),
-            sched: SchedKind::from_env(),
             faults: None,
         }
     }
@@ -86,7 +83,6 @@ impl Micro {
             seed: env.seed,
             meas_noise: env.noise,
             trace_flows: env.trace,
-            sched: env.sched,
             faults: env.faults.clone(),
             ..Default::default()
         };

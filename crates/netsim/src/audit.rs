@@ -101,7 +101,7 @@ pub enum ViolationKind {
     ArenaAccounting,
     /// The PFC wait-for graph over paused ports contains a cycle — a
     /// circular buffer dependency that cannot drain
-    /// ([`detect_pause_cycle`]). Reported once per deadlock
+    /// (`detect_pause_cycle`). Reported once per deadlock
     /// episode; re-armed when the cycle clears.
     PfcDeadlock,
     /// A completed, deactivated flow still holds a live slot in the

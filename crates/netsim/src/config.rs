@@ -143,10 +143,8 @@ pub struct SimConfig {
     pub trace_flows: bool,
     /// Throughput meter bucket for traced flows.
     pub trace_bucket: Time,
-    /// Event-scheduler backend. Pure performance knob: every backend pops
-    /// in the identical `(time, seq)` order, so results are bit-identical
-    /// across choices (pinned by the golden-trace suite). Defaults to the
-    /// `PRIOPLUS_SCHED` environment variable (calendar queue when unset).
+    /// Selects nothing: the event queue has one backend.
+    #[doc(hidden)]
     pub sched: SchedKind,
     /// Deterministic fault schedule (link flaps, degradation epochs, PFC
     /// pause storms). `None` — the default — runs fault-free and keeps
@@ -172,7 +170,7 @@ impl Default for SimConfig {
             seed: 1,
             trace_flows: false,
             trace_bucket: Time::from_us(20),
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
             faults: None,
             streaming_stats: false,
         }

@@ -65,28 +65,21 @@ pub struct SimCounters {
     /// interaction — the batching win batch dispatch is after.
     pub sched_pops: u64,
     /// Entries pushed plus entries popped at the event queue — its FIFO
-    /// lanes ([`simcore::EventQueue::declare_delay`]) and the scheduler
-    /// backend together, so "queue operations per delivered packet" means
-    /// the same before and after lanes. With the five counters below:
-    /// diagnostics of how the queue stored the run's events, not of the run,
-    /// so they differ between backends (zero work on the binary heap) and
+    /// lanes ([`simcore::EventQueue::declare_delay`]) and its heap
+    /// together, so "queue operations per delivered packet" means the same
+    /// before and after lanes. With the three counters below: diagnostics
+    /// of how the queue stored the run's events, not of the run, so they
     /// are kept out of state digests and golden summaries.
     pub sched_ops: u64,
     /// Of the pushes in `sched_ops`, those a lane took: entries that never
-    /// entered the backend. `sched_lane_pushes / pushes` is the share of
+    /// entered the heap. `sched_lane_pushes / pushes` is the share of
     /// traffic scheduled at a declared link delay — an exact count of how
     /// much of a run the lanes serve.
     pub sched_lane_pushes: u64,
-    /// Entries moved, buckets scanned and list nodes walked by the backend
-    /// ([`simcore::SchedWork::touches`]) for the operations that reached it
-    /// (`sched_ops` less the lanes' pushes and pops).
-    pub sched_touches: u64,
-    /// Backend rebuilds (width retunes and bucket-count changes).
-    pub sched_rebuilds: u64,
     /// Most entries the event queue stored at once, cancelled timers
     /// awaiting lazy retirement included.
     pub sched_pending_peak: u64,
-    /// Peak heap bytes of the event queue (backend + lanes).
+    /// Peak allocated bytes of the event queue (heap + lanes).
     pub sched_bytes_peak: u64,
 }
 
@@ -121,13 +114,11 @@ impl SimCounters {
             flows_reclaimed: _,
             flow_live_bytes_peak: _,
             sched_pops: _,
-            // Diagnostics of one scheduler backend, or of where the queue
-            // kept an entry: they differ between backends by design, and
-            // the digest must not.
+            // Diagnostics of where the queue kept an entry, not of the
+            // simulation: the digest names the same state whichever
+            // container holds an entry.
             sched_ops: _,
             sched_lane_pushes: _,
-            sched_touches: _,
-            sched_rebuilds: _,
             sched_pending_peak: _,
             sched_bytes_peak: _,
         } = self;

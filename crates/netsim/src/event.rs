@@ -60,8 +60,8 @@ pub enum Event {
     },
     /// Apply fault-schedule transition `idx`
     /// ([`crate::faults::FaultSchedule`]). Scheduled up-front at run start
-    /// — through the same scheduler backend as every other event — so
-    /// fault runs stay bit-identical across backends. Never scheduled when
+    /// — through the same queue as every other event — so fault runs
+    /// stay bit-identical across repeats. Never scheduled when
     /// [`crate::config::SimConfig::faults`] is `None`.
     Fault {
         /// Index into the installed schedule's event list.

@@ -4,9 +4,9 @@
 //! A [`FaultSchedule`] is a plain list of timestamped [`FaultKind`]
 //! transitions installed via [`crate::SimConfig::faults`]. The simulator
 //! schedules every entry as a first-class `Event::Fault` through the same
-//! [`simcore::Scheduler`] backend as all other events, so fault runs stay
-//! bit-identical across the binary/calendar backends and across
-//! repeated runs — fault times are data, never wall clock.
+//! [`simcore::EventQueue`] as all other events, so fault runs stay
+//! bit-identical across repeated runs — fault times are data, never wall
+//! clock.
 //!
 //! This module is the *schedule* only. The state a transition flips lives
 //! on the link's two [`crate::node::EgressPort`]s (`down`, `storm`,
@@ -39,7 +39,7 @@
 //!   never emit pauses) — so a resume lost "inside" the storm cannot wedge
 //!   the port.
 //!
-//! The deadlock monitor ([`crate::audit::detect_pause_cycle`]) runs with the audit deep
+//! The deadlock monitor (`audit::detect_pause_cycle`) runs with the audit deep
 //! scan whenever a fault schedule is installed. It builds the classic
 //! circular-buffer-dependency wait-for graph: vertex `(A, p, q)` for every
 //! paused switch egress, and an edge to `(B, p2, q)` when `B` is the peer

@@ -56,6 +56,7 @@ pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use noise::NoiseModel;
 pub use packet::{ArenaStats, FlowId, NodeId, Packet, PacketArena, PacketId, PktHeader, PktTag};
 pub use record::{FlowRecord, SimCounters, SimResult, StreamingStats};
+#[doc(hidden)]
 pub use simcore::SchedKind;
 pub use sim::{ArrivalSource, FlowSpec, Sim};
 pub use snapshot::{SimSnapshot, StateTamper};

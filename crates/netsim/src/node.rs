@@ -5,8 +5,8 @@
 //! delay), the dynamic state (busy, PFC pause bits, queues, byte counters)
 //! and the fault state (down, degraded, storm-pinned; driven by
 //! [`crate::faults`]) sit side by side, so cloning the nodes snapshots a
-//! link completely and [`EgressPort::fold_digest`] fingerprints it. Hosts
-//! and switches share the type: a [`Host`]'s NIC is a one-port [`Node`].
+//! link completely and `EgressPort::fold_digest` fingerprints it. Hosts
+//! and switches share the type: a [`Host`]'s NIC is a one-port `Node`.
 //!
 //! Logic that needs the event queue (scheduling arrivals, PFC frames,
 //! transport callbacks) lives in [`crate::sim`]; this module holds the data

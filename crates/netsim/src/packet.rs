@@ -406,7 +406,7 @@ pub struct ArenaStats {
 /// same packet in both planes. Releasing slot `i` makes `i` the *next*
 /// slot handed out, so the mapping from packet-creation order to slot
 /// index is a pure function of the event sequence — identical across
-/// runs, scheduler backends, and platforms. (A FIFO free list would be
+/// runs and platforms. (A FIFO free list would be
 /// equally deterministic but touch cold slots; LIFO reuses the
 /// cache-hot one. What matters for replay is only that the policy is
 /// fixed.)

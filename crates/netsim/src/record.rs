@@ -71,8 +71,8 @@ pub use crate::counters::SimCounters;
 /// integer-bucketed quantile sketches folded at flow completion, replacing
 /// the per-flow sample vectors experiments otherwise build from
 /// [`SimResult::records`]. All fields are order-independent integer state,
-/// so a run's `StreamingStats` is bit-identical across scheduler backends
-/// (pinned by the sketch differential fleet).
+/// so a run's `StreamingStats` does not depend on the order flows complete
+/// in (pinned by the sketch differential fleet).
 #[derive(Clone, Debug, Default)]
 pub struct StreamingStats {
     /// FCT sketch over all completed flows, in picoseconds.

@@ -112,7 +112,7 @@ impl Sim {
                 panic!("fault schedule targets nonexistent link attachment ({node}, {port})");
             }
         }
-        let mut queue = EventQueue::with_sched(cfg.sched);
+        let mut queue = EventQueue::new();
         declare_link_delays(&mut queue, topo, cfg.mtu);
         let state = State {
             nodes,
@@ -351,8 +351,8 @@ impl Sim {
                 .schedule(m.period, Event::Sample { monitor: i as u32 });
         }
         // The fault schedule is fixed up-front: every transition becomes a
-        // first-class event through the same scheduler backend as data
-        // traffic, so fault runs stay bit-identical across backends.
+        // first-class event through the same queue as data traffic, so
+        // fault runs stay bit-identical across repeats.
         for (i, ev) in cfg.faults.iter().flat_map(|s| &s.events).enumerate() {
             st.queue.schedule(ev.at, Event::Fault { idx: i as u32 });
         }
@@ -420,11 +420,9 @@ impl Sim {
         counters.arena_int_allocs = astats.int_allocs;
         counters.arena_int_recycled = astats.int_recycled;
         counters.sched_pops = st.queue.pops();
-        let work = st.queue.sched_work();
         counters.sched_lane_pushes = st.queue.lane_pushes();
-        counters.sched_ops = work.ops() + st.queue.lane_pushes() + st.queue.lane_pops();
-        counters.sched_touches = work.touches();
-        counters.sched_rebuilds = work.rebuilds;
+        counters.sched_ops =
+            st.queue.sched_work().ops() + st.queue.lane_pushes() + st.queue.lane_pops();
         counters.sched_pending_peak = st.queue.pending_peak() as u64;
         counters.sched_bytes_peak = st.queue.resident_bytes() as u64;
         counters.flows_total = st.flows.len() as u64;
@@ -489,11 +487,11 @@ impl Sim {
 /// and of a control packet, each with and without the propagation delay —
 /// the four delays nearly every [`Event::PortFree`] and [`Event::Arrive`]
 /// of that class carries, so they queue in FIFO lanes instead of the
-/// scheduler backend ([`EventQueue::declare_delay`]). Classes go in
+/// queue's heap ([`EventQueue::declare_delay`]). Classes go in
 /// descending order of how many links have them (ties in topology order),
 /// so when there are more delays than lanes the refused ones are the rarest.
 /// Only a hint: a flow's short tail packet, a degraded link, a
-/// non-congestive delay or a refused class schedules through the backend,
+/// non-congestive delay or a refused class schedules through the heap,
 /// in the same order either way.
 fn declare_link_delays(queue: &mut EventQueue<Event>, topo: &Topology, mtu: u32) {
     let mut classes: Vec<(Rate, Time, usize)> = Vec::new();
@@ -545,16 +543,16 @@ impl State {
     /// hands its `Option<Event>` back through memory. Two such costs have
     /// been measured with alternating `ppbench` pairs, output identical in
     /// both: the queue's serve path ([`EventQueue`]'s `batch_next`,
-    /// `pop_batch`, `pop_batch_before` and what they are made of — `head`,
+    /// `pop_batch`, `pop_batch_before` and what they are made of —
     /// `scan_head`, `settle_head`, `take_batch`, `pop_lane` — instances of a
     /// `simcore` generic, so filed under `simcore::event`) cost 8–13 % of
     /// wall time on every workload until it carried `#[inline]`, which has
     /// rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU
     /// while it was a method of `Sim`, a unit away from the handlers.
     /// `scripts/check_hot_calls.sh` (CI leg 2) fails when the disassembly of
-    /// `advance` calls any of them. (The backend's side of the queue —
-    /// `find_head`, `pop_backend`, `retire_cancelled_head` — is
-    /// out of line on purpose: a hundredth of the events.)
+    /// `advance` calls any of them. (The heap's side of the queue —
+    /// `pop_backend`, `retire_cancelled_head` — is out of line on purpose:
+    /// a hundredth of the events.)
     fn advance(&mut self, env: &Env, until: Option<Time>, has_app: bool) -> Yield {
         loop {
             let now = self.queue.now();
@@ -1406,13 +1404,11 @@ mod tests {
     }
 
     /// The whole point of the packet arena: events stay a few machine words
-    /// so the scheduler backends sift small entries. If `Event` grows past
+    /// so the event queue's heap sifts small entries. If `Event` grows past
     /// 16 bytes (or an `Entry<Event>` past 40), someone put a payload back
-    /// into the queue by value — route it through the arena instead. A
-    /// pending entry outside the calendar's current day occupies one slab
-    /// node: the entry plus a 4-byte link; one waiting in a FIFO lane
-    /// occupies a ring slot: a 16-byte key plus the event, whose `Option`
-    /// must cost nothing.
+    /// into the queue by value — route it through the arena instead. An
+    /// entry waiting in a FIFO lane occupies a ring slot: a 16-byte key plus
+    /// the event, whose `Option` must cost nothing.
     #[test]
     fn event_stays_slim() {
         assert!(
@@ -1425,8 +1421,6 @@ mod tests {
             "Entry<Event> grew to {} bytes",
             std::mem::size_of::<simcore::Entry<Event>>()
         );
-        let node = simcore::sched::CalendarQueue::<Event>::NODE_BYTES;
-        assert!(node <= 48, "calendar slab node grew to {node} bytes");
         let slot = EventQueue::<Event>::LANE_ENTRY_BYTES;
         assert!(slot <= 32, "lane slot grew to {slot} bytes");
     }

@@ -6,12 +6,11 @@
 //! monitors, traces, RNG streams, sketches, the audit mirror).
 //! [`Sim::snapshot`] is `state.clone()` beside another handle on the same
 //! `Env`; [`Sim::restore`] is the same clone in the other direction, any
-//! number of times. The scheduler queue is cloned as it stands — backend
-//! structure, tuning and work profile included — so a restored simulator
-//! does not merely pop the same events: it continues the original's
-//! scheduler, work counts and all. That restore-equals-straight-through
-//! property is pinned by the `e2e_snapshot` suite on every scheduler
-//! backend.
+//! number of times. The scheduler queue is cloned as it stands — heap,
+//! lanes and counters included — so a restored simulator does not merely
+//! pop the same events: it continues the original's queue, counts and all.
+//! That restore-equals-straight-through property is pinned by the
+//! `e2e_snapshot` suite.
 //!
 //! The intended use is prefix-sharing parameter sweeps
 //! (`experiments::sweep::run_warm`): configs that share a warmup prefix
@@ -127,7 +126,7 @@ impl Sim {
     /// packet arena, nodes and their ports (link fault state included),
     /// flow table and slab, monitors, traces, and streaming sketches. Two
     /// simulators in the same `Env` with equal digests dispatch identically
-    /// from here on, whatever their scheduler backend; the
+    /// from here on, wherever their queues keep an entry; the
     /// snapshot-completeness fleet pins that every [`StateTamper`] class
     /// moves it.
     pub fn state_digest(&self) -> u64 {

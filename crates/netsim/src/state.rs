@@ -180,7 +180,7 @@ impl FlowLive {
 
 /// Slab of live flow state with LIFO slot reuse — the same determinism
 /// argument as the packet arena: the slot sequence is a pure function of
-/// event order, so it is bit-identical across scheduler backends. Slots are
+/// event order, so it is bit-identical across runs. Slots are
 /// released explicitly at flow completion, which is what makes resident
 /// memory scale with *concurrent* flows rather than total flows.
 #[derive(Clone, Default)]
@@ -301,7 +301,7 @@ pub(crate) struct State {
     /// Slab holding every in-flight packet; events and port queues refer to
     /// packets by [`crate::packet::PacketId`]. LIFO slot reuse keeps the id
     /// sequence a pure function of the event order (deterministic across
-    /// backends).
+    /// runs).
     pub(crate) arena: PacketArena,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) counters: SimCounters,

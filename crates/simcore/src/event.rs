@@ -1,13 +1,12 @@
 //! Deterministic event queue.
 //!
-//! A policy layer over a pluggable [`Scheduler`] backend keyed on
-//! `(time, sequence)`: events scheduled for the same instant pop in
-//! insertion order, which makes whole simulations reproducible bit-for-bit
-//! across runs — and across backends, since every backend implements the
-//! same stable `(time, seq)` min-order (see [`crate::sched`]). The backend
-//! is chosen at construction ([`EventQueue::with_sched`]); the default is
-//! the calendar queue, and the binary heap is the reference the tests
-//! compare it against.
+//! Entries are keyed on `(time, sequence)`: events scheduled for the same
+//! instant pop in insertion order, which makes whole simulations
+//! reproducible bit-for-bit across runs. The queue keeps them in two kinds
+//! of container — FIFO lanes for the pushes that arrive already sorted, and
+//! one `std::collections::BinaryHeap` (the *backend*) for the rest — and
+//! always pops the smallest key among their heads, so where an entry waits
+//! never changes when it pops.
 //!
 //! # FIFO lanes
 //!
@@ -24,18 +23,15 @@
 //! declared — a declaration is a hint about where pushes will land, and a
 //! wrong, missing or refused one costs speed, not correctness.
 //!
-//! The queue's head is the smallest of the backend's head and the rings'
+//! The queue's head is the smallest of the heap's top and the rings'
 //! fronts. Each source keeps its head as one dense `u128` key
 //! (`at << 64 | seq`, `u128::MAX` when empty), so choosing among them is a
 //! tournament of compare-and-select over at most [`MAX_LANES`]` + 1` words —
 //! no pointer is followed and no branch depends on the data. It runs once
-//! per served event, when a lane's front is popped: every key is known
-//! then, so the answer is ready before the popped event's handler returns
-//! and the event loop never waits on it. A push replaces the remembered head
-//! only when the new key sorts before it. (After a *backend* pop the head is
-//! left unknown and found on the next request: looking the backend's new
-//! head up before the handler has pushed would open a calendar day those
-//! pushes then land before.)
+//! per served event, when the head is popped: every key is known then (a
+//! heap pop reads the new top at once), so the answer is ready before the
+//! popped event's handler returns and the event loop never waits on it. A
+//! push replaces the remembered head only when the new key sorts before it.
 //!
 //! # Batches
 //!
@@ -67,9 +63,11 @@
 //! [`batch_next`](EventQueue::batch_next) and
 //! [`peek_time`](EventQueue::peek_time) discard them.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::hint::select_unpredictable;
 
-use crate::sched::{AnySched, Entry, SchedKind, SchedWork, Scheduler};
+use crate::sched::{Entry, SchedKind, SchedWork};
 use crate::time::Time;
 
 /// Handle to a cancellable scheduled event.
@@ -98,10 +96,6 @@ const BACKEND: usize = MAX_LANES;
 
 /// Head key of an empty source.
 const EMPTY: u128 = u128::MAX;
-
-/// The remembered head when it is not known. No push sorts before key 0,
-/// so pushes leave an unknown head unknown without testing for it.
-const UNKNOWN: (u128, usize) = (0, BACKEND);
 
 /// The `(at, seq)` order as one integer.
 #[inline]
@@ -148,6 +142,28 @@ fn find_delay<const N: usize>(delays: &[u64; MAX_LANES], delay_ps: u64) -> usize
         lane = select_unpredictable(d == delay_ps, i, lane);
     }
     lane
+}
+
+/// An [`Entry`] ordered so that `std`'s max-heap pops the smallest
+/// `(at, seq)` first.
+#[derive(Clone, Debug)]
+struct Rev<E>(Entry<E>);
+
+impl<E> PartialEq for Rev<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+impl<E> Eq for Rev<E> {}
+impl<E> PartialOrd for Rev<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Rev<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.key().cmp(&self.0.key())
+    }
 }
 
 /// Per-slot cancellation state. `gen` advances every time the slot is
@@ -247,30 +263,28 @@ const MIN_RING: usize = 16;
 
 /// A deterministic min-priority event queue.
 ///
-/// `Clone` copies the queue as it stands — backend structure, tuning state
-/// and work profile, lanes, the cancellation slot table, a batch in progress
-/// — so a clone pops the same stream, honours the same outstanding
-/// [`ScheduledId`]s and continues the same [`SchedWork`] count as the
-/// original. (Buffers are cloned to their length, so
-/// [`resident_bytes`](Self::resident_bytes) is the clone's own.)
+/// `Clone` copies the queue as it stands — the heap, the lanes, the
+/// cancellation slot table, a batch in progress, the counters — so a clone
+/// pops the same stream, honours the same outstanding [`ScheduledId`]s and
+/// continues the same [`SchedWork`] count as the original. (Buffers are
+/// cloned to their length, so [`resident_bytes`](Self::resident_bytes) is
+/// the clone's own.)
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    sched: AnySched<E>,
+    /// The backend: every entry no lane took, in `(at, seq)` min-order.
+    heap: BinaryHeap<Rev<E>>,
+    /// Pushes to and pops from `heap`.
+    work: SchedWork,
     /// One ring per declared delay, each ascending in `(at, seq)`.
     lanes: Vec<Lane<E>>,
     /// `delays[i]` (ps) is the delay of `lanes[i]`.
     delays: [u64; MAX_LANES],
     /// `lane_keys[i]` is the key of `lanes[i]`'s front, `EMPTY` without one.
     lane_keys: [u128; MAX_LANES],
-    /// Key of the backend's head. Trusted only while `!backend_stale`.
+    /// Key of the heap's top, `EMPTY` without one.
     backend_key: u128,
-    /// The backend's head was popped and has not been looked up again. The
-    /// lookup waits for the next head scan, after the popped event's handler
-    /// has pushed: a calendar queue asked earlier would open a day that
-    /// those pushes then land before.
-    backend_stale: bool,
-    /// Key and source of the queue's head — the smallest key stored,
-    /// cancelled entries included — or [`UNKNOWN`].
+    /// Key and source of the queue's head: the smallest key stored,
+    /// cancelled entries included.
     head: (u128, usize),
     /// Entries stored, backend and lanes together, cancelled ones included.
     stored: usize,
@@ -299,22 +313,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue at time zero on the default backend
-    /// ([`SchedKind::default`], the calendar queue).
+    /// Create an empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_sched(SchedKind::default())
-    }
-
-    /// Create an empty queue at time zero on the given scheduler backend.
-    /// Backend choice never changes pop order — only performance.
-    pub fn with_sched(kind: SchedKind) -> Self {
         EventQueue {
-            sched: AnySched::new(kind),
+            heap: BinaryHeap::new(),
+            work: SchedWork::default(),
             lanes: Vec::new(),
             delays: [u64::MAX; MAX_LANES],
             lane_keys: [EMPTY; MAX_LANES],
             backend_key: EMPTY,
-            backend_stale: false,
             head: (EMPTY, BACKEND),
             stored: 0,
             next_seq: 0,
@@ -327,6 +334,12 @@ impl<E> EventQueue<E> {
             pops: 0,
             pending_peak: 0,
         }
+    }
+
+    /// Selects nothing: the same as [`new`](Self::new).
+    #[doc(hidden)]
+    pub fn with_sched(_: SchedKind) -> Self {
+        Self::new()
     }
 
     /// Give pushes scheduled exactly `delay` after the clock a FIFO lane
@@ -347,11 +360,6 @@ impl<E> EventQueue<E> {
         // Construction time: one (still empty) ring per declared delay.
         self.lanes.push(Lane::new());
         true
-    }
-
-    /// Which scheduler backend this queue runs on.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.sched.kind()
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -375,11 +383,10 @@ impl<E> EventQueue<E> {
         self.pops
     }
 
-    /// The backend's deterministic work profile (all zero on the binary
-    /// heap, which keeps none). Lanes are not in it: see
+    /// Pushes to and pops from the backend. Lanes are not in it: see
     /// [`lane_pushes`](Self::lane_pushes).
     pub fn sched_work(&self) -> SchedWork {
-        self.sched.work()
+        self.work
     }
 
     /// Entries ever pushed to a lane instead of the backend. The same run
@@ -400,11 +407,11 @@ impl<E> EventQueue<E> {
         self.pending_peak
     }
 
-    /// Heap bytes held by the backend and the lanes, by capacity.
+    /// Allocated bytes held by the backend and the lanes, by capacity.
     /// Capacities only grow, so the value at the end of a run is its peak.
     pub fn resident_bytes(&self) -> usize {
         let ring_slots: usize = self.lanes.iter().map(|l| l.keys.capacity()).sum();
-        self.sched.resident_bytes()
+        self.heap.capacity() * std::mem::size_of::<Entry<E>>()
             + self.lanes.capacity() * std::mem::size_of::<Lane<E>>()
             + ring_slots * Self::LANE_ENTRY_BYTES
     }
@@ -465,15 +472,14 @@ impl<E> EventQueue<E> {
                 lane
             }
             None => {
-                // (A stale key is not made fresh by this: it is looked up
-                // again before it is next read.)
                 self.backend_key = self.backend_key.min(key);
-                self.sched.push(Entry {
+                self.work.pushes += 1;
+                self.heap.push(Rev(Entry {
                     at,
                     seq,
                     slot,
                     event,
-                });
+                }));
                 BACKEND
             }
         };
@@ -564,36 +570,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Key and source of the queue's head, looking for it unless it is
-    /// remembered. `(EMPTY, BACKEND)` when nothing is stored.
-    #[inline]
-    fn head(&mut self) -> (u128, usize) {
-        if self.head == UNKNOWN {
-            self.find_head();
-        }
-        self.head
-    }
-
-    /// The slow way to the head, taken after a backend pop (and on a new
-    /// queue): look the backend's head up, then scan. Out of line, so that
-    /// the one scan compiled into the event loop is the one that runs per
-    /// event ([`pop_lane`](Self::pop_lane)'s).
-    #[inline(never)]
-    fn find_head(&mut self) {
-        if self.backend_stale {
-            self.backend_key = self.sched.peek_min().map_or(EMPTY, |e| key_of(e.at, e.seq));
-            self.backend_stale = false;
-        }
-        self.scan_head();
-    }
-
-    /// The head scan: the smallest of the backend's head key (which must
-    /// not be stale) and the lanes' front keys. Keys are unique, so ties
-    /// need no rule. Undeclared lanes read `EMPTY`, so scanning a few of
-    /// them is harmless, and the scan is cut to 4, 8 or all lanes rather
-    /// than to the declared count: a fixed count is straight-line selects
-    /// ([`earliest4`]), where LLVM hands the selects of a loop that carries
-    /// its minimum back to the branch predictor.
+    /// The head scan: the smallest of the heap's top key and the lanes'
+    /// front keys. Keys are unique, so ties need no rule. Undeclared lanes
+    /// read `EMPTY`, so scanning a few of them is harmless, and the scan is
+    /// cut to 4, 8 or all lanes rather than to the declared count: a fixed
+    /// count is straight-line selects ([`earliest4`]), where LLVM hands the
+    /// selects of a loop that carries its minimum back to the branch
+    /// predictor.
     #[inline(always)]
     fn scan_head(&mut self) {
         let keys = &self.lane_keys;
@@ -611,41 +594,38 @@ impl<E> EventQueue<E> {
     /// Remove lane `src`'s front, which is the queue's head, and find the
     /// next head at once: every key is known here, and scanned now the
     /// result is ready by the time the event's handler returns, instead of
-    /// the event loop waiting on it. (Unless the backend's key is stale —
-    /// that lookup has to wait for the handler's pushes.)
+    /// the event loop waiting on it.
     #[inline]
     fn pop_lane(&mut self, src: usize) -> Option<E> {
         let (event, front) = self.lanes[src].pop();
         self.lane_keys[src] = front;
         self.stored -= 1;
-        if self.backend_stale {
-            self.head = UNKNOWN;
-        } else {
-            self.scan_head();
-        }
+        self.scan_head();
         event
     }
 
-    /// Remove the backend's head, which is the queue's head, retiring its
-    /// slot. `None` when it had been cancelled. Out of line: a hundredth of
-    /// the traffic, and the backend's pop is a call anyway.
+    /// Remove the heap's top, which is the queue's head, retiring its slot,
+    /// and find the next head as [`pop_lane`](Self::pop_lane) does. `None`
+    /// when it had been cancelled. Out of line: a hundredth of the traffic,
+    /// and the heap's sift-down is a loop anyway.
     #[inline(never)]
     fn pop_backend(&mut self) -> Option<E> {
-        let entry = self.sched.pop_min()?;
-        self.backend_stale = true;
+        let Rev(entry) = self.heap.pop()?;
+        self.work.pops += 1;
         self.stored -= 1;
-        self.head = UNKNOWN;
+        self.backend_key = self.heap.peek().map_or(EMPTY, |r| key_of(r.0.at, r.0.seq));
+        self.scan_head();
         self.retire(entry.slot).then_some(entry.event)
     }
 
-    /// With the backend's head as the queue's head: discard it if it was
+    /// With the heap's top as the queue's head: discard it if it was
     /// cancelled, and say so.
     #[inline(never)]
     fn retire_cancelled_head(&mut self) -> bool {
         let dead = self
-            .sched
-            .peek_min()
-            .is_some_and(|e| e.slot != NO_SLOT && !self.slots[e.slot as usize].live);
+            .heap
+            .peek()
+            .is_some_and(|r| r.0.slot != NO_SLOT && !self.slots[r.0.slot as usize].live);
         if dead {
             let _cancelled = self.pop_backend();
             debug_assert!(_cancelled.is_none());
@@ -655,13 +635,13 @@ impl<E> EventQueue<E> {
 
     /// The explicit lazy-skip step: discard cancelled entries at the head,
     /// recycling their slots, and return the timestamp of the live entry
-    /// left there (remembered as [`head`](Self::head)). After this
-    /// `peek_time`, `pop` and `pop_batch` necessarily agree on the head.
-    /// Amortized O(1): each cancelled entry is discarded exactly once.
+    /// left there (the remembered `head`). After this `peek_time`, `pop`
+    /// and `pop_batch` necessarily agree on the head. Amortized O(1): each
+    /// cancelled entry is discarded exactly once.
     #[inline]
     fn settle_head(&mut self) -> Option<Time> {
         loop {
-            let (key, src) = self.head();
+            let (key, src) = self.head;
             // Only the backend holds cancellable entries, and an empty
             // queue's head reads as the backend's.
             if src == BACKEND {
@@ -741,7 +721,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn batch_next(&mut self) -> Option<E> {
         loop {
-            let (key, src) = self.head();
+            let (key, src) = self.head;
             // (An empty queue's key has `seq = u64::MAX`, past any bound.)
             let (at, seq) = split_key(key);
             if at != self.now || seq >= self.batch_end {
@@ -763,7 +743,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next live event without popping it.
     ///
     /// Takes `&mut self` only for the lazy-skip: cancelled entries at the
-    /// head are discarded (via [`Self::settle_head`]) so the peek stays
+    /// head are discarded (via `settle_head`) so the peek stays
     /// amortized O(1). The set of live events is unchanged.
     pub fn peek_time(&mut self) -> Option<Time> {
         self.settle_head()
@@ -776,8 +756,9 @@ impl<E> EventQueue<E> {
             let (at, seq) = split_key(key);
             f(at, seq, NO_SLOT, event);
         }
-        self.sched
-            .for_each(&mut |e| f(e.at, e.seq, e.slot, &e.event));
+        for Rev(e) in &self.heap {
+            f(e.at, e.seq, e.slot, &e.event);
+        }
     }
 
     /// Visit every live (non-cancelled) pending event, in storage order
@@ -797,13 +778,10 @@ impl<E> EventQueue<E> {
     ///
     /// Checks: no live entry is scheduled before `now`, the count of dead
     /// backend entries matches `cancelled_in_heap` (so `len()` is exact),
-    /// every live slot has exactly one backend entry referring to it, the
-    /// backend's own structural invariants hold
-    /// ([`Scheduler::check_backend`]), every lane is ascending in
-    /// `(at, seq)` with its head key equal to its front, and the remembered
-    /// head, when there is one, is the smallest key stored.
+    /// every live slot has exactly one backend entry referring to it, every
+    /// lane is ascending in `(at, seq)` with its head key equal to its
+    /// front, and the remembered head is the smallest key stored.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.sched.check_backend()?;
         self.check_lanes()?;
         let mut dead = 0usize;
         // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by callers)
@@ -846,7 +824,7 @@ impl<E> EventQueue<E> {
     /// order, head keys, the entry count, and the remembered head against
     /// the true minimum over lanes and backend.
     fn check_lanes(&self) -> Result<(), String> {
-        let mut stored = self.sched.len();
+        let mut stored = self.heap.len();
         let mut min = EMPTY;
         for (i, lane) in self.lanes.iter().enumerate() {
             let keys = || lane.iter().map(|(key, _)| key);
@@ -884,27 +862,27 @@ impl<E> EventQueue<E> {
                 self.stored
             ));
         }
-        let mut backend_min = EMPTY;
-        self.sched
-            .for_each(&mut |e| backend_min = backend_min.min(key_of(e.at, e.seq)));
-        if !self.backend_stale && self.backend_key != backend_min {
+        let backend_min = self
+            .heap
+            .iter()
+            .map(|Rev(e)| key_of(e.at, e.seq))
+            .fold(EMPTY, u128::min);
+        if self.backend_key != backend_min {
             return Err(format!(
                 "backend head key {:#x} but its smallest entry is {backend_min:#x}",
                 self.backend_key
             ));
         }
-        if self.head != UNKNOWN {
-            let (key, src) = self.head;
-            let at_src = match src {
-                BACKEND => backend_min,
-                lane => self.lane_keys[lane],
-            };
-            if self.backend_stale || key != min.min(backend_min) || key != at_src {
-                return Err(format!(
-                    "remembered head {key:#x} (source {src}) but the smallest key stored is {:#x}",
-                    min.min(backend_min)
-                ));
-            }
+        let (key, src) = self.head;
+        let at_src = match src {
+            BACKEND => backend_min,
+            lane => self.lane_keys[lane],
+        };
+        if key != min.min(backend_min) || key != at_src {
+            return Err(format!(
+                "remembered head {key:#x} (source {src}) but the smallest key stored is {:#x}",
+                min.min(backend_min)
+            ));
         }
         Ok(())
     }
@@ -920,17 +898,17 @@ impl<E> EventQueue<E> {
     /// its own from `(seq, at, slot, payload)` and the results are summed.
     /// `seq` is unique, so the sum names the *set* of entries, whichever
     /// backend or lane stores them and in whatever order. What was declared,
-    /// the head keys derived from the entries, `pending_peak`, the lane push
-    /// count and the backend's work profile are diagnostics or functions of
+    /// the head keys derived from the entries, `pending_peak` and the push
+    /// counts of the lanes and the backend are diagnostics or functions of
     /// the rest and stay out.
     pub fn fold_digest(&self, fold: &mut impl FnMut(u64), event: impl Fn(&E, &mut dyn FnMut(u64))) {
         let EventQueue {
-            sched: _,
+            heap: _,
+            work: _,
             lanes: _,
             delays: _,
             lane_keys: _,
             backend_key: _,
-            backend_stale: _,
             head: _,
             stored,
             next_seq,
@@ -971,54 +949,52 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// The delays [`on_all_backends`] declares: the ones the scenarios
-    /// below schedule at from time zero, and the zero delay of a self-post.
+    /// The delays [`with_and_without_lanes`] declares: the ones the
+    /// scenarios below schedule at from time zero, and the zero delay of a
+    /// self-post.
     const DECLARED_US: [u64; 7] = [0, 1, 2, 3, 5, 7, 10];
 
-    /// Run a test body against a fresh queue on every backend, without
-    /// lanes and with [`DECLARED_US`] declared, so every scenario below pins
-    /// identical behavior across all four.
-    fn on_all_backends<E>(f: impl Fn(&mut EventQueue<E>, SchedKind)) {
-        for kind in SchedKind::ALL {
-            for lanes in [false, true] {
-                let mut q = EventQueue::with_sched(kind);
-                assert_eq!(q.sched_kind(), kind);
-                if lanes {
-                    for us in DECLARED_US {
-                        assert!(q.declare_delay(Time::from_us(us)));
-                    }
+    /// Run a test body against a fresh queue without lanes and one with
+    /// [`DECLARED_US`] declared, so every scenario below pins identical
+    /// behavior for entries in the heap and in the lanes.
+    fn with_and_without_lanes<E>(f: impl Fn(&mut EventQueue<E>, bool)) {
+        for lanes in [false, true] {
+            let mut q = EventQueue::new();
+            if lanes {
+                for us in DECLARED_US {
+                    assert!(q.declare_delay(Time::from_us(us)));
                 }
-                f(&mut q, kind);
             }
+            f(&mut q, lanes);
         }
     }
 
     #[test]
     fn pops_in_time_order() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             q.schedule(Time::from_us(3), "c");
             q.schedule(Time::from_us(1), "a");
             q.schedule(Time::from_us(2), "b");
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{kind:?}");
+            assert_eq!(order, vec!["a", "b", "c"], "lanes={lanes}");
         });
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(5);
             for i in 0..100 {
                 q.schedule(t, i);
             }
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
+            assert_eq!(order, (0..100).collect::<Vec<_>>(), "lanes={lanes}");
         });
     }
 
     #[test]
     fn mixed_cancellable_ties_break_by_insertion_order() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(5);
             for i in 0..100 {
                 if i % 3 == 0 {
@@ -1028,13 +1004,13 @@ mod tests {
                 }
             }
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
+            assert_eq!(order, (0..100).collect::<Vec<_>>(), "lanes={lanes}");
         });
     }
 
     #[test]
     fn clock_advances_monotonically() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             q.schedule(Time::from_us(10), ());
             q.schedule(Time::from_us(10), ());
             q.schedule(Time::from_us(20), ());
@@ -1059,7 +1035,7 @@ mod tests {
 
     #[test]
     fn zero_delay_schedule_in_fires_at_now_after_existing_ties() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             q.schedule(Time::from_us(10), 0);
             q.pop();
             // Zero delay: due at now() exactly, but after events already
@@ -1067,29 +1043,29 @@ mod tests {
             q.schedule(q.now(), 1);
             q.schedule_in(Time::ZERO, 2);
             q.schedule_in(Time::from_us(1), 3);
-            assert_eq!(q.peek_time(), Some(Time::from_us(10)), "{kind:?}");
-            assert_eq!(q.pop(), Some((Time::from_us(10), 1)), "{kind:?}");
-            assert_eq!(q.pop(), Some((Time::from_us(10), 2)), "{kind:?}");
-            assert_eq!(q.pop(), Some((Time::from_us(11), 3)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(10)), "lanes={lanes}");
+            assert_eq!(q.pop(), Some((Time::from_us(10), 1)), "lanes={lanes}");
+            assert_eq!(q.pop(), Some((Time::from_us(10), 2)), "lanes={lanes}");
+            assert_eq!(q.pop(), Some((Time::from_us(11), 3)), "lanes={lanes}");
             assert_eq!(q.now(), Time::from_us(11));
         });
     }
 
     #[test]
     fn cancellation_skips_events() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             q.schedule(Time::from_us(2), "b");
             q.cancel(a);
-            assert_eq!(q.len(), 1, "{kind:?}");
-            assert_eq!(q.pop().map(|(_, e)| e), Some("b"), "{kind:?}");
-            assert!(q.pop().is_none(), "{kind:?}");
+            assert_eq!(q.len(), 1, "lanes={lanes}");
+            assert_eq!(q.pop().map(|(_, e)| e), Some("b"), "lanes={lanes}");
+            assert!(q.pop().is_none(), "lanes={lanes}");
         });
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             assert!(q.pop().is_some());
             q.cancel(a);
@@ -1103,7 +1079,7 @@ mod tests {
     /// underflow-panic once the heap drained below the tombstone count.
     #[test]
     fn cancel_after_fire_keeps_len_exact() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             q.pop();
             assert_eq!(q.len(), 0);
@@ -1124,14 +1100,14 @@ mod tests {
     /// must protect the new occupant.
     #[test]
     fn cancel_on_popped_id_after_slot_reuse_is_noop() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
             // Slot freed by the pop; this reuses it under a newer gen.
             let b = q.schedule_cancellable(Time::from_us(2), "b");
             q.cancel(a); // stale: must not kill "b"
-            assert_eq!(q.len(), 1, "{kind:?}");
-            assert_eq!(q.pop().map(|(_, e)| e), Some("b"), "{kind:?}");
+            assert_eq!(q.len(), 1, "lanes={lanes}");
+            assert_eq!(q.pop().map(|(_, e)| e), Some("b"), "lanes={lanes}");
             q.cancel(b); // also stale now (fired)
             assert!(q.is_empty());
             q.check_invariants().unwrap();
@@ -1140,7 +1116,7 @@ mod tests {
 
     #[test]
     fn double_cancel_is_noop() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             q.schedule(Time::from_us(2), "b");
             q.cancel(a);
@@ -1155,7 +1131,7 @@ mod tests {
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             q.schedule(Time::from_us(10), 0);
             q.pop();
             q.schedule_in(Time::from_us(5), 1);
@@ -1165,11 +1141,11 @@ mod tests {
 
     #[test]
     fn peek_skips_cancelled() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             q.schedule(Time::from_us(2), "b");
             q.cancel(a);
-            assert_eq!(q.peek_time(), Some(Time::from_us(2)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(2)), "lanes={lanes}");
         });
     }
 
@@ -1178,36 +1154,36 @@ mod tests {
     /// the new head — the stale peeked time must never be delivered.
     #[test]
     fn peek_and_pop_agree_when_head_cancelled_between_calls() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let a = q.schedule_cancellable(Time::from_us(1), "a");
             q.schedule(Time::from_us(2), "b");
-            assert_eq!(q.peek_time(), Some(Time::from_us(1)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(1)), "lanes={lanes}");
             q.cancel(a); // head dies after it was peeked
             let peeked = q.peek_time();
-            assert_eq!(peeked, Some(Time::from_us(2)), "{kind:?}");
+            assert_eq!(peeked, Some(Time::from_us(2)), "lanes={lanes}");
             let (t, e) = q.pop().unwrap();
-            assert_eq!(Some(t), peeked, "{kind:?}: peek/pop disagree");
+            assert_eq!(Some(t), peeked, "lanes={lanes}: peek/pop disagree");
             assert_eq!(e, "b");
             // And with pop first (no intervening peek): same skip.
             let c = q.schedule_cancellable(Time::from_us(3), "c");
             q.schedule(Time::from_us(4), "d");
             q.cancel(c);
-            assert_eq!(q.pop(), Some((Time::from_us(4), "d")), "{kind:?}");
+            assert_eq!(q.pop(), Some((Time::from_us(4), "d")), "lanes={lanes}");
             q.check_invariants().unwrap();
         });
     }
 
     #[test]
     fn cancel_interleaved_with_peek() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let a = q.schedule_cancellable(Time::from_us(1), 1);
             let b = q.schedule_cancellable(Time::from_us(2), 2);
             q.schedule(Time::from_us(3), 3);
-            assert_eq!(q.peek_time(), Some(Time::from_us(1)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(1)), "lanes={lanes}");
             q.cancel(a);
-            assert_eq!(q.peek_time(), Some(Time::from_us(2)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(2)), "lanes={lanes}");
             q.cancel(b);
-            assert_eq!(q.peek_time(), Some(Time::from_us(3)), "{kind:?}");
+            assert_eq!(q.peek_time(), Some(Time::from_us(3)), "lanes={lanes}");
             assert_eq!(q.len(), 1);
             assert_eq!(q.pop(), Some((Time::from_us(3), 3)));
             assert_eq!(q.peek_time(), None);
@@ -1216,7 +1192,7 @@ mod tests {
 
     #[test]
     fn mass_cancel_then_drain() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let ids: Vec<_> = (0..1000)
                 .map(|i| q.schedule_cancellable(Time::from_us(i), i))
                 .collect();
@@ -1226,7 +1202,7 @@ mod tests {
                     q.cancel(*id);
                 }
             }
-            assert_eq!(q.len(), 100, "{kind:?}");
+            assert_eq!(q.len(), 100, "lanes={lanes}");
             let survivors: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(survivors, (0..1000).step_by(10).collect::<Vec<_>>());
             assert_eq!(q.len(), 0);
@@ -1236,7 +1212,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_through_schedule_cancel_pop_cycles() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             q.check_invariants().unwrap();
             let mut ids = Vec::new();
             for i in 0..200u64 {
@@ -1263,7 +1239,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_does_not_resurrect_old_ids() {
-        on_all_backends(|q, _| {
+        with_and_without_lanes(|q, _| {
             // Run many schedule/fire/cancel-stale cycles through the same
             // slot.
             let mut stale = Vec::new();
@@ -1282,52 +1258,13 @@ mod tests {
         });
     }
 
-    /// Calendar-specific end-to-end: growth/shrink resizes while pops cross
-    /// bucket-day and year boundaries must preserve global order and the
-    /// queue invariants.
-    #[test]
-    fn calendar_resize_across_day_boundaries_preserves_order() {
-        let mut q: EventQueue<u64> = EventQueue::with_sched(SchedKind::Calendar);
-        let mut x = 0x0123_4567_89AB_CDEFu64;
-        let mut ids = Vec::new();
-        for i in 0..600u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Spread across many microseconds so entries span several
-            // calendar days/years at the initial 1 µs width.
-            let at = q.now() + Time::from_ns(x % 50_000);
-            if i % 4 == 0 {
-                ids.push(q.schedule_cancellable(at, i));
-            } else {
-                q.schedule(at, i);
-            }
-            if i % 3 == 0 {
-                q.pop();
-            }
-            if i % 7 == 0 {
-                if let Some(id) = ids.pop() {
-                    q.cancel(id);
-                }
-            }
-            q.check_invariants().unwrap();
-        }
-        let mut last = q.now();
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-            q.check_invariants().unwrap();
-        }
-        assert!(q.is_empty());
-    }
-
     /// The headline batching contract: pop_batch/batch_next delivers the
-    /// exact same (time, event) sequence as sequential pop, on every
-    /// backend, with scattered cancellations in the mix.
+    /// exact same (time, event) sequence as sequential pop, with and without
+    /// lanes, with scattered cancellations in the mix.
     #[test]
     fn batched_dispatch_matches_sequential() {
-        on_all_backends(|batched, kind| {
-            let mut sequential = EventQueue::with_sched(kind);
+        with_and_without_lanes(|batched, lanes| {
+            let mut sequential = EventQueue::new();
             let mut x = 0x6C62272E07BB0142u64;
             let mut ids_b = Vec::new();
             let mut ids_s = Vec::new();
@@ -1351,7 +1288,7 @@ mod tests {
             }
             let mut got = Vec::new();
             while let Some(t) = batched.pop_batch() {
-                assert_eq!(t, batched.now(), "{kind:?}");
+                assert_eq!(t, batched.now(), "lanes={lanes}");
                 while let Some(e) = batched.batch_next() {
                     got.push((t, e));
                 }
@@ -1361,11 +1298,11 @@ mod tests {
             while let Some(te) = sequential.pop() {
                 want.push(te);
             }
-            assert_eq!(got, want, "{kind:?}");
-            assert_eq!(batched.popped(), sequential.popped(), "{kind:?}");
+            assert_eq!(got, want, "lanes={lanes}");
+            assert_eq!(batched.popped(), sequential.popped(), "lanes={lanes}");
             assert!(
                 batched.pops() < sequential.pops(),
-                "{kind:?}: batching must reduce scheduler interactions \
+                "lanes={lanes}: batching must reduce scheduler interactions \
                  ({} vs {})",
                 batched.pops(),
                 sequential.pops()
@@ -1378,18 +1315,18 @@ mod tests {
     /// sequential path.
     #[test]
     fn mid_batch_cancellation_skips_event() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(7);
             q.schedule(t, 0u64);
             let victim = q.schedule_cancellable(t, 1u64);
             q.schedule(t, 2u64);
-            assert_eq!(q.pop_batch(), Some(t), "{kind:?}");
-            assert_eq!(q.batch_next(), Some(0), "{kind:?}");
+            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
+            assert_eq!(q.batch_next(), Some(0), "lanes={lanes}");
             // "Handler" of event 0 cancels event 1 mid-batch.
             q.cancel(victim);
-            assert_eq!(q.batch_next(), Some(2), "{kind:?}");
-            assert_eq!(q.batch_next(), None, "{kind:?}");
-            assert!(q.is_empty(), "{kind:?}");
+            assert_eq!(q.batch_next(), Some(2), "lanes={lanes}");
+            assert_eq!(q.batch_next(), None, "lanes={lanes}");
+            assert!(q.is_empty(), "lanes={lanes}");
             q.check_invariants().unwrap();
         });
     }
@@ -1398,27 +1335,27 @@ mod tests {
     /// plain pop(), and peek_time/len stay exact throughout.
     #[test]
     fn partial_batch_interops_with_pop_peek_len() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(3);
             for i in 0..4u64 {
                 q.schedule(t, i);
             }
             q.schedule(Time::from_us(5), 99);
-            assert_eq!(q.pop_batch(), Some(t), "{kind:?}");
+            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
             assert_eq!(q.batch_next(), Some(0));
-            assert_eq!(q.len(), 4, "{kind:?}: 3 batch leftovers + 1 pending");
-            assert_eq!(q.peek_time(), Some(t), "{kind:?}");
-            assert_eq!(q.pop(), Some((t, 1)), "{kind:?}");
+            assert_eq!(q.len(), 4, "lanes={lanes}: 3 batch leftovers + 1 pending");
+            assert_eq!(q.peek_time(), Some(t), "lanes={lanes}");
+            assert_eq!(q.pop(), Some((t, 1)), "lanes={lanes}");
             q.check_invariants().unwrap();
             // A fresh pop_batch serves the leftovers before re-entering the
             // backend.
-            assert_eq!(q.pop_batch(), Some(t), "{kind:?}");
+            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
             assert_eq!(q.batch_next(), Some(2));
             assert_eq!(q.batch_next(), Some(3));
             assert_eq!(q.batch_next(), None);
-            assert_eq!(q.pop_batch(), Some(Time::from_us(5)), "{kind:?}");
+            assert_eq!(q.pop_batch(), Some(Time::from_us(5)), "lanes={lanes}");
             assert_eq!(q.batch_next(), Some(99));
-            assert!(q.pop_batch().is_none(), "{kind:?}");
+            assert!(q.pop_batch().is_none(), "lanes={lanes}");
         });
     }
 
@@ -1429,27 +1366,26 @@ mod tests {
     /// scheduled one).
     #[test]
     fn schedule_during_batch_defers_to_next_batch() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(2);
             q.schedule(t, 0u64);
             q.schedule(t, 1u64);
             assert_eq!(q.pop_batch(), Some(t));
             assert_eq!(q.batch_next(), Some(0));
             q.schedule_in(Time::ZERO, 7u64); // handler posts at same instant
-            assert_eq!(q.batch_next(), Some(1), "{kind:?}");
-            assert_eq!(q.batch_next(), None, "{kind:?}");
-            assert_eq!(q.pop_batch(), Some(t), "{kind:?}");
-            assert_eq!(q.batch_next(), Some(7), "{kind:?}");
+            assert_eq!(q.batch_next(), Some(1), "lanes={lanes}");
+            assert_eq!(q.batch_next(), None, "lanes={lanes}");
+            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
+            assert_eq!(q.batch_next(), Some(7), "lanes={lanes}");
             assert!(q.is_empty());
         });
     }
 
     /// A clone pops the exact same (time, event) stream, honors ids taken
-    /// before it, and keeps counters and the backend's diagnostics — on
-    /// every backend.
+    /// before it, and keeps the counters.
     #[test]
     fn snapshot_restore_preserves_stream_and_ids() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let mut ids = Vec::new();
             for i in 0..500u64 {
                 let at = Time::from_ns((i * 37) % 900);
@@ -1465,13 +1401,12 @@ mod tests {
             }
             q.cancel(ids[20]);
             let mut restored = q.clone();
-            assert_eq!(restored.sched_kind(), kind);
             assert_eq!(restored.now(), q.now());
             assert_eq!(restored.popped(), q.popped());
             assert_eq!(restored.len(), q.len());
             // The clone is the same structure, not a rebuild of it.
-            assert_eq!(restored.sched_work(), q.sched_work(), "{kind:?}");
-            assert_eq!(restored.pending_peak(), q.pending_peak(), "{kind:?}");
+            assert_eq!(restored.sched_work(), q.sched_work(), "lanes={lanes}");
+            assert_eq!(restored.pending_peak(), q.pending_peak(), "lanes={lanes}");
             restored.check_invariants().unwrap();
             // A pre-clone id cancels the same event in both queues.
             q.cancel(ids[40]);
@@ -1482,12 +1417,12 @@ mod tests {
             loop {
                 let a = q.pop();
                 let b = restored.pop();
-                assert_eq!(a, b, "{kind:?}");
+                assert_eq!(a, b, "lanes={lanes}");
                 if a.is_none() {
                     break;
                 }
             }
-            assert_eq!(restored.sched_work(), q.sched_work(), "{kind:?}");
+            assert_eq!(restored.sched_work(), q.sched_work(), "lanes={lanes}");
         });
     }
 
@@ -1495,7 +1430,7 @@ mod tests {
     /// re-delivers exactly the remainder.
     #[test]
     fn snapshot_mid_batch_keeps_unserved_entries() {
-        on_all_backends(|q, kind| {
+        with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(1);
             for i in 0..5u64 {
                 q.schedule(t, i);
@@ -1504,16 +1439,16 @@ mod tests {
             assert_eq!(q.batch_next(), Some(0));
             assert_eq!(q.batch_next(), Some(1));
             let mut restored = q.clone();
-            assert_eq!(restored.len(), 3, "{kind:?}");
+            assert_eq!(restored.len(), 3, "lanes={lanes}");
             restored.check_invariants().unwrap();
             let rest: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
-            assert_eq!(rest, vec![(t, 2), (t, 3), (t, 4)], "{kind:?}");
+            assert_eq!(rest, vec![(t, 2), (t, 3), (t, 4)], "lanes={lanes}");
         });
     }
 
-    /// The digest names the logical queue: equal across backends, whichever
-    /// container holds an entry, and for a clone; moved by one more entry,
-    /// by a cancel, and by a pop.
+    /// The digest names the logical queue: equal whichever container holds
+    /// an entry, and for a clone; moved by one more entry, by a cancel, and
+    /// by a pop.
     #[test]
     fn fold_digest_is_backend_agnostic_and_sees_every_entry() {
         fn digest(q: &EventQueue<u64>) -> Vec<u64> {
@@ -1521,8 +1456,8 @@ mod tests {
             q.fold_digest(&mut |w| words.push(w), |e, fold| fold(*e));
             words
         }
-        let build = |kind, lanes: bool| {
-            let mut q = EventQueue::with_sched(kind);
+        let build = |lanes: bool| {
+            let mut q = EventQueue::new();
             if lanes {
                 for ns in [0, 53, 106, 1_007] {
                     q.declare_delay(Time::from_ns(ns));
@@ -1545,19 +1480,15 @@ mod tests {
             q.batch_next();
             (q, ids)
         };
-        let (binary, _) = build(SchedKind::Binary, false);
-        let (mut q, ids) = build(SchedKind::Calendar, false);
+        let (mut q, ids) = build(false);
         let base = digest(&q);
-        assert_eq!(base, digest(&binary), "backends disagree");
-        for kind in SchedKind::ALL {
-            let (laned, _) = build(kind, true);
-            assert!(laned.lane_pushes() > 0 && laned.sched_work().pushes < 300);
-            assert_eq!(
-                base,
-                digest(&laned),
-                "{kind:?}: an entry in a lane digests differently"
-            );
-        }
+        let (laned, _) = build(true);
+        assert!(laned.lane_pushes() > 0 && laned.sched_work().pushes < 300);
+        assert_eq!(
+            base,
+            digest(&laned),
+            "an entry in a lane digests differently"
+        );
         assert_eq!(base, digest(&q.clone()), "a clone digests differently");
         let mut more = q.clone();
         more.schedule(Time::from_ms(5), 7);
@@ -1574,7 +1505,7 @@ mod tests {
     /// never the order they pop in.
     #[test]
     fn declare_delay_dedups_caps_and_never_reorders() {
-        on_all_backends(|q: &mut EventQueue<u64>, kind| {
+        with_and_without_lanes(|q: &mut EventQueue<u64>, lanes| {
             let declared = q.lanes.len();
             assert!(q.declare_delay(Time::from_us(40)));
             assert!(
@@ -1584,7 +1515,7 @@ mod tests {
             assert_eq!(q.lanes.len(), declared + 1);
             // One entry before the declaration (backend), then the same
             // delay again (lane): the backend's pops first, by `seq`.
-            let mut plain = EventQueue::with_sched(kind);
+            let mut plain = EventQueue::new();
             for i in 0..4 {
                 if i == 1 {
                     assert!(q.declare_delay(Time::from_us(9)));
@@ -1595,24 +1526,24 @@ mod tests {
             let granted = (0..MAX_LANES as u64)
                 .filter(|extra| q.declare_delay(Time::from_us(100 + extra)))
                 .count();
-            assert_eq!(granted, MAX_LANES - (declared + 2), "{kind:?}");
-            assert_eq!(q.lanes.len(), MAX_LANES, "{kind:?}");
+            assert_eq!(granted, MAX_LANES - (declared + 2), "lanes={lanes}");
+            assert_eq!(q.lanes.len(), MAX_LANES, "lanes={lanes}");
             assert!(
                 !q.declare_delay(Time::from_us(999)),
-                "{kind:?}: a 17th delay is refused"
+                "lanes={lanes}: a 17th delay is refused"
             );
             assert!(
                 q.declare_delay(Time::from_us(40)),
-                "{kind:?}: a declared one still has its lane"
+                "lanes={lanes}: a declared one still has its lane"
             );
             q.schedule(Time::from_us(999), 4);
             plain.schedule(Time::from_us(999), 4);
             q.check_invariants().unwrap();
-            assert_eq!((q.lane_pushes(), q.len()), (3, 5), "{kind:?}");
+            assert_eq!((q.lane_pushes(), q.len()), (3, 5), "lanes={lanes}");
             let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
             let want: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
-            assert_eq!(got, want, "{kind:?}");
-            assert_eq!(q.lane_pops(), q.lane_pushes(), "{kind:?}");
+            assert_eq!(got, want, "lanes={lanes}");
+            assert_eq!(q.lane_pops(), q.lane_pushes(), "lanes={lanes}");
         });
     }
 

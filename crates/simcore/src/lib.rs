@@ -5,9 +5,9 @@
 //!
 //! - [`time`]: picosecond-resolution simulated [`time::Time`] and durations;
 //! - [`rate`]: link rates ([`rate::Rate`]) and serialization-delay arithmetic;
-//! - [`event`]: a deterministic event queue with stable tie-breaking;
-//! - [`sched`]: pluggable scheduler backends for the event queue (binary
-//!   heap, calendar queue) with identical pop order;
+//! - [`event`]: a deterministic event queue with stable tie-breaking — FIFO
+//!   lanes for the constant link delays over a binary heap for the rest;
+//! - [`sched`]: the heap's element and its traffic counters;
 //! - [`rng`]: a small, seedable, splittable deterministic RNG;
 //! - [`stats`]: summary statistics (mean, percentiles, CDFs, time series).
 //!
@@ -27,7 +27,9 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledId};
-pub use sched::{Entry, SchedKind, SchedWork, Scheduler};
+pub use sched::{Entry, SchedWork};
+#[doc(hidden)]
+pub use sched::SchedKind;
 pub use rate::Rate;
 pub use ringlog::RingLog;
 pub use rng::SimRng;

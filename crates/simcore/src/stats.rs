@@ -126,8 +126,7 @@ impl FromIterator<f64> for Summary {
 /// buckets are fixed by value alone (no collapsing, no adaptive layout),
 /// and all state is integer counts. Insertion is commutative and
 /// associative, so the sketch state is bit-identical regardless of sample
-/// arrival order — and therefore across scheduler backends, which permute
-/// only same-timestamp event order.
+/// arrival order.
 ///
 /// Layout: values below `2^m` (m = [`QuantileSketch::SUB_BITS`] = 7) get
 /// one exact bucket each. A value `v >= 2^m` with bit length `e+1` lands in
@@ -288,7 +287,7 @@ impl QuantileSketch {
     }
 
     /// Order-independent fingerprint of the full sketch state, for
-    /// bit-identity assertions across scheduler backends.
+    /// bit-identity assertions across runs.
     pub fn fingerprint(&self) -> u64 {
         fn mix(mut x: u64) -> u64 {
             x ^= x >> 33;

@@ -1,21 +1,20 @@
-//! Differential property test for the scheduler backends.
+//! Differential property test for the event queue against a model.
 //!
 //! Random schedule / schedule_cancellable / cancel / pop / peek streams are
-//! driven simultaneously through an [`EventQueue`] on each backend (binary
-//! heap, calendar queue) *and* through a naive sorted-`Vec` shadow model. At
-//! every step all of them must agree on `len()` and `peek_time()`, and
-//! every pop must return the identical `(time, seq, event)` triple — the
-//! executable form of the backend contract: scheduler choice is
-//! unobservable.
+//! driven simultaneously through two [`EventQueue`]s — one without lanes,
+//! so every entry waits in its binary heap, and one with the generators'
+//! constant delays declared, as every simulation runs it — *and* through a
+//! naive sorted-`Vec` shadow model. At every step all of them must agree on
+//! `len()` and `peek_time()`, and every pop must return the identical
+//! `(time, event)` pair.
 //!
 //! Two delay distributions drive it: a broad mix, and the skewed population
-//! a lossy simulation produces (the one that collapsed the sorted-bucket
-//! calendar into a single sorted `Vec`), on which the backend's structure is
+//! a lossy simulation produces, on which the queues' bookkeeping is
 //! verified after *every* operation and the queues are swapped for clones
 //! of themselves every few dozen steps.
 
 use proptest::prelude::*;
-use simcore::{EventQueue, SchedKind, Time};
+use simcore::{EventQueue, Time};
 
 /// The obviously-correct reference: every scheduled event with an explicit
 /// lifecycle state, popped by scanning for the live minimum.
@@ -95,26 +94,38 @@ impl Shadow {
     }
 }
 
-/// Decode a delay from an op word: a mix of zero delays (forcing same-time
-/// seq ties), sub-µs jitter (dense calendar buckets), ~100 µs timer-like
-/// horizons, and rare multi-ms jumps (sparse year-skips + resizes).
+/// The constant delays both generators draw from, like a simulation's link
+/// delays: zero (a self-post), a 64 B and a 1,048 B packet at 100 Gb/s,
+/// and the latter plus 1 µs of propagation. The laned queue declares them.
+/// Picked by the word's top two bits, so a directed word below 2^62 is a
+/// zero delay.
+const LINK_DELAYS: [u64; 4] = [0, 5_120, 83_840, 1_083_840];
+
+fn link_delay_ps(w: u64) -> u64 {
+    LINK_DELAYS[(w >> 62) as usize]
+}
+
+/// Decode a delay from an op word: a mix of link delays (zero among them,
+/// forcing same-time seq ties), sub-µs jitter, ~100 µs timer-like horizons,
+/// and rare multi-ms jumps.
 fn delay_ps(w: u64) -> u64 {
     match (w >> 3) & 3 {
-        0 => 0,
+        0 => link_delay_ps(w),
         1 => (w >> 5) % 1_000_000,         // < 1 µs
         2 => (w >> 5) % 200_000_000,       // < 200 µs
         _ => (w >> 5) % 5_000_000_000,     // < 5 ms
     }
 }
 
-/// The population a lossy run holds: heavy same-instant ties, a packet
-/// cluster tens of ns ahead, RTO-like timers ~1 ms out (the cancellable
-/// ones among them become tombstones ahead of the clock, and retiring those
-/// makes later pushes land *before* the day the calendar had opened), and
-/// a rare `End`-like outlier at 10^4 times the span of everything else.
+/// The population a lossy run holds: heavy same-instant ties at the link
+/// delays, a packet cluster tens of ns ahead, RTO-like timers ~1 ms out
+/// (the cancellable ones among them become tombstones ahead of the clock,
+/// and retiring those at the head leaves the heap's top ahead of later
+/// pushes), and a rare `End`-like outlier at 10^4 times the span of
+/// everything else.
 fn skewed_delay_ps(w: u64) -> u64 {
     match (w >> 3) & 7 {
-        0 | 1 => 0,
+        0 | 1 => link_delay_ps(w),
         2..=4 => (w >> 6) % 100_000,                    // < 100 ns
         5 | 6 => 1_000_000_000 + (w >> 6) % 50_000_000, // 1 ms .. 1.05 ms
         _ if (w >> 6).is_multiple_of(8) => 10_000_000_000_000,   // 10 s
@@ -122,9 +133,12 @@ fn skewed_delay_ps(w: u64) -> u64 {
     }
 }
 
-/// Drive one op stream through every backend plus the shadow, checking
+/// Names of the two queues [`run_differential`] drives, in order.
+const QUEUES: [&str; 2] = ["plain", "laned"];
+
+/// Drive one op stream through both queues plus the shadow, checking
 /// agreement after each op. `delay` decodes an op word into a scheduling
-/// delay. `thorough` verifies every queue's structure after every op (not
+/// delay. `thorough` verifies every queue's bookkeeping after every op (not
 /// every 16th) and, every 48 steps, replaces each queue by a clone of itself
 /// — outstanding ids must stay valid across it, and the clone must carry the
 /// original's diagnostics.
@@ -133,10 +147,11 @@ fn run_differential(
     delay_ps: fn(u64) -> u64,
     thorough: bool,
 ) -> Result<(), TestCaseError> {
-    let mut queues: Vec<EventQueue<u64>> = SchedKind::ALL
-        .iter()
-        .map(|&k| EventQueue::with_sched(k))
-        .collect();
+    let mut laned = EventQueue::new();
+    for d in LINK_DELAYS {
+        assert!(laned.declare_delay(Time::from_ps(d)));
+    }
+    let mut queues: Vec<EventQueue<u64>> = vec![EventQueue::new(), laned];
     let mut shadow = Shadow::new();
     // Parallel id lists: entry j of each queue's list and of `shadow_ids`
     // name the same logical scheduled event.
@@ -165,7 +180,7 @@ fn run_differential(
             // Pop.
             4 | 5 => {
                 let want = shadow.pop();
-                for (q, k) in queues.iter_mut().zip(SchedKind::ALL) {
+                for (q, k) in queues.iter_mut().zip(QUEUES) {
                     let got = q.pop().map(|(t, v)| (t.as_ps(), v));
                     prop_assert_eq!(
                         got, want,
@@ -186,7 +201,7 @@ fn run_differential(
             // Peek.
             _ => {
                 let want = shadow.peek();
-                for (q, k) in queues.iter_mut().zip(SchedKind::ALL) {
+                for (q, k) in queues.iter_mut().zip(QUEUES) {
                     prop_assert_eq!(
                         q.peek_time().map(|t| t.as_ps()),
                         want,
@@ -196,7 +211,7 @@ fn run_differential(
             }
         }
         let want_len = shadow.len();
-        for (q, k) in queues.iter().zip(SchedKind::ALL) {
+        for (q, k) in queues.iter().zip(QUEUES) {
             prop_assert_eq!(q.len(), want_len, "step {}: len mismatch on {:?}", step, k);
             prop_assert_eq!(q.is_empty(), want_len == 0, "step {step}: {k:?}");
         }
@@ -209,7 +224,7 @@ fn run_differential(
             }
         }
         if thorough || step % 16 == 0 {
-            for (q, k) in queues.iter().zip(SchedKind::ALL) {
+            for (q, k) in queues.iter().zip(QUEUES) {
                 if let Err(e) = q.check_invariants() {
                     return Err(TestCaseError::fail(format!(
                         "step {step}: invariants broken on {k:?}: {e}"
@@ -222,7 +237,7 @@ fn run_differential(
     // Drain: the full remaining pop sequences must be identical too.
     loop {
         let want = shadow.pop();
-        for (q, k) in queues.iter_mut().zip(SchedKind::ALL) {
+        for (q, k) in queues.iter_mut().zip(QUEUES) {
             let got = q.pop().map(|(t, v)| (t.as_ps(), v));
             prop_assert_eq!(got, want, "drain: pop mismatch on {:?}", k);
         }
@@ -236,6 +251,13 @@ fn run_differential(
             return Err(TestCaseError::fail(format!("post-drain: {e}")));
         }
     }
+    // The lanes did carry traffic (or the stream had little to carry).
+    let plain_pushes = ops.iter().filter(|&&w| w & 7 <= 2).count();
+    prop_assert!(
+        plain_pushes < 64 || queues[1].lane_pushes() > 0,
+        "{} plain pushes, none through a lane",
+        plain_pushes
+    );
     Ok(())
 }
 
@@ -247,18 +269,17 @@ proptest! {
         run_differential(&ops, delay_ps, false)?;
     }
 
-    /// Long enough for several measurement windows, so the structure check
-    /// after every op also runs across width retunes and grow / shrink
-    /// rebuilds (the directed test below pins that they do happen).
+    /// Long enough for the heap to grow and drain several times, with the
+    /// bookkeeping checked after every op.
     #[test]
     fn backends_agree_on_skewed_population(ops in proptest::collection::vec(0u64..u64::MAX, 0..900)) {
         run_differential(&ops, skewed_delay_ps, true)?;
     }
 }
 
-/// A directed stream that hammers the calendar queue's weak spots: long
-/// same-timestamp tie runs, then a far-future jump (year skip + direct
-/// search), then dense sub-width jitter forcing repeated resizes.
+/// A directed stream: a long same-timestamp tie run, then cancellable
+/// entries spread over milliseconds, then scattered cancels with pops and
+/// peeks interleaved.
 #[test]
 fn directed_tie_and_jump_stream() {
     let mut ops = Vec::new();
@@ -277,13 +298,11 @@ fn directed_tie_and_jump_stream() {
     run_differential(&ops, delay_ps, false).unwrap();
 }
 
-/// The skewed population as one fixed stream: push-heavy (the calendar
+/// The skewed population as one fixed stream: push-heavy (the queue
 /// grows), then pop-heavy (it drains across the cluster → timer → outlier
-/// gaps and shrinks), with cancels throughout. The calendar must have
-/// rebuilt — retuned its width and changed its bucket count — while
-/// agreeing with the heap and the model at every step.
+/// gaps), with cancels throughout, agreeing with the model at every step.
 #[test]
-fn directed_skewed_stream_retunes_and_rebuilds() {
+fn directed_skewed_stream_grows_and_drains() {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut word = |ops: &[u64]| {
         x ^= x << 13;
@@ -294,60 +313,41 @@ fn directed_skewed_stream_retunes_and_rebuilds() {
     let mut ops: Vec<u64> = (0..1500).map(|_| word(&[0, 1, 3, 3, 4, 6, 7])).collect();
     ops.extend((0..1500).map(|_| word(&[0, 3, 4, 4, 5, 5, 6, 7])));
     run_differential(&ops, skewed_delay_ps, true).unwrap();
-
-    // The same pushes and pops on a bare calendar queue, to read its work.
-    let mut q: EventQueue<u64> = EventQueue::with_sched(SchedKind::Calendar);
-    for (i, &w) in ops.iter().enumerate() {
-        match w & 7 {
-            0..=3 => q.schedule_in(Time::from_ps(skewed_delay_ps(w)), i as u64),
-            4 | 5 => drop(q.pop()),
-            _ => {}
-        }
-    }
-    while q.pop().is_some() {}
-    // Growing to the peak and shrinking back are three rebuilds each (the
-    // bucket count moves 4×); the rest are width retunes.
-    let work = q.sched_work();
-    assert!(q.pending_peak() > 128, "peak {}", q.pending_peak());
-    assert!(work.rebuilds > 6, "no width retune in {work:?}");
 }
 
-/// Clone with the calendar mid-day: same-instant entries share a day at any
-/// width, so after one of three is popped the other two are in the sorted
-/// current day (a non-empty `bottom`), not in a bucket. The clone must serve
-/// them, then the rest, exactly as the original does — on every backend.
+/// Clone between two same-instant pops: after one of three entries at `t`
+/// is popped, the clone must serve the other two, then the rest, exactly as
+/// the original does.
 #[test]
 fn snapshot_round_trip_mid_day() {
-    for kind in SchedKind::ALL {
-        let mut q: EventQueue<u64> = EventQueue::with_sched(kind);
-        let t = Time::from_us(3);
-        for v in 0..3 {
-            q.schedule(t, v);
-        }
-        let timer = q.schedule_cancellable(Time::from_ms(1), 10);
-        q.schedule(Time::from_ns(3_050), 11);
-        q.schedule(Time::from_ms(10_000), 12);
-        assert_eq!(q.pop(), Some((t, 0)), "{kind:?}");
-
-        let mut r = q.clone();
-        r.check_invariants().unwrap();
-        assert_eq!(r.len(), q.len(), "{kind:?}");
-        assert_eq!(r.sched_work(), q.sched_work(), "{kind:?}");
-        assert_eq!(r.pending_peak(), q.pending_peak(), "{kind:?}");
-        // An id taken before the clone cancels in both.
-        q.cancel(timer);
-        r.cancel(timer);
-        assert_eq!(r.len(), q.len(), "{kind:?}");
-        // A push into the open day, after the clone.
-        q.schedule(t, 13);
-        r.schedule(t, 13);
-        loop {
-            let (a, b) = (q.pop(), r.pop());
-            assert_eq!(a, b, "{kind:?}");
-            if a.is_none() {
-                break;
-            }
-        }
-        r.check_invariants().unwrap();
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let t = Time::from_us(3);
+    for v in 0..3 {
+        q.schedule(t, v);
     }
+    let timer = q.schedule_cancellable(Time::from_ms(1), 10);
+    q.schedule(Time::from_ns(3_050), 11);
+    q.schedule(Time::from_ms(10_000), 12);
+    assert_eq!(q.pop(), Some((t, 0)));
+
+    let mut r = q.clone();
+    r.check_invariants().unwrap();
+    assert_eq!(r.len(), q.len());
+    assert_eq!(r.sched_work(), q.sched_work());
+    assert_eq!(r.pending_peak(), q.pending_peak());
+    // An id taken before the clone cancels in both.
+    q.cancel(timer);
+    r.cancel(timer);
+    assert_eq!(r.len(), q.len());
+    // A push at the instant being served, after the clone.
+    q.schedule(t, 13);
+    r.schedule(t, 13);
+    loop {
+        let (a, b) = (q.pop(), r.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+    r.check_invariants().unwrap();
 }

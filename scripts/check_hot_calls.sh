@@ -3,9 +3,10 @@
 #
 # `State::advance` (crates/netsim/src/sim.rs) serves every event through
 # the queue's serve path: `EventQueue::{batch_next, pop_batch,
-# pop_batch_before}` and what they are made of — `head` (the remembered
-# head), `scan_head` (finding the next one), `settle_head`, `take_batch`,
-# `pop_lane` and `Lane::pop` (an event out of a FIFO lane). Compiled as
+# pop_batch_before}` and what they are made of — `scan_head` (finding the
+# next head), `settle_head`, `take_batch`, `pop_lane` and `Lane::pop` (an
+# event out of a FIFO lane). (`head` stays listed: it named the remembered
+# head's accessor, which is now a field read.) Compiled as
 # calls instead of into the loop they cost 8–13 % of wall time on every
 # workload, and nothing but the disassembly shows it: output, goldens and
 # event counts are identical (EXPERIMENTS.md § "Two per-event costs that
@@ -15,9 +16,9 @@
 # targets of `State::advance` (counted, hashes stripped) to
 # target/ci/advance_calls.txt, and fails if one of those is among them.
 # A deny-list, not an allow-list: a new callee is not an error, a hot leaf
-# that fell out of the loop is. Not on it, on purpose: the backend's
-# out-of-line side, `find_head` (the head after a backend pop) /
-# `pop_backend` / `retire_cancelled_head` — a hundredth of the events.
+# that fell out of the loop is. Not on it, on purpose: the heap's
+# out-of-line side, `pop_backend` / `retire_cancelled_head` — a hundredth
+# of the events.
 #
 # Usage: scripts/check_hot_calls.sh [BINARY]     (default target/release/repro)
 set -euo pipefail

@@ -1,28 +1,22 @@
 #!/usr/bin/env bash
-# Full CI gauntlet: five legs, seven test invocations.
+# Full CI gauntlet: four legs, five test invocations.
 #
 #   1. lint: simlint (token rules plus the symbol-index semantic passes)
 #      must report zero unallowed findings — the JSON report lands in
 #      target/simlint.json as a CI artifact — then clippy with -D warnings
-#      (skipped with a warning if the toolchain has no clippy component);
+#      (skipped with a warning if the toolchain has no clippy component),
+#      then rustdoc with -D warnings, so a deleted item cannot leave a
+#      dangling doc link behind;
 #   2. tier-1: release build, the disassembly guard on the event loop's
 #      callee list (scripts/check_hot_calls.sh; skipped with a warning if
-#      there is no objdump), then the full test suite on the default
-#      (calendar) scheduler — property fleets, golden-trace diffs, the
-#      cross-backend differentials;
+#      there is no objdump), then the full test suite — property fleets
+#      against a model, golden-trace diffs;
 #   3. audited: the whole experiments suite rerun with the invariant audit
 #      force-enabled on every Sim and panicking on any violation; then the
 #      arena, audit and fault suites with the deep scan forced to every
 #      event boundary; then the hyperscale suite (thousands of streamed
 #      flows, slab reclamation sweep) at a deep-scan cadence of 256;
-#   4. reference scheduler: the tests whose outcome can depend on the
-#      scheduler backend, rerun on the binary heap — the scheduler and
-#      simulator crates, and of the experiments suite the golden traces
-#      (byte-identical files on both backends), the determinism, snapshot
-#      and hyperscale suites. The rest of tier-1 asserts properties of
-#      simulator output, and these suites pin that output as identical on
-#      both backends, so rerunning it would test the same bytes twice;
-#   5. ppbench: the benchmark package's own tests (it is outside the
+#   4. ppbench: the benchmark package's own tests (it is outside the
 #      workspace, so leg 2 does not reach them) — BENCHMARK.json drift
 #      guard, `--check` smoke run, composition-vs-experiments differential —
 #      then two seconds of every workload with its output checks on, so a
@@ -36,10 +30,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Legs 1-3 and 5 run on the default scheduler whatever the caller exported;
-# leg 4 names its backend explicitly.
-unset PRIOPLUS_SCHED
-
 mkdir -p target/ci
 LEG_TABLE=""
 LEG_JSON=""
@@ -47,7 +37,7 @@ leg() {
   LEG_NAME=$2
   LEG_START=$SECONDS
   echo
-  echo "=== [$1/5] $2: $3 ==="
+  echo "=== [$1/4] $2: $3 ==="
 }
 leg_done() {
   local t=$(( SECONDS - LEG_START ))
@@ -56,7 +46,7 @@ leg_done() {
   LEG_JSON+="${LEG_JSON:+, }{\"name\": \"${LEG_NAME}\", \"seconds\": ${t}}"
 }
 
-leg 1 lint "simlint + clippy (-D warnings)"
+leg 1 lint "simlint + clippy + rustdoc (-D warnings)"
 cargo run --release -q -p simlint -- --json target/simlint.json
 echo "ci.sh: JSON report written to target/simlint.json"
 if cargo clippy --version >/dev/null 2>&1; then
@@ -64,6 +54,7 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "ci.sh: WARNING: clippy not installed on this toolchain, skipping" >&2
 fi
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 leg_done
 
 leg 2 tier-1 "release build + tests"
@@ -86,15 +77,7 @@ PRIOPLUS_AUDIT_DEEP=256 cargo test -q --release -p experiments --test e2e_hypers
 unset PRIOPLUS_AUDIT PRIOPLUS_AUDIT_PANIC
 leg_done
 
-leg 4 reference-sched "backend-sensitive tests on the binary heap"
-export PRIOPLUS_SCHED=binary
-cargo test -q -p simcore -p netsim
-cargo test -q -p experiments \
-  --test golden_traces --test e2e_determinism --test e2e_snapshot --test e2e_hyperscale
-unset PRIOPLUS_SCHED
-leg_done
-
-leg 5 ppbench "benchmark package tests (drift guard, smoke, composition)"
+leg 4 ppbench "benchmark package tests (drift guard, smoke, composition)"
 # One test at a time: the smoke suite's traced `--check` reps take ~10 ms
 # and must account for 99 % of that in spans, so the ~40 µs a child spends
 # before its root span opens has 100 µs to grow into — which it does when

@@ -1,8 +1,8 @@
 //! Arena determinism: the packet arena changes how packets are *stored*
 //! (slab + `PacketId` handles through the event queue) but must never
 //! change what the simulator *computes*. For random flow mixes — in both
-//! the lossy (drops) and PFC-on (pauses) regimes — every scheduler backend
-//! must produce a bit-identical [`netsim::SimResult`]. The golden-trace
+//! the lossy (drops) and PFC-on (pauses) regimes — a rerun must produce a
+//! bit-identical [`netsim::SimResult`]. The golden-trace
 //! corpus (pinned before the arena landed, passing unmodified) anchors
 //! these runs to the by-value baseline; this fleet extends that anchor to
 //! arbitrary workloads.
@@ -10,27 +10,20 @@
 use experiments::micro::{Micro, MicroEnv};
 use netsim::{NoiseModel, SimResult};
 use proptest::prelude::*;
-use simcore::{SchedKind, Time};
+use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
 /// Build and run one micro incast: `flows` are `(sender, size, start_us,
 /// virt_prio)`. `lossy` drops instead of pausing; either way the buffer is
 /// squeezed so the congestion machinery (and the arena's release-on-drop /
 /// PFC-packet paths) actually fires.
-fn run_one(
-    flows: &[(usize, u64, u64, u8)],
-    senders: usize,
-    lossy: bool,
-    seed: u64,
-    sched: SchedKind,
-) -> SimResult {
+fn run_one(flows: &[(usize, u64, u64, u8)], senders: usize, lossy: bool, seed: u64) -> SimResult {
     let mut env = MicroEnv {
         senders,
         end: Time::from_ms(20),
         trace: false,
         noise: NoiseModel::testbed(),
         seed,
-        sched,
         ..Default::default()
     };
     env.switch.buffer_bytes = 256 * 1024;
@@ -128,8 +121,8 @@ fn hpcc_int_churn_reuses_slab_slots_and_int_boxes() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Random flow mixes, both loss regimes, every scheduler backend:
-    /// one `SimResult`, bit for bit.
+    /// Random flow mixes, both loss regimes: one `SimResult`, bit for bit,
+    /// however often it runs.
     #[test]
     fn backends_agree_bit_identically_on_random_mixes(
         sizes in proptest::collection::vec(5_000u64..800_000, 2..7),
@@ -145,25 +138,14 @@ proptest! {
             .enumerate()
             .map(|(i, &sz)| (i + 1, sz, starts[i % starts.len()], prios[i % prios.len()]))
             .collect();
-        let reference = run_one(&flows, senders, lossy, seed, SchedKind::Binary);
+        let reference = run_one(&flows, senders, lossy, seed);
         // The run must be big enough to exercise the arena for real:
         // thousands of events and at least one full packet lifecycle.
         prop_assert!(reference.counters.events > 1_000, "degenerate run");
         prop_assert!(reference.counters.arena_allocs > 100, "no packet churn");
-        for alt in SchedKind::ALL
-            .into_iter()
-            .filter(|&k| k != SchedKind::Binary)
-        {
-            let got = run_one(&flows, senders, lossy, seed, alt);
-            assert_results_identical(
-                &reference,
-                &got,
-                &format!("{} vs binary (lossy={lossy})", alt.name()),
-            );
-        }
-        // And the same backend re-run must reproduce itself exactly —
-        // the arena's LIFO free list leaves no room for id-order drift.
-        let again = run_one(&flows, senders, lossy, seed, SchedKind::Binary);
-        assert_results_identical(&reference, &again, "binary re-run");
+        // A re-run must reproduce the run exactly — the arena's LIFO free
+        // list leaves no room for id-order drift.
+        let again = run_one(&flows, senders, lossy, seed);
+        assert_results_identical(&reference, &again, &format!("re-run (lossy={lossy})"));
     }
 }

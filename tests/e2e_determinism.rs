@@ -2,7 +2,7 @@
 //! byte-identical to serial execution, regardless of worker count.
 
 use experiments::flowsched::{run, run_many, FlowSchedConfig, FlowSchedResult};
-use experiments::{SchedKind, Scheme};
+use experiments::Scheme;
 use simcore::Time;
 
 /// A quick-but-nontrivial scenario: enough flows to exercise PFC, ECN,
@@ -65,44 +65,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     for (i, s) in serial.iter().enumerate() {
         assert_identical(s, &inline[i], &format!("jobs=1 cfg {i}"));
         assert_identical(s, &threaded[i], &format!("jobs=4 cfg {i}"));
-    }
-}
-
-/// Run every CC scheme under every non-reference scheduler backend and
-/// demand bit-identical results to the binary-heap reference. Combined with
-/// the sweep tests above, this proves `PRIOPLUS_SCHED` is purely a
-/// performance knob across the whole transport matrix (Swift, LEDBAT,
-/// DCTCP/D2TCP, HPCC, blast, and the PrioPlus variants), not just the
-/// golden scenarios.
-#[test]
-fn cc_matrix_is_bit_identical_under_calendar_queue() {
-    let schemes = [
-        Scheme::PrioPlusSwift,
-        Scheme::PhysicalSwift,
-        Scheme::BaselineSwift,
-        Scheme::PrioPlusSwiftAckData,
-        Scheme::PrioPlusLedbat,
-        Scheme::PhysicalStarNoCc,
-        Scheme::PhysicalStarHpcc,
-        Scheme::PhysicalStarSwift,
-        Scheme::D2tcp,
-    ];
-    for scheme in schemes {
-        let mut cfg = quick_cfg(scheme, 11);
-        cfg.sched = SchedKind::Binary;
-        let reference = run(&cfg);
-        for alt in SchedKind::ALL
-            .into_iter()
-            .filter(|&k| k != SchedKind::Binary)
-        {
-            cfg.sched = alt;
-            let got = run(&cfg);
-            assert_identical(
-                &reference,
-                &got,
-                &format!("{scheme:?} under {}", alt.name()),
-            );
-        }
     }
 }
 

@@ -5,9 +5,8 @@
 //!
 //! 1. **Faults are deterministic**: every fault regime produces
 //!    bit-identical results — record for record, counter for counter —
-//!    across the binary/calendar scheduler backends and across
-//!    repeated runs. Fault transitions are ordinary scheduler events, so
-//!    nothing about a failure depends on wall clock or backend choice.
+//!    across repeated runs. Fault transitions are ordinary scheduler
+//!    events, so nothing about a failure depends on wall clock.
 //! 2. **The audit stays clean under failure**: packet conservation,
 //!    buffer accounting and the counter identity hold with the deep scan
 //!    on every event while links flap, degrade and storm. Accounted
@@ -28,8 +27,8 @@
 
 use experiments::micro::{Micro, MicroEnv};
 use netsim::{
-    AuditConfig, Buggify, FaultSchedule, FlowSpec, SchedKind, Sim, SimConfig, SimResult,
-    SwitchConfig, Topology, ViolationKind,
+    AuditConfig, Buggify, FaultSchedule, FlowSpec, Sim, SimConfig, SimResult, SwitchConfig,
+    Topology, ViolationKind,
 };
 use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -111,7 +110,6 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
 /// `0..=4` (0 is the receiver), the switch is node 5, and switch port
 /// `i` faces host `i`.
 fn run_incast(
-    sched: SchedKind,
     faults: FaultSchedule,
     cc: &CcSpec,
     audit: AuditConfig,
@@ -121,7 +119,6 @@ fn run_incast(
         senders: 4,
         end: Time::from_ms(10),
         trace: false,
-        sched,
         faults: Some(faults),
         switch: SwitchConfig {
             buggify,
@@ -155,13 +152,7 @@ fn flap_schedule() -> FaultSchedule {
 
 #[test]
 fn flap_regime_is_bit_identical_audit_clean_and_recovers() {
-    let reference = run_incast(
-        SchedKind::Binary,
-        flap_schedule(),
-        &swift(),
-        strict_audit(),
-        None,
-    );
+    let reference = run_incast(flap_schedule(), &swift(), strict_audit(), None);
     assert_eq!(reference.counters.fault_events, 2, "down + up applied");
     assert!(
         reference.counters.fault_link_drops > 0,
@@ -177,10 +168,8 @@ fn flap_regime_is_bit_identical_audit_clean_and_recovers() {
         retransmits > 0,
         "recovery must come from actual retransmits"
     );
-    for sched in SchedKind::ALL {
-        let got = run_incast(sched, flap_schedule(), &swift(), strict_audit(), None);
-        assert_bit_identical(&reference, &got, &format!("flap/{sched:?}"));
-    }
+    let got = run_incast(flap_schedule(), &swift(), strict_audit(), None);
+    assert_bit_identical(&reference, &got, "flap rerun");
 }
 
 #[test]
@@ -209,13 +198,7 @@ fn degrade_regime_is_bit_identical_and_slows_the_bottleneck() {
         0.25,
         Time::from_us(2),
     );
-    let reference = run_incast(
-        SchedKind::Binary,
-        degrade.clone(),
-        &swift(),
-        strict_audit(),
-        None,
-    );
+    let reference = run_incast(degrade.clone(), &swift(), strict_audit(), None);
     assert_eq!(reference.completion_rate(), 1.0, "degradation never drops");
     assert_eq!(reference.counters.fault_link_drops, 0);
     let last = |r: &SimResult| r.records.iter().filter_map(|x| x.finish).max().unwrap();
@@ -225,10 +208,8 @@ fn degrade_regime_is_bit_identical_and_slows_the_bottleneck() {
         last(&reference),
         last(&baseline)
     );
-    for sched in SchedKind::ALL {
-        let got = run_incast(sched, degrade.clone(), &swift(), strict_audit(), None);
-        assert_bit_identical(&reference, &got, &format!("degrade/{sched:?}"));
-    }
+    let got = run_incast(degrade, &swift(), strict_audit(), None);
+    assert_bit_identical(&reference, &got, "degrade rerun");
 }
 
 #[test]
@@ -241,13 +222,11 @@ fn storm_regime_is_bit_identical_and_audit_clean() {
     };
     let mut storm = FaultSchedule::new();
     storm.pause_storm(5, 0, 0, Time::from_us(50), Time::from_us(250));
-    let reference = run_incast(SchedKind::Binary, storm.clone(), &cc, strict_audit(), None);
+    let reference = run_incast(storm.clone(), &cc, strict_audit(), None);
     assert_eq!(reference.completion_rate(), 1.0, "storm release must drain");
     assert_eq!(reference.counters.fault_events, 2);
-    for sched in SchedKind::ALL {
-        let got = run_incast(sched, storm.clone(), &cc, strict_audit(), None);
-        assert_bit_identical(&reference, &got, &format!("storm/{sched:?}"));
-    }
+    let got = run_incast(storm, &cc, strict_audit(), None);
+    assert_bit_identical(&reference, &got, "storm rerun");
 }
 
 #[test]
@@ -265,15 +244,9 @@ fn random_flap_fleet_is_audit_clean_and_repeatable() {
             Time::from_us(40),
         );
         assert!(!sched.is_empty(), "seed {seed}: schedule must flap");
-        let a = run_incast(
-            SchedKind::Binary,
-            sched.clone(),
-            &swift(),
-            strict_audit(),
-            None,
-        );
+        let a = run_incast(sched.clone(), &swift(), strict_audit(), None);
         assert!(a.counters.fault_events > 0, "seed {seed}: no fault applied");
-        let b = run_incast(SchedKind::Calendar, sched, &swift(), strict_audit(), None);
+        let b = run_incast(sched, &swift(), strict_audit(), None);
         assert_bit_identical(&a, &b, &format!("random flaps seed {seed}"));
     }
 }
@@ -284,7 +257,6 @@ fn fault_drop_unaccounted_buggify_is_caught_by_counter_identity() {
     // the audit ledger; the counter identity (`drops + fault_link_drops
     // == audited dropped packets`) must flag the divergence.
     let res = run_incast(
-        SchedKind::Binary,
         flap_schedule(),
         &swift(),
         detect_audit(),
@@ -399,35 +371,32 @@ fn deep_chain_int_path_spills_and_survives_a_mid_chain_flap() {
     let topo = Topology::chain(12, Rate::from_gbps(100), Time::from_us(1));
     let mut flap = FaultSchedule::new();
     flap.link_flap(7, 1, Time::from_us(80), Time::from_us(200));
-    for sched in SchedKind::ALL {
-        let cfg = SimConfig {
-            num_prios: 1,
-            end_time: Time::from_ms(20),
-            seed: 11,
-            trace_flows: false,
-            sched,
-            faults: Some(flap.clone()),
-            ..Default::default()
-        };
-        let switch = SwitchConfig {
-            int_enabled: true,
-            ..SwitchConfig::default()
-        };
-        let mut sim = Sim::new(&topo, cfg, switch);
-        sim.enable_audit_with(strict_audit());
-        let spec = FlowSpec::new(0, 1, 2_000_000, Time::ZERO);
-        sim.add_flow(spec, |p| CcSpec::Hpcc.make(p, Time::ZERO));
-        let res = sim.run();
-        assert_eq!(
-            res.completion_rate(),
-            1.0,
-            "{sched:?}: 12-hop HPCC flow must survive the flap"
-        );
-        assert!(
-            res.counters.fault_link_drops + res.counters.fault_ctrl_drops > 0,
-            "{sched:?}: the flap must catch traffic mid-chain"
-        );
-    }
+    let cfg = SimConfig {
+        num_prios: 1,
+        end_time: Time::from_ms(20),
+        seed: 11,
+        trace_flows: false,
+        faults: Some(flap),
+        ..Default::default()
+    };
+    let switch = SwitchConfig {
+        int_enabled: true,
+        ..SwitchConfig::default()
+    };
+    let mut sim = Sim::new(&topo, cfg, switch);
+    sim.enable_audit_with(strict_audit());
+    let spec = FlowSpec::new(0, 1, 2_000_000, Time::ZERO);
+    sim.add_flow(spec, |p| CcSpec::Hpcc.make(p, Time::ZERO));
+    let res = sim.run();
+    assert_eq!(
+        res.completion_rate(),
+        1.0,
+        "12-hop HPCC flow must survive the flap"
+    );
+    assert!(
+        res.counters.fault_link_drops + res.counters.fault_ctrl_drops > 0,
+        "the flap must catch traffic mid-chain"
+    );
 }
 
 #[test]
@@ -442,13 +411,7 @@ fn fault_runs_are_deterministic_across_repeats() {
         Time::from_us(250),
         Time::from_us(50),
     );
-    let a = run_incast(
-        SchedKind::Calendar,
-        sched.clone(),
-        &swift(),
-        strict_audit(),
-        None,
-    );
-    let b = run_incast(SchedKind::Calendar, sched, &swift(), strict_audit(), None);
+    let a = run_incast(sched.clone(), &swift(), strict_audit(), None);
+    let b = run_incast(sched, &swift(), strict_audit(), None);
     assert_bit_identical(&a, &b, "repeat run");
 }

@@ -7,9 +7,8 @@
 //!   (1/256), both on synthetic streams across distribution shapes and on
 //!   real simulator output (streaming mode vs the per-flow records of the
 //!   identical run);
-//! - **Cross-backend bit-identity**: the full streaming state (every
-//!   sketch bucket, every counter) is bit-identical across the binary
-//!   and calendar scheduler backends;
+//! - **Bit-identity**: the open-loop run's full streaming state and its
+//!   counters reproduce exactly on a rerun;
 //! - **Flow-state reclamation**: completed flows release their slab slot
 //!   (occupancy returns to zero in drained runs), and the audit deep
 //!   scan's flow-state sweep catches the injected
@@ -20,7 +19,7 @@ use netsim::{
     AuditConfig, Buggify, FlowSpec, Sim, SimConfig, SimResult, SwitchConfig, Topology,
     ViolationKind,
 };
-use simcore::{QuantileSketch, SchedKind, SimRng, Time};
+use simcore::{QuantileSketch, SimRng, Time};
 use transport::{CcSpec, PrioPlusPolicy};
 use workloads::IncastMix;
 
@@ -101,16 +100,14 @@ fn sketch_differential_fleet_across_distributions() {
 const DRAINED: Time = Time::from_ms(20);
 
 /// A small closed scenario on a k=4 fat-tree, parameterized on streaming
-/// mode, scheduler backend and horizon: 48 WebSearch-ish flows across all
-/// hosts.
-fn small_fabric_run(streaming: bool, sched: SchedKind, end_time: Time) -> SimResult {
+/// mode and horizon: 48 WebSearch-ish flows across all hosts.
+fn small_fabric_run(streaming: bool, end_time: Time) -> SimResult {
     let topo = Topology::fat_tree(4, simcore::Rate::from_gbps(100), Time::from_us(1));
     let hosts = topo.hosts.clone();
     let cfg = SimConfig {
         num_prios: 1,
         end_time,
         seed: 7,
-        sched,
         streaming_stats: streaming,
         ..Default::default()
     };
@@ -146,8 +143,8 @@ fn small_fabric_run(streaming: bool, sched: SchedKind, end_time: Time) -> SimRes
 
 #[test]
 fn streaming_sketches_match_exact_records_of_the_same_run() {
-    let exact_run = small_fabric_run(false, SchedKind::Binary, DRAINED);
-    let stream_run = small_fabric_run(true, SchedKind::Binary, DRAINED);
+    let exact_run = small_fabric_run(false, DRAINED);
+    let stream_run = small_fabric_run(true, DRAINED);
     // Same simulation either way: streaming only changes result assembly.
     assert_eq!(exact_run.counters.events, stream_run.counters.events);
     assert!(stream_run.records.is_empty(), "streaming keeps no records");
@@ -179,53 +176,24 @@ fn streaming_sketches_match_exact_records_of_the_same_run() {
     // A horizon that censors flows: the streaming run has no records to
     // count, and must still report the same shortfall as the exact one.
     let cut = Time::from_us(300);
-    let exact_cut = small_fabric_run(false, SchedKind::Binary, cut);
-    let stream_cut = small_fabric_run(true, SchedKind::Binary, cut);
+    let exact_cut = small_fabric_run(false, cut);
+    let stream_cut = small_fabric_run(true, cut);
     assert!(exact_cut.completion_rate() < 1.0, "horizon censors flows");
     assert_eq!(stream_cut.completion_rate(), exact_cut.completion_rate());
 }
 
 #[test]
-fn streaming_state_is_bit_identical_across_scheduler_backends() {
-    let runs: Vec<SimResult> = SchedKind::ALL
-        .into_iter()
-        .map(|k| small_fabric_run(true, k, DRAINED))
-        .collect();
-    let fp0 = runs[0].streaming.as_deref().expect("streaming on").fingerprint();
-    for (i, r) in runs.iter().enumerate() {
-        let st = r.streaming.as_deref().expect("streaming on");
-        assert_eq!(st.fingerprint(), fp0, "backend {i} diverged");
-        assert_eq!(r.counters.events, runs[0].counters.events, "backend {i}");
-        assert_eq!(
-            r.counters.flows_reclaimed, runs[0].counters.flows_reclaimed,
-            "backend {i}"
-        );
-        assert_eq!(
-            r.counters.flow_live_peak, runs[0].counters.flow_live_peak,
-            "backend {i}"
-        );
-        // Bucket-level identity, not just the fingerprint.
-        assert_eq!(
-            st.fct_ps.bucket_counts(),
-            runs[0].streaming.as_deref().expect("on").fct_ps.bucket_counts(),
-            "backend {i}"
-        );
-    }
-}
-
-#[test]
 fn open_loop_hyperscale_runs_across_backends_bit_identically() {
     // The full stack — open-loop injection, slab reclamation, streaming
-    // sketches — on the downscaled hyperscale config, once per backend.
-    let run_with = |sched: SchedKind| {
+    // sketches — on the downscaled hyperscale config, run twice.
+    let run = || {
         let cfg = HyperscaleConfig {
             duration: Time::from_us(500),
-            sched,
             ..HyperscaleConfig::quick(HyperScheme::PrioPlus)
         };
         hyper_run(&cfg)
     };
-    let base = run_with(SchedKind::Binary);
+    let base = run();
     assert!(base.flows_total > 50, "scenario too small to be meaningful");
     assert!(base.finished > 0);
     // Reclamation happens when the *sender* sees the final ACK, one
@@ -247,28 +215,23 @@ fn open_loop_hyperscale_runs_across_backends_bit_identically() {
         base.flow_live_peak,
         base.flows_total
     );
-    for sched in SchedKind::ALL
-        .into_iter()
-        .filter(|&k| k != SchedKind::Binary)
-    {
-        let r = run_with(sched);
-        assert_eq!(r.streaming_fingerprint, base.streaming_fingerprint, "{sched:?}");
-        assert_eq!(r.events, base.events, "{sched:?}");
-        assert_eq!(r.flows_total, base.flows_total, "{sched:?}");
-        assert_eq!(r.flow_live_peak, base.flow_live_peak, "{sched:?}");
-        // Both backends store the same entries, so they peak together; and
-        // the queue's memory follows that peak, not the buckets' history
-        // (sorted-`Vec` buckets each kept the capacity they once grew to,
-        // two orders of magnitude past this bound).
-        assert_eq!(r.sched_pending_peak, base.sched_pending_peak, "{sched:?}");
-        let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
-        assert!(
-            r.sched_bytes_peak <= 4 * r.sched_pending_peak * entry,
-            "{sched:?}: queue holds {} B for a peak of {} entries of {entry} B",
-            r.sched_bytes_peak,
-            r.sched_pending_peak
-        );
-    }
+    let r = run();
+    assert_eq!(r.streaming_fingerprint, base.streaming_fingerprint);
+    assert_eq!(r.events, base.events);
+    assert_eq!(r.flows_total, base.flows_total);
+    assert_eq!(r.flow_live_peak, base.flow_live_peak);
+    // The same entries peak together; and the queue's memory follows that
+    // peak, not a container's history (the sorted-`Vec` buckets of an
+    // earlier calendar queue each kept the capacity they once grew to, two
+    // orders of magnitude past this bound).
+    assert_eq!(r.sched_pending_peak, base.sched_pending_peak);
+    let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
+    assert!(
+        r.sched_bytes_peak <= 4 * r.sched_pending_peak * entry,
+        "queue holds {} B for a peak of {} entries of {entry} B",
+        r.sched_bytes_peak,
+        r.sched_pending_peak
+    );
 }
 
 #[test]

@@ -3,14 +3,14 @@
 //!
 //! - **Resume bit-identity (headline)**: a CC matrix of incast scenarios,
 //!   interrupted mid-run, snapshotted, restored, and finished, must
-//!   reproduce the uninterrupted summary byte-for-byte on every scheduler
-//!   backend, with the invariant audit clean on both halves — and, the
-//!   queue being cloned rather than rebuilt, the calendar's own work
-//!   profile must come out equal too.
+//!   reproduce the uninterrupted summary byte-for-byte, with the invariant
+//!   audit clean on both halves — and, the queue being cloned rather than
+//!   rebuilt, its operation count and peak population must come out equal
+//!   too.
 //! - **Mid-fault resume**: the same, snapshotting while a link is down, a
 //!   pause storm is pinned and a link is degraded.
 //! - **Digest soundness**: [`netsim::Sim::state_digest`] survives a
-//!   snapshot round-trip unchanged and is backend-agnostic.
+//!   snapshot round-trip unchanged.
 //! - **Completeness fleet**: buggify-style tampers ([`StateTamper`])
 //!   mutate one class of simulator state at a time — counters, RNG
 //!   streams, port state, the event queue, a live flow's reassembly point,
@@ -26,8 +26,8 @@ use experiments::golden::summarize;
 use experiments::micro::{Micro, MicroEnv};
 use experiments::sweep::{run_warm, WarmCache};
 use netsim::{
-    FaultSchedule, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SimResult, StateTamper,
-    SwitchConfig, Topology,
+    FaultSchedule, FlowSpec, NoiseModel, Sim, SimConfig, SimResult, StateTamper, SwitchConfig,
+    Topology,
 };
 use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -88,25 +88,19 @@ fn cc_matrix() -> Vec<(&'static str, CcSpec)> {
 /// Staggered 6-sender incast over one bottleneck with testbed noise —
 /// enough congestion to exercise PFC, ECN, queue growth, and (for lossy
 /// configs) retransmission state on both sides of the snapshot horizon.
-fn incast(cc: &CcSpec, sched: SchedKind, audit: bool) -> Micro {
-    incast_with_faults(cc, sched, audit, None)
+fn incast(cc: &CcSpec, audit: bool) -> Micro {
+    incast_with_faults(cc, audit, None)
 }
 
 /// [`incast`] with a fault schedule installed. Hosts are `0..=6` (0 is the
 /// receiver), the switch is node 7, and switch port `i` faces host `i`.
-fn incast_with_faults(
-    cc: &CcSpec,
-    sched: SchedKind,
-    audit: bool,
-    faults: Option<FaultSchedule>,
-) -> Micro {
+fn incast_with_faults(cc: &CcSpec, audit: bool, faults: Option<FaultSchedule>) -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders: 6,
         end: Time::from_ms(3),
         trace: false,
         noise: NoiseModel::testbed(),
         seed: 7,
-        sched,
         faults,
         switch: SwitchConfig {
             int_enabled: matches!(cc, CcSpec::Hpcc),
@@ -145,81 +139,66 @@ fn assert_clean_audit(res: &SimResult, what: &str) {
     );
 }
 
-/// Headline: for every CC scheme and every scheduler backend, interrupting
-/// the run at the horizon, snapshotting, dropping the original simulator,
-/// and finishing on a restore is byte-identical to running straight
-/// through — and the invariant audit (whose mirror rides in the snapshot)
-/// stays clean on both paths. The snapshot clones the scheduler as it
-/// stands, so the resumed run's backend diagnostics — operations, touches,
-/// rebuilds, peak population — are the straight run's too (checked on the
-/// calendar queue; the binary heap keeps no work profile). Peak *bytes* are
-/// read from buffer capacities, and a clone's buffers are sized to their
-/// length, so that one is each queue's own and only bounded here.
+/// Headline: for every CC scheme, interrupting the run at the horizon,
+/// snapshotting, dropping the original simulator, and finishing on a
+/// restore is byte-identical to running straight through — and the
+/// invariant audit (whose mirror rides in the snapshot) stays clean on both
+/// paths. The snapshot clones the queue as it stands, so the resumed run's
+/// queue diagnostics — operations, peak population — are the straight
+/// run's too. Peak *bytes* are read from buffer capacities, and a clone's
+/// buffers are sized to their length, so that one is each queue's own and
+/// only bounded here.
 #[test]
 fn cc_matrix_snapshot_resume_is_bit_identical_on_every_backend() {
     // Mid-transfer (every flow in flight, the queue populated) and late (the
     // fast schemes have drained, only timers and `End` pending).
     let horizons = [Time::from_us(100), horizon()];
     for (name, cc) in cc_matrix() {
-        for kind in SchedKind::ALL {
-            let straight_res = incast(&cc, kind, true).sim.run();
-            assert_clean_audit(&straight_res, name);
-            let straight = summarize(&straight_res);
+        let straight_res = incast(&cc, true).sim.run();
+        assert_clean_audit(&straight_res, name);
+        let straight = summarize(&straight_res);
+        let diag = |r: &SimResult| {
+            let c = &r.counters;
+            assert!(c.sched_ops > 0, "{name}: no queue operations counted");
+            // The bound `e2e_hyperscale` puts on the queue's memory holds
+            // for a fork's own buffers too.
+            let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
+            assert!(
+                c.sched_bytes_peak <= 4 * c.sched_pending_peak * entry,
+                "{name}: queue holds {} B for a peak of {} entries",
+                c.sched_bytes_peak,
+                c.sched_pending_peak
+            );
+            (c.sched_ops, c.sched_pending_peak)
+        };
 
-            for at in horizons {
-                let mut m = incast(&cc, kind, true);
-                m.sim.run_until(at);
-                let snap = m.sim.snapshot();
-                drop(m);
-                let resumed_res = Sim::restore(&snap).run();
-                assert_clean_audit(&resumed_res, name);
-                let resumed = summarize(&resumed_res);
+        for at in horizons {
+            let mut m = incast(&cc, true);
+            m.sim.run_until(at);
+            let snap = m.sim.snapshot();
+            drop(m);
+            let resumed_res = Sim::restore(&snap).run();
+            assert_clean_audit(&resumed_res, name);
+            let resumed = summarize(&resumed_res);
 
-                assert_eq!(
-                    straight,
-                    resumed,
-                    "{name} on {}: snapshot/resume at {at} changed the simulation",
-                    kind.name(),
-                );
-                if kind == SchedKind::Calendar {
-                    let diag = |r: &SimResult| {
-                        let c = &r.counters;
-                        assert!(
-                            c.sched_ops > 0 && c.sched_touches > 0,
-                            "{name}: no work profile"
-                        );
-                        // The bound `e2e_hyperscale` puts on the queue's
-                        // memory holds for a fork's own buffers too.
-                        let entry = std::mem::size_of::<simcore::Entry<netsim::Event>>() as u64;
-                        assert!(
-                            c.sched_bytes_peak <= 4 * c.sched_pending_peak * entry,
-                            "{name}: queue holds {} B for a peak of {} entries",
-                            c.sched_bytes_peak,
-                            c.sched_pending_peak
-                        );
-                        [
-                            c.sched_ops,
-                            c.sched_touches,
-                            c.sched_rebuilds,
-                            c.sched_pending_peak,
-                        ]
-                    };
-                    assert_eq!(
-                        diag(&straight_res),
-                        diag(&resumed_res),
-                        "{name}: resumed at {at}, the calendar queue is not the straight run's \
-                         (ops, touches, rebuilds, pending peak)"
-                    );
-                }
-            }
+            assert_eq!(
+                straight, resumed,
+                "{name}: snapshot/resume at {at} changed the simulation"
+            );
+            assert_eq!(
+                diag(&straight_res),
+                diag(&resumed_res),
+                "{name}: resumed at {at}, the queue is not the straight run's \
+                 (ops, pending peak)"
+            );
         }
     }
 }
 
 /// A link's fault state lives on its ports, so it rides along with the
 /// nodes: a snapshot taken while one link is down, the bottleneck egress is
-/// storm-pinned and a third link is degraded resumes byte-identically on
-/// every backend, audit clean, and the digest round-trips mid-fault.
+/// storm-pinned and a third link is degraded resumes byte-identically,
+/// audit clean, and the digest round-trips mid-fault.
 #[test]
 fn snapshot_with_a_link_down_and_a_storm_pinned_resumes_bit_identically() {
     let cc = CcSpec::PrioPlusSwift {
@@ -232,42 +211,43 @@ fn snapshot_with_a_link_down_and_a_storm_pinned_resumes_bit_identically() {
         .link_flap(7, 2, us(100), us(450))
         .pause_storm(7, 0, 0, us(250), us(400))
         .degrade(3, 0, us(200), us(500), 0.5, us(2));
-    for kind in SchedKind::ALL {
-        let run = |faults| incast_with_faults(&cc, kind, true, Some(faults));
-        let straight_res = run(faults.clone()).sim.run();
-        assert_clean_audit(&straight_res, "mid-fault straight run");
-        let c = &straight_res.counters;
-        assert_eq!(c.fault_events, 6, "all six transitions applied");
-        assert!(
-            c.fault_link_drops + c.fault_ctrl_drops > 0,
-            "the flap must catch packets in flight"
-        );
+    let run = |faults| incast_with_faults(&cc, true, Some(faults));
+    let straight_res = run(faults.clone()).sim.run();
+    assert_clean_audit(&straight_res, "mid-fault straight run");
+    let c = &straight_res.counters;
+    assert_eq!(c.fault_events, 6, "all six transitions applied");
+    assert!(
+        c.fault_link_drops + c.fault_ctrl_drops > 0,
+        "the flap must catch packets in flight"
+    );
 
-        let mut m = run(faults.clone());
-        m.sim.run_until(horizon());
-        let snap = m.sim.snapshot();
-        let digest = m.sim.state_digest();
-        drop(m);
-        let resumed = Sim::restore(&snap);
-        assert_eq!(digest, resumed.state_digest(), "digest moved across restore");
-        let resumed_res = resumed.run();
-        assert_clean_audit(&resumed_res, "mid-fault resumed run");
-        assert_eq!(
-            summarize(&straight_res),
-            summarize(&resumed_res),
-            "mid-fault snapshot/resume on {} changed the simulation",
-            kind.name()
-        );
-        assert_eq!(
-            (c.fault_events, c.fault_link_drops, c.fault_ctrl_drops),
-            (
-                resumed_res.counters.fault_events,
-                resumed_res.counters.fault_link_drops,
-                resumed_res.counters.fault_ctrl_drops
-            ),
-            "fault counters diverged after resume"
-        );
-    }
+    let mut m = run(faults.clone());
+    m.sim.run_until(horizon());
+    let snap = m.sim.snapshot();
+    let digest = m.sim.state_digest();
+    drop(m);
+    let resumed = Sim::restore(&snap);
+    assert_eq!(
+        digest,
+        resumed.state_digest(),
+        "digest moved across restore"
+    );
+    let resumed_res = resumed.run();
+    assert_clean_audit(&resumed_res, "mid-fault resumed run");
+    assert_eq!(
+        summarize(&straight_res),
+        summarize(&resumed_res),
+        "mid-fault snapshot/resume changed the simulation"
+    );
+    assert_eq!(
+        (c.fault_events, c.fault_link_drops, c.fault_ctrl_drops),
+        (
+            resumed_res.counters.fault_events,
+            resumed_res.counters.fault_link_drops,
+            resumed_res.counters.fault_ctrl_drops
+        ),
+        "fault counters diverged after resume"
+    );
 }
 
 /// A snapshot is a pure fork point: restoring twice from the same snapshot
@@ -279,7 +259,7 @@ fn one_snapshot_forks_into_identical_runs() {
     let cc = CcSpec::PrioPlusSwift {
         policy: PrioPlusPolicy::paper_default(2),
     };
-    let mut m = incast(&cc, SchedKind::default(), false);
+    let mut m = incast(&cc, false);
     m.sim.run_until(horizon());
     let snap = m.sim.snapshot();
     let (a, b) = (Sim::restore(&snap), Sim::restore(&snap));
@@ -292,33 +272,19 @@ fn one_snapshot_forks_into_identical_runs() {
     assert_eq!(a, b, "two forks of one snapshot diverged");
 }
 
-/// The state digest survives a snapshot round-trip unchanged and — because
-/// it hashes the queue as a set of entries, not in a backend's storage
-/// order — is identical across scheduler backends at the same simulated
-/// instant.
+/// The state digest survives a snapshot round-trip unchanged. (That it
+/// hashes the queue as a set of entries, whichever container holds one, is
+/// pinned next to the queue, in `simcore`.)
 #[test]
 fn state_digest_round_trips_and_is_backend_agnostic() {
     let cc = CcSpec::PrioPlusSwift {
         policy: PrioPlusPolicy::paper_default(2),
     };
-    let mut digests = Vec::new();
-    for kind in SchedKind::ALL {
-        let mut m = incast(&cc, kind, false);
-        m.sim.run_until(horizon());
-        let original = m.sim.state_digest();
-        let restored = Sim::restore(&m.sim.snapshot()).state_digest();
-        assert_eq!(
-            original,
-            restored,
-            "snapshot round-trip moved the digest on {}",
-            kind.name()
-        );
-        digests.push(original);
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "state digest differs across scheduler backends: {digests:016x?}"
-    );
+    let mut m = incast(&cc, false);
+    m.sim.run_until(horizon());
+    let original = m.sim.state_digest();
+    let restored = Sim::restore(&m.sim.snapshot()).state_digest();
+    assert_eq!(original, restored, "snapshot round-trip moved the digest");
 }
 
 /// Streaming-stats run for the Sketch tamper class: `MicroEnv` has no
@@ -355,7 +321,7 @@ fn tamper_fleet_packet_run_counters_and_rng() {
         queuing: Time::from_us(4),
         scaling: false,
     };
-    let mut m = incast(&cc, SchedKind::default(), false);
+    let mut m = incast(&cc, false);
     // Earlier than `horizon()`: Swift has drained the incast by then, and
     // FlowRecv needs a flow in flight.
     m.sim.run_until(Time::from_us(150));
@@ -408,7 +374,7 @@ fn tamper_fleet_monitor_baseline_and_idle_flow_slab() {
         scaling: false,
     };
     let monitored = || {
-        let mut m = incast(&cc, SchedKind::default(), false);
+        let mut m = incast(&cc, false);
         m.monitor_bottleneck_throughput(Time::from_us(50));
         m.sim
     };

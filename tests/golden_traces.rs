@@ -11,7 +11,6 @@
 //! moves no flow can be seen to be one.
 
 use experiments::golden::{cases, summarize_case, GoldenOpts};
-use experiments::SchedKind;
 use simcore::Time;
 use std::path::PathBuf;
 
@@ -199,30 +198,6 @@ fn golden_traces_survive_snapshot_resume() {
     }
 }
 
-/// Scheduler backends are pure performance knobs: every golden case must
-/// summarize byte-for-byte identically under the binary heap and every
-/// other backend. This pins the backends against the *full*
-/// simulator (PFC, ECN, traces, monitors), not just the microbenchmark
-/// surface the differential property test covers.
-#[test]
-fn golden_traces_are_bit_identical_across_scheduler_backends() {
-    for case in cases() {
-        let baseline = summarize_case(&(case.run)(GoldenOpts::on(SchedKind::Binary)));
-        for kind in SchedKind::ALL
-            .into_iter()
-            .filter(|&k| k != SchedKind::Binary)
-        {
-            let got = summarize_case(&(case.run)(GoldenOpts::on(kind)));
-            assert_eq!(
-                baseline, got,
-                "{}: scheduler backend {} changed the simulation",
-                case.name,
-                kind.name()
-            );
-        }
-    }
-}
-
 /// The event queue holds no garbage: on the lossy cases, the most entries
 /// it ever stored is bounded by what can be *live* at once —
 ///
@@ -266,7 +241,7 @@ fn the_queue_holds_no_garbage_on_the_lossy_cases() {
 
 /// The mechanism of the FIFO lanes as an exact count: the share of queue
 /// pushes scheduled at a declared link delay, which never enter the
-/// scheduler backend. `Sim::new` declares each link's serialization and
+/// queue's heap. `Sim::new` declares each link's serialization and
 /// propagation delays, so on every case whose links are plain it is nearly
 /// all of them — what is left is RTO and pacing timers, flow starts, each
 /// flow's short last packet and PFC frames. `fig13_nc_delay` is the bypass:
