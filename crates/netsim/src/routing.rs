@@ -1,65 +1,62 @@
 //! Shortest-path ECMP routing.
 //!
-//! Routes are precomputed: for every (node, destination host) pair we store
-//! every port that lies on a shortest path. Per-flow ECMP picks one port by
-//! hashing the flow id with the node id, so a flow is pinned to one path
-//! (no reordering from multipathing) while flows spread across paths.
+//! Routes are precomputed: for every (node, destination host) pair the
+//! table holds every port that lies on a shortest path. Per-flow ECMP picks
+//! one port by hashing the flow id with the node id, so a flow is pinned to
+//! one path (no reordering from multipathing) while flows spread across
+//! paths.
 //!
-//! Two table representations share one query interface:
+//! **Precondition: every host has exactly one NIC link, and it leads to a
+//! switch** (`Sim::new` meets it by building this table first). That makes
+//! one representation exact for every topology: a host's route to any other
+//! host is its one up-port, and a switch's routes to a host are its routes
+//! to the host's attachment (ToR) switch — except at the ToR itself, which
+//! takes its port down to the host. So the table keeps one BFS per *ToR*
+//! over the switch-only graph: O(switches × ToRs) rows instead of
+//! O(nodes × hosts), stored as CSR (compressed sparse rows) — one `start`
+//! offset per row into one flat `ports` array — beside one `Attach` record
+//! per node. A lookup is three dependent loads: the destination's record,
+//! `start[slot]`, then `ports`.
 //!
-//! - **Exact**: a dense `next[node][dst]` table, built by one reverse BFS
-//!   per destination host. O(nodes × hosts) storage — fine up to a few
-//!   hundred nodes, and the historical representation, so its candidate
-//!   *order* is load-bearing (golden traces pin ECMP picks).
-//! - **ToR-compressed**: for hyperscale topologies (above
-//!   [`RoutingTable::COMPRESS_THRESHOLD`] nodes), exploit that every host
-//!   has a single NIC: routes to a host equal routes to its attachment
-//!   (ToR) switch plus the ToR's down-port. One BFS per *ToR* over the
-//!   switch-only graph gives O(switches × ToRs) storage — at a k=16
-//!   fat-tree that is 320×128 rows instead of 1344×1024, and at the 3-tier
-//!   WAN topology ~0.4M rows instead of ~1.1G.
-//!
-//! Both builders expand the frontier in the same (node-ascending,
-//! port-ascending) order, so the per-(node, dst) candidate lists — and
-//! therefore every ECMP pick — are identical between representations
-//! (pinned by `compressed_matches_exact_*` tests below).
+//! Candidate *order* is load-bearing (golden traces pin ECMP picks): the BFS
+//! expands its frontier in (node-ascending, port-order) sequence, the order
+//! of the dense per-host BFS this table replaced. `tests` keeps that dense
+//! BFS as the reference every topology constructor and a fleet of random
+//! fabrics are checked against.
 
 use crate::packet::{FlowId, NodeId};
 
 /// Precomputed next-hop table.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
-    table: Table,
+    /// One record per node.
+    nodes: Vec<Attach>,
+    /// Row offsets into `ports`: the candidates of switch `sw` toward the
+    /// hosts of the ToR whose rows begin at `row` are
+    /// `ports[start[row + sw]..start[row + sw + 1]]`.
+    start: Vec<u32>,
+    ports: Vec<u16>,
     salt: u64,
 }
 
-#[derive(Clone, Debug)]
-enum Table {
-    /// `next[node][dst]` = ports on shortest paths from `node` to host `dst`.
-    Exact(Vec<Vec<Vec<u16>>>),
-    Compressed(Compressed),
+/// Where a node sits in the table: a switch uses `sw` only, a host the
+/// other four fields.
+#[derive(Clone, Copy, Debug)]
+struct Attach {
+    /// Dense switch index; [`HOST`] marks a host.
+    sw: u32,
+    /// The host's ToR switch.
+    tor: NodeId,
+    /// First row of the host's ToR: its dense index × the switch count.
+    row: u32,
+    /// The host's one egress port.
+    up: u16,
+    /// The ToR's port down to this host.
+    down: u16,
 }
 
-/// ToR-compressed representation: per-switch rows keyed by dense ToR index,
-/// plus O(hosts) attachment metadata.
-#[derive(Clone, Debug)]
-struct Compressed {
-    n: usize,
-    is_host: Vec<bool>,
-    /// Host -> its single egress port (valid only at host indices).
-    host_up: Vec<u16>,
-    /// Host -> its attachment (ToR) switch (valid only at host indices).
-    tor_of: Vec<NodeId>,
-    /// Host -> the ToR's down-port to this host (valid only at host indices).
-    tor_down: Vec<u16>,
-    /// Node -> dense switch index (`u32::MAX` for hosts).
-    sw_idx: Vec<u32>,
-    /// Node -> dense ToR index (`u32::MAX` unless a host attaches here).
-    tor_idx: Vec<u32>,
-    num_tors: usize,
-    /// `next[sw_dense * num_tors + tor_dense]` = candidate ports.
-    next: Vec<Vec<u16>>,
-}
+/// `Attach::sw` of a host.
+const HOST: u32 = u32::MAX;
 
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -71,8 +68,7 @@ fn mix(mut x: u64) -> u64 {
 
 /// Reverse adjacency: `radj[peer]` = `(node, port)` pairs such that
 /// `adj[node]` contains `(port, peer)`, in (node-ascending, port-order)
-/// order — exactly the order the original O(V·E) builder scanned them in,
-/// which the candidate lists (and golden traces) depend on.
+/// order — the order the candidate lists (and golden traces) depend on.
 fn reverse_adj(adj: &[Vec<(u16, NodeId)>]) -> Vec<Vec<(NodeId, u16)>> {
     let mut radj = vec![Vec::new(); adj.len()];
     for (node, ports) in adj.iter().enumerate() {
@@ -84,23 +80,180 @@ fn reverse_adj(adj: &[Vec<(u16, NodeId)>]) -> Vec<Vec<(NodeId, u16)>> {
 }
 
 impl RoutingTable {
-    /// Node count above which the ToR-compressed representation is used.
-    /// Everything at or below stays on the exact dense table (all golden
-    /// and e2e topologies are far below this).
-    pub const COMPRESS_THRESHOLD: usize = 512;
-
     /// Build from an adjacency list: `adj[node]` = `(port, peer)` pairs.
-    /// `is_host[node]` marks hosts (BFS roots; hosts never forward).
+    /// `is_host[node]` marks hosts (hosts never forward).
+    ///
+    /// # Panics
+    /// Panics unless every host has exactly one link, to a switch.
     pub fn build(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
-        if adj.len() > Self::COMPRESS_THRESHOLD {
-            Self::build_compressed(adj, is_host, salt)
-        } else {
-            Self::build_exact(adj, is_host, salt)
+        let n = adj.len();
+        let mut nodes = vec![
+            Attach {
+                sw: HOST,
+                tor: 0,
+                row: 0,
+                up: 0,
+                down: 0,
+            };
+            n
+        ];
+        let mut num_sw = 0u32;
+        for (a, _) in nodes.iter_mut().zip(is_host).filter(|(_, h)| !**h) {
+            a.sw = num_sw;
+            num_sw += 1;
+        }
+        // ToRs in dense order, and each ToR's first row once it has one.
+        let mut tors = Vec::new();
+        let mut row_of = vec![HOST; n];
+        for node in (0..n).filter(|&node| is_host[node]) {
+            assert_eq!(
+                adj[node].len(),
+                1,
+                "host {node} has {} links; every host needs exactly one NIC link",
+                adj[node].len()
+            );
+            let (up, tor) = adj[node][0];
+            assert!(!is_host[tor as usize], "host {node} attaches to host {tor}");
+            // The ToR's port back down to this host.
+            let down = adj[tor as usize]
+                .iter()
+                .find(|&&(_, peer)| peer as usize == node)
+                .map(|&(port, _)| port)
+                .expect("host link must be bidirectional");
+            if row_of[tor as usize] == HOST {
+                row_of[tor as usize] = tors.len() as u32 * num_sw;
+                tors.push(tor as usize);
+            }
+            nodes[node] = Attach {
+                sw: HOST,
+                tor,
+                row: row_of[tor as usize],
+                up,
+                down,
+            };
+        }
+
+        // One BFS per ToR over the switch-only graph, its rows appended in
+        // switch order. A BFS reaches a switch during one frontier only, so
+        // that frontier's edges into it are its whole candidate list, in
+        // expansion order.
+        let radj = reverse_adj(adj);
+        let mut start = Vec::with_capacity(tors.len() * num_sw as usize + 1);
+        start.push(0u32);
+        let mut ports = Vec::new();
+        let mut lists: Vec<Vec<u16>> = vec![Vec::new(); num_sw as usize];
+        let mut dist = vec![u32::MAX; n];
+        let (mut frontier, mut reached) = (Vec::new(), Vec::new());
+        for &tor in &tors {
+            dist.fill(u32::MAX);
+            dist[tor] = 0;
+            frontier.push(tor);
+            while !frontier.is_empty() {
+                for &u in &frontier {
+                    let d = dist[u] + 1;
+                    for &(node, port) in &radj[u] {
+                        let node = node as usize;
+                        if is_host[node] {
+                            continue;
+                        }
+                        if dist[node] == u32::MAX {
+                            dist[node] = d;
+                            reached.push(node);
+                        }
+                        if dist[node] == d {
+                            lists[nodes[node].sw as usize].push(port);
+                        }
+                    }
+                }
+                frontier.clear();
+                std::mem::swap(&mut frontier, &mut reached);
+            }
+            for list in &mut lists {
+                ports.append(list);
+                start.push(u32::try_from(ports.len()).expect("routing table outgrew u32 offsets"));
+            }
+        }
+        ports.shrink_to_fit();
+        RoutingTable {
+            nodes,
+            start,
+            ports,
+            salt,
         }
     }
 
-    /// Dense-table builder (the historical representation).
-    fn build_exact(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
+    /// All ECMP candidate ports at `node` toward host `dst`.
+    pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
+        let at = &self.nodes[node as usize];
+        let to = &self.nodes[dst as usize];
+        if node == dst || to.sw != HOST {
+            return &[];
+        }
+        if at.sw == HOST {
+            // A host's only port is its route to everything else.
+            return std::slice::from_ref(&at.up);
+        }
+        if node == to.tor {
+            return std::slice::from_ref(&to.down);
+        }
+        let slot = (to.row + at.sw) as usize;
+        &self.ports[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+
+    /// The ECMP-selected port for `flow` at `node` toward `dst`.
+    ///
+    /// # Panics
+    /// Panics when `dst` is unreachable from `node`.
+    pub fn port_for(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
+        let cands = self.candidates(node, dst);
+        assert!(!cands.is_empty(), "no route from node {node} to host {dst}");
+        if cands.len() == 1 {
+            return cands[0];
+        }
+        let h = mix(self.salt ^ (flow as u64) << 20 ^ node as u64);
+        cands[(h % cands.len() as u64) as usize]
+    }
+
+    /// Heap bytes the table holds: capacity × element size of its arrays.
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<Attach>()
+            + self.start.capacity() * size_of::<u32>()
+            + self.ports.capacity() * size_of::<u16>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::{NodeKind, ThreeTierWanSpec, Topology};
+    use proptest::prelude::*;
+    use simcore::{Rate, SimRng, Time};
+
+    /// `RoutingTable::build`'s inputs: the adjacency list and the host mask.
+    type Inputs = (Vec<Vec<(u16, NodeId)>>, Vec<bool>);
+
+    fn inputs(t: &Topology) -> Inputs {
+        let is_host = t.kinds.iter().map(|k| *k == NodeKind::Host).collect();
+        (t.adjacency(), is_host)
+    }
+
+    fn gbps(g: u64) -> Rate {
+        Rate::from_gbps(g)
+    }
+
+    fn us1() -> Time {
+        Time::from_us(1)
+    }
+
+    /// The reference: the dense `next[node][dst]` table the simulator used
+    /// below 512 nodes until the CSR table replaced it — one reverse BFS per
+    /// destination host, rooted at the host itself. It needs no single-NIC
+    /// precondition, so on a disconnected fabric it also leaves a host's
+    /// entry toward an unreachable host empty, where the table answers the
+    /// host's up-port and the switch behind it has no route.
+    fn reference(adj: &[Vec<(u16, NodeId)>], is_host: &[bool]) -> Vec<Vec<Vec<u16>>> {
         let n = adj.len();
         let radj = reverse_adj(adj);
         let mut next = vec![vec![Vec::new(); n]; n];
@@ -120,7 +273,6 @@ impl RoutingTable {
                         let node = node as usize;
                         let cand = dist[u] + 1;
                         if dist[node] > cand {
-                            // First time reached: record distance.
                             if dist[node] == u32::MAX {
                                 nf.push(node);
                             }
@@ -135,175 +287,57 @@ impl RoutingTable {
                 frontier = nf;
             }
         }
-        RoutingTable {
-            table: Table::Exact(next),
-            salt,
-        }
+        next
     }
 
-    /// ToR-compressed builder. Requires every host to have exactly one NIC
-    /// (already asserted by `Sim::new`) and a connected switch fabric.
-    fn build_compressed(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
-        let n = adj.len();
-        let radj = reverse_adj(adj);
-
-        let mut host_up = vec![0u16; n];
-        let mut tor_of = vec![0 as NodeId; n];
-        let mut tor_down = vec![0u16; n];
-        let mut tor_idx = vec![u32::MAX; n];
-        let mut sw_idx = vec![u32::MAX; n];
-        let mut num_tors = 0usize;
-        let mut num_sw = 0usize;
-        for (node, h) in is_host.iter().enumerate() {
-            if !*h {
-                sw_idx[node] = num_sw as u32;
-                num_sw += 1;
-            }
-        }
-        for (node, h) in is_host.iter().enumerate() {
-            if !*h {
-                continue;
-            }
-            assert_eq!(
-                adj[node].len(),
-                1,
-                "compressed routing requires single-NIC hosts (host {node} has {} ports)",
-                adj[node].len()
-            );
-            let (up_port, tor) = adj[node][0];
-            assert!(
-                !is_host[tor as usize],
-                "host {node} attaches to host {tor}"
-            );
-            host_up[node] = up_port;
-            tor_of[node] = tor;
-            // The ToR's port back down to this host.
-            let down = adj[tor as usize]
-                .iter()
-                .find(|&&(_, peer)| peer as usize == node)
-                .map(|&(port, _)| port)
-                .expect("host link must be bidirectional");
-            tor_down[node] = down;
-            if tor_idx[tor as usize] == u32::MAX {
-                tor_idx[tor as usize] = num_tors as u32;
-                num_tors += 1;
-            }
-        }
-
-        // One BFS per ToR over the switch-only graph, expanding in the same
-        // (node-ascending, port-order) sequence as the exact builder so the
-        // candidate lists come out identical.
-        let mut next = vec![Vec::new(); num_sw * num_tors];
-        let mut dist = vec![u32::MAX; n];
-        for (tor, _) in is_host.iter().enumerate() {
-            let ti = tor_idx[tor];
-            if ti == u32::MAX {
-                continue;
-            }
-            let ti = ti as usize;
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[tor] = 0;
-            let mut frontier = vec![tor];
-            while !frontier.is_empty() {
-                let mut nf = Vec::new();
-                for &u in &frontier {
-                    for &(node, port) in &radj[u] {
-                        let node = node as usize;
-                        if is_host[node] {
-                            continue;
-                        }
-                        let slot = sw_idx[node] as usize * num_tors + ti;
-                        let cand = dist[u] + 1;
-                        if dist[node] > cand {
-                            if dist[node] == u32::MAX {
-                                nf.push(node);
-                            }
-                            dist[node] = cand;
-                            next[slot].clear();
-                            next[slot].push(port);
-                        } else if dist[node] == cand && !next[slot].contains(&port) {
-                            next[slot].push(port);
-                        }
-                    }
+    /// Every (node, dst) pair's ordered candidate list equals the
+    /// reference's, and so does the ECMP pick of 64 flows on every routed
+    /// pair.
+    fn check_against_reference(
+        adj: &[Vec<(u16, NodeId)>],
+        is_host: &[bool],
+        salt: u64,
+    ) -> Result<(), TestCaseError> {
+        let rt = RoutingTable::build(adj, is_host, salt);
+        let want = reference(adj, is_host);
+        for (node, row) in want.iter().enumerate() {
+            for (dst, cands) in row.iter().enumerate() {
+                let (node, dst) = (node as NodeId, dst as NodeId);
+                prop_assert_eq!(
+                    rt.candidates(node, dst),
+                    cands.as_slice(),
+                    "candidate order diverged at node {} -> dst {}",
+                    node,
+                    dst
+                );
+                if cands.is_empty() {
+                    continue;
                 }
-                frontier = nf;
+                for flow in 0..64u32 {
+                    let h = mix(salt ^ (flow as u64) << 20 ^ node as u64);
+                    prop_assert_eq!(
+                        rt.port_for(node, dst, flow),
+                        cands[(h % cands.len() as u64) as usize],
+                        "flow {} at node {} -> dst {}",
+                        flow,
+                        node,
+                        dst
+                    );
+                }
             }
         }
+        Ok(())
+    }
 
-        RoutingTable {
-            table: Table::Compressed(Compressed {
-                n,
-                is_host: is_host.to_vec(),
-                host_up,
-                tor_of,
-                tor_down,
-                sw_idx,
-                tor_idx,
-                num_tors,
-                next,
-            }),
-            salt,
+    fn assert_matches_reference(t: &Topology, salt: u64) {
+        let (adj, is_host) = inputs(t);
+        if let Err(e) = check_against_reference(&adj, &is_host, salt) {
+            panic!("{e}");
         }
     }
-
-    /// All ECMP candidate ports at `node` toward host `dst`.
-    pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
-        match &self.table {
-            Table::Exact(next) => &next[node as usize][dst as usize],
-            Table::Compressed(c) => {
-                let node_u = node as usize;
-                let dst_u = dst as usize;
-                if node == dst || !c.is_host[dst_u] {
-                    return &[];
-                }
-                if c.is_host[node_u] {
-                    // Single-NIC host: its only port is the route to
-                    // everything else.
-                    return std::slice::from_ref(&c.host_up[node_u]);
-                }
-                let tor = c.tor_of[dst_u];
-                if node == tor {
-                    return std::slice::from_ref(&c.tor_down[dst_u]);
-                }
-                &c.next[c.sw_idx[node_u] as usize * c.num_tors + c.tor_idx[tor as usize] as usize]
-            }
-        }
-    }
-
-    /// The ECMP-selected port for `flow` at `node` toward `dst`.
-    ///
-    /// # Panics
-    /// Panics when `dst` is unreachable from `node`.
-    pub fn port_for(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
-        let cands = self.candidates(node, dst);
-        assert!(!cands.is_empty(), "no route from node {node} to host {dst}");
-        if cands.len() == 1 {
-            return cands[0];
-        }
-        let h = mix(self.salt ^ (flow as u64) << 20 ^ node as u64);
-        cands[(h % cands.len() as u64) as usize]
-    }
-
-    /// Number of nodes the table was built for.
-    pub fn num_nodes(&self) -> usize {
-        match &self.table {
-            Table::Exact(next) => next.len(),
-            Table::Compressed(c) => c.n,
-        }
-    }
-
-    /// True when the ToR-compressed representation is in use.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self.table, Table::Compressed(_))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     /// A 4-node line: h0 - s1 - s2 - h3 (hosts at the ends).
-    fn line() -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
+    fn line() -> Inputs {
         let adj = vec![
             vec![(0, 1)],         // h0 -> s1
             vec![(0, 0), (1, 2)], // s1 -> h0, s2
@@ -325,28 +359,34 @@ mod tests {
         assert_eq!(rt.port_for(1, 0, 7), 0);
     }
 
-    /// Two hosts connected through two parallel switches (ECMP diamond):
-    /// h0 -(0)-> s1 / s2 -> h3, with h0 ports 0,1 and h3 ports 0,1.
-    fn diamond() -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
-        let adj = vec![
-            vec![(0, 1), (1, 2)], // h0 -> s1, s2
-            vec![(0, 0), (1, 3)], // s1
-            vec![(0, 0), (1, 3)], // s2
-            vec![(0, 1), (1, 2)], // h3 -> s1, s2
-        ];
-        let is_host = vec![true, false, false, true];
-        (adj, is_host)
+    /// A wide ECMP fan: host `src` - ingress switch - `n` parallel middle
+    /// switches - egress switch - host `dst`. The ingress's ports `0..n`
+    /// lead into the fan. Returns the table inputs, the ingress and `dst`.
+    fn fan(n: usize) -> (Inputs, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let src = t.add_host();
+        let dst = t.add_host();
+        let ingress = t.add_switch();
+        let egress = t.add_switch();
+        for _ in 0..n {
+            let mid = t.add_switch();
+            t.connect(ingress, mid, gbps(100), us1());
+            t.connect(mid, egress, gbps(100), us1());
+        }
+        t.connect(src, ingress, gbps(100), us1());
+        t.connect(egress, dst, gbps(100), us1());
+        (inputs(&t), ingress, dst)
     }
 
     #[test]
     fn ecmp_uses_both_paths_and_is_per_flow_stable() {
-        let (adj, is_host) = diamond();
+        let ((adj, is_host), ingress, dst) = fan(2);
         let rt = RoutingTable::build(&adj, &is_host, 42);
-        assert_eq!(rt.candidates(0, 3).len(), 2);
+        assert_eq!(rt.candidates(ingress, dst).len(), 2);
         let mut used = std::collections::BTreeSet::new();
         for f in 0..64u32 {
-            let p = rt.port_for(0, 3, f);
-            assert_eq!(p, rt.port_for(0, 3, f), "per-flow stability");
+            let p = rt.port_for(ingress, dst, f);
+            assert_eq!(p, rt.port_for(ingress, dst, f), "per-flow stability");
             used.insert(p);
         }
         assert_eq!(used.len(), 2, "both ECMP paths used across flows");
@@ -355,29 +395,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "no route")]
     fn unreachable_panics() {
-        let adj = vec![vec![], vec![]];
-        let is_host = vec![true, true];
+        // Two islands: h0 - s2 and h1 - s3, with no link between them.
+        let adj = vec![vec![(0, 2)], vec![(0, 3)], vec![(0, 0)], vec![(0, 1)]];
+        let is_host = vec![true, true, false, false];
         let rt = RoutingTable::build(&adj, &is_host, 0);
-        rt.port_for(0, 1, 0);
-    }
-
-    /// Two hosts joined by `n` parallel 2-hop paths (a wide ECMP fan):
-    /// h0 - {s1..sn} - h(n+1).
-    fn fan(n: usize) -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
-        let dst = (n + 1) as NodeId;
-        let mut adj = vec![Vec::new(); n + 2];
-        for i in 0..n {
-            let sw = (i + 1) as NodeId;
-            let p = adj[0].len() as u16;
-            adj[0].push((p, sw));
-            adj[sw as usize] = vec![(0, 0), (1, dst)];
-            let p = adj[dst as usize].len() as u16;
-            adj[dst as usize].push((p, sw));
-        }
-        let mut is_host = vec![false; n + 2];
-        is_host[0] = true;
-        is_host[dst as usize] = true;
-        (adj, is_host)
+        rt.port_for(2, 1, 0);
     }
 
     #[test]
@@ -385,23 +407,27 @@ mod tests {
         // The selection must be a pure function of (salt, node, flow), not
         // of construction order or table identity: rebuilding the same
         // topology reproduces every flow's path exactly.
-        let (adj, is_host) = fan(8);
+        let ((adj, is_host), ingress, dst) = fan(8);
         let a = RoutingTable::build(&adj, &is_host, 1234);
         let b = RoutingTable::build(&adj, &is_host, 1234);
         for f in 0..256u32 {
-            assert_eq!(a.port_for(0, 9, f), b.port_for(0, 9, f), "flow {f}");
+            assert_eq!(
+                a.port_for(ingress, dst, f),
+                b.port_for(ingress, dst, f),
+                "flow {f}"
+            );
         }
     }
 
     #[test]
     fn wide_fan_coverage_is_roughly_balanced() {
-        let (adj, is_host) = fan(8);
+        let ((adj, is_host), ingress, dst) = fan(8);
         let rt = RoutingTable::build(&adj, &is_host, 7);
-        assert_eq!(rt.candidates(0, 9).len(), 8);
+        assert_eq!(rt.candidates(ingress, dst).len(), 8);
         let mut count = [0usize; 8];
         const FLOWS: usize = 1024;
         for f in 0..FLOWS as u32 {
-            count[rt.port_for(0, 9, f) as usize] += 1;
+            count[rt.port_for(ingress, dst, f) as usize] += 1;
         }
         // Every path is used, and no path gets less than a quarter or more
         // than double its fair share (a loose bound; the hash is not
@@ -415,11 +441,11 @@ mod tests {
 
     #[test]
     fn salt_remaps_flow_placement() {
-        let (adj, is_host) = fan(8);
+        let ((adj, is_host), ingress, dst) = fan(8);
         let a = RoutingTable::build(&adj, &is_host, 1);
         let b = RoutingTable::build(&adj, &is_host, 2);
         let moved = (0..256u32)
-            .filter(|&f| a.port_for(0, 9, f) != b.port_for(0, 9, f))
+            .filter(|&f| a.port_for(ingress, dst, f) != b.port_for(ingress, dst, f))
             .count();
         assert!(moved > 64, "changing the salt moved only {moved}/256 flows");
     }
@@ -430,17 +456,7 @@ mod tests {
         // switch, a remote-pod host is reachable through every aggregation
         // switch of the pod (k/2 ways); a directly attached host has exactly
         // one port; an aggregation switch fans out over k/2 cores.
-        let t = crate::topology::Topology::fat_tree(
-            4,
-            simcore::Rate::from_gbps(100),
-            simcore::Time::from_us(1),
-        );
-        let adj = t.adjacency();
-        let is_host: Vec<bool> = t
-            .kinds
-            .iter()
-            .map(|k| *k == crate::topology::NodeKind::Host)
-            .collect();
+        let (adj, is_host) = inputs(&Topology::fat_tree(4, gbps(100), us1()));
         let rt = RoutingTable::build(&adj, &is_host, 0);
         // Layout: 16 hosts, then per pod edges followed by aggs:
         // pod 0 edges 16,17 aggs 18,19; pod 1 edges 20,21 aggs 22,23; ...
@@ -466,71 +482,123 @@ mod tests {
         assert_eq!(used.len(), 2, "both edge uplinks carry traffic");
     }
 
-    /// Ordered candidate-list equality between the exact and compressed
-    /// builders on every (node, host-dst) pair of a topology.
-    fn assert_modes_agree(t: &crate::topology::Topology, salt: u64) {
-        let adj = t.adjacency();
-        let is_host: Vec<bool> = t
-            .kinds
-            .iter()
-            .map(|k| *k == crate::topology::NodeKind::Host)
-            .collect();
-        let exact = RoutingTable::build_exact(&adj, &is_host, salt);
-        let comp = RoutingTable::build_compressed(&adj, &is_host, salt);
-        assert!(!exact.is_compressed() && comp.is_compressed());
-        let n = adj.len();
-        for dst in (0..n).filter(|&d| is_host[d]) {
-            for node in 0..n {
-                assert_eq!(
-                    exact.candidates(node as NodeId, dst as NodeId),
-                    comp.candidates(node as NodeId, dst as NodeId),
-                    "candidate order diverged at node {node} -> dst {dst}"
-                );
-            }
-        }
+    #[test]
+    fn compressed_matches_exact_single_switch_chain_and_ring() {
+        assert_matches_reference(&Topology::single_switch(8, gbps(100), us1()), 3);
+        assert_matches_reference(&Topology::chain(1, gbps(100), us1()), 4);
+        assert_matches_reference(&Topology::chain(10, gbps(100), us1()), 5);
+        assert_matches_reference(&Topology::ring(5, gbps(100), us1()), 6);
+        assert_matches_reference(&Topology::ring(6, gbps(100), us1()), 7);
     }
 
     #[test]
     fn compressed_matches_exact_fat_tree() {
-        let t = crate::topology::Topology::fat_tree(
-            4,
-            simcore::Rate::from_gbps(100),
-            simcore::Time::from_us(1),
-        );
-        assert_modes_agree(&t, 0x5EED);
+        assert_matches_reference(&Topology::fat_tree(4, gbps(100), us1()), 0x5EED);
+        assert_matches_reference(&Topology::fat_tree(8, gbps(100), us1()), 0xF8);
     }
 
     #[test]
     fn compressed_matches_exact_leaf_spine() {
-        let t = crate::topology::Topology::leaf_spine(
-            4,
-            3,
-            4,
-            simcore::Rate::from_gbps(100),
-            simcore::Rate::from_gbps(400),
-            simcore::Time::from_us(1),
-        );
-        assert_modes_agree(&t, 0xB0B);
+        let t = Topology::leaf_spine(4, 3, 4, gbps(100), gbps(400), us1());
+        assert_matches_reference(&t, 0xB0B);
+        let t = Topology::leaf_spine(2, 5, 3, gbps(25), gbps(100), us1());
+        assert_matches_reference(&t, 0xB0C);
     }
 
     #[test]
     fn compressed_matches_exact_testbed_tree() {
-        let t = crate::topology::Topology::testbed_tree();
-        assert_modes_agree(&t, 7);
+        assert_matches_reference(&Topology::testbed_tree(), 7);
     }
 
     #[test]
     fn compressed_matches_exact_three_tier_wan_tiny() {
-        let t = crate::topology::Topology::three_tier_wan(
-            &crate::topology::ThreeTierWanSpec::tiny(),
-        );
-        assert_modes_agree(&t, 0xDC);
+        assert_matches_reference(&Topology::three_tier_wan(&ThreeTierWanSpec::tiny()), 0xDC);
     }
 
+    /// A random connected switch fabric with single-NIC hosts: a random
+    /// spanning tree over the switches plus extra links (parallel ones
+    /// included), each host on a random switch, node ids shuffled between
+    /// hosts and switches, links added in random order (which numbers the
+    /// ports).
+    fn random_fabric(seed: u64, switches: usize, hosts: usize) -> Topology {
+        let mut rng = SimRng::new(seed);
+        let mut kinds = vec![NodeKind::Host; hosts];
+        kinds.resize(hosts + switches, NodeKind::Switch);
+        rng.shuffle(&mut kinds);
+        let mut t = Topology::new();
+        let (mut sws, mut hs) = (Vec::new(), Vec::new());
+        for kind in kinds {
+            match kind {
+                NodeKind::Host => hs.push(t.add_host()),
+                NodeKind::Switch => sws.push(t.add_switch()),
+            }
+        }
+        let mut links = Vec::new();
+        for i in 1..switches {
+            links.push((sws[i], sws[rng.choose_index(i)]));
+        }
+        let pick = |rng: &mut SimRng| sws[rng.choose_index(switches)];
+        for _ in 0..rng.choose_index(2 * switches) {
+            let (a, b) = (pick(&mut rng), pick(&mut rng));
+            if a != b {
+                links.push((a, b));
+            }
+        }
+        links.extend(hs.iter().map(|&h| (h, pick(&mut rng))));
+        rng.shuffle(&mut links);
+        for (a, b) in links {
+            t.connect(a, b, gbps(100), us1());
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        #[test]
+        fn compressed_matches_exact_on_random_fabrics(
+            seed in 0u64..u64::MAX,
+            switches in 1usize..13,
+            hosts in 1usize..17,
+        ) {
+            let (adj, is_host) = inputs(&random_fabric(seed, switches, hosts));
+            check_against_reference(&adj, &is_host, seed)?;
+        }
+    }
+
+    /// The table stays small on every fabric the simulator runs. Measured
+    /// heap bytes (capacity × element size) of this CSR table, against the
+    /// tables it replaced (dense `next[node][dst]` up to 512 nodes, a `Vec`
+    /// per ToR row above):
+    /// - `fat_tree(8)`: 29,956 (dense 1,255,296);
+    /// - `fat_tree(16)`: 709,636 (per-row 1,585,472);
+    /// - `single_switch(64)`: 1,064 (dense 139,928);
+    /// - `three_tier_wan(tiny)`: 1,956 (dense 40,304).
+    ///
+    /// Bounds are 2× the CSR figures.
     #[test]
-    fn exact_mode_used_below_threshold() {
-        let (adj, is_host) = fan(8);
-        let rt = RoutingTable::build(&adj, &is_host, 0);
-        assert!(!rt.is_compressed(), "small topologies stay on exact mode");
+    fn routing_table_stays_compact() {
+        let (r, p) = (gbps(100), us1());
+        for (name, t, measured) in [
+            ("fat_tree(8)", Topology::fat_tree(8, r, p), 29_956),
+            ("fat_tree(16)", Topology::fat_tree(16, r, p), 709_636),
+            (
+                "single_switch(64)",
+                Topology::single_switch(64, r, p),
+                1_064,
+            ),
+            (
+                "three_tier_wan(tiny)",
+                Topology::three_tier_wan(&ThreeTierWanSpec::tiny()),
+                1_956,
+            ),
+        ] {
+            let (adj, is_host) = inputs(&t);
+            let b = RoutingTable::build(&adj, &is_host, 0).resident_bytes();
+            assert!(
+                b <= 2 * measured,
+                "{name}: routing table grew to {b} B (measured {measured} B)"
+            );
+        }
     }
 }

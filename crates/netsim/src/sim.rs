@@ -64,6 +64,11 @@ impl Sim {
     pub fn new(topo: &Topology, cfg: SimConfig, switch_cfg: SwitchConfig) -> Self {
         let n = topo.num_nodes();
         let nq = cfg.num_prios as usize + 1;
+        // First, because it checks what everything below relies on: every
+        // host has exactly one NIC link, to a switch.
+        let is_host: Vec<bool> = topo.kinds.iter().map(|k| *k == NodeKind::Host).collect();
+        let routes =
+            RoutingTable::build(&topo.adjacency(), &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
         // Per-node port lists in the same order as `Topology::adjacency`,
         // which is the order the routing table indexes them in.
         // simlint::allow(hot-path-alloc, Sim construction runs once per run, not per event)
@@ -74,16 +79,12 @@ impl Sim {
             ports[a as usize].push(EgressPort::new(b, pb, spec.rate, spec.prop, nq));
             ports[b as usize].push(EgressPort::new(a, pa, spec.rate, spec.prop, nq));
         }
-        let adj = topo.adjacency();
-        let is_host: Vec<bool> = topo.kinds.iter().map(|k| *k == NodeKind::Host).collect();
-        let routes = RoutingTable::build(&adj, &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
 
         let mut nodes = Vec::with_capacity(n);
-        for (id, (kind, mut ports)) in topo.kinds.iter().zip(ports).enumerate() {
+        for (kind, mut ports) in topo.kinds.iter().zip(ports) {
             match kind {
                 NodeKind::Host => {
-                    assert_eq!(ports.len(), 1, "host {id} must have exactly one NIC link");
-                    // simlint::allow(hot-path-unwrap, the assert_eq above guarantees exactly one port)
+                    // simlint::allow(hot-path-unwrap, RoutingTable::build checked every host has exactly one port)
                     let nic = ports.pop().unwrap();
                     nodes.push(Node::Host(Host::new(nic, cfg.num_prios)));
                 }
@@ -1401,6 +1402,20 @@ mod tests {
             assert!(p.is_paused(0), "node {node}: the storm pin swallows the resume");
             assert!(!p.is_paused(1), "node {node}: an unpinned priority resumes");
         }
+    }
+
+    /// A host with a second NIC is refused before anything is built, by
+    /// the routing table's precondition, naming the host and its links.
+    #[test]
+    #[should_panic(expected = "host 0 has 2 links; every host needs exactly one NIC link")]
+    fn two_nic_host_is_refused() {
+        let mut topo = Topology::new();
+        let (h0, h1) = (topo.add_host(), topo.add_host());
+        let (s0, s1) = (topo.add_switch(), topo.add_switch());
+        for (a, b) in [(h0, s0), (h0, s1), (h1, s0), (s0, s1)] {
+            topo.connect(a, b, Rate::from_gbps(100), Time::from_us(1));
+        }
+        Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
     }
 
     /// The whole point of the packet arena: events stay a few machine words

@@ -70,7 +70,7 @@ impl Default for ThreeTierWanSpec {
 
 impl ThreeTierWanSpec {
     /// A downscaled spec (16 hosts, 22 switches) for unit tests and the
-    /// exact-vs-compressed routing differential.
+    /// routing table's check against its dense reference.
     pub fn tiny() -> Self {
         ThreeTierWanSpec {
             dcs: 2,
@@ -623,15 +623,14 @@ mod tests {
 
     #[test]
     fn fat_tree_k16_ecmp_widths() {
-        // Closed-form ECMP path counts at k=16 (compressed routing table):
-        // an edge switch reaches a remote-pod host through its k/2 = 8
-        // uplinks, an agg through its 8 core uplinks, and a core has
-        // exactly one path down (one agg per pod).
+        // Closed-form ECMP path counts at k=16: an edge switch reaches a
+        // remote-pod host through its k/2 = 8 uplinks, an agg through its 8
+        // core uplinks, and a core has exactly one path down (one agg per
+        // pod).
         let t = Topology::fat_tree(16, Rate::from_gbps(100), Time::from_us(1));
         let adj = t.adjacency();
         let is_host: Vec<bool> = t.kinds.iter().map(|k| *k == NodeKind::Host).collect();
         let rt = crate::routing::RoutingTable::build(&adj, &is_host, 0);
-        assert!(rt.is_compressed(), "k=16 must use the compressed table");
         // 1024 hosts, then per pod 8 edges + 8 aggs; cores last.
         let pod0_edge = 1024 as NodeId;
         let pod0_agg = (1024 + 8) as NodeId;
@@ -688,7 +687,6 @@ mod tests {
         let adj = t.adjacency();
         let is_host: Vec<bool> = t.kinds.iter().map(|k| *k == NodeKind::Host).collect();
         let rt = crate::routing::RoutingTable::build(&adj, &is_host, 0);
-        assert!(rt.is_compressed());
         let h = spec.num_hosts();
         let n_tors = spec.dcs * spec.pods_per_dc * spec.tors_per_pod;
         let n_aggs = spec.dcs * spec.pods_per_dc * spec.aggs_per_pod;

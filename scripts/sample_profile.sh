@@ -16,25 +16,29 @@
 # under its outermost two frames that are this repository's code, so it reads
 # `advance > batch_next`, `advance > on_arrive`, `push_entry > lane_for`; a
 # frame from the standard library counts for the repository frame that
-# called it. (To go further down, feed the PCs — decimal, one per line in
-# target/ci/sigprof.WORKLOAD.pcs — to `addr2line -i -f -C -e BINARY`.)
+# called it. `--innermost` resolves the same way but files each sample under
+# its innermost repository frame alone, so leaves inlined deep into one
+# handler get rows of their own: `RoutingTable::candidates`, `port_for` and
+# `mix` instead of one `advance > on_arrive`. (To go further, feed the PCs —
+# decimal, one per line in target/ci/sigprof.WORKLOAD.pcs — to
+# `addr2line -i -f -C -e BINARY`.)
 # Samples in libc/libm/the vDSO read `[outside the binary]`. Not a CI leg:
 # the table is for choosing what to measure next with alternating `ppbench`
 # pairs, not evidence by itself.
 #
-# Usage: scripts/sample_profile.sh [--inlined] WORKLOAD [BINARY]
+# Usage: scripts/sample_profile.sh [--inlined | --innermost] WORKLOAD [BINARY]
 #   WORKLOAD  incast_pp | fattree_flowsched | coflow_lossy | hyperscale_openloop
 #   BINARY    a ppbench executable (default: ppbench/target/release/ppbench,
 #             built first)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-INLINED=0
-if [[ ${1:-} == --inlined ]]; then
-  INLINED=1
+MODE=symbol
+if [[ ${1:-} == --inlined || ${1:-} == --innermost ]]; then
+  MODE=${1#--}
   shift
 fi
-WORKLOAD=${1:?usage: scripts/sample_profile.sh [--inlined] WORKLOAD [BINARY]}
+WORKLOAD=${1:?usage: scripts/sample_profile.sh [--inlined | --innermost] WORKLOAD [BINARY]}
 BIN=${2:-}
 if [[ -z $BIN ]]; then
   cargo build --release --offline --quiet --manifest-path ppbench/Cargo.toml
@@ -48,12 +52,13 @@ gcc -O2 -shared -fPIC -o "$SO" scripts/sigprof.c -lpthread
 SIGPROF_OUT=$PCS LD_PRELOAD=$PWD/$SO \
   "$BIN" rep --workload "$WORKLOAD" --seed 1 --div 1 --trace 0 > /dev/null
 
-if ((INLINED)); then
+if [[ $MODE != symbol ]]; then
   # `-a` heads each sample's frames with its address; frames come innermost
   # first, one `function` line and one `file:line` line each. The standard
   # library's are the ones whose file is under /rustc/; `??` is no debug info.
   awk '{ printf "0x%x\n", $1 }' "$PCS" | addr2line -a -i -f -C -e "$BIN" |
-    awk 'function file() { if (seen) count[n > 1 ? fr[n-1] " > " fr[n-2] : n ? fr[0] : "[outside the binary]"]++ }
+    awk -v mode="$MODE" \
+        'function file() { if (seen) count[!n ? "[outside the binary]" : mode == "innermost" || n == 1 ? fr[0] : fr[n-1] " > " fr[n-2]]++ }
          /^0x[0-9a-f]+$/ { file(); seen = 1; n = 0; total++; next }
          { fn = $0; getline loc; if (loc !~ /^\/rustc\// && loc !~ /^\?\?/) fr[n++] = fn }
          END { file()
