@@ -6,6 +6,7 @@
 //! priorities).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::stats::Summary;
@@ -15,7 +16,7 @@ use workloads::{Coflow, CoflowGen, SizeClassifier};
 use crate::{Scale, Scheme};
 
 /// Coflow scenario parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CoflowConfig {
     /// Scheme under test.
     pub scheme: Scheme,
@@ -202,11 +203,12 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
 
     // Classify coflows into groups by total size. Quantiles can coincide
     // (file requests share one size), so nudge duplicates up to keep the
-    // full ladder of `classes` strictly-ascending boundaries.
+    // full ladder of `classes` strictly-ascending boundaries. A window that
+    // drew no coflow has no sizes and so no boundaries.
     let mut sizes: Vec<u64> = all.iter().map(|c| c.total_bytes()).collect();
     sizes.sort_unstable();
     let mut bounds: Vec<u64> = (1..cfg.classes as usize)
-        .map(|i| sizes[(i * sizes.len() / cfg.classes as usize).min(sizes.len() - 1)])
+        .filter_map(|i| sizes.get(i * sizes.len() / cfg.classes as usize).copied())
         .collect();
     for i in 1..bounds.len() {
         if bounds[i] <= bounds[i - 1] {
@@ -302,6 +304,47 @@ pub fn run_many(cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResult> {
     crate::sweep::run_ordered(cfgs, jobs, &run)
 }
 
+/// Finished runs keyed by their whole config (`PartialEq`, no hash: a field
+/// added to [`CoflowConfig`] joins the key by itself).
+type Runs = Mutex<Vec<(CoflowConfig, CoflowResult)>>;
+
+/// Every run [`vs_baseline`] has made in this process. `fig12_70`, `fig17`
+/// and `fig18` share five lossless 70 %-load runs; `repro all` simulates
+/// each once. Nothing outlives the process.
+static RUNS: Runs = Mutex::new(Vec::new());
+
+/// [`run_many`] through `runs`: a config it holds is not simulated again,
+/// the others run as one sweep over `jobs` threads and join it. The lock
+/// is not held while simulating.
+fn run_shared(runs: &Runs, cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResult> {
+    fn held<'a>(
+        runs: &'a [(CoflowConfig, CoflowResult)],
+        cfg: &CoflowConfig,
+    ) -> Option<&'a CoflowResult> {
+        runs.iter().find(|(k, _)| k == cfg).map(|(_, r)| r)
+    }
+    let mut misses: Vec<CoflowConfig> = Vec::new();
+    {
+        let runs = runs.lock().expect("coflow runs poisoned");
+        for cfg in cfgs {
+            if held(&runs, cfg).is_none() && !misses.contains(cfg) {
+                misses.push(cfg.clone());
+            }
+        }
+    }
+    let fresh = run_many(&misses, jobs);
+    let mut runs = runs.lock().expect("coflow runs poisoned");
+    for (cfg, r) in misses.into_iter().zip(fresh) {
+        // A concurrent caller may have stored the same config meanwhile.
+        if held(&runs, &cfg).is_none() {
+            runs.push((cfg, r));
+        }
+    }
+    cfgs.iter()
+        .map(|cfg| held(&runs, cfg).expect("every config was run").clone())
+        .collect()
+}
+
 /// Every priority class, as a `(lowest, highest)` band.
 pub const OVERALL: (u8, u8) = (0, u8::MAX);
 /// The class bands the coflow figures report, in column order: high
@@ -344,7 +387,21 @@ pub fn speedup_cell(v: Option<f64>) -> String {
 /// Run every `template` (whatever its own `scheme` says) under
 /// [`Scheme::BaselineSwift`] and under each of `schemes` — one sweep over all
 /// of them — and pair each template's runs up as a [`Comparison`].
+///
+/// A config this process has already run through `vs_baseline` is not
+/// simulated again: its stored result is used, which is the result [`run`]
+/// would return. [`run`] and [`run_many`] themselves store nothing.
 pub fn vs_baseline(templates: &[CoflowConfig], schemes: &[Scheme], jobs: usize) -> Vec<Comparison> {
+    vs_baseline_in(&RUNS, templates, schemes, jobs)
+}
+
+/// [`vs_baseline`] over the given store of runs.
+fn vs_baseline_in(
+    runs: &Runs,
+    templates: &[CoflowConfig],
+    schemes: &[Scheme],
+    jobs: usize,
+) -> Vec<Comparison> {
     let cfgs: Vec<CoflowConfig> = templates
         .iter()
         .flat_map(|t| {
@@ -356,7 +413,7 @@ pub fn vs_baseline(templates: &[CoflowConfig], schemes: &[Scheme], jobs: usize) 
                 })
         })
         .collect();
-    let mut outs = run_many(&cfgs, jobs).into_iter();
+    let mut outs = run_shared(runs, &cfgs, jobs).into_iter();
     templates
         .iter()
         .map(|_| {
@@ -387,5 +444,112 @@ mod tests {
         assert_eq!(full.duration, Time::from_ms(30));
         let quick = CoflowConfig::at(Scheme::PrioPlusSwift, 0.7, Scale::Quick);
         assert_eq!((quick.leaves, quick.duration), (4, Time::from_ms(16)));
+    }
+
+    #[test]
+    fn a_window_without_coflows_gives_an_empty_result() {
+        let cfg = CoflowConfig {
+            duration: Time::from_ns(1),
+            ..CoflowConfig::new(Scheme::PrioPlusSwift, 0.7)
+        };
+        let r = run(&cfg);
+        assert!(r.coflows.is_empty());
+        assert_eq!((r.completion, r.drops, r.retransmits), (0.0, 0, 0));
+    }
+
+    /// Everything a run reports, floats as bits: per coflow (id, class,
+    /// CCT), then completion, drops and retransmits.
+    type Bits = (Vec<(u64, u8, Option<u64>)>, u64, u64, u64);
+
+    fn bits(r: &CoflowResult) -> Bits {
+        let coflows = r
+            .coflows
+            .iter()
+            .map(|c| (c.id, c.class, c.cct_us.map(f64::to_bits)))
+            .collect();
+        (coflows, r.completion.to_bits(), r.drops, r.retransmits)
+    }
+
+    /// The runs of `cmps`, baseline first, as [`bits`].
+    fn runs_of(cmps: &[Comparison]) -> Vec<Bits> {
+        cmps.iter()
+            .flat_map(|c| std::iter::once(&c.base).chain(c.schemes.iter().map(|(_, r)| r)))
+            .map(bits)
+            .collect()
+    }
+
+    #[test]
+    fn shared_runs_equal_fresh_runs_and_run_once() {
+        let lossless = CoflowConfig {
+            duration: Time::from_us(300),
+            ..CoflowConfig::new(Scheme::BaselineSwift, 0.7)
+        };
+        let lossy = CoflowConfig {
+            lossless: false,
+            ..lossless.clone()
+        };
+        let with = |t: &CoflowConfig, scheme| CoflowConfig {
+            scheme,
+            ..t.clone()
+        };
+        use Scheme::{BaselineSwift, PhysicalSwift, PrioPlusLedbat, PrioPlusSwift};
+        // Every distinct config the calls below ask for, in first-asked order.
+        let distinct = [
+            with(&lossless, BaselineSwift),
+            with(&lossless, PhysicalSwift),
+            with(&lossless, PrioPlusSwift),
+            with(&lossless, PrioPlusLedbat),
+            with(&lossy, BaselineSwift),
+            with(&lossy, PrioPlusSwift),
+        ];
+        let fresh: Vec<_> = run_many(&distinct, 1).iter().map(bits).collect();
+        assert!(
+            fresh
+                .iter()
+                .any(|(c, ..)| c.iter().any(|&(_, _, cct)| cct.is_some())),
+            "the window is long enough for some coflow to finish"
+        );
+        let expect = |idx: &[usize]| idx.iter().map(|&i| fresh[i].clone()).collect::<Vec<_>>();
+
+        let mut per_jobs = Vec::new();
+        for jobs in [1, 2] {
+            let runs = Runs::default();
+            let len = || runs.lock().unwrap().len();
+            let first = vs_baseline_in(
+                &runs,
+                std::slice::from_ref(&lossless),
+                &[PhysicalSwift, PrioPlusSwift],
+                jobs,
+            );
+            assert_eq!(runs_of(&first), expect(&[0, 1, 2]));
+            assert_eq!(len(), 3);
+            // Overlapping schemes: only PrioPlus+LEDBAT is new.
+            let second = vs_baseline_in(
+                &runs,
+                std::slice::from_ref(&lossless),
+                &[PrioPlusSwift, PrioPlusLedbat],
+                jobs,
+            );
+            assert_eq!(runs_of(&second), expect(&[0, 2, 3]));
+            assert_eq!(
+                len(),
+                4,
+                "the second call ran only the config it had not seen"
+            );
+            // A template that differs only in `lossless` is a different run.
+            let third = vs_baseline_in(
+                &runs,
+                &[lossy.clone(), lossless.clone()],
+                &[PrioPlusSwift],
+                jobs,
+            );
+            assert_eq!(runs_of(&third), expect(&[4, 5, 0, 2]));
+            assert_eq!(len(), 6);
+            per_jobs.push([first, second, third].map(|c| runs_of(&c)));
+        }
+        assert_eq!(per_jobs[0], per_jobs[1], "jobs 1 and 2 agree");
+        // The process-wide store answers the same.
+        let shared = vs_baseline(&[lossless], &[PhysicalSwift, PrioPlusLedbat], 2);
+        assert_eq!(runs_of(&shared), expect(&[0, 1, 3]));
     }
 }

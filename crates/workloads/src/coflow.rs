@@ -13,6 +13,13 @@ use simcore::{Rate, SimRng, Time};
 
 use crate::websearch::FlowArrival;
 
+/// Expected bytes of one coflow, for load calibration: the mean of 20,000
+/// fixed-seed draws of [`CoflowGen::next_coflow`] (20,053,729.258 55…),
+/// pinned bit for bit. `tests::mean_coflow_bytes_is_the_monte_carlo_mean`
+/// recomputes it; the analytic mean differs in the low bits, and every
+/// coflow arrival time hangs on this value.
+const MEAN_COFLOW_BYTES: f64 = f64::from_bits(0x4173_1fee_1423_0553);
+
 /// One coflow: a set of flows that complete together (CCT = max flow FCT).
 #[derive(Clone, Debug)]
 pub struct Coflow {
@@ -104,26 +111,12 @@ impl CoflowGen {
         Coflow { id, start, flows }
     }
 
-    /// Expected bytes of one coflow (Monte-Carlo constant used for load
-    /// calibration).
-    pub fn mean_coflow_bytes() -> f64 {
-        // Deterministic estimate with a fixed seed.
-        let mut g = CoflowGen::new(64, 0xC0F10);
-        let n = 20_000;
-        let total: f64 = (0..n)
-            .map(|_| g.next_coflow(Time::ZERO).total_bytes() as f64)
-            // simlint::allow(float-order, fixed-seed Monte-Carlo constant over a fixed 0..n range; order can never change)
-            .sum();
-        total / n as f64
-    }
-
     /// Generate Poisson coflow arrivals so that coflow traffic offers
     /// `load` fraction of the aggregate capacity of `hosts * host_rate`
     /// until `until`.
     pub fn generate_poisson(&mut self, host_rate: Rate, load: f64, until: Time) -> Vec<Coflow> {
-        let mean_bytes = Self::mean_coflow_bytes();
         let agg = host_rate.as_bps() as f64 / 8.0 * self.hosts as f64;
-        let per_sec = agg * load / mean_bytes;
+        let per_sec = agg * load / MEAN_COFLOW_BYTES;
         let mean_gap_ps = 1e12 / per_sec;
         let mut out = Vec::new();
         let mut t = Time::ZERO;
@@ -193,6 +186,29 @@ impl CoflowGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The derivation [`MEAN_COFLOW_BYTES`] pins: a fixed-seed Monte-Carlo
+    /// mean over 20,000 coflows.
+    fn monte_carlo_mean_coflow_bytes() -> f64 {
+        let mut g = CoflowGen::new(64, 0xC0F10);
+        let n = 20_000;
+        let total: f64 = (0..n)
+            .map(|_| g.next_coflow(Time::ZERO).total_bytes() as f64)
+            // simlint::allow(float-order, fixed-seed Monte-Carlo constant over a fixed 0..n range; order can never change)
+            .sum();
+        total / n as f64
+    }
+
+    #[test]
+    fn mean_coflow_bytes_is_the_monte_carlo_mean() {
+        let derived = monte_carlo_mean_coflow_bytes();
+        assert_eq!(
+            MEAN_COFLOW_BYTES.to_bits(),
+            derived.to_bits(),
+            "pinned {MEAN_COFLOW_BYTES} vs derived {derived} ({:#018x})",
+            derived.to_bits()
+        );
+    }
 
     #[test]
     fn coflows_are_heavy_tailed() {
