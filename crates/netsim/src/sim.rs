@@ -13,8 +13,7 @@ use crate::faults::FaultKind;
 use crate::monitor::{Monitor, MonitorKind};
 use crate::node::{queue_index, Admission, EgressPort, Host, Node, Switch};
 use crate::packet::{
-    AckInfo, FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES,
-    HEADER_BYTES,
+    FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES, HEADER_BYTES,
 };
 use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
 use crate::routing::RoutingTable;
@@ -62,10 +61,18 @@ pub struct Sim {
 impl Sim {
     /// Build a simulator over `topo` with uniform switch configuration.
     pub fn new(topo: &Topology, cfg: SimConfig, switch_cfg: SwitchConfig) -> Self {
+        // A data packet's wire size is a `u16` (`PktHeader::size`), and an
+        // MTU of 0 makes every segment empty, so `seq` would never advance.
+        let max_mtu = u16::MAX as u32 - HEADER_BYTES;
+        assert!(
+            (1..=max_mtu).contains(&cfg.mtu),
+            "SimConfig.mtu = {} is out of range: it must be 1..={max_mtu} bytes",
+            cfg.mtu
+        );
         let n = topo.num_nodes();
         let nq = cfg.num_prios as usize + 1;
-        // First, because it checks what everything below relies on: every
-        // host has exactly one NIC link, to a switch.
+        // Before anything is built, because it checks what everything below
+        // relies on: every host has exactly one NIC link, to a switch.
         let is_host: Vec<bool> = topo.kinds.iter().map(|k| *k == NodeKind::Host).collect();
         let routes =
             RoutingTable::build(&topo.adjacency(), &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
@@ -1033,26 +1040,14 @@ impl State {
                 self.receiver_data(env, node, pid, now);
             }
             PktTag::Probe => {
-                let (flow, src, ts_tx, in_prio) = {
-                    let pkt = self.arena.get(pid);
-                    debug_assert_eq!(pkt.dst, node);
-                    (pkt.flow, pkt.src, pkt.ts_tx, pkt.prio)
-                };
+                let probe = *self.arena.get(pid);
+                debug_assert_eq!(probe.dst, node);
                 self.arena.release(pid);
                 // Echo the probe back at the same priority it came in on
                 // (probe echoes measure the reverse control path like ACKs).
-                let info = AckInfo {
-                    cum_bytes: 0,
-                    acked_seq: 0,
-                    acked_bytes: 0,
-                    ts_echo: ts_tx,
-                    ecn_echo: false,
-                    nack: None,
-                    int: None,
-                };
-                let prio = Self::ack_prio(&env.cfg, in_prio);
-                let ack = Packet::ack(flow, node, src, prio, info, true, now);
-                self.host_enqueue_control(env, node, ack, now);
+                let prio = Self::ack_prio(&env.cfg, probe.prio);
+                let echo = Packet::ack(&probe, prio, 0, false, None);
+                self.host_enqueue_control(env, node, echo, now);
             }
             // ACKs and probe echoes. `on_arrive` consumed any PFC frame at
             // the MAC, and `sender_ack` rejects every other tag.
@@ -1075,18 +1070,8 @@ impl State {
     /// arena slot: the data packet is retired and its slot immediately
     /// reused (LIFO) by the ACK this method emits.
     fn receiver_data(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
-        let (fid, src, seq, payload, ts_tx, ecn_ce, in_prio) = {
-            let pkt = self.arena.get(pid);
-            (
-                pkt.flow,
-                pkt.src,
-                pkt.seq,
-                pkt.payload,
-                pkt.ts_tx,
-                pkt.ecn_ce,
-                pkt.prio,
-            )
-        };
+        let data = *self.arena.get(pid);
+        let fid = data.flow;
         let live = self.flows[fid as usize].live;
         let (cum_bytes, nack) = if live == u32::MAX {
             // The sender already finished and its state was reclaimed: this
@@ -1095,11 +1080,11 @@ impl State {
             // receiver had every byte (`cum == size`) and a duplicate below
             // `cum` delivers no new bytes and never NACKs — so the event
             // sequence is bit-identical whether or not reclamation happened.
-            (self.flows[fid as usize].spec.size, None)
+            (self.flows[fid as usize].spec.size, false)
         } else {
             let flow = &mut self.flows[fid as usize];
             let fl = self.live.get_mut(live);
-            let (new_bytes, nack) = fl.recv.on_data(seq, payload as u64, env.lossy);
+            let (new_bytes, nack) = fl.recv.on_data(data.seq, data.payload as u64, env.lossy);
             flow.record.delivered = fl.recv.delivered;
             if new_bytes > 0 {
                 if let Some(t) = self.traces.get_mut(&fid) {
@@ -1123,25 +1108,19 @@ impl State {
         // the same cache-hot slot.
         let int = self.arena.take_int(pid);
         self.arena.release(pid);
-        let info = AckInfo {
-            cum_bytes,
-            acked_seq: seq,
-            acked_bytes: payload,
-            ts_echo: ts_tx,
-            ecn_echo: ecn_ce,
-            nack,
-            int,
-        };
-        let prio = Self::ack_prio(&env.cfg, in_prio);
-        let ack = Packet::ack(fid, node, src, prio, info, false, now);
+        let prio = Self::ack_prio(&env.cfg, data.prio);
+        let ack = Packet::ack(&data, prio, cum_bytes, nack, int);
         self.host_enqueue_control(env, node, ack, now);
     }
 
-    /// Sender-side handling of an ACK or probe echo. Consumes the arena
-    /// slot; the echoed INT box (if any) returns to the arena's recycle
-    /// stack after the transport callback.
+    /// Sender-side handling of an ACK or probe echo: the [`AckEvent`] is
+    /// read straight off the header (the words the module docs of
+    /// [`crate::packet`] list). Consumes the arena slot; the echoed INT box
+    /// (if any) returns to the arena's recycle stack after the transport
+    /// callback.
     fn sender_ack(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
-        let fid = self.arena.get(pid).flow;
+        let h = *self.arena.get(pid);
+        let fid = h.flow;
         if !self.flows[fid as usize].active {
             self.arena.release(pid);
             return;
@@ -1151,22 +1130,18 @@ impl State {
         }
         let f = &self.flows[fid as usize];
         let live = f.live;
-        // Take the AckInfo out of the cold plane so the slot can be retired
-        // before the transport runs.
-        let kind = match self.arena.get(pid).kind {
+        let kind = match h.kind {
             PktTag::Ack => AckKind::Data,
             PktTag::ProbeAck => AckKind::Probe,
             _ => unreachable!("sender_ack dispatched on a non-ack tag"),
         };
-        let info = match self.arena.take_ack(pid) {
-            Some(info) => info,
-            None => unreachable!("an ack tag always has a cold-plane payload"),
-        };
+        // Retire the slot before the transport runs.
+        let int = self.arena.take_int(pid);
         self.arena.release(pid);
         // Normalize the measured delay to the data base RTT: probes have a
         // smaller no-queue RTT, so shift by the difference; then apply
         // measurement noise (additive, §4.3.2).
-        let raw = now - info.ts_echo;
+        let raw = now - h.ts_tx;
         let normalized = match kind {
             AckKind::Data => raw,
             AckKind::Probe => raw + f.params.base_rtt.saturating_sub(f.params.base_rtt_probe),
@@ -1176,12 +1151,12 @@ impl State {
         let ack = AckEvent {
             kind,
             delay,
-            cum_bytes: info.cum_bytes,
-            acked_seq: info.acked_seq,
-            acked_bytes: info.acked_bytes,
-            ecn_echo: info.ecn_echo,
-            nack: info.nack,
-            int: info.int,
+            cum_bytes: h.seq,
+            acked_seq: h.ack_seq,
+            acked_bytes: h.payload as u32,
+            ecn_echo: h.ecn_ce,
+            nack: h.nack.then_some((h.seq, h.ack_seq)),
+            int,
         };
         {
             let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
@@ -1416,6 +1391,124 @@ mod tests {
             topo.connect(a, b, Rate::from_gbps(100), Time::from_us(1));
         }
         Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+    }
+
+    fn sim_with_mtu(mtu: u32) -> Sim {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let cfg = SimConfig {
+            mtu,
+            ..Default::default()
+        };
+        Sim::new(&topo, cfg, SwitchConfig::default())
+    }
+
+    /// An MTU of 0 would send empty segments, so `seq` would never advance.
+    #[test]
+    #[should_panic(expected = "SimConfig.mtu = 0 is out of range: it must be 1..=65487 bytes")]
+    fn zero_mtu_is_refused() {
+        sim_with_mtu(0);
+    }
+
+    /// A data packet's wire size is a `u16`: the largest MTU is
+    /// `u16::MAX − HEADER_BYTES`, and one byte more is refused.
+    #[test]
+    #[should_panic(expected = "SimConfig.mtu = 65488 is out of range: it must be 1..=65487 bytes")]
+    fn mtu_past_the_u16_wire_size_is_refused() {
+        sim_with_mtu(65_487);
+        sim_with_mtu(65_488);
+    }
+
+    /// What a [`Recorder`] saw of one [`AckEvent`]: kind, delay, cum,
+    /// acked seq, acked bytes, ECN echo, NACK, and the INT path's queue
+    /// lengths.
+    type Seen = (AckKind, Time, u64, u64, u32, bool, Option<(u64, u64)>, Option<Vec<u64>>);
+
+    /// A transport that only records the ACKs it is handed.
+    #[derive(Clone, Default)]
+    struct Recorder(Arc<std::sync::Mutex<Vec<Seen>>>);
+
+    impl Transport for Recorder {
+        fn clone_box(&self) -> Box<dyn Transport> {
+            Box::new(self.clone())
+        }
+        fn on_start(&mut self, _: &mut TransportCtx<'_>) {}
+        fn on_ack(&mut self, ack: &AckEvent, _: &mut TransportCtx<'_>) {
+            let int = ack.int.as_deref().map(|p| p.as_slice().iter().map(|h| h.qlen).collect());
+            let (cum, seq, bytes) = (ack.cum_bytes, ack.acked_seq, ack.acked_bytes);
+            let seen = (ack.kind, ack.delay, cum, seq, bytes, ack.ecn_echo, ack.nack, int);
+            self.0.lock().unwrap().push(seen);
+        }
+        fn on_timer(&mut self, _: u64, _: &mut TransportCtx<'_>) {}
+        fn try_send(&mut self, _: Time) -> TrySend {
+            TrySend::Blocked
+        }
+        fn on_sent(&mut self, _: TrySend, _: &mut TransportCtx<'_>) {}
+        fn is_finished(&self) -> bool {
+            false
+        }
+        fn cwnd_bytes(&self) -> f64 {
+            0.0
+        }
+    }
+
+    /// Every ACK word reaches the transport. Data segments and a probe that
+    /// reach the receiver come back to the sender as the `AckEvent`s they
+    /// should: cum, acked seq and bytes, the echoed send time (as the
+    /// delay), the ECN echo, the NACK and the INT path — for `Ack` and
+    /// `ProbeAck` alike. The INT box then goes back to the recycle stack.
+    #[test]
+    fn ack_words_reach_the_ack_event() {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let (snd, rcv) = (topo.hosts[0], topo.hosts[1]);
+        let lossy = SwitchConfig {
+            pfc_enabled: false,
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&topo, SimConfig::default(), lossy);
+        let rec = Recorder::default();
+        let spec = FlowSpec::new(snd, rcv, 1 << 20, Time::ZERO);
+        let fid = sim.add_flow(spec, |_| Box::new(rec.clone()));
+        let Sim { env, state: st, .. } = &mut sim;
+        st.flows[fid as usize].active = true;
+        // `pkt`, sent at `sent` µs with ECN mark `ecn` and INT hops of queue
+        // lengths `hops`, reaches the receiver 1 µs later; the answer it
+        // turns into (in the same slot: LIFO) reaches the sender at `back` µs.
+        let mut trip = |mut pkt: Packet, ecn: bool, hops: &[u64], sent: u64, back: u64| {
+            pkt.header.ts_tx = Time::from_us(sent);
+            pkt.header.ecn_ce = ecn;
+            let pid = st.arena.alloc(pkt);
+            for &qlen in hops {
+                let hop = IntHop {
+                    qlen,
+                    tx_bytes: 0,
+                    ts: Time::ZERO,
+                    rate_bps: 0,
+                };
+                st.arena.append_int(pid, hop);
+            }
+            st.port_mut(rcv, 0).busy = false;
+            st.host_arrive(env, rcv, pid, Time::from_us(sent + 1));
+            assert!(st.arena.get(pid).kind.is_control(), "the answer took the slot");
+            st.host_arrive(env, snd, pid, Time::from_us(back));
+        };
+        // Segment [0, 500) in order: cum moves to 500, nothing is NACKed.
+        trip(Packet::data(fid, snd, rcv, 0, 500, 0, Time::ZERO), false, &[], 3, 10);
+        // Then [2000, 3000), past a gap: the ACK NACKs [500, 2000).
+        trip(Packet::data(fid, snd, rcv, 0, 1000, 2000, Time::ZERO), true, &[5, 6], 11, 20);
+        trip(Packet::probe(fid, snd, rcv, 0, Time::ZERO), false, &[], 21, 30);
+        let p = &st.flows[fid as usize].params;
+        let probe_shift = p.base_rtt.saturating_sub(p.base_rtt_probe);
+        let us = Time::from_us;
+        assert_eq!(
+            *rec.0.lock().unwrap(),
+            [
+                (AckKind::Data, us(7), 500, 0, 500, false, None, None),
+                (AckKind::Data, us(9), 500, 2000, 1000, true, Some((500, 2000)), Some(vec![5, 6])),
+                (AckKind::Probe, us(9) + probe_shift, 0, 0, 0, false, None, None),
+            ]
+        );
+        let s = st.arena.stats();
+        assert_eq!((s.int_allocs, s.int_recycled), (1, 1), "the INT box went back to the stack");
     }
 
     /// The whole point of the packet arena: events stay a few machine words

@@ -68,8 +68,12 @@ pub(crate) struct RecvState {
 }
 
 impl RecvState {
-    /// Returns (newly_delivered_bytes, nack_range).
-    pub(crate) fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> (u64, Option<(u64, u64)>) {
+    /// Take in the segment `[seq, seq + len)`. Returns the bytes it newly
+    /// delivered and whether the receiver NACKs (lossy mode, once per
+    /// in-order point). A NACK always names `[cum, seq)` with `cum` as
+    /// this call leaves it — it fires only on an arrival past a gap, which
+    /// never moves `cum` — so the ACK carries it as one bit.
+    pub(crate) fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> (u64, bool) {
         let mut new_bytes = 0;
         let dup = seq < self.cum
             || self
@@ -95,9 +99,8 @@ impl RecvState {
             *entry = (*entry).max(seq + len);
         }
         self.delivered += new_bytes;
-        let mut nack = None;
-        if lossy && seq > self.cum && self.nack_for_cum != self.cum {
-            nack = Some((self.cum, seq));
+        let nack = lossy && seq > self.cum && self.nack_for_cum != self.cum;
+        if nack {
             self.nack_for_cum = self.cum;
         }
         (new_bytes, nack)
@@ -479,5 +482,55 @@ impl State {
             }
         });
         a.check_arena(now, &self.arena, &refs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Segment size of the property below; segment `k` is `[k·MSS, (k+1)·MSS)`.
+    const MSS: u64 = 1000;
+    /// Segments per flow in the property below.
+    const SEGS: usize = 24;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The NACK is one bit. Over random arrival sequences — gaps,
+        /// duplicates, reordering — in both loss modes, `on_data` agrees
+        /// with a model that only remembers which segments arrived: on the
+        /// bytes each arrival delivers, on `cum`, and on every NACK, which
+        /// must be `(cum after the call, seq)`, raised only when lossy and
+        /// once per in-order point. (The receiver starts as if it had
+        /// NACKed in-order point 0, so a lost first segment is left to the
+        /// sender's RTO.) It also pins why the range need not travel: a
+        /// NACK never comes with a move of `cum`.
+        #[test]
+        fn nack_is_cum_after_the_call_to_seq(
+            arrivals in proptest::collection::vec(0usize..SEGS, 1..64),
+            lossy in any::<bool>(),
+        ) {
+            let mut r = RecvState::default();
+            let mut got = [false; SEGS];
+            let (mut delivered, mut nacked) = (0, 0);
+            for k in arrivals {
+                let seq = k as u64 * MSS;
+                let cum_before = r.cum;
+                let (new_bytes, nack) = r.on_data(seq, MSS, lossy);
+                let fresh = !std::mem::replace(&mut got[k], true);
+                let cum = got.iter().position(|g| !g).unwrap_or(SEGS) as u64 * MSS;
+                delivered += if fresh { MSS } else { 0 };
+                prop_assert_eq!(new_bytes, if fresh { MSS } else { 0 }, "segment {}", k);
+                prop_assert_eq!((r.cum, r.delivered), (cum, delivered));
+                let expected = (lossy && seq > cum && cum != nacked).then_some((cum, seq));
+                prop_assert_eq!(nack.then_some((r.cum, seq)), expected, "segment {}", k);
+                if nack {
+                    nacked = cum;
+                    prop_assert_eq!(r.cum, cum_before, "a NACK moved cum");
+                }
+            }
+        }
     }
 }
