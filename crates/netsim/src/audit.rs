@@ -514,7 +514,7 @@ impl Audit {
         // Lossy-mode Dynamic Threshold: the post-admission queue must fit
         // under alpha * (free-at-admission) = alpha * (free_now + size).
         if !sw.cfg.pfc_enabled && info.is_data {
-            let q_post = sw.ports[info.egress as usize].queued_bytes_q[info.queue as usize];
+            let q_post = sw.ports[info.egress as usize].queues[info.queue as usize].bytes;
             let free_at_admission = sw.free_buffer() + info.wire;
             let limit = (sw.cfg.dt_alpha * free_at_admission as f64) as u64 + info.wire;
             if q_post > limit {
@@ -530,7 +530,7 @@ impl Audit {
             }
         }
         // Arm the boundary Xoff-must-fire check for this (port, priority).
-        let nq = sw.ports[info.egress as usize].queues.len();
+        let nq = sw.num_queues();
         if sw.cfg.pfc_enabled && (info.queue as usize) < nq - 1 {
             self.focus = Some(Focus {
                 node: info.node,
@@ -556,9 +556,9 @@ impl Audit {
     /// paused.
     pub(crate) fn check_xoff(&mut self, time: Time, focus: &Focus, sw: &Switch) {
         let (ip, q) = (focus.in_port as usize, focus.queue as usize);
-        let bytes = sw.ingress_bytes[ip][q];
+        let bytes = sw.ingress_bytes(ip, q);
         let threshold = sw.pfc_pause_threshold();
-        if bytes > threshold && !sw.ingress_paused[ip][q] {
+        if bytes > threshold && !sw.ingress_paused(ip, q) {
             self.report(
                 ViolationKind::PfcXoffMissed,
                 time,
@@ -594,15 +594,15 @@ impl Audit {
             let mut port_total = 0u64;
             for (qi, queue) in port.queues.iter().enumerate() {
                 let mut recount = 0u64;
-                for &id in queue {
+                for &id in &queue.ids {
                     let pkt = arena.get(id);
                     recount += pkt.size as u64;
                     if pkt.kind.is_data() {
                         data_wire += pkt.size as u64;
                     }
                 }
-                if recount != port.queued_bytes_q[qi] {
-                    let counter = port.queued_bytes_q[qi];
+                if recount != queue.bytes {
+                    let counter = queue.bytes;
                     self.report(
                         ViolationKind::BufferAccounting,
                         time,
@@ -641,7 +641,10 @@ impl Audit {
                 format!("switch recount {switch_total} B != total_buffered {counter} B"),
             );
         }
-        let ingress_total: u64 = sw.ingress_bytes.iter().flatten().sum();
+        let nq = sw.num_queues();
+        let ingress_total: u64 = (0..sw.ports.len())
+            .flat_map(|ip| (0..nq).map(move |q| sw.ingress_bytes(ip, q)))
+            .sum();
         if ingress_total != sw.total_buffered {
             let counter = sw.total_buffered;
             self.report(
@@ -668,8 +671,9 @@ impl Audit {
         }
         // Pause mirror vs switch state: every emitted pause we saw must
         // match what the switch believes, and vice versa.
-        for (ip, prios) in sw.ingress_paused.iter().enumerate() {
-            for (qi, &paused) in prios.iter().enumerate() {
+        for ip in 0..sw.ports.len() {
+            for qi in 0..nq {
+                let paused = sw.ingress_paused(ip, qi);
                 let mirrored = self
                     .pfc
                     .get(&(node, ip as u16, qi as u8))
@@ -910,6 +914,7 @@ pub(crate) fn detect_pause_cycle(
         .iter()
         .map(|&(id, pi, q)| {
             let set: BTreeSet<u16> = sw_of[&id].ports[pi as usize].queues[q as usize]
+                .ids
                 .iter()
                 .map(|&pid| arena.get(pid).cur_in_port)
                 .collect();

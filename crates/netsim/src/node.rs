@@ -8,6 +8,14 @@
 //! link completely and `EgressPort::fold_digest` fingerprints it. Hosts
 //! and switches share the type: a [`Host`]'s NIC is a one-port `Node`.
 //!
+//! Each node is a handful of heap blocks, not one per port and queue: a
+//! port's queues are one `Vec<Queue>` (each FIFO beside its byte counter);
+//! a switch's per-(ingress port, priority) PFC state is one flat counter
+//! array with stride `nq` plus one `u32` pause mask per ingress port, the
+//! form the egress side's `paused` / `storm` masks have; a host's
+//! per-priority flow lists and round-robin cursors are one
+//! `Vec<ActiveFlows>`.
+//!
 //! Logic that needs the event queue (scheduling arrivals, PFC frames,
 //! transport callbacks) lives in [`crate::sim`]; this module holds the data
 //! structures and the pure parts: buffer accounting, admission, ECN marking,
@@ -43,16 +51,23 @@ pub struct EgressPort {
     pub storm: u32,
     /// Fault: active degradation epoch as `(rate_factor, extra_prop)`.
     pub degrade: Option<(f64, Time)>,
-    /// Per-priority FIFO queues of arena handles; index `num_prios` is the
-    /// control queue. Queues rotate 4-byte [`PacketId`]s — the packets
-    /// themselves stay put in the [`PacketArena`].
-    pub queues: Vec<VecDeque<PacketId>>,
-    /// Bytes queued per priority queue.
-    pub queued_bytes_q: Vec<u64>,
+    /// Per-priority queues; index `num_prios` is the control queue. One
+    /// allocation holds every queue's FIFO header and byte counter.
+    pub queues: Vec<Queue>,
     /// Total bytes queued on this port.
     pub queued_bytes: u64,
     /// Cumulative bytes transmitted (INT).
     pub tx_bytes: u64,
+}
+
+/// One priority queue of an [`EgressPort`]. Queues rotate 4-byte
+/// [`PacketId`]s — the packets themselves stay put in the [`PacketArena`].
+#[derive(Clone, Debug, Default)]
+pub struct Queue {
+    /// Queued packets, head first.
+    pub ids: VecDeque<PacketId>,
+    /// Wire bytes queued.
+    pub bytes: u64,
 }
 
 impl EgressPort {
@@ -68,9 +83,8 @@ impl EgressPort {
             down: false,
             storm: 0,
             degrade: None,
-            queues: (0..nq).map(|_| VecDeque::new()).collect(),
             // simlint::allow(hot-path-alloc, port construction runs once at topology build, not per event)
-            queued_bytes_q: vec![0; nq],
+            queues: vec![Queue::default(); nq],
             queued_bytes: 0,
             tx_bytes: 0,
         }
@@ -123,10 +137,10 @@ impl EgressPort {
         fold(factor.to_bits());
         fold(extra.as_ps());
         fold(self.tx_bytes);
-        for (q, bytes) in self.queues.iter().zip(&self.queued_bytes_q) {
-            fold(q.len() as u64);
-            fold(*bytes);
-            for id in q {
+        for q in &self.queues {
+            fold(q.ids.len() as u64);
+            fold(q.bytes);
+            for id in &q.ids {
                 fold(id.index() as u64);
             }
         }
@@ -135,18 +149,21 @@ impl EgressPort {
     /// Push a packet (by handle) into its priority queue.
     pub fn enqueue(&mut self, id: PacketId, arena: &PacketArena) {
         let pkt = arena.get(id);
-        let q = queue_index(pkt.prio, self.queues.len());
-        self.queued_bytes_q[q] += pkt.size as u64;
-        self.queued_bytes += pkt.size as u64;
-        self.queues[q].push_back(id);
+        let size = pkt.size as u64;
+        let nq = self.queues.len();
+        let q = &mut self.queues[queue_index(pkt.prio, nq)];
+        q.bytes += size;
+        q.ids.push_back(id);
+        self.queued_bytes += size;
     }
 
     /// Pop the head of queue `q`, whatever its pause state.
     #[inline]
     pub fn pop_queue(&mut self, q: usize, arena: &PacketArena) -> Option<PacketId> {
-        let id = self.queues[q].pop_front()?;
+        let queue = &mut self.queues[q];
+        let id = queue.ids.pop_front()?;
         let size = arena.get(id).size as u64;
-        self.queued_bytes_q[q] -= size;
+        queue.bytes -= size;
         self.queued_bytes -= size;
         Some(id)
     }
@@ -205,10 +222,14 @@ pub struct Switch {
     pub total_buffered: u64,
     /// Usable shared buffer (total minus PFC headroom reservation).
     pub usable: u64,
-    /// Ingress byte counts per (ingress port, data priority), for PFC.
-    pub ingress_bytes: Vec<Vec<u64>>,
-    /// Whether we have sent PAUSE upstream for (ingress port, priority).
-    pub ingress_paused: Vec<Vec<bool>>,
+    /// Ingress byte counts for PFC, `(ingress port, queue)` at
+    /// `port * nq + q` ([`Self::ingress_bytes`]).
+    ingress_bytes: Vec<u64>,
+    /// Per ingress port, the queues we have sent PAUSE upstream for
+    /// (bitmask by queue index, [`Self::ingress_paused`]).
+    ingress_paused: Vec<u32>,
+    /// Queues per port, `num_prios + 1`: the stride of `ingress_bytes`.
+    nq: usize,
     /// High-water mark of total buffered bytes.
     pub max_buffered: u64,
 }
@@ -217,7 +238,7 @@ impl Switch {
     /// Build a switch; `ports` must already be constructed with
     /// `num_prios + 1` queues each.
     pub fn new(cfg: SwitchConfig, ports: Vec<EgressPort>, num_prios: u8) -> Self {
-        let n = ports.len();
+        let (n, nq) = (ports.len(), num_prios as usize + 1);
         let usable = cfg.usable_buffer(n);
         Switch {
             cfg,
@@ -225,11 +246,32 @@ impl Switch {
             total_buffered: 0,
             usable,
             // simlint::allow(hot-path-alloc, switch construction runs once at topology build, not per event)
-            ingress_bytes: vec![vec![0; num_prios as usize + 1]; n],
+            ingress_bytes: vec![0; n * nq],
             // simlint::allow(hot-path-alloc, switch construction runs once at topology build, not per event)
-            ingress_paused: vec![vec![false; num_prios as usize + 1]; n],
+            ingress_paused: vec![0; n],
+            nq,
             max_buffered: 0,
         }
+    }
+
+    /// Queues per port: `num_prios` data queues and the control queue.
+    #[inline]
+    pub fn num_queues(&self) -> usize {
+        self.nq
+    }
+
+    /// Bytes buffered here that entered through ingress `port` into queue
+    /// `q` — the counter PFC compares against its thresholds.
+    #[inline]
+    pub fn ingress_bytes(&self, port: usize, q: usize) -> u64 {
+        debug_assert!(q < self.nq, "queue {q} of {}", self.nq);
+        self.ingress_bytes[port * self.nq + q]
+    }
+
+    /// Whether this switch has sent PAUSE upstream for `(port, q)`.
+    #[inline]
+    pub fn ingress_paused(&self, port: usize, q: usize) -> bool {
+        self.ingress_paused[port] & (1 << q) != 0
     }
 
     /// Remaining shared buffer.
@@ -270,7 +312,7 @@ impl Switch {
         if self.cfg.buggify == Some(Buggify::EcnMarkBelowKmin) {
             return true;
         }
-        let q = self.ports[port as usize].queued_bytes_q[queue];
+        let q = self.ports[port as usize].queues[queue].bytes;
         let scale = if self.cfg.ecn_prio_scaled {
             dscp as u64 + 1
         } else {
@@ -307,7 +349,7 @@ impl Switch {
         arena: &mut PacketArena,
         pauses: &mut Vec<(u16, u8)>,
     ) -> Admission {
-        let nq = self.ports[port as usize].queues.len();
+        let nq = self.nq;
         let (q, size, is_data) = {
             let pkt = arena.get(id);
             (queue_index(pkt.prio, nq), pkt.size as u64, pkt.kind.is_data())
@@ -315,7 +357,7 @@ impl Switch {
         if !self.cfg.pfc_enabled && is_data {
             // Lossy: Dynamic-Threshold admission on the egress queue.
             let limit = self.dt_limit();
-            if self.ports[port as usize].queued_bytes_q[q] + size > limit {
+            if self.ports[port as usize].queues[q].bytes + size > limit {
                 arena.release(id);
                 return Admission::Dropped;
             }
@@ -323,7 +365,8 @@ impl Switch {
         arena.get_mut(id).cur_in_port = in_port;
         self.total_buffered += size;
         self.max_buffered = self.max_buffered.max(self.total_buffered);
-        self.ingress_bytes[in_port as usize][q] += size;
+        let slot = in_port as usize * nq + q;
+        self.ingress_bytes[slot] += size;
         self.ports[port as usize].enqueue(id, arena);
 
         if self.cfg.pfc_enabled && q < nq - 1 {
@@ -332,12 +375,13 @@ impl Switch {
             let counted = if self.cfg.buggify == Some(Buggify::PfcPauseOffByOne) {
                 // Injected fault: compare the pre-admission counter, so the
                 // pause fires one packet late.
-                self.ingress_bytes[in_port as usize][q].saturating_sub(size)
+                self.ingress_bytes[slot].saturating_sub(size)
             } else {
-                self.ingress_bytes[in_port as usize][q]
+                self.ingress_bytes[slot]
             };
-            if !self.ingress_paused[in_port as usize][q] && counted > threshold {
-                self.ingress_paused[in_port as usize][q] = true;
+            let paused = &mut self.ingress_paused[in_port as usize];
+            if *paused & (1 << q) == 0 && counted > threshold {
+                *paused |= 1 << q;
                 pauses.push((in_port, q as u8));
             }
         }
@@ -352,20 +396,21 @@ impl Switch {
             // Injected fault: departure accounting is skipped entirely.
             return;
         }
-        let nq = self.ports[0].queues.len();
+        let nq = self.nq;
         let q = queue_index(pkt.prio, nq);
         let size = pkt.size as u64;
         debug_assert!(self.total_buffered >= size);
         self.total_buffered -= size;
         let in_port = pkt.cur_in_port as usize;
-        debug_assert!(self.ingress_bytes[in_port][q] >= size);
-        self.ingress_bytes[in_port][q] -= size;
+        let slot = in_port * nq + q;
+        debug_assert!(self.ingress_bytes[slot] >= size);
+        self.ingress_bytes[slot] -= size;
 
-        if self.ingress_paused[in_port][q] {
+        if self.ingress_paused[in_port] & (1 << q) != 0 {
             let threshold = self.pfc_pause_threshold();
             let resume_at = threshold.saturating_sub(self.cfg.pfc_resume_offset_bytes);
-            if self.ingress_bytes[in_port][q] <= resume_at {
-                self.ingress_paused[in_port][q] = false;
+            if self.ingress_bytes[slot] <= resume_at {
+                self.ingress_paused[in_port] &= !(1 << q);
                 resumes.push((in_port as u16, q as u8));
             }
         }
@@ -377,14 +422,22 @@ impl Switch {
 pub struct Host {
     /// The single NIC.
     pub port: EgressPort,
-    /// Active (not finished) flows per data priority, pulled round-robin.
-    /// Bounded by *concurrent* flows on this host (deactivated at
-    /// completion), not total flow lifetimes — safe at hyperscale.
-    pub active: Vec<Vec<FlowId>>,
-    /// Round-robin cursor per priority.
-    pub rr: Vec<usize>,
+    /// Active flows and their round-robin cursor, per data priority.
+    pub active: Vec<ActiveFlows>,
     /// Earliest already-scheduled wakeup poke; `Time::MAX` when none.
     pub next_poke: Time,
+}
+
+/// One data priority of a [`Host`]'s sender: the flows it pulls from,
+/// round-robin, and the cursor.
+#[derive(Clone, Debug, Default)]
+pub struct ActiveFlows {
+    /// Active (not finished) flows. Bounded by *concurrent* flows on this
+    /// host (deactivated at completion), not total flow lifetimes — safe at
+    /// hyperscale.
+    pub flows: Vec<FlowId>,
+    /// Round-robin cursor into `flows`.
+    pub rr: usize,
 }
 
 impl Host {
@@ -393,26 +446,23 @@ impl Host {
         Host {
             port,
             // simlint::allow(hot-path-alloc, host construction runs once at topology build, not per event)
-            active: vec![Vec::new(); num_prios as usize],
-            // simlint::allow(hot-path-alloc, host construction runs once at topology build, not per event)
-            rr: vec![0; num_prios as usize],
+            active: vec![ActiveFlows::default(); num_prios as usize],
             next_poke: Time::MAX,
         }
     }
 
     /// Register a flow as active at `prio`.
     pub fn activate(&mut self, prio: u8, flow: FlowId) {
-        self.active[prio as usize].push(flow);
+        self.active[prio as usize].flows.push(flow);
     }
 
     /// Remove a finished flow.
     pub fn deactivate(&mut self, prio: u8, flow: FlowId) {
-        let list = &mut self.active[prio as usize];
-        if let Some(pos) = list.iter().position(|&f| f == flow) {
-            list.remove(pos);
-            let rr = &mut self.rr[prio as usize];
-            if *rr > pos {
-                *rr -= 1;
+        let a = &mut self.active[prio as usize];
+        if let Some(pos) = a.flows.iter().position(|&f| f == flow) {
+            a.flows.remove(pos);
+            if a.rr > pos {
+                a.rr -= 1;
             }
         }
     }
@@ -465,18 +515,18 @@ impl Node {
             Node::Switch(s) => {
                 fold(s.total_buffered);
                 fold(s.max_buffered);
-                for (bytes, paused) in s.ingress_bytes.iter().zip(&s.ingress_paused) {
-                    for (&b, &p) in bytes.iter().zip(paused) {
-                        fold(b << 1 | p as u64);
+                for (bytes, &paused) in s.ingress_bytes.chunks(s.nq).zip(&s.ingress_paused) {
+                    for (q, &b) in bytes.iter().enumerate() {
+                        fold(b << 1 | (paused >> q & 1) as u64);
                     }
                 }
             }
             Node::Host(h) => {
                 fold(h.next_poke.as_ps());
-                for (active, &rr) in h.active.iter().zip(&h.rr) {
-                    fold(active.len() as u64);
-                    fold(rr as u64);
-                    for &f in active {
+                for a in &h.active {
+                    fold(a.flows.len() as u64);
+                    fold(a.rr as u64);
+                    for &f in &a.flows {
                         fold(f as u64);
                     }
                 }
@@ -552,7 +602,7 @@ mod tests {
         p.dequeue(&a);
         p.dequeue(&a);
         assert_eq!(p.queued_bytes, 0);
-        assert!(p.queued_bytes_q.iter().all(|&b| b == 0));
+        assert!(p.queues.iter().all(|q| q.bytes == 0));
     }
 
     /// Down, per-priority storm pins and degradation are independent bits
@@ -630,7 +680,7 @@ mod tests {
         }
         assert!(!pauses.is_empty(), "pause must trigger");
         assert_eq!(pauses[0], (1, 0));
-        assert!(s.ingress_paused[1][0]);
+        assert!(s.ingress_paused(1, 0));
         // Drain; resume must eventually be emitted.
         let mut resumes = Vec::new();
         while let Some(id) = s.ports[0].dequeue(&a) {
@@ -640,6 +690,29 @@ mod tests {
         assert_eq!(resumes, vec![(1, 0)]);
         assert_eq!(s.total_buffered, 0);
         assert_eq!(a.live_count(), 0);
+    }
+
+    /// The flat ingress state keeps every (ingress port, queue) pair apart:
+    /// bytes land in their own counter and a pause sets only its own bit.
+    #[test]
+    fn ingress_state_is_per_port_and_queue() {
+        let mut a = PacketArena::new();
+        let mut s = mk_switch(true, 20_000);
+        let mut pauses = Vec::new();
+        for (in_port, prio, payload) in [(0, 1, 700), (1, 0, 300), (1, 2, 100)] {
+            let id = a.alloc(Packet::data(0, 0, 1, prio, payload, 0, Time::ZERO));
+            s.admit(0, in_port, id, 0, &mut a, &mut pauses);
+        }
+        let pairs = || (0..2).flat_map(|p| (0..3).map(move |q| (p, q)));
+        let bytes: Vec<u64> = pairs().map(|(p, q)| s.ingress_bytes(p, q)).collect();
+        assert_eq!(bytes, [0, 748, 0, 348, 0, 148]);
+        while pauses.is_empty() {
+            let id = a.alloc(Packet::data(0, 0, 1, 1, 1000, 0, Time::ZERO));
+            s.admit(1, 1, id, 0, &mut a, &mut pauses);
+        }
+        assert_eq!(pauses, [(1, 1)]);
+        let paused: Vec<bool> = pairs().map(|(p, q)| s.ingress_paused(p, q)).collect();
+        assert_eq!(paused, [false, false, false, false, true, false]);
     }
 
     #[test]
@@ -688,11 +761,11 @@ mod tests {
         h.activate(1, 10);
         h.activate(1, 11);
         h.activate(1, 12);
-        h.rr[1] = 2;
+        h.active[1].rr = 2;
         h.deactivate(1, 11);
-        assert_eq!(h.active[1], vec![10, 12]);
-        assert_eq!(h.rr[1], 1);
+        assert_eq!(h.active[1].flows, vec![10, 12]);
+        assert_eq!(h.active[1].rr, 1);
         h.deactivate(1, 99); // unknown flow: no-op
-        assert_eq!(h.active[1].len(), 2);
+        assert_eq!(h.active[1].flows.len(), 2);
     }
 }

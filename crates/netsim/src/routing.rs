@@ -18,6 +18,12 @@
 //! per node. A lookup is three dependent loads: the destination's record,
 //! `start[slot]`, then `ports`.
 //!
+//! The build allocates a fixed few arrays whatever the fabric: it reads the
+//! links as a CSR [`Adjacency`] (the one `Sim::new` builds its ports from),
+//! turns them into a CSR reverse adjacency over the switches, and runs
+//! every ToR's BFS through one queue and one candidate buffer, whose
+//! candidates a counting sort scatters straight into the rows.
+//!
 //! Candidate *order* is load-bearing (golden traces pin ECMP picks): the BFS
 //! expands its frontier in (node-ascending, port-order) sequence, the order
 //! of the dense per-host BFS this table replaced. `tests` keeps that dense
@@ -25,6 +31,7 @@
 //! fabrics are checked against.
 
 use crate::packet::{FlowId, NodeId};
+use crate::topology::Adjacency;
 
 /// Precomputed next-hop table.
 #[derive(Clone, Debug)]
@@ -66,27 +73,37 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// Reverse adjacency: `radj[peer]` = `(node, port)` pairs such that
-/// `adj[node]` contains `(port, peer)`, in (node-ascending, port-order)
-/// order — the order the candidate lists (and golden traces) depend on.
-fn reverse_adj(adj: &[Vec<(u16, NodeId)>]) -> Vec<Vec<(NodeId, u16)>> {
-    let mut radj = vec![Vec::new(); adj.len()];
-    for (node, ports) in adj.iter().enumerate() {
-        for &(port, peer) in ports {
-            radj[peer as usize].push((node as NodeId, port));
-        }
-    }
-    radj
-}
-
 impl RoutingTable {
-    /// Build from an adjacency list: `adj[node]` = `(port, peer)` pairs.
+    /// Build from a topology's links ([`crate::Topology::csr`]).
     /// `is_host[node]` marks hosts (hosts never forward).
     ///
     /// # Panics
     /// Panics unless every host has exactly one link, to a switch.
+    pub fn new(adj: &Adjacency, is_host: &[bool], salt: u64) -> Self {
+        let ports = |node: usize| {
+            let links = adj.ports(node).iter().enumerate();
+            links.map(|(port, l)| (port as u16, l.peer))
+        };
+        Self::from_ports(adj.num_nodes(), ports, is_host, salt)
+    }
+
+    /// Build from an adjacency list: `adj[node]` = `(port, peer)` pairs.
+    /// The construction of [`Self::new`] behind a thin adapter, kept
+    /// because the frozen `ppbench/src/kernels.rs` calls it (ROADMAP item
+    /// 3(a)).
+    ///
+    /// # Panics
+    /// As [`Self::new`].
     pub fn build(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
-        let n = adj.len();
+        Self::from_ports(adj.len(), |node| adj[node].iter().copied(), is_host, salt)
+    }
+
+    /// The one construction: `ports(node)` lists `node`'s `(port, peer)`
+    /// pairs in port order.
+    fn from_ports<I>(n: usize, ports: impl Fn(usize) -> I, is_host: &[bool], salt: u64) -> Self
+    where
+        I: Iterator<Item = (u16, NodeId)>,
+    {
         let mut nodes = vec![
             Attach {
                 sw: HOST,
@@ -102,82 +119,125 @@ impl RoutingTable {
             a.sw = num_sw;
             num_sw += 1;
         }
-        // ToRs in dense order, and each ToR's first row once it has one.
+        // ToRs (dense switch indices) in the order their first host comes,
+        // and each ToR's first row once it has one.
         let mut tors = Vec::new();
-        let mut row_of = vec![HOST; n];
+        let mut row_of = vec![HOST; num_sw as usize];
         for node in (0..n).filter(|&node| is_host[node]) {
-            assert_eq!(
-                adj[node].len(),
-                1,
-                "host {node} has {} links; every host needs exactly one NIC link",
-                adj[node].len()
-            );
-            let (up, tor) = adj[node][0];
+            let mut links = ports(node);
+            let (Some((up, tor)), None) = (links.next(), links.next()) else {
+                panic!(
+                    "host {node} has {} links; every host needs exactly one NIC link",
+                    ports(node).count()
+                );
+            };
             assert!(!is_host[tor as usize], "host {node} attaches to host {tor}");
             // The ToR's port back down to this host.
-            let down = adj[tor as usize]
-                .iter()
-                .find(|&&(_, peer)| peer as usize == node)
-                .map(|&(port, _)| port)
+            let down = ports(tor as usize)
+                .find(|&(_, peer)| peer as usize == node)
+                .map(|(port, _)| port)
                 .expect("host link must be bidirectional");
-            if row_of[tor as usize] == HOST {
-                row_of[tor as usize] = tors.len() as u32 * num_sw;
-                tors.push(tor as usize);
+            let sw = nodes[tor as usize].sw as usize;
+            if row_of[sw] == HOST {
+                row_of[sw] = tors.len() as u32 * num_sw;
+                tors.push(sw);
             }
             nodes[node] = Attach {
                 sw: HOST,
                 tor,
-                row: row_of[tor as usize],
+                row: row_of[sw],
                 up,
                 down,
             };
         }
+        let num_sw = num_sw as usize;
 
-        // One BFS per ToR over the switch-only graph, its rows appended in
-        // switch order. A BFS reaches a switch during one frontier only, so
-        // that frontier's edges into it are its whole candidate list, in
-        // expansion order.
-        let radj = reverse_adj(adj);
-        let mut start = Vec::with_capacity(tors.len() * num_sw as usize + 1);
+        // Reverse adjacency over the switches, CSR: `radj[rstart[w]..
+        // rstart[w + 1]]` are the `(switch, port)` pairs whose port leads to
+        // switch `w`, in (switch-ascending, port-order) order — the
+        // expansion order the candidate lists (and golden traces) depend
+        // on. Hosts never forward, so their links stay out.
+        let switches = || (0..n).filter(move |&node| !is_host[node]);
+        let switch_links =
+            |node: usize| ports(node).filter(move |&(_, peer)| !is_host[peer as usize]);
+        let mut rstart = vec![0u32; num_sw + 1];
+        for node in switches() {
+            for (_, peer) in switch_links(node) {
+                rstart[nodes[peer as usize].sw as usize + 1] += 1;
+            }
+        }
+        let mut total = 0;
+        for s in &mut rstart {
+            total += *s;
+            *s = total;
+        }
+        // `next[w]`: where the next pair into switch `w` goes; in the BFS
+        // below, where the next candidate of switch `w`'s row goes.
+        let mut next = rstart[..num_sw].to_vec();
+        let mut radj = vec![(0u32, 0u16); total as usize];
+        for node in switches() {
+            for (port, peer) in switch_links(node) {
+                let w = nodes[peer as usize].sw as usize;
+                radj[next[w] as usize] = (nodes[node].sw, port);
+                next[w] += 1;
+            }
+        }
+
+        // One BFS per ToR over the switches, its rows appended in switch
+        // order. A BFS reaches a switch from one level only, so that level's
+        // edges into it are its whole candidate list, in expansion order:
+        // the BFS gathers every candidate `(switch, port)` in that order,
+        // and a stable counting sort by switch scatters them into the rows.
+        let mut start = Vec::with_capacity(tors.len() * num_sw + 1);
         start.push(0u32);
-        let mut ports = Vec::new();
-        let mut lists: Vec<Vec<u16>> = vec![Vec::new(); num_sw as usize];
-        let mut dist = vec![u32::MAX; n];
-        let (mut frontier, mut reached) = (Vec::new(), Vec::new());
+        let mut table: Vec<u16> = Vec::new();
+        let mut dist = vec![u32::MAX; num_sw];
+        let mut queue: Vec<u32> = Vec::with_capacity(num_sw);
+        let mut cands: Vec<(u32, u16)> = Vec::new();
         for &tor in &tors {
             dist.fill(u32::MAX);
             dist[tor] = 0;
-            frontier.push(tor);
-            while !frontier.is_empty() {
-                for &u in &frontier {
-                    let d = dist[u] + 1;
-                    for &(node, port) in &radj[u] {
-                        let node = node as usize;
-                        if is_host[node] {
-                            continue;
-                        }
-                        if dist[node] == u32::MAX {
-                            dist[node] = d;
-                            reached.push(node);
-                        }
-                        if dist[node] == d {
-                            lists[nodes[node].sw as usize].push(port);
-                        }
+            queue.clear();
+            queue.push(tor as u32);
+            cands.clear();
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head] as usize;
+                head += 1;
+                let d = dist[u] + 1;
+                for &(w, port) in &radj[rstart[u] as usize..rstart[u + 1] as usize] {
+                    if dist[w as usize] == u32::MAX {
+                        dist[w as usize] = d;
+                        queue.push(w);
+                    }
+                    if dist[w as usize] == d {
+                        cands.push((w, port));
                     }
                 }
-                frontier.clear();
-                std::mem::swap(&mut frontier, &mut reached);
             }
-            for list in &mut lists {
-                ports.append(list);
-                start.push(u32::try_from(ports.len()).expect("routing table outgrew u32 offsets"));
+            next.fill(0);
+            for &(w, _) in &cands {
+                next[w as usize] += 1;
+            }
+            let mut end = table.len();
+            for slot in &mut next {
+                let len = *slot as usize;
+                *slot = end as u32;
+                end += len;
+                start.push(u32::try_from(end).expect("routing table outgrew u32 offsets"));
+            }
+            table.resize(end, 0);
+            for &(w, port) in &cands {
+                let at = &mut next[w as usize];
+                table[*at as usize] = port;
+                *at += 1;
             }
         }
-        ports.shrink_to_fit();
+        table.shrink_to_fit();
         RoutingTable {
             nodes,
             start,
-            ports,
+            ports: table,
             salt,
         }
     }
@@ -245,6 +305,19 @@ mod tests {
 
     fn us1() -> Time {
         Time::from_us(1)
+    }
+
+    /// Reverse adjacency: `radj[peer]` = `(node, port)` pairs such that
+    /// `adj[node]` contains `(port, peer)`, in (node-ascending, port-order)
+    /// order.
+    fn reverse_adj(adj: &[Vec<(u16, NodeId)>]) -> Vec<Vec<(NodeId, u16)>> {
+        let mut radj = vec![Vec::new(); adj.len()];
+        for (node, ports) in adj.iter().enumerate() {
+            for &(port, peer) in ports {
+                radj[peer as usize].push((node as NodeId, port));
+            }
+        }
+        radj
     }
 
     /// The reference: the dense `next[node][dst]` table the simulator used
@@ -329,9 +402,22 @@ mod tests {
         Ok(())
     }
 
-    fn assert_matches_reference(t: &Topology, salt: u64) {
+    /// `t`'s table matches the reference, and `new` over the topology's CSR
+    /// adjacency builds exactly the table `build` builds from the list.
+    fn check_topology(t: &Topology, salt: u64) -> Result<(), TestCaseError> {
         let (adj, is_host) = inputs(t);
-        if let Err(e) = check_against_reference(&adj, &is_host, salt) {
+        let from_csr = RoutingTable::new(&t.csr(), &is_host, salt);
+        let from_list = RoutingTable::build(&adj, &is_host, salt);
+        prop_assert_eq!(
+            format!("{from_csr:?}"),
+            format!("{from_list:?}"),
+            "new and build disagree"
+        );
+        check_against_reference(&adj, &is_host, salt)
+    }
+
+    fn assert_matches_reference(t: &Topology, salt: u64) {
+        if let Err(e) = check_topology(t, salt) {
             panic!("{e}");
         }
     }
@@ -561,8 +647,7 @@ mod tests {
             switches in 1usize..13,
             hosts in 1usize..17,
         ) {
-            let (adj, is_host) = inputs(&random_fabric(seed, switches, hosts));
-            check_against_reference(&adj, &is_host, seed)?;
+            check_topology(&random_fabric(seed, switches, hosts), seed)?;
         }
     }
 

@@ -18,7 +18,7 @@ use crate::packet::{
 use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
 use crate::routing::RoutingTable;
 use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State};
-use crate::topology::{NodeKind, Topology};
+use crate::topology::{NodeKind, PortLink, Topology};
 use crate::transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
 
 /// A closed-loop application driver: gets called whenever a flow completes
@@ -69,42 +69,38 @@ impl Sim {
             "SimConfig.mtu = {} is out of range: it must be 1..={max_mtu} bytes",
             cfg.mtu
         );
-        let n = topo.num_nodes();
+        // Every PFC pause and storm mask is a `u32` indexed by queue, the
+        // control queue at index `num_prios` included.
+        assert!(
+            (1..=31).contains(&cfg.num_prios),
+            "SimConfig.num_prios = {} is out of range: it must be 1..=31 \
+             (a pause mask is a u32 over num_prios + 1 queues)",
+            cfg.num_prios
+        );
         let nq = cfg.num_prios as usize + 1;
-        // Before anything is built, because it checks what everything below
+        // Every node's ports, numbered in link insertion order: the routing
+        // table and the nodes below are both built from it.
+        let adj = topo.csr();
+        // Before any node is built, because it checks what everything below
         // relies on: every host has exactly one NIC link, to a switch.
         let is_host: Vec<bool> = topo.kinds.iter().map(|k| *k == NodeKind::Host).collect();
-        let routes =
-            RoutingTable::build(&topo.adjacency(), &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
-        // Per-node port lists in the same order as `Topology::adjacency`,
-        // which is the order the routing table indexes them in.
-        // simlint::allow(hot-path-alloc, Sim construction runs once per run, not per event)
-        let mut ports: Vec<Vec<EgressPort>> = vec![Vec::new(); n];
-        for &(a, b, spec) in &topo.links {
-            let pa = ports[a as usize].len() as u16;
-            let pb = ports[b as usize].len() as u16;
-            ports[a as usize].push(EgressPort::new(b, pb, spec.rate, spec.prop, nq));
-            ports[b as usize].push(EgressPort::new(a, pa, spec.rate, spec.prop, nq));
-        }
-
-        let mut nodes = Vec::with_capacity(n);
-        for (kind, mut ports) in topo.kinds.iter().zip(ports) {
-            match kind {
-                NodeKind::Host => {
-                    // simlint::allow(hot-path-unwrap, RoutingTable::build checked every host has exactly one port)
-                    let nic = ports.pop().unwrap();
-                    nodes.push(Node::Host(Host::new(nic, cfg.num_prios)));
-                }
-                NodeKind::Switch => {
-                    nodes.push(Node::Switch(Switch::new(
-                        // simlint::allow(hot-path-alloc, per-switch config copy at construction, not per event)
-                        switch_cfg.clone(),
-                        ports,
-                        cfg.num_prios,
-                    )));
-                }
-            }
-        }
+        let routes = RoutingTable::new(&adj, &is_host, cfg.seed ^ 0x9E3779B97F4A7C15);
+        let port = |l: &PortLink| {
+            let spec = topo.links[l.link as usize].2;
+            EgressPort::new(l.peer, l.peer_port, spec.rate, spec.prop, nq)
+        };
+        let nodes: Vec<Node> = (topo.kinds.iter().enumerate())
+            .map(|(v, kind)| match kind {
+                // The routing table checked that a host has exactly one link.
+                NodeKind::Host => Node::Host(Host::new(port(&adj.ports(v)[0]), cfg.num_prios)),
+                NodeKind::Switch => Node::Switch(Switch::new(
+                    // simlint::allow(hot-path-alloc, per-switch config copy at construction, not per event)
+                    switch_cfg.clone(),
+                    adj.ports(v).iter().map(&port).collect(),
+                    cfg.num_prios,
+                )),
+            })
+            .collect();
         let port_at = |node: NodeId, port: u16| -> Option<&EgressPort> {
             nodes.get(node as usize)?.ports().get(port as usize)
         };
@@ -785,7 +781,7 @@ impl State {
     /// pause authority (its ingress pause state).
     fn set_storm(&mut self, env: &Env, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
         let [_, (peer, peer_port)] = self.link_ends(node, port);
-        let peer_pauses = |ps: &Switch| ps.ingress_paused[peer_port as usize][prio as usize];
+        let peer_pauses = |ps: &Switch| ps.ingress_paused(peer_port as usize, prio as usize);
         let paused = on || self.nodes[peer as usize].as_switch().is_some_and(peer_pauses);
         let p = self.port_mut(node, port);
         p.set_storm(prio as usize, on);
@@ -886,7 +882,7 @@ impl State {
             // packet's bytes and the effective (possibly degraded) rate.
             let p = self.port(node, port);
             let rec = IntHop {
-                qlen: p.queued_bytes_q[prio as usize],
+                qlen: p.queues[prio as usize].bytes,
                 tx_bytes: p.tx_bytes,
                 ts: now,
                 rate_bps: p.effective_link().0.as_bps(),
@@ -985,7 +981,7 @@ impl State {
         };
         let mut ecn_info = None;
         if is_data {
-            let q_pre = s.ports[egress as usize].queued_bytes_q[data_q];
+            let q_pre = s.ports[egress as usize].queues[data_q].bytes;
             let marked = s.ecn_mark(egress, data_q, dscp, 0, &mut self.ecn_rng);
             if marked {
                 self.arena.get_mut(pid).ecn_ce = true;
@@ -1235,16 +1231,16 @@ impl State {
                 continue;
             }
             // Pull from transports at this data priority, round-robin.
-            let len = h.active[q].len();
+            let len = h.active[q].flows.len();
             let first_finished = finished.len();
             // One lap from the round-robin cursor, wrapping by compare: a
             // `%` here is a 64-bit divide per candidate flow.
-            let mut idx = h.rr[q];
+            let mut idx = h.active[q].rr;
             for _ in 0..len {
                 if idx >= len {
                     idx = 0;
                 }
-                let fid = h.active[q][idx];
+                let fid = h.active[q].flows[idx];
                 let f = &self.flows[fid as usize];
                 let fl = self.live.get_mut(f.live);
                 match fl.transport.try_send(now) {
@@ -1264,7 +1260,7 @@ impl State {
                         if let Some(a) = self.audit.as_deref_mut() {
                             a.on_data_injected(fid, pkt.header.size as u64);
                         }
-                        h.rr[q] = if idx + 1 == len { 0 } else { idx + 1 };
+                        h.active[q].rr = if idx + 1 == len { 0 } else { idx + 1 };
                         selected = Some(self.arena.alloc(pkt));
                         break;
                     }
@@ -1273,7 +1269,7 @@ impl State {
                         fl.transport.on_sent(TrySend::Probe, &mut ctx);
                         self.counters.probes += 1;
                         let pkt = Packet::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
-                        h.rr[q] = if idx + 1 == len { 0 } else { idx + 1 };
+                        h.active[q].rr = if idx + 1 == len { 0 } else { idx + 1 };
                         selected = Some(self.arena.alloc(pkt));
                         break;
                     }
@@ -1319,7 +1315,7 @@ impl State {
             }
             MonitorKind::QueueBytesPrio { node, port, prio } => {
                 let port = &self.nodes[node as usize].ports()[port as usize];
-                m.record_gauge(now, port.queued_bytes_q[prio as usize] as f64);
+                m.record_gauge(now, port.queues[prio as usize].bytes as f64);
             }
             MonitorKind::PortThroughput { node, port } => {
                 let tx = self.nodes[node as usize].ports()[port as usize].tx_bytes;
@@ -1416,6 +1412,44 @@ mod tests {
     fn mtu_past_the_u16_wire_size_is_refused() {
         sim_with_mtu(65_487);
         sim_with_mtu(65_488);
+    }
+
+    fn sim_with_prios(num_prios: u8) -> Sim {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let cfg = SimConfig {
+            num_prios,
+            ..Default::default()
+        };
+        Sim::new(&topo, cfg, SwitchConfig::default())
+    }
+
+    /// No data priority leaves flows nothing to send on.
+    #[test]
+    #[should_panic(expected = "SimConfig.num_prios = 0 is out of range: it must be 1..=31")]
+    fn zero_prios_are_refused() {
+        sim_with_prios(0);
+    }
+
+    /// Pause and storm masks are `u32`s over the data queues and the
+    /// control queue, so 32 data priorities do not fit.
+    #[test]
+    #[should_panic(expected = "SimConfig.num_prios = 32 is out of range: it must be 1..=31")]
+    fn prios_past_the_pause_mask_are_refused() {
+        sim_with_prios(32);
+    }
+
+    /// 31 data priorities fill the masks: the highest data queue pauses
+    /// and pins on its own bit, and the control queue is the 32nd queue.
+    #[test]
+    fn thirty_one_prios_are_accepted() {
+        let mut sim = sim_with_prios(31);
+        let switch = 2;
+        let p = sim.state.port_mut(switch, 0);
+        assert_eq!(p.queues.len(), 32, "31 data queues and the control queue");
+        p.set_paused(30, true);
+        p.set_storm(30, true);
+        assert!(p.is_paused(30) && p.is_stormed(30));
+        assert!(!p.is_paused(31) && !p.is_paused(29) && !p.is_stormed(0));
     }
 
     /// What a [`Recorder`] saw of one [`AckEvent`]: kind, delay, cum,

@@ -472,8 +472,8 @@ impl State {
         // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by `AuditConfig::deep_every`)
         let mut refs = vec![0u32; self.arena.capacity()];
         let ports = self.nodes.iter().flat_map(|n| n.ports());
-        let queued = ports.flat_map(|p| &p.queues);
-        for id in queued.flatten() {
+        let queued = ports.flat_map(|p| &p.queues).flat_map(|q| &q.ids);
+        for id in queued {
             refs[id.index()] += 1;
         }
         self.queue.for_each_live(&mut |ev| {

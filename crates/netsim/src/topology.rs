@@ -162,17 +162,62 @@ impl Topology {
         self.kinds.len()
     }
 
-    /// Adjacency list: `adj[node]` = `(port, peer)`, ports numbered in link
-    /// insertion order per node.
-    pub fn adjacency(&self) -> Vec<Vec<(u16, NodeId)>> {
-        let mut adj: Vec<Vec<(u16, NodeId)>> = vec![Vec::new(); self.num_nodes()];
+    /// The links seen from each node, as CSR: node `v`'s ports are
+    /// `csr().ports(v)`, numbered in link insertion order per node — the
+    /// numbering the routing table and the simulator's ports share. A fixed
+    /// few allocations whatever the fabric's size.
+    pub fn csr(&self) -> Adjacency {
+        let n = self.num_nodes();
+        // Degrees at `start[v + 1]`, then their running sum: `start[v]` is
+        // where node `v`'s ports begin.
+        let mut start = vec![0u32; n + 1];
         for &(a, b, _) in &self.links {
-            let pa = adj[a as usize].len() as u16;
-            adj[a as usize].push((pa, b));
-            let pb = adj[b as usize].len() as u16;
-            adj[b as usize].push((pb, a));
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
         }
-        adj
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        // `next[v]`: where node `v`'s next port goes.
+        let mut next = start.clone();
+        let unset = PortLink {
+            peer: 0,
+            peer_port: 0,
+            link: 0,
+        };
+        let mut ports = vec![unset; total as usize];
+        for (link, &(a, b, _)) in self.links.iter().enumerate() {
+            let (a, b, link) = (a as usize, b as usize, link as u32);
+            let (ia, ib) = (next[a], next[b]);
+            next[a] += 1;
+            next[b] += 1;
+            let (pa, pb) = ((ia - start[a]) as u16, (ib - start[b]) as u16);
+            ports[ia as usize] = PortLink {
+                peer: b as NodeId,
+                peer_port: pb,
+                link,
+            };
+            ports[ib as usize] = PortLink {
+                peer: a as NodeId,
+                peer_port: pa,
+                link,
+            };
+        }
+        Adjacency { start, ports }
+    }
+
+    /// Adjacency list: `adj[node]` = `(port, peer)`, ports numbered as
+    /// [`Self::csr`] numbers them.
+    pub fn adjacency(&self) -> Vec<Vec<(u16, NodeId)>> {
+        let csr = self.csr();
+        (0..self.num_nodes())
+            .map(|v| {
+                let ports = csr.ports(v).iter().enumerate();
+                ports.map(|(p, l)| (p as u16, l.peer)).collect()
+            })
+            .collect()
     }
 
     /// The micro-benchmark topology: `n_senders + 1` hosts on one switch.
@@ -422,6 +467,39 @@ impl Default for Topology {
     }
 }
 
+/// A topology's links seen from each node, in CSR (compressed sparse row)
+/// form: one offset per node into one flat array of ports
+/// ([`Topology::csr`]).
+#[derive(Clone, Debug)]
+pub struct Adjacency {
+    /// Node `v`'s ports are `ports[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    ports: Vec<PortLink>,
+}
+
+/// One port of an [`Adjacency`]: where it leads and which link it is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PortLink {
+    /// Node on the other end.
+    pub peer: NodeId,
+    /// The link's port number at `peer`.
+    pub peer_port: u16,
+    /// The link's index in [`Topology::links`].
+    pub link: u32,
+}
+
+impl Adjacency {
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// `node`'s ports, indexed by port number.
+    pub fn ports(&self, node: usize) -> &[PortLink] {
+        &self.ports[self.start[node] as usize..self.start[node + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,6 +561,44 @@ mod tests {
         for (n, ports) in adj.iter().enumerate() {
             for &(_, peer) in ports {
                 assert!(adj[peer as usize].iter().any(|&(_, p)| p as usize == n));
+            }
+        }
+    }
+
+    /// Every port of the CSR form is the one link insertion numbered: port
+    /// `p` of a node is its `p`-th link, leads to the link's other end and
+    /// names the port it arrives on there.
+    #[test]
+    fn csr_ports_follow_link_insertion_order() {
+        let (r, p) = (Rate::from_gbps(100), Time::from_us(1));
+        for t in [
+            Topology::fat_tree(4, r, p),
+            Topology::ring(5, r, p),
+            Topology::three_tier_wan(&ThreeTierWanSpec::tiny()),
+        ] {
+            let csr = t.csr();
+            assert_eq!(csr.num_nodes(), t.num_nodes());
+            let mut degree = vec![0u16; t.num_nodes()];
+            for (link, &(a, b, _)) in t.links.iter().enumerate() {
+                let (pa, pb) = (degree[a as usize], degree[b as usize]);
+                degree[a as usize] += 1;
+                degree[b as usize] += 1;
+                let link = link as u32;
+                let at_a = PortLink {
+                    peer: b,
+                    peer_port: pb,
+                    link,
+                };
+                let at_b = PortLink {
+                    peer: a,
+                    peer_port: pa,
+                    link,
+                };
+                assert_eq!(csr.ports(a as usize)[pa as usize], at_a);
+                assert_eq!(csr.ports(b as usize)[pb as usize], at_b);
+            }
+            for (v, &d) in degree.iter().enumerate() {
+                assert_eq!(csr.ports(v).len(), d as usize, "node {v}");
             }
         }
     }

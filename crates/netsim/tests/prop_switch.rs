@@ -33,6 +33,11 @@ fn mk_switch(pfc: bool, buffer: u64, buggify: Option<Buggify>) -> Switch {
     Switch::new(cfg, ports, (NQ - 1) as u8)
 }
 
+/// Every (ingress port, queue) pair of a switch built by [`mk_switch`].
+fn pairs() -> impl Iterator<Item = (usize, usize)> {
+    (0..NPORTS).flat_map(|ip| (0..NQ).map(move |q| (ip, q)))
+}
+
 /// One decoded operation against the switch.
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -67,11 +72,11 @@ fn recount_consistent(s: &Switch, arena: &PacketArena) -> Result<(), String> {
     for (pi, port) in s.ports.iter().enumerate() {
         let mut port_total = 0u64;
         for (qi, queue) in port.queues.iter().enumerate() {
-            let real: u64 = queue.iter().map(|&id| arena.get(id).size as u64).sum();
-            if real != port.queued_bytes_q[qi] {
+            let real: u64 = queue.ids.iter().map(|&id| arena.get(id).size as u64).sum();
+            if real != queue.bytes {
                 return Err(format!(
                     "port {pi} queue {qi}: recount {real} != cached {}",
-                    port.queued_bytes_q[qi]
+                    queue.bytes
                 ));
             }
             port_total += real;
@@ -90,7 +95,7 @@ fn recount_consistent(s: &Switch, arena: &PacketArena) -> Result<(), String> {
             s.total_buffered
         ));
     }
-    let ingress_total: u64 = s.ingress_bytes.iter().flatten().sum();
+    let ingress_total: u64 = pairs().map(|(ip, q)| s.ingress_bytes(ip, q)).sum();
     if ingress_total != s.total_buffered {
         return Err(format!(
             "ingress counters {ingress_total} != total_buffered {}",
@@ -170,9 +175,9 @@ proptest! {
             // received a packet (data priorities only; control is unpaused).
             if let Some((ip, q)) = hit {
                 if q < NQ - 1 {
-                    let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold();
+                    let over = s.ingress_bytes(ip as usize, q) > s.pfc_pause_threshold();
                     prop_assert!(
-                        !over || s.ingress_paused[ip as usize][q],
+                        !over || s.ingress_paused(ip as usize, q),
                         "ingress ({ip}, {q}) above pause threshold but not paused"
                     );
                 }
@@ -180,7 +185,7 @@ proptest! {
             // The switch's own pause state must match the emitted frames.
             for (ip, row) in shadow.iter().enumerate() {
                 for (q, &paused) in row.iter().enumerate() {
-                    prop_assert_eq!(paused, s.ingress_paused[ip][q]);
+                    prop_assert_eq!(paused, s.ingress_paused(ip, q));
                 }
             }
         }
@@ -206,10 +211,10 @@ proptest! {
             }
         }
         prop_assert_eq!(s.total_buffered, 0);
-        prop_assert!(s.ingress_bytes.iter().flatten().all(|&b| b == 0));
+        prop_assert!(pairs().all(|(ip, q)| s.ingress_bytes(ip, q) == 0));
         for p in &s.ports {
             prop_assert_eq!(p.queued_bytes, 0);
-            prop_assert!(p.queued_bytes_q.iter().all(|&b| b == 0));
+            prop_assert!(p.queues.iter().all(|q| q.bytes == 0));
         }
         // Every admitted packet came back out (or was dropped in admit), so
         // the arena must account for zero live handles.
@@ -231,7 +236,7 @@ proptest! {
                     let q = queue_index(pkt.header.prio, NQ);
                     let wire = pkt.header.size as u64;
                     let would_exceed =
-                        s.ports[port as usize].queued_bytes_q[q] + wire > s.dt_limit();
+                        s.ports[port as usize].queues[q].bytes + wire > s.dt_limit();
                     let mut pauses = Vec::new();
                     let id = arena.alloc(pkt);
                     let adm = s.admit(port, in_port, id, 0, &mut arena, &mut pauses);
@@ -269,7 +274,7 @@ proptest! {
             let mut pauses = Vec::new();
             let id = arena.alloc(data_pkt(0, payload, seq as u64));
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
-            let q = s.ports[0].queued_bytes_q[0];
+            let q = s.ports[0].queues[0].bytes;
             let marked = s.ecn_mark(0, 0, 0, 0, &mut rng);
             if q <= s.cfg.ecn_kmin {
                 prop_assert!(!marked, "marked at {q} <= kmin");
@@ -320,9 +325,9 @@ proptest! {
                     };
                     if let Some((ip, q)) = hit {
                         if q < NQ - 1 {
-                            let over = s.ingress_bytes[ip as usize][q] > s.pfc_pause_threshold();
+                            let over = s.ingress_bytes(ip as usize, q) > s.pfc_pause_threshold();
                             prop_assert!(
-                                !over || s.ingress_paused[ip as usize][q],
+                                !over || s.ingress_paused(ip as usize, q),
                                 "ingress ({ip}, {q}) above pause threshold but not paused"
                             );
                         }
@@ -356,7 +361,7 @@ proptest! {
             }
             for (ip, row) in shadow.iter().enumerate() {
                 for (q, &paused) in row.iter().enumerate() {
-                    prop_assert_eq!(paused, s.ingress_paused[ip][q]);
+                    prop_assert_eq!(paused, s.ingress_paused(ip, q));
                 }
             }
         }
@@ -376,10 +381,10 @@ proptest! {
             }
         }
         prop_assert_eq!(s.total_buffered, 0);
-        prop_assert!(s.ingress_bytes.iter().flatten().all(|&b| b == 0));
+        prop_assert!(pairs().all(|(ip, q)| s.ingress_bytes(ip, q) == 0));
         for p in &s.ports {
             prop_assert_eq!(p.queued_bytes, 0);
-            prop_assert!(p.queued_bytes_q.iter().all(|&b| b == 0));
+            prop_assert!(p.queues.iter().all(|q| q.bytes == 0));
         }
         prop_assert_eq!(arena.live_count(), 0);
     }
@@ -399,7 +404,7 @@ proptest! {
             let mut pauses = Vec::new();
             let id = arena.alloc(data_pkt(0, payload, i as u64));
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
-            if s.ingress_bytes[1][0] > s.pfc_pause_threshold() && !s.ingress_paused[1][0] {
+            if s.ingress_bytes(1, 0) > s.pfc_pause_threshold() && !s.ingress_paused(1, 0) {
                 violated = true;
             }
         }
@@ -437,6 +442,6 @@ proptest! {
         let mut rng = SimRng::new(rng_seed);
         // Empty queue: 0 <= kmin, yet the buggified switch marks.
         prop_assert!(s.ecn_mark(0, 0, 0, 0, &mut rng), "buggify must force a mark");
-        prop_assert!(s.ports[0].queued_bytes_q[0] <= s.cfg.ecn_kmin);
+        prop_assert!(s.ports[0].queues[0].bytes <= s.cfg.ecn_kmin);
     }
 }

@@ -140,9 +140,14 @@ impl FromIterator<f64> for Summary {
 /// rank `clamp(ceil(p/100 * n), 1, n)`.
 #[derive(Clone, Debug, Default)]
 pub struct QuantileSketch {
-    /// Bucket counts, indexed densely; grown on demand (max 7424 buckets
-    /// for the full u64 range, ~58 KB).
+    /// Bucket counts over the window of buckets the samples touched:
+    /// `counts[i]` is bucket `base + i`, from the lowest bucket touched to
+    /// the highest (empty before the first sample). Samples that span a few
+    /// decades hold a few hundred counters, not also every bucket below
+    /// them (7,424 buckets for the full u64 range, ~58 KB).
     counts: Vec<u64>,
+    /// Bucket index of `counts[0]`.
+    base: usize,
     count: u64,
     sum: u128,
     min: u64,
@@ -163,6 +168,7 @@ impl QuantileSketch {
     pub fn new() -> Self {
         Self {
             counts: Vec::new(),
+            base: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -197,15 +203,29 @@ impl QuantileSketch {
 
     /// Add one sample.
     pub fn add(&mut self, v: u64) {
-        let idx = Self::bucket(v);
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
+        let i = self.slot(Self::bucket(v));
+        self.counts[i] += 1;
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Widen the window to cover bucket `idx`; returns its index in
+    /// `counts`.
+    fn slot(&mut self, idx: usize) -> usize {
+        if self.counts.is_empty() {
+            self.base = idx;
+            self.counts.push(0);
+        } else if idx < self.base {
+            let grow = self.base - idx;
+            self.counts.resize(self.counts.len() + grow, 0);
+            self.counts.rotate_right(grow);
+            self.base = idx;
+        } else if idx >= self.base + self.counts.len() {
+            self.counts.resize(idx - self.base + 1, 0);
+        }
+        idx - self.base
     }
 
     /// Number of samples.
@@ -250,15 +270,15 @@ impl QuantileSketch {
         let n = self.count;
         let rank = ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(Self::representative(idx));
+                return Some(Self::representative(self.base + i));
             }
         }
         // Unreachable when counts/count are consistent; return the max
         // bucket to stay total.
-        Some(Self::representative(self.counts.len().saturating_sub(1)))
+        Some(Self::representative((self.base + self.counts.len()).saturating_sub(1)))
     }
 
     /// Median (p50).
@@ -274,11 +294,14 @@ impl QuantileSketch {
     /// Merge another sketch into this one; equivalent to having added all
     /// of `other`'s samples (commutative, associative).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if !other.counts.is_empty() {
+            // Widen the window to both ends of the other's.
+            self.slot(other.base);
+            self.slot(other.base + other.counts.len() - 1);
+            let at = other.base - self.base;
+            for (a, &b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -301,17 +324,12 @@ impl QuantileSketch {
         h = mix(h ^ (self.sum >> 64) as u64);
         h = mix(h ^ self.min.wrapping_add(1));
         h = mix(h ^ self.max);
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             if c != 0 {
-                h = mix(h ^ (idx as u64) << 40 ^ c);
+                h = mix(h ^ ((self.base + i) as u64) << 40 ^ c);
             }
         }
         h
-    }
-
-    /// Bucket counts (dense, index order), for differential tests.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -609,6 +627,150 @@ mod tests {
         assert!(s.min().is_none());
         assert!(s.max().is_none());
         assert!(s.is_empty());
+    }
+
+    fn mix(mut x: u64) -> u64 {
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^ (x >> 33)
+    }
+
+    /// The dense layout the windowed sketch replaced — a counter for every
+    /// bucket from 0 up to the highest touched — with its quantile walk
+    /// and fingerprint: the reference the windowed layout must equal.
+    #[derive(Clone)]
+    struct Dense {
+        counts: Vec<u64>,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                counts: Vec::new(),
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn add(&mut self, v: u64) {
+            let idx = QuantileSketch::bucket(v);
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] += 1;
+            self.count += 1;
+            self.sum += v as u128;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            if other.counts.len() > self.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        fn quantile(&self, p: f64) -> Option<u64> {
+            if self.count == 0 {
+                return None;
+            }
+            let rank = ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0;
+            let idx = self.counts.iter().position(|&c| {
+                seen += c;
+                seen >= rank
+            })?;
+            Some(QuantileSketch::representative(idx))
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h = mix(self.count ^ 0x9E37_79B9_7F4A_7C15);
+            h = mix(h ^ self.sum as u64);
+            h = mix(h ^ (self.sum >> 64) as u64);
+            h = mix(h ^ self.min.wrapping_add(1));
+            h = mix(h ^ self.max);
+            for (idx, &c) in self.counts.iter().enumerate() {
+                if c != 0 {
+                    h = mix(h ^ (idx as u64) << 40 ^ c);
+                }
+            }
+            h
+        }
+    }
+
+    /// The windowed sketch answers exactly as the dense layout did: random
+    /// streams, each inside a random window of the u64 range, and merges
+    /// of disjoint, overlapping and empty windows in two orders — every
+    /// quantile, the count, the sum and the fingerprint, bit for bit.
+    #[test]
+    fn windowed_sketch_matches_the_dense_reference() {
+        let mut rng = crate::SimRng::new(0x51E7C4);
+        let check = |s: &QuantileSketch, d: &Dense, what: &str| {
+            assert_eq!(s.fingerprint(), d.fingerprint(), "{what}: fingerprint");
+            assert_eq!((s.count(), s.sum()), (d.count, d.sum), "{what}");
+            for p in [0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+                assert_eq!(s.quantile(p), d.quantile(p), "{what}: p{p}");
+            }
+        };
+        let window = |s: &QuantileSketch| {
+            Some((QuantileSketch::bucket(s.min()?), QuantileSketch::bucket(s.max()?)))
+        };
+        // Merges seen: disjoint windows, overlapping ones, an empty side.
+        let mut seen = [0; 3];
+        for case in 0..256 {
+            let parts: Vec<(QuantileSketch, Dense)> = (0..3)
+                .map(|_| {
+                    // `width` random bits shifted up by `shift`: a window of
+                    // one to a few decades anywhere in the range.
+                    let n = [0, 1, 7, 100, 1000][rng.choose_index(5)];
+                    let shift = rng.below(56) as u32;
+                    let width = 1 + rng.below(12) as u32;
+                    let (mut s, mut d) = (QuantileSketch::new(), Dense::new());
+                    for _ in 0..n {
+                        let v = (rng.next() >> (64 - width)) << shift;
+                        s.add(v);
+                        d.add(v);
+                    }
+                    (s, d)
+                })
+                .collect();
+            for (i, (s, d)) in parts.iter().enumerate() {
+                check(s, d, &format!("case {case} part {i}"));
+            }
+            match (window(&parts[0].0), window(&parts[1].0)) {
+                (Some(a), Some(b)) if a.1 < b.0 || b.1 < a.0 => seen[0] += 1,
+                (Some(_), Some(_)) => seen[1] += 1,
+                _ => seen[2] += 1,
+            }
+            let (mut s, mut d) = (QuantileSketch::new(), Dense::new());
+            for (ps, pd) in &parts {
+                s.merge(ps);
+                d.merge(pd);
+            }
+            check(&s, &d, &format!("case {case}: all into an empty sketch"));
+            let (mut s, mut d) = parts[1].clone();
+            for (ps, pd) in [&parts[2], &parts[0]] {
+                s.merge(ps);
+                d.merge(pd);
+            }
+            check(&s, &d, &format!("case {case}: into the middle one"));
+        }
+        assert!(seen.iter().all(|&k| k > 0), "merge kinds seen: {seen:?}");
     }
 
     #[test]
