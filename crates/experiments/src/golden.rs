@@ -25,15 +25,15 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Per-run switches for a pinned scenario. None may change the summary:
-/// the audit is observational and snapshot/resume is bit-exact — exactly
-/// what the golden suite pins.
+/// the audit is observational and a pump stopped and resumed is the pump
+/// run straight through — exactly what the golden suite pins.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GoldenOpts {
     /// Enable the invariant audit.
     pub audit: bool,
-    /// Interrupt the run at this horizon, snapshot, restore, and finish on
-    /// the restored simulator ([`netsim::Sim::snapshot`] round-trip) —
-    /// instead of running straight through.
+    /// Stop the run at this horizon ([`netsim::Sim::run_until`]), then
+    /// finish it ([`netsim::Sim::run`]) — instead of running straight
+    /// through.
     pub resume_at: Option<Time>,
 }
 
@@ -46,7 +46,7 @@ impl GoldenOpts {
         }
     }
 
-    /// Snapshot/resume round-trip at `at`.
+    /// Stop at `at`, then finish.
     pub fn resumed(at: Time) -> Self {
         GoldenOpts {
             resume_at: Some(at),
@@ -57,20 +57,14 @@ impl GoldenOpts {
 
 /// Finish a fully-registered scenario according to `opts`: either run
 /// straight through, or — when [`GoldenOpts::resume_at`] is set — advance
-/// to the horizon, snapshot, rebuild from the snapshot, and run the
-/// restored simulator to completion. Golden cases route every run through
-/// this helper so the snapshot round-trip is pinned against the exact
-/// scenarios the suite already pins.
+/// to the horizon, then run the same simulator to completion. Golden cases
+/// route every run through this helper so the split pump is pinned against
+/// the exact scenarios the suite already pins.
 pub fn finish(mut sim: Sim, opts: GoldenOpts) -> SimResult {
-    match opts.resume_at {
-        None => sim.run(),
-        Some(at) => {
-            sim.run_until(at);
-            let snap = sim.snapshot();
-            drop(sim);
-            Sim::restore(&snap).run()
-        }
+    if let Some(at) = opts.resume_at {
+        sim.run_until(at);
     }
+    sim.run()
 }
 
 /// One pinned scenario: a name (the golden file stem) and a runner.

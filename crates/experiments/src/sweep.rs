@@ -49,94 +49,6 @@ where
         .collect()
 }
 
-/// Warm-start cache accounting for [`run_warm`]: how many configs forked
-/// from a shared snapshot (`hits`) vs. simulated their own warmup prefix
-/// (`misses`, one per distinct prefix group).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WarmCache {
-    /// Distinct warmup-prefix groups (`== misses`).
-    pub groups: usize,
-    /// Configs that restored from an already-simulated prefix snapshot.
-    pub hits: usize,
-    /// Warmup prefixes simulated from scratch (one per group).
-    pub misses: usize,
-}
-
-/// Results plus cache accounting from a [`run_warm`] sweep.
-pub struct WarmReport<R> {
-    /// Per-config results, in input order.
-    pub results: Vec<R>,
-    /// Snapshot-cache accounting.
-    pub cache: WarmCache,
-}
-
-/// Prefix-sharing parallel sweep: configs whose `key` matches share one
-/// warmup prefix. Per distinct key, `warm` runs once on a representative
-/// config (building a simulator and advancing it to the shared horizon,
-/// typically `Sim::run_until`), the result is snapshotted, and **every**
-/// config in the group — representative included — restores from the
-/// snapshot and finishes via `finish`. Running the representative through
-/// the same restore path keeps all group members on a bit-identical code
-/// path (the snapshot/resume-identity e2e suite makes restore-vs-straight
-/// equivalence a non-issue, but uniformity means a regression there cannot
-/// split a group).
-///
-/// `key` must capture *everything* the warmup depends on — topology,
-/// seed, switch config, warmup flows, horizon. Two configs with equal keys
-/// but different warmup behavior would silently share the wrong prefix;
-/// the warm-start differential test in `e2e_snapshot` pins the honest-key
-/// contract for the shipped experiment configs.
-///
-/// Both phases fan out over [`run_ordered`] with `jobs` workers; results
-/// come back in input order.
-pub fn run_warm<C, R, K, W, F>(
-    configs: &[C],
-    jobs: usize,
-    key: K,
-    warm: W,
-    finish: F,
-) -> WarmReport<R>
-where
-    C: Sync,
-    R: Send,
-    K: Fn(&C) -> u64,
-    W: Fn(&C) -> netsim::SimSnapshot + Sync,
-    F: Fn(&C, netsim::Sim) -> R + Sync,
-{
-    // Group configs by key, preserving first-appearance order.
-    let mut group_of = Vec::with_capacity(configs.len());
-    let mut reps: Vec<usize> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    for (i, c) in configs.iter().enumerate() {
-        let k = key(c);
-        match keys.iter().position(|&seen| seen == k) {
-            Some(g) => group_of.push(g),
-            None => {
-                group_of.push(keys.len());
-                keys.push(k);
-                reps.push(i);
-            }
-        }
-    }
-    // Phase 1: one warmup simulation per group, in parallel.
-    let snaps: Vec<netsim::SimSnapshot> =
-        run_ordered(&reps, jobs, &|&rep| warm(&configs[rep]));
-    // Phase 2: every config forks from its group's snapshot.
-    let indexed: Vec<usize> = (0..configs.len()).collect();
-    let results = run_ordered(&indexed, jobs, &|&i| {
-        let sim = netsim::Sim::restore(&snaps[group_of[i]]);
-        finish(&configs[i], sim)
-    });
-    WarmReport {
-        results,
-        cache: WarmCache {
-            groups: reps.len(),
-            hits: configs.len() - reps.len(),
-            misses: reps.len(),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -232,7 +232,7 @@ pub(crate) struct SwitchArrive {
 
 /// The (switch, ingress port, queue) an admission in the current event
 /// touched; checked against the Xoff invariant at the event boundary.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Focus {
     pub(crate) node: NodeId,
     pub(crate) in_port: u16,
@@ -240,7 +240,7 @@ pub(crate) struct Focus {
 }
 
 /// Live audit state held by the simulator while auditing is enabled.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Audit {
     cfg: AuditConfig,
     ring: RingLog<EventRecord>,

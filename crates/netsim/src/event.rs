@@ -10,9 +10,9 @@ use crate::packet::{FlowId, NodeId, PacketId};
 /// Simulation events.
 ///
 /// `Copy` is deliberate: every variant is a few machine words of plain ids
-/// (see the `event_stays_slim` size pin in `crate::sim`'s tests), which is
-/// what lets [`crate::sim::Sim::snapshot`] clone the whole scheduler queue
-/// without touching packet or flow state.
+/// (see the `event_stays_slim` size pin in `crate::sim`'s tests), so the
+/// scheduler queue moves and compares events without touching packet or
+/// flow state.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// A packet arrives at `node` through ingress `in_port` (propagation
@@ -97,7 +97,7 @@ impl Event {
     /// words: a variant discriminant followed by every payload field. Used
     /// by [`crate::sim::Sim::state_digest`] to fingerprint pending queue
     /// entries; the match is exhaustive on purpose (simlint R8) so a new
-    /// variant cannot silently escape the snapshot-completeness fleet.
+    /// variant cannot silently escape the digest-completeness fleet.
     pub fn fold_digest(&self, mut fold: impl FnMut(u64)) {
         match *self {
             Event::Arrive { node, in_port, pkt } => {

@@ -44,7 +44,6 @@ pub mod packet;
 pub mod record;
 pub mod routing;
 pub mod sim;
-pub mod snapshot;
 mod state;
 pub mod topology;
 pub mod transport_api;
@@ -59,6 +58,6 @@ pub use record::{FlowRecord, SimCounters, SimResult, StreamingStats};
 #[doc(hidden)]
 pub use simcore::SchedKind;
 pub use sim::{ArrivalSource, FlowSpec, Sim};
-pub use snapshot::{SimSnapshot, StateTamper};
+pub use state::StateTamper;
 pub use topology::{ThreeTierWanSpec, Topology};
 pub use transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};

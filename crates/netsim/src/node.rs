@@ -4,8 +4,8 @@
 //! nowhere else: the static attributes (peer, nominal rate, propagation
 //! delay), the dynamic state (busy, PFC pause bits, queues, byte counters)
 //! and the fault state (down, degraded, storm-pinned; driven by
-//! [`crate::faults`]) sit side by side, so cloning the nodes snapshots a
-//! link completely and `EgressPort::fold_digest` fingerprints it. Hosts
+//! [`crate::faults`]) sit side by side, so `EgressPort::fold_digest`
+//! fingerprints a link completely. Hosts
 //! and switches share the type: a [`Host`]'s NIC is a one-port `Node`.
 //!
 //! Each node is a handful of heap blocks, not one per port and queue: a
@@ -470,7 +470,6 @@ impl Host {
 
 /// A node of the fabric. Everything link-level treats the two kinds alike
 /// through [`Node::ports`]: a host is a node with one port.
-#[derive(Clone)]
 pub(crate) enum Node {
     Host(Host),
     Switch(Switch),

@@ -107,7 +107,8 @@ impl StreamingStats {
     }
 
     /// Order-independent fingerprint of the whole streaming state, for
-    /// cross-scheduler bit-identity assertions.
+    /// bit-identity assertions between runs; [`crate::Sim::state_digest`]
+    /// folds it too.
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.fct_ps.fingerprint() ^ self.finished.rotate_left(17);
         h ^= self.slowdown_milli.fingerprint().rotate_left(31);

@@ -2,7 +2,6 @@
 //! switch/host event handlers. The data they work on is in `state.rs`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use simcore::stats::ThroughputMeter;
 use simcore::{EventQueue, Rate, SimRng, Time};
@@ -17,7 +16,7 @@ use crate::packet::{
 };
 use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
 use crate::routing::RoutingTable;
-use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State};
+use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State, StateTamper};
 use crate::topology::{NodeKind, PortLink, Topology};
 use crate::transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
 
@@ -45,12 +44,11 @@ pub trait ArrivalSource {
 pub use crate::event::Event;
 pub use crate::state::FlowSpec;
 
-/// The simulator: the shared, immutable `Env` of a run plus the one copy
-/// of its mutable `State`. The two user callbacks sit beside them — they
-/// hold arbitrary user state, take the whole `Sim`, and are why a run that
-/// has one installed cannot be snapshotted.
+/// The simulator: the immutable `Env` of a run plus its mutable `State`.
+/// The two user callbacks sit beside them, outside `State`: they hold
+/// arbitrary user state and take the whole `Sim`.
 pub struct Sim {
-    pub(crate) env: Arc<Env>,
+    pub(crate) env: Env,
     pub(crate) state: State,
     pub(crate) app: Option<Box<dyn App>>,
     /// Open-loop arrival source ([`Event::Inject`]); `None` between the
@@ -131,7 +129,7 @@ impl Sim {
             ecn_rng: SimRng::new(seed).split(2),
             nc_rng: SimRng::new(seed).split(3),
             streaming,
-            completed_buf: Vec::new(),
+            completed_buf: None,
             started: false,
             audit: if crate::audit::env_enabled() {
                 // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
@@ -146,12 +144,12 @@ impl Sim {
         };
         let lossy = !switch_cfg.pfc_enabled;
         Sim {
-            env: Arc::new(Env {
+            env: Env {
                 cfg,
                 switch_cfg,
                 routes,
                 lossy,
-            }),
+            },
             state,
             app: None,
             arrivals: None,
@@ -174,9 +172,11 @@ impl Sim {
         self.state.audit.is_some()
     }
 
-    /// Install a closed-loop application driver.
+    /// Install a closed-loop application driver. From here on, completed
+    /// flows are buffered for it.
     pub fn set_app(&mut self, app: Box<dyn App>) {
         self.app = Some(app);
+        self.state.completed_buf.get_or_insert_with(Vec::new);
     }
 
     /// Install an open-loop arrival source; the first [`Event::Inject`] is
@@ -211,11 +211,25 @@ impl Sim {
         &self.env.switch_cfg
     }
 
-    /// True when `other` runs in the very same [`Env`] allocation — forks
-    /// of one snapshot do; the routing table is shared, not copied per fork.
+    /// FNV-1a fingerprint of the simulator's complete deterministic state:
+    /// scheduler queue, counters, RNG streams, packet arena, nodes and their
+    /// ports (link fault state included), flow table and slab, monitors,
+    /// traces, and streaming sketches. Two simulators in the same
+    /// configuration with equal digests dispatch identically from here on,
+    /// wherever their queues keep an entry; the digest-completeness fleet
+    /// pins that every [`StateTamper`] class moves it.
+    pub fn state_digest(&self) -> u64 {
+        self.state.digest()
+    }
+
+    /// Buggify-style hook for the digest-completeness fleet: mutate one
+    /// class of deterministic state in place. Returns `false` when the run
+    /// does not carry that state class (e.g. [`StateTamper::Sketch`]
+    /// without streaming statistics), so tests can assert the tamper
+    /// actually landed before asserting digest divergence.
     #[doc(hidden)]
-    pub fn shares_env_with(&self, other: &Sim) -> bool {
-        Arc::ptr_eq(&self.env, &other.env)
+    pub fn snap_mutate(&mut self, tamper: StateTamper) -> bool {
+        self.state.tamper(tamper)
     }
 
     /// Compute per-flow parameters (base RTTs, line rate) for a prospective
@@ -261,19 +275,46 @@ impl Sim {
 
     /// Register a flow. `make` receives the computed [`FlowParams`] and
     /// returns the sender-side transport.
+    ///
+    /// # Panics
+    /// Panics if `spec.src` or `spec.dst` is not a host of the topology,
+    /// if they are the same host, if `spec.phys_prio` is not below
+    /// [`SimConfig::num_prios`], or if `spec.size` is 0.
     pub fn add_flow(
         &mut self,
         spec: FlowSpec,
         make: impl FnOnce(&FlowParams) -> Box<dyn Transport>,
     ) -> FlowId {
+        let nodes = self.state.nodes.len();
+        for (field, node) in [("src", spec.src), ("dst", spec.dst)] {
+            match self.state.nodes.get(node as usize) {
+                Some(Node::Host(_)) => {}
+                Some(Node::Switch(_)) => {
+                    panic!("FlowSpec.{field} = {node} is a switch, not a host")
+                }
+                None => panic!(
+                    "FlowSpec.{field} = {node} is out of range: the topology has {nodes} nodes"
+                ),
+            }
+        }
+        // Its packets would hairpin through the ToR, while its base RTT
+        // (the path from a host to itself) would read 0.
+        assert!(
+            spec.src != spec.dst,
+            "FlowSpec.src = FlowSpec.dst = {}: a flow needs two different hosts",
+            spec.src
+        );
         let cfg = &self.env.cfg;
         assert!(
             spec.phys_prio < cfg.num_prios,
-            "phys_prio {} out of range (num_prios {})",
+            "FlowSpec.phys_prio = {} is out of range: it must be below SimConfig.num_prios = {}",
             spec.phys_prio,
             cfg.num_prios
         );
-        assert!(spec.size > 0, "zero-size flow");
+        assert!(
+            spec.size > 0,
+            "FlowSpec.size = 0: a flow must carry at least one byte"
+        );
         let id = self.state.flows.len() as FlowId;
         let params = self.flow_params(&spec, id);
         let transport = make(&params);
@@ -337,9 +378,9 @@ impl Sim {
 
     /// Schedule the run-level bootstrap events (End, first Inject, monitor
     /// samples, the fault schedule). Runs once, on whichever of
-    /// [`Self::run`] / [`Self::run_until`] is called first; a restored
-    /// simulation carries `started = true`, so the bootstrap is never
-    /// re-applied to forked state.
+    /// [`Self::run`] / [`Self::run_until`] is called first; a run resumed
+    /// after `run_until` carries `started = true`, so the bootstrap is
+    /// never applied twice.
     fn ensure_started(&mut self) {
         let (cfg, st) = (&self.env.cfg, &mut self.state);
         if st.started {
@@ -371,18 +412,18 @@ impl Sim {
     /// event that needed them is finished.
     fn pump(&mut self, until: Option<Time>) {
         loop {
-            match self.state.advance(&self.env, until, self.app.is_some()) {
+            match self.state.advance(&self.env, until) {
                 Yield::Stopped => return,
                 Yield::Inject => self.on_inject(),
-                Yield::Completed => {}
-            }
-            if !self.state.completed_buf.is_empty() {
-                // Taken out while it runs: the callback gets the whole `Sim`.
-                if let Some(mut app) = self.app.take() {
-                    for f in std::mem::take(&mut self.state.completed_buf) {
-                        app.on_flow_complete(f, self);
+                Yield::Completed => {
+                    // Taken out while it runs: the callback gets the whole `Sim`.
+                    if let Some(mut app) = self.app.take() {
+                        let done = self.state.completed_buf.as_mut().map(std::mem::take);
+                        for f in done.into_iter().flatten() {
+                            app.on_flow_complete(f, self);
+                        }
+                        self.app = Some(app);
                     }
-                    self.app = Some(app);
                 }
             }
             self.state.audit_boundary(&self.env, self.state.queue.now());
@@ -391,8 +432,9 @@ impl Sim {
 
     /// Advance the simulation up to (but not into) `horizon`: every batch
     /// with timestamp strictly before `horizon` is dispatched, then the
-    /// clock rests at the last dispatched batch. Used to simulate a shared
-    /// warmup prefix before [`Self::snapshot`](crate::snapshot)ing.
+    /// clock rests at the last dispatched batch. A later `run_until` or
+    /// [`Self::run`] resumes where it stopped, exactly as if the run had
+    /// not been split.
     ///
     /// # Panics
     /// Panics if `horizon` is past `end_time` (the run would consume its
@@ -447,7 +489,7 @@ impl Sim {
                     let mut r = f.record;
                     if f.live != u32::MAX {
                         // Unreclaimed (censored or leaked) flows still hold a
-                        // transport; reclaimed ones snapshotted retransmits
+                        // transport; reclaimed ones copied retransmits
                         // into the record at release time.
                         r.retransmits = live.get(f.live).transport.retransmits();
                     }
@@ -557,7 +599,7 @@ impl State {
     /// `advance` calls any of them. (The heap's side of the queue —
     /// `pop_backend`, `retire_cancelled_head` — is out of line on purpose:
     /// a hundredth of the events.)
-    fn advance(&mut self, env: &Env, until: Option<Time>, has_app: bool) -> Yield {
+    fn advance(&mut self, env: &Env, until: Option<Time>) -> Yield {
         loop {
             let now = self.queue.now();
             while let Some(ev) = self.queue.batch_next() {
@@ -584,7 +626,7 @@ impl State {
                     Event::Sample { monitor } => self.on_sample(env, monitor, now),
                     Event::Fault { idx } => self.on_fault(env, idx, now),
                 }
-                if has_app && !self.completed_buf.is_empty() {
+                if self.completed_buf.as_ref().is_some_and(|b| !b.is_empty()) {
                     return Yield::Completed;
                 }
                 self.audit_boundary(env, now);
@@ -1095,7 +1137,9 @@ impl State {
                 if let Some(st) = self.streaming.as_deref_mut() {
                     st.on_complete(&flow.record, now);
                 }
-                self.completed_buf.push(fid);
+                if let Some(buf) = &mut self.completed_buf {
+                    buf.push(fid);
+                }
             }
             (fl.recv.cum, nack)
         };
@@ -1175,7 +1219,7 @@ impl State {
         self.host_poke(env, node, now);
     }
 
-    /// Release a finished flow's live-state slab slot, snapshotting the
+    /// Release a finished flow's live-state slab slot, copying the
     /// transport's retransmit count into the record first. The
     /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the audit
     /// deep scan's flow-state sweep can prove it notices the leak.
@@ -1338,6 +1382,8 @@ mod tests {
     use super::*;
     use crate::faults::FaultSchedule;
     use simcore::Rate;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Hosts and switches share one PFC-frame handler: a resume addressed
     /// to a storm-pinned priority is swallowed — frame released, pause bit
@@ -1452,25 +1498,149 @@ mod tests {
         assert!(!p.is_paused(31) && !p.is_paused(29) && !p.is_stormed(0));
     }
 
+    /// A single-switch fabric of two hosts (0, 1) and switch 2, with one
+    /// flow registered from `spec`.
+    fn add_flow_on_two_hosts(spec: FlowSpec) {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+        sim.add_flow(spec, |_| Box::new(Recorder::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.dst = 9 is out of range: the topology has 3 nodes")]
+    fn flow_to_a_nonexistent_node_is_refused() {
+        add_flow_on_two_hosts(FlowSpec::new(0, 9, 1000, Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.src = 2 is a switch, not a host")]
+    fn flow_from_a_switch_is_refused() {
+        add_flow_on_two_hosts(FlowSpec::new(2, 1, 1000, Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.src = FlowSpec.dst = 1: a flow needs two different hosts")]
+    fn flow_from_a_host_to_itself_is_refused() {
+        add_flow_on_two_hosts(FlowSpec::new(1, 1, 1000, Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "FlowSpec.phys_prio = 1 is out of range: it must be below SimConfig.num_prios = 1"
+    )]
+    fn flow_past_the_data_priorities_is_refused() {
+        add_flow_on_two_hosts(FlowSpec {
+            phys_prio: 1,
+            ..FlowSpec::new(0, 1, 1000, Time::ZERO)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.size = 0: a flow must carry at least one byte")]
+    fn empty_flow_is_refused() {
+        add_flow_on_two_hosts(FlowSpec::new(0, 1, 0, Time::ZERO));
+    }
+
+    /// `run_until` past `end_time` would dispatch the `End` event, and a
+    /// later `run` could not stop at `end_time`.
+    #[test]
+    #[should_panic(expected = "past end_time")]
+    fn run_until_past_end_time_is_refused() {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+        sim.run_until(sim.config().end_time + Time::from_ps(1));
+    }
+
+    /// Completions are buffered only for an installed [`App`]: a run
+    /// without one finishes flows and ends with no buffer at all, while an
+    /// `App` sees every completion and the buffer ends drained.
+    #[test]
+    fn completions_are_buffered_only_for_an_app() {
+        struct Count(Rc<RefCell<Vec<FlowId>>>);
+        impl App for Count {
+            fn on_flow_complete(&mut self, flow: FlowId, _: &mut Sim) {
+                self.0.borrow_mut().push(flow);
+            }
+        }
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        for with_app in [false, true] {
+            let topo = Topology::single_switch(2, Rate::from_gbps(100), Time::from_us(1));
+            let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+            if with_app {
+                sim.set_app(Box::new(Count(Rc::clone(&seen))));
+            }
+            for src in [0, 1] {
+                let spec = FlowSpec::new(src, 2, 10_000, Time::ZERO);
+                sim.add_flow(spec, |p| {
+                    Box::new(Burst {
+                        left: p.size,
+                        next: 0,
+                        mtu: p.mtu,
+                    })
+                });
+            }
+            sim.run_until(sim.config().end_time);
+            assert!(
+                (0..2).all(|f| sim.record(f).finish.is_some()),
+                "both flows finished"
+            );
+            let buffered = sim.state.completed_buf.as_ref().map(Vec::len);
+            assert_eq!(buffered, with_app.then_some(0), "with_app = {with_app}");
+        }
+        assert_eq!(*seen.borrow(), [0, 1], "the App saw each completion once");
+    }
+
+    /// Sends its flow's bytes back to back and ignores every ACK.
+    struct Burst {
+        left: u64,
+        next: u64,
+        mtu: u32,
+    }
+
+    impl Transport for Burst {
+        fn on_start(&mut self, _: &mut TransportCtx<'_>) {}
+        fn on_ack(&mut self, _: &AckEvent, _: &mut TransportCtx<'_>) {}
+        fn on_timer(&mut self, _: u64, _: &mut TransportCtx<'_>) {}
+        fn try_send(&mut self, _: Time) -> TrySend {
+            match self.left.min(self.mtu as u64) as u32 {
+                0 => TrySend::Blocked,
+                bytes => TrySend::Data {
+                    seq: self.next,
+                    bytes,
+                },
+            }
+        }
+        fn on_sent(&mut self, sent: TrySend, _: &mut TransportCtx<'_>) {
+            if let TrySend::Data { bytes, .. } = sent {
+                self.next += bytes as u64;
+                self.left -= bytes as u64;
+            }
+        }
+        fn is_finished(&self) -> bool {
+            false
+        }
+        fn cwnd_bytes(&self) -> f64 {
+            0.0
+        }
+    }
+
     /// What a [`Recorder`] saw of one [`AckEvent`]: kind, delay, cum,
     /// acked seq, acked bytes, ECN echo, NACK, and the INT path's queue
     /// lengths.
     type Seen = (AckKind, Time, u64, u64, u32, bool, Option<(u64, u64)>, Option<Vec<u64>>);
 
-    /// A transport that only records the ACKs it is handed.
+    /// A transport that only records the ACKs it is handed, into a list the
+    /// test keeps a handle on.
     #[derive(Clone, Default)]
-    struct Recorder(Arc<std::sync::Mutex<Vec<Seen>>>);
+    struct Recorder(Rc<RefCell<Vec<Seen>>>);
 
     impl Transport for Recorder {
-        fn clone_box(&self) -> Box<dyn Transport> {
-            Box::new(self.clone())
-        }
         fn on_start(&mut self, _: &mut TransportCtx<'_>) {}
         fn on_ack(&mut self, ack: &AckEvent, _: &mut TransportCtx<'_>) {
             let int = ack.int.as_deref().map(|p| p.as_slice().iter().map(|h| h.qlen).collect());
             let (cum, seq, bytes) = (ack.cum_bytes, ack.acked_seq, ack.acked_bytes);
             let seen = (ack.kind, ack.delay, cum, seq, bytes, ack.ecn_echo, ack.nack, int);
-            self.0.lock().unwrap().push(seen);
+            self.0.borrow_mut().push(seen);
         }
         fn on_timer(&mut self, _: u64, _: &mut TransportCtx<'_>) {}
         fn try_send(&mut self, _: Time) -> TrySend {
@@ -1534,7 +1704,7 @@ mod tests {
         let probe_shift = p.base_rtt.saturating_sub(p.base_rtt_probe);
         let us = Time::from_us;
         assert_eq!(
-            *rec.0.lock().unwrap(),
+            *rec.0.borrow(),
             [
                 (AckKind::Data, us(7), 500, 0, 500, false, None, None),
                 (AckKind::Data, us(9), 500, 2000, 1000, true, Some((500, 2000)), Some(vec![5, 6])),

@@ -1,13 +1,13 @@
 //! The simulator's data, in one copy: [`Env`] is what a run is given and
 //! never writes again; [`State`] is everything an event can change. A
-//! [`crate::Sim`] is an `Arc<Env>` plus a `State`, a snapshot is the same
-//! pair, and a fork is one `State::clone` — there is no second list of
-//! fields to keep in step.
+//! [`crate::Sim`] is an `Env` plus a `State`.
 //!
 //! Two whole-state readers live beside the data: [`State::fold_digest`]
 //! (the fingerprint behind [`crate::Sim::state_digest`]) and
-//! [`State::deep_scan`] (the audit's O(state) sweep). The flow types sit
-//! here too, each with its own digest next to its fields.
+//! [`State::deep_scan`] (the audit's O(state) sweep). The digest's
+//! completeness fleet ([`StateTamper`], [`crate::Sim::snap_mutate`]) sits
+//! with it. The flow types sit here too, each with its own digest next to
+//! its fields.
 
 use std::collections::BTreeMap;
 
@@ -58,7 +58,7 @@ impl FlowSpec {
     }
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct RecvState {
     pub(crate) cum: u64,
     pub(crate) ooo: BTreeMap<u64, u64>,
@@ -122,7 +122,6 @@ impl RecvState {
 /// record. Intentionally O(total flows) — results need every record. The
 /// heavyweight state (transport + reassembly) lives in the [`FlowSlab`]
 /// behind `live` and is reclaimed at completion.
-#[derive(Clone)]
 pub(crate) struct Flow {
     pub(crate) spec: FlowSpec,
     pub(crate) params: FlowParams,
@@ -159,20 +158,10 @@ pub(crate) struct FlowLive {
     pub(crate) recv: RecvState,
 }
 
-impl Clone for FlowLive {
-    fn clone(&self) -> Self {
-        FlowLive {
-            // simlint::allow(hot-path-alloc, cloning happens only at snapshot/restore, not per event)
-            transport: self.transport.clone_box(),
-            recv: self.recv.clone(), // simlint::allow(hot-path-alloc, snapshot/restore only, not per event)
-        }
-    }
-}
-
 impl FlowLive {
     /// The transport is a trait object, so it contributes its observable
-    /// sender state (cwnd, retransmits, finished); the full transport state
-    /// is exercised by the resume-bit-identity tests rather than the digest.
+    /// sender state (cwnd, retransmits, finished); the rest of it is
+    /// opaque to the digest.
     fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
         self.recv.fold_digest(fold);
         fold(self.transport.cwnd_bytes().to_bits());
@@ -186,7 +175,7 @@ impl FlowLive {
 /// event order, so it is bit-identical across runs. Slots are
 /// released explicitly at flow completion, which is what makes resident
 /// memory scale with *concurrent* flows rather than total flows.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct FlowSlab {
     pub(crate) slots: Vec<Option<FlowLive>>,
     pub(crate) free: Vec<u32>,
@@ -276,8 +265,7 @@ impl FlowSlab {
     }
 }
 
-/// What a run is given and never writes after [`crate::Sim::new`]. Shared,
-/// not copied, by a simulator, its snapshots and every fork of them.
+/// What a run is given and never writes after [`crate::Sim::new`].
 pub(crate) struct Env {
     pub(crate) cfg: SimConfig,
     pub(crate) switch_cfg: SwitchConfig,
@@ -286,10 +274,8 @@ pub(crate) struct Env {
     pub(crate) lossy: bool,
 }
 
-/// Everything an event can change. `Clone` is the snapshot: a field that
-/// cannot be cloned does not compile, and [`State::fold_digest`] names
-/// every field, so one that is not digested does not compile either.
-#[derive(Clone)]
+/// Everything an event can change. [`State::fold_digest`] names every
+/// field, so one that is not digested does not compile.
 pub(crate) struct State {
     /// Hosts and switches. Each owns its egress ports, and a port owns
     /// everything about its direction of its link — static attributes,
@@ -319,15 +305,15 @@ pub(crate) struct State {
     /// completed flows fold into quantile sketches at completion time.
     pub(crate) streaming: Option<Box<StreamingStats>>,
     /// Flows completed by the event being dispatched, awaiting delivery to
-    /// the [`crate::sim::App`].
-    pub(crate) completed_buf: Vec<FlowId>,
-    /// Whether the run-level bootstrap events have been scheduled. A
-    /// snapshot of a running simulation carries `true`.
+    /// the [`crate::sim::App`]. `None` unless an `App` is installed
+    /// ([`crate::Sim::set_app`]): nothing else reads completions.
+    pub(crate) completed_buf: Option<Vec<FlowId>>,
+    /// Whether the run-level bootstrap events have been scheduled.
     pub(crate) started: bool,
     /// Invariant-audit state; `None` keeps the hot path to one branch per
-    /// hook. Boxed so the disabled case costs a single word. It rides in
-    /// the snapshot: a fresh audit on the resumed half would recount
-    /// conservation tallies from zero and flag every pre-snapshot byte.
+    /// hook. Boxed so the disabled case costs a single word. It lives here
+    /// so a run stopped by [`crate::Sim::run_until`] and resumed keeps its
+    /// conservation tallies across the split.
     pub(crate) audit: Option<Box<Audit>>,
 }
 
@@ -387,8 +373,9 @@ impl State {
             f.fold_digest(fold);
         }
         live.fold_digest(fold);
-        fold(completed_buf.len() as u64);
-        for &f in completed_buf {
+        let completed = completed_buf.as_deref().unwrap_or_default();
+        fold(completed.len() as u64);
+        for &f in completed {
             fold(f as u64);
         }
         fold(monitors.len() as u64);
@@ -482,6 +469,91 @@ impl State {
             }
         });
         a.check_arena(now, &self.arena, &refs);
+    }
+}
+
+/// Which class of simulator state a digest-completeness tamper mutates.
+/// One variant per digest-covered field class; the `e2e_digest` fleet
+/// applies each in turn through [`crate::Sim::snap_mutate`] and asserts
+/// [`crate::Sim::state_digest`] diverges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StateTamper {
+    /// Bump one [`crate::SimCounters`] field.
+    Counter,
+    /// Advance one RNG stream by a draw.
+    Rng,
+    /// Fold a sample into the streaming quantile sketch (requires
+    /// [`crate::SimConfig::streaming_stats`]).
+    Sketch,
+    /// Flip the priority-0 PFC pause bit on node 0's first egress port.
+    PortState,
+    /// Bump the first monitor's `last_tx`, the reading its next throughput
+    /// sample is a delta from (requires a registered monitor).
+    Monitor,
+    /// Schedule one extra event, a host poke far in the future.
+    Queue,
+    /// Advance the reassembly point of one live flow (requires a flow in
+    /// flight).
+    FlowRecv,
+}
+
+impl State {
+    /// FNV-1a over [`Self::fold_digest`]: the value of
+    /// [`crate::Sim::state_digest`].
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        self.fold_digest(&mut |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        });
+        h
+    }
+
+    /// Mutate one class of deterministic state in place, for
+    /// [`crate::Sim::snap_mutate`]. Returns `false` when the run does not
+    /// carry that state class (e.g. [`StateTamper::Sketch`] without
+    /// streaming statistics).
+    pub(crate) fn tamper(&mut self, tamper: StateTamper) -> bool {
+        match tamper {
+            StateTamper::Counter => {
+                self.counters.data_delivered += 1;
+                true
+            }
+            StateTamper::Rng => {
+                self.noise_rng.next();
+                true
+            }
+            StateTamper::Sketch => match self.streaming.as_deref_mut() {
+                Some(s) => {
+                    s.fct_ps.add(1);
+                    true
+                }
+                None => false,
+            },
+            StateTamper::PortState => {
+                self.nodes[0].ports_mut()[0].paused ^= 1;
+                true
+            }
+            StateTamper::Monitor => match self.monitors.first_mut() {
+                Some(m) => {
+                    m.last_tx += 1;
+                    true
+                }
+                None => false,
+            },
+            StateTamper::Queue => {
+                self.queue.schedule(Time::MAX, Event::HostPoke { node: 0 });
+                true
+            }
+            StateTamper::FlowRecv => match self.live.slots.iter_mut().flatten().next() {
+                Some(fl) => {
+                    fl.recv.cum += 1;
+                    true
+                }
+                None => false,
+            },
+        }
     }
 }
 

@@ -161,17 +161,10 @@ impl<'a> TransportCtx<'a> {
 /// Sender-side congestion control for one flow.
 ///
 /// Implementations must be deterministic: any randomness must come from the
-/// seed in [`FlowParams`].
-///
-/// `Send + Sync` and [`Transport::clone_box`] exist for
-/// [`crate::sim::Sim::snapshot`]: a snapshot deep-copies every live
-/// transport, and warm-start sweeps share the resulting snapshot across
-/// worker threads. Transports hold only plain sender state, so both come
-/// for free in practice (`clone_box` is one line over a `Clone` derive).
-pub trait Transport: Send + Sync {
-    /// Deep-copy this transport as a boxed trait object (snapshot support).
-    fn clone_box(&self) -> Box<dyn Transport>;
-
+/// seed in [`FlowParams`]. Nothing else is asked of the type: the simulator
+/// owns each flow's transport as a `Box<dyn Transport>` and never copies it
+/// or moves it to another thread.
+pub trait Transport {
     /// Called once when the flow starts (before the first `try_send`).
     fn on_start(&mut self, ctx: &mut TransportCtx<'_>);
 

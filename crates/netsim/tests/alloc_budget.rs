@@ -128,9 +128,9 @@ fn sim_new_allocates_a_handful_of_blocks_per_node() {
     assert_eq!(
         got,
         [
-            ("single_switch(64)", 214, 203),
-            ("fat_tree(4)", 198, 178),
-            ("fat_tree(8)", 1_169, 1_142),
+            ("single_switch(64)", 213, 202),
+            ("fat_tree(4)", 197, 177),
+            ("fat_tree(8)", 1_168, 1_141),
         ]
     );
 }

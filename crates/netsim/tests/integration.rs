@@ -36,9 +36,6 @@ impl FixedWindow {
 }
 
 impl Transport for FixedWindow {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
     fn on_start(&mut self, _ctx: &mut TransportCtx<'_>) {}
     fn on_ack(&mut self, ack: &AckEvent, _ctx: &mut TransportCtx<'_>) {
         if ack.kind == AckKind::Data {

@@ -122,8 +122,8 @@ impl SimRng {
     }
 
     /// The raw generator state. Two generators with equal state produce
-    /// identical streams; used by simulation snapshot digests to certify
-    /// that a restored RNG is exactly where the original left off.
+    /// identical streams; the simulator's state digest folds it, so two
+    /// runs with equal digests draw the same numbers from here on.
     pub fn state(&self) -> [u64; 4] {
         self.s
     }

@@ -13,6 +13,10 @@
 //!   the PrioPlus state machine (probes, suspension, probe-RTO) — the Rust
 //!   analogue of the paper's 79-line DPDK integration.
 //!
+//! A new CC plugs into either shell by implementing that one trait: neither
+//! asks it to be `Clone`, `Send` or `Sync`, because the simulator owns each
+//! flow's transport and never copies it.
+//!
 //! Provided algorithms (built per flow by [`CcSpec::make`]):
 //!
 //! | Policy | On RTO | Paper role |

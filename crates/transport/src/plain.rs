@@ -53,7 +53,7 @@ impl<C: DelayCc> WindowPolicy for C {
 
 /// Window-based transport delegating congestion control to a
 /// [`WindowPolicy`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CcTransport<P: WindowPolicy> {
     base: SenderBase,
     cc: P,
@@ -71,11 +71,7 @@ impl<P: WindowPolicy> CcTransport<P> {
     }
 }
 
-impl<P: WindowPolicy + Clone + Send + Sync + 'static> Transport for CcTransport<P> {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
-
+impl<P: WindowPolicy> Transport for CcTransport<P> {
     fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
         self.base.arm_rto(ctx);
     }
@@ -214,7 +210,7 @@ mod tests {
     fn rto_reaction_is_the_policys_answer() {
         // One packet in flight and no ACK by a (generous) deadline: the
         // shell requeues it whatever the policy; the window is the policy's.
-        fn cwnd_after_rto<P: WindowPolicy + Clone + Send + Sync + 'static>(cc: P) -> f64 {
+        fn cwnd_after_rto<P: WindowPolicy>(cc: P) -> f64 {
             let mut t = CcTransport::new(SenderBase::new(params(10_000)), cc);
             let mut q = EventQueue::<Event>::new();
             let d = t.try_send(Time::ZERO);

@@ -17,7 +17,7 @@ pub const PROBE_TOKEN: u64 = 0x9205E;
 pub const PROBE_RTO_TOKEN: u64 = 0x9205F;
 
 /// A transport enhanced with PrioPlus virtual priority.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PrioPlusTransport<C: DelayCc> {
     base: SenderBase,
     pp: PrioPlus<C>,
@@ -74,11 +74,7 @@ impl<C: DelayCc> PrioPlusTransport<C> {
     }
 }
 
-impl<C: DelayCc + Clone + Send + Sync + 'static> Transport for PrioPlusTransport<C> {
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
-
+impl<C: DelayCc> Transport for PrioPlusTransport<C> {
     fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
         let action = self.pp.on_flow_start();
         self.handle_action(action, ctx);

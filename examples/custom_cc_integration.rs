@@ -17,9 +17,7 @@ use transport::sender::SenderBase;
 use transport::PrioPlusPolicy;
 
 /// A deliberately minimal delay-targeting AIMD controller — stand-in for
-/// "your CC here". `Clone` is required so the wrapping transport can
-/// implement [`Transport::clone_box`] for simulation snapshots.
-#[derive(Clone)]
+/// "your CC here". [`DelayCc`] is all it implements.
 struct MyCc {
     cwnd: f64,
     ai: f64,

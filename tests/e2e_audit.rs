@@ -6,7 +6,9 @@
 //! code, not an aspiration. Second, the audit *detects*: each `Buggify`
 //! fault injection produces at least one violation of the expected kind.
 //! Together these pin the audit's false-positive and false-negative rate
-//! at zero for the faults we can inject.
+//! at zero for the faults we can inject. The audit's tallies also carry
+//! across a pump stopped by `run_until` and resumed: it stays clean on
+//! both halves of a split run, which equals the straight run.
 
 use experiments::micro::{Micro, MicroEnv};
 use netsim::{Buggify, SimResult, SwitchConfig, ViolationKind};
@@ -297,4 +299,99 @@ fn audit_is_clean_with_packets_in_lanes_across_three_link_classes() {
     assert_eq!(c.events, again.counters.events);
     assert_eq!(c.sched_lane_pushes, again.counters.sched_lane_pushes);
     assert_eq!(finishes(&res), finishes(&again));
+}
+
+/// Staggered 6-sender incast over one bottleneck with testbed noise and
+/// two virtual priorities, audited: queues, PFC and (for the lossy
+/// schemes) retransmission state on both sides of a split.
+fn staggered_incast(cc: &CcSpec) -> Micro {
+    let mut m = Micro::build(&MicroEnv {
+        senders: 6,
+        end: Time::from_ms(3),
+        trace: false,
+        noise: netsim::NoiseModel::testbed(),
+        seed: 7,
+        switch: SwitchConfig {
+            int_enabled: matches!(cc, CcSpec::Hpcc),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    m.sim.enable_audit();
+    for s in 1..=6usize {
+        let (size, start) = (120_000 + 40_000 * s as u64, Time::from_us(20 * s as u64));
+        m.add_flow(s, size, start, 0, (s % 2) as u8, cc);
+    }
+    m
+}
+
+/// A run stopped by `run_until` and finished by `run` is the run straight
+/// through, for every transport: byte-identical summary, the audit clean
+/// on both halves (its tallies carry across the split), and the queue's
+/// diagnostics — operations, peak population, peak bytes — equal, because
+/// the same queue serves both halves. Split mid-transfer (every flow in
+/// flight) and late (the fast schemes have drained, only timers and `End`
+/// pending).
+#[test]
+fn cc_matrix_split_pump_is_bit_identical_and_audit_clean() {
+    let (queuing, policy) = (Time::from_us(4), PrioPlusPolicy::paper_default(2));
+    let ccs = [
+        ("prioplus_swift", CcSpec::PrioPlusSwift { policy }),
+        ("prioplus_ledbat", CcSpec::PrioPlusLedbat { policy }),
+        (
+            "swift",
+            CcSpec::Swift {
+                queuing,
+                scaling: false,
+            },
+        ),
+        ("ledbat", CcSpec::Ledbat { queuing }),
+        (
+            "dctcp",
+            CcSpec::D2tcp {
+                deadline_factor: None,
+            },
+        ),
+        (
+            "d2tcp",
+            CcSpec::D2tcp {
+                deadline_factor: Some(2.0),
+            },
+        ),
+        (
+            "swift_weighted",
+            CcSpec::SwiftWeighted {
+                queuing,
+                weight: 2.0,
+            },
+        ),
+        ("hpcc", CcSpec::Hpcc),
+        ("blast", CcSpec::Blast),
+    ];
+    let checked = |res: &SimResult, what: &str| {
+        let report = res.audit.as_ref().expect("audit enabled");
+        assert_eq!(
+            report.total_violations, 0,
+            "{what}: {:?}",
+            report.violations
+        );
+        let c = &res.counters;
+        assert!(c.sched_ops > 0, "{what}: no queue operations counted");
+        let summary = experiments::golden::summarize(res);
+        (
+            summary,
+            c.sched_ops,
+            c.sched_pending_peak,
+            c.sched_bytes_peak,
+        )
+    };
+    for (name, cc) in ccs {
+        let straight = checked(&staggered_incast(&cc).sim.run(), name);
+        for at in [Time::from_us(100), Time::from_us(300)] {
+            let mut m = staggered_incast(&cc);
+            m.sim.run_until(at);
+            let split = checked(&m.sim.run(), &format!("{name} split at {at}"));
+            assert_eq!(straight, split, "{name}: the split at {at} changed the run");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end fault-regime matrix: link flaps, degradation epochs, and
 //! PFC pause storms under the invariant audit.
 //!
-//! Four claims are established here:
+//! Five claims are established here:
 //!
 //! 1. **Faults are deterministic**: every fault regime produces
 //!    bit-identical results — record for record, counter for counter —
@@ -21,6 +21,9 @@
 //!    buggify (fault drops counted but hidden from the audit) produces a
 //!    `CounterMismatch`, pinning the false-negative rate at zero for the
 //!    fault we can inject.
+//! 5. **A fault in progress survives a split pump**: a run stopped by
+//!    `run_until` mid-flap, mid-storm and mid-degradation and finished by
+//!    `run` is the run straight through.
 //!
 //! A long-chain HPCC scenario additionally pins the INT-path spill
 //! behavior (> 8 hops) at system level, with a mid-chain flap on top.
@@ -115,6 +118,16 @@ fn run_incast(
     audit: AuditConfig,
     buggify: Option<Buggify>,
 ) -> SimResult {
+    incast(faults, cc, audit, buggify).sim.run()
+}
+
+/// [`run_incast`]'s scenario, built but not run.
+fn incast(
+    faults: FaultSchedule,
+    cc: &CcSpec,
+    audit: AuditConfig,
+    buggify: Option<Buggify>,
+) -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(10),
@@ -130,7 +143,7 @@ fn run_incast(
     for s in 1..=4 {
         m.add_flow(s, 1_000_000, Time::ZERO, 0, 0, cc);
     }
-    m.sim.run()
+    m
 }
 
 fn swift() -> CcSpec {
@@ -227,6 +240,46 @@ fn storm_regime_is_bit_identical_and_audit_clean() {
     assert_eq!(reference.counters.fault_events, 2);
     let got = run_incast(storm, &cc, strict_audit(), None);
     assert_bit_identical(&reference, &got, "storm rerun");
+}
+
+/// A run stopped by `run_until` while the bottleneck link is down, one
+/// sender's NIC is storm-pinned and another's is degraded, then finished by
+/// `run`, is the run straight through: fault state lives on the ports, so
+/// nothing about a fault in progress is lost at the split. Records and
+/// counters are bit-identical, the queue's diagnostics equal, and the deep
+/// scan is clean after every event on both halves.
+#[test]
+fn split_pump_mid_fault_is_bit_identical_and_audit_clean() {
+    let us = Time::from_us;
+    // Every regime straddles the 300 µs split.
+    let mut faults = FaultSchedule::new();
+    faults
+        .link_flap(5, 0, us(100), us(450))
+        .pause_storm(1, 0, 0, us(250), us(400))
+        .degrade(3, 0, us(200), us(500), 0.5, us(2));
+    let cc = CcSpec::PrioPlusSwift {
+        policy: PrioPlusPolicy::paper_default(2),
+    };
+    let straight = run_incast(faults.clone(), &cc, strict_audit(), None);
+    let c = &straight.counters;
+    assert_eq!(c.fault_events, 6, "all six transitions applied");
+    assert!(
+        c.fault_link_drops + c.fault_ctrl_drops > 0,
+        "the flap must catch packets in flight"
+    );
+    let mut m = incast(faults, &cc, strict_audit(), None);
+    m.sim.run_until(us(300));
+    let split = m.sim.run();
+    assert_bit_identical(&straight, &split, "split at 300 µs");
+    let diag = |r: &SimResult| {
+        let c = &r.counters;
+        (c.sched_ops, c.sched_pending_peak, c.sched_bytes_peak)
+    };
+    assert_eq!(
+        diag(&straight),
+        diag(&split),
+        "queue diagnostics (ops, peak, bytes)"
+    );
 }
 
 #[test]

@@ -333,9 +333,9 @@ fn injected_reclamation_leak_is_caught_by_the_audit_sweep() {
 
 #[test]
 fn retransmit_counts_survive_reclamation() {
-    // Lossy small-buffer run: drops force retransmissions; the snapshot
-    // taken at slab release must preserve the per-flow retransmit count in
-    // the records.
+    // Lossy small-buffer run: drops force retransmissions; the copy taken
+    // at slab release must preserve the per-flow retransmit count in the
+    // records.
     let topo = Topology::fat_tree(4, simcore::Rate::from_gbps(100), Time::from_us(1));
     let hosts = topo.hosts.clone();
     let cfg = SimConfig {

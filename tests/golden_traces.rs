@@ -179,19 +179,19 @@ fn golden_traces_are_identical_and_clean_under_audit() {
     }
 }
 
-/// Snapshot/resume is bit-exact: interrupting each golden case mid-run,
-/// snapshotting, and finishing on the restored simulator must reproduce
-/// the uninterrupted summary byte-for-byte — at an early horizon (probing
-/// the slow-start / PFC ramp) and a late one (deep steady state).
+/// A split pump is bit-exact: stopping each golden case mid-run with
+/// `run_until` and finishing it with `run` must reproduce the uninterrupted
+/// summary byte-for-byte — at an early horizon (probing the slow-start /
+/// PFC ramp) and a late one (deep steady state).
 #[test]
-fn golden_traces_survive_snapshot_resume() {
+fn golden_traces_survive_a_split_pump() {
     for case in cases() {
         let straight = summarize_case(&(case.run)(GoldenOpts::default()));
         for at_ms in [1u64, 6] {
             let resumed = summarize_case(&(case.run)(GoldenOpts::resumed(Time::from_ms(at_ms))));
             assert_eq!(
                 straight, resumed,
-                "{}: snapshot/resume at {at_ms} ms changed the simulation",
+                "{}: the split at {at_ms} ms changed the simulation",
                 case.name
             );
         }
