@@ -17,6 +17,7 @@
 //! This file is the one place in the crate that reads argv or the
 //! environment, prints, or writes files; figures only return tables.
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -102,11 +103,28 @@ fn usage() -> String {
     out
 }
 
-/// Run `figures` one after the other: print each table with its notes and,
-/// when `REPRO_JSON_DIR` is set, write its `<slug>.json` there.
-fn run(figures: &[&Figure], scale: Scale, jobs: usize) -> Result<(), String> {
+/// Why a command stopped before its end.
+enum Stop {
+    /// Whoever read stdout went away (`repro list | head -1`): not an error,
+    /// there is just nobody left to print for.
+    ClosedPipe,
+    /// A failure, as the message to print.
+    Failed(String),
+}
+
+/// What a failed write to stdout means.
+fn stdout_error(e: std::io::Error) -> Stop {
+    match e.kind() {
+        ErrorKind::BrokenPipe => Stop::ClosedPipe,
+        _ => Stop::Failed(format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// Run `figures` one after the other: print each table with its notes to
+/// `out` and, when `REPRO_JSON_DIR` is set, write its `<slug>.json` there.
+fn run(out: &mut impl Write, figures: &[&Figure], scale: Scale, jobs: usize) -> Result<(), Stop> {
     let cannot = |what: &str, path: &Path, e: std::io::Error| {
-        format!("cannot {what} {}: {e}", path.display())
+        Stop::Failed(format!("cannot {what} {}: {e}", path.display()))
     };
     let json_dir = std::env::var_os("REPRO_JSON_DIR").map(PathBuf::from);
     if let Some(dir) = &json_dir {
@@ -115,7 +133,7 @@ fn run(figures: &[&Figure], scale: Scale, jobs: usize) -> Result<(), String> {
     for f in figures {
         eprintln!("repro: {} — {}", f.slug, f.about);
         for t in (f.run)(scale, jobs) {
-            print!("{}\n{}", t.render(), t.notes);
+            write!(out, "{}\n{}", t.render(), t.notes).map_err(stdout_error)?;
             if let Some(dir) = &json_dir {
                 let path = dir.join(format!("{}.json", t.slug));
                 std::fs::write(&path, t.to_json()).map_err(|e| cannot("write", &path, e))?;
@@ -127,24 +145,30 @@ fn run(figures: &[&Figure], scale: Scale, jobs: usize) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let env_jobs = std::env::var("PRIOPLUS_JOBS").ok();
-    match parse(std::env::args().skip(1), env_jobs) {
-        Ok(Cmd::List) => FIGURES.iter().for_each(|f| println!("{}", f.slug)),
+    let out = &mut std::io::stdout().lock();
+    let done = match parse(std::env::args().skip(1), env_jobs) {
+        Ok(Cmd::List) => FIGURES
+            .iter()
+            .try_for_each(|f| writeln!(out, "{}", f.slug))
+            .map_err(stdout_error),
         Ok(Cmd::Run {
             figures,
             scale,
             jobs,
-        }) => {
-            if let Err(e) = run(&figures, scale, jobs) {
-                eprintln!("repro: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        }) => run(out, &figures, scale, jobs),
         Err(e) => {
             eprintln!("repro: {e}\n{}", usage());
             return ExitCode::from(2);
         }
+    };
+    // The lock buffers a partial line; its write fails here, not at exit.
+    match done.and_then(|()| out.flush().map_err(stdout_error)) {
+        Ok(()) | Err(Stop::ClosedPipe) => ExitCode::SUCCESS,
+        Err(Stop::Failed(e)) => {
+            eprintln!("repro: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

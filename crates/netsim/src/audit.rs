@@ -216,6 +216,22 @@ struct PfcMirror {
     since_pause_bytes: u64,
 }
 
+/// Where a violation was found, as narrowly as its rule can say: the
+/// [`Violation`] fields it fills.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum At {
+    /// The fabric as a whole (conservation, counters, arena, event queue).
+    Fabric,
+    /// One flow.
+    Flow(FlowId),
+    /// A switch.
+    Switch(NodeId),
+    /// An attachment: node and port.
+    Port(NodeId, u16),
+    /// A queue (priority) of an attachment.
+    Queue(NodeId, u16, u8),
+}
+
 /// Details of a packet that just went through switch admission, handed to
 /// [`Audit::note_switch_arrive`] by the event loop.
 pub(crate) struct SwitchArrive {
@@ -243,6 +259,9 @@ pub(crate) struct Focus {
 #[derive(Debug)]
 pub struct Audit {
     cfg: AuditConfig,
+    /// Time of the event being dispatched ([`Self::on_event`]): every
+    /// violation found until the next one is stamped with it.
+    now: Time,
     ring: RingLog<EventRecord>,
     violations: Vec<Violation>,
     total_violations: u64,
@@ -268,6 +287,7 @@ impl Audit {
         let ring = RingLog::new(cfg.ring_capacity.max(1));
         Audit {
             cfg,
+            now: Time::ZERO,
             ring,
             violations: Vec::new(),
             total_violations: 0,
@@ -302,22 +322,18 @@ impl Audit {
         }
     }
 
-    // One violation record carries every dimension a rule can report on;
-    // splitting the argument list into a struct would just rename it.
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &mut self,
-        kind: ViolationKind,
-        time: Time,
-        node: Option<NodeId>,
-        port: Option<u16>,
-        queue: Option<u8>,
-        flow: Option<FlowId>,
-        detail: String,
-    ) {
+    /// Record a `kind` violation found at `at` during the current event.
+    pub(crate) fn report(&mut self, kind: ViolationKind, at: At, detail: String) {
+        let (node, port, queue, flow) = match at {
+            At::Fabric => (None, None, None, None),
+            At::Flow(flow) => (None, None, None, Some(flow)),
+            At::Switch(node) => (Some(node), None, None, None),
+            At::Port(node, port) => (Some(node), Some(port), None, None),
+            At::Queue(node, port, queue) => (Some(node), Some(port), Some(queue), None),
+        };
         self.violate(Violation {
             kind,
-            time,
+            time: self.now,
             node,
             port,
             queue,
@@ -328,6 +344,7 @@ impl Audit {
 
     /// Ring-log one event about to be processed.
     pub(crate) fn on_event(&mut self, time: Time, kind: &'static str, id: u32) {
+        self.now = time;
         self.ring.push(EventRecord {
             seq: self.events_audited,
             time,
@@ -345,7 +362,7 @@ impl Audit {
     }
 
     /// A data packet arrived at its destination host.
-    pub(crate) fn on_data_delivered(&mut self, time: Time, flow: FlowId, wire: u64) {
+    pub(crate) fn on_data_delivered(&mut self, flow: FlowId, wire: u64) {
         self.delivered_pkts += 1;
         self.delivered_wire += wire;
         self.touch_flow(flow);
@@ -353,11 +370,7 @@ impl Audit {
             let (d, dr, i) = (self.delivered_pkts, self.dropped_pkts, self.injected_pkts);
             self.report(
                 ViolationKind::PacketConservation,
-                time,
-                None,
-                None,
-                None,
-                Some(flow),
+                At::Flow(flow),
                 format!("delivered {d} + dropped {dr} > injected {i}"),
             );
         }
@@ -375,7 +388,7 @@ impl Audit {
     /// Outcome of the PFC deadlock monitor for this deep scan: report a
     /// fresh cycle once, stay quiet while it persists, re-arm when it
     /// clears.
-    pub(crate) fn check_deadlock(&mut self, time: Time, cycle: Option<&[(NodeId, u16, u8)]>) {
+    pub(crate) fn check_deadlock(&mut self, cycle: Option<&[(NodeId, u16, u8)]>) {
         match cycle {
             Some(c) => {
                 if self.deadlock_active {
@@ -390,11 +403,7 @@ impl Audit {
                 let &(node, port, queue) = c.first().expect("a cycle has vertices");
                 self.report(
                     ViolationKind::PfcDeadlock,
-                    time,
-                    Some(node),
-                    Some(port),
-                    Some(queue),
-                    None,
+                    At::Queue(node, port, queue),
                     desc,
                 );
             }
@@ -418,14 +427,7 @@ impl Audit {
     /// A PFC pause/resume frame was emitted by `node` toward ingress
     /// `in_port`'s upstream peer: verify the transition is legal and update
     /// the pause mirror.
-    pub(crate) fn on_pfc_frame(
-        &mut self,
-        time: Time,
-        node: NodeId,
-        in_port: u16,
-        prio: u8,
-        pause: bool,
-    ) {
+    pub(crate) fn on_pfc_frame(&mut self, node: NodeId, in_port: u16, prio: u8, pause: bool) {
         let m = self.pfc.entry((node, in_port, prio)).or_default();
         let illegal = m.paused == pause;
         m.paused = pause;
@@ -438,11 +440,7 @@ impl Audit {
             };
             self.report(
                 ViolationKind::PfcIllegalTransition,
-                time,
-                Some(node),
-                Some(in_port),
-                Some(prio),
-                None,
+                At::Queue(node, in_port, prio),
                 what.to_string(),
             );
         }
@@ -452,7 +450,7 @@ impl Audit {
     /// (ECN bounds, DT limit, headroom draw) and arm the boundary Xoff
     /// check. Must be called *before* the pause frames from this admission
     /// are emitted, so the triggering packet itself never draws headroom.
-    pub(crate) fn note_switch_arrive(&mut self, time: Time, info: &SwitchArrive, sw: &Switch) {
+    pub(crate) fn note_switch_arrive(&mut self, info: &SwitchArrive, sw: &Switch) {
         if info.dropped {
             self.dropped_pkts += 1;
             self.dropped_wire += info.wire;
@@ -467,21 +465,13 @@ impl Audit {
             if marked && q_pre <= kmin {
                 self.report(
                     ViolationKind::EcnBounds,
-                    time,
-                    Some(info.node),
-                    Some(info.egress),
-                    Some(info.queue),
-                    None,
+                    At::Queue(info.node, info.egress, info.queue),
                     format!("marked at queue {q_pre} B <= kmin {kmin} B"),
                 );
             } else if !marked && q_pre >= kmax {
                 self.report(
                     ViolationKind::EcnBounds,
-                    time,
-                    Some(info.node),
-                    Some(info.egress),
-                    Some(info.queue),
-                    None,
+                    At::Queue(info.node, info.egress, info.queue),
                     format!("unmarked at queue {q_pre} B >= kmax {kmax} B"),
                 );
             }
@@ -502,11 +492,7 @@ impl Audit {
             if drawn > headroom {
                 self.report(
                     ViolationKind::HeadroomOverdraw,
-                    time,
-                    Some(info.node),
-                    Some(info.in_port),
-                    Some(info.queue),
-                    None,
+                    At::Queue(info.node, info.in_port, info.queue),
                     format!("{drawn} B arrived since pause, headroom {headroom} B"),
                 );
             }
@@ -520,11 +506,7 @@ impl Audit {
             if q_post > limit {
                 self.report(
                     ViolationKind::BufferOverflow,
-                    time,
-                    Some(info.node),
-                    Some(info.egress),
-                    Some(info.queue),
-                    None,
+                    At::Queue(info.node, info.egress, info.queue),
                     format!("queue {q_post} B exceeds DT admission limit {limit} B"),
                 );
             }
@@ -554,18 +536,14 @@ impl Audit {
     /// falling below `threshold - resume_offset`. So `bytes > threshold`
     /// still holding here means the admission itself saw it and must have
     /// paused.
-    pub(crate) fn check_xoff(&mut self, time: Time, focus: &Focus, sw: &Switch) {
+    pub(crate) fn check_xoff(&mut self, focus: &Focus, sw: &Switch) {
         let (ip, q) = (focus.in_port as usize, focus.queue as usize);
         let bytes = sw.ingress_bytes(ip, q);
         let threshold = sw.pfc_pause_threshold();
         if bytes > threshold && !sw.ingress_paused(ip, q) {
             self.report(
                 ViolationKind::PfcXoffMissed,
-                time,
-                Some(focus.node),
-                Some(focus.in_port),
-                Some(focus.queue),
-                None,
+                At::Queue(focus.node, focus.in_port, focus.queue),
                 format!("ingress {bytes} B > pause threshold {threshold} B, no Xoff sent"),
             );
         }
@@ -580,13 +558,7 @@ impl Audit {
     /// check occupancy against the physical buffer, and cross-check the PFC
     /// pause mirror. Returns the data wire bytes found buffered (for the
     /// conservation check).
-    pub(crate) fn check_switch(
-        &mut self,
-        time: Time,
-        node: NodeId,
-        sw: &Switch,
-        arena: &PacketArena,
-    ) -> u64 {
+    pub(crate) fn check_switch(&mut self, node: NodeId, sw: &Switch, arena: &PacketArena) -> u64 {
         self.deep_scans += 1;
         let mut switch_total = 0u64;
         let mut data_wire = 0u64;
@@ -605,11 +577,7 @@ impl Audit {
                     let counter = queue.bytes;
                     self.report(
                         ViolationKind::BufferAccounting,
-                        time,
-                        Some(node),
-                        Some(pi as u16),
-                        Some(qi as u8),
-                        None,
+                        At::Queue(node, pi as u16, qi as u8),
                         format!("queue recount {recount} B != counter {counter} B"),
                     );
                 }
@@ -619,11 +587,7 @@ impl Audit {
                 let counter = port.queued_bytes;
                 self.report(
                     ViolationKind::BufferAccounting,
-                    time,
-                    Some(node),
-                    Some(pi as u16),
-                    None,
-                    None,
+                    At::Port(node, pi as u16),
                     format!("port recount {port_total} B != counter {counter} B"),
                 );
             }
@@ -633,11 +597,7 @@ impl Audit {
             let counter = sw.total_buffered;
             self.report(
                 ViolationKind::BufferAccounting,
-                time,
-                Some(node),
-                None,
-                None,
-                None,
+                At::Switch(node),
                 format!("switch recount {switch_total} B != total_buffered {counter} B"),
             );
         }
@@ -649,11 +609,7 @@ impl Audit {
             let counter = sw.total_buffered;
             self.report(
                 ViolationKind::BufferAccounting,
-                time,
-                Some(node),
-                None,
-                None,
-                None,
+                At::Switch(node),
                 format!("ingress recount {ingress_total} B != total_buffered {counter} B"),
             );
         }
@@ -661,11 +617,7 @@ impl Audit {
             let (used, cap) = (sw.total_buffered, sw.cfg.buffer_bytes);
             self.report(
                 ViolationKind::BufferOverflow,
-                time,
-                Some(node),
-                None,
-                None,
-                None,
+                At::Switch(node),
                 format!("buffered {used} B exceeds physical buffer {cap} B"),
             );
         }
@@ -682,14 +634,8 @@ impl Audit {
                 if mirrored != paused {
                     self.report(
                         ViolationKind::PfcIllegalTransition,
-                        time,
-                        Some(node),
-                        Some(ip as u16),
-                        Some(qi as u8),
-                        None,
-                        format!(
-                            "switch pause state {paused} but emitted frames imply {mirrored}"
-                        ),
+                        At::Queue(node, ip as u16, qi as u8),
+                        format!("switch pause state {paused} but emitted frames imply {mirrored}"),
                     );
                 }
             }
@@ -703,15 +649,11 @@ impl Audit {
     /// a pending `Arrive` event — must show every live slot held exactly
     /// once and every free slot not at all. Together these prove ids are
     /// never duplicated, leaked, or used after release.
-    pub(crate) fn check_arena(&mut self, time: Time, arena: &PacketArena, refs: &[u32]) {
+    pub(crate) fn check_arena(&mut self, arena: &PacketArena, refs: &[u32]) {
         if let Err(e) = arena.check() {
             self.report(
                 ViolationKind::ArenaAccounting,
-                time,
-                None,
-                None,
-                None,
-                None,
+                At::Fabric,
                 format!("arena self-check failed: {e}"),
             );
         }
@@ -720,21 +662,13 @@ impl Audit {
             if live && n != 1 {
                 self.report(
                     ViolationKind::ArenaAccounting,
-                    time,
-                    None,
-                    None,
-                    None,
-                    None,
+                    At::Fabric,
                     format!("live arena slot {i} referenced {n} times (expected 1)"),
                 );
             } else if !live && n != 0 {
                 self.report(
                     ViolationKind::ArenaAccounting,
-                    time,
-                    None,
-                    None,
-                    None,
-                    None,
+                    At::Fabric,
                     format!("free arena slot {i} still referenced {n} times"),
                 );
             }
@@ -744,7 +678,7 @@ impl Audit {
     /// Conservation across the whole fabric: what is buffered in switches
     /// can be at most what was injected and neither delivered nor dropped
     /// (the remainder is in flight on links).
-    pub(crate) fn check_conservation(&mut self, time: Time, buffered_data_wire: u64) {
+    pub(crate) fn check_conservation(&mut self, buffered_data_wire: u64) {
         let outstanding = self
             .injected_wire
             .saturating_sub(self.delivered_wire)
@@ -755,11 +689,7 @@ impl Audit {
             let (i, d, dr) = (self.injected_wire, self.delivered_wire, self.dropped_wire);
             self.report(
                 ViolationKind::PacketConservation,
-                time,
-                None,
-                None,
-                None,
-                None,
+                At::Fabric,
                 format!(
                     "buffered {buffered_data_wire} B > injected {i} - delivered {d} - dropped {dr}"
                 ),
@@ -769,16 +699,12 @@ impl Audit {
 
     /// Cross-check the simulator's public counters against the audit's
     /// independent tallies.
-    pub(crate) fn check_counters(&mut self, time: Time, counters: &SimCounters) {
+    pub(crate) fn check_counters(&mut self, counters: &SimCounters) {
         if counters.data_delivered != self.delivered_pkts {
             let (c, a) = (counters.data_delivered, self.delivered_pkts);
             self.report(
                 ViolationKind::CounterMismatch,
-                time,
-                None,
-                None,
-                None,
-                None,
+                At::Fabric,
                 format!("counters.data_delivered {c} != audited {a}"),
             );
         }
@@ -786,30 +712,10 @@ impl Audit {
             let (c, f, a) = (counters.drops, counters.fault_link_drops, self.dropped_pkts);
             self.report(
                 ViolationKind::CounterMismatch,
-                time,
-                None,
-                None,
-                None,
-                None,
+                At::Fabric,
                 format!("counters.drops {c} + fault_link_drops {f} != audited {a}"),
             );
         }
-    }
-
-    /// Flow-scoped violation helper (transport sanity / receiver state).
-    pub(crate) fn flow_violation(
-        &mut self,
-        kind: ViolationKind,
-        time: Time,
-        flow: FlowId,
-        detail: String,
-    ) {
-        self.report(kind, time, None, None, None, Some(flow), detail);
-    }
-
-    /// Event-queue violation helper.
-    pub(crate) fn queue_violation(&mut self, time: Time, detail: String) {
-        self.report(ViolationKind::EventQueue, time, None, None, None, None, detail);
     }
 
     fn snapshot_report(&self) -> AuditReport {
@@ -824,60 +730,39 @@ impl Audit {
 
     /// Consume the audit state into its final report.
     pub fn into_report(self) -> AuditReport {
-        AuditReport {
-            recent_events: self.ring.iter().copied().collect(),
-            violations: self.violations,
-            total_violations: self.total_violations,
-            events_audited: self.events_audited,
-            deep_scans: self.deep_scans,
-        }
+        self.snapshot_report()
     }
 }
 
-/// Whether auditing was requested from the environment: `PRIOPLUS_AUDIT`
-/// set to anything but `0`. Cached, so the per-run cost is one relaxed load.
-pub fn env_enabled() -> bool {
-    // Process-wide env caches: write-once before any sim state exists.
-    use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("PRIOPLUS_AUDIT")
-            .map(|v| v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether environment-requested audits should panic (with a full ring-log
-/// dump) on the first violation: `PRIOPLUS_AUDIT_PANIC` set to anything but
-/// `0`. Only consulted for audits enabled via [`env_enabled`]; explicit
+/// The audit the environment asks for, read once per process:
+/// `PRIOPLUS_AUDIT` set to anything but `0` turns it on,
+/// `PRIOPLUS_AUDIT_PANIC` (the same way) makes it panic with a full
+/// ring-log dump on the first violation, and `PRIOPLUS_AUDIT_DEEP=N` runs
+/// the O(state) scan every N events (default 64; `1` = every event; the
+/// cheap focused checks always run per event). Explicit
 /// [`crate::Sim::enable_audit_with`] calls carry their own config.
-pub fn env_panic() -> bool {
-    // Process-wide env caches: write-once before any sim state exists.
+pub(crate) fn env_config() -> Option<AuditConfig> {
+    // Process-wide env cache: write-once before any sim state exists.
     use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
-    static PANIC: OnceLock<bool> = OnceLock::new();
-    *PANIC.get_or_init(|| {
-        std::env::var("PRIOPLUS_AUDIT_PANIC")
-            .map(|v| v != "0")
-            .unwrap_or(false)
-    })
+    static CONFIG: OnceLock<Option<AuditConfig>> = OnceLock::new();
+    let read = || {
+        let on = |var: &str| std::env::var(var).is_ok_and(|v| v != "0");
+        let deep = std::env::var("PRIOPLUS_AUDIT_DEEP")
+            .ok()
+            .and_then(|v| v.parse().ok());
+        on("PRIOPLUS_AUDIT").then(|| AuditConfig {
+            panic_on_violation: on("PRIOPLUS_AUDIT_PANIC"),
+            deep_every: deep.filter(|&n| n > 0).unwrap_or(64),
+            ..AuditConfig::default()
+        })
+    };
+    CONFIG.get_or_init(read).clone()
 }
 
-/// Deep-scan cadence for environment-requested audits:
-/// `PRIOPLUS_AUDIT_DEEP=N` runs the O(state) scan every N events
-/// (default 64; `1` = every event). The cheap focused checks always run
-/// per event regardless. Explicit [`crate::Sim::enable_audit_with`] calls
-/// carry their own config.
-pub fn env_deep_every() -> u64 {
-    // Process-wide env caches: write-once before any sim state exists.
-    use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
-    static DEEP: OnceLock<u64> = OnceLock::new();
-    *DEEP.get_or_init(|| {
-        std::env::var("PRIOPLUS_AUDIT_DEEP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(64)
-    })
+/// Whether auditing was requested from the environment: `PRIOPLUS_AUDIT`
+/// set to anything but `0`. Cached, so the per-run cost is one load.
+pub fn env_enabled() -> bool {
+    env_config().is_some()
 }
 
 /// Detect a PFC wait-for cycle (circular buffer dependency) over the
@@ -991,14 +876,14 @@ mod tests {
         // Consistent view: live slot referenced once, free slot not at all.
         let mut refs = vec![0u32; arena.capacity()];
         refs[live.index()] = 1;
-        a.check_arena(Time::ZERO, &arena, &refs);
+        a.check_arena(&arena, &refs);
         assert_eq!(a.total_violations, 0);
 
         // A duplicated live id and a dangling reference to a freed slot
         // must each produce an ArenaAccounting violation.
         refs[live.index()] = 2;
         refs[freed.index()] = 1;
-        a.check_arena(Time::ZERO, &arena, &refs);
+        a.check_arena(&arena, &refs);
         let r = a.into_report();
         assert_eq!(r.total_violations, 2);
         assert!(r
@@ -1014,12 +899,8 @@ mod tests {
             ..Default::default()
         });
         for i in 0..5 {
-            a.flow_violation(
-                ViolationKind::TransportSanity,
-                Time::from_us(i),
-                i as u32,
-                "x".into(),
-            );
+            let (kind, flow) = (ViolationKind::TransportSanity, At::Flow(i as u32));
+            a.report(kind, flow, "x".into());
         }
         let r = a.into_report();
         assert_eq!(r.total_violations, 5);
@@ -1045,11 +926,10 @@ mod tests {
     #[test]
     fn pfc_transition_legality() {
         let mut a = Audit::new(AuditConfig::default());
-        let t = Time::from_us(1);
-        a.on_pfc_frame(t, 0, 1, 0, true); // pause: legal
-        a.on_pfc_frame(t, 0, 1, 0, true); // pause again: illegal
-        a.on_pfc_frame(t, 0, 1, 0, false); // resume: legal
-        a.on_pfc_frame(t, 0, 1, 0, false); // resume again: illegal
+        a.on_pfc_frame(0, 1, 0, true); // pause: legal
+        a.on_pfc_frame(0, 1, 0, true); // pause again: illegal
+        a.on_pfc_frame(0, 1, 0, false); // resume: legal
+        a.on_pfc_frame(0, 1, 0, false); // resume again: illegal
         let r = a.into_report();
         assert_eq!(r.total_violations, 2);
         assert!(r
@@ -1061,26 +941,34 @@ mod tests {
     #[test]
     fn conservation_detects_over_delivery() {
         let mut a = Audit::new(AuditConfig::default());
-        let t = Time::from_us(1);
         a.on_data_injected(0, 1048);
-        a.on_data_delivered(t, 0, 1048);
+        a.on_data_delivered(0, 1048);
         assert_eq!(a.total_violations, 0);
-        a.on_data_delivered(t, 0, 1048); // one more than injected
+        a.on_data_delivered(0, 1048); // one more than injected
         assert_eq!(a.total_violations, 1);
         let r = a.into_report();
         assert_eq!(r.violations[0].kind, ViolationKind::PacketConservation);
+    }
+
+    /// A violation is stamped with the time of the event it was found in:
+    /// the one `on_event` last logged, whichever check reports it.
+    #[test]
+    fn violations_carry_the_time_of_their_event() {
+        let mut a = Audit::new(AuditConfig::default());
+        a.on_event(Time::from_us(3), "arrive", 0);
+        a.on_pfc_frame(0, 1, 0, false); // resume while not paused
+        a.on_event(Time::from_us(7), "flow_timer", 0);
+        a.report(ViolationKind::EventQueue, At::Fabric, "boom".into());
+        let times: Vec<Time> = a.into_report().violations.iter().map(|v| v.time).collect();
+        assert_eq!(times, [Time::from_us(3), Time::from_us(7)]);
     }
 
     #[test]
     fn dump_is_readable() {
         let mut a = Audit::new(AuditConfig::default());
         a.on_event(Time::from_us(1), "arrive", 3);
-        a.flow_violation(
-            ViolationKind::TransportSanity,
-            Time::from_us(2),
-            7,
-            "cwnd below floor".into(),
-        );
+        let kind = ViolationKind::TransportSanity;
+        a.report(kind, At::Flow(7), "cwnd below floor".into());
         let dump = a.into_report().dump();
         assert!(dump.contains("TransportSanity"));
         assert!(dump.contains("flow=7"));
@@ -1094,7 +982,7 @@ mod tests {
                 panic_on_violation: true,
                 ..Default::default()
             });
-            a.queue_violation(Time::ZERO, "boom".into());
+            a.report(ViolationKind::EventQueue, At::Fabric, "boom".into());
         });
         assert!(result.is_err());
     }
@@ -1131,7 +1019,7 @@ mod tests {
             Admission::Queued
         );
         let mut a = Audit::new(AuditConfig::default());
-        a.check_switch(Time::ZERO, 0, &s, &arena);
+        a.check_switch(0, &s, &arena);
         assert_eq!(a.total_violations, 0, "consistent before the departure");
         // Departure under the buggify: the queue pops, but shared-buffer
         // and ingress accounting are never released.
@@ -1139,7 +1027,7 @@ mod tests {
         let mut resumes = Vec::new();
         s.on_dequeue(arena.get(popped), 0, &mut resumes);
         arena.release(popped);
-        a.check_switch(Time::from_us(1), 0, &s, &arena);
+        a.check_switch(0, &s, &arena);
         let r = a.into_report();
         assert!(r.total_violations > 0, "leak must be detected");
         assert!(r
@@ -1160,7 +1048,7 @@ mod tests {
             let id = arena.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
             for &(ip, q) in &pauses {
-                a.on_pfc_frame(Time::from_us(i), 0, ip, q, true);
+                a.on_pfc_frame(0, ip, q, true);
             }
             pauses.clear();
             let focus = Focus {
@@ -1168,7 +1056,7 @@ mod tests {
                 in_port: 1,
                 queue: 0,
             };
-            a.check_xoff(Time::from_us(i), &focus, &s);
+            a.check_xoff(&focus, &s);
         }
         a.into_report()
     }
@@ -1200,7 +1088,7 @@ mod tests {
             dropped: false,
             ecn: Some((0, 0, marked)),
         };
-        a.note_switch_arrive(Time::ZERO, &info, &s);
+        a.note_switch_arrive(&info, &s);
         let r = a.into_report();
         assert_eq!(r.total_violations, 1);
         assert_eq!(r.violations[0].kind, ViolationKind::EcnBounds);
@@ -1214,12 +1102,12 @@ mod tests {
             fault_link_drops: 1,
             ..SimCounters::default()
         };
-        a.check_counters(Time::ZERO, &c);
+        a.check_counters(&c);
         assert_eq!(a.total_violations, 0, "audited fault drop balances");
         // An unaccounted fault drop (the FaultDropUnaccounted buggify path)
         // breaks the identity and must surface as a counter mismatch.
         c.fault_link_drops = 2;
-        a.check_counters(Time::ZERO, &c);
+        a.check_counters(&c);
         assert_eq!(a.total_violations, 1);
         let r = a.into_report();
         assert_eq!(r.violations[0].kind, ViolationKind::CounterMismatch);
@@ -1229,11 +1117,11 @@ mod tests {
     fn deadlock_latch_reports_once_per_episode() {
         let mut a = Audit::new(AuditConfig::default());
         let cycle = [(0 as NodeId, 0u16, 0u8), (1, 1, 0)];
-        a.check_deadlock(Time::from_us(1), Some(&cycle));
-        a.check_deadlock(Time::from_us(2), Some(&cycle));
+        a.check_deadlock(Some(&cycle));
+        a.check_deadlock(Some(&cycle));
         assert_eq!(a.total_violations, 1, "latched: one report per episode");
-        a.check_deadlock(Time::from_us(3), None); // cycle cleared: re-arm
-        a.check_deadlock(Time::from_us(4), Some(&cycle));
+        a.check_deadlock(None); // cycle cleared: re-arm
+        a.check_deadlock(Some(&cycle));
         assert_eq!(a.total_violations, 2);
         let r = a.into_report();
         assert!(r

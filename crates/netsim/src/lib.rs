@@ -40,6 +40,7 @@ pub mod faults;
 pub mod monitor;
 pub mod node;
 pub mod noise;
+mod observe;
 pub mod packet;
 pub mod record;
 pub mod routing;

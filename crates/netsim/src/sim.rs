@@ -6,15 +6,16 @@ use std::collections::BTreeMap;
 use simcore::stats::ThroughputMeter;
 use simcore::{EventQueue, Rate, SimRng, Time};
 
-use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
+use crate::audit::{Audit, AuditConfig, SwitchArrive};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 use crate::faults::FaultKind;
 use crate::monitor::{Monitor, MonitorKind};
 use crate::node::{queue_index, Admission, EgressPort, Host, Node, Switch};
+use crate::observe::Observers;
 use crate::packet::{
     FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES, HEADER_BYTES,
 };
-use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
+use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult};
 use crate::routing::RoutingTable;
 use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State, StateTamper};
 use crate::topology::{NodeKind, PortLink, Topology};
@@ -44,12 +45,15 @@ pub trait ArrivalSource {
 pub use crate::event::Event;
 pub use crate::state::FlowSpec;
 
-/// The simulator: the immutable `Env` of a run plus its mutable `State`.
-/// The two user callbacks sit beside them, outside `State`: they hold
-/// arbitrary user state and take the whole `Sim`.
+/// The simulator: the immutable `Env` of a run plus its mutable `State`,
+/// and the observers that watch it (the audit, the streaming sketches, the
+/// completions waiting for an [`App`]). The two user callbacks sit beside
+/// them, outside `State`: they hold arbitrary user state and take the whole
+/// `Sim`.
 pub struct Sim {
     pub(crate) env: Env,
     pub(crate) state: State,
+    pub(crate) obs: Observers,
     pub(crate) app: Option<Box<dyn App>>,
     /// Open-loop arrival source ([`Event::Inject`]); `None` between the
     /// final injection and the end of the run, and for closed workloads.
@@ -104,14 +108,21 @@ impl Sim {
         };
 
         let seed = cfg.seed;
-        let streaming = cfg
-            .streaming_stats
-            // simlint::allow(hot-path-alloc, one streaming box per run at construction, not per event)
-            .then(|| Box::new(StreamingStats::default()));
+        let obs = Observers::new(cfg.streaming_stats);
         for ev in cfg.faults.iter().flat_map(|s| &s.events) {
             let (node, port) = ev.kind.link();
-            if port_at(node, port).is_none() {
+            let Some(p) = port_at(node, port) else {
                 panic!("fault schedule targets nonexistent link attachment ({node}, {port})");
+            };
+            // A degraded rate of 0 bps would divide by zero at the first
+            // dequeue (`Rate::serialize_time`).
+            if let FaultKind::DegradeStart { rate_factor: f, .. } = ev.kind {
+                assert!(
+                    f > 0.0 && f <= 1.0 && p.rate.mul_f64(f).as_bps() > 0,
+                    "fault schedule: DegradeStart rate_factor = {f} on link ({node}, {port}) \
+                     must be in (0, 1] and leave its {} above 0 bps",
+                    p.rate
+                );
             }
         }
         let mut queue = EventQueue::new();
@@ -128,19 +139,7 @@ impl Sim {
             noise_rng: SimRng::new(seed).split(1),
             ecn_rng: SimRng::new(seed).split(2),
             nc_rng: SimRng::new(seed).split(3),
-            streaming,
-            completed_buf: None,
             started: false,
-            audit: if crate::audit::env_enabled() {
-                // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
-                Some(Box::new(Audit::new(AuditConfig {
-                    panic_on_violation: crate::audit::env_panic(),
-                    deep_every: crate::audit::env_deep_every(),
-                    ..AuditConfig::default()
-                })))
-            } else {
-                None
-            },
         };
         let lossy = !switch_cfg.pfc_enabled;
         Sim {
@@ -151,6 +150,7 @@ impl Sim {
                 lossy,
             },
             state,
+            obs,
             app: None,
             arrivals: None,
         }
@@ -164,19 +164,19 @@ impl Sim {
     /// Enable the invariant-audit layer with explicit settings.
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
         // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
-        self.state.audit = Some(Box::new(Audit::new(cfg)));
+        self.obs.audit = Some(Box::new(Audit::new(cfg)));
     }
 
     /// True when the audit layer is enabled for this run.
     pub fn audit_enabled(&self) -> bool {
-        self.state.audit.is_some()
+        self.obs.audit.is_some()
     }
 
     /// Install a closed-loop application driver. From here on, completed
     /// flows are buffered for it.
     pub fn set_app(&mut self, app: Box<dyn App>) {
         self.app = Some(app);
-        self.state.completed_buf.get_or_insert_with(Vec::new);
+        self.obs.completed.get_or_insert_with(Vec::new);
     }
 
     /// Install an open-loop arrival source; the first [`Event::Inject`] is
@@ -213,13 +213,24 @@ impl Sim {
 
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue, counters, RNG streams, packet arena, nodes and their
-    /// ports (link fault state included), flow table and slab, monitors,
-    /// traces, and streaming sketches. Two simulators in the same
-    /// configuration with equal digests dispatch identically from here on,
-    /// wherever their queues keep an entry; the digest-completeness fleet
-    /// pins that every [`StateTamper`] class moves it.
+    /// ports (link fault state included), flow table and slab, monitors and
+    /// traces, then what the observers hold that decides the outcome — the
+    /// completions awaiting an [`App`] and the streaming sketches. Not the
+    /// audit, so an audited and an unaudited run digest equally. Two
+    /// simulators in the same configuration with equal digests dispatch
+    /// identically from here on, wherever their queues keep an entry; the
+    /// digest-completeness fleet pins that every [`StateTamper`] class
+    /// moves it.
     pub fn state_digest(&self) -> u64 {
-        self.state.digest()
+        let mut h = 0xcbf29ce484222325u64;
+        let mut fold = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        };
+        self.state.fold_digest(&mut fold);
+        self.obs.fold_digest(&mut fold);
+        h
     }
 
     /// Buggify-style hook for the digest-completeness fleet: mutate one
@@ -229,7 +240,10 @@ impl Sim {
     /// actually landed before asserting digest divergence.
     #[doc(hidden)]
     pub fn snap_mutate(&mut self, tamper: StateTamper) -> bool {
-        self.state.tamper(tamper)
+        match tamper {
+            StateTamper::Sketch => self.obs.tamper_sketch(),
+            _ => self.state.tamper(tamper),
+        }
     }
 
     /// Compute per-flow parameters (base RTTs, line rate) for a prospective
@@ -412,21 +426,24 @@ impl Sim {
     /// event that needed them is finished.
     fn pump(&mut self, until: Option<Time>) {
         loop {
-            match self.state.advance(&self.env, until) {
+            let run = &mut Run {
+                env: &self.env,
+                obs: &mut self.obs,
+            };
+            match self.state.advance(run, until) {
                 Yield::Stopped => return,
                 Yield::Inject => self.on_inject(),
                 Yield::Completed => {
                     // Taken out while it runs: the callback gets the whole `Sim`.
                     if let Some(mut app) = self.app.take() {
-                        let done = self.state.completed_buf.as_mut().map(std::mem::take);
-                        for f in done.into_iter().flatten() {
+                        for f in self.obs.take_completed() {
                             app.on_flow_complete(f, self);
                         }
                         self.app = Some(app);
                     }
                 }
             }
-            self.state.audit_boundary(&self.env, self.state.queue.now());
+            self.obs.on_event_end(&self.state, &self.env);
         }
     }
 
@@ -480,7 +497,7 @@ impl Sim {
         // sketches, and O(total flows) records would defeat the point of
         // streaming at hyperscale.
         let live = st.live;
-        let records = if st.streaming.is_some() {
+        let records = if self.obs.streaming.is_some() {
             Vec::new()
         } else {
             st.flows
@@ -507,8 +524,8 @@ impl Sim {
                 .map(|m| (m.label, m.series))
                 .collect(),
             end_time,
-            audit: st.audit.map(|a| a.into_report()),
-            streaming: st.streaming,
+            audit: self.obs.audit.map(|a| a.into_report()),
+            streaming: self.obs.streaming,
         }
     }
 
@@ -560,6 +577,13 @@ fn declare_link_delays(queue: &mut EventQueue<Event>, topo: &Topology, mtu: u32)
     }
 }
 
+/// What [`State::advance`] and the handlers are lent beside the [`State`]
+/// they change: the run's [`Env`] and the [`Observers`] they report to.
+struct Run<'a> {
+    env: &'a Env,
+    obs: &'a mut Observers,
+}
+
 /// Why [`State::advance`] came back.
 enum Yield {
     /// The run is over — the queue drained or [`Event::End`] fired — or the
@@ -571,16 +595,17 @@ enum Yield {
     Completed,
 }
 
-/// The event loop and its handlers. Each changes `State` and reads the
-/// run's [`Env`]; none can reach the user callbacks on [`Sim`].
+/// The event loop and its handlers. Each changes `State`, reads the run's
+/// [`Env`] and reports to its [`Observers`] (the two lent as a [`Run`]);
+/// none can reach the user callbacks on [`Sim`].
 impl State {
     /// Dispatch same-timestamp batches — one scheduler interaction and one
     /// clock advance each, events served in `(time, seq)` order, so the
-    /// per-event semantics (audit hooks, app delivery, boundary checks) are
-    /// those of sequential dispatch — until the run stops or an event needs
-    /// the whole [`Sim`] (see [`Yield`]). In the latter case the caller
-    /// finishes that event (app delivery, [`Self::audit_boundary`]) and
-    /// calls again; the rest of its batch is served first.
+    /// per-event semantics (observer hooks, app delivery, boundary checks)
+    /// are those of sequential dispatch — until the run stops or an event
+    /// needs the whole [`Sim`] (see [`Yield`]). In the latter case the
+    /// caller finishes that event (app delivery, [`Observers::on_event_end`])
+    /// and calls again; the rest of its batch is served first.
     ///
     /// What this loop does per event has to be compiled *into* it, and that
     /// is not automatic: rustc cuts the crate into codegen units by the
@@ -596,40 +621,38 @@ impl State {
     /// rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU
     /// while it was a method of `Sim`, a unit away from the handlers.
     /// `scripts/check_hot_calls.sh` (CI leg 2) fails when the disassembly of
-    /// `advance` calls any of them. (The heap's side of the queue —
+    /// `advance` calls any of them, or any [`Observers`] hook it reaches
+    /// directly. (The heap's side of the queue —
     /// `pop_backend`, `retire_cancelled_head` — is out of line on purpose:
     /// a hundredth of the events.)
-    fn advance(&mut self, env: &Env, until: Option<Time>) -> Yield {
+    fn advance(&mut self, run: &mut Run, until: Option<Time>) -> Yield {
         loop {
             let now = self.queue.now();
             while let Some(ev) = self.queue.batch_next() {
                 self.counters.events += 1;
-                if let Some(a) = self.audit.as_deref_mut() {
-                    let (kind, id) = ev.name_and_id();
-                    a.on_event(now, kind, id);
-                }
+                run.obs.on_event(now, &ev);
                 match ev {
                     Event::End => return Yield::Stopped,
                     Event::Inject => return Yield::Inject,
-                    Event::FlowStart { flow } => self.on_flow_start(env, flow, now),
-                    Event::FlowTimer { flow, token } => self.on_flow_timer(env, flow, token, now),
+                    Event::FlowStart { flow } => self.on_flow_start(run, flow, now),
+                    Event::FlowTimer { flow, token } => self.on_flow_timer(run, flow, token, now),
                     Event::HostPoke { node } => {
                         if let Node::Host(h) = &mut self.nodes[node as usize] {
                             h.next_poke = Time::MAX;
                         }
-                        self.host_poke(env, node, now);
+                        self.host_poke(run, node, now);
                     }
-                    Event::PortFree { node, port } => self.on_port_free(env, node, port, now),
+                    Event::PortFree { node, port } => self.on_port_free(run, node, port, now),
                     Event::Arrive { node, in_port, pkt } => {
-                        self.on_arrive(env, node, in_port, pkt, now)
+                        self.on_arrive(run, node, in_port, pkt, now)
                     }
-                    Event::Sample { monitor } => self.on_sample(env, monitor, now),
-                    Event::Fault { idx } => self.on_fault(env, idx, now),
+                    Event::Sample { monitor } => self.on_sample(run.env, monitor, now),
+                    Event::Fault { idx } => self.on_fault(run, idx, now),
                 }
-                if self.completed_buf.as_ref().is_some_and(|b| !b.is_empty()) {
+                if run.obs.completions_pending() {
                     return Yield::Completed;
                 }
-                self.audit_boundary(env, now);
+                run.obs.on_event_end(self, run.env);
             }
             let next = match until {
                 Some(horizon) => self.queue.pop_batch_before(horizon),
@@ -638,48 +661,6 @@ impl State {
             if next.is_none() {
                 return Yield::Stopped;
             }
-        }
-    }
-
-    /// End-of-event audit hook: one branch when the audit is off. The audit
-    /// is taken out while it inspects the state it is a field of.
-    #[inline]
-    fn audit_boundary(&mut self, env: &Env, now: Time) {
-        if let Some(mut a) = self.audit.take() {
-            self.audit_checks(env, &mut a, now);
-            self.audit = Some(a);
-        }
-    }
-
-    /// Verify cross-cutting invariants at the end of one event: flows the
-    /// event touched, the Xoff-must-fire condition for an admission in this
-    /// event, and (per [`AuditConfig::deep_every`]) the O(state)
-    /// [`State::deep_scan`].
-    fn audit_checks(&self, env: &Env, a: &mut Audit, now: Time) {
-        while let Some(fid) = a.pop_touched() {
-            let f = &self.flows[fid as usize];
-            if f.live != u32::MAX {
-                if let Err(msg) = self.live.get(f.live).transport.check_invariants() {
-                    a.flow_violation(ViolationKind::TransportSanity, now, fid, msg);
-                }
-            }
-            if f.record.delivered > f.spec.size {
-                let (got, size) = (f.record.delivered, f.spec.size);
-                a.flow_violation(
-                    ViolationKind::PacketConservation,
-                    now,
-                    fid,
-                    format!("receiver delivered {got} B > flow size {size} B"),
-                );
-            }
-        }
-        if let Some(focus) = a.take_focus() {
-            if let Some(s) = self.nodes[focus.node as usize].as_switch() {
-                a.check_xoff(now, &focus, s);
-            }
-        }
-        if a.should_deep_scan() {
-            self.deep_scan(env, a, now);
         }
     }
 
@@ -709,10 +690,8 @@ impl State {
         }
     }
 
-    fn on_flow_start(&mut self, env: &Env, flow: FlowId, now: Time) {
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.touch_flow(flow);
-        }
+    fn on_flow_start(&mut self, run: &mut Run, flow: FlowId, now: Time) {
+        run.obs.on_flow_touched(flow);
         let f = &mut self.flows[flow as usize];
         let src = f.spec.src;
         let prio = f.spec.phys_prio;
@@ -727,17 +706,15 @@ impl State {
         } else {
             panic!("flow source {src} is not a host");
         }
-        self.host_poke(env, src, now);
+        self.host_poke(run, src, now);
     }
 
-    fn on_flow_timer(&mut self, env: &Env, flow: FlowId, token: u64, now: Time) {
+    fn on_flow_timer(&mut self, run: &mut Run, flow: FlowId, token: u64, now: Time) {
         let f = &mut self.flows[flow as usize];
         if !f.active {
             return;
         }
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.touch_flow(flow);
-        }
+        run.obs.on_flow_touched(flow);
         let f = &self.flows[flow as usize];
         let live = f.live;
         let src = f.spec.src;
@@ -745,18 +722,19 @@ impl State {
             let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, flow);
             self.live.get_mut(live).transport.on_timer(token, &mut ctx);
         }
-        self.host_poke(env, src, now);
+        self.host_poke(run, src, now);
     }
 
-    fn on_port_free(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
+    fn on_port_free(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
         self.port_mut(node, port).busy = false;
-        self.kick(env, node, port, now);
+        self.kick(run, node, port, now);
     }
 
     /// Apply fault-schedule transition `idx` at its scheduled time.
-    fn on_fault(&mut self, env: &Env, idx: u32, now: Time) {
+    fn on_fault(&mut self, run: &mut Run, idx: u32, now: Time) {
         self.counters.fault_events += 1;
-        let kind = env
+        let kind = run
+            .env
             .cfg
             .faults
             .as_ref()
@@ -765,8 +743,8 @@ impl State {
             .events[idx as usize]
             .kind;
         match kind {
-            FaultKind::LinkDown { node, port } => self.set_link_down(env, node, port, true, now),
-            FaultKind::LinkUp { node, port } => self.set_link_down(env, node, port, false, now),
+            FaultKind::LinkDown { node, port } => self.set_link_down(run, node, port, true, now),
+            FaultKind::LinkUp { node, port } => self.set_link_down(run, node, port, false, now),
             FaultKind::DegradeStart {
                 node,
                 port,
@@ -775,10 +753,10 @@ impl State {
             } => self.set_degrade(node, port, Some((rate_factor, extra_prop))),
             FaultKind::DegradeEnd { node, port } => self.set_degrade(node, port, None),
             FaultKind::PauseStart { node, port, prio } => {
-                self.set_storm(env, node, port, prio, true, now)
+                self.set_storm(run, node, port, prio, true, now)
             }
             FaultKind::PauseEnd { node, port, prio } => {
-                self.set_storm(env, node, port, prio, false, now)
+                self.set_storm(run, node, port, prio, false, now)
             }
         }
     }
@@ -794,14 +772,14 @@ impl State {
     /// neither attachment serializes and every non-PFC packet in flight on
     /// the link is dropped at arrival; on recovery both sides are kicked so
     /// queued traffic resumes.
-    fn set_link_down(&mut self, env: &Env, node: NodeId, port: u16, down: bool, now: Time) {
+    fn set_link_down(&mut self, run: &mut Run, node: NodeId, port: u16, down: bool, now: Time) {
         let ends = self.link_ends(node, port);
         for (n, p) in ends {
             self.port_mut(n, p).down = down;
         }
         if !down {
             for (n, p) in ends {
-                self.kick(env, n, p, now);
+                self.kick(run, n, p, now);
             }
         }
     }
@@ -821,7 +799,7 @@ impl State {
     /// PFC frames addressed to that attachment are swallowed so the pin
     /// holds; on release the pause bit is restored from the peer's real
     /// pause authority (its ingress pause state).
-    fn set_storm(&mut self, env: &Env, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
+    fn set_storm(&mut self, run: &mut Run, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
         let [_, (peer, peer_port)] = self.link_ends(node, port);
         let peer_pauses = |ps: &Switch| ps.ingress_paused(peer_port as usize, prio as usize);
         let paused = on || self.nodes[peer as usize].as_switch().is_some_and(peer_pauses);
@@ -829,7 +807,7 @@ impl State {
         p.set_storm(prio as usize, on);
         p.set_paused(prio as usize, paused);
         if !paused {
-            self.kick(env, node, port, now);
+            self.kick(run, node, port, now);
         }
     }
 
@@ -839,17 +817,15 @@ impl State {
     /// the audit notices); control losses are counted in
     /// [`SimCounters::fault_ctrl_drops`] but never audited, since control
     /// packets are not part of the injected tallies.
-    fn fault_drop(&mut self, env: &Env, pid: PacketId) {
+    fn fault_drop(&mut self, run: &mut Run, pid: PacketId) {
         let (is_data, wire) = {
             let pkt = self.arena.get(pid);
             (pkt.kind.is_data(), pkt.size as u64)
         };
         if is_data {
             self.counters.fault_link_drops += 1;
-            if env.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.on_link_drop(wire);
-                }
+            if run.env.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
+                run.obs.on_link_drop(wire);
             }
         } else {
             self.counters.fault_ctrl_drops += 1;
@@ -862,10 +838,10 @@ impl State {
     /// Give the attachment at `(node, port)` a chance to transmit: the one
     /// re-kick used after a serialization ends, a PFC resume, a link
     /// recovery and a storm release.
-    fn kick(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
+    fn kick(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
         match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_dequeue(env, node, port, now),
-            Node::Host(_) => self.host_poke(env, node, now),
+            Node::Switch(_) => self.switch_dequeue(run, node, port, now),
+            Node::Host(_) => self.host_poke(run, node, now),
         }
     }
 
@@ -896,7 +872,7 @@ impl State {
     }
 
     /// Try to start transmitting the next packet on a switch egress port.
-    fn switch_dequeue(&mut self, env: &Env, node: NodeId, port: u16, now: Time) {
+    fn switch_dequeue(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             return;
         };
@@ -914,12 +890,12 @@ impl State {
             let pkt = self.arena.get(pid);
             (pkt.kind.is_data(), pkt.prio)
         };
-        let nc = match &env.switch_cfg.nc_delay {
+        let nc = match &run.env.switch_cfg.nc_delay {
             Some(nc) if is_data => nc.sample(&mut self.nc_rng),
             _ => Time::ZERO,
         };
         self.transmit(node, port, pid, nc, now);
-        if env.switch_cfg.int_enabled && is_data {
+        if run.env.switch_cfg.int_enabled && is_data {
             // Read after the transmit step, so telemetry reports this
             // packet's bytes and the effective (possibly degraded) rate.
             let p = self.port(node, port);
@@ -936,11 +912,18 @@ impl State {
                 crate::packet::INT_MAX_HOPS
             );
         }
-        self.emit_pfc(node, &resumes, false, now);
+        self.emit_pfc(run, node, &resumes, false, now);
     }
 
     /// Send PFC pause/resume frames upstream out-of-band.
-    fn emit_pfc(&mut self, node: NodeId, list: &[(u16, u8)], pause: bool, now: Time) {
+    fn emit_pfc(
+        &mut self,
+        run: &mut Run,
+        node: NodeId,
+        list: &[(u16, u8)],
+        pause: bool,
+        now: Time,
+    ) {
         for &(in_port, prio) in list {
             let p = self.port(node, in_port);
             let (peer, peer_port, prop) = (p.peer, p.peer_port, p.prop);
@@ -949,9 +932,7 @@ impl State {
             } else {
                 self.counters.pfc_resumes += 1;
             }
-            if let Some(a) = self.audit.as_deref_mut() {
-                a.on_pfc_frame(now, node, in_port, prio, pause);
-            }
+            run.obs.on_pfc_frame(node, in_port, prio, pause);
             let pid = self.arena.alloc(Packet::pfc(node, peer, prio, pause));
             self.queue.schedule(
                 now + prop,
@@ -964,21 +945,21 @@ impl State {
         }
     }
 
-    fn on_arrive(&mut self, env: &Env, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
+    fn on_arrive(&mut self, run: &mut Run, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
         if let PktTag::Pfc { prio, pause } = self.arena.get(pkt).kind {
             // Consumed at the MAC, never queued.
             self.arena.release(pkt);
-            return self.on_pfc_frame(env, node, in_port, prio, pause, now);
+            return self.on_pfc_frame(run, node, in_port, prio, pause, now);
         }
         if self.port(node, in_port).down {
             // A dead link drops everything in flight on it — except PFC
             // frames (handled above), which model an out-of-band reliable
             // control plane.
-            return self.fault_drop(env, pkt);
+            return self.fault_drop(run, pkt);
         }
         match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_arrive(env, node, in_port, pkt, now),
-            Node::Host(_) => self.host_arrive(env, node, pkt, now),
+            Node::Switch(_) => self.switch_arrive(run, node, in_port, pkt, now),
+            Node::Host(_) => self.host_arrive(run, node, pkt, now),
         }
     }
 
@@ -987,7 +968,7 @@ impl State {
     /// kicks the attachment.
     fn on_pfc_frame(
         &mut self,
-        env: &Env,
+        run: &mut Run,
         node: NodeId,
         port: u16,
         prio: u8,
@@ -1002,11 +983,18 @@ impl State {
         }
         p.set_paused(prio as usize, pause);
         if !pause {
-            self.kick(env, node, port, now);
+            self.kick(run, node, port, now);
         }
     }
 
-    fn switch_arrive(&mut self, env: &Env, node: NodeId, in_port: u16, pid: PacketId, now: Time) {
+    fn switch_arrive(
+        &mut self,
+        run: &mut Run,
+        node: NodeId,
+        in_port: u16,
+        pid: PacketId,
+        now: Time,
+    ) {
         let (dst, flow, is_data, data_q, dscp) = {
             let pkt = self.arena.get(pid);
             (
@@ -1017,7 +1005,7 @@ impl State {
                 pkt.dscp,
             )
         };
-        let egress = env.routes.port_for(node, dst, flow);
+        let egress = run.env.routes.port_for(node, dst, flow);
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             unreachable!()
         };
@@ -1031,7 +1019,7 @@ impl State {
             }
             ecn_info = Some((q_pre, dscp, marked));
         }
-        let info = SwitchArrive {
+        let mut info = SwitchArrive {
             node,
             in_port,
             egress,
@@ -1045,37 +1033,26 @@ impl State {
         let mut pauses = Vec::new();
         let admission = s.admit(egress, in_port, pid, 0, &mut self.arena, &mut pauses);
         // The `s` borrow ends here so the audit can re-inspect the switch.
-        if let (Some(a), Some(sw)) = (self.audit.as_deref_mut(), self.nodes[node as usize].as_switch()) {
-            a.note_switch_arrive(
-                now,
-                &SwitchArrive {
-                    dropped: admission == Admission::Dropped,
-                    ..info
-                },
-                sw,
-            );
-        }
+        info.dropped = admission == Admission::Dropped;
+        run.obs.on_switch_arrive(self, &info);
         match admission {
             Admission::Dropped => {
                 self.counters.drops += 1;
             }
             Admission::Queued => {
-                self.emit_pfc(node, &pauses, true, now);
-                self.switch_dequeue(env, node, egress, now);
+                self.emit_pfc(run, node, &pauses, true, now);
+                self.switch_dequeue(run, node, egress, now);
             }
         }
     }
 
-    fn host_arrive(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
+    fn host_arrive(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
         match self.arena.get(pid).kind {
             PktTag::Data => {
                 self.counters.data_delivered += 1;
-                if let Some(a) = self.audit.as_deref_mut() {
-                    let pkt = self.arena.get(pid);
-                    a.on_data_delivered(now, pkt.flow, pkt.size as u64);
-                }
+                run.obs.on_data_delivered(self.arena.get(pid));
                 debug_assert_eq!(self.arena.get(pid).dst, node, "data packet misrouted");
-                self.receiver_data(env, node, pid, now);
+                self.receiver_data(run, node, pid, now);
             }
             PktTag::Probe => {
                 let probe = *self.arena.get(pid);
@@ -1083,15 +1060,15 @@ impl State {
                 self.arena.release(pid);
                 // Echo the probe back at the same priority it came in on
                 // (probe echoes measure the reverse control path like ACKs).
-                let prio = Self::ack_prio(&env.cfg, probe.prio);
+                let prio = Self::ack_prio(&run.env.cfg, probe.prio);
                 let echo = Packet::ack(&probe, prio, 0, false, None);
-                self.host_enqueue_control(env, node, echo, now);
+                self.host_enqueue_control(run, node, echo, now);
             }
             // ACKs and probe echoes. `on_arrive` consumed any PFC frame at
             // the MAC, and `sender_ack` rejects every other tag.
             _ => {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
-                self.sender_ack(env, node, pid, now);
+                self.sender_ack(run, node, pid, now);
             }
         }
     }
@@ -1107,7 +1084,7 @@ impl State {
     /// emit a per-packet ACK, record delivery/completion. Consumes the
     /// arena slot: the data packet is retired and its slot immediately
     /// reused (LIFO) by the ACK this method emits.
-    fn receiver_data(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
+    fn receiver_data(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
         let data = *self.arena.get(pid);
         let fid = data.flow;
         let live = self.flows[fid as usize].live;
@@ -1122,7 +1099,9 @@ impl State {
         } else {
             let flow = &mut self.flows[fid as usize];
             let fl = self.live.get_mut(live);
-            let (new_bytes, nack) = fl.recv.on_data(data.seq, data.payload as u64, env.lossy);
+            let (new_bytes, nack) = fl
+                .recv
+                .on_data(data.seq, data.payload as u64, run.env.lossy);
             flow.record.delivered = fl.recv.delivered;
             if new_bytes > 0 {
                 if let Some(t) = self.traces.get_mut(&fid) {
@@ -1134,12 +1113,7 @@ impl State {
             if !fl.recv.done && fl.recv.cum >= flow.spec.size {
                 fl.recv.done = true;
                 flow.record.finish = Some(now);
-                if let Some(st) = self.streaming.as_deref_mut() {
-                    st.on_complete(&flow.record, now);
-                }
-                if let Some(buf) = &mut self.completed_buf {
-                    buf.push(fid);
-                }
+                run.obs.on_flow_done(&flow.record, now);
             }
             (fl.recv.cum, nack)
         };
@@ -1148,9 +1122,9 @@ impl State {
         // the same cache-hot slot.
         let int = self.arena.take_int(pid);
         self.arena.release(pid);
-        let prio = Self::ack_prio(&env.cfg, data.prio);
+        let prio = Self::ack_prio(&run.env.cfg, data.prio);
         let ack = Packet::ack(&data, prio, cum_bytes, nack, int);
-        self.host_enqueue_control(env, node, ack, now);
+        self.host_enqueue_control(run, node, ack, now);
     }
 
     /// Sender-side handling of an ACK or probe echo: the [`AckEvent`] is
@@ -1158,16 +1132,14 @@ impl State {
     /// [`crate::packet`] list). Consumes the arena slot; the echoed INT box
     /// (if any) returns to the arena's recycle stack after the transport
     /// callback.
-    fn sender_ack(&mut self, env: &Env, node: NodeId, pid: PacketId, now: Time) {
+    fn sender_ack(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
         let h = *self.arena.get(pid);
         let fid = h.flow;
         if !self.flows[fid as usize].active {
             self.arena.release(pid);
             return;
         }
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.touch_flow(fid);
-        }
+        run.obs.on_flow_touched(fid);
         let f = &self.flows[fid as usize];
         let live = f.live;
         let kind = match h.kind {
@@ -1186,7 +1158,7 @@ impl State {
             AckKind::Data => raw,
             AckKind::Probe => raw + f.params.base_rtt.saturating_sub(f.params.base_rtt_probe),
         };
-        let noise = env.cfg.meas_noise.sample(&mut self.noise_rng);
+        let noise = run.env.cfg.meas_noise.sample(&mut self.noise_rng);
         let delay = normalized + noise;
         let ack = AckEvent {
             kind,
@@ -1214,9 +1186,9 @@ impl State {
             if let Node::Host(h) = &mut self.nodes[src as usize] {
                 h.deactivate(prio, fid);
             }
-            self.release_flow_state(env, fid);
+            self.release_flow_state(run.env, fid);
         }
-        self.host_poke(env, node, now);
+        self.host_poke(run, node, now);
     }
 
     /// Release a finished flow's live-state slab slot, copying the
@@ -1239,16 +1211,16 @@ impl State {
 
     /// Queue a locally generated control packet (ACK/probe echo) on the
     /// host's NIC and kick transmission.
-    fn host_enqueue_control(&mut self, env: &Env, node: NodeId, pkt: Packet, now: Time) {
+    fn host_enqueue_control(&mut self, run: &mut Run, node: NodeId, pkt: Packet, now: Time) {
         let pid = self.arena.alloc(pkt);
         self.nodes[node as usize].ports_mut()[0].enqueue(pid, &self.arena);
-        self.host_poke(env, node, now);
+        self.host_poke(run, node, now);
     }
 
     /// The host NIC pull loop: if the NIC is idle, select the next packet
     /// (queued control first, then strict-priority pull across flows) and
     /// start transmitting it.
-    fn host_poke(&mut self, env: &Env, node: NodeId, now: Time) {
+    fn host_poke(&mut self, run: &mut Run, node: NodeId, now: Time) {
         let Node::Host(h) = &mut self.nodes[node as usize] else {
             panic!("host_poke on switch {node}")
         };
@@ -1301,9 +1273,7 @@ impl State {
                             now,
                         );
                         pkt.header.dscp = f.spec.virt_prio;
-                        if let Some(a) = self.audit.as_deref_mut() {
-                            a.on_data_injected(fid, pkt.header.size as u64);
-                        }
+                        run.obs.on_data_injected(fid, pkt.header.size as u64);
                         h.active[q].rr = if idx + 1 == len { 0 } else { idx + 1 };
                         selected = Some(self.arena.alloc(pkt));
                         break;
@@ -1343,7 +1313,7 @@ impl State {
         // `h` no longer borrows `self.nodes`; nothing above allocates a slab
         // slot, so releasing here leaves the free list as if done in place.
         for fid in finished {
-            self.release_flow_state(env, fid);
+            self.release_flow_state(run.env, fid);
         }
         if let Some(pid) = selected {
             self.transmit(node, 0, pid, Time::ZERO, now);
@@ -1402,9 +1372,15 @@ mod tests {
             ..Default::default()
         };
         let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
-        let Sim { env, state: st, .. } = &mut sim;
-        st.on_fault(env, 0, Time::ZERO);
-        st.on_fault(env, 1, Time::ZERO);
+        let Sim {
+            env,
+            state: st,
+            obs,
+            ..
+        } = &mut sim;
+        let run = &mut Run { env, obs };
+        st.on_fault(run, 0, Time::ZERO);
+        st.on_fault(run, 1, Time::ZERO);
         for node in [host, switch] {
             let is_host = matches!(st.nodes[node as usize], Node::Host(_));
             assert_eq!(is_host, node == host, "node {node}");
@@ -1412,7 +1388,7 @@ mod tests {
             for prio in [0, 1] {
                 let peer = st.port(node, 0).peer;
                 let frame = st.arena.alloc(Packet::pfc(peer, node, prio, false));
-                st.on_arrive(env, node, 0, frame, Time::from_us(1));
+                st.on_arrive(run, node, 0, frame, Time::from_us(1));
             }
             assert_eq!(st.arena.live_count(), 0, "PFC frames are consumed, never queued");
             let p = st.port(node, 0);
@@ -1458,6 +1434,67 @@ mod tests {
     fn mtu_past_the_u16_wire_size_is_refused() {
         sim_with_mtu(65_487);
         sim_with_mtu(65_488);
+    }
+
+    /// A one-sender single switch of 100 Gbps links under `faults`.
+    fn sim_with_faults(faults: FaultSchedule) -> Sim {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let cfg = SimConfig {
+            faults: Some(faults),
+            ..Default::default()
+        };
+        Sim::new(&topo, cfg, SwitchConfig::default())
+    }
+
+    /// [`sim_with_faults`] with the sender's NIC link (host 0, port 0)
+    /// degraded by `rate_factor` from 1 µs on.
+    fn sim_with_degrade(rate_factor: f64) -> Sim {
+        let mut faults = FaultSchedule::new();
+        let (node, port, extra_prop) = (0, 0, Time::ZERO);
+        let degrade = FaultKind::DegradeStart {
+            node,
+            port,
+            rate_factor,
+            extra_prop,
+        };
+        faults.push(Time::from_us(1), degrade);
+        sim_with_faults(faults)
+    }
+
+    /// `FaultSchedule::degrade` lets 1e-12 through, but 100 Gbps × 1e-12
+    /// rounds to 0 bps, which the first dequeue would divide by.
+    #[test]
+    #[should_panic(expected = "DegradeStart rate_factor = 0.000000000001 on link (0, 0) \
+                               must be in (0, 1] and leave its 100.00Gbps above 0 bps")]
+    fn degrading_a_link_to_zero_bps_is_refused() {
+        let mut faults = FaultSchedule::new();
+        faults.degrade(0, 0, Time::ZERO, Time::from_us(5), 1e-12, Time::ZERO);
+        sim_with_faults(faults);
+    }
+
+    /// `FaultSchedule::push` checks no factor.
+    #[test]
+    #[should_panic(expected = "DegradeStart rate_factor = 0 on link (0, 0) must be in (0, 1]")]
+    fn a_zero_degrade_factor_is_refused() {
+        sim_with_degrade(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "DegradeStart rate_factor = NaN on link (0, 0) must be in (0, 1]")]
+    fn a_nan_degrade_factor_is_refused() {
+        sim_with_degrade(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "DegradeStart rate_factor = 1.5 on link (0, 0) must be in (0, 1]")]
+    fn a_degrade_factor_past_one_is_refused() {
+        sim_with_degrade(1.5);
+    }
+
+    /// The smallest factor that leaves 100 Gbps at 1 bps is accepted.
+    #[test]
+    fn a_degrade_to_one_bps_is_accepted() {
+        sim_with_degrade(1e-11);
     }
 
     fn sim_with_prios(num_prios: u8) -> Sim {
@@ -1553,7 +1590,9 @@ mod tests {
 
     /// Completions are buffered only for an installed [`App`]: a run
     /// without one finishes flows and ends with no buffer at all, while an
-    /// `App` sees every completion and the buffer ends drained.
+    /// `App` sees every completion and the buffer ends drained. With the
+    /// streaming sketches on too, the one `on_flow_done` hook reaches both:
+    /// the sketches count as many completions as the `App` was called for.
     #[test]
     fn completions_are_buffered_only_for_an_app() {
         struct Count(Rc<RefCell<Vec<FlowId>>>);
@@ -1562,10 +1601,14 @@ mod tests {
                 self.0.borrow_mut().push(flow);
             }
         }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        for with_app in [false, true] {
+        for (with_app, streaming_stats) in [(false, false), (true, false), (true, true)] {
+            let seen = Rc::new(RefCell::new(Vec::new()));
             let topo = Topology::single_switch(2, Rate::from_gbps(100), Time::from_us(1));
-            let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+            let cfg = SimConfig {
+                streaming_stats,
+                ..Default::default()
+            };
+            let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
             if with_app {
                 sim.set_app(Box::new(Count(Rc::clone(&seen))));
             }
@@ -1580,14 +1623,20 @@ mod tests {
                 });
             }
             sim.run_until(sim.config().end_time);
+            let case = format!("with_app = {with_app}, streaming_stats = {streaming_stats}");
             assert!(
                 (0..2).all(|f| sim.record(f).finish.is_some()),
-                "both flows finished"
+                "{case}: both flows finished"
             );
-            let buffered = sim.state.completed_buf.as_ref().map(Vec::len);
-            assert_eq!(buffered, with_app.then_some(0), "with_app = {with_app}");
+            let buffered = sim.obs.completed.as_ref().map(Vec::len);
+            assert_eq!(buffered, with_app.then_some(0), "{case}");
+            let expected: &[FlowId] = if with_app { &[0, 1] } else { &[] };
+            let seen = seen.borrow();
+            assert_eq!(*seen, expected, "{case}: the App saw each completion once");
+            let finished = sim.obs.streaming.as_ref().map(|st| st.finished);
+            let calls = seen.len() as u64;
+            assert_eq!(finished, streaming_stats.then_some(calls), "{case}");
         }
-        assert_eq!(*seen.borrow(), [0, 1], "the App saw each completion once");
     }
 
     /// Sends its flow's bytes back to back and ignores every ACK.
@@ -1672,7 +1721,13 @@ mod tests {
         let rec = Recorder::default();
         let spec = FlowSpec::new(snd, rcv, 1 << 20, Time::ZERO);
         let fid = sim.add_flow(spec, |_| Box::new(rec.clone()));
-        let Sim { env, state: st, .. } = &mut sim;
+        let Sim {
+            env,
+            state: st,
+            obs,
+            ..
+        } = &mut sim;
+        let run = &mut Run { env, obs };
         st.flows[fid as usize].active = true;
         // `pkt`, sent at `sent` µs with ECN mark `ecn` and INT hops of queue
         // lengths `hops`, reaches the receiver 1 µs later; the answer it
@@ -1691,9 +1746,9 @@ mod tests {
                 st.arena.append_int(pid, hop);
             }
             st.port_mut(rcv, 0).busy = false;
-            st.host_arrive(env, rcv, pid, Time::from_us(sent + 1));
+            st.host_arrive(run, rcv, pid, Time::from_us(sent + 1));
             assert!(st.arena.get(pid).kind.is_control(), "the answer took the slot");
-            st.host_arrive(env, snd, pid, Time::from_us(back));
+            st.host_arrive(run, snd, pid, Time::from_us(back));
         };
         // Segment [0, 500) in order: cum moves to 500, nothing is NACKed.
         trip(Packet::data(fid, snd, rcv, 0, 500, 0, Time::ZERO), false, &[], 3, 10);

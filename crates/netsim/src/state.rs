@@ -1,25 +1,25 @@
 //! The simulator's data, in one copy: [`Env`] is what a run is given and
 //! never writes again; [`State`] is everything an event can change. A
-//! [`crate::Sim`] is an `Env` plus a `State`.
+//! [`crate::Sim`] is an `Env` plus a `State`, and the observers that watch
+//! it ([`crate::observe`]) sit beside them.
 //!
-//! Two whole-state readers live beside the data: [`State::fold_digest`]
-//! (the fingerprint behind [`crate::Sim::state_digest`]) and
-//! [`State::deep_scan`] (the audit's O(state) sweep). The digest's
-//! completeness fleet ([`StateTamper`], [`crate::Sim::snap_mutate`]) sits
-//! with it. The flow types sit here too, each with its own digest next to
-//! its fields.
+//! [`State::fold_digest`] folds the whole state into the fingerprint
+//! behind [`crate::Sim::state_digest`] (which then folds the observers'
+//! share: the completions awaiting an `App` and the FCT sketches). The
+//! digest's completeness fleet ([`StateTamper`], [`crate::Sim::snap_mutate`])
+//! sits with it. The flow types sit here too, each with its own digest next
+//! to its fields.
 
 use std::collections::BTreeMap;
 
 use simcore::{EventQueue, SimRng, Time};
 
-use crate::audit::{detect_pause_cycle, Audit, ViolationKind};
 use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
 use crate::monitor::Monitor;
-use crate::node::{EgressPort, Node, Switch};
+use crate::node::{EgressPort, Node};
 use crate::packet::{FlowId, NodeId, PacketArena};
-use crate::record::{FlowRecord, FlowTrace, SimCounters, StreamingStats};
+use crate::record::{FlowRecord, FlowTrace, SimCounters};
 use crate::routing::RoutingTable;
 use crate::transport_api::{FlowParams, Transport};
 
@@ -301,20 +301,8 @@ pub(crate) struct State {
     pub(crate) noise_rng: SimRng,
     pub(crate) ecn_rng: SimRng,
     pub(crate) nc_rng: SimRng,
-    /// Streaming-statistics accumulator ([`SimConfig::streaming_stats`]):
-    /// completed flows fold into quantile sketches at completion time.
-    pub(crate) streaming: Option<Box<StreamingStats>>,
-    /// Flows completed by the event being dispatched, awaiting delivery to
-    /// the [`crate::sim::App`]. `None` unless an `App` is installed
-    /// ([`crate::Sim::set_app`]): nothing else reads completions.
-    pub(crate) completed_buf: Option<Vec<FlowId>>,
     /// Whether the run-level bootstrap events have been scheduled.
     pub(crate) started: bool,
-    /// Invariant-audit state; `None` keeps the hot path to one branch per
-    /// hook. Boxed so the disabled case costs a single word. It lives here
-    /// so a run stopped by [`crate::Sim::run_until`] and resumed keeps its
-    /// conservation tallies across the split.
-    pub(crate) audit: Option<Box<Audit>>,
 }
 
 impl State {
@@ -348,12 +336,7 @@ impl State {
             noise_rng,
             ecn_rng,
             nc_rng,
-            streaming,
-            completed_buf,
             started,
-            // An observer of the state, not part of it: an audited and an
-            // unaudited run dispatch identically, and must digest equally.
-            audit: _,
         } = self;
 
         queue.fold_digest(fold, |ev, fold| ev.fold_digest(fold));
@@ -373,11 +356,6 @@ impl State {
             f.fold_digest(fold);
         }
         live.fold_digest(fold);
-        let completed = completed_buf.as_deref().unwrap_or_default();
-        fold(completed.len() as u64);
-        for &f in completed {
-            fold(f as u64);
-        }
         fold(monitors.len() as u64);
         for m in monitors {
             m.fold_digest(fold);
@@ -387,88 +365,6 @@ impl State {
             fold(flow as u64);
             t.fold_digest(fold);
         }
-        fold(streaming.is_some() as u64);
-        if let Some(s) = streaming.as_deref() {
-            fold(s.fingerprint());
-        }
-    }
-
-    /// The audit's O(state) scan: recount every switch, then check
-    /// conservation, counters, PFC deadlock, the event queue, flow-slab
-    /// reclamation and arena references, in that order. It reads the whole
-    /// state, so it lives here rather than in [`crate::audit`], which sits
-    /// below this module and is handed the parts it checks.
-    pub(crate) fn deep_scan(&self, env: &Env, a: &mut Audit, now: Time) {
-        let switches: Vec<(NodeId, &Switch)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, n)| Some((id as NodeId, n.as_switch()?)))
-            .collect();
-        let mut buffered_data = 0u64;
-        for &(id, s) in &switches {
-            buffered_data += a.check_switch(now, id, s, &self.arena);
-        }
-        a.check_conservation(now, buffered_data);
-        a.check_counters(now, &self.counters);
-        if env.cfg.faults.as_ref().is_some_and(|s| !s.is_empty()) {
-            // PFC deadlock monitor: a cycle in the wait-for graph over
-            // paused egress attachments is a circular buffer dependency
-            // (see DESIGN.md § Fault model). Only armed alongside a fault
-            // schedule — transient legitimate pause cycles in cyclic
-            // topologies are not deadlocks.
-            let cycle = detect_pause_cycle(&switches, &self.arena);
-            a.check_deadlock(now, cycle.as_deref());
-        }
-        if let Err(msg) = self.queue.check_invariants() {
-            a.queue_violation(now, msg);
-        }
-        // Flow-state reclamation sweep: a completed flow must have released
-        // its slab slot — `Buggify::FlowReclaimLeak` proves this sweep
-        // notices when it doesn't. O(flows) by design: deep scans are
-        // periodic; the per-event audit state stays O(ports).
-        let mut resident = 0u64;
-        for f in self.flows.iter().filter(|f| f.live != u32::MAX) {
-            resident += 1;
-            if let (false, Some(finish)) = (f.active, f.record.finish) {
-                let (flow, slot) = (f.record.flow, f.live);
-                a.flow_violation(
-                    ViolationKind::FlowStateLeak,
-                    now,
-                    flow,
-                    format!(
-                        "flow {flow} finished at {} but still holds slab slot {slot}",
-                        finish.as_ps()
-                    ),
-                );
-            }
-        }
-        if resident != self.live.occupancy {
-            let occ = self.live.occupancy;
-            a.flow_violation(
-                ViolationKind::FlowStateLeak,
-                now,
-                0,
-                format!("flow slab occupancy {occ} != {resident} resident live slots"),
-            );
-        }
-        // Arena accounting: every live slot must be referenced exactly once
-        // — by one port queue or one pending Arrive event — and free slots
-        // never. Count references across the whole topology plus the event
-        // queue, then check the tally.
-        // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by `AuditConfig::deep_every`)
-        let mut refs = vec![0u32; self.arena.capacity()];
-        let ports = self.nodes.iter().flat_map(|n| n.ports());
-        let queued = ports.flat_map(|p| &p.queues).flat_map(|q| &q.ids);
-        for id in queued {
-            refs[id.index()] += 1;
-        }
-        self.queue.for_each_live(&mut |ev| {
-            if let Event::Arrive { pkt, .. } = ev {
-                refs[pkt.index()] += 1;
-            }
-        });
-        a.check_arena(now, &self.arena, &refs);
     }
 }
 
@@ -498,62 +394,28 @@ pub enum StateTamper {
 }
 
 impl State {
-    /// FNV-1a over [`Self::fold_digest`]: the value of
-    /// [`crate::Sim::state_digest`].
-    pub(crate) fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        self.fold_digest(&mut |w: u64| {
-            for b in w.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        });
-        h
-    }
-
     /// Mutate one class of deterministic state in place, for
     /// [`crate::Sim::snap_mutate`]. Returns `false` when the run does not
-    /// carry that state class (e.g. [`StateTamper::Sketch`] without
-    /// streaming statistics).
+    /// carry that state class (e.g. [`StateTamper::Monitor`] without a
+    /// monitor). [`StateTamper::Sketch`] is never `State`'s: the sketches
+    /// are an observer's, and `snap_mutate` hands that tamper to them.
     pub(crate) fn tamper(&mut self, tamper: StateTamper) -> bool {
         match tamper {
-            StateTamper::Counter => {
-                self.counters.data_delivered += 1;
-                true
-            }
-            StateTamper::Rng => {
-                self.noise_rng.next();
-                true
-            }
-            StateTamper::Sketch => match self.streaming.as_deref_mut() {
-                Some(s) => {
-                    s.fct_ps.add(1);
-                    true
-                }
-                None => false,
-            },
-            StateTamper::PortState => {
-                self.nodes[0].ports_mut()[0].paused ^= 1;
-                true
-            }
+            StateTamper::Counter => self.counters.data_delivered += 1,
+            StateTamper::Rng => _ = self.noise_rng.next(),
+            StateTamper::Sketch => return false,
+            StateTamper::PortState => self.nodes[0].ports_mut()[0].paused ^= 1,
             StateTamper::Monitor => match self.monitors.first_mut() {
-                Some(m) => {
-                    m.last_tx += 1;
-                    true
-                }
-                None => false,
+                Some(m) => m.last_tx += 1,
+                None => return false,
             },
-            StateTamper::Queue => {
-                self.queue.schedule(Time::MAX, Event::HostPoke { node: 0 });
-                true
-            }
+            StateTamper::Queue => self.queue.schedule(Time::MAX, Event::HostPoke { node: 0 }),
             StateTamper::FlowRecv => match self.live.slots.iter_mut().flatten().next() {
-                Some(fl) => {
-                    fl.recv.cum += 1;
-                    true
-                }
-                None => false,
+                Some(fl) => fl.recv.cum += 1,
+                None => return false,
             },
         }
+        true
     }
 }
 

@@ -10,7 +10,13 @@
 # calls instead of into the loop they cost 8–13 % of wall time on every
 # workload, and nothing but the disassembly shows it: output, goldens and
 # event counts are identical (EXPERIMENTS.md § "Two per-event costs that
-# are not simulation").
+# are not simulation"). The same goes for the per-event hooks of the run's
+# observers (`Observers::{on_event, on_flow_touched, on_data_delivered,
+# on_flow_done, on_switch_arrive, on_link_drop, completions_pending,
+# on_event_end}` in crates/netsim/src/observe.rs, plus `on_data_injected`
+# and `on_pfc_frame`, reached through `host_poke` and `emit_pfc`): each is
+# one `Option` branch per member, and must stay that branch inside the loop
+# rather than become a call that makes it.
 #
 # This disassembles the release `repro` binary, writes the direct call
 # targets of `State::advance` (counted, hashes stripped) to
@@ -27,6 +33,7 @@ cd "$(dirname "$0")/.."
 BIN=${1:-target/release/repro}
 OUT=target/ci/advance_calls.txt
 DENY='(EventQueue<.*>::(batch_next|pop_batch|pop_batch_before|head|scan_head|settle_head|take_batch|pop_lane)|Lane<.*>::pop)$'
+DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end)$'
 
 if ! command -v objdump >/dev/null 2>&1 || ! command -v readelf >/dev/null 2>&1; then
   echo "check_hot_calls.sh: WARNING: objdump/readelf not installed, skipping" >&2
@@ -62,8 +69,9 @@ if ! {
 fi
 
 if grep -E "$DENY" "$OUT" >&2; then
-  echo "check_hot_calls.sh: FAIL: State::advance calls the queue's serve path instead of" >&2
-  echo "  containing it; restore #[inline] on the functions above (crates/simcore/src/event.rs)" >&2
+  echo "check_hot_calls.sh: FAIL: State::advance calls the queue's serve path or an observer" >&2
+  echo "  hook instead of containing it; restore #[inline] on the functions above" >&2
+  echo "  (crates/simcore/src/event.rs, crates/netsim/src/observe.rs)" >&2
   exit 1
 fi
-echo "check_hot_calls.sh: ok: $(wc -l < "$OUT") direct callees of State::advance, none on the serve path ($OUT)"
+echo "check_hot_calls.sh: ok: $(wc -l < "$OUT") direct callees of State::advance, none on the serve path or an observer hook ($OUT)"

@@ -153,7 +153,8 @@ fn audit_report_is_absent_when_not_enabled() {
 #[test]
 fn audit_is_purely_observational() {
     // Enabling the audit must not perturb the simulation: identical seeds
-    // produce bit-identical flow outcomes with and without it.
+    // produce bit-identical flow outcomes with and without it, and the
+    // state digest, which folds the other observers, leaves it out.
     let outcome = |audited: bool| {
         let mut m = Micro::build(&MicroEnv {
             senders: 4,
@@ -171,11 +172,15 @@ fn audit_is_purely_observational() {
         for s in 1..=4 {
             m.add_flow(s, 2_000_000, Time::ZERO, 0, 0, &cc);
         }
+        m.sim.run_until(Time::from_ms(5));
+        let digest = m.sim.state_digest();
         let res = m.sim.run();
-        res.records
+        let records = res
+            .records
             .iter()
             .map(|r| (r.finish.map(|t| t.as_ps()), r.delivered, r.retransmits))
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (digest, records)
     };
     assert_eq!(outcome(false), outcome(true));
 }

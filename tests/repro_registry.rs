@@ -101,6 +101,28 @@ fn json_dir_is_created_and_an_unwritable_one_is_an_error() {
     assert!(!out.status.success());
 }
 
+/// `repro list | head -1`: the reader of stdout goes away before `repro`
+/// has written everything. `repro` stops quietly instead of panicking on
+/// the failed write (exit status 101 and a backtrace), for `list` and for
+/// the tables of `run` alike.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    for args in [&["list"][..], &["run", "fig02"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        // Closed before `repro` starts, so its first write already fails.
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env_remove("REPRO_JSON_DIR")
+            .stdout(writer)
+            .output()
+            .expect("the repro binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn every_repro_run_in_the_docs_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
