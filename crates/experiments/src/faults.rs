@@ -3,18 +3,16 @@
 //!
 //! An 8-sender incast over four virtual priorities runs under three
 //! regimes — fault-free, seed-driven bottleneck link flaps
-//! ([`workloads::FaultPlanSpec`] windows turned into a
-//! [`netsim::FaultSchedule`]), and periodic PFC pause storms on the
-//! bottleneck egress. The scenario reports completion, FCT slowdowns and
-//! the number of *priority inversions* (pairs where the higher
-//! virtual-priority flow ends up with the larger slowdown) so
+//! ([`netsim::FaultSchedule::random_flaps`]), and periodic PFC pause
+//! storms on the bottleneck egress. The scenario reports completion, FCT
+//! slowdowns and the number of *priority inversions* (pairs where the
+//! higher virtual-priority flow ends up with the larger slowdown) so
 //! EXPERIMENTS.md can table PrioPlus against priority-blind baselines
 //! under failure.
 
 use netsim::{FaultSchedule, SimResult};
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
-use workloads::FaultPlanSpec;
 
 use crate::micro::{Micro, MicroEnv};
 
@@ -55,14 +53,13 @@ impl FaultRegime {
     pub fn schedule(self, switch: u32, horizon: Time, seed: u64) -> Option<FaultSchedule> {
         match self {
             FaultRegime::None => None,
-            FaultRegime::Flap => {
-                let plan = FaultPlanSpec::new(Time::from_us(600), Time::from_us(60), seed);
-                let mut sched = FaultSchedule::new();
-                for (down, up) in plan.sample_link(0, horizon) {
-                    sched.link_flap(switch, 0, down, up);
-                }
-                Some(sched)
-            }
+            FaultRegime::Flap => Some(FaultSchedule::random_flaps(
+                &[(switch, 0)],
+                seed,
+                horizon,
+                Time::from_us(600),
+                Time::from_us(60),
+            )),
             FaultRegime::Storm => {
                 let mut sched = FaultSchedule::new();
                 let mut t = Time::from_us(100);

@@ -181,8 +181,6 @@ pub fn goodput_gbps(res: &SimResult, flows: &[u32], from_us: f64, to_us: f64) ->
         .map(|f| {
             res.traces[f]
                 .throughput
-                .as_ref()
-                .expect("flow traces are enabled")
                 .series_gbps()
                 .window_mean(from_us, to_us)
                 .unwrap_or(0.0)

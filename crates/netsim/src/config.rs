@@ -138,11 +138,10 @@ pub struct SimConfig {
     pub end_time: Time,
     /// Master seed.
     pub seed: u64,
-    /// Record per-flow delay/cwnd traces and throughput meters (costly; used
-    /// by the micro-benchmark figures).
+    /// Record per-flow delay/cwnd traces and 20 µs goodput meters
+    /// ([`crate::record::FlowTrace`]; costly, used by the micro-benchmark
+    /// figures).
     pub trace_flows: bool,
-    /// Throughput meter bucket for traced flows.
-    pub trace_bucket: Time,
     /// Selects nothing: the event queue has one backend.
     #[doc(hidden)]
     pub sched: SchedKind,
@@ -169,7 +168,6 @@ impl Default for SimConfig {
             end_time: Time::from_ms(100),
             seed: 1,
             trace_flows: false,
-            trace_bucket: Time::from_us(20),
             sched: SchedKind::default(),
             faults: None,
             streaming_stats: false,

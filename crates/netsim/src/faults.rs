@@ -327,6 +327,74 @@ mod tests {
         assert_ne!(a, other, "different seeds must differ");
     }
 
+    const MTBF_US: u64 = 200;
+    const MTTR_US: u64 = 50;
+
+    /// One link's random flaps as `(down, up)` windows in time order.
+    fn flap_windows(
+        links: &[(NodeId, u16)],
+        link: (NodeId, u16),
+        until: Time,
+    ) -> Vec<(Time, Time)> {
+        let s = FaultSchedule::random_flaps(
+            links,
+            42,
+            until,
+            Time::from_us(MTBF_US),
+            Time::from_us(MTTR_US),
+        );
+        let mut out = Vec::new();
+        let mut down_at = None;
+        for ev in s.events.iter().filter(|e| e.kind.link() == link) {
+            match ev.kind {
+                FaultKind::LinkDown { .. } => down_at = Some(ev.at),
+                FaultKind::LinkUp { .. } => out.push((down_at.take().unwrap(), ev.at)),
+                _ => unreachable!(),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn windows_are_deterministic_per_seed_and_link() {
+        let links = [(3, 0), (4, 1)];
+        let a = flap_windows(&links, (3, 0), Time::from_ms(10));
+        assert_eq!(a, flap_windows(&links, (3, 0), Time::from_ms(10)));
+        let other = flap_windows(&links, (4, 1), Time::from_ms(10));
+        assert_ne!(a, other, "links must get independent streams");
+        // A link's stream does not depend on the links listed after it.
+        assert_eq!(a, flap_windows(&[(3, 0)], (3, 0), Time::from_ms(10)));
+    }
+
+    #[test]
+    fn windows_are_sorted_and_disjoint() {
+        let windows = flap_windows(&[(3, 0)], (3, 0), Time::from_ms(10));
+        assert!(!windows.is_empty(), "plan must produce outages");
+        let mut prev_up = Time::ZERO;
+        for &(down, up) in &windows {
+            assert!(down < up, "window must have positive length");
+            assert!(down >= prev_up, "windows must not overlap");
+            prev_up = up;
+        }
+    }
+
+    #[test]
+    fn availability_approximates_the_renewal_ratio() {
+        // Long-run unavailability of an alternating renewal process is
+        // MTTR / (MTBF + MTTR) = 50/250 = 20 %.
+        let until = Time::from_ms(100);
+        let windows = flap_windows(&[(0, 0)], (0, 0), until);
+        let down_ps: u64 = windows
+            .iter()
+            .map(|&(d, u)| u.min(until).as_ps().saturating_sub(d.as_ps()))
+            .sum();
+        let frac = down_ps as f64 / until.as_ps() as f64;
+        assert!(
+            (0.1..0.3).contains(&frac),
+            "down fraction {frac:.3} should be near 0.2"
+        );
+    }
+
     /// Build a switch with `nports` ports at 2 data priorities (+control),
     /// wired so port `p` peers with node `peers[p].0` at its port
     /// `peers[p].1`.

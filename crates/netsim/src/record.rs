@@ -121,23 +121,23 @@ impl StreamingStats {
 }
 
 /// Per-flow time-series traces (only populated when
-/// [`crate::SimConfig::trace_flows`] is on).
-#[derive(Clone, Debug, Default)]
+/// [`crate::SimConfig::trace_flows`] is on). The simulator records them,
+/// not the transport: one delay and one cwnd point per ACK or probe echo
+/// the transport took, one goodput sample per arrival that delivered new
+/// bytes.
+#[derive(Clone, Debug)]
 pub struct FlowTrace {
-    /// Receiver goodput meter.
-    pub throughput: Option<ThroughputMeter>,
+    /// Receiver goodput meter, in 20 µs buckets.
+    pub throughput: ThroughputMeter,
     /// Delay samples observed by the sender (µs).
     pub delay: TimeSeries,
-    /// Congestion window over time (bytes).
+    /// Congestion window over time (bytes), read after each ACK.
     pub cwnd: TimeSeries,
 }
 
 impl FlowTrace {
     pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        fold(self.throughput.is_some() as u64);
-        if let Some(m) = &self.throughput {
-            m.fold_digest(fold);
-        }
+        self.throughput.fold_digest(fold);
         self.delay.fold_digest(fold);
         self.cwnd.fold_digest(fold);
     }

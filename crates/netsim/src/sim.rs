@@ -1,9 +1,6 @@
 //! The simulator: construction, flow registration, the event loop and the
 //! switch/host event handlers. The data they work on is in `state.rs`.
 
-use std::collections::BTreeMap;
-
-use simcore::stats::ThroughputMeter;
 use simcore::{EventQueue, Rate, SimRng, Time};
 
 use crate::audit::{Audit, AuditConfig, SwitchArrive};
@@ -15,7 +12,7 @@ use crate::observe::Observers;
 use crate::packet::{
     FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES, HEADER_BYTES,
 };
-use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult};
+use crate::record::{FlowRecord, SimCounters, SimResult};
 use crate::routing::RoutingTable;
 use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State, StateTamper};
 use crate::topology::{NodeKind, PortLink, Topology};
@@ -108,7 +105,7 @@ impl Sim {
         };
 
         let seed = cfg.seed;
-        let obs = Observers::new(cfg.streaming_stats);
+        let obs = Observers::new(&cfg);
         for ev in cfg.faults.iter().flat_map(|s| &s.events) {
             let (node, port) = ev.kind.link();
             let Some(p) = port_at(node, port) else {
@@ -135,7 +132,6 @@ impl Sim {
             queue,
             counters: SimCounters::default(),
             monitors: Vec::new(),
-            traces: BTreeMap::new(),
             noise_rng: SimRng::new(seed).split(1),
             ecn_rng: SimRng::new(seed).split(2),
             nc_rng: SimRng::new(seed).split(3),
@@ -213,14 +209,14 @@ impl Sim {
 
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue, counters, RNG streams, packet arena, nodes and their
-    /// ports (link fault state included), flow table and slab, monitors and
-    /// traces, then what the observers hold that decides the outcome — the
-    /// completions awaiting an [`App`] and the streaming sketches. Not the
-    /// audit, so an audited and an unaudited run digest equally. Two
-    /// simulators in the same configuration with equal digests dispatch
-    /// identically from here on, wherever their queues keep an entry; the
-    /// digest-completeness fleet pins that every [`StateTamper`] class
-    /// moves it.
+    /// ports (link fault state included), flow table and slab, monitors,
+    /// then what the observers hold that decides the outcome — the flow
+    /// traces, the completions awaiting an [`App`] and the streaming
+    /// sketches. Not the audit, so an audited and an unaudited run digest
+    /// equally. Two simulators in the same configuration with equal digests
+    /// dispatch identically from here on, wherever their queues keep an
+    /// entry; the digest-completeness fleet pins that every [`StateTamper`]
+    /// class moves it.
     pub fn state_digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut fold = |w: u64| {
@@ -347,16 +343,8 @@ impl Sim {
             base_rtt: params.base_rtt,
             line_rate: params.line_rate,
         };
+        self.obs.on_flow_added();
         let st = &mut self.state;
-        if cfg.trace_flows {
-            st.traces.insert(
-                id,
-                FlowTrace {
-                    throughput: Some(ThroughputMeter::new(cfg.trace_bucket)),
-                    ..Default::default()
-                },
-            );
-        }
         st.queue.schedule(spec.start, Event::FlowStart { flow: id });
         let live = st.live.alloc(FlowLive {
             transport,
@@ -373,12 +361,55 @@ impl Sim {
     }
 
     /// Register a periodic monitor; returns its index.
+    ///
+    /// # Panics
+    /// Panics if `period` is zero, or if `kind` names a node, port or
+    /// priority queue the topology does not have.
     pub fn add_monitor(
         &mut self,
         label: impl Into<String>,
         kind: MonitorKind,
         period: Time,
     ) -> usize {
+        // A zero period would reschedule its sample at the same instant
+        // forever.
+        assert!(
+            period > Time::ZERO,
+            "Monitor.period = 0: a monitor must sample at a positive period"
+        );
+        let (variant, node, port, prio) = match kind {
+            MonitorKind::QueueBytes { node, port } => ("QueueBytes", node, Some(port), None),
+            MonitorKind::QueueBytesPrio { node, port, prio } => {
+                ("QueueBytesPrio", node, Some(port), Some(prio))
+            }
+            MonitorKind::PortThroughput { node, port } => {
+                ("PortThroughput", node, Some(port), None)
+            }
+            MonitorKind::SwitchBuffer { node } => ("SwitchBuffer", node, None, None),
+        };
+        let nodes = &self.state.nodes;
+        let Some(n) = nodes.get(node as usize) else {
+            panic!(
+                "MonitorKind::{variant}.node = {node} is out of range: the topology has {} nodes",
+                nodes.len()
+            );
+        };
+        if let Some(port) = port {
+            let Some(p) = n.ports().get(port as usize) else {
+                panic!(
+                    "MonitorKind::{variant}.port = {port} is out of range: node {node} has {} ports",
+                    n.ports().len()
+                );
+            };
+            if let Some(prio) = prio {
+                assert!(
+                    (prio as usize) < p.queues.len(),
+                    "MonitorKind::{variant}.prio = {prio} is out of range: \
+                     port {port} of node {node} has {} queues",
+                    p.queues.len()
+                );
+            }
+        }
         let idx = self.state.monitors.len();
         self.state.monitors.push(Monitor::new(label, kind, period));
         idx
@@ -517,7 +548,7 @@ impl Sim {
         SimResult {
             records,
             counters,
-            traces: st.traces,
+            traces: (0..).zip(self.obs.traces.unwrap_or_default()).collect(),
             monitors: st
                 .monitors
                 .into_iter()
@@ -664,32 +695,6 @@ impl State {
         }
     }
 
-    fn ctx<'a>(
-        queue: &'a mut EventQueue<Event>,
-        traces: &'a mut BTreeMap<FlowId, FlowTrace>,
-        now: Time,
-        flow: FlowId,
-    ) -> TransportCtx<'a> {
-        // Tracing is off in almost every run; skip the per-callback hash
-        // lookup entirely then.
-        let trace = if traces.is_empty() {
-            None
-        } else {
-            traces.get_mut(&flow)
-        };
-        let (delay_trace, cwnd_trace) = match trace {
-            Some(t) => (Some(&mut t.delay), Some(&mut t.cwnd)),
-            None => (None, None),
-        };
-        TransportCtx {
-            now,
-            flow,
-            queue,
-            delay_trace,
-            cwnd_trace,
-        }
-    }
-
     fn on_flow_start(&mut self, run: &mut Run, flow: FlowId, now: Time) {
         run.obs.on_flow_touched(flow);
         let f = &mut self.flows[flow as usize];
@@ -698,7 +703,7 @@ impl State {
         f.active = true;
         let live = f.live;
         {
-            let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, flow);
+            let mut ctx = TransportCtx::new(&mut self.queue, now, flow);
             self.live.get_mut(live).transport.on_start(&mut ctx);
         }
         if let Node::Host(h) = &mut self.nodes[src as usize] {
@@ -719,7 +724,7 @@ impl State {
         let live = f.live;
         let src = f.spec.src;
         {
-            let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, flow);
+            let mut ctx = TransportCtx::new(&mut self.queue, now, flow);
             self.live.get_mut(live).transport.on_timer(token, &mut ctx);
         }
         self.host_poke(run, src, now);
@@ -1103,13 +1108,7 @@ impl State {
                 .recv
                 .on_data(data.seq, data.payload as u64, run.env.lossy);
             flow.record.delivered = fl.recv.delivered;
-            if new_bytes > 0 {
-                if let Some(t) = self.traces.get_mut(&fid) {
-                    if let Some(m) = &mut t.throughput {
-                        m.record(now, new_bytes);
-                    }
-                }
-            }
+            run.obs.on_goodput(fid, now, new_bytes);
             if !fl.recv.done && fl.recv.cum >= flow.spec.size {
                 fl.recv.done = true;
                 flow.record.finish = Some(now);
@@ -1171,7 +1170,7 @@ impl State {
             int,
         };
         {
-            let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
+            let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
             self.live.get_mut(live).transport.on_ack(&ack, &mut ctx);
         }
         // The transport only borrows the AckEvent, so the INT box comes
@@ -1179,7 +1178,9 @@ impl State {
         if let Some(boxed) = ack.int {
             self.arena.recycle_int(boxed);
         }
-        if self.live.get(live).transport.is_finished() {
+        let transport = &*self.live.get(live).transport;
+        run.obs.on_ack(fid, now, delay, transport);
+        if transport.is_finished() {
             let f = &mut self.flows[fid as usize];
             f.active = false;
             let (src, prio) = (f.spec.src, f.spec.phys_prio);
@@ -1261,7 +1262,7 @@ impl State {
                 let fl = self.live.get_mut(f.live);
                 match fl.transport.try_send(now) {
                     TrySend::Data { seq, bytes } => {
-                        let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
+                        let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
                         fl.transport.on_sent(TrySend::Data { seq, bytes }, &mut ctx);
                         let mut pkt = Packet::data(
                             fid,
@@ -1279,7 +1280,7 @@ impl State {
                         break;
                     }
                     TrySend::Probe => {
-                        let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
+                        let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
                         fl.transport.on_sent(TrySend::Probe, &mut ctx);
                         self.counters.probes += 1;
                         let pkt = Packet::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
@@ -1576,6 +1577,56 @@ mod tests {
     #[should_panic(expected = "FlowSpec.size = 0: a flow must carry at least one byte")]
     fn empty_flow_is_refused() {
         add_flow_on_two_hosts(FlowSpec::new(0, 1, 0, Time::ZERO));
+    }
+
+    /// Register `kind` at `period` on the two-host fabric (host 0, host
+    /// 1, switch 2 with two ports) and run it for 10 µs.
+    fn monitor_on_two_hosts(kind: MonitorKind, period: Time) {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let cfg = SimConfig {
+            end_time: Time::from_us(10),
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
+        sim.add_monitor("m", kind, period);
+        sim.run();
+    }
+
+    /// A zero period rescheduled its sample at the same instant forever.
+    #[test]
+    #[should_panic(expected = "Monitor.period = 0: a monitor must sample at a positive period")]
+    fn monitor_with_a_zero_period_is_refused() {
+        monitor_on_two_hosts(MonitorKind::SwitchBuffer { node: 2 }, Time::ZERO);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MonitorKind::SwitchBuffer.node = 3 is out of range: the topology has 3 nodes"
+    )]
+    fn monitor_of_a_nonexistent_node_is_refused() {
+        monitor_on_two_hosts(MonitorKind::SwitchBuffer { node: 3 }, Time::from_us(1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MonitorKind::PortThroughput.port = 2 is out of range: node 2 has 2 ports"
+    )]
+    fn monitor_of_a_nonexistent_port_is_refused() {
+        let kind = MonitorKind::PortThroughput { node: 2, port: 2 };
+        monitor_on_two_hosts(kind, Time::from_us(1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MonitorKind::QueueBytesPrio.prio = 2 is out of range: port 0 of node 2 has 2 queues"
+    )]
+    fn monitor_of_a_nonexistent_queue_is_refused() {
+        let kind = MonitorKind::QueueBytesPrio {
+            node: 2,
+            port: 0,
+            prio: 2,
+        };
+        monitor_on_two_hosts(kind, Time::from_us(1));
     }
 
     /// `run_until` past `end_time` would dispatch the `End` event, and a

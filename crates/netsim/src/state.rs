@@ -5,9 +5,9 @@
 //!
 //! [`State::fold_digest`] folds the whole state into the fingerprint
 //! behind [`crate::Sim::state_digest`] (which then folds the observers'
-//! share: the completions awaiting an `App` and the FCT sketches). The
-//! digest's completeness fleet ([`StateTamper`], [`crate::Sim::snap_mutate`])
-//! sits with it. The flow types sit here too, each with its own digest next
+//! share: the flow traces, the completions awaiting an `App` and the FCT
+//! sketches). The digest's completeness fleet ([`StateTamper`],
+//! [`crate::Sim::snap_mutate`]) sits with it. The flow types sit here too, each with its own digest next
 //! to its fields.
 
 use std::collections::BTreeMap;
@@ -18,8 +18,8 @@ use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
 use crate::monitor::Monitor;
 use crate::node::{EgressPort, Node};
-use crate::packet::{FlowId, NodeId, PacketArena};
-use crate::record::{FlowRecord, FlowTrace, SimCounters};
+use crate::packet::{NodeId, PacketArena};
+use crate::record::{FlowRecord, SimCounters};
 use crate::routing::RoutingTable;
 use crate::transport_api::{FlowParams, Transport};
 
@@ -295,9 +295,6 @@ pub(crate) struct State {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) counters: SimCounters,
     pub(crate) monitors: Vec<Monitor>,
-    /// Opt-in ([`SimConfig::trace_flows`]) per-flow time series — O(total
-    /// flows) when enabled, so hyperscale runs leave it off.
-    pub(crate) traces: BTreeMap<FlowId, FlowTrace>,
     pub(crate) noise_rng: SimRng,
     pub(crate) ecn_rng: SimRng,
     pub(crate) nc_rng: SimRng,
@@ -332,7 +329,6 @@ impl State {
             queue,
             counters,
             monitors,
-            traces,
             noise_rng,
             ecn_rng,
             nc_rng,
@@ -359,11 +355,6 @@ impl State {
         fold(monitors.len() as u64);
         for m in monitors {
             m.fold_digest(fold);
-        }
-        fold(traces.len() as u64);
-        for (&flow, t) in traces {
-            fold(flow as u64);
-            t.fold_digest(fold);
         }
     }
 }

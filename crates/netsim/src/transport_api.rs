@@ -100,32 +100,28 @@ pub enum TrySend {
     Finished,
 }
 
-/// Context passed into every transport callback, giving access to the clock
-/// and timer scheduling without exposing the whole simulator.
+/// Context passed into every transport callback: the clock and the flow's
+/// timers, without exposing the whole simulator. What a transport measured
+/// and its window are traced by the simulator ([`crate::record::FlowTrace`]),
+/// not through here.
 pub struct TransportCtx<'a> {
     /// Current simulated time.
     pub now: Time,
     /// The flow this callback concerns.
     pub flow: FlowId,
     pub(crate) queue: &'a mut EventQueue<Event>,
-    /// Optional per-flow delay trace (filled when tracing is enabled).
-    pub(crate) delay_trace: Option<&'a mut simcore::stats::TimeSeries>,
-    /// Optional per-flow cwnd trace.
-    pub(crate) cwnd_trace: Option<&'a mut simcore::stats::TimeSeries>,
 }
 
 impl<'a> TransportCtx<'a> {
+    pub(crate) fn new(queue: &'a mut EventQueue<Event>, now: Time, flow: FlowId) -> Self {
+        TransportCtx { now, flow, queue }
+    }
+
     /// Construct a bare context for driving a transport outside the
-    /// simulator. Intended for transport unit tests; no tracing is wired up.
+    /// simulator. Intended for transport unit tests.
     #[doc(hidden)]
     pub fn for_test(queue: &'a mut EventQueue<Event>, now: Time, flow: FlowId) -> Self {
-        TransportCtx {
-            now,
-            flow,
-            queue,
-            delay_trace: None,
-            cwnd_trace: None,
-        }
+        Self::new(queue, now, flow)
     }
 
     /// Schedule a timer that will fire [`Transport::on_timer`] with `token`
@@ -139,22 +135,6 @@ impl<'a> TransportCtx<'a> {
     /// Cancel a previously scheduled timer.
     pub fn cancel_timer(&mut self, id: ScheduledId) {
         self.queue.cancel(id);
-    }
-
-    /// Record a delay observation into the flow's trace, if tracing.
-    pub fn trace_delay(&mut self, delay: Time) {
-        let now = self.now;
-        if let Some(trace) = self.delay_trace.as_deref_mut() {
-            trace.push(now, delay.as_us_f64());
-        }
-    }
-
-    /// Record the current congestion window (bytes) into the flow's trace.
-    pub fn trace_cwnd(&mut self, cwnd_bytes: f64) {
-        let now = self.now;
-        if let Some(trace) = self.cwnd_trace.as_deref_mut() {
-            trace.push(now, cwnd_bytes);
-        }
     }
 }
 
@@ -185,7 +165,8 @@ pub trait Transport {
     /// True when every payload byte has been acknowledged.
     fn is_finished(&self) -> bool;
 
-    /// Current congestion window in bytes (diagnostics / tracing).
+    /// Current congestion window in bytes (diagnostics; the simulator
+    /// traces it after every [`Self::on_ack`]).
     fn cwnd_bytes(&self) -> f64;
 
     /// Number of data packets this transport retransmitted (lossy mode).

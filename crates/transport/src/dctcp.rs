@@ -124,8 +124,6 @@ impl DctcpCc {
 }
 
 impl WindowPolicy for DctcpCc {
-    const TRACE_CWND: bool = true;
-
     fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, now: Time) {
         self.acked_bytes_win += ack.acked_bytes as u64;
         if ack.ecn_echo {

@@ -144,8 +144,6 @@ impl HpccCc {
 }
 
 impl WindowPolicy for HpccCc {
-    const TRACE_CWND: bool = true;
-
     fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, _now: Time) {
         if let Some(int) = &ack.int {
             self.measure_inflight(int.as_slice());

@@ -6,16 +6,16 @@
 //!
 //! * [`CcTransport`]`<P>`, the shell every baseline runs in. It adds only a
 //!   [`plain::WindowPolicy`] — what to do with an ACK, the current window,
-//!   whether a timeout collapses it, whether it is traced — so baselines
-//!   differ in the algorithm and nothing else. Every [`prioplus::DelayCc`]
-//!   is a `WindowPolicy`.
+//!   whether a timeout collapses it — so baselines differ in the algorithm
+//!   and nothing else. Every [`prioplus::DelayCc`] is a `WindowPolicy`.
 //! * [`PrioPlusTransport`]`<C>`, which wraps a [`prioplus::DelayCc`] with
 //!   the PrioPlus state machine (probes, suspension, probe-RTO) — the Rust
 //!   analogue of the paper's 79-line DPDK integration.
 //!
 //! A new CC plugs into either shell by implementing that one trait: neither
 //! asks it to be `Clone`, `Send` or `Sync`, because the simulator owns each
-//! flow's transport and never copies it.
+//! flow's transport and never copies it, and neither traces anything: the
+//! simulator records each ACK's delay and the window after it.
 //!
 //! Provided algorithms (built per flow by [`CcSpec::make`]):
 //!
@@ -26,7 +26,7 @@
 //! | [`LedbatCc`] | keeps window | second delay CC PrioPlus integrates with (§6.2) |
 //! | [`dctcp::DctcpCc`] (with deadline: D2TCP) | collapses to floor | ECN motivation baseline (§3.1) |
 //! | [`hpcc::HpccCc`] | collapses to floor | INT-based CC comparison (Fig 16, 18) |
-//! | [`nocc::NoCc`] | keeps (constant) window, untraced | "Physical* w/o CC" blind line-rate sender |
+//! | [`nocc::NoCc`] | keeps (constant) window | "Physical* w/o CC" blind line-rate sender |
 
 #![forbid(unsafe_code)]
 

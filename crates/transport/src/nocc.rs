@@ -18,9 +18,6 @@ pub struct NoCc;
 const BLAST_WINDOW: f64 = 1e15;
 
 impl WindowPolicy for NoCc {
-    /// A constant is not worth a trace.
-    const TRACE_CWND: bool = false;
-
     fn on_ack(&mut self, _ack: &AckEvent, _base: &SenderBase, _now: Time) {}
 
     fn cwnd(&self) -> f64 {

@@ -14,9 +14,6 @@ use crate::sender::{SenderBase, RTO_TOKEN};
 /// transport from another once [`SenderBase`] owns sequencing, pacing,
 /// retransmission and the RTO timer.
 pub trait WindowPolicy {
-    /// Whether each ACK records the window in the flow's cwnd trace.
-    const TRACE_CWND: bool;
-
     /// Digest one data ACK; `base` has already accounted for it.
     fn on_ack(&mut self, ack: &AckEvent, base: &SenderBase, now: Time);
 
@@ -33,8 +30,6 @@ pub trait WindowPolicy {
 
 /// Every delay CC PrioPlus can wrap is also a plain window policy.
 impl<C: DelayCc> WindowPolicy for C {
-    const TRACE_CWND: bool = true;
-
     fn on_ack(&mut self, ack: &AckEvent, _base: &SenderBase, now: Time) {
         DelayCc::on_ack(self, ack.delay, ack.acked_bytes, now);
     }
@@ -82,10 +77,6 @@ impl<P: WindowPolicy> Transport for CcTransport<P> {
         }
         self.base.on_ack(ack, ctx.now);
         self.cc.on_ack(ack, &self.base, ctx.now);
-        ctx.trace_delay(ack.delay);
-        if P::TRACE_CWND {
-            ctx.trace_cwnd(self.cc.cwnd());
-        }
         self.base.rearm_rto_after_ack(ctx);
     }
 

@@ -83,7 +83,6 @@ impl<C: DelayCc> Transport for PrioPlusTransport<C> {
 
     fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
         self.last_delay = ack.delay;
-        ctx.trace_delay(ack.delay);
         match ack.kind {
             AckKind::Data => {
                 self.base.on_ack(ack, ctx.now);
@@ -106,7 +105,6 @@ impl<C: DelayCc> Transport for PrioPlusTransport<C> {
                 self.handle_action(action, ctx);
             }
         }
-        ctx.trace_cwnd(self.pp.cwnd());
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {

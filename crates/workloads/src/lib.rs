@@ -7,8 +7,6 @@
 //!   20-into-1 file-request incast pattern (coflow scenario, §6.2);
 //! - [`allreduce`]: ring all-reduce training-job schedules for the ML
 //!   cluster scenario (ResNet/VGG data-parallel jobs, §6.2);
-//! - [`faults`]: seed-driven link-outage plans (alternating MTBF/MTTR
-//!   renewal windows) the harness turns into `netsim` fault schedules;
 //! - [`openloop`]: lazy O(1)-state open-loop arrival streams (Poisson +
 //!   periodic incast) for the hyperscale scenarios, consumed chunk-by-chunk
 //!   through `netsim`'s `ArrivalSource` instead of materialized up front;
@@ -24,13 +22,11 @@
 
 pub mod allreduce;
 pub mod coflow;
-pub mod faults;
 pub mod openloop;
 pub mod priomap;
 pub mod websearch;
 
 pub use allreduce::RingJob;
-pub use faults::FaultPlanSpec;
 pub use coflow::{Coflow, CoflowGen};
 pub use openloop::{IncastMix, OpenLoopGen};
 pub use priomap::SizeClassifier;

@@ -113,7 +113,7 @@ fn main() {
                 .unwrap_or("unfinished".into())
         );
     }
-    let tput = res.traces[&lo].throughput.as_ref().unwrap().series_gbps();
+    let tput = res.traces[&lo].throughput.series_gbps();
     println!(
         "  low-priority goodput during contention (1.3-2.5ms): {:.1} Gbps",
         tput.window_mean(1300.0, 2500.0).unwrap_or(0.0)

@@ -52,7 +52,7 @@ fn main() {
     }
 
     // Show the low-priority flow's goodput around the contention window.
-    let tput = res.traces[&lo].throughput.as_ref().unwrap().series_gbps();
+    let tput = res.traces[&lo].throughput.series_gbps();
     println!("\nlow-priority goodput (Gbps):");
     for (label, from, to) in [
         ("before high-prio (0.3-0.9ms)", 300.0, 900.0),

@@ -14,9 +14,11 @@
 # observers (`Observers::{on_event, on_flow_touched, on_data_delivered,
 # on_flow_done, on_switch_arrive, on_link_drop, completions_pending,
 # on_event_end}` in crates/netsim/src/observe.rs, plus `on_data_injected`
-# and `on_pfc_frame`, reached through `host_poke` and `emit_pfc`): each is
-# one `Option` branch per member, and must stay that branch inside the loop
-# rather than become a call that makes it.
+# and `on_pfc_frame`, reached through `host_poke` and `emit_pfc`, and the
+# flow-trace hooks `on_ack` and `on_goodput`, reached through `sender_ack`
+# and `receiver_data`): each is one `Option` branch per member, and must
+# stay that branch inside the loop rather than become a call that makes
+# it.
 #
 # This disassembles the release `repro` binary, writes the direct call
 # targets of `State::advance` (counted, hashes stripped) to
@@ -33,7 +35,7 @@ cd "$(dirname "$0")/.."
 BIN=${1:-target/release/repro}
 OUT=target/ci/advance_calls.txt
 DENY='(EventQueue<.*>::(batch_next|pop_batch|pop_batch_before|head|scan_head|settle_head|take_batch|pop_lane)|Lane<.*>::pop)$'
-DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end)$'
+DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end|on_ack|on_goodput)$'
 
 if ! command -v objdump >/dev/null 2>&1 || ! command -v readelf >/dev/null 2>&1; then
   echo "check_hot_calls.sh: WARNING: objdump/readelf not installed, skipping" >&2

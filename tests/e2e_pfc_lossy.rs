@@ -132,7 +132,7 @@ fn physical_priorities_isolate() {
         "physical high priority too slow: {hi_fct}"
     );
     let lo_trace = &res.traces[&lo];
-    let tput = lo_trace.throughput.as_ref().unwrap().series_gbps();
+    let tput = lo_trace.throughput.series_gbps();
     let during = tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
     assert!(
         during < 15.0,

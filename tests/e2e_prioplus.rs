@@ -44,7 +44,7 @@ fn strict_priority_and_reclaim() {
     // While the high-priority flow runs (1.3ms..2.5ms), the low-priority
     // goodput must be near zero.
     let lo_trace = &res.traces[&lo];
-    let lo_tput = lo_trace.throughput.as_ref().unwrap().series_gbps();
+    let lo_tput = lo_trace.throughput.series_gbps();
     let during = lo_tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
     assert!(
         during < 8.0,
@@ -101,7 +101,7 @@ fn suspended_flow_sends_probes_not_data() {
     assert!(res.counters.probes > 3, "no probing happened");
     // The low-priority flow must deliver almost nothing during contention.
     let lo_trace = &res.traces[&lo];
-    let tput = lo_trace.throughput.as_ref().unwrap().series_gbps();
+    let tput = lo_trace.throughput.series_gbps();
     let during = tput.window_mean(1_500.0, 3_800.0).unwrap_or(0.0);
     assert!(during < 5.0, "suspended flow delivered {during} Gbps");
 }

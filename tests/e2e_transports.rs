@@ -119,7 +119,7 @@ fn prioplus_ledbat_strict_priority() {
         hi_fct < 2_800.0,
         "PrioPlus+LEDBAT high prio too slow: {hi_fct}"
     );
-    let tput = res.traces[&lo].throughput.as_ref().unwrap().series_gbps();
+    let tput = res.traces[&lo].throughput.series_gbps();
     let during = tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
     assert!(during < 10.0, "LEDBAT low prio kept {during} Gbps");
     let after_end = res.records[hi as usize].finish.unwrap().as_us_f64();
@@ -165,8 +165,6 @@ fn weighted_swift_shares_by_weight() {
     let g = |id: u32| {
         res.traces[&id]
             .throughput
-            .as_ref()
-            .unwrap()
             .series_gbps()
             .window_mean(4_000.0, 10_000.0)
             .unwrap_or(0.0)
@@ -221,8 +219,6 @@ fn weighted_priority_inversion_with_many_light_flows() {
     let res = m.sim.run();
     let gh = res.traces[&heavy]
         .throughput
-        .as_ref()
-        .unwrap()
         .series_gbps()
         .window_mean(4_000.0, 10_000.0)
         .unwrap_or(0.0);
