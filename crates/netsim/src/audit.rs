@@ -37,6 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::{RingLog, Time};
 
+use crate::config::DT_ALPHA;
 use crate::counters::SimCounters;
 use crate::node::Switch;
 use crate::packet::{FlowId, NodeId, PacketArena};
@@ -502,7 +503,7 @@ impl Audit {
         if !sw.cfg.pfc_enabled && info.is_data {
             let q_post = sw.ports[info.egress as usize].queues[info.queue as usize].bytes;
             let free_at_admission = sw.free_buffer() + info.wire;
-            let limit = (sw.cfg.dt_alpha * free_at_admission as f64) as u64 + info.wire;
+            let limit = (DT_ALPHA * free_at_admission as f64) as u64 + info.wire;
             if q_post > limit {
                 self.report(
                     ViolationKind::BufferOverflow,
@@ -868,8 +869,9 @@ mod tests {
     #[test]
     fn arena_check_flags_bad_reference_counts() {
         let mut arena = PacketArena::new();
-        let live = arena.alloc(crate::packet::Packet::pfc(0, 1, 0, true));
-        let freed = arena.alloc(crate::packet::Packet::pfc(0, 1, 0, true));
+        let probe = || crate::packet::Packet::probe(0, 0, 1, 0, Time::ZERO);
+        let live = arena.alloc(probe());
+        let freed = arena.alloc(probe());
         arena.release(freed);
         let mut a = Audit::new(AuditConfig::default());
 

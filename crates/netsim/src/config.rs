@@ -41,17 +41,23 @@ pub enum Buggify {
     FlowReclaimLeak,
 }
 
+/// Dynamic-Threshold alpha for egress admission (lossy drops).
+pub(crate) const DT_ALPHA: f64 = 1.0;
+
+/// Dynamic-Threshold alpha for the PFC ingress pause threshold. Real
+/// deployments use a much smaller ingress alpha than the egress DT so that
+/// pauses fire before the shared pool exhausts.
+pub(crate) const PFC_ALPHA: f64 = 0.125;
+
+/// PFC resume hysteresis: resume when ingress usage falls below
+/// `pause_threshold - PFC_RESUME_OFFSET_BYTES`.
+pub(crate) const PFC_RESUME_OFFSET_BYTES: u64 = 20_000;
+
 /// Shared-buffer and scheduling configuration of a switch.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
     /// Total shared buffer in bytes.
     pub buffer_bytes: u64,
-    /// Dynamic-Threshold alpha for egress admission (lossy drops).
-    pub dt_alpha: f64,
-    /// Dynamic-Threshold alpha for the PFC ingress pause threshold. Real
-    /// deployments use a much smaller ingress alpha than the egress DT so
-    /// that pauses fire before the shared pool exhausts.
-    pub pfc_alpha: f64,
     /// Enable PFC (lossless operation). When `false`, over-threshold packets
     /// are dropped (lossy mode, Fig 17).
     pub pfc_enabled: bool,
@@ -63,9 +69,6 @@ pub struct SwitchConfig {
     /// Headroom reserved per (port, lossless priority), in bytes. Sized to
     /// absorb in-flight data after a pause: 2× link BDP plus one MTU.
     pub pfc_headroom_bytes: u64,
-    /// PFC resume hysteresis: resume when ingress usage falls below
-    /// `pause_threshold - pfc_resume_offset_bytes`.
-    pub pfc_resume_offset_bytes: u64,
     /// ECN marking: minimum threshold (bytes of the egress queue).
     pub ecn_kmin: u64,
     /// ECN marking: maximum threshold.
@@ -91,12 +94,9 @@ impl Default for SwitchConfig {
     fn default() -> Self {
         SwitchConfig {
             buffer_bytes: 32 * 1024 * 1024,
-            dt_alpha: 1.0,
-            pfc_alpha: 0.125,
             pfc_enabled: true,
             pfc_lossless_prios: 1,
             pfc_headroom_bytes: 100_000,
-            pfc_resume_offset_bytes: 20_000,
             // DCQCN-style defaults for 100G (HPCC paper parameters).
             ecn_kmin: 100_000,
             ecn_kmax: 400_000,

@@ -60,9 +60,9 @@ pub struct SimCounters {
     /// Peak bytes of live flow state (slab slots + transport boxes; the
     /// reassembly map's heap nodes are not counted — empty at completion).
     pub flow_live_bytes_peak: u64,
-    /// Scheduler interactions (same-timestamp batch pops). `events /
-    /// sched_pops` is the average number of events dispatched per scheduler
-    /// interaction — the batching win batch dispatch is after.
+    /// Scheduler interactions: the queue serves one event per pop, so this
+    /// equals `events`. Kept for `ppbench`'s `simcore.sched_pops` and
+    /// `simcore.batch_avg` (ROADMAP item 3(a) deletes both).
     pub sched_pops: u64,
     /// Entries pushed plus entries popped at the event queue — its FIFO
     /// lanes ([`simcore::EventQueue::declare_delay`]) and its heap

@@ -12,7 +12,9 @@ use crate::packet::{FlowId, NodeId, PacketId};
 /// `Copy` is deliberate: every variant is a few machine words of plain ids
 /// (see the `event_stays_slim` size pin in `crate::sim`'s tests), so the
 /// scheduler queue moves and compares events without touching packet or
-/// flow state.
+/// flow state. A packet travels as an [`Event::Arrive`] naming its arena
+/// slot; a PFC frame is link-local MAC control with nothing to store, so
+/// it travels as an [`Event::Pfc`] that carries all of it.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// A packet arrives at `node` through ingress `in_port` (propagation
@@ -28,6 +30,20 @@ pub enum Event {
         /// scheduler sift/percolate stays cheap — see the
         /// `event_stays_slim` size pin in `crate::sim`'s tests.
         pkt: PacketId,
+    },
+    /// A PFC pause or resume frame reaches the MAC of `node`'s `port` (one
+    /// propagation delay after the peer sent it). A MAC control frame, not
+    /// a packet: it takes no arena slot, is never queued, and a dead link
+    /// does not drop it.
+    Pfc {
+        /// Receiving node.
+        node: NodeId,
+        /// The port whose egress the frame pauses or resumes.
+        port: u16,
+        /// Priority (queue index) paused or resumed.
+        prio: u8,
+        /// `true` = pause, `false` = resume.
+        pause: bool,
     },
     /// `node`'s egress `port` finished serializing its current packet.
     PortFree {
@@ -82,6 +98,7 @@ impl Event {
     pub fn name_and_id(&self) -> (&'static str, u32) {
         match *self {
             Event::Arrive { node, .. } => ("arrive", node),
+            Event::Pfc { node, .. } => ("pfc", node),
             Event::PortFree { node, .. } => ("port_free", node),
             Event::FlowStart { flow } => ("flow_start", flow),
             Event::FlowTimer { flow, .. } => ("flow_timer", flow),
@@ -105,6 +122,17 @@ impl Event {
                 fold(node as u64);
                 fold(in_port as u64);
                 fold(pkt.index() as u64);
+            }
+            Event::Pfc {
+                node,
+                port,
+                prio,
+                pause,
+            } => {
+                fold(7);
+                fold(node as u64);
+                fold(port as u64);
+                fold(prio as u64 | (pause as u64) << 8);
             }
             Event::PortFree { node, port } => {
                 fold(2);

@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 use simcore::{Rate, SimRng, Time};
 
-use crate::config::{Buggify, SwitchConfig};
+use crate::config::{Buggify, SwitchConfig, DT_ALPHA, PFC_ALPHA, PFC_RESUME_OFFSET_BYTES};
 use crate::packet::{FlowId, NodeId, PacketArena, PacketId, PktHeader};
 
 /// One directional egress attachment (switch port or host NIC).
@@ -284,7 +284,7 @@ impl Switch {
     /// a queue may grow up to `alpha * free_buffer`.
     #[inline]
     pub fn dt_limit(&self) -> u64 {
-        (self.cfg.dt_alpha * self.free_buffer() as f64) as u64
+        (DT_ALPHA * self.free_buffer() as f64) as u64
     }
 
     /// PFC pause threshold for one (ingress port, priority) counter.
@@ -293,7 +293,7 @@ impl Switch {
     /// in-flight packet pair.
     #[inline]
     pub fn pfc_pause_threshold(&self) -> u64 {
-        ((self.cfg.pfc_alpha * self.free_buffer() as f64) as u64).max(3_000)
+        ((PFC_ALPHA * self.free_buffer() as f64) as u64).max(3_000)
     }
 
     /// Decide ECN marking for a data packet about to be enqueued on `port`,
@@ -408,7 +408,7 @@ impl Switch {
 
         if self.ingress_paused[in_port] & (1 << q) != 0 {
             let threshold = self.pfc_pause_threshold();
-            let resume_at = threshold.saturating_sub(self.cfg.pfc_resume_offset_bytes);
+            let resume_at = threshold.saturating_sub(PFC_RESUME_OFFSET_BYTES);
             if self.ingress_bytes[slot] <= resume_at {
                 self.ingress_paused[in_port] &= !(1 << q);
                 resumes.push((in_port as u16, q as u8));
@@ -567,12 +567,10 @@ mod tests {
         let mut p = port(3); // 2 data prios + control at index 2
         let d = data(&mut a, 1, 100);
         p.enqueue(d, &a);
-        let mut ack = Packet::pfc(0, 1, 0, true);
-        ack.header.prio = 2;
-        let ack = a.alloc(ack);
-        p.enqueue(ack, &a);
+        let probe = a.alloc(Packet::probe(0, 0, 1, 2, Time::ZERO));
+        p.enqueue(probe, &a);
         let first = p.dequeue(&a).unwrap();
-        assert!(matches!(a.get(first).kind, PktTag::Pfc { .. }));
+        assert_eq!(a.get(first).kind, PktTag::Probe);
     }
 
     #[test]

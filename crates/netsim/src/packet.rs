@@ -15,8 +15,9 @@
 //! | `nack`    | false                    | false   | receiver NACKs `[seq, ack_seq)` (lossy) |
 //!
 //! A probe echo (`ProbeAck`) is 0 / false in every word but `ts_tx`, the
-//! probe's echoed send time. A PFC frame (`Pfc`) carries its priority and
-//! direction in the tag and nothing else.
+//! probe's echoed send time. A PFC frame is not a packet: it is link-local
+//! MAC control, consumed by the port that receives it, and travels as an
+//! [`crate::event::Event::Pfc`] without taking an arena slot.
 //!
 //! Beside the header sits one more plane, HPCC's INT path
 //! (`Option<Box<IntPath>>`, `None` unless INT is on). [`Packet`] is the
@@ -169,35 +170,14 @@ pub enum PktTag {
     Ack,
     /// Echo of a probe.
     ProbeAck,
-    /// PFC pause/resume control frame for one priority, handled out-of-band
-    /// at the MAC layer (never queued).
-    Pfc {
-        /// Priority (queue index) being paused or resumed.
-        prio: u8,
-        /// `true` = pause, `false` = resume.
-        pause: bool,
-    },
 }
 
 impl PktTag {
-    /// True for PFC control frames.
-    #[inline]
-    pub fn is_pfc(&self) -> bool {
-        matches!(self, PktTag::Pfc { .. })
-    }
-
     /// True for data segments (the only packets subject to ECN marking,
     /// non-congestive delay, and drops).
     #[inline]
     pub fn is_data(&self) -> bool {
         matches!(self, PktTag::Data)
-    }
-
-    /// True for end-to-end control packets (ACKs, probes, probe echoes):
-    /// everything that is neither a data segment nor a link-local PFC frame.
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        !self.is_data() && !self.is_pfc()
     }
 }
 
@@ -213,7 +193,7 @@ impl PktTag {
 /// justify the cache cost.
 #[derive(Clone, Copy, Debug)]
 pub struct PktHeader {
-    /// Owning flow (undefined for PFC frames, set to `u32::MAX`).
+    /// Owning flow.
     pub flow: FlowId,
     /// Origin host.
     pub src: NodeId,
@@ -352,12 +332,6 @@ impl Packet {
         h.nack = nack;
         pkt.int = int;
         pkt
-    }
-
-    /// Construct a PFC pause/resume frame.
-    pub fn pfc(src: NodeId, dst: NodeId, prio: u8, pause: bool) -> Self {
-        let kind = PktTag::Pfc { prio, pause };
-        Packet::control(kind, u32::MAX, src, dst, prio, Time::ZERO)
     }
 }
 
@@ -618,9 +592,6 @@ impl PacketArena {
                 PktTag::Probe => 2,
                 PktTag::Ack => 3,
                 PktTag::ProbeAck => 4,
-                PktTag::Pfc { prio, pause } => {
-                    0x80 | (prio as u64) << 40 | (pause as u64) << 48
-                }
             };
             fold(tagged);
             fold(self.int[i].as_deref().map_or(0, |p| p.len() as u64 + 1));
@@ -746,9 +717,6 @@ mod tests {
     fn control_packets_are_64_bytes() {
         let probe = Packet::probe(0, 1, 2, 3, Time::ZERO);
         assert_eq!(probe.header.size as u32, CONTROL_BYTES);
-        let pfc = Packet::pfc(1, 2, 0, true);
-        assert_eq!(pfc.header.size as u32, CONTROL_BYTES);
-        assert!(pfc.header.kind.is_pfc());
         assert!(!probe.header.kind.is_data());
     }
 
@@ -838,7 +806,7 @@ mod tests {
         let id = a.alloc(Packet::ack(&data, 4, 2048, true, Some(path)));
         let h = *a.get(id);
         assert_eq!(h.kind, PktTag::Ack);
-        assert!(h.kind.is_control());
+        assert!(!h.kind.is_data());
         assert_eq!((h.flow, h.src, h.dst, h.prio), (7, 2, 1, 4));
         assert_eq!(h.size as u32, CONTROL_BYTES);
         assert_eq!((h.seq, h.ack_seq, h.payload), (2048, 3072, 1000), "cum, seq, bytes");
@@ -852,9 +820,7 @@ mod tests {
         assert_eq!((h.src, h.dst, h.seq, h.ack_seq, h.payload), (2, 1, 0, 0, 0));
         assert_eq!(h.ts_tx, Time::from_us(6));
         assert!(!h.ecn_ce && !h.nack && a.int(pa).is_none());
-        let f = a.alloc(Packet::pfc(1, 2, 4, true));
-        assert_eq!(a.get(f).kind, PktTag::Pfc { prio: 4, pause: true });
-        for id in [id, pa, f] {
+        for id in [id, pa] {
             a.release(id);
         }
         a.check().expect("arena internally consistent");
@@ -890,7 +856,7 @@ mod tests {
 
     /// The header is the per-hop working set and, since ACKs ride in it,
     /// the whole packet: 3×u32 + 2×u16 + 3×u64 + u16 + 2×u8 + 2×bool +
-    /// 2-byte tag = 48 bytes, no padding — one 64-byte line holds a header
+    /// 1-byte tag = 47 bytes, padded to 48 — one 64-byte line holds a header
     /// with room to spare, and two headers straddle at most two lines. The
     /// pin fails loudly if a field addition silently fattens every packet.
     #[test]
@@ -901,8 +867,8 @@ mod tests {
             std::mem::size_of::<PktHeader>()
         );
         assert!(
-            std::mem::size_of::<PktTag>() <= 2,
-            "PktTag grew to {} bytes (budget 2)",
+            std::mem::size_of::<PktTag>() <= 1,
+            "PktTag grew to {} bytes (budget 1)",
             std::mem::size_of::<PktTag>()
         );
         assert_eq!(std::mem::size_of::<PacketId>(), 4);

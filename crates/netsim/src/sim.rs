@@ -18,6 +18,10 @@ use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State, StateTamper}
 use crate::topology::{NodeKind, PortLink, Topology};
 use crate::transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
 
+/// Why [`Sim::enable_audit`] is refused once the run has started.
+const AUDIT_TOO_LATE: &str = "its tallies would miss every packet injected before it \
+     and report the rest as violations";
+
 /// A closed-loop application driver: gets called whenever a flow completes
 /// (receiver got every byte) and may register new flows, enabling iterative
 /// workloads such as ring all-reduce training (§6.2's ML cluster scenario).
@@ -152,13 +156,31 @@ impl Sim {
         }
     }
 
+    /// Panic if the run has started: `call` sets up something
+    /// [`Self::ensure_started`] has already acted on (or the audit's
+    /// tallies begin with), so made now it would be silently wrong — `why`.
+    fn refuse_after_start(&self, call: &str, why: &str) {
+        assert!(
+            !self.state.started,
+            "Sim::{call} after the run has started: {why}"
+        );
+    }
+
     /// Enable the invariant-audit layer with default settings.
+    ///
+    /// # Panics
+    /// Panics once the run has started ([`Self::run_until`]).
     pub fn enable_audit(&mut self) {
+        self.refuse_after_start("enable_audit", AUDIT_TOO_LATE);
         self.enable_audit_with(AuditConfig::default());
     }
 
     /// Enable the invariant-audit layer with explicit settings.
+    ///
+    /// # Panics
+    /// Panics once the run has started ([`Self::run_until`]).
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
+        self.refuse_after_start("enable_audit_with", AUDIT_TOO_LATE);
         // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
         self.obs.audit = Some(Box::new(Audit::new(cfg)));
     }
@@ -177,7 +199,14 @@ impl Sim {
 
     /// Install an open-loop arrival source; the first [`Event::Inject`] is
     /// scheduled at run start.
+    ///
+    /// # Panics
+    /// Panics once the run has started ([`Self::run_until`]).
     pub fn set_arrivals(&mut self, src: Box<dyn ArrivalSource>) {
+        self.refuse_after_start(
+            "set_arrivals",
+            "the first Inject is scheduled at the start, so the source would never be called",
+        );
         self.arrivals = Some(src);
     }
 
@@ -363,14 +392,19 @@ impl Sim {
     /// Register a periodic monitor; returns its index.
     ///
     /// # Panics
-    /// Panics if `period` is zero, or if `kind` names a node, port or
-    /// priority queue the topology does not have.
+    /// Panics if `period` is zero, if `kind` names a node, port or priority
+    /// queue the topology does not have, or once the run has started
+    /// ([`Self::run_until`]).
     pub fn add_monitor(
         &mut self,
         label: impl Into<String>,
         kind: MonitorKind,
         period: Time,
     ) -> usize {
+        self.refuse_after_start(
+            "add_monitor",
+            "first samples are scheduled at the start, so it would record none",
+        );
         // A zero period would reschedule its sample at the same instant
         // forever.
         assert!(
@@ -425,7 +459,8 @@ impl Sim {
     /// samples, the fault schedule). Runs once, on whichever of
     /// [`Self::run`] / [`Self::run_until`] is called first; a run resumed
     /// after `run_until` carries `started = true`, so the bootstrap is
-    /// never applied twice.
+    /// never applied twice, and the set-up calls it would miss
+    /// ([`Self::add_monitor`], [`Self::set_arrivals`], the audit's) panic.
     fn ensure_started(&mut self) {
         let (cfg, st) = (&self.env.cfg, &mut self.state);
         if st.started {
@@ -448,9 +483,9 @@ impl Sim {
         }
     }
 
-    /// The event loop: dispatch batch after batch until the run is over
+    /// The event loop: dispatch event after event until the run is over
     /// (queue drained or [`Event::End`] fired) or, with a horizon, until the
-    /// next batch would be at or past it. The loop itself is
+    /// next event would be at or past it. The loop itself is
     /// [`State::advance`], lent the [`Env`]; it comes back here only for the
     /// two things that hand the whole simulator to user code — an
     /// [`Event::Inject`] and [`App`] delivery — and is re-entered once the
@@ -478,9 +513,9 @@ impl Sim {
         }
     }
 
-    /// Advance the simulation up to (but not into) `horizon`: every batch
+    /// Advance the simulation up to (but not into) `horizon`: every event
     /// with timestamp strictly before `horizon` is dispatched, then the
-    /// clock rests at the last dispatched batch. A later `run_until` or
+    /// clock rests at the last dispatched event. A later `run_until` or
     /// [`Self::run`] resumes where it stopped, exactly as if the run had
     /// not been split.
     ///
@@ -513,7 +548,7 @@ impl Sim {
         counters.arena_peak_live = astats.peak_live;
         counters.arena_int_allocs = astats.int_allocs;
         counters.arena_int_recycled = astats.int_recycled;
-        counters.sched_pops = st.queue.pops();
+        counters.sched_pops = counters.events;
         counters.sched_lane_pushes = st.queue.lane_pushes();
         counters.sched_ops =
             st.queue.sched_work().ops() + st.queue.lane_pushes() + st.queue.lane_pops();
@@ -618,7 +653,7 @@ struct Run<'a> {
 /// Why [`State::advance`] came back.
 enum Yield {
     /// The run is over — the queue drained or [`Event::End`] fired — or the
-    /// next batch is at or past the horizon.
+    /// next event is at or past the horizon.
     Stopped,
     /// An [`Event::Inject`] is due: the arrival source takes the whole `Sim`.
     Inject,
@@ -630,13 +665,10 @@ enum Yield {
 /// [`Env`] and reports to its [`Observers`] (the two lent as a [`Run`]);
 /// none can reach the user callbacks on [`Sim`].
 impl State {
-    /// Dispatch same-timestamp batches — one scheduler interaction and one
-    /// clock advance each, events served in `(time, seq)` order, so the
-    /// per-event semantics (observer hooks, app delivery, boundary checks)
-    /// are those of sequential dispatch — until the run stops or an event
-    /// needs the whole [`Sim`] (see [`Yield`]). In the latter case the
-    /// caller finishes that event (app delivery, [`Observers::on_event_end`])
-    /// and calls again; the rest of its batch is served first.
+    /// Dispatch events one at a time in `(time, seq)` order until the run
+    /// stops or an event needs the whole [`Sim`] (see [`Yield`]). In the
+    /// latter case the caller finishes that event (app delivery,
+    /// [`Observers::on_event_end`]) and calls again.
     ///
     /// What this loop does per event has to be compiled *into* it, and that
     /// is not automatic: rustc cuts the crate into codegen units by the
@@ -644,54 +676,56 @@ impl State {
     /// unit at a time. A per-event callee filed elsewhere stays a call that
     /// hands its `Option<Event>` back through memory. Two such costs have
     /// been measured with alternating `ppbench` pairs, output identical in
-    /// both: the queue's serve path ([`EventQueue`]'s `batch_next`,
-    /// `pop_batch`, `pop_batch_before` and what they are made of —
-    /// `scan_head`, `settle_head`, `take_batch`, `pop_lane` — instances of a
-    /// `simcore` generic, so filed under `simcore::event`) cost 8–13 % of
-    /// wall time on every workload until it carried `#[inline]`, which has
-    /// rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU
-    /// while it was a method of `Sim`, a unit away from the handlers.
-    /// `scripts/check_hot_calls.sh` (CI leg 2) fails when the disassembly of
-    /// `advance` calls any of them, or any [`Observers`] hook it reaches
-    /// directly. (The heap's side of the queue —
-    /// `pop_backend`, `retire_cancelled_head` — is out of line on purpose:
-    /// a hundredth of the events.)
+    /// both: the queue's serve path ([`EventQueue`]'s `pop`, `pop_before`
+    /// and what they are made of — `serve`, `scan_head`, `settle_head` —
+    /// instances of a `simcore` generic, so filed under `simcore::event`)
+    /// cost 8–13 % of wall time on every workload until it carried
+    /// `#[inline]`, which has rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU while it was a method of `Sim`, a
+    /// unit away from the handlers. `scripts/check_hot_calls.sh` (CI leg 2)
+    /// fails when the disassembly of `advance` calls any of them, or any
+    /// [`Observers`] hook it reaches directly. (The heap's side of the
+    /// queue — `pop_backend`, `retire_cancelled_head` — is out of line on
+    /// purpose: a hundredth of the events.)
     fn advance(&mut self, run: &mut Run, until: Option<Time>) -> Yield {
         loop {
-            let now = self.queue.now();
-            while let Some(ev) = self.queue.batch_next() {
-                self.counters.events += 1;
-                run.obs.on_event(now, &ev);
-                match ev {
-                    Event::End => return Yield::Stopped,
-                    Event::Inject => return Yield::Inject,
-                    Event::FlowStart { flow } => self.on_flow_start(run, flow, now),
-                    Event::FlowTimer { flow, token } => self.on_flow_timer(run, flow, token, now),
-                    Event::HostPoke { node } => {
-                        if let Node::Host(h) = &mut self.nodes[node as usize] {
-                            h.next_poke = Time::MAX;
-                        }
-                        self.host_poke(run, node, now);
-                    }
-                    Event::PortFree { node, port } => self.on_port_free(run, node, port, now),
-                    Event::Arrive { node, in_port, pkt } => {
-                        self.on_arrive(run, node, in_port, pkt, now)
-                    }
-                    Event::Sample { monitor } => self.on_sample(run.env, monitor, now),
-                    Event::Fault { idx } => self.on_fault(run, idx, now),
-                }
-                if run.obs.completions_pending() {
-                    return Yield::Completed;
-                }
-                run.obs.on_event_end(self, run.env);
-            }
             let next = match until {
-                Some(horizon) => self.queue.pop_batch_before(horizon),
-                None => self.queue.pop_batch(),
+                Some(horizon) => self.queue.pop_before(horizon),
+                None => self.queue.pop().map(|(_, ev)| ev),
             };
-            if next.is_none() {
+            let Some(ev) = next else {
                 return Yield::Stopped;
+            };
+            let now = self.queue.now();
+            self.counters.events += 1;
+            run.obs.on_event(now, &ev);
+            match ev {
+                Event::End => return Yield::Stopped,
+                Event::Inject => return Yield::Inject,
+                Event::FlowStart { flow } => self.on_flow_start(run, flow, now),
+                Event::FlowTimer { flow, token } => self.on_flow_timer(run, flow, token, now),
+                Event::HostPoke { node } => {
+                    if let Node::Host(h) = &mut self.nodes[node as usize] {
+                        h.next_poke = Time::MAX;
+                    }
+                    self.host_poke(run, node, now);
+                }
+                Event::PortFree { node, port } => self.on_port_free(run, node, port, now),
+                Event::Arrive { node, in_port, pkt } => {
+                    self.on_arrive(run, node, in_port, pkt, now)
+                }
+                Event::Pfc {
+                    node,
+                    port,
+                    prio,
+                    pause,
+                } => self.on_pfc_frame(run, node, port, prio, pause, now),
+                Event::Sample { monitor } => self.on_sample(run.env, monitor, now),
+                Event::Fault { idx } => self.on_fault(run, idx, now),
             }
+            if run.obs.completions_pending() {
+                return Yield::Completed;
+            }
+            run.obs.on_event_end(self, run.env);
         }
     }
 
@@ -774,9 +808,9 @@ impl State {
     }
 
     /// Take a link (both attachments) down, or bring it back up. While down,
-    /// neither attachment serializes and every non-PFC packet in flight on
-    /// the link is dropped at arrival; on recovery both sides are kicked so
-    /// queued traffic resumes.
+    /// neither attachment serializes and every packet in flight on the link
+    /// is dropped at arrival; on recovery both sides are kicked so queued
+    /// traffic resumes.
     fn set_link_down(&mut self, run: &mut Run, node: NodeId, port: u16, down: bool, now: Time) {
         let ends = self.link_ends(node, port);
         for (n, p) in ends {
@@ -920,7 +954,8 @@ impl State {
         self.emit_pfc(run, node, &resumes, false, now);
     }
 
-    /// Send PFC pause/resume frames upstream out-of-band.
+    /// Send PFC pause/resume frames upstream out-of-band: each reaches the
+    /// peer's MAC one propagation delay later as an [`Event::Pfc`].
     fn emit_pfc(
         &mut self,
         run: &mut Run,
@@ -938,28 +973,21 @@ impl State {
                 self.counters.pfc_resumes += 1;
             }
             run.obs.on_pfc_frame(node, in_port, prio, pause);
-            let pid = self.arena.alloc(Packet::pfc(node, peer, prio, pause));
             self.queue.schedule(
                 now + prop,
-                Event::Arrive {
+                Event::Pfc {
                     node: peer,
-                    in_port: peer_port,
-                    pkt: pid,
+                    port: peer_port,
+                    prio,
+                    pause,
                 },
             );
         }
     }
 
     fn on_arrive(&mut self, run: &mut Run, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
-        if let PktTag::Pfc { prio, pause } = self.arena.get(pkt).kind {
-            // Consumed at the MAC, never queued.
-            self.arena.release(pkt);
-            return self.on_pfc_frame(run, node, in_port, prio, pause, now);
-        }
         if self.port(node, in_port).down {
-            // A dead link drops everything in flight on it — except PFC
-            // frames (handled above), which model an out-of-band reliable
-            // control plane.
+            // A dead link drops everything in flight on it.
             return self.fault_drop(run, pkt);
         }
         match &self.nodes[node as usize] {
@@ -968,9 +996,10 @@ impl State {
         }
     }
 
-    /// A PFC frame reached the MAC of `(node, port)` — a switch port or a
-    /// host NIC alike: sets or clears the egress pause bit and, on a resume,
-    /// kicks the attachment.
+    /// A PFC frame ([`Event::Pfc`]) reached the MAC of `(node, port)` — a
+    /// switch port or a host NIC alike, on a live link or a dead one (the
+    /// frames model an out-of-band reliable control plane): sets or clears
+    /// the egress pause bit and, on a resume, kicks the attachment.
     fn on_pfc_frame(
         &mut self,
         run: &mut Run,
@@ -1357,9 +1386,10 @@ mod tests {
     use std::rc::Rc;
 
     /// Hosts and switches share one PFC-frame handler: a resume addressed
-    /// to a storm-pinned priority is swallowed — frame released, pause bit
-    /// held — on a host NIC and on a switch port alike, while the same
-    /// frame for an unpinned priority clears the bit.
+    /// to a storm-pinned priority is swallowed — pause bit held — on a host
+    /// NIC and on a switch port alike, while the same frame for an unpinned
+    /// priority clears the bit. The frames are dispatched as
+    /// [`Event::Pfc`]s by the event loop and never touch the arena.
     #[test]
     fn storm_pinned_resume_is_swallowed_on_host_nic_and_switch_port_alike() {
         let topo = Topology::single_switch(2, Rate::from_gbps(100), Time::from_us(1));
@@ -1387,13 +1417,25 @@ mod tests {
             assert_eq!(is_host, node == host, "node {node}");
             st.port_mut(node, 0).set_paused(1, true);
             for prio in [0, 1] {
-                let peer = st.port(node, 0).peer;
-                let frame = st.arena.alloc(Packet::pfc(peer, node, prio, false));
-                st.on_arrive(run, node, 0, frame, Time::from_us(1));
+                let frame = Event::Pfc {
+                    node,
+                    port: 0,
+                    prio,
+                    pause: false,
+                };
+                st.queue.schedule(Time::from_us(1), frame);
             }
-            assert_eq!(st.arena.live_count(), 0, "PFC frames are consumed, never queued");
+        }
+        let before = st.counters.events;
+        let stop = st.advance(run, Some(Time::from_us(2)));
+        assert!(matches!(stop, Yield::Stopped));
+        assert_eq!(st.counters.events - before, 4, "four frames dispatched");
+        let allocs = st.arena.stats().allocs;
+        assert_eq!(allocs, 0, "a PFC frame takes no arena slot");
+        for node in [host, switch] {
             let p = st.port(node, 0);
-            assert!(p.is_paused(0), "node {node}: the storm pin swallows the resume");
+            let pinned = "the storm pin swallows the resume";
+            assert!(p.is_paused(0), "node {node}: {pinned}");
             assert!(!p.is_paused(1), "node {node}: an unpinned priority resumes");
         }
     }
@@ -1629,6 +1671,48 @@ mod tests {
         monitor_on_two_hosts(kind, Time::from_us(1));
     }
 
+    /// Two hosts run to 10 µs: a run that has started.
+    fn started_sim() -> Sim {
+        let topo = Topology::single_switch(2, Rate::from_gbps(100), Time::from_us(1));
+        let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+        sim.run_until(Time::from_us(10));
+        sim
+    }
+
+    /// Its first sample would never be scheduled: it would record nothing.
+    #[test]
+    #[should_panic(expected = "Sim::add_monitor after the run has started")]
+    fn add_monitor_after_start_is_refused() {
+        let kind = MonitorKind::SwitchBuffer { node: 2 };
+        started_sim().add_monitor("late", kind, Time::from_us(1));
+    }
+
+    /// Its first `Inject` would never be scheduled: it would never be called.
+    #[test]
+    #[should_panic(expected = "Sim::set_arrivals after the run has started")]
+    fn set_arrivals_after_start_is_refused() {
+        struct Never;
+        impl ArrivalSource for Never {
+            fn inject(&mut self, _: &mut Sim, _: Time) -> Option<Time> {
+                None
+            }
+        }
+        started_sim().set_arrivals(Box::new(Never));
+    }
+
+    /// Its tallies would start mid-run and report false violations.
+    #[test]
+    #[should_panic(expected = "Sim::enable_audit after the run has started")]
+    fn enable_audit_after_start_is_refused() {
+        started_sim().enable_audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "Sim::enable_audit_with after the run has started")]
+    fn enable_audit_with_after_start_is_refused() {
+        started_sim().enable_audit_with(AuditConfig::default());
+    }
+
     /// `run_until` past `end_time` would dispatch the `End` event, and a
     /// later `run` could not stop at `end_time`.
     #[test]
@@ -1798,7 +1882,7 @@ mod tests {
             }
             st.port_mut(rcv, 0).busy = false;
             st.host_arrive(run, rcv, pid, Time::from_us(sent + 1));
-            assert!(st.arena.get(pid).kind.is_control(), "the answer took the slot");
+            assert!(!st.arena.get(pid).kind.is_data(), "the answer took the slot");
             st.host_arrive(run, snd, pid, Time::from_us(back));
         };
         // Segment [0, 500) in order: cum moves to 500, nothing is NACKed.

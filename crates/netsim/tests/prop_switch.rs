@@ -222,7 +222,7 @@ proptest! {
     }
 
     /// Lossy Dynamic-Threshold admission: a data packet is dropped exactly
-    /// when its queue would exceed `dt_alpha * free_buffer`.
+    /// when its queue would exceed `DT_ALPHA * free_buffer`.
     #[test]
     fn dt_admission_matches_the_threshold_exactly(words in proptest::collection::vec(0u64..u64::MAX, 1..300)) {
         let mut s = mk_switch(false, 24_000, None);

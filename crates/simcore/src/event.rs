@@ -33,16 +33,14 @@
 //! popped event's handler returns and the event loop never waits on it. A
 //! push replaces the remembered head only when the new key sorts before it.
 //!
-//! # Batches
+//! # Serving
 //!
-//! Events sharing a timestamp are dispatched as one *batch*
-//! ([`pop_batch`](EventQueue::pop_batch) then
-//! [`batch_next`](EventQueue::batch_next) until `None`): one clock advance
-//! and one counted scheduler interaction. A batch is not a buffer. It is the
-//! bound `batch_end = next_seq` taken when it forms: the head belongs to the
-//! batch while `at == now && seq < batch_end`, and is served from wherever it
-//! was pushed. An event pushed for the same instant from inside a batch has
-//! `seq ≥ batch_end`, so it waits for the next batch at that timestamp.
+//! Events are served one at a time. [`pop`](EventQueue::pop) and
+//! [`pop_before`](EventQueue::pop_before), which stops short of a horizon,
+//! share one step: settle the head, compare it with the horizon, advance the
+//! clock, take the entry from its lane or the backend. An event pushed for
+//! the current instant pops after every entry already there, since its
+//! `seq` is larger.
 //!
 //! # Cancellation
 //!
@@ -59,8 +57,7 @@
 //! Cancelled entries always live in the backend (lanes take only
 //! non-cancellable pushes) and are retired *lazily*: they stay there until
 //! they reach the queue's head, where [`pop`](EventQueue::pop),
-//! [`pop_batch`](EventQueue::pop_batch),
-//! [`batch_next`](EventQueue::batch_next) and
+//! [`pop_before`](EventQueue::pop_before) and
 //! [`peek_time`](EventQueue::peek_time) discard them.
 
 use std::cmp::Ordering;
@@ -146,7 +143,7 @@ fn find_delay<const N: usize>(delays: &[u64; MAX_LANES], delay_ps: u64) -> usize
 
 /// An [`Entry`] ordered so that `std`'s max-heap pops the smallest
 /// `(at, seq)` first.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Rev<E>(Entry<E>);
 
 impl<E> PartialEq for Rev<E> {
@@ -183,7 +180,7 @@ struct Slot {
 /// An entry's slot is its push count modulo the capacity (a power of two,
 /// zero before the first push). Slots outside `head..tail` hold `EMPTY` and
 /// `None`, so the front key reads `EMPTY` from an empty ring without a test.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Lane<E> {
     keys: Vec<u128>,
     events: Vec<Option<E>>,
@@ -262,14 +259,6 @@ impl<E> Lane<E> {
 const MIN_RING: usize = 16;
 
 /// A deterministic min-priority event queue.
-///
-/// `Clone` copies the queue as it stands — the heap, the lanes, the
-/// cancellation slot table, a batch in progress, the counters — so a clone
-/// pops the same stream, honours the same outstanding [`ScheduledId`]s and
-/// continues the same [`SchedWork`] count as the original. (Buffers are
-/// cloned to their length, so [`resident_bytes`](Self::resident_bytes) is
-/// the clone's own.)
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// The backend: every entry no lane took, in `(at, seq)` min-order.
     heap: BinaryHeap<Rev<E>>,
@@ -289,19 +278,11 @@ pub struct EventQueue<E> {
     /// Entries stored, backend and lanes together, cancelled ones included.
     stored: usize,
     next_seq: u64,
-    /// The batch in progress is every entry with `at == now` and a `seq`
-    /// below this.
-    batch_end: u64,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Entries still in the backend whose slot was cancelled.
     cancelled_in_heap: usize,
     now: Time,
-    popped: u64,
-    /// Scheduler interactions: one per batch formed, one per sequential
-    /// [`pop`](Self::pop) outside a batch. `popped / pops` is the average
-    /// batch size.
-    pops: u64,
     /// Most entries ever stored at once, cancelled ones included.
     pending_peak: usize,
 }
@@ -325,13 +306,10 @@ impl<E> EventQueue<E> {
             head: (EMPTY, BACKEND),
             stored: 0,
             next_seq: 0,
-            batch_end: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
             cancelled_in_heap: 0,
             now: Time::ZERO,
-            popped: 0,
-            pops: 0,
             pending_peak: 0,
         }
     }
@@ -366,21 +344,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Number of events popped so far (for progress reporting).
-    #[inline]
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Number of scheduler interactions so far: one per batch formed by
-    /// [`pop_batch`](Self::pop_batch), one per sequential
-    /// [`pop`](Self::pop) outside a batch. `popped() / pops()` is the
-    /// average number of events served per scheduler interaction.
-    #[inline]
-    pub fn pops(&self) -> u64 {
-        self.pops
     }
 
     /// Pushes to and pops from the backend. Lanes are not in it: see
@@ -420,8 +383,7 @@ impl<E> EventQueue<E> {
     pub const LANE_ENTRY_BYTES: usize =
         std::mem::size_of::<u128>() + std::mem::size_of::<Option<E>>();
 
-    /// Number of pending (non-cancelled) events, including the unserved
-    /// entries of a batch in progress.
+    /// Number of pending (non-cancelled) events.
     #[inline]
     pub fn len(&self) -> usize {
         self.stored - self.cancelled_in_heap
@@ -591,23 +553,10 @@ impl<E> EventQueue<E> {
         self.head = earlier((self.backend_key, BACKEND), lanes);
     }
 
-    /// Remove lane `src`'s front, which is the queue's head, and find the
-    /// next head at once: every key is known here, and scanned now the
-    /// result is ready by the time the event's handler returns, instead of
-    /// the event loop waiting on it.
-    #[inline]
-    fn pop_lane(&mut self, src: usize) -> Option<E> {
-        let (event, front) = self.lanes[src].pop();
-        self.lane_keys[src] = front;
-        self.stored -= 1;
-        self.scan_head();
-        event
-    }
-
     /// Remove the heap's top, which is the queue's head, retiring its slot,
-    /// and find the next head as [`pop_lane`](Self::pop_lane) does. `None`
-    /// when it had been cancelled. Out of line: a hundredth of the traffic,
-    /// and the heap's sift-down is a loop anyway.
+    /// and find the next head as [`serve`](Self::serve) does for a lane.
+    /// `None` when it had been cancelled. Out of line: a hundredth of the
+    /// traffic, and the heap's sift-down is a loop anyway.
     #[inline(never)]
     fn pop_backend(&mut self) -> Option<E> {
         let Rev(entry) = self.heap.pop()?;
@@ -636,7 +585,7 @@ impl<E> EventQueue<E> {
     /// The explicit lazy-skip step: discard cancelled entries at the head,
     /// recycling their slots, and return the timestamp of the live entry
     /// left there (the remembered `head`). After this `peek_time`, `pop`
-    /// and `pop_batch` necessarily agree on the head. Amortized O(1): each
+    /// and `pop_before` necessarily agree on the head. Amortized O(1): each
     /// cancelled entry is discarded exactly once.
     #[inline]
     fn settle_head(&mut self) -> Option<Time> {
@@ -656,88 +605,50 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pop the next live event, advancing the clock to its timestamp.
-    /// Serves a batch in progress first, so sequential and batched
-    /// consumption can be mixed freely without reordering; outside one, the
-    /// event is a batch of its own.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        if let Some(event) = self.batch_next() {
-            return Some((self.now, event));
-        }
+    /// The one serve step: settle the head, stop if it is at or past
+    /// `horizon`, advance the clock to it and take it from its lane or the
+    /// backend. The settled head is live, so the backend arm never comes
+    /// back empty-handed. Taking a lane's front finds the next head at
+    /// once: every key is known here, and scanned now the result is ready
+    /// by the time the event's handler returns, instead of the event loop
+    /// waiting on it. `always`: an event loop that calls both
+    /// [`pop`](Self::pop) and [`pop_before`](Self::pop_before) has two call
+    /// sites, and with `#[inline]` alone LLVM keeps the step out of line.
+    #[inline(always)]
+    fn serve(&mut self, horizon: Option<Time>) -> Option<E> {
         let at = self.settle_head()?;
+        if horizon.is_some_and(|h| at >= h) {
+            return None;
+        }
         debug_assert!(at >= self.now);
         self.now = at;
-        self.batch_end = split_key(self.head.0).1 + 1;
-        self.pops += 1;
-        self.batch_next().map(|event| (at, event))
-    }
-
-    /// Advance the clock to the next live event and make it *and every
-    /// further event sharing its timestamp* the batch in progress: one
-    /// scheduler interaction. Returns the batch timestamp; the events
-    /// themselves are then served in `(at, seq)` order by
-    /// [`batch_next`](Self::batch_next). Returns `None` when no live events
-    /// remain.
-    ///
-    /// Dispatching via pop_batch/batch_next is observably identical to
-    /// sequential [`pop`](Self::pop)s: in-batch order is the same `(at,
-    /// seq)` order, and events cancelled *mid-batch* (by an earlier event of
-    /// the same batch) are still skipped, because liveness is checked when
-    /// each entry is served, not when the batch is formed.
-    #[inline]
-    pub fn pop_batch(&mut self) -> Option<Time> {
-        let at = self.settle_head()?;
-        Some(self.take_batch(at))
-    }
-
-    /// [`pop_batch`](Self::pop_batch), unless the next live event is at or
-    /// past `horizon`: then no batch forms, the clock stays, and the result
-    /// is `None`.
-    #[inline]
-    pub fn pop_batch_before(&mut self, horizon: Time) -> Option<Time> {
-        let at = self.settle_head().filter(|&at| at < horizon)?;
-        Some(self.take_batch(at))
-    }
-
-    /// Form the batch at `at`, the settled head's timestamp — unless that
-    /// head is a leftover of a batch whose dispatch stopped early, which is
-    /// served before a new one is counted.
-    #[inline]
-    fn take_batch(&mut self, at: Time) -> Time {
-        let leftover = at == self.now && split_key(self.head.0).1 < self.batch_end;
-        if !leftover {
-            debug_assert!(at >= self.now);
-            self.now = at;
-            self.batch_end = self.next_seq;
-            self.pops += 1;
-        }
-        at
-    }
-
-    /// The next live event of the batch formed by the last
-    /// [`pop_batch`](Self::pop_batch), or `None` when the batch is
-    /// exhausted. Entries cancelled since the batch was formed are skipped
-    /// and their slots recycled, exactly as the sequential pop path would.
-    #[inline]
-    pub fn batch_next(&mut self) -> Option<E> {
-        loop {
-            let (key, src) = self.head;
-            // (An empty queue's key has `seq = u64::MAX`, past any bound.)
-            let (at, seq) = split_key(key);
-            if at != self.now || seq >= self.batch_end {
-                return None;
-            }
-            // The lane arm returns what the ring hands over as it is: an
-            // `Option` rebuilt on the way is copied field by field.
-            if src != BACKEND {
-                self.popped += 1;
-                return self.pop_lane(src);
-            }
-            if let Some(event) = self.pop_backend() {
-                self.popped += 1;
-                return Some(event);
+        match self.head.1 {
+            BACKEND => self.pop_backend(),
+            src => {
+                // Returned as the ring hands it over: an `Option` rebuilt
+                // on the way is copied field by field.
+                let (event, front) = self.lanes[src].pop();
+                self.lane_keys[src] = front;
+                self.stored -= 1;
+                self.scan_head();
+                event
             }
         }
+    }
+
+    /// Pop the next live event, advancing the clock to its timestamp.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Time, E)> {
+        let event = self.serve(None)?;
+        Some((self.now, event))
+    }
+
+    /// [`pop`](Self::pop), unless the next live event is at or past
+    /// `horizon`: then nothing is served, the clock stays, and the result
+    /// is `None`. The event's timestamp is [`now`](Self::now) afterwards.
+    #[inline]
+    pub fn pop_before(&mut self, horizon: Time) -> Option<E> {
+        self.serve(Some(horizon))
     }
 
     /// Timestamp of the next live event without popping it.
@@ -889,8 +800,8 @@ impl<E> EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Fold the queue's logical state into a state digest: clock, counters,
-    /// the batch bound, the cancellation slot table, and every stored entry,
+    /// Fold the queue's logical state into a state digest: clock, sequence
+    /// counter, the cancellation slot table, and every stored entry,
     /// cancelled ones included. `event` folds one payload as a fixed
     /// sequence of words.
     ///
@@ -912,18 +823,14 @@ impl<E> EventQueue<E> {
             head: _,
             stored,
             next_seq,
-            batch_end,
             slots,
             free_slots,
             cancelled_in_heap,
             now,
-            popped,
-            pops,
             pending_peak: _,
         } = self;
-        for w in [now.as_ps(), *popped, *pops, *next_seq, *batch_end] {
-            fold(w);
-        }
+        fold(now.as_ps());
+        fold(*next_seq);
         fold(*cancelled_in_heap as u64);
         fold(slots.len() as u64);
         for s in slots {
@@ -1258,197 +1165,116 @@ mod tests {
         });
     }
 
-    /// The headline batching contract: pop_batch/batch_next delivers the
-    /// exact same (time, event) sequence as sequential pop, with and without
-    /// lanes, with scattered cancellations in the mix.
+    /// `pop_before` serves the exact `(time, event)` stream `pop` does,
+    /// with and without lanes and with scattered cancellations in the mix,
+    /// whatever horizons it is given; a horizon at or before the next live
+    /// event serves nothing and leaves the clock where it was.
     #[test]
-    fn batched_dispatch_matches_sequential() {
-        with_and_without_lanes(|batched, lanes| {
-            let mut sequential = EventQueue::new();
+    fn pop_before_matches_pop() {
+        with_and_without_lanes(|bounded, lanes| {
+            let mut plain = EventQueue::new();
             let mut x = 0x6C62272E07BB0142u64;
-            let mut ids_b = Vec::new();
-            let mut ids_s = Vec::new();
-            for i in 0..2000u64 {
+            let mut draw = || {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                // Coarse grid => many same-timestamp collisions.
-                let at = Time::from_ns((x % 64) * 100);
+                x
+            };
+            let mut ids = Vec::new();
+            for i in 0..2000u64 {
+                // Coarse grid => many same-timestamp ties.
+                let at = Time::from_ns((draw() % 64) * 100);
                 if i % 4 == 0 {
-                    ids_b.push(batched.schedule_cancellable(at, i));
-                    ids_s.push(sequential.schedule_cancellable(at, i));
+                    let a = bounded.schedule_cancellable(at, i);
+                    ids.push((a, plain.schedule_cancellable(at, i)));
                 } else {
-                    batched.schedule(at, i);
-                    sequential.schedule(at, i);
+                    bounded.schedule(at, i);
+                    plain.schedule(at, i);
                 }
             }
-            for k in (0..ids_b.len()).step_by(3) {
-                batched.cancel(ids_b[k]);
-                sequential.cancel(ids_s[k]);
+            for &(a, b) in ids.iter().step_by(3) {
+                bounded.cancel(a);
+                plain.cancel(b);
             }
             let mut got = Vec::new();
-            while let Some(t) = batched.pop_batch() {
-                assert_eq!(t, batched.now(), "lanes={lanes}");
-                while let Some(e) = batched.batch_next() {
-                    got.push((t, e));
+            while !bounded.is_empty() {
+                let (before, horizon) =
+                    (bounded.now(), bounded.now() + Time::from_ns(draw() % 300));
+                match bounded.pop_before(horizon) {
+                    Some(e) => {
+                        assert!(bounded.now() < horizon, "lanes={lanes}");
+                        got.push((bounded.now(), e));
+                    }
+                    None => {
+                        assert_eq!(bounded.now(), before, "lanes={lanes}: the clock moved");
+                        assert!(bounded.peek_time() >= Some(horizon), "lanes={lanes}");
+                    }
                 }
-                batched.check_invariants().unwrap();
             }
-            let mut want = Vec::new();
-            while let Some(te) = sequential.pop() {
-                want.push(te);
-            }
+            bounded.check_invariants().unwrap();
+            let want: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
             assert_eq!(got, want, "lanes={lanes}");
-            assert_eq!(batched.popped(), sequential.popped(), "lanes={lanes}");
-            assert!(
-                batched.pops() < sequential.pops(),
-                "lanes={lanes}: batching must reduce scheduler interactions \
-                 ({} vs {})",
-                batched.pops(),
-                sequential.pops()
-            );
         });
     }
 
-    /// An event cancelled by an *earlier event of the same batch* must not
-    /// be delivered — liveness is checked at serve time, exactly like the
-    /// sequential path.
+    /// An event cancelled by an earlier event of the same instant is not
+    /// delivered: liveness is checked when an entry is served.
     #[test]
-    fn mid_batch_cancellation_skips_event() {
+    fn same_instant_cancellation_skips_event() {
         with_and_without_lanes(|q, lanes| {
             let t = Time::from_us(7);
             q.schedule(t, 0u64);
             let victim = q.schedule_cancellable(t, 1u64);
             q.schedule(t, 2u64);
-            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
-            assert_eq!(q.batch_next(), Some(0), "lanes={lanes}");
-            // "Handler" of event 0 cancels event 1 mid-batch.
+            assert_eq!(q.pop(), Some((t, 0)), "lanes={lanes}");
+            // "Handler" of event 0 cancels event 1.
             q.cancel(victim);
-            assert_eq!(q.batch_next(), Some(2), "lanes={lanes}");
-            assert_eq!(q.batch_next(), None, "lanes={lanes}");
+            assert_eq!(q.pop_before(Time::from_us(8)), Some(2), "lanes={lanes}");
             assert!(q.is_empty(), "lanes={lanes}");
             q.check_invariants().unwrap();
         });
     }
 
-    /// Mixing consumption styles: a partially served batch is drained by
-    /// plain pop(), and peek_time/len stay exact throughout.
+    /// `pop_before` serves only what is strictly before its horizon. What
+    /// it leaves stays queued — clock, `len` and `peek_time` untouched —
+    /// for the next call or a `pop`, and a cancelled entry ahead of the
+    /// horizon does not move the clock.
     #[test]
-    fn partial_batch_interops_with_pop_peek_len() {
+    fn pop_before_stops_at_the_horizon() {
         with_and_without_lanes(|q, lanes| {
-            let t = Time::from_us(3);
-            for i in 0..4u64 {
-                q.schedule(t, i);
-            }
-            q.schedule(Time::from_us(5), 99);
-            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
-            assert_eq!(q.batch_next(), Some(0));
-            assert_eq!(q.len(), 4, "lanes={lanes}: 3 batch leftovers + 1 pending");
-            assert_eq!(q.peek_time(), Some(t), "lanes={lanes}");
-            assert_eq!(q.pop(), Some((t, 1)), "lanes={lanes}");
+            let us = Time::from_us;
+            q.schedule(us(3), 0u64);
+            q.schedule(us(3), 1);
+            q.schedule(us(5), 99);
+            assert_eq!(
+                q.pop_before(us(3)),
+                None,
+                "lanes={lanes}: an event at the horizon"
+            );
+            assert_eq!((q.now(), q.len()), (Time::ZERO, 3), "lanes={lanes}");
+            assert_eq!(q.pop_before(us(5)), Some(0), "lanes={lanes}");
+            assert_eq!(q.now(), us(3));
+            assert_eq!(q.pop_before(us(5)), Some(1), "lanes={lanes}");
+            assert_eq!(q.pop_before(us(5)), None, "lanes={lanes}");
+            assert_eq!((q.now(), q.len(), q.peek_time()), (us(3), 1, Some(us(5))));
             q.check_invariants().unwrap();
-            // A fresh pop_batch serves the leftovers before re-entering the
-            // backend.
-            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
-            assert_eq!(q.batch_next(), Some(2));
-            assert_eq!(q.batch_next(), Some(3));
-            assert_eq!(q.batch_next(), None);
-            assert_eq!(q.pop_batch(), Some(Time::from_us(5)), "lanes={lanes}");
-            assert_eq!(q.batch_next(), Some(99));
-            assert!(q.pop_batch().is_none(), "lanes={lanes}");
-        });
-    }
-
-    /// Scheduling from inside a batch (zero-delay self-post) lands in the
-    /// backend, not the current batch: it is served by the *next*
-    /// pop_batch at the same timestamp — identical to what sequential pop
-    /// order dictates (the new event's seq is larger than every already
-    /// scheduled one).
-    #[test]
-    fn schedule_during_batch_defers_to_next_batch() {
-        with_and_without_lanes(|q, lanes| {
-            let t = Time::from_us(2);
-            q.schedule(t, 0u64);
-            q.schedule(t, 1u64);
-            assert_eq!(q.pop_batch(), Some(t));
-            assert_eq!(q.batch_next(), Some(0));
-            q.schedule_in(Time::ZERO, 7u64); // handler posts at same instant
-            assert_eq!(q.batch_next(), Some(1), "lanes={lanes}");
-            assert_eq!(q.batch_next(), None, "lanes={lanes}");
-            assert_eq!(q.pop_batch(), Some(t), "lanes={lanes}");
-            assert_eq!(q.batch_next(), Some(7), "lanes={lanes}");
-            assert!(q.is_empty());
-        });
-    }
-
-    /// A clone pops the exact same (time, event) stream, honors ids taken
-    /// before it, and keeps the counters.
-    #[test]
-    fn snapshot_restore_preserves_stream_and_ids() {
-        with_and_without_lanes(|q, lanes| {
-            let mut ids = Vec::new();
-            for i in 0..500u64 {
-                let at = Time::from_ns((i * 37) % 900);
-                if i % 5 == 0 {
-                    ids.push(q.schedule_cancellable(at, i));
-                } else {
-                    q.schedule(at, i);
-                }
-            }
-            // Burn some history so now/popped are non-trivial.
-            for _ in 0..100 {
-                q.pop();
-            }
-            q.cancel(ids[20]);
-            let mut restored = q.clone();
-            assert_eq!(restored.now(), q.now());
-            assert_eq!(restored.popped(), q.popped());
-            assert_eq!(restored.len(), q.len());
-            // The clone is the same structure, not a rebuild of it.
-            assert_eq!(restored.sched_work(), q.sched_work(), "lanes={lanes}");
-            assert_eq!(restored.pending_peak(), q.pending_peak(), "lanes={lanes}");
-            restored.check_invariants().unwrap();
-            // A pre-clone id cancels the same event in both queues.
-            q.cancel(ids[40]);
-            restored.cancel(ids[40]);
-            // Diverge identically: same schedules after the fork.
-            q.schedule(q.now() + Time::from_ns(5), 9999);
-            restored.schedule(restored.now() + Time::from_ns(5), 9999);
-            loop {
-                let a = q.pop();
-                let b = restored.pop();
-                assert_eq!(a, b, "lanes={lanes}");
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(restored.sched_work(), q.sched_work(), "lanes={lanes}");
-        });
-    }
-
-    /// Cloning mid-batch keeps the unserved batch entries: the clone
-    /// re-delivers exactly the remainder.
-    #[test]
-    fn snapshot_mid_batch_keeps_unserved_entries() {
-        with_and_without_lanes(|q, lanes| {
-            let t = Time::from_us(1);
-            for i in 0..5u64 {
-                q.schedule(t, i);
-            }
-            assert_eq!(q.pop_batch(), Some(t));
-            assert_eq!(q.batch_next(), Some(0));
-            assert_eq!(q.batch_next(), Some(1));
-            let mut restored = q.clone();
-            assert_eq!(restored.len(), 3, "lanes={lanes}");
-            restored.check_invariants().unwrap();
-            let rest: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
-            assert_eq!(rest, vec![(t, 2), (t, 3), (t, 4)], "lanes={lanes}");
+            assert_eq!(q.pop(), Some((us(5), 99)), "lanes={lanes}");
+            let c = q.schedule_cancellable(us(6), 7);
+            q.schedule(us(9), 8);
+            q.cancel(c);
+            assert_eq!(q.pop_before(us(8)), None, "lanes={lanes}");
+            assert_eq!(
+                q.now(),
+                us(5),
+                "lanes={lanes}: a cancelled entry moved the clock"
+            );
+            assert_eq!(q.pop_before(Time::MAX), Some(8), "lanes={lanes}");
+            q.check_invariants().unwrap();
         });
     }
 
     /// The digest names the logical queue: equal whichever container holds
-    /// an entry, and for a clone; moved by one more entry, by a cancel, and
-    /// by a pop.
+    /// an entry; moved by one more entry, by a cancel, and by a pop.
     #[test]
     fn fold_digest_is_backend_agnostic_and_sees_every_entry() {
         fn digest(q: &EventQueue<u64>) -> Vec<u64> {
@@ -1475,9 +1301,6 @@ mod tests {
             for _ in 0..40 {
                 q.pop();
             }
-            // Leave a partially served batch behind.
-            q.pop_batch();
-            q.batch_next();
             (q, ids)
         };
         let (mut q, ids) = build(false);
@@ -1489,11 +1312,10 @@ mod tests {
             digest(&laned),
             "an entry in a lane digests differently"
         );
-        assert_eq!(base, digest(&q.clone()), "a clone digests differently");
-        let mut more = q.clone();
+        let (mut more, _) = build(false);
         more.schedule(Time::from_ms(5), 7);
         assert_ne!(base, digest(&more), "blind to a new entry");
-        let mut cancelled = q.clone();
+        let (mut cancelled, _) = build(false);
         cancelled.cancel(*ids.last().unwrap());
         assert_ne!(base, digest(&cancelled), "blind to a cancellation");
         q.pop();
@@ -1547,8 +1369,7 @@ mod tests {
         });
     }
 
-    /// A ring doubles in place while it wraps, and a clone taken then pops
-    /// the same stream.
+    /// A ring doubles in place while it wraps, and keeps its FIFO order.
     #[test]
     fn lane_ring_grows_while_wrapped() {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -1574,11 +1395,8 @@ mod tests {
             q.lanes[0].keys.len()
         );
         assert_eq!(q.sched_work().pushes, 0, "everything went through the lane");
-        let mut clone = q.clone();
-        clone.check_invariants().unwrap();
         let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(rest, (want..next).collect::<Vec<_>>());
-        assert_eq!(std::iter::from_fn(|| clone.pop()).count(), rest.len());
     }
 
     /// The audit must see lanes: each way their bookkeeping can go wrong is

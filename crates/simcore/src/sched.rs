@@ -11,9 +11,8 @@ use crate::time::Time;
 
 /// One pending event: absolute timestamp, tie-breaking sequence number, the
 /// cancellation slot (the queue's sentinel for "not cancellable" is
-/// `u32::MAX`), and the payload. `Clone` (when `E: Clone`) exists so a whole
-/// queue can be cloned — the hot path only ever moves entries.
-#[derive(Debug, Clone)]
+/// `u32::MAX`), and the payload.
+#[derive(Debug)]
 pub struct Entry<E> {
     /// Absolute due time.
     pub at: Time,

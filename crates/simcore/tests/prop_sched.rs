@@ -10,8 +10,7 @@
 //!
 //! Two delay distributions drive it: a broad mix, and the skewed population
 //! a lossy simulation produces, on which the queues' bookkeeping is
-//! verified after *every* operation and the queues are swapped for clones
-//! of themselves every few dozen steps.
+//! verified after *every* operation.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, Time};
@@ -139,9 +138,7 @@ const QUEUES: [&str; 2] = ["plain", "laned"];
 /// Drive one op stream through both queues plus the shadow, checking
 /// agreement after each op. `delay` decodes an op word into a scheduling
 /// delay. `thorough` verifies every queue's bookkeeping after every op (not
-/// every 16th) and, every 48 steps, replaces each queue by a clone of itself
-/// — outstanding ids must stay valid across it, and the clone must carry the
-/// original's diagnostics.
+/// every 16th).
 fn run_differential(
     ops: &[u64],
     delay_ps: fn(u64) -> u64,
@@ -214,14 +211,6 @@ fn run_differential(
         for (q, k) in queues.iter().zip(QUEUES) {
             prop_assert_eq!(q.len(), want_len, "step {}: len mismatch on {:?}", step, k);
             prop_assert_eq!(q.is_empty(), want_len == 0, "step {step}: {k:?}");
-        }
-        if thorough && step % 48 == 47 {
-            for q in queues.iter_mut() {
-                let clone = q.clone();
-                prop_assert_eq!(clone.sched_work(), q.sched_work(), "step {}", step);
-                prop_assert_eq!(clone.pending_peak(), q.pending_peak(), "step {}", step);
-                *q = clone;
-            }
         }
         if thorough || step % 16 == 0 {
             for (q, k) in queues.iter().zip(QUEUES) {
@@ -313,41 +302,4 @@ fn directed_skewed_stream_grows_and_drains() {
     let mut ops: Vec<u64> = (0..1500).map(|_| word(&[0, 1, 3, 3, 4, 6, 7])).collect();
     ops.extend((0..1500).map(|_| word(&[0, 3, 4, 4, 5, 5, 6, 7])));
     run_differential(&ops, skewed_delay_ps, true).unwrap();
-}
-
-/// Clone between two same-instant pops: after one of three entries at `t`
-/// is popped, the clone must serve the other two, then the rest, exactly as
-/// the original does.
-#[test]
-fn snapshot_round_trip_mid_day() {
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let t = Time::from_us(3);
-    for v in 0..3 {
-        q.schedule(t, v);
-    }
-    let timer = q.schedule_cancellable(Time::from_ms(1), 10);
-    q.schedule(Time::from_ns(3_050), 11);
-    q.schedule(Time::from_ms(10_000), 12);
-    assert_eq!(q.pop(), Some((t, 0)));
-
-    let mut r = q.clone();
-    r.check_invariants().unwrap();
-    assert_eq!(r.len(), q.len());
-    assert_eq!(r.sched_work(), q.sched_work());
-    assert_eq!(r.pending_peak(), q.pending_peak());
-    // An id taken before the clone cancels in both.
-    q.cancel(timer);
-    r.cancel(timer);
-    assert_eq!(r.len(), q.len());
-    // A push at the instant being served, after the clone.
-    q.schedule(t, 13);
-    r.schedule(t, 13);
-    loop {
-        let (a, b) = (q.pop(), r.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
-        }
-    }
-    r.check_invariants().unwrap();
 }

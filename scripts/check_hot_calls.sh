@@ -2,11 +2,11 @@
 # Guard the event loop's callee list — no stopwatch.
 #
 # `State::advance` (crates/netsim/src/sim.rs) serves every event through
-# the queue's serve path: `EventQueue::{batch_next, pop_batch,
-# pop_batch_before}` and what they are made of — `scan_head` (finding the
-# next head), `settle_head`, `take_batch`, `pop_lane` and `Lane::pop` (an
-# event out of a FIFO lane). (`head` stays listed: it named the remembered
-# head's accessor, which is now a field read.) Compiled as
+# the queue's serve path: `EventQueue::{pop, pop_before}` and what they are
+# made of — the one serve step `serve`, `settle_head`, `scan_head` (finding
+# the next head) and `Lane::pop` (an event out of a FIFO lane).
+# (`head` stays listed: it named the remembered head's accessor, which is
+# now a field read.) Compiled as
 # calls instead of into the loop they cost 8–13 % of wall time on every
 # workload, and nothing but the disassembly shows it: output, goldens and
 # event counts are identical (EXPERIMENTS.md § "Two per-event costs that
@@ -34,7 +34,7 @@ cd "$(dirname "$0")/.."
 
 BIN=${1:-target/release/repro}
 OUT=target/ci/advance_calls.txt
-DENY='(EventQueue<.*>::(batch_next|pop_batch|pop_batch_before|head|scan_head|settle_head|take_batch|pop_lane)|Lane<.*>::pop)$'
+DENY='(EventQueue<.*>::(pop|pop_before|serve|head|scan_head|settle_head)|Lane<.*>::pop)$'
 DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end|on_ack|on_goodput)$'
 
 if ! command -v objdump >/dev/null 2>&1 || ! command -v readelf >/dev/null 2>&1; then

@@ -14,7 +14,7 @@
 # halves all compile into it. `--inlined` splits such rows: each sample is
 # resolved through the debug info's inline records (`addr2line -i`) and filed
 # under its outermost two frames that are this repository's code, so it reads
-# `advance > batch_next`, `advance > on_arrive`, `push_entry > lane_for`; a
+# `advance > serve`, `advance > on_arrive`, `push_entry > lane_for`; a
 # frame from the standard library counts for the repository frame that
 # called it. `--innermost` resolves the same way but files each sample under
 # its innermost repository frame alone, so leaves inlined deep into one

@@ -40,6 +40,18 @@ fn pfc_prevents_drops_under_blast_incast() {
         "buffer exceeded its physical capacity: {}",
         res.counters.max_buffer_used
     );
+    // A PFC frame is MAC control, not a packet: it takes no arena slot.
+    // Every slot went to a data segment or a probe and to the answer it
+    // turned into — nothing was dropped and every flow finished (asserted
+    // above), so no segment is left in flight.
+    let c = &res.counters;
+    assert_eq!(
+        c.arena_allocs,
+        2 * (c.data_delivered + c.probes),
+        "slots beyond data and probes ({} pauses, {} resumes)",
+        c.pfc_pauses,
+        c.pfc_resumes
+    );
 }
 
 /// The same incast with PFC disabled: drops happen, IRN-style recovery
