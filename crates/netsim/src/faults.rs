@@ -11,7 +11,7 @@
 //! This module is the *schedule* only. The state a transition flips lives
 //! on the link's two [`crate::node::EgressPort`]s (`down`, `storm`,
 //! `degrade`), next to the pause bits and queues it interacts with, and is
-//! applied by `State::on_fault` (`sim.rs`); a state digest of the nodes
+//! applied by `State::on_fault` (`fabric.rs`); a state digest of the nodes
 //! therefore covers it without knowing faults exist.
 //!
 //! Three regimes are supported, always applied to **both directions** of

@@ -36,7 +36,9 @@ pub mod audit;
 pub mod config;
 pub mod counters;
 pub mod event;
+mod fabric;
 pub mod faults;
+mod host;
 pub mod monitor;
 pub mod node;
 pub mod noise;

@@ -15,26 +15,12 @@ pub enum MonitorKind {
         /// Port index.
         port: u16,
     },
-    /// Bytes queued in one priority queue of a port.
-    QueueBytesPrio {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index.
-        port: u16,
-        /// Queue index.
-        prio: u8,
-    },
     /// Throughput of one egress port in Gbit/s over the sampling period.
     PortThroughput {
         /// Node owning the port.
         node: NodeId,
         /// Port index.
         port: u16,
-    },
-    /// Total buffered bytes of a switch.
-    SwitchBuffer {
-        /// Switch node.
-        node: NodeId,
     },
 }
 
@@ -65,7 +51,7 @@ impl Monitor {
         }
     }
 
-    /// Record a gauge sample (queue depth, buffer occupancy).
+    /// Record a gauge sample (queue depth).
     pub fn record_gauge(&mut self, now: Time, value: f64) {
         self.series.push(now, value);
     }
@@ -86,13 +72,11 @@ impl Monitor {
     /// throughput sample is a delta from, and the series so far. (The label
     /// is a display name: results carry it, no event reads it.)
     pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        let (tag, node, port, prio) = match self.kind {
-            MonitorKind::QueueBytes { node, port } => (1, node, port, 0),
-            MonitorKind::QueueBytesPrio { node, port, prio } => (2, node, port, prio),
-            MonitorKind::PortThroughput { node, port } => (3, node, port, 0),
-            MonitorKind::SwitchBuffer { node } => (4, node, 0, 0),
+        let (tag, node, port) = match self.kind {
+            MonitorKind::QueueBytes { node, port } => (1, node, port),
+            MonitorKind::PortThroughput { node, port } => (3, node, port),
         };
-        fold(tag << 56 | (prio as u64) << 48 | (port as u64) << 32 | node as u64);
+        fold(tag << 56 | (port as u64) << 32 | node as u64);
         fold(self.period.as_ps());
         fold(self.last_tx);
         self.series.fold_digest(fold);
@@ -136,7 +120,7 @@ mod tests {
 
     #[test]
     fn gauge_samples_pass_through_untouched() {
-        let mut m = mon(MonitorKind::SwitchBuffer { node: 3 });
+        let mut m = mon(MonitorKind::QueueBytes { node: 3, port: 0 });
         m.record_gauge(Time::from_us(1), 42.0);
         m.record_gauge(Time::from_us(2), 0.0);
         assert_eq!(m.series.t_us, vec![1.0, 2.0]);

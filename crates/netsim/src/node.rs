@@ -16,10 +16,10 @@
 //! per-priority flow lists and round-robin cursors are one
 //! `Vec<ActiveFlows>`.
 //!
-//! Logic that needs the event queue (scheduling arrivals, PFC frames,
-//! transport callbacks) lives in [`crate::sim`]; this module holds the data
-//! structures and the pure parts: buffer accounting, admission, ECN marking,
-//! strict-priority selection, and PFC threshold math.
+//! The event handlers that need the event queue are in `fabric.rs` and
+//! `host.rs`; this module holds the data structures and the pure parts:
+//! buffer accounting, admission, ECN marking, strict-priority selection,
+//! and PFC threshold math.
 
 use std::collections::VecDeque;
 

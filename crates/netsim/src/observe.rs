@@ -237,8 +237,8 @@ fn audit_checks(a: &mut Audit, st: &State, env: &Env) {
                 a.report(ViolationKind::TransportSanity, At::Flow(fid), msg);
             }
         }
-        if f.record.delivered > f.spec.size {
-            let (got, size) = (f.record.delivered, f.spec.size);
+        if f.record.delivered > f.record.size {
+            let (got, size) = (f.record.delivered, f.record.size);
             a.report(
                 ViolationKind::PacketConservation,
                 At::Flow(fid),

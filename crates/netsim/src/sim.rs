@@ -1,22 +1,26 @@
-//! The simulator: construction, flow registration, the event loop and the
-//! switch/host event handlers. The data they work on is in `state.rs`.
+//! The simulator's API and its event loop: [`Sim`] builds a run, takes its
+//! flows, monitors and callbacks, runs it and fingerprints it, and
+//! `State::advance` dispatches one event after another to the handlers.
+//!
+//! The handlers sit with the rest of the data path, by the state they
+//! change: the link layer, the switch path, fault transitions and the port
+//! monitors in `fabric.rs`; the host NIC and the flow path in `host.rs`.
+//! The data itself is in `state.rs` and `node.rs`.
 
 use simcore::{EventQueue, Rate, SimRng, Time};
 
-use crate::audit::{Audit, AuditConfig, SwitchArrive};
-use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
+use crate::audit::{Audit, AuditConfig};
+use crate::config::{SimConfig, SwitchConfig};
 use crate::faults::FaultKind;
 use crate::monitor::{Monitor, MonitorKind};
-use crate::node::{queue_index, Admission, EgressPort, Host, Node, Switch};
+use crate::node::{EgressPort, Host, Node, Switch};
 use crate::observe::Observers;
-use crate::packet::{
-    FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES, HEADER_BYTES,
-};
+use crate::packet::{FlowId, NodeId, PacketArena, CONTROL_BYTES, HEADER_BYTES};
 use crate::record::{FlowRecord, SimCounters, SimResult};
 use crate::routing::RoutingTable;
 use crate::state::{Env, Flow, FlowLive, FlowSlab, RecvState, State, StateTamper};
 use crate::topology::{NodeKind, PortLink, Topology};
-use crate::transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};
+use crate::transport_api::{FlowParams, Transport};
 
 /// Why [`Sim::enable_audit`] is refused once the run has started.
 const AUDIT_TOO_LATE: &str = "its tallies would miss every packet injected before it \
@@ -141,13 +145,11 @@ impl Sim {
             nc_rng: SimRng::new(seed).split(3),
             started: false,
         };
-        let lossy = !switch_cfg.pfc_enabled;
         Sim {
             env: Env {
                 cfg,
                 switch_cfg,
                 routes,
-                lossy,
             },
             state,
             obs,
@@ -231,11 +233,6 @@ impl Sim {
         &self.env.cfg
     }
 
-    /// The switch configuration.
-    pub fn switch_config(&self) -> &SwitchConfig {
-        &self.env.switch_cfg
-    }
-
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue, counters, RNG streams, packet arena, nodes and their
     /// ports (link fault state included), flow table and slab, monitors,
@@ -273,8 +270,43 @@ impl Sim {
 
     /// Compute per-flow parameters (base RTTs, line rate) for a prospective
     /// flow, so transport factories can be configured before registration.
+    ///
+    /// # Panics
+    /// Panics if `spec.src` or `spec.dst` is not a host of the topology,
+    /// if they are the same host, if `spec.phys_prio` is not below
+    /// [`SimConfig::num_prios`], or if `spec.size` is 0 — whatever
+    /// [`Self::add_flow`] refuses.
     pub fn flow_params(&self, spec: &FlowSpec, flow: FlowId) -> FlowParams {
+        let nodes = self.state.nodes.len();
+        for (field, node) in [("src", spec.src), ("dst", spec.dst)] {
+            match self.state.nodes.get(node as usize) {
+                Some(Node::Host(_)) => {}
+                Some(Node::Switch(_)) => {
+                    panic!("FlowSpec.{field} = {node} is a switch, not a host")
+                }
+                None => panic!(
+                    "FlowSpec.{field} = {node} is out of range: the topology has {nodes} nodes"
+                ),
+            }
+        }
+        // Its packets would hairpin through the ToR, while its base RTT
+        // (the path from a host to itself) would read 0.
+        assert!(
+            spec.src != spec.dst,
+            "FlowSpec.src = FlowSpec.dst = {}: a flow needs two different hosts",
+            spec.src
+        );
         let cfg = &self.env.cfg;
+        assert!(
+            spec.phys_prio < cfg.num_prios,
+            "FlowSpec.phys_prio = {} is out of range: it must be below SimConfig.num_prios = {}",
+            spec.phys_prio,
+            cfg.num_prios
+        );
+        assert!(
+            spec.size > 0,
+            "FlowSpec.size = 0: a flow must carry at least one byte"
+        );
         let line_rate = self.state.port(spec.src, 0).rate;
         let data_wire = (cfg.mtu + HEADER_BYTES) as u64;
         let base_rtt = self.path_delay(spec.src, spec.dst, flow, data_wire)
@@ -316,44 +348,12 @@ impl Sim {
     /// returns the sender-side transport.
     ///
     /// # Panics
-    /// Panics if `spec.src` or `spec.dst` is not a host of the topology,
-    /// if they are the same host, if `spec.phys_prio` is not below
-    /// [`SimConfig::num_prios`], or if `spec.size` is 0.
+    /// Panics on a `spec` that [`Self::flow_params`] refuses.
     pub fn add_flow(
         &mut self,
         spec: FlowSpec,
         make: impl FnOnce(&FlowParams) -> Box<dyn Transport>,
     ) -> FlowId {
-        let nodes = self.state.nodes.len();
-        for (field, node) in [("src", spec.src), ("dst", spec.dst)] {
-            match self.state.nodes.get(node as usize) {
-                Some(Node::Host(_)) => {}
-                Some(Node::Switch(_)) => {
-                    panic!("FlowSpec.{field} = {node} is a switch, not a host")
-                }
-                None => panic!(
-                    "FlowSpec.{field} = {node} is out of range: the topology has {nodes} nodes"
-                ),
-            }
-        }
-        // Its packets would hairpin through the ToR, while its base RTT
-        // (the path from a host to itself) would read 0.
-        assert!(
-            spec.src != spec.dst,
-            "FlowSpec.src = FlowSpec.dst = {}: a flow needs two different hosts",
-            spec.src
-        );
-        let cfg = &self.env.cfg;
-        assert!(
-            spec.phys_prio < cfg.num_prios,
-            "FlowSpec.phys_prio = {} is out of range: it must be below SimConfig.num_prios = {}",
-            spec.phys_prio,
-            cfg.num_prios
-        );
-        assert!(
-            spec.size > 0,
-            "FlowSpec.size = 0: a flow must carry at least one byte"
-        );
         let id = self.state.flows.len() as FlowId;
         let params = self.flow_params(&spec, id);
         let transport = make(&params);
@@ -380,9 +380,8 @@ impl Sim {
             recv: RecvState::default(),
         });
         st.flows.push(Flow {
-            spec,
-            params,
             record,
+            probe_gap: params.base_rtt.saturating_sub(params.base_rtt_probe),
             active: false,
             live,
         });
@@ -392,8 +391,8 @@ impl Sim {
     /// Register a periodic monitor; returns its index.
     ///
     /// # Panics
-    /// Panics if `period` is zero, if `kind` names a node, port or priority
-    /// queue the topology does not have, or once the run has started
+    /// Panics if `period` is zero, if `kind` names a node or port the
+    /// topology does not have, or once the run has started
     /// ([`Self::run_until`]).
     pub fn add_monitor(
         &mut self,
@@ -411,15 +410,9 @@ impl Sim {
             period > Time::ZERO,
             "Monitor.period = 0: a monitor must sample at a positive period"
         );
-        let (variant, node, port, prio) = match kind {
-            MonitorKind::QueueBytes { node, port } => ("QueueBytes", node, Some(port), None),
-            MonitorKind::QueueBytesPrio { node, port, prio } => {
-                ("QueueBytesPrio", node, Some(port), Some(prio))
-            }
-            MonitorKind::PortThroughput { node, port } => {
-                ("PortThroughput", node, Some(port), None)
-            }
-            MonitorKind::SwitchBuffer { node } => ("SwitchBuffer", node, None, None),
+        let (variant, node, port) = match kind {
+            MonitorKind::QueueBytes { node, port } => ("QueueBytes", node, port),
+            MonitorKind::PortThroughput { node, port } => ("PortThroughput", node, port),
         };
         let nodes = &self.state.nodes;
         let Some(n) = nodes.get(node as usize) else {
@@ -428,22 +421,11 @@ impl Sim {
                 nodes.len()
             );
         };
-        if let Some(port) = port {
-            let Some(p) = n.ports().get(port as usize) else {
-                panic!(
-                    "MonitorKind::{variant}.port = {port} is out of range: node {node} has {} ports",
-                    n.ports().len()
-                );
-            };
-            if let Some(prio) = prio {
-                assert!(
-                    (prio as usize) < p.queues.len(),
-                    "MonitorKind::{variant}.prio = {prio} is out of range: \
-                     port {port} of node {node} has {} queues",
-                    p.queues.len()
-                );
-            }
-        }
+        assert!(
+            (port as usize) < n.ports().len(),
+            "MonitorKind::{variant}.port = {port} is out of range: node {node} has {} ports",
+            n.ports().len()
+        );
         let idx = self.state.monitors.len();
         self.state.monitors.push(Monitor::new(label, kind, period));
         idx
@@ -645,9 +627,9 @@ fn declare_link_delays(queue: &mut EventQueue<Event>, topo: &Topology, mtu: u32)
 
 /// What [`State::advance`] and the handlers are lent beside the [`State`]
 /// they change: the run's [`Env`] and the [`Observers`] they report to.
-struct Run<'a> {
-    env: &'a Env,
-    obs: &'a mut Observers,
+pub(crate) struct Run<'a> {
+    pub(crate) env: &'a Env,
+    pub(crate) obs: &'a mut Observers,
 }
 
 /// Why [`State::advance`] came back.
@@ -661,31 +643,27 @@ enum Yield {
     Completed,
 }
 
-/// The event loop and its handlers. Each changes `State`, reads the run's
-/// [`Env`] and reports to its [`Observers`] (the two lent as a [`Run`]);
-/// none can reach the user callbacks on [`Sim`].
+/// The event loop. It and the handlers it dispatches to (`fabric.rs`,
+/// `host.rs`) change `State`, read the run's [`Env`] and report to its
+/// [`Observers`] (the two lent as a [`Run`]); none can reach the user
+/// callbacks on [`Sim`].
 impl State {
     /// Dispatch events one at a time in `(time, seq)` order until the run
     /// stops or an event needs the whole [`Sim`] (see [`Yield`]). In the
     /// latter case the caller finishes that event (app delivery,
     /// [`Observers::on_event_end`]) and calls again.
     ///
-    /// What this loop does per event has to be compiled *into* it, and that
-    /// is not automatic: rustc cuts the crate into codegen units by the
-    /// module of each function's `Self` type, and LLVM's inliner works one
-    /// unit at a time. A per-event callee filed elsewhere stays a call that
-    /// hands its `Option<Event>` back through memory. Two such costs have
-    /// been measured with alternating `ppbench` pairs, output identical in
-    /// both: the queue's serve path ([`EventQueue`]'s `pop`, `pop_before`
-    /// and what they are made of — `serve`, `scan_head`, `settle_head` —
-    /// instances of a `simcore` generic, so filed under `simcore::event`)
-    /// cost 8–13 % of wall time on every workload until it carried
-    /// `#[inline]`, which has rustc instantiate it in the caller's unit; and this loop cost 3–5 % CPU while it was a method of `Sim`, a
-    /// unit away from the handlers. `scripts/check_hot_calls.sh` (CI leg 2)
-    /// fails when the disassembly of `advance` calls any of them, or any
-    /// [`Observers`] hook it reaches directly. (The heap's side of the
-    /// queue — `pop_backend`, `retire_cancelled_head` — is out of line on
-    /// purpose: a hundredth of the events.)
+    /// What this loop does per event has to be compiled *into* it: rustc
+    /// cuts the crate into codegen units by the module of each function's
+    /// `Self` type, and LLVM inlines within a unit. The handlers are
+    /// `impl State` blocks, so wherever their source sits (`fabric.rs`,
+    /// `host.rs`) they share this loop's unit; the queue's serve path
+    /// ([`EventQueue`]'s `pop`, `pop_before`, `serve`, `scan_head`,
+    /// `settle_head`, filed under `simcore::event`) is `#[inline]` so that
+    /// rustc instantiates it here. Either, as a call, cost 3–13 % of wall
+    /// time with identical output; `scripts/check_hot_calls.sh` (CI leg 2)
+    /// fails when the disassembly of `advance` calls the serve path or an
+    /// [`Observers`] hook.
     fn advance(&mut self, run: &mut Run, until: Option<Time>) -> Yield {
         loop {
             let next = match until {
@@ -728,660 +706,14 @@ impl State {
             run.obs.on_event_end(self, run.env);
         }
     }
-
-    fn on_flow_start(&mut self, run: &mut Run, flow: FlowId, now: Time) {
-        run.obs.on_flow_touched(flow);
-        let f = &mut self.flows[flow as usize];
-        let src = f.spec.src;
-        let prio = f.spec.phys_prio;
-        f.active = true;
-        let live = f.live;
-        {
-            let mut ctx = TransportCtx::new(&mut self.queue, now, flow);
-            self.live.get_mut(live).transport.on_start(&mut ctx);
-        }
-        if let Node::Host(h) = &mut self.nodes[src as usize] {
-            h.activate(prio, flow);
-        } else {
-            panic!("flow source {src} is not a host");
-        }
-        self.host_poke(run, src, now);
-    }
-
-    fn on_flow_timer(&mut self, run: &mut Run, flow: FlowId, token: u64, now: Time) {
-        let f = &mut self.flows[flow as usize];
-        if !f.active {
-            return;
-        }
-        run.obs.on_flow_touched(flow);
-        let f = &self.flows[flow as usize];
-        let live = f.live;
-        let src = f.spec.src;
-        {
-            let mut ctx = TransportCtx::new(&mut self.queue, now, flow);
-            self.live.get_mut(live).transport.on_timer(token, &mut ctx);
-        }
-        self.host_poke(run, src, now);
-    }
-
-    fn on_port_free(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
-        self.port_mut(node, port).busy = false;
-        self.kick(run, node, port, now);
-    }
-
-    /// Apply fault-schedule transition `idx` at its scheduled time.
-    fn on_fault(&mut self, run: &mut Run, idx: u32, now: Time) {
-        self.counters.fault_events += 1;
-        let kind = run
-            .env
-            .cfg
-            .faults
-            .as_ref()
-            // simlint::allow(hot-path-unwrap, Fault events are only scheduled from an installed schedule)
-            .expect("Fault event without a fault schedule")
-            .events[idx as usize]
-            .kind;
-        match kind {
-            FaultKind::LinkDown { node, port } => self.set_link_down(run, node, port, true, now),
-            FaultKind::LinkUp { node, port } => self.set_link_down(run, node, port, false, now),
-            FaultKind::DegradeStart {
-                node,
-                port,
-                rate_factor,
-                extra_prop,
-            } => self.set_degrade(node, port, Some((rate_factor, extra_prop))),
-            FaultKind::DegradeEnd { node, port } => self.set_degrade(node, port, None),
-            FaultKind::PauseStart { node, port, prio } => {
-                self.set_storm(run, node, port, prio, true, now)
-            }
-            FaultKind::PauseEnd { node, port, prio } => {
-                self.set_storm(run, node, port, prio, false, now)
-            }
-        }
-    }
-
-    /// The two directions of the link at `(node, port)`: that attachment
-    /// and its peer's.
-    fn link_ends(&self, node: NodeId, port: u16) -> [(NodeId, u16); 2] {
-        let p = self.port(node, port);
-        [(node, port), (p.peer, p.peer_port)]
-    }
-
-    /// Take a link (both attachments) down, or bring it back up. While down,
-    /// neither attachment serializes and every packet in flight on the link
-    /// is dropped at arrival; on recovery both sides are kicked so queued
-    /// traffic resumes.
-    fn set_link_down(&mut self, run: &mut Run, node: NodeId, port: u16, down: bool, now: Time) {
-        let ends = self.link_ends(node, port);
-        for (n, p) in ends {
-            self.port_mut(n, p).down = down;
-        }
-        if !down {
-            for (n, p) in ends {
-                self.kick(run, n, p, now);
-            }
-        }
-    }
-
-    /// Begin (`Some((rate_factor, extra_prop))`) or end (`None`) a
-    /// degradation epoch on both directions of the link at `(node, port)`.
-    /// Applied at dequeue time, so already-queued packets see the regime
-    /// active when they reach the head of line.
-    fn set_degrade(&mut self, node: NodeId, port: u16, eff: Option<(f64, Time)>) {
-        for (n, p) in self.link_ends(node, port) {
-            self.port_mut(n, p).degrade = eff;
-        }
-    }
-
-    /// Pin (or release) a persistent PFC pause on `node`'s egress
-    /// attachment `port` for `prio` — a pause storm. While pinned, genuine
-    /// PFC frames addressed to that attachment are swallowed so the pin
-    /// holds; on release the pause bit is restored from the peer's real
-    /// pause authority (its ingress pause state).
-    fn set_storm(&mut self, run: &mut Run, node: NodeId, port: u16, prio: u8, on: bool, now: Time) {
-        let [_, (peer, peer_port)] = self.link_ends(node, port);
-        let peer_pauses = |ps: &Switch| ps.ingress_paused(peer_port as usize, prio as usize);
-        let paused = on || self.nodes[peer as usize].as_switch().is_some_and(peer_pauses);
-        let p = self.port_mut(node, port);
-        p.set_storm(prio as usize, on);
-        p.set_paused(prio as usize, paused);
-        if !paused {
-            self.kick(run, node, port, now);
-        }
-    }
-
-    /// Retire a packet caught in flight on a dead link. Data losses are
-    /// reported to the audit's conservation tallies (unless the
-    /// [`Buggify::FaultDropUnaccounted`] self-test suppresses that to prove
-    /// the audit notices); control losses are counted in
-    /// [`SimCounters::fault_ctrl_drops`] but never audited, since control
-    /// packets are not part of the injected tallies.
-    fn fault_drop(&mut self, run: &mut Run, pid: PacketId) {
-        let (is_data, wire) = {
-            let pkt = self.arena.get(pid);
-            (pkt.kind.is_data(), pkt.size as u64)
-        };
-        if is_data {
-            self.counters.fault_link_drops += 1;
-            if run.env.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
-                run.obs.on_link_drop(wire);
-            }
-        } else {
-            self.counters.fault_ctrl_drops += 1;
-        }
-        // `release` also returns a dropped INT carrier's telemetry box to
-        // the pool.
-        self.arena.release(pid);
-    }
-
-    /// Give the attachment at `(node, port)` a chance to transmit: the one
-    /// re-kick used after a serialization ends, a PFC resume, a link
-    /// recovery and a storm release.
-    fn kick(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
-        match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_dequeue(run, node, port, now),
-            Node::Host(_) => self.host_poke(run, node, now),
-        }
-    }
-
-    /// The link layer's transmit step — the only place a packet goes onto a
-    /// wire. Marks the port busy, counts the bytes, and schedules the end
-    /// of serialization ([`Event::PortFree`]) and then the arrival at the
-    /// peer, at the link's effective rate and delay (degradation epochs
-    /// included). `extra` is extra one-way delay (non-congestive delay),
-    /// zero for host NICs.
-    fn transmit(&mut self, node: NodeId, port: u16, pid: PacketId, extra: Time, now: Time) {
-        let size = self.arena.get(pid).size as u64;
-        let p = self.port_mut(node, port);
-        p.busy = true;
-        p.tx_bytes += size;
-        let (peer, in_port) = (p.peer, p.peer_port);
-        let (rate, prop) = p.effective_link();
-        let ser = rate.serialize_time(size);
-        self.queue
-            .schedule(now + ser, Event::PortFree { node, port });
-        self.queue.schedule(
-            now + ser + prop + extra,
-            Event::Arrive {
-                node: peer,
-                in_port,
-                pkt: pid,
-            },
-        );
-    }
-
-    /// Try to start transmitting the next packet on a switch egress port.
-    fn switch_dequeue(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
-        let Node::Switch(s) = &mut self.nodes[node as usize] else {
-            return;
-        };
-        let p = &mut s.ports[port as usize];
-        // A dead egress moves nothing until LinkUp kicks this port.
-        if p.down || p.busy {
-            return;
-        }
-        let Some(pid) = p.dequeue(&self.arena) else {
-            return;
-        };
-        let mut resumes = Vec::new();
-        s.on_dequeue(self.arena.get(pid), 0, &mut resumes);
-        let (is_data, prio) = {
-            let pkt = self.arena.get(pid);
-            (pkt.kind.is_data(), pkt.prio)
-        };
-        let nc = match &run.env.switch_cfg.nc_delay {
-            Some(nc) if is_data => nc.sample(&mut self.nc_rng),
-            _ => Time::ZERO,
-        };
-        self.transmit(node, port, pid, nc, now);
-        if run.env.switch_cfg.int_enabled && is_data {
-            // Read after the transmit step, so telemetry reports this
-            // packet's bytes and the effective (possibly degraded) rate.
-            let p = self.port(node, port);
-            let rec = IntHop {
-                qlen: p.queues[prio as usize].bytes,
-                tx_bytes: p.tx_bytes,
-                ts: now,
-                rate_bps: p.effective_link().0.as_bps(),
-            };
-            let pushed = self.arena.append_int(pid, rec);
-            debug_assert!(
-                pushed,
-                "INT path saturated at switch {node}: {} hops means a routing loop",
-                crate::packet::INT_MAX_HOPS
-            );
-        }
-        self.emit_pfc(run, node, &resumes, false, now);
-    }
-
-    /// Send PFC pause/resume frames upstream out-of-band: each reaches the
-    /// peer's MAC one propagation delay later as an [`Event::Pfc`].
-    fn emit_pfc(
-        &mut self,
-        run: &mut Run,
-        node: NodeId,
-        list: &[(u16, u8)],
-        pause: bool,
-        now: Time,
-    ) {
-        for &(in_port, prio) in list {
-            let p = self.port(node, in_port);
-            let (peer, peer_port, prop) = (p.peer, p.peer_port, p.prop);
-            if pause {
-                self.counters.pfc_pauses += 1;
-            } else {
-                self.counters.pfc_resumes += 1;
-            }
-            run.obs.on_pfc_frame(node, in_port, prio, pause);
-            self.queue.schedule(
-                now + prop,
-                Event::Pfc {
-                    node: peer,
-                    port: peer_port,
-                    prio,
-                    pause,
-                },
-            );
-        }
-    }
-
-    fn on_arrive(&mut self, run: &mut Run, node: NodeId, in_port: u16, pkt: PacketId, now: Time) {
-        if self.port(node, in_port).down {
-            // A dead link drops everything in flight on it.
-            return self.fault_drop(run, pkt);
-        }
-        match &self.nodes[node as usize] {
-            Node::Switch(_) => self.switch_arrive(run, node, in_port, pkt, now),
-            Node::Host(_) => self.host_arrive(run, node, pkt, now),
-        }
-    }
-
-    /// A PFC frame ([`Event::Pfc`]) reached the MAC of `(node, port)` — a
-    /// switch port or a host NIC alike, on a live link or a dead one (the
-    /// frames model an out-of-band reliable control plane): sets or clears
-    /// the egress pause bit and, on a resume, kicks the attachment.
-    fn on_pfc_frame(
-        &mut self,
-        run: &mut Run,
-        node: NodeId,
-        port: u16,
-        prio: u8,
-        pause: bool,
-        now: Time,
-    ) {
-        let p = self.port_mut(node, port);
-        if p.is_stormed(prio as usize) {
-            // Storm pin holds: genuine frames are swallowed. The peer's
-            // pause authority is re-read at storm release (`set_storm`).
-            return;
-        }
-        p.set_paused(prio as usize, pause);
-        if !pause {
-            self.kick(run, node, port, now);
-        }
-    }
-
-    fn switch_arrive(
-        &mut self,
-        run: &mut Run,
-        node: NodeId,
-        in_port: u16,
-        pid: PacketId,
-        now: Time,
-    ) {
-        let (dst, flow, is_data, data_q, dscp) = {
-            let pkt = self.arena.get(pid);
-            (
-                pkt.dst,
-                pkt.flow,
-                pkt.kind.is_data(),
-                pkt.prio as usize,
-                pkt.dscp,
-            )
-        };
-        let egress = run.env.routes.port_for(node, dst, flow);
-        let Node::Switch(s) = &mut self.nodes[node as usize] else {
-            unreachable!()
-        };
-        let mut ecn_info = None;
-        if is_data {
-            let q_pre = s.ports[egress as usize].queues[data_q].bytes;
-            let marked = s.ecn_mark(egress, data_q, dscp, 0, &mut self.ecn_rng);
-            if marked {
-                self.arena.get_mut(pid).ecn_ce = true;
-                self.counters.ecn_marks += 1;
-            }
-            ecn_info = Some((q_pre, dscp, marked));
-        }
-        let mut info = SwitchArrive {
-            node,
-            in_port,
-            egress,
-            queue: queue_index(self.arena.get(pid).prio, s.ports[egress as usize].queues.len())
-                as u8,
-            wire: self.arena.get(pid).size as u64,
-            is_data,
-            dropped: false,
-            ecn: ecn_info,
-        };
-        let mut pauses = Vec::new();
-        let admission = s.admit(egress, in_port, pid, 0, &mut self.arena, &mut pauses);
-        // The `s` borrow ends here so the audit can re-inspect the switch.
-        info.dropped = admission == Admission::Dropped;
-        run.obs.on_switch_arrive(self, &info);
-        match admission {
-            Admission::Dropped => {
-                self.counters.drops += 1;
-            }
-            Admission::Queued => {
-                self.emit_pfc(run, node, &pauses, true, now);
-                self.switch_dequeue(run, node, egress, now);
-            }
-        }
-    }
-
-    fn host_arrive(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
-        match self.arena.get(pid).kind {
-            PktTag::Data => {
-                self.counters.data_delivered += 1;
-                run.obs.on_data_delivered(self.arena.get(pid));
-                debug_assert_eq!(self.arena.get(pid).dst, node, "data packet misrouted");
-                self.receiver_data(run, node, pid, now);
-            }
-            PktTag::Probe => {
-                let probe = *self.arena.get(pid);
-                debug_assert_eq!(probe.dst, node);
-                self.arena.release(pid);
-                // Echo the probe back at the same priority it came in on
-                // (probe echoes measure the reverse control path like ACKs).
-                let prio = Self::ack_prio(&run.env.cfg, probe.prio);
-                let echo = Packet::ack(&probe, prio, 0, false, None);
-                self.host_enqueue_control(run, node, echo, now);
-            }
-            // ACKs and probe echoes. `on_arrive` consumed any PFC frame at
-            // the MAC, and `sender_ack` rejects every other tag.
-            _ => {
-                debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
-                self.sender_ack(run, node, pid, now);
-            }
-        }
-    }
-
-    fn ack_prio(cfg: &SimConfig, data_prio: u8) -> u8 {
-        match cfg.ack_prio {
-            AckPriority::Control => cfg.num_prios,
-            AckPriority::SameAsData => data_prio,
-        }
-    }
-
-    /// Receiver-side handling of a data segment: update reassembly state,
-    /// emit a per-packet ACK, record delivery/completion. Consumes the
-    /// arena slot: the data packet is retired and its slot immediately
-    /// reused (LIFO) by the ACK this method emits.
-    fn receiver_data(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
-        let data = *self.arena.get(pid);
-        let fid = data.flow;
-        let live = self.flows[fid as usize].live;
-        let (cum_bytes, nack) = if live == u32::MAX {
-            // The sender already finished and its state was reclaimed: this
-            // packet is a stale duplicate (a retransmission racing the final
-            // ACK). Reproduce exactly the ACK the live path would emit — the
-            // receiver had every byte (`cum == size`) and a duplicate below
-            // `cum` delivers no new bytes and never NACKs — so the event
-            // sequence is bit-identical whether or not reclamation happened.
-            (self.flows[fid as usize].spec.size, false)
-        } else {
-            let flow = &mut self.flows[fid as usize];
-            let fl = self.live.get_mut(live);
-            let (new_bytes, nack) = fl
-                .recv
-                .on_data(data.seq, data.payload as u64, run.env.lossy);
-            flow.record.delivered = fl.recv.delivered;
-            run.obs.on_goodput(fid, now, new_bytes);
-            if !fl.recv.done && fl.recv.cum >= flow.spec.size {
-                fl.recv.done = true;
-                flow.record.finish = Some(now);
-                run.obs.on_flow_done(&flow.record, now);
-            }
-            (fl.recv.cum, nack)
-        };
-        // Detach the INT record (it rides the ACK back to the sender), then
-        // retire the data packet before allocating the ACK so the ACK reuses
-        // the same cache-hot slot.
-        let int = self.arena.take_int(pid);
-        self.arena.release(pid);
-        let prio = Self::ack_prio(&run.env.cfg, data.prio);
-        let ack = Packet::ack(&data, prio, cum_bytes, nack, int);
-        self.host_enqueue_control(run, node, ack, now);
-    }
-
-    /// Sender-side handling of an ACK or probe echo: the [`AckEvent`] is
-    /// read straight off the header (the words the module docs of
-    /// [`crate::packet`] list). Consumes the arena slot; the echoed INT box
-    /// (if any) returns to the arena's recycle stack after the transport
-    /// callback.
-    fn sender_ack(&mut self, run: &mut Run, node: NodeId, pid: PacketId, now: Time) {
-        let h = *self.arena.get(pid);
-        let fid = h.flow;
-        if !self.flows[fid as usize].active {
-            self.arena.release(pid);
-            return;
-        }
-        run.obs.on_flow_touched(fid);
-        let f = &self.flows[fid as usize];
-        let live = f.live;
-        let kind = match h.kind {
-            PktTag::Ack => AckKind::Data,
-            PktTag::ProbeAck => AckKind::Probe,
-            _ => unreachable!("sender_ack dispatched on a non-ack tag"),
-        };
-        // Retire the slot before the transport runs.
-        let int = self.arena.take_int(pid);
-        self.arena.release(pid);
-        // Normalize the measured delay to the data base RTT: probes have a
-        // smaller no-queue RTT, so shift by the difference; then apply
-        // measurement noise (additive, §4.3.2).
-        let raw = now - h.ts_tx;
-        let normalized = match kind {
-            AckKind::Data => raw,
-            AckKind::Probe => raw + f.params.base_rtt.saturating_sub(f.params.base_rtt_probe),
-        };
-        let noise = run.env.cfg.meas_noise.sample(&mut self.noise_rng);
-        let delay = normalized + noise;
-        let ack = AckEvent {
-            kind,
-            delay,
-            cum_bytes: h.seq,
-            acked_seq: h.ack_seq,
-            acked_bytes: h.payload as u32,
-            ecn_echo: h.ecn_ce,
-            nack: h.nack.then_some((h.seq, h.ack_seq)),
-            int,
-        };
-        {
-            let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
-            self.live.get_mut(live).transport.on_ack(&ack, &mut ctx);
-        }
-        // The transport only borrows the AckEvent, so the INT box comes
-        // back here — return it to the pool instead of freeing it.
-        if let Some(boxed) = ack.int {
-            self.arena.recycle_int(boxed);
-        }
-        let transport = &*self.live.get(live).transport;
-        run.obs.on_ack(fid, now, delay, transport);
-        if transport.is_finished() {
-            let f = &mut self.flows[fid as usize];
-            f.active = false;
-            let (src, prio) = (f.spec.src, f.spec.phys_prio);
-            if let Node::Host(h) = &mut self.nodes[src as usize] {
-                h.deactivate(prio, fid);
-            }
-            self.release_flow_state(run.env, fid);
-        }
-        self.host_poke(run, node, now);
-    }
-
-    /// Release a finished flow's live-state slab slot, copying the
-    /// transport's retransmit count into the record first. The
-    /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the audit
-    /// deep scan's flow-state sweep can prove it notices the leak.
-    fn release_flow_state(&mut self, env: &Env, fid: FlowId) {
-        if env.switch_cfg.buggify == Some(Buggify::FlowReclaimLeak) {
-            return;
-        }
-        let f = &mut self.flows[fid as usize];
-        if f.live == u32::MAX {
-            return;
-        }
-        let slot = f.live;
-        f.live = u32::MAX;
-        let fl = self.live.release(slot);
-        f.record.retransmits = fl.transport.retransmits();
-    }
-
-    /// Queue a locally generated control packet (ACK/probe echo) on the
-    /// host's NIC and kick transmission.
-    fn host_enqueue_control(&mut self, run: &mut Run, node: NodeId, pkt: Packet, now: Time) {
-        let pid = self.arena.alloc(pkt);
-        self.nodes[node as usize].ports_mut()[0].enqueue(pid, &self.arena);
-        self.host_poke(run, node, now);
-    }
-
-    /// The host NIC pull loop: if the NIC is idle, select the next packet
-    /// (queued control first, then strict-priority pull across flows) and
-    /// start transmitting it.
-    fn host_poke(&mut self, run: &mut Run, node: NodeId, now: Time) {
-        let Node::Host(h) = &mut self.nodes[node as usize] else {
-            panic!("host_poke on switch {node}")
-        };
-        // On a dead NIC link transports stay queued; LinkUp (or the next
-        // transport timer after recovery) re-pokes.
-        if h.port.down || h.port.busy {
-            return;
-        }
-        let mut min_retry = Time::MAX;
-        let mut selected: Option<PacketId> = None;
-        let mut finished: Vec<FlowId> = Vec::new();
-        let nq = h.port.queues.len();
-        'prio: for q in (0..nq).rev() {
-            // Queued packets (ACKs, probe echoes) first within priority.
-            // The control queue (index nq-1) is never PFC-paused.
-            let paused = q < nq - 1 && h.port.is_paused(q);
-            if !paused {
-                selected = h.port.pop_queue(q, &self.arena);
-                if selected.is_some() {
-                    break 'prio;
-                }
-            }
-            if q >= h.active.len() || paused {
-                continue;
-            }
-            // Pull from transports at this data priority, round-robin.
-            let len = h.active[q].flows.len();
-            let first_finished = finished.len();
-            // One lap from the round-robin cursor, wrapping by compare: a
-            // `%` here is a 64-bit divide per candidate flow.
-            let mut idx = h.active[q].rr;
-            for _ in 0..len {
-                if idx >= len {
-                    idx = 0;
-                }
-                let fid = h.active[q].flows[idx];
-                let f = &self.flows[fid as usize];
-                let fl = self.live.get_mut(f.live);
-                match fl.transport.try_send(now) {
-                    TrySend::Data { seq, bytes } => {
-                        let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
-                        fl.transport.on_sent(TrySend::Data { seq, bytes }, &mut ctx);
-                        let mut pkt = Packet::data(
-                            fid,
-                            node,
-                            f.spec.dst,
-                            f.spec.phys_prio,
-                            bytes,
-                            seq,
-                            now,
-                        );
-                        pkt.header.dscp = f.spec.virt_prio;
-                        run.obs.on_data_injected(fid, pkt.header.size as u64);
-                        h.active[q].rr = if idx + 1 == len { 0 } else { idx + 1 };
-                        selected = Some(self.arena.alloc(pkt));
-                        break;
-                    }
-                    TrySend::Probe => {
-                        let mut ctx = TransportCtx::new(&mut self.queue, now, fid);
-                        fl.transport.on_sent(TrySend::Probe, &mut ctx);
-                        self.counters.probes += 1;
-                        let pkt = Packet::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
-                        h.active[q].rr = if idx + 1 == len { 0 } else { idx + 1 };
-                        selected = Some(self.arena.alloc(pkt));
-                        break;
-                    }
-                    TrySend::NotBefore(t) => {
-                        min_retry = min_retry.min(t);
-                    }
-                    TrySend::Blocked => {}
-                    TrySend::Finished => finished.push(fid),
-                }
-                idx += 1;
-            }
-            for &fid in &finished[first_finished..] {
-                self.flows[fid as usize].active = false;
-                h.deactivate(q as u8, fid);
-            }
-            if selected.is_some() {
-                break 'prio;
-            }
-        }
-        if selected.is_none() && min_retry != Time::MAX {
-            let at = min_retry.max(now + Time::from_ps(1));
-            if at < h.next_poke {
-                h.next_poke = at;
-                self.queue.schedule(at, Event::HostPoke { node });
-            }
-        }
-        // `h` no longer borrows `self.nodes`; nothing above allocates a slab
-        // slot, so releasing here leaves the free list as if done in place.
-        for fid in finished {
-            self.release_flow_state(run.env, fid);
-        }
-        if let Some(pid) = selected {
-            self.transmit(node, 0, pid, Time::ZERO, now);
-        }
-    }
-
-    fn on_sample(&mut self, env: &Env, monitor: u32, now: Time) {
-        let m = &mut self.monitors[monitor as usize];
-        match m.kind {
-            MonitorKind::QueueBytes { node, port } => {
-                let bytes = self.nodes[node as usize].ports()[port as usize].queued_bytes;
-                m.record_gauge(now, bytes as f64);
-            }
-            MonitorKind::QueueBytesPrio { node, port, prio } => {
-                let port = &self.nodes[node as usize].ports()[port as usize];
-                m.record_gauge(now, port.queues[prio as usize].bytes as f64);
-            }
-            MonitorKind::PortThroughput { node, port } => {
-                let tx = self.nodes[node as usize].ports()[port as usize].tx_bytes;
-                m.record_tx(now, tx);
-            }
-            MonitorKind::SwitchBuffer { node } => {
-                let buffered = self.nodes[node as usize].as_switch().map_or(0, |s| s.total_buffered);
-                m.record_gauge(now, buffered as f64);
-            }
-        }
-        if now + m.period < env.cfg.end_time {
-            let period = m.period;
-            self.queue.schedule(now + period, Event::Sample { monitor });
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultSchedule;
-    use simcore::Rate;
+    use crate::packet::{IntHop, Packet};
+    use crate::transport_api::{AckEvent, AckKind, TransportCtx, TrySend};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1621,6 +953,41 @@ mod tests {
         add_flow_on_two_hosts(FlowSpec::new(0, 1, 0, Time::ZERO));
     }
 
+    /// [`Sim::flow_params`] for `spec` on the two-host fabric (hosts 0
+    /// and 1, switch 2): it refuses whatever `add_flow` refuses, with the
+    /// same message.
+    fn flow_params_on_two_hosts(spec: FlowSpec) -> FlowParams {
+        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
+        let sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+        sim.flow_params(&spec, 0)
+    }
+
+    /// Its base RTT would read 0.
+    #[test]
+    #[should_panic(expected = "FlowSpec.src = FlowSpec.dst = 1: a flow needs two different hosts")]
+    fn flow_params_of_a_host_to_itself_are_refused() {
+        flow_params_on_two_hosts(FlowSpec::new(1, 1, 1000, Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.size = 0: a flow must carry at least one byte")]
+    fn flow_params_of_an_empty_flow_are_refused() {
+        flow_params_on_two_hosts(FlowSpec::new(0, 1, 0, Time::ZERO));
+    }
+
+    /// No route leads from a host to a switch.
+    #[test]
+    #[should_panic(expected = "FlowSpec.dst = 2 is a switch, not a host")]
+    fn flow_params_to_a_switch_are_refused() {
+        flow_params_on_two_hosts(FlowSpec::new(0, 2, 1000, Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowSpec.src = 3 is out of range: the topology has 3 nodes")]
+    fn flow_params_from_a_nonexistent_node_are_refused() {
+        flow_params_on_two_hosts(FlowSpec::new(3, 1, 1000, Time::ZERO));
+    }
+
     /// Register `kind` at `period` on the two-host fabric (host 0, host
     /// 1, switch 2 with two ports) and run it for 10 µs.
     fn monitor_on_two_hosts(kind: MonitorKind, period: Time) {
@@ -1638,15 +1005,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "Monitor.period = 0: a monitor must sample at a positive period")]
     fn monitor_with_a_zero_period_is_refused() {
-        monitor_on_two_hosts(MonitorKind::SwitchBuffer { node: 2 }, Time::ZERO);
+        let kind = MonitorKind::QueueBytes { node: 2, port: 0 };
+        monitor_on_two_hosts(kind, Time::ZERO);
     }
 
     #[test]
     #[should_panic(
-        expected = "MonitorKind::SwitchBuffer.node = 3 is out of range: the topology has 3 nodes"
+        expected = "MonitorKind::QueueBytes.node = 3 is out of range: the topology has 3 nodes"
     )]
     fn monitor_of_a_nonexistent_node_is_refused() {
-        monitor_on_two_hosts(MonitorKind::SwitchBuffer { node: 3 }, Time::from_us(1));
+        let kind = MonitorKind::QueueBytes { node: 3, port: 0 };
+        monitor_on_two_hosts(kind, Time::from_us(1));
     }
 
     #[test]
@@ -1655,19 +1024,6 @@ mod tests {
     )]
     fn monitor_of_a_nonexistent_port_is_refused() {
         let kind = MonitorKind::PortThroughput { node: 2, port: 2 };
-        monitor_on_two_hosts(kind, Time::from_us(1));
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "MonitorKind::QueueBytesPrio.prio = 2 is out of range: port 0 of node 2 has 2 queues"
-    )]
-    fn monitor_of_a_nonexistent_queue_is_refused() {
-        let kind = MonitorKind::QueueBytesPrio {
-            node: 2,
-            port: 0,
-            prio: 2,
-        };
         monitor_on_two_hosts(kind, Time::from_us(1));
     }
 
@@ -1683,7 +1039,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Sim::add_monitor after the run has started")]
     fn add_monitor_after_start_is_refused() {
-        let kind = MonitorKind::SwitchBuffer { node: 2 };
+        let kind = MonitorKind::QueueBytes { node: 2, port: 0 };
         started_sim().add_monitor("late", kind, Time::from_us(1));
     }
 
@@ -1855,7 +1211,9 @@ mod tests {
         let mut sim = Sim::new(&topo, SimConfig::default(), lossy);
         let rec = Recorder::default();
         let spec = FlowSpec::new(snd, rcv, 1 << 20, Time::ZERO);
-        let fid = sim.add_flow(spec, |_| Box::new(rec.clone()));
+        let fid = sim.add_flow(spec.clone(), |_| Box::new(rec.clone()));
+        let p = sim.flow_params(&spec, fid);
+        let probe_shift = p.base_rtt.saturating_sub(p.base_rtt_probe);
         let Sim {
             env,
             state: st,
@@ -1890,8 +1248,6 @@ mod tests {
         // Then [2000, 3000), past a gap: the ACK NACKs [500, 2000).
         trip(Packet::data(fid, snd, rcv, 0, 1000, 2000, Time::ZERO), true, &[5, 6], 11, 20);
         trip(Packet::probe(fid, snd, rcv, 0, Time::ZERO), false, &[], 21, 30);
-        let p = &st.flows[fid as usize].params;
-        let probe_shift = p.base_rtt.saturating_sub(p.base_rtt_probe);
         let us = Time::from_us;
         assert_eq!(
             *rec.0.borrow(),

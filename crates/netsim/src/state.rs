@@ -7,8 +7,9 @@
 //! behind [`crate::Sim::state_digest`] (which then folds the observers'
 //! share: the flow traces, the completions awaiting an `App` and the FCT
 //! sketches). The digest's completeness fleet ([`StateTamper`],
-//! [`crate::Sim::snap_mutate`]) sits with it. The flow types sit here too, each with its own digest next
-//! to its fields.
+//! [`crate::Sim::snap_mutate`]) sits with it. The flow types sit here too,
+//! each with its own digest next to its fields. The event loop and the
+//! handlers are `impl State` blocks above: `sim.rs`, `fabric.rs`, `host.rs`.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +22,7 @@ use crate::node::{EgressPort, Node};
 use crate::packet::{NodeId, PacketArena};
 use crate::record::{FlowRecord, SimCounters};
 use crate::routing::RoutingTable;
-use crate::transport_api::{FlowParams, Transport};
+use crate::transport_api::Transport;
 
 /// Description of one flow to simulate.
 #[derive(Clone, Debug)]
@@ -118,29 +119,29 @@ impl RecvState {
     }
 }
 
-/// The permanent per-flow core: spec, derived parameters, and the outcome
-/// record. Intentionally O(total flows) — results need every record. The
+/// The permanent per-flow core: its record, which carries the spec too.
+/// Intentionally O(total flows) — results need every record. The
 /// heavyweight state (transport + reassembly) lives in the [`FlowSlab`]
 /// behind `live` and is reclaimed at completion.
 pub(crate) struct Flow {
-    pub(crate) spec: FlowSpec,
-    pub(crate) params: FlowParams,
     pub(crate) record: FlowRecord,
+    /// What a probe echo's delay is shifted by to read like a data ACK's:
+    /// `base_rtt − base_rtt_probe` ([`crate::FlowParams`]), at least 0.
+    pub(crate) probe_gap: Time,
     pub(crate) active: bool,
     /// Slab slot of the flow's live state; `u32::MAX` once reclaimed.
     pub(crate) live: u32,
 }
 
 impl Flow {
-    /// What events change of a flow's core. `spec`, `params` and the rest
-    /// of `record` are fixed at registration from the caller's spec and
+    /// What events change of a flow's core. `probe_gap` and the rest of
+    /// `record` are fixed at registration from the caller's spec and
     /// [`Env`]; `flows.len()` (folded by [`State::fold_digest`]) covers the
     /// registration itself.
     fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
         let Flow {
-            spec: _,
-            params: _,
             record,
+            probe_gap: _,
             active,
             live,
         } = self;
@@ -270,8 +271,6 @@ pub(crate) struct Env {
     pub(crate) cfg: SimConfig,
     pub(crate) switch_cfg: SwitchConfig,
     pub(crate) routes: RoutingTable,
-    /// PFC is off: switches tail-drop and receivers NACK.
-    pub(crate) lossy: bool,
 }
 
 /// Everything an event can change. [`State::fold_digest`] names every

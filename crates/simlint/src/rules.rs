@@ -138,24 +138,29 @@ impl Rule {
             Rule::WallClock => true,
             Rule::UnseededRng => true,
             Rule::LossyTimeCast => true,
-            // The hottest files named by the rule: scheduler, event
-            // handlers, and the flow slab they index on every ACK.
+            // The hottest files: scheduler, event loop and handlers, the
+            // switch model and the flow slab they index on every ACK.
             Rule::HotPathUnwrap => {
                 path == "crates/simcore/src/sched.rs"
                     || path == "crates/netsim/src/sim.rs"
+                    || path == "crates/netsim/src/fabric.rs"
+                    || path == "crates/netsim/src/host.rs"
+                    || path == "crates/netsim/src/node.rs"
                     || path == "crates/netsim/src/state.rs"
             }
             Rule::AllowWithoutReason => true,
             // The per-event files: scheduler sift, event loop (including
-            // the queue front-end and its FIFO lanes in event.rs) and
-            // switch model. A static file list only approximates "per
-            // event"; the zero-steady-state-allocation contract itself is
-            // enforced dynamically by the arena counters
-            // (`tests/e2e_arena.rs`).
+            // the queue front-end and its FIFO lanes in event.rs), the
+            // event handlers (fabric.rs, host.rs) and switch model. A
+            // static file list only approximates "per event"; the
+            // zero-steady-state-allocation contract itself is enforced
+            // dynamically by the arena counters (`tests/e2e_arena.rs`).
             Rule::HotPathAlloc => {
                 path == "crates/simcore/src/sched.rs"
                     || path == "crates/simcore/src/event.rs"
                     || path == "crates/netsim/src/sim.rs"
+                    || path == "crates/netsim/src/fabric.rs"
+                    || path == "crates/netsim/src/host.rs"
                     || path == "crates/netsim/src/state.rs"
                     || path == "crates/netsim/src/node.rs"
             }

@@ -152,14 +152,18 @@ fn r5_respects_allow_annotations() {
 #[test]
 fn r5_only_applies_to_named_hot_paths() {
     let src = include_str!("fixtures/r5_bad.rs");
-    assert!(lint_source("crates/netsim/src/node.rs", src).is_empty());
-    assert_eq!(
-        unallowed(
-            &lint_source("crates/simcore/src/sched.rs", src),
-            Rule::HotPathUnwrap
-        ),
-        2
-    );
+    assert!(lint_source("crates/netsim/src/packet.rs", src).is_empty());
+    assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
+    for hot in [
+        "crates/netsim/src/sim.rs",
+        "crates/netsim/src/fabric.rs",
+        "crates/netsim/src/host.rs",
+        "crates/netsim/src/node.rs",
+        "crates/netsim/src/state.rs",
+        "crates/simcore/src/sched.rs",
+    ] {
+        assert_eq!(unallowed(&lint_source(hot, src), Rule::HotPathUnwrap), 2);
+    }
 }
 
 // --- R7: hot-path-alloc --------------------------------------------------
@@ -187,6 +191,8 @@ fn r7_only_applies_to_per_event_files() {
     assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
     for hot in [
         "crates/netsim/src/sim.rs",
+        "crates/netsim/src/fabric.rs",
+        "crates/netsim/src/host.rs",
         "crates/netsim/src/state.rs",
         "crates/netsim/src/node.rs",
         "crates/simcore/src/sched.rs",

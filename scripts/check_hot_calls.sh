@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
 # Guard the event loop's callee list — no stopwatch.
 #
-# `State::advance` (crates/netsim/src/sim.rs) serves every event through
-# the queue's serve path: `EventQueue::{pop, pop_before}` and what they are
-# made of — the one serve step `serve`, `settle_head`, `scan_head` (finding
-# the next head) and `Lane::pop` (an event out of a FIFO lane).
+# `State::advance` (crates/netsim/src/sim.rs) dispatches every event to
+# the handlers, which are `impl State` blocks in crates/netsim/src/fabric.rs
+# (link layer, switch path, fault transitions, port monitors) and
+# crates/netsim/src/host.rs (host NIC and flow path). rustc files an
+# inherent method under its `Self` type's module, so they are compiled in
+# one codegen unit with `advance` and inlined into it whichever file holds
+# their source. It serves every event through the queue's serve path:
+# `EventQueue::{pop, pop_before}` and what they are made of — the one
+# serve step `serve`, `settle_head`, `scan_head` (finding the next head)
+# and `Lane::pop` (an event out of a FIFO lane).
 # (`head` stays listed: it named the remembered head's accessor, which is
 # now a field read.) Compiled as
 # calls instead of into the loop they cost 8–13 % of wall time on every
@@ -14,9 +20,10 @@
 # observers (`Observers::{on_event, on_flow_touched, on_data_delivered,
 # on_flow_done, on_switch_arrive, on_link_drop, completions_pending,
 # on_event_end}` in crates/netsim/src/observe.rs, plus `on_data_injected`
-# and `on_pfc_frame`, reached through `host_poke` and `emit_pfc`, and the
-# flow-trace hooks `on_ack` and `on_goodput`, reached through `sender_ack`
-# and `receiver_data`): each is one `Option` branch per member, and must
+# and `on_pfc_frame`, reached through `host_poke` (host.rs) and
+# `emit_pfc` (fabric.rs), and the flow-trace hooks `on_ack` and
+# `on_goodput`, reached through `sender_ack` and `receiver_data` in
+# host.rs): each is one `Option` branch per member, and must
 # stay that branch inside the loop rather than become a call that makes
 # it.
 #

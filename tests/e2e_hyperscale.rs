@@ -365,3 +365,74 @@ fn retransmit_counts_survive_reclamation() {
     assert!(retx > 0, "drops without retransmits recorded");
     assert_eq!(res.counters.flows_reclaimed, 8);
 }
+
+/// Reclaiming a finished flow's live state must not change the run. Blast
+/// senders (no congestion control) pour 16 flows into one host behind a
+/// 4 MB lossy buffer: the queue outgrows the retransmission timeout, so
+/// senders resend packets that are still queued, and the buffer also
+/// drops some. A resent copy that reaches the receiver after its flow has
+/// finished and been reclaimed takes the receiver's stale-duplicate path.
+/// [`Buggify::FlowReclaimLeak`] keeps every flow's live state, so the same
+/// copies take the live reassembly path instead; both must send the same
+/// ACK, so every record and counter of the run must match. Both runs are
+/// audited without panicking: the reclaimed one must be clean, and the
+/// kept one may report only the leak it plants.
+#[test]
+fn reclaiming_flow_state_does_not_change_the_run() {
+    let run = |buggify| {
+        let topo = Topology::single_switch(4, simcore::Rate::from_gbps(100), Time::from_us(1));
+        let (receiver, hosts) = (topo.hosts[0], topo.hosts.clone());
+        let cfg = SimConfig {
+            num_prios: 1,
+            end_time: Time::from_ms(50),
+            seed: 1,
+            ..Default::default()
+        };
+        let sw = SwitchConfig {
+            pfc_enabled: false,
+            buffer_bytes: 4_000_000,
+            buggify,
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&topo, cfg, sw);
+        sim.enable_audit_with(AuditConfig {
+            panic_on_violation: false,
+            ..Default::default()
+        });
+        for i in 0..16u64 {
+            let sender = hosts[1 + i as usize % 4];
+            let start = Time::from_us(3 * i);
+            let spec = FlowSpec::new(sender, receiver, 200_000, start);
+            sim.add_flow(spec, |p| CcSpec::Blast.make(p, start));
+        }
+        sim.run()
+    };
+    let (reclaimed, kept) = (run(None), run(Some(Buggify::FlowReclaimLeak)));
+    assert_eq!(reclaimed.counters.flows_reclaimed, 16);
+    assert_eq!(kept.counters.flows_reclaimed, 0, "buggify must keep every flow's state");
+    let clean = reclaimed.audit.as_ref().expect("audit enabled");
+    assert_eq!(clean.total_violations, 0, "{:?}", clean.violations);
+    let leaks = &kept.audit.as_ref().expect("audit enabled").violations;
+    assert!(leaks.iter().all(|v| v.kind == ViolationKind::FlowStateLeak), "{leaks:?}");
+    let (a, b) = (&reclaimed.counters, &kept.counters);
+    assert!(a.drops > 0, "scenario must actually drop");
+    for (what, x, y) in [
+        ("events", a.events, b.events),
+        ("data_delivered", a.data_delivered, b.data_delivered),
+        ("drops", a.drops, b.drops),
+        ("pfc_pauses", a.pfc_pauses, b.pfc_pauses),
+        ("ecn_marks", a.ecn_marks, b.ecn_marks),
+    ] {
+        assert_eq!(x, y, "{what}");
+    }
+    assert_eq!(reclaimed.records.len(), kept.records.len());
+    for (x, y) in reclaimed.records.iter().zip(&kept.records) {
+        let f = x.flow;
+        assert!(x.finish.is_some(), "flow {f} finished");
+        assert_eq!(x.finish, y.finish, "flow {f} finish");
+        assert_eq!(x.delivered, y.delivered, "flow {f} delivered");
+        assert_eq!(x.retransmits, y.retransmits, "flow {f} retransmits");
+    }
+    let retransmits: u64 = reclaimed.records.iter().map(|r| r.retransmits).sum();
+    assert!(retransmits > a.drops, "resends beyond the drops: queued packets timed out");
+}
