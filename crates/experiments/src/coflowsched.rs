@@ -4,11 +4,13 @@
 //! (smaller → higher priority). The metric is the per-coflow CCT *speedup
 //! ratio* against the scenario baseline (Swift, single queue, no
 //! priorities).
+//!
+//! `leaf_spine` builds the fabric; [`crate::mltrain`] runs on it too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{FlowSpec, NodeId, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::stats::Summary;
 use simcore::{Rate, Time};
 use workloads::{Coflow, CoflowGen, SizeClassifier};
@@ -176,8 +178,25 @@ pub fn tail_speedup(
     Some(p99(baseline)? / p99(result)?)
 }
 
-/// Run the scenario.
-pub fn run(cfg: &CoflowConfig) -> CoflowResult {
+/// The configs of `cfg`'s run ending at `end_time`: its scheme's recipe on
+/// switches that share the paper's 32 MB (no buffer effects) and reserve
+/// 100 KB of PFC headroom per (port, lossless queue); PFC on if lossless.
+pub(crate) fn configs(cfg: &CoflowConfig, end_time: Time) -> (SimConfig, SwitchConfig) {
+    let sim_cfg = SimConfig {
+        end_time,
+        seed: cfg.seed,
+        meas_noise: NoiseModel::testbed(),
+        ..cfg.scheme.sim_config(cfg.classes)
+    };
+    let sw_cfg = SwitchConfig {
+        pfc_enabled: cfg.lossless,
+        ..cfg.scheme.switch_config(cfg.classes, 32 * 1024 * 1024, 100_000)
+    };
+    (sim_cfg, sw_cfg)
+}
+
+/// The leaf–spine of `cfg`, built with its [`configs`], and its hosts.
+pub(crate) fn leaf_spine(cfg: &CoflowConfig, end_time: Time) -> (Sim, Vec<NodeId>) {
     let topo = Topology::leaf_spine(
         cfg.leaves,
         cfg.spines,
@@ -186,7 +205,13 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
         cfg.fabric_rate,
         Time::from_us(1),
     );
-    let hosts = topo.hosts.clone();
+    let (sim_cfg, sw_cfg) = configs(cfg, end_time);
+    (Sim::new(&topo, sim_cfg, sw_cfg), topo.hosts)
+}
+
+/// Run the scenario.
+pub fn run(cfg: &CoflowConfig) -> CoflowResult {
+    let (mut sim, hosts) = leaf_spine(cfg, cfg.duration + cfg.duration);
     let n_hosts = hosts.len();
 
     // Workload: coflows at load/2 + file requests at load/2 (1:1, §6.2).
@@ -216,28 +241,6 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
         }
     }
     let classifier = SizeClassifier::from_bounds(bounds);
-
-    let nq = cfg.scheme.phys_queues(cfg.classes);
-    let sim_cfg = SimConfig {
-        num_prios: nq,
-        end_time: cfg.duration + cfg.duration,
-        seed: cfg.seed,
-        meas_noise: NoiseModel::testbed(),
-        ..Default::default()
-    };
-    // Paper: 32 MB shared buffer in this scenario to avoid buffer effects.
-    let sw_cfg = SwitchConfig {
-        buffer_bytes: 32 * 1024 * 1024,
-        pfc_enabled: cfg.lossless,
-        pfc_lossless_prios: if cfg.scheme == Scheme::PhysicalSwift {
-            nq
-        } else {
-            0
-        },
-        int_enabled: cfg.scheme == Scheme::PhysicalStarHpcc,
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
 
     // CCT-sensitive in every class: no probe-before-start (§4.4).
     let cc = cfg.scheme.cc(cfg.classes, false, 2.0);
@@ -298,12 +301,6 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
     }
 }
 
-/// Run many independent configs across `jobs` threads; results are returned
-/// in input order, identical to calling [`run`] on each config serially.
-pub fn run_many(cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResult> {
-    crate::sweep::run_ordered(cfgs, jobs, &run)
-}
-
 /// Finished runs keyed by their whole config (`PartialEq`, no hash: a field
 /// added to [`CoflowConfig`] joins the key by itself).
 type Runs = Mutex<Vec<(CoflowConfig, CoflowResult)>>;
@@ -313,8 +310,8 @@ type Runs = Mutex<Vec<(CoflowConfig, CoflowResult)>>;
 /// each once. Nothing outlives the process.
 static RUNS: Runs = Mutex::new(Vec::new());
 
-/// [`run_many`] through `runs`: a config it holds is not simulated again,
-/// the others run as one sweep over `jobs` threads and join it. The lock
+/// [`run`] through `runs`: a config it holds is not simulated again, the
+/// others run as one sweep over `jobs` threads and join it. The lock
 /// is not held while simulating.
 fn run_shared(runs: &Runs, cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResult> {
     fn held<'a>(
@@ -332,7 +329,7 @@ fn run_shared(runs: &Runs, cfgs: &[CoflowConfig], jobs: usize) -> Vec<CoflowResu
             }
         }
     }
-    let fresh = run_many(&misses, jobs);
+    let fresh = crate::sweep::run_ordered(&misses, jobs, &run);
     let mut runs = runs.lock().expect("coflow runs poisoned");
     for (cfg, r) in misses.into_iter().zip(fresh) {
         // A concurrent caller may have stored the same config meanwhile.
@@ -390,7 +387,7 @@ pub fn speedup_cell(v: Option<f64>) -> String {
 ///
 /// A config this process has already run through `vs_baseline` is not
 /// simulated again: its stored result is used, which is the result [`run`]
-/// would return. [`run`] and [`run_many`] themselves store nothing.
+/// would return. [`run`] itself stores nothing.
 pub fn vs_baseline(templates: &[CoflowConfig], schemes: &[Scheme], jobs: usize) -> Vec<Comparison> {
     vs_baseline_in(&RUNS, templates, schemes, jobs)
 }
@@ -502,7 +499,7 @@ mod tests {
             with(&lossy, BaselineSwift),
             with(&lossy, PrioPlusSwift),
         ];
-        let fresh: Vec<_> = run_many(&distinct, 1).iter().map(bits).collect();
+        let fresh: Vec<_> = distinct.iter().map(|cfg| bits(&run(cfg))).collect();
         assert!(
             fresh
                 .iter()

@@ -7,7 +7,7 @@
 //! 4.4 MB/Tbps (Tomahawk4). `--full` runs k = 6 at the paper's duration.
 //! Runs fan out across threads (`--jobs N`); output is identical to serial.
 
-use crate::flowsched::{run_many, FlowSchedConfig, FlowSchedResult};
+use crate::flowsched::{self, FlowSchedConfig, FlowSchedResult};
 use crate::report::opt3;
 use crate::{Scale, Scheme, Table};
 
@@ -34,7 +34,7 @@ pub(crate) fn fig11(scale: Scale, jobs: usize) -> Vec<Table> {
             cfgs.push(cfg);
         }
     }
-    let results = run_many(&cfgs, jobs);
+    let results = crate::sweep::run_ordered(&cfgs, jobs, &flowsched::run);
     let mut results = results.iter();
 
     let mut columns = vec!["prios"];

@@ -69,7 +69,7 @@ pub(crate) fn fig12c(scale: Scale, jobs: usize) -> Vec<Table> {
     for (scheme, r) in schemes.into_iter().zip(outs) {
         let speed = |fam: &str| {
             let b = base.iterations(fam).max(1) as f64;
-            format!("{:.2}x", r.iterations(fam) as f64 / b)
+            speedup_cell(Some(r.iterations(fam) as f64 / b))
         };
         t.row(vec![
             scheme.label().into(),

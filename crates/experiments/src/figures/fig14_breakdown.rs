@@ -7,12 +7,12 @@
 //! (§6.3), probe-before-start costs little, and PrioPlus stays within
 //! ~21 % of ideal physical priorities everywhere.
 
-use crate::flowsched::{bucket_of, fabric_at};
+use crate::flowsched::{bucket_of, fat_tree, FlowSchedConfig};
 use crate::report::opt3;
 use crate::{Scale, Scheme, Table};
-use netsim::{FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::FlowSpec;
 use simcore::stats::Summary;
-use simcore::{Rate, Time};
+use simcore::Time;
 use workloads::{PoissonArrivals, SizeDist};
 
 const CLASSES: u8 = 12;
@@ -24,25 +24,11 @@ struct Out {
 }
 
 fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
-    let (k, duration) = fabric_at(scale);
-    let rate = Rate::from_gbps(100);
-    let topo = Topology::fat_tree(k, rate, Time::from_us(1));
-    let hosts = topo.hosts.clone();
-    let sim_cfg = SimConfig {
-        num_prios: scheme.phys_queues(CLASSES),
-        end_time: duration + duration,
+    let cfg = FlowSchedConfig {
         seed: 77,
-        meas_noise: NoiseModel::testbed(),
-        ..Default::default()
+        ..FlowSchedConfig::at(scheme, CLASSES, scale)
     };
-    let sw_cfg = SwitchConfig {
-        // simlint::allow(lossy-time-cast, buffer sizing heuristic in bytes; value is far below u64::MAX and truncation is intended)
-        buffer_bytes: (4.4e6 * k as f64 * rate.as_gbps_f64() / 1000.0) as u64,
-        pfc_lossless_prios: 0, // Physical* (ideal) comparison baseline
-        int_enabled: false,
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
+    let (mut sim, hosts) = fat_tree(&cfg);
 
     // Each priority carries a full WebSearch workload at 50%/12 load.
     let mut meta = Vec::new();
@@ -50,12 +36,12 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
         let mut arr = PoissonArrivals::new(
             SizeDist::websearch(),
             hosts.len(),
-            rate,
+            cfg.rate,
             0.5 / CLASSES as f64,
             Time::ZERO,
             1000 + prio as u64,
         );
-        for a in arr.generate_until(duration) {
+        for a in arr.generate_until(cfg.duration) {
             // Probe-before-start stays on; D2TCP deadlines run from 12 ideal
             // FCTs at the lowest priority down to 1.5 at the highest.
             let deadline = 1.5 + (12.0 - 1.5) * (CLASSES - 1 - prio) as f64 / (CLASSES - 1) as f64;

@@ -4,7 +4,7 @@
 //! Expected: PrioPlus* within ~10 % of PrioPlus; both beat HPCC (≥15 % on
 //! average FCT); HPCC protects small flows at the cost of medium/large.
 
-use crate::flowsched::{run_many, FlowSchedConfig};
+use crate::flowsched::{self, FlowSchedConfig};
 use crate::report::opt3;
 use crate::{Scale, Scheme, Table};
 
@@ -28,7 +28,7 @@ pub(crate) fn fig16(scale: Scale, jobs: usize) -> Vec<Table> {
             cfg
         })
         .collect();
-    let results = run_many(&cfgs, jobs);
+    let results = crate::sweep::run_ordered(&cfgs, jobs, &flowsched::run);
     for (scheme, r) in schemes.into_iter().zip(results) {
         let mut cells = vec![scheme.label().to_string()];
         cells.extend(r.mean_fct_us_by_bucket().map(opt3));

@@ -10,7 +10,7 @@
 //! Also reports the memory-scaling counters: peak live flows vs total flow
 //! lifetimes, and the peak resident budget (flow slab + packet arena).
 
-use crate::hyperscale::{run_many, HyperScheme, HyperTopo, HyperscaleConfig};
+use crate::hyperscale::{self, HyperScheme, HyperTopo, HyperscaleConfig};
 use crate::report::f3;
 use crate::{Scale, Table};
 use netsim::ThreeTierWanSpec;
@@ -44,7 +44,7 @@ pub(crate) fn fig_hyperscale(scale: Scale, jobs: usize) -> Vec<Table> {
             });
         }
     }
-    let results = run_many(&cfgs, jobs);
+    let results = crate::sweep::run_ordered(&cfgs, jobs, &hyperscale::run);
     let mut t = Table::new(
         "fig_hyperscale",
         "Hyperscale: PrioPlus vs DCTCP, single physical queue, open-loop WebSearch + incast",

@@ -1,8 +1,10 @@
-//! The generic flow-scheduling scenario (Fig 11, 14, 16): WebSearch traffic
-//! on a fat-tree, flows classified by size into priority groups (smaller →
+//! The generic flow-scheduling scenario (Fig 11, 16): WebSearch traffic on a
+//! fat-tree, flows classified by size into priority groups (smaller →
 //! higher priority), compared across queueing/CC schemes.
+//!
+//! `fat_tree` builds the fabric; Fig 14 adds its own arrivals to it.
 
-use netsim::{AckPriority, FlowSpec, NoiseModel, SchedKind, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{FlowSpec, NodeId, NoiseModel, SchedKind, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::stats::Summary;
 use simcore::{Rate, Time};
 use transport::CcSpec;
@@ -155,30 +157,27 @@ pub fn bucket_of(size: u64) -> &'static str {
     }
 }
 
-/// Build the switch configuration for a scheme.
-fn switch_config(cfg: &FlowSchedConfig, ports_per_switch: usize) -> SwitchConfig {
-    let port_tbps = ports_per_switch as f64 * cfg.rate.as_gbps_f64() / 1000.0;
-    let buffer = (cfg.buffer_mb_per_tbps * port_tbps * 1e6) as u64;
-    let mut sw = SwitchConfig {
-        buffer_bytes: buffer,
-        ..Default::default()
+/// The configs of `cfg`'s run: its scheme's recipe on switches that share
+/// `cfg.buffer_mb_per_tbps` of their port bandwidth and reserve 50 KB of PFC
+/// headroom per (port, lossless queue).
+pub(crate) fn configs(cfg: &FlowSchedConfig) -> (SimConfig, SwitchConfig) {
+    let sim_cfg = SimConfig {
+        end_time: cfg.duration + cfg.duration,
+        seed: cfg.seed,
+        meas_noise: cfg.noise,
+        ..cfg.scheme.sim_config(cfg.classes)
     };
-    match cfg.scheme {
-        Scheme::PhysicalSwift => {
-            // Real PFC headroom cost: one headroom chunk per (port,
-            // lossless priority).
-            sw.pfc_lossless_prios = cfg.scheme.phys_queues(cfg.classes);
-            sw.pfc_headroom_bytes = 50_000;
-        }
-        _ => {
-            // Ideal physical priorities / single queue: headroom-free.
-            sw.pfc_lossless_prios = 0;
-        }
-    }
-    if cfg.scheme == Scheme::PhysicalStarHpcc {
-        sw.int_enabled = true;
-    }
-    sw
+    // Every switch in a k-ary fat-tree has k ports.
+    let port_tbps = cfg.k as f64 * cfg.rate.as_gbps_f64() / 1000.0;
+    let buffer = (cfg.buffer_mb_per_tbps * port_tbps * 1e6) as u64;
+    (sim_cfg, cfg.scheme.switch_config(cfg.classes, buffer, 50_000))
+}
+
+/// The k-ary fat-tree of `cfg`, built with its [`configs`], and its hosts.
+pub(crate) fn fat_tree(cfg: &FlowSchedConfig) -> (Sim, Vec<NodeId>) {
+    let topo = Topology::fat_tree(cfg.k, cfg.rate, Time::from_us(1));
+    let (sim_cfg, sw_cfg) = configs(cfg);
+    (Sim::new(&topo, sim_cfg, sw_cfg), topo.hosts)
 }
 
 /// Per-flow transport spec for a scheme: every class is FCT-sensitive, so
@@ -196,23 +195,7 @@ fn cc_for(cfg: &FlowSchedConfig, class: u8) -> CcSpec {
 
 /// Run the scenario.
 pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
-    let topo = Topology::fat_tree(cfg.k, cfg.rate, Time::from_us(1));
-    let hosts = topo.hosts.clone();
-    let sim_cfg = SimConfig {
-        num_prios: cfg.scheme.phys_queues(cfg.classes),
-        end_time: cfg.duration + cfg.duration,
-        seed: cfg.seed,
-        meas_noise: cfg.noise,
-        ack_prio: if cfg.scheme == Scheme::PrioPlusSwiftAckData {
-            AckPriority::SameAsData
-        } else {
-            AckPriority::Control
-        },
-        ..Default::default()
-    };
-    // Every switch in a k-ary fat-tree has k ports.
-    let sw_cfg = switch_config(cfg, cfg.k);
-    let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
+    let (mut sim, hosts) = fat_tree(cfg);
 
     let dist = SizeDist::websearch();
     let classifier = SizeClassifier::from_dist(&dist, cfg.classes);
@@ -260,12 +243,6 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
         events: result.counters.events,
         flows,
     }
-}
-
-/// Run many independent configs across `jobs` threads; results are returned
-/// in input order, identical to calling [`run`] on each config serially.
-pub fn run_many(cfgs: &[FlowSchedConfig], jobs: usize) -> Vec<FlowSchedResult> {
-    crate::sweep::run_ordered(cfgs, jobs, &run)
 }
 
 #[cfg(test)]

@@ -318,8 +318,3 @@ fn summarize(result: &netsim::SimResult) -> HyperscaleResult {
         streaming_fingerprint: st.fingerprint(),
     }
 }
-
-/// Run many configs across threads (input-order results).
-pub fn run_many(cfgs: &[HyperscaleConfig], jobs: usize) -> Vec<HyperscaleResult> {
-    crate::sweep::run_ordered(cfgs, jobs, &run)
-}

@@ -4,15 +4,17 @@
 //! model's traffic its own priority interleaves communication phases; the
 //! metric is training speed (iterations completed in a fixed period)
 //! relative to the no-priority Swift baseline.
-
-use std::collections::HashMap;
+//!
+//! The fabric is [`crate::coflowsched`]'s leaf–spine in this scenario's
+//! shape.
 
 use netsim::sim::App;
-use netsim::{FlowId, FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{FlowId, FlowSpec, NodeId, Sim};
 use simcore::{Rate, Time};
 use transport::CcSpec;
 use workloads::RingJob;
 
+use crate::coflowsched::{self, CoflowConfig};
 use crate::Scheme;
 
 /// ML-training scenario parameters.
@@ -84,57 +86,49 @@ impl MlResult {
     }
 }
 
-struct JobState {
-    job: RingJob,
-    pending: usize,
-    iterations: u64,
-}
+/// Priority classes: one per job.
+const CLASSES: u8 = 8;
 
-/// Closed-loop driver: when a communication phase completes, count an
-/// iteration and schedule the next phase after the compute time.
+/// Closed-loop driver: when a job's communication phase completes, schedule
+/// its next phase after the compute time. A flow's tag is its job's index.
 struct AllReduceApp {
-    jobs: Vec<JobState>,
-    flow_to_job: HashMap<FlowId, usize>,
+    jobs: Vec<RingJob>,
+    /// Flows of each job's current phase still running.
+    pending: Vec<usize>,
     cc: CcSpec,
-    single_queue: bool,
+    scheme: Scheme,
     horizon: Time,
-    hosts: Vec<u32>,
+    hosts: Vec<NodeId>,
 }
 
 impl AllReduceApp {
     fn launch_phase(&mut self, j: usize, start: Time, sim: &mut Sim) {
-        let bytes = self.jobs[j].job.bytes_per_worker();
-        let pairs = self.jobs[j].job.ring_pairs();
-        let prio = self.jobs[j].job.prio;
-        self.jobs[j].pending = pairs.len();
+        let job = &self.jobs[j];
+        let bytes = job.bytes_per_worker();
+        let pairs = job.ring_pairs();
+        self.pending[j] = pairs.len();
         for (src, dst) in pairs {
             let spec = FlowSpec {
                 src: self.hosts[src],
                 dst: self.hosts[dst],
                 size: bytes.max(1),
                 start,
-                phys_prio: if self.single_queue { 0 } else { prio },
-                virt_prio: prio,
+                phys_prio: self.scheme.phys_prio(job.prio, CLASSES),
+                virt_prio: job.prio,
                 tag: j as u64,
             };
             let cc = self.cc;
-            let id = sim.add_flow(spec, |p| cc.make(p, start));
-            self.flow_to_job.insert(id, j);
+            sim.add_flow(spec, |p| cc.make(p, start));
         }
     }
 }
 
 impl App for AllReduceApp {
     fn on_flow_complete(&mut self, flow: FlowId, sim: &mut Sim) {
-        let Some(&j) = self.flow_to_job.get(&flow) else {
-            return;
-        };
-        self.flow_to_job.remove(&flow);
-        let state = &mut self.jobs[j];
-        state.pending -= 1;
-        if state.pending == 0 {
-            state.iterations += 1;
-            let next = sim.now() + state.job.compute;
+        let j = sim.record(flow).tag as usize;
+        self.pending[j] -= 1;
+        if self.pending[j] == 0 {
+            let next = sim.now() + self.jobs[j].compute;
             if next < self.horizon {
                 self.launch_phase(j, next, sim);
             }
@@ -145,18 +139,18 @@ impl App for AllReduceApp {
 /// Run the scenario: 4 ResNet jobs on the four highest priorities, 4 VGG
 /// jobs on the four lowest (§6.2).
 pub fn run(cfg: &MlConfig) -> MlResult {
-    let topo = Topology::leaf_spine(
-        cfg.leaves,
-        cfg.spines,
-        cfg.hosts_per_leaf,
-        cfg.host_rate,
-        cfg.fabric_rate,
-        Time::from_us(1),
-    );
-    let hosts = topo.hosts.clone();
-    let n_hosts = hosts.len();
-    let classes = 8u8;
-    let workers_per_job = n_hosts / 8;
+    let fabric = CoflowConfig {
+        leaves: cfg.leaves,
+        spines: cfg.spines,
+        hosts_per_leaf: cfg.hosts_per_leaf,
+        host_rate: cfg.host_rate,
+        fabric_rate: cfg.fabric_rate,
+        classes: CLASSES,
+        seed: cfg.seed,
+        ..CoflowConfig::new(cfg.scheme, 0.0)
+    };
+    let (mut sim, hosts) = coflowsched::leaf_spine(&fabric, cfg.duration);
+    let workers_per_job = hosts.len() / 8;
     assert!(workers_per_job >= 2, "need ≥2 workers per job");
 
     // Spread each job's workers across leaves (stride assignment) so rings
@@ -183,70 +177,38 @@ pub fn run(cfg: &MlConfig) -> MlResult {
         jobs.push(job);
     }
 
-    let single_queue = cfg.scheme.single_queue();
-    let nq = if single_queue { 1 } else { classes };
-    let sim_cfg = SimConfig {
-        num_prios: nq,
-        end_time: cfg.duration,
-        seed: cfg.seed,
-        meas_noise: NoiseModel::testbed(),
-        ..Default::default()
-    };
-    let sw_cfg = SwitchConfig {
-        buffer_bytes: 32 * 1024 * 1024,
-        pfc_lossless_prios: if cfg.scheme == Scheme::PhysicalSwift {
-            nq
-        } else {
-            0
-        },
-        int_enabled: cfg.scheme == Scheme::PhysicalStarHpcc,
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&topo, sim_cfg, sw_cfg);
-
     let mut app = AllReduceApp {
-        jobs: jobs
-            .into_iter()
-            .map(|job| JobState {
-                job,
-                pending: 0,
-                iterations: 0,
-            })
-            .collect(),
-        flow_to_job: HashMap::new(),
-        cc: cfg.scheme.cc(classes, true, 2.0),
-        single_queue,
+        jobs: jobs.clone(),
+        pending: vec![0; jobs.len()],
+        cc: cfg.scheme.cc(CLASSES, true, 2.0),
+        scheme: cfg.scheme,
         horizon: cfg.duration,
         hosts,
     };
-    for j in 0..app.jobs.len() {
+    for j in 0..jobs.len() {
         app.launch_phase(j, Time::ZERO, &mut sim);
     }
-    // Move the app into the sim; retrieve job stats via a channel-free trick:
-    // the app is owned by the sim, so collect stats through a shared cell.
-    struct Shared(std::rc::Rc<std::cell::RefCell<AllReduceApp>>);
-    impl App for Shared {
-        fn on_flow_complete(&mut self, flow: FlowId, sim: &mut Sim) {
-            self.0.borrow_mut().on_flow_complete(flow, sim);
-        }
-    }
-    let shared = std::rc::Rc::new(std::cell::RefCell::new(app));
-    sim.set_app(Box::new(Shared(shared.clone())));
-    let _ = sim.run();
+    sim.set_app(Box::new(app));
+    let result = sim.run();
 
-    let app = shared.borrow();
+    // A phase starts once the last one finished: iterations are a job's
+    // finished flows over the flows of one phase.
+    let mut done = vec![0u64; jobs.len()];
+    for r in result.records.iter().filter(|r| r.finish.is_some()) {
+        done[r.tag as usize] += 1;
+    }
     MlResult {
-        jobs: app
-            .jobs
-            .iter()
-            .map(|s| JobOut {
-                name: s.job.name.clone(),
-                family: if s.job.name.starts_with("resnet") {
+        jobs: jobs
+            .into_iter()
+            .zip(done)
+            .map(|(job, done)| JobOut {
+                family: if job.name.starts_with("resnet") {
                     "resnet".into()
                 } else {
                     "vgg".into()
                 },
-                iterations: s.iterations,
+                iterations: done / job.workers.len() as u64,
+                name: job.name,
             })
             .collect(),
     }

@@ -3,8 +3,11 @@
 # repeated-run protocol of CoCo-Beholder, PAPERS.md): pair i runs A then B
 # when i is odd and B then A when it is even, so a slow minute on a shared
 # host lands on both sides. Each run is a new process with the same REPRO
-# ARGS; the two stdouts of every pair must be byte-identical (`cmp`), or the
-# script stops with exit 1 — a speedup that changes the output is not one.
+# ARGS and writes its JSON tables to a fresh REPRO_JSON_DIR of its own under
+# the script's temporary directory (the caller's REPRO_JSON_DIR is not
+# used). In every pair the two stdouts must be byte-identical (`cmp`) and the
+# two JSON trees identical (`diff -r`), or the script stops with exit 1 — a
+# speedup that changes the output is not one.
 #
 # Prints one line per pair (wall and user+sys seconds of each side) and then,
 # per side, the median and q1–q3 of wall and of user+sys time, the change of
@@ -46,11 +49,13 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 # One run: `one SIDE BINARY ARGS...` leaves the run's stdout in $TMP/SIDE.out
-# and prints `wall user+sys`.
+# and its JSON tables in $TMP/SIDE.json/, and prints `wall user+sys`.
 one() {
   local side=$1 bin=$2 TIMEFORMAT='%R %U %S'
   shift 2
-  if ! { time "$bin" "$@" > "$TMP/$side.out" 2> "$TMP/$side.err"; } 2> "$TMP/$side.time"; then
+  rm -rf "$TMP/$side.json"
+  mkdir "$TMP/$side.json"
+  if ! { time REPRO_JSON_DIR="$TMP/$side.json" "$bin" "$@" > "$TMP/$side.out" 2> "$TMP/$side.err"; } 2> "$TMP/$side.time"; then
     echo "ab_repro: $bin $* failed:" >&2
     tail -5 "$TMP/$side.err" >&2
     return 1
@@ -73,6 +78,11 @@ for ((i = 1; i <= PAIRS; i++)); do
     cmp "$TMP/A.out" "$TMP/B.out" >&2 || true
     exit 1
   fi
+  if ! diff -r "$TMP/A.json" "$TMP/B.json" > "$TMP/json.diff"; then
+    echo "ab_repro: pair $i: the two JSON trees differ" >&2
+    head -20 "$TMP/json.diff" >&2
+    exit 1
+  fi
   echo "$i $a $b" | tee -a "$TMP/pairs" |
     awk '{ printf "%4d  %6.2f  %6.2f   %6.2f  %6.2f\n", $1, $2, $3, $4, $5 }'
 done
@@ -92,4 +102,4 @@ for col in 2:4:wall 3:5:cpu; do
     awk '{ printf "%-4s  A %.3f [%.3f-%.3f]  B %.3f [%.3f-%.3f]  %+.1f %%  B won %d/%d\n",
                   $1, $2, $3, $4, $5, $6, $7, ($2 > 0 ? 100 * ($5 - $2) / $2 : 0), $8, $9 }'
 done
-echo "stdout identical in all $PAIRS pairs"
+echo "stdout and JSON tables identical in all $PAIRS pairs"

@@ -5,8 +5,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use experiments::flowsched::{run, run_many, FlowSchedConfig, FlowSchedResult};
+use experiments::flowsched::{self, FlowSchedConfig, FlowSchedResult};
 use experiments::micro::{Micro, MicroEnv};
+use experiments::sweep::run_ordered;
 use experiments::Scheme;
 use netsim::{AckEvent, AckKind, NoiseModel, Transport, TransportCtx, TrySend};
 use simcore::Time;
@@ -60,12 +61,12 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     .collect();
 
     // Reference: plain serial calls, no sweep machinery at all.
-    let serial: Vec<FlowSchedResult> = cfgs.iter().map(run).collect();
+    let serial: Vec<FlowSchedResult> = cfgs.iter().map(flowsched::run).collect();
     // Inline path (jobs <= 1 never spawns threads).
-    let inline = run_many(&cfgs, 1);
+    let inline = run_ordered(&cfgs, 1, &flowsched::run);
     // Threaded path with more workers than configs, forcing every config
     // onto its own worker plus idle workers racing the shared index.
-    let threaded = run_many(&cfgs, 4);
+    let threaded = run_ordered(&cfgs, 4, &flowsched::run);
 
     assert_eq!(serial.len(), inline.len());
     assert_eq!(serial.len(), threaded.len());
@@ -78,8 +79,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 #[test]
 fn repeated_parallel_runs_agree_with_each_other() {
     let cfgs = vec![quick_cfg(Scheme::PrioPlusSwift, 7); 3];
-    let a = run_many(&cfgs, 4);
-    let b = run_many(&cfgs, 4);
+    let a = run_ordered(&cfgs, 4, &flowsched::run);
+    let b = run_ordered(&cfgs, 4, &flowsched::run);
     for (i, (ra, rb)) in a.iter().zip(&b).enumerate() {
         assert_identical(ra, rb, &format!("rerun cfg {i}"));
         // Identical configs must also yield identical results across slots.
