@@ -5,12 +5,15 @@
 //! ratio* against the scenario baseline (Swift, single queue, no
 //! priorities).
 //!
+//! A run is [`prepare`] (coflows generated, classed and registered) →
+//! [`Sim::run`] → [`assemble`] (the per-coflow fold, which needs the
+//! [`CoflowPlan`] beside the result); [`run`] composes them.
 //! `leaf_spine` builds the fabric; [`crate::mltrain`] runs on it too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use netsim::{FlowSpec, NodeId, NoiseModel, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{FlowSpec, NodeId, NoiseModel, Sim, SimConfig, SimResult, SwitchConfig, Topology};
 use simcore::stats::Summary;
 use simcore::{Rate, Time};
 use workloads::{Coflow, CoflowGen, SizeClassifier};
@@ -209,8 +212,13 @@ pub(crate) fn leaf_spine(cfg: &CoflowConfig, end_time: Time) -> (Sim, Vec<NodeId
     (Sim::new(&topo, sim_cfg, sw_cfg), topo.hosts)
 }
 
-/// Run the scenario.
-pub fn run(cfg: &CoflowConfig) -> CoflowResult {
+/// What [`assemble`] needs beyond the [`SimResult`]: each coflow's id,
+/// class and start, in start order. A CCT runs from the coflow's start.
+pub struct CoflowPlan(Vec<(u64, u8, Time)>);
+
+/// The leaf–spine of `cfg` with its coflows and file requests registered,
+/// one flow per member tagged with its coflow's id, and their plan.
+pub fn prepare(cfg: &CoflowConfig) -> (Sim, CoflowPlan) {
     let (mut sim, hosts) = leaf_spine(cfg, cfg.duration + cfg.duration);
     let n_hosts = hosts.len();
 
@@ -244,7 +252,7 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
 
     // CCT-sensitive in every class: no probe-before-start (§4.4).
     let cc = cfg.scheme.cc(cfg.classes, false, 2.0);
-    let mut meta: Vec<(u64, u8, Time, usize)> = Vec::new(); // id, class, start, flows
+    let mut plan = Vec::new();
     for c in &all {
         let class = classifier.priority(c.total_bytes()).min(cfg.classes - 1);
         let phys = cfg.scheme.phys_prio(class, cfg.classes);
@@ -260,12 +268,15 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
             };
             sim.add_flow(spec, |p| cc.make(p, f.start));
         }
-        meta.push((c.id, class, c.start, c.flows.len()));
+        plan.push((c.id, class, c.start));
     }
+    (sim, CoflowPlan(plan))
+}
 
-    let result = sim.run();
-    // CCT per coflow: max member finish − coflow start; None if any member
-    // was censored.
+/// Fold a run of [`prepare`]'s simulation into the scenario result: a
+/// coflow's CCT is its last member's finish − its start, `None` if any
+/// member was censored.
+pub fn assemble(plan: &CoflowPlan, result: &SimResult) -> CoflowResult {
     let mut finish: HashMap<u64, (Time, bool)> = HashMap::new();
     for r in &result.records {
         let entry = finish.entry(r.tag).or_insert((Time::ZERO, true));
@@ -274,31 +285,30 @@ pub fn run(cfg: &CoflowConfig) -> CoflowResult {
             None => entry.1 = false,
         }
     }
-    let retransmits = result.records.iter().map(|r| r.retransmits).sum();
-    let coflows: Vec<CoflowOut> = meta
+    let coflows: Vec<CoflowOut> = plan
+        .0
         .iter()
-        .map(|&(id, class, start, _)| {
-            let cct = finish.get(&id).and_then(|&(t, complete)| {
-                if complete {
-                    Some((t - start).as_us_f64())
-                } else {
-                    None
-                }
-            });
-            CoflowOut {
-                id,
-                class,
-                cct_us: cct,
-            }
+        .map(|&(id, class, start)| CoflowOut {
+            id,
+            class,
+            cct_us: finish
+                .get(&id)
+                .and_then(|&(t, complete)| complete.then(|| (t - start).as_us_f64())),
         })
         .collect();
     let done = coflows.iter().filter(|c| c.cct_us.is_some()).count();
     CoflowResult {
         completion: done as f64 / coflows.len().max(1) as f64,
         drops: result.counters.drops,
-        retransmits,
+        retransmits: result.records.iter().map(|r| r.retransmits).sum(),
         coflows,
     }
+}
+
+/// Run the scenario.
+pub fn run(cfg: &CoflowConfig) -> CoflowResult {
+    let (sim, plan) = prepare(cfg);
+    assemble(&plan, &sim.run())
 }
 
 /// Finished runs keyed by their whole config (`PartialEq`, no hash: a field

@@ -7,23 +7,16 @@
 //! (§6.3), probe-before-start costs little, and PrioPlus stays within
 //! ~21 % of ideal physical priorities everywhere.
 
-use crate::flowsched::{bucket_of, fat_tree, FlowSchedConfig};
+use crate::flowsched::{self, bucket_of, fat_tree, register, FlowSchedConfig, FlowSchedResult};
 use crate::report::opt3;
 use crate::{Scale, Scheme, Table};
-use netsim::FlowSpec;
 use simcore::stats::Summary;
 use simcore::Time;
 use workloads::{PoissonArrivals, SizeDist};
 
 const CLASSES: u8 = 12;
 
-struct Out {
-    size: u64,
-    prio: u8,
-    fct_us: Option<f64>,
-}
-
-fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
+fn run(scheme: Scheme, scale: Scale) -> FlowSchedResult {
     let cfg = FlowSchedConfig {
         seed: 77,
         ..FlowSchedConfig::at(scheme, CLASSES, scale)
@@ -31,7 +24,6 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
     let (mut sim, hosts) = fat_tree(&cfg);
 
     // Each priority carries a full WebSearch workload at 50%/12 load.
-    let mut meta = Vec::new();
     for prio in 0..CLASSES {
         let mut arr = PoissonArrivals::new(
             SizeDist::websearch(),
@@ -41,34 +33,15 @@ fn run(scheme: Scheme, scale: Scale) -> Vec<Out> {
             Time::ZERO,
             1000 + prio as u64,
         );
+        // Probe-before-start stays on; D2TCP deadlines run from 12 ideal
+        // FCTs at the lowest priority down to 1.5 at the highest.
+        let deadline = 1.5 + (12.0 - 1.5) * (CLASSES - 1 - prio) as f64 / (CLASSES - 1) as f64;
+        let cc = scheme.cc(CLASSES, true, deadline);
         for a in arr.generate_until(cfg.duration) {
-            // Probe-before-start stays on; D2TCP deadlines run from 12 ideal
-            // FCTs at the lowest priority down to 1.5 at the highest.
-            let deadline = 1.5 + (12.0 - 1.5) * (CLASSES - 1 - prio) as f64 / (CLASSES - 1) as f64;
-            let cc = scheme.cc(CLASSES, true, deadline);
-            let spec = FlowSpec {
-                src: hosts[a.src],
-                dst: hosts[a.dst],
-                size: a.size,
-                start: a.start,
-                phys_prio: scheme.phys_prio(prio, CLASSES),
-                virt_prio: prio,
-                tag: prio as u64,
-            };
-            sim.add_flow(spec, |p| cc.make(p, a.start));
-            meta.push((a.size, prio));
+            register(&mut sim, &hosts, &cfg, &a, prio, &cc);
         }
     }
-    let res = sim.run();
-    res.records
-        .iter()
-        .zip(meta)
-        .map(|(r, (size, prio))| Out {
-            size,
-            prio,
-            fct_us: r.fct().map(|t| t.as_us_f64()),
-        })
-        .collect()
+    flowsched::assemble(&sim.run())
 }
 
 fn band(prio: u8) -> &'static str {
@@ -87,11 +60,12 @@ fn size_class(size: u64) -> &'static str {
     }
 }
 
-fn mean_fct(outs: &[Out], b: &str, s: &str) -> Option<f64> {
-    let in_cell = outs
+fn mean_fct(res: &FlowSchedResult, b: &str, s: &str) -> Option<f64> {
+    let in_cell = res
+        .flows
         .iter()
-        .filter(|o| band(o.prio) == b && size_class(o.size) == s);
-    in_cell.filter_map(|o| o.fct_us).collect::<Summary>().mean()
+        .filter(|f| band(f.class) == b && size_class(f.size) == s);
+    in_cell.filter_map(|f| f.fct_us).collect::<Summary>().mean()
 }
 
 pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
@@ -107,7 +81,7 @@ pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
     let mut all = crate::sweep::run_ordered(&cases, jobs, &|&scheme| run(scheme, scale));
     let reference = all.remove(0);
     let mut tables = Vec::new();
-    for (scheme, outs) in schemes.into_iter().zip(all) {
+    for (scheme, res) in schemes.into_iter().zip(all) {
         let mut t = Table::new(
             format!(
                 "fig14_{}",
@@ -122,7 +96,7 @@ pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
         for b in ["high", "middle", "low"] {
             let mut cells = vec![b.to_string()];
             for s in ["sub-RTT", "small", "middle", "large"] {
-                let norm = match (mean_fct(&outs, b, s), mean_fct(&reference, b, s)) {
+                let norm = match (mean_fct(&res, b, s), mean_fct(&reference, b, s)) {
                     (Some(x), Some(r)) => Some(x / r),
                     _ => None,
                 };

@@ -2,13 +2,19 @@
 //! fat-tree, flows classified by size into priority groups (smaller →
 //! higher priority), compared across queueing/CC schemes.
 //!
-//! `fat_tree` builds the fabric; Fig 14 adds its own arrivals to it.
+//! A run is [`prepare`] (arrivals generated and registered on the fabric)
+//! → [`Sim::run`] → [`assemble`] (the per-flow fold); [`run`] composes
+//! them. `fat_tree` builds the fabric and `register` adds one flow to it;
+//! Fig 14 uses both with arrivals of its own and folds through
+//! [`assemble`].
 
-use netsim::{FlowSpec, NodeId, NoiseModel, SchedKind, Sim, SimConfig, SwitchConfig, Topology};
+use netsim::{
+    FlowSpec, NodeId, NoiseModel, SchedKind, Sim, SimConfig, SimResult, SwitchConfig, Topology,
+};
 use simcore::stats::Summary;
 use simcore::{Rate, Time};
 use transport::CcSpec;
-use workloads::{PoissonArrivals, SizeClassifier, SizeDist};
+use workloads::{FlowArrival, PoissonArrivals, SizeClassifier, SizeDist};
 
 use crate::{Scale, Scheme};
 
@@ -193,10 +199,32 @@ fn cc_for(cfg: &FlowSchedConfig, class: u8) -> CcSpec {
     cfg.scheme.cc(cfg.classes, false, lo + (hi - lo) * t)
 }
 
-/// Run the scenario.
-pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
-    let (mut sim, hosts) = fat_tree(cfg);
+/// Register arrival `a` between `hosts` as a flow of priority `class` under
+/// `cfg`'s scheme, its transport made by `cc`. Its tag is its class.
+pub(crate) fn register(
+    sim: &mut Sim,
+    hosts: &[NodeId],
+    cfg: &FlowSchedConfig,
+    a: &FlowArrival,
+    class: u8,
+    cc: &CcSpec,
+) {
+    let spec = FlowSpec {
+        src: hosts[a.src],
+        dst: hosts[a.dst],
+        size: a.size,
+        start: a.start,
+        phys_prio: cfg.scheme.phys_prio(class, cfg.classes),
+        virt_prio: class,
+        tag: class as u64,
+    };
+    sim.add_flow(spec, |p| cc.make(p, a.start));
+}
 
+/// The fat-tree of `cfg` with its WebSearch arrivals registered, each
+/// flow's class taken from its size; ready to run.
+pub fn prepare(cfg: &FlowSchedConfig) -> Sim {
+    let (mut sim, hosts) = fat_tree(cfg);
     let dist = SizeDist::websearch();
     let classifier = SizeClassifier::from_dist(&dist, cfg.classes);
     let mut arrivals = PoissonArrivals::new(
@@ -207,35 +235,27 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
         Time::ZERO,
         cfg.seed ^ 0xA221,
     );
-    let mut metas = Vec::new();
     for a in arrivals.generate_until(cfg.duration) {
         let class = classifier.priority(a.size);
-        let spec = FlowSpec {
-            src: hosts[a.src],
-            dst: hosts[a.dst],
-            size: a.size,
-            start: a.start,
-            phys_prio: cfg.scheme.phys_prio(class, cfg.classes),
-            virt_prio: class,
-            tag: class as u64,
-        };
-        let cc = cc_for(cfg, class);
-        sim.add_flow(spec, |p| cc.make(p, a.start));
-        metas.push((a.size, class));
+        register(&mut sim, &hosts, cfg, &a, class, &cc_for(cfg, class));
     }
+    sim
+}
 
-    let result = sim.run();
+/// Fold a run of [`prepare`]'s simulation, or of any whose flows carry
+/// their class as virtual priority, into the scenario result: one
+/// [`FlowOut`] per flow in registration order.
+pub fn assemble(result: &SimResult) -> FlowSchedResult {
     let flows = result
         .records
         .iter()
-        .zip(metas)
-        .map(|(r, (size, class))| FlowOut {
-            size,
-            class,
+        .map(|r| FlowOut {
+            size: r.size,
+            class: r.virt_prio,
             slowdown: r.slowdown_auto(),
             fct_us: r.fct().map(|t| t.as_us_f64()),
         })
-        .collect::<Vec<_>>();
+        .collect();
     FlowSchedResult {
         completion: result.completion_rate(),
         pfc_pauses: result.counters.pfc_pauses,
@@ -243,6 +263,11 @@ pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
         events: result.counters.events,
         flows,
     }
+}
+
+/// Run the scenario.
+pub fn run(cfg: &FlowSchedConfig) -> FlowSchedResult {
+    assemble(&prepare(cfg).run())
 }
 
 #[cfg(test)]

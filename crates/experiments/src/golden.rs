@@ -8,6 +8,10 @@
 //! the simulator, not formatting noise. Regenerate intentionally with
 //! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces --
 //! --nocapture` (prints what it is about to change, by line kind).
+//!
+//! A case is its prepared simulations, flows registered and not yet run;
+//! the tests finish each one — straight through, under the audit, or
+//! stopped mid-run and resumed — and [`summarize_case`] the results.
 
 use crate::micro::{testbed_env, Micro, MicroEnv};
 use netsim::{NoiseModel, Sim, SimResult, SwitchConfig};
@@ -24,56 +28,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Per-run switches for a pinned scenario. None may change the summary:
-/// the audit is observational and a pump stopped and resumed is the pump
-/// run straight through — exactly what the golden suite pins.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GoldenOpts {
-    /// Enable the invariant audit.
-    pub audit: bool,
-    /// Stop the run at this horizon ([`netsim::Sim::run_until`]), then
-    /// finish it ([`netsim::Sim::run`]) — instead of running straight
-    /// through.
-    pub resume_at: Option<Time>,
-}
-
-impl GoldenOpts {
-    /// Audit-only toggle.
-    pub fn audited(audit: bool) -> Self {
-        GoldenOpts {
-            audit,
-            ..Default::default()
-        }
-    }
-
-    /// Stop at `at`, then finish.
-    pub fn resumed(at: Time) -> Self {
-        GoldenOpts {
-            resume_at: Some(at),
-            ..Default::default()
-        }
-    }
-}
-
-/// Finish a fully-registered scenario according to `opts`: either run
-/// straight through, or — when [`GoldenOpts::resume_at`] is set — advance
-/// to the horizon, then run the same simulator to completion. Golden cases
-/// route every run through this helper so the split pump is pinned against
-/// the exact scenarios the suite already pins.
-pub fn finish(mut sim: Sim, opts: GoldenOpts) -> SimResult {
-    if let Some(at) = opts.resume_at {
-        sim.run_until(at);
-    }
-    sim.run()
-}
-
-/// One pinned scenario: a name (the golden file stem) and a runner.
+/// One pinned scenario: a name (the golden file stem) and its simulations.
 pub struct Golden {
     /// Golden file stem under `tests/golden/`.
     pub name: &'static str,
-    /// Build and run the scenario: one labelled result per simulation it
-    /// consists of (a single one for all but the matrix case).
-    pub run: fn(opts: GoldenOpts) -> Vec<(&'static str, SimResult)>,
+    /// Build the scenario: one labelled simulation per run it consists of
+    /// (a single one for all but the matrix case), flows registered.
+    pub prepare: fn() -> Vec<(&'static str, Sim)>,
 }
 
 /// All pinned scenarios.
@@ -81,26 +42,26 @@ pub fn cases() -> Vec<Golden> {
     vec![
         Golden {
             name: "fig10_staircase",
-            run: staircase,
+            prepare: staircase,
         },
         Golden {
             name: "fig13_nc_delay",
-            run: nc_delay,
+            prepare: nc_delay,
         },
         Golden {
             name: "lossy_dt_incast",
-            run: lossy_incast,
+            prepare: lossy_incast,
         },
         Golden {
             name: "cc_matrix",
-            run: cc_matrix,
+            prepare: cc_matrix,
         },
     ]
 }
 
 /// Fig 10a in miniature: 4 virtual priorities x 2 flows with staggered
 /// starts over one PrioPlus+Swift bottleneck, testbed noise.
-fn staircase(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
+fn staircase() -> Vec<(&'static str, Sim)> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
@@ -109,9 +70,6 @@ fn staircase(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
         seed: 3,
         ..Default::default()
     });
-    if opts.audit {
-        m.sim.enable_audit();
-    }
     let cc = CcSpec::PrioPlusSwift {
         policy: PrioPlusPolicy::paper_default(4),
     };
@@ -122,12 +80,12 @@ fn staircase(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
             m.add_flow(sender, 400_000 * (p as u64 + 1), start, 0, p, &cc);
         }
     }
-    vec![("", finish(m.sim, opts))]
+    vec![("", m.sim)]
 }
 
 /// Fig 13 in miniature: the testbed environment with 10 µs of uniform
 /// non-congestive delay at the bottleneck; PrioPlus widened to tolerate it.
-fn nc_delay(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
+fn nc_delay() -> Vec<(&'static str, Sim)> {
     let mut env = testbed_env();
     env.end = Time::from_ms(8);
     env.trace = false;
@@ -136,9 +94,6 @@ fn nc_delay(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
         range_ps: Time::from_us(10).as_ps(),
     });
     let mut m = Micro::build(&env);
-    if opts.audit {
-        m.sim.enable_audit();
-    }
     let policy = PrioPlusPolicy {
         noise: Time::from_us(10),
         ..PrioPlusPolicy::paper_default(4)
@@ -157,12 +112,12 @@ fn nc_delay(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
             );
         }
     }
-    vec![("", finish(m.sim, opts))]
+    vec![("", m.sim)]
 }
 
 /// Lossy-mode incast: a small shared buffer forces Dynamic-Threshold drops
 /// and Swift retransmissions, pinning the DT/drop/RTO paths.
-fn lossy_incast(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
+fn lossy_incast() -> Vec<(&'static str, Sim)> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
@@ -175,9 +130,6 @@ fn lossy_incast(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
         },
         ..Default::default()
     });
-    if opts.audit {
-        m.sim.enable_audit();
-    }
     let cc = CcSpec::Swift {
         queuing: Time::from_us(4),
         scaling: false,
@@ -185,14 +137,14 @@ fn lossy_incast(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
     for s in 1..=8 {
         m.add_flow(s, 500_000, Time::ZERO, 0, 0, &cc);
     }
-    vec![("", finish(m.sim, opts))]
+    vec![("", m.sim)]
 }
 
 /// One lossy, ECN-marking, INT-enabled incast per [`CcSpec`] variant: the
 /// 200 KB buffer tail-drops whole windows, so every transport's NACK and
 /// RTO recovery — and its window reaction to a timeout — is pinned, not
 /// only Swift's.
-fn cc_matrix(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
+fn cc_matrix() -> Vec<(&'static str, Sim)> {
     let queuing = Time::from_us(4);
     let policy = PrioPlusPolicy::paper_default(4);
     let ccs: [(&'static str, CcSpec); 9] = [
@@ -245,9 +197,6 @@ fn cc_matrix(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
                 },
                 ..Default::default()
             });
-            if opts.audit {
-                m.sim.enable_audit();
-            }
             for s in 1..=8usize {
                 // Two virtual priorities, so the PrioPlus rows also pin
                 // suspension and probing under loss; the two-packet flows
@@ -257,15 +206,7 @@ fn cc_matrix(opts: GoldenOpts) -> Vec<(&'static str, SimResult)> {
                 m.add_flow(s, 1_000_000, Time::ZERO, 0, prio, &cc);
                 m.add_flow(s, 2_000, Time::from_us(4), 0, prio, &cc);
             }
-            let res = finish(m.sim, opts);
-            let rtx: u64 = res.records.iter().map(|r| r.retransmits).sum();
-            assert!(
-                res.counters.drops > 0 && rtx > 0,
-                "cc_matrix/{label}: the run must lose and retransmit packets \
-                 (drops {}, retransmits {rtx})",
-                res.counters.drops
-            );
-            (label, res)
+            (label, m.sim)
         })
         .collect()
 }

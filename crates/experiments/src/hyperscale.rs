@@ -15,9 +15,14 @@
 //! The comparison of interest (fig_hyperscale) is PrioPlus sharing one
 //! physical queue against DCTCP on the same topology and trace: virtual
 //! priority should cut high-class tail FCT without extra switch queues.
+//!
+//! A run is [`prepare`] (the fabric and its arrival source, nothing
+//! registered yet) → [`Sim::run`] → [`assemble`] (the sketch fold); [`run`]
+//! composes them.
 
 use netsim::{
-    ArrivalSource, FlowSpec, NodeId, Sim, SimConfig, SwitchConfig, ThreeTierWanSpec, Topology,
+    ArrivalSource, FlowSpec, NodeId, Sim, SimConfig, SimResult, SwitchConfig, ThreeTierWanSpec,
+    Topology,
 };
 use simcore::{Rate, SchedKind, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -239,8 +244,9 @@ impl ArrivalSource for OpenLoopSource {
     }
 }
 
-/// Run the scenario.
-pub fn run(cfg: &HyperscaleConfig) -> HyperscaleResult {
+/// The fabric of `cfg` in streaming mode with its open-loop arrival source
+/// installed; the source registers flows chunk by chunk during the run.
+pub fn prepare(cfg: &HyperscaleConfig) -> Sim {
     let topo = cfg.topo.build(cfg.rate);
     let hosts = topo.hosts.clone();
     let host_rate = match &cfg.topo {
@@ -276,12 +282,12 @@ pub fn run(cfg: &HyperscaleConfig) -> HyperscaleResult {
         chunk: cfg.chunk,
         buf: Vec::new(),
     }));
-    let result = sim.run();
-    summarize(&result)
+    sim
 }
 
-/// Fold a streaming-mode [`netsim::SimResult`] into the scenario summary.
-fn summarize(result: &netsim::SimResult) -> HyperscaleResult {
+/// Fold a run of [`prepare`]'s simulation (streaming mode) into the
+/// scenario summary.
+pub fn assemble(result: &SimResult) -> HyperscaleResult {
     let st = result
         .streaming
         .as_deref()
@@ -317,4 +323,9 @@ fn summarize(result: &netsim::SimResult) -> HyperscaleResult {
         mem_budget_bytes: c.flow_live_bytes_peak + arena_bytes + c.sched_bytes_peak,
         streaming_fingerprint: st.fingerprint(),
     }
+}
+
+/// Run the scenario.
+pub fn run(cfg: &HyperscaleConfig) -> HyperscaleResult {
+    assemble(&prepare(cfg).run())
 }

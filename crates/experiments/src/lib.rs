@@ -22,7 +22,10 @@
 //!   `jobs` threads with input-order results; every figure sweeps with it.
 //!
 //! What a scheme means for a run is decided once, by [`Scheme`]; the
-//! fat-tree and leaf–spine builders apply it.
+//! fat-tree and leaf–spine builders apply it. The four fabric scenarios
+//! expose their steps: `prepare(cfg)` returns the ready `Sim`, the caller
+//! pumps it, and `assemble` folds its `SimResult`; their `run` is the two
+//! composed.
 //!
 //! Every figure takes a [`Scale`] so the default invocation finishes in
 //! seconds while `--full` reproduces the paper-scale parameters.

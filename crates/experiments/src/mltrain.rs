@@ -6,10 +6,12 @@
 //! relative to the no-priority Swift baseline.
 //!
 //! The fabric is [`crate::coflowsched`]'s leaf–spine in this scenario's
-//! shape.
+//! shape. A run is [`prepare`] (the jobs' first phases registered, the
+//! closed-loop app installed) → [`Sim::run`] → [`assemble`] (iterations per
+//! job, which needs the jobs beside the result); [`run`] composes them.
 
 use netsim::sim::App;
-use netsim::{FlowId, FlowSpec, NodeId, Sim};
+use netsim::{FlowId, FlowSpec, NodeId, Sim, SimResult};
 use simcore::{Rate, Time};
 use transport::CcSpec;
 use workloads::RingJob;
@@ -136,9 +138,10 @@ impl App for AllReduceApp {
     }
 }
 
-/// Run the scenario: 4 ResNet jobs on the four highest priorities, 4 VGG
-/// jobs on the four lowest (§6.2).
-pub fn run(cfg: &MlConfig) -> MlResult {
+/// The cluster of `cfg` with every job's first phase registered and the
+/// closed-loop app installed, and the jobs: 4 ResNet jobs on the four
+/// highest priorities, 4 VGG jobs on the four lowest (§6.2).
+pub fn prepare(cfg: &MlConfig) -> (Sim, Vec<RingJob>) {
     let fabric = CoflowConfig {
         leaves: cfg.leaves,
         spines: cfg.spines,
@@ -189,17 +192,20 @@ pub fn run(cfg: &MlConfig) -> MlResult {
         app.launch_phase(j, Time::ZERO, &mut sim);
     }
     sim.set_app(Box::new(app));
-    let result = sim.run();
+    (sim, jobs)
+}
 
-    // A phase starts once the last one finished: iterations are a job's
-    // finished flows over the flows of one phase.
+/// Fold a run of [`prepare`]'s simulation into iterations per job. A phase
+/// starts once the last one finished: iterations are a job's finished flows
+/// over the flows of one phase.
+pub fn assemble(jobs: &[RingJob], result: &SimResult) -> MlResult {
     let mut done = vec![0u64; jobs.len()];
     for r in result.records.iter().filter(|r| r.finish.is_some()) {
         done[r.tag as usize] += 1;
     }
     MlResult {
         jobs: jobs
-            .into_iter()
+            .iter()
             .zip(done)
             .map(|(job, done)| JobOut {
                 family: if job.name.starts_with("resnet") {
@@ -208,8 +214,14 @@ pub fn run(cfg: &MlConfig) -> MlResult {
                     "vgg".into()
                 },
                 iterations: done / job.workers.len() as u64,
-                name: job.name,
+                name: job.name.clone(),
             })
             .collect(),
     }
+}
+
+/// Run the scenario.
+pub fn run(cfg: &MlConfig) -> MlResult {
+    let (sim, jobs) = prepare(cfg);
+    assemble(&jobs, &sim.run())
 }

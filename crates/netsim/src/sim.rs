@@ -218,6 +218,12 @@ impl Sim {
         self.state.live.occupancy
     }
 
+    /// Flows registered so far: before the run, and during it by an [`App`]
+    /// or an [`ArrivalSource`]. The next flow takes this [`FlowId`].
+    pub fn flows_registered(&self) -> u64 {
+        self.state.flows.len() as u64
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.state.queue.now()

@@ -6,7 +6,8 @@
 #      target/simlint.json as a CI artifact — then clippy with -D warnings
 #      (skipped with a warning if the toolchain has no clippy component),
 #      then rustdoc with -D warnings, so a deleted item cannot leave a
-#      dangling doc link behind;
+#      dangling doc link behind; then the non-test line count per crate
+#      (scripts/loc.sh) into target/ci/loc.txt, an artefact, not a gate;
 #   2. tier-1: release build, the disassembly guard on the event loop's
 #      callee list (scripts/check_hot_calls.sh; skipped with a warning if
 #      there is no objdump), then the full test suite — property fleets
@@ -55,6 +56,8 @@ else
   echo "ci.sh: WARNING: clippy not installed on this toolchain, skipping" >&2
 fi
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+scripts/loc.sh > target/ci/loc.txt
+echo "ci.sh: non-test lines: $(tail -1 target/ci/loc.txt | awk '{print $1}') in total (target/ci/loc.txt)"
 leg_done
 
 leg 2 tier-1 "release build + tests"

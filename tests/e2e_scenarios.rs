@@ -1,11 +1,16 @@
 //! Smoke tests of the three large-scale scenarios at tiny scale: they must
 //! run, complete most flows, and show the paper's qualitative orderings.
+//! Then each fabric scenario's `prepare` → pump → `assemble` with the pump
+//! stopped mid-run and resumed must reproduce its `run` bit for bit.
 
-use experiments::coflowsched::{self, CoflowConfig};
-use experiments::flowsched::{self, FlowSchedConfig};
-use experiments::mltrain::{self, MlConfig};
+use experiments::coflowsched::{self, CoflowConfig, CoflowResult};
+use experiments::flowsched::{self, FlowSchedConfig, FlowSchedResult};
+use experiments::hyperscale::{self, HyperScheme, HyperTopo, HyperscaleConfig, Quantiles};
+use experiments::mltrain::{self, MlConfig, MlResult};
 use experiments::Scheme;
+use netsim::{FlowRecord, Sim, SimResult};
 use simcore::Time;
+use workloads::IncastMix;
 
 fn quick_flowsched(scheme: Scheme) -> flowsched::FlowSchedResult {
     let mut cfg = FlowSchedConfig::new(scheme, 4);
@@ -91,4 +96,176 @@ fn ml_training_prioplus_interleaves_better_than_baseline() {
     for j in &pp.jobs {
         assert!(j.iterations > 0, "job {} starved", j.name);
     }
+}
+
+/// `sim` stopped at `mid` and resumed, with the flows registered and the
+/// flows holding live state at `mid`.
+fn split_at(mut sim: Sim, mid: Time) -> (SimResult, u64, u64) {
+    sim.run_until(mid);
+    let (registered, live) = (sim.flows_registered(), sim.live_flows());
+    (sim.run(), registered, live)
+}
+
+/// Flows of `records` that finished before `mid` and at or after it.
+fn completions_around(records: &[FlowRecord], mid: Time) -> (usize, usize) {
+    let finished = records.iter().filter_map(|r| r.finish);
+    let before = finished.clone().filter(|&t| t < mid).count();
+    (before, finished.count() - before)
+}
+
+/// A float as its bits; `None` as a NaN no fold produces.
+fn opt_bits(v: Option<f64>) -> u64 {
+    v.map_or(u64::MAX, f64::to_bits)
+}
+
+fn flowsched_bits(r: &FlowSchedResult) -> Vec<u64> {
+    let flows = r.flows.iter();
+    let mut bits: Vec<u64> = flows
+        .flat_map(|f| {
+            [
+                f.size,
+                f.class.into(),
+                opt_bits(f.slowdown),
+                opt_bits(f.fct_us),
+            ]
+        })
+        .collect();
+    bits.extend([r.pfc_pauses, r.drops, r.completion.to_bits(), r.events]);
+    bits
+}
+
+fn coflow_bits(r: &CoflowResult) -> Vec<u64> {
+    let coflows = r.coflows.iter();
+    let mut bits: Vec<u64> = coflows
+        .flat_map(|c| [c.id, c.class.into(), opt_bits(c.cct_us)])
+        .collect();
+    bits.extend([r.completion.to_bits(), r.drops, r.retransmits]);
+    bits
+}
+
+fn hyperscale_bits(r: &hyperscale::HyperscaleResult) -> Vec<u64> {
+    let q = |q: &Quantiles| [q.p50, q.p90, q.p99].map(f64::to_bits);
+    let mut bits = vec![
+        r.flows_total,
+        r.finished,
+        r.finished_bytes,
+        r.events,
+        r.flow_live_peak,
+        r.flow_slab_slots,
+        r.flows_reclaimed,
+        r.flow_live_bytes_peak,
+        r.sched_pending_peak,
+        r.sched_bytes_peak,
+        r.mem_budget_bytes,
+        r.streaming_fingerprint,
+    ];
+    bits.extend(
+        [&r.fct_us, &r.fct_top_class_us, &r.slowdown]
+            .into_iter()
+            .flat_map(q),
+    );
+    bits
+}
+
+fn ml_bits(r: &MlResult) -> Vec<(String, String, u64)> {
+    let jobs = r.jobs.iter();
+    jobs.map(|j| (j.name.clone(), j.family.clone(), j.iterations))
+        .collect()
+}
+
+/// Physical+Swift with PFC on: the split falls among paused queues.
+#[test]
+fn flowsched_survives_a_split_pump() {
+    let cfg = FlowSchedConfig {
+        duration: Time::from_us(500),
+        load: 0.5,
+        seed: 3,
+        ..FlowSchedConfig::new(Scheme::PhysicalSwift, 4)
+    };
+    let mid = Time::from_us(400);
+    let (res, ..) = split_at(flowsched::prepare(&cfg), mid);
+    let (before, after) = completions_around(&res.records, mid);
+    assert!(
+        before > 0 && after > 0,
+        "finished {before} before, {after} after"
+    );
+    let split = flowsched::assemble(&res);
+    assert!(split.pfc_pauses > 0, "the lossless fabric paused");
+    assert_eq!(
+        flowsched_bits(&split),
+        flowsched_bits(&flowsched::run(&cfg))
+    );
+}
+
+/// PFC off. A window this short drops nothing in the 32 MB buffer, so the
+/// drop and RTO paths across a split are the goldens' lossy cases' to pin.
+#[test]
+fn coflowsched_survives_a_split_pump() {
+    let cfg = CoflowConfig {
+        duration: Time::from_ms(1),
+        lossless: false,
+        ..CoflowConfig::new(Scheme::PrioPlusSwift, 0.7)
+    };
+    let mid = Time::from_ms(1);
+    let (sim, plan) = coflowsched::prepare(&cfg);
+    let (res, ..) = split_at(sim, mid);
+    let (before, after) = completions_around(&res.records, mid);
+    assert!(
+        before > 0 && after > 0,
+        "finished {before} before, {after} after"
+    );
+    let split = coflowsched::assemble(&plan, &res);
+    assert_eq!(coflow_bits(&split), coflow_bits(&coflowsched::run(&cfg)));
+}
+
+/// The arrival source registers flows during the run: some after `mid`,
+/// and some of those finish.
+#[test]
+fn hyperscale_survives_a_split_pump() {
+    let cfg = HyperscaleConfig {
+        topo: HyperTopo::FatTree { k: 4 },
+        duration: Time::from_ms(1),
+        incast: Some(IncastMix {
+            period: Time::from_us(100),
+            fanin: 8,
+            bytes: 20_000,
+        }),
+        ..HyperscaleConfig::quick(HyperScheme::PrioPlus)
+    };
+    let mid = Time::from_us(500);
+    let (res, registered, live) = split_at(hyperscale::prepare(&cfg), mid);
+    assert!(registered > live, "some flow finished before {mid}");
+    let split = hyperscale::assemble(&res);
+    assert!(
+        split.finished > registered,
+        "some flow registered after {mid} finished: {} finished, {registered} registered by then",
+        split.finished
+    );
+    assert_eq!(
+        hyperscale_bits(&split),
+        hyperscale_bits(&hyperscale::run(&cfg))
+    );
+}
+
+/// The app launches phases during the run: some after `mid`.
+#[test]
+fn mltrain_survives_a_split_pump() {
+    let cfg = MlConfig {
+        duration: Time::from_ms(4),
+        ..MlConfig::new(Scheme::PrioPlusSwift)
+    };
+    let mid = Time::from_ms(2);
+    let (sim, jobs) = mltrain::prepare(&cfg);
+    let (res, registered, _) = split_at(sim, mid);
+    let (before, after) = completions_around(&res.records, mid);
+    assert!(
+        before > 0 && after > 0,
+        "finished {before} before, {after} after"
+    );
+    assert!(
+        (res.records.len() as u64) > registered,
+        "a phase launched after {mid}"
+    );
+    let split = mltrain::assemble(&jobs, &res);
+    assert_eq!(ml_bits(&split), ml_bits(&mltrain::run(&cfg)));
 }

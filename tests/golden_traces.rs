@@ -1,7 +1,8 @@
 //! Golden-trace pinning: each scenario in [`experiments::golden`] must
 //! reproduce its checked-in summary byte-for-byte, and must reproduce it
 //! again with the invariant audit enabled (proving the audit is purely
-//! observational) with zero violations.
+//! observational) with zero violations, and with its pump stopped mid-run
+//! and resumed. The cases come prepared; each test finishes them its way.
 //!
 //! On an intentional behavior change, regenerate the files with
 //! `GOLDEN_BLESS=1 cargo test -p experiments --test golden_traces --
@@ -10,9 +11,18 @@
 //! about to change (the report a mismatch fails with), so a re-bless that
 //! moves no flow can be seen to be one.
 
-use experiments::golden::{cases, summarize_case, GoldenOpts};
+use experiments::golden::{cases, summarize_case, Golden};
+use netsim::{Sim, SimResult};
 use simcore::Time;
 use std::path::PathBuf;
+
+/// Every run of `case`, each prepared simulation finished by `pump`.
+fn runs(case: &Golden, pump: impl Fn(Sim) -> SimResult) -> Vec<(&'static str, SimResult)> {
+    (case.prepare)()
+        .into_iter()
+        .map(|(label, sim)| (label, pump(sim)))
+        .collect()
+}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -87,7 +97,7 @@ fn golden_traces_match_the_pinned_summaries() {
     let dir = golden_dir();
     let mut mismatches = Vec::new();
     for case in cases() {
-        let got = summarize_case(&(case.run)(GoldenOpts::default()));
+        let got = summarize_case(&runs(&case, Sim::run));
         let path = dir.join(format!("{}.txt", case.name));
         let pinned = std::fs::read_to_string(&path);
         if blessing() {
@@ -160,15 +170,18 @@ fn drift_report_groups_the_lines_that_differ() {
 #[test]
 fn golden_traces_are_identical_and_clean_under_audit() {
     for case in cases() {
-        let plain = summarize_case(&(case.run)(GoldenOpts::default()));
-        let runs = (case.run)(GoldenOpts::audited(true));
+        let plain = summarize_case(&runs(&case, Sim::run));
+        let audited = runs(&case, |mut sim| {
+            sim.enable_audit();
+            sim.run()
+        });
         assert_eq!(
             plain,
-            summarize_case(&runs),
+            summarize_case(&audited),
             "{}: enabling the audit changed the simulation",
             case.name
         );
-        for (label, res) in &runs {
+        for (label, res) in &audited {
             let report = res.audit.as_ref().expect("audit enabled");
             assert_eq!(
                 report.total_violations, 0,
@@ -186,9 +199,12 @@ fn golden_traces_are_identical_and_clean_under_audit() {
 #[test]
 fn golden_traces_survive_a_split_pump() {
     for case in cases() {
-        let straight = summarize_case(&(case.run)(GoldenOpts::default()));
+        let straight = summarize_case(&runs(&case, Sim::run));
         for at_ms in [1u64, 6] {
-            let resumed = summarize_case(&(case.run)(GoldenOpts::resumed(Time::from_ms(at_ms))));
+            let resumed = summarize_case(&runs(&case, |mut sim| {
+                sim.run_until(Time::from_ms(at_ms));
+                sim.run()
+            }));
             assert_eq!(
                 straight, resumed,
                 "{}: the split at {at_ms} ms changed the simulation",
@@ -214,6 +230,10 @@ fn golden_traces_survive_a_split_pump() {
 /// a cancelled probe timer. A timer re-armed on every ACK leaves one
 /// tombstone per ACK an RTO deep instead and breaks it 4–5× over (2,265
 /// against 535 on `lossy_dt_incast` at the commit before the lazy deadline).
+///
+/// Every run of both cases must drop and retransmit packets: that is what
+/// they pin (each transport's NACK and RTO recovery), and a run that never
+/// lost a packet would hold the bound without testing the timers.
 #[test]
 fn the_queue_holds_no_garbage_on_the_lossy_cases() {
     // `Micro` with 8 senders: 9 hosts on one switch, two egress ports a link.
@@ -222,8 +242,16 @@ fn the_queue_holds_no_garbage_on_the_lossy_cases() {
         if !["lossy_dt_incast", "cc_matrix"].contains(&case.name) {
             continue;
         }
-        for (label, res) in (case.run)(GoldenOpts::default()) {
+        for (label, res) in runs(&case, Sim::run) {
             let c = &res.counters;
+            let rtx: u64 = res.records.iter().map(|r| r.retransmits).sum();
+            assert!(
+                c.drops > 0 && rtx > 0,
+                "{} {label}: the run must lose and retransmit packets \
+                 (drops {}, retransmits {rtx})",
+                case.name,
+                c.drops
+            );
             let k = if label.starts_with("prioplus") { 3 } else { 1 };
             let bound = c.arena_peak_live + ports + k * c.flow_live_peak + hosts + 1;
             assert!(
@@ -256,7 +284,7 @@ fn the_queue_holds_no_garbage_on_the_lossy_cases() {
 #[test]
 fn lanes_carry_the_constant_delay_traffic() {
     for case in cases() {
-        for (label, res) in (case.run)(GoldenOpts::default()) {
+        for (label, res) in runs(&case, Sim::run) {
             let c = &res.counters;
             let pushes = c.sched_ops.div_ceil(2);
             assert!(c.sched_pending_peak * 80 < pushes, "{} {label}", case.name);
