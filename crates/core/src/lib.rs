@@ -46,6 +46,14 @@
 //! assert_eq!(chan.d_limit(7), Time::from_us_f64(46.4));
 //! ```
 
+#![forbid(unsafe_code)]
+// R11 (DESIGN.md § Static analysis): a new variant of any enum must force
+// every match on it to name the variant. The first lint skips a wildcard
+// that stands for a single variant; the second catches it. A guarded
+// `_ if ..` arm is fine.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 #![warn(missing_docs)]
 
 pub mod algorithm;

@@ -221,7 +221,6 @@ impl ArrivalSource for OpenLoopSource {
         let until = now + self.chunk;
         self.buf.clear();
         self.gen.take_until(until, &mut self.buf);
-        // simlint::allow(hot-path-alloc, chunked flow registration reuses one buffer; add_flow itself allocates per flow by design)
         let arrivals = std::mem::take(&mut self.buf);
         for a in &arrivals {
             let class = self.classifier.priority(a.size);

@@ -742,9 +742,12 @@ impl Audit {
 /// the O(state) scan every N events (default 64; `1` = every event; the
 /// cheap focused checks always run per event). Explicit
 /// [`crate::Sim::enable_audit_with`] calls carry their own config.
+#[expect(
+    clippy::disallowed_types,
+    reason = "process-wide env cache - write-once before any sim state exists"
+)]
 pub(crate) fn env_config() -> Option<AuditConfig> {
-    // Process-wide env cache: write-once before any sim state exists.
-    use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
+    use std::sync::OnceLock;
     static CONFIG: OnceLock<Option<AuditConfig>> = OnceLock::new();
     let read = || {
         let on = |var: &str| std::env::var(var).is_ok_and(|v| v != "0");

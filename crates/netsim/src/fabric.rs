@@ -9,6 +9,10 @@
 //! nothing: rustc files an inherent method under its `Self` type's module,
 //! so every handler shares `state`'s codegen unit with `State::advance`.
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use simcore::Time;
 
 use crate::audit::SwitchArrive;
@@ -250,12 +254,15 @@ impl State {
     /// Apply fault-schedule transition `idx` at its scheduled time.
     pub(crate) fn on_fault(&mut self, run: &mut Run, idx: u32, now: Time) {
         self.counters.fault_events += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "Fault events are only scheduled from an installed schedule"
+        )]
         let events = &run
             .env
             .cfg
             .faults
             .as_ref()
-            // simlint::allow(hot-path-unwrap, Fault events are only scheduled from an installed schedule)
             .expect("Fault event without a fault schedule")
             .events;
         match events[idx as usize].kind {

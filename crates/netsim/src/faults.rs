@@ -312,7 +312,10 @@ mod tests {
                         assert!(down, "up without down on ({node},{port})");
                         down = false;
                     }
-                    _ => unreachable!(),
+                    FaultKind::DegradeStart { .. }
+                    | FaultKind::DegradeEnd { .. }
+                    | FaultKind::PauseStart { .. }
+                    | FaultKind::PauseEnd { .. } => unreachable!(),
                 }
             }
         }
@@ -349,7 +352,10 @@ mod tests {
             match ev.kind {
                 FaultKind::LinkDown { .. } => down_at = Some(ev.at),
                 FaultKind::LinkUp { .. } => out.push((down_at.take().unwrap(), ev.at)),
-                _ => unreachable!(),
+                FaultKind::DegradeStart { .. }
+                | FaultKind::DegradeEnd { .. }
+                | FaultKind::PauseStart { .. }
+                | FaultKind::PauseEnd { .. } => unreachable!(),
             }
         }
         out

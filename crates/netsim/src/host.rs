@@ -6,6 +6,10 @@
 //! flow lists ([`crate::node::Host`]), and sit above both for the reason
 //! `fabric.rs` gives.
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use simcore::Time;
 
 use crate::config::{AckPriority, Buggify};
@@ -62,8 +66,7 @@ impl State {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "probe misrouted");
                 self.answer(run, pid, 0, false, now);
             }
-            // ACKs and probe echoes: `sender_ack` rejects every other tag.
-            _ => {
+            PktTag::Ack | PktTag::ProbeAck => {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
                 self.sender_ack(run, node, pid, now);
             }
@@ -143,7 +146,7 @@ impl State {
         let kind = match h.kind {
             PktTag::Ack => AckKind::Data,
             PktTag::ProbeAck => AckKind::Probe,
-            _ => unreachable!("sender_ack dispatched on a non-ack tag"),
+            PktTag::Data | PktTag::Probe => unreachable!("sender_ack dispatched on a non-ack tag"),
         };
         // Retire the slot before the transport runs.
         let int = self.arena.take_int(pid);

@@ -29,6 +29,12 @@
 //!   probe echo; additive delay-measurement noise.
 
 #![forbid(unsafe_code)]
+// R11 (DESIGN.md § Static analysis): a new variant of any enum must force
+// every match on it to name the variant. The first lint skips a wildcard
+// that stands for a single variant; the second catches it. A guarded
+// `_ if ..` arm is fine.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
 
 #![warn(missing_docs)]
 

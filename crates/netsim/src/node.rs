@@ -21,6 +21,10 @@
 //! buffer accounting, admission, ECN marking, strict-priority selection,
 //! and PFC threshold math.
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 
 use simcore::{Rate, SimRng, Time};

@@ -53,7 +53,6 @@ impl Observers {
     /// no `App` buffer.
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         Observers {
-            // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
             audit: crate::audit::env_config().map(|cfg| Box::new(Audit::new(cfg))),
             streaming: cfg.streaming_stats.then(Box::default),
             completed: None,
@@ -315,7 +314,6 @@ fn deep_scan(a: &mut Audit, st: &State, env: &Env) {
     // — by one port queue or one pending Arrive event — and free slots
     // never. Count references across the whole topology plus the event
     // queue, then check the tally.
-    // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by `AuditConfig::deep_every`)
     let mut refs = vec![0u32; st.arena.capacity()];
     let ports = st.nodes.iter().flat_map(|n| n.ports());
     let queued = ports.flat_map(|p| &p.queues).flat_map(|q| &q.ids);

@@ -321,7 +321,9 @@ impl Packet {
         let kind = match of.kind {
             PktTag::Data => PktTag::Ack,
             PktTag::Probe => PktTag::ProbeAck,
-            other => unreachable!("only data and probes are answered, not {other:?}"),
+            other @ (PktTag::Ack | PktTag::ProbeAck) => {
+                unreachable!("only data and probes are answered, not {other:?}")
+            }
         };
         let mut pkt = Packet::control(kind, of.flow, of.dst, of.src, prio, of.ts_tx);
         let h = &mut pkt.header;
@@ -400,10 +402,12 @@ pub struct PacketArena {
     int: Vec<Option<Box<IntPath>>>,
     live: Vec<bool>,
     free: Vec<u32>,
-    // The boxes themselves are the pooled resource: the INT plane and
-    // `AckEvent.int` hold `Box<IntPath>`, and recycling must hand back the
-    // exact allocation, not re-box a by-value copy.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the boxes themselves are the pooled resource: the INT plane and \
+                  `AckEvent.int` hold `Box<IntPath>`, and recycling must hand back the \
+                  exact allocation, not re-box a by-value copy"
+    )]
     int_recycle: Vec<Box<IntPath>>,
     stats: ArenaStats,
 }
@@ -504,7 +508,6 @@ impl PacketArena {
             }
             None => {
                 self.stats.int_allocs += 1;
-                // simlint::allow(hot-path-alloc, pool refill: runs only until the INT box population reaches its peak, then the recycle stack serves every request)
                 Box::new(IntPath::new())
             }
         });

@@ -7,6 +7,10 @@
 //! monitors in `fabric.rs`; the host NIC and the flow path in `host.rs`.
 //! The data itself is in `state.rs` and `node.rs`.
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use simcore::{EventQueue, Rate, SimRng, Time};
 
 use crate::audit::{Audit, AuditConfig};
@@ -270,7 +274,12 @@ impl Sim {
     pub fn snap_mutate(&mut self, tamper: StateTamper) -> bool {
         match tamper {
             StateTamper::Sketch => self.obs.tamper_sketch(),
-            _ => self.state.tamper(tamper),
+            StateTamper::Counter
+            | StateTamper::Rng
+            | StateTamper::PortState
+            | StateTamper::Monitor
+            | StateTamper::Queue
+            | StateTamper::FlowRecv => self.state.tamper(tamper),
         }
     }
 
@@ -720,6 +729,7 @@ mod tests {
     use crate::faults::FaultSchedule;
     use crate::packet::{IntHop, Packet};
     use crate::transport_api::{AckEvent, AckKind, TransportCtx, TrySend};
+    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1091,6 +1101,7 @@ mod tests {
     /// streaming sketches on too, the one `on_flow_done` hook reaches both:
     /// the sketches count as many completions as the `App` was called for.
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
     fn completions_are_buffered_only_for_an_app() {
         struct Count(Rc<RefCell<Vec<FlowId>>>);
         impl App for Count {
@@ -1178,6 +1189,7 @@ mod tests {
     /// A transport that only records the ACKs it is handed, into a list the
     /// test keeps a handle on.
     #[derive(Clone, Default)]
+    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
     struct Recorder(Rc<RefCell<Vec<Seen>>>);
 
     impl Transport for Recorder {

@@ -11,6 +11,10 @@
 //! each with its own digest next to its fields. The event loop and the
 //! handlers are `impl State` blocks above: `sim.rs`, `fabric.rs`, `host.rs`.
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 
 use simcore::{EventQueue, SimRng, Time};
@@ -201,7 +205,6 @@ impl FlowSlab {
             }
             None => {
                 let slot = self.slots.len() as u32;
-                // simlint::allow(hot-path-alloc, slab growth only at a new peak of concurrent flows)
                 self.slots.push(Some(fl));
                 slot
             }
@@ -209,19 +212,19 @@ impl FlowSlab {
     }
 
     #[inline]
+    #[expect(clippy::expect_used, reason = "callers check `live != u32::MAX` before indexing")]
     pub(crate) fn get(&self, slot: u32) -> &FlowLive {
-        // simlint::allow(hot-path-unwrap, callers check `live != u32::MAX` before indexing)
         self.slots[slot as usize].as_ref().expect("live flow slot")
     }
 
     #[inline]
+    #[expect(clippy::expect_used, reason = "callers check `live != u32::MAX` before indexing")]
     pub(crate) fn get_mut(&mut self, slot: u32) -> &mut FlowLive {
-        // simlint::allow(hot-path-unwrap, callers check `live != u32::MAX` before indexing)
         self.slots[slot as usize].as_mut().expect("live flow slot")
     }
 
     pub(crate) fn release(&mut self, slot: u32) -> FlowLive {
-        // simlint::allow(hot-path-unwrap, release is only reached through a valid live slot)
+        #[expect(clippy::expect_used, reason = "release is only reached through a valid live slot")]
         let fl = self.slots[slot as usize].take().expect("double release");
         self.bytes -= Self::entry_bytes(&fl);
         self.occupancy -= 1;

@@ -14,8 +14,14 @@
 //! with `cargo test -p netsim --test alloc_budget -- --nocapture`, which
 //! prints every count.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "a test-only allocator tally that no simulation reads"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell; // simlint::allow(shared-state, a test-only allocator tally that no simulation reads)
+use std::cell::Cell;
 
 use netsim::{Sim, SimConfig, SwitchConfig, Topology};
 use simcore::{Rate, Time};
@@ -27,7 +33,6 @@ struct Tally {
     frees: u64,
 }
 
-// simlint::allow(shared-state, a test-only allocator tally that no simulation reads)
 thread_local!(static CALLS: Cell<Tally> = const { Cell::new(Tally { allocs: 0, frees: 0 }) });
 
 fn bump(free: bool) {

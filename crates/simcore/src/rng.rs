@@ -50,9 +50,11 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
-    // Deliberately named like Iterator::next: this is the xoshiro output
-    // function, and SimRng is not an Iterator (no termination semantics).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "deliberately named like Iterator::next: this is the xoshiro output \
+                  function, and SimRng is not an Iterator (no termination semantics)"
+    )]
     #[inline]
     pub fn next(&mut self) -> u64 {
         let result = self.s[0]

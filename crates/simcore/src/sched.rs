@@ -7,6 +7,10 @@
 //! queue's FIFO lanes and never reach it; see [`crate::event`].) This module
 //! has the heap's element, [`Entry`], and its traffic count, [`SchedWork`].
 
+// R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
+// test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::time::Time;
 
 /// One pending event: absolute timestamp, tie-breaking sequence number, the

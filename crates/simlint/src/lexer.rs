@@ -4,8 +4,7 @@
 //! lifetimes, and single-character punctuation, with string literals
 //! (including raw and byte strings), char literals, and comments stripped
 //! out of the token stream. Comments are kept on the side because the
-//! `simlint::allow(...)` annotation grammar and rule R6's reason-comment
-//! requirement both read them.
+//! `simlint::allow(...)` annotation grammar reads them.
 //!
 //! This is deliberately not a full Rust lexer — no float/suffix fidelity,
 //! no multi-character operators — because the rules only ever match

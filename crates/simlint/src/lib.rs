@@ -2,16 +2,19 @@
 //!
 //! Every figure this repro produces depends on bit-identical deterministic
 //! replay. The runtime audit (`netsim::audit`) and the differential
-//! scheduler tests catch violations *dynamically*; simlint refuses them at
-//! build time. Two analysis layers, both dependency-free (no `syn` — the
-//! workspace builds offline):
+//! scheduler tests catch violations *dynamically*; simlint refuses the
+//! ones clippy cannot see at build time. Two analysis layers, both
+//! dependency-free (no `syn` — the workspace builds offline):
 //!
-//! * **token rules** ([`rules`] R1–R8) over the hand-rolled [`lexer`];
-//! * **semantic passes** (R9–R11) over an item-level [`parse`] of every
-//!   file plus the workspace-wide crate/module graphs in [`index`], which
-//!   certify the PDES-sharding preconditions: one-way layering, no
-//!   interior-mutability side channels, no silently-ignored event
-//!   variants.
+//! * **token rules** ([`rules`] R4, R7, R8) over the hand-rolled [`lexer`];
+//! * **the layering pass** (R9) over an item-level [`parse`] of every file
+//!   plus the workspace-wide crate/module graphs in [`index`], which
+//!   certifies the PDES-sharding precondition of one-way layering.
+//!
+//! The rules that need resolved types and paths (R1, R2, R5, R6, R10,
+//! R11) are clippy's, configured in `clippy.toml` and the manifests' lint
+//! tables; R3 is [`rng_crates`] over `Cargo.lock`. DESIGN.md § Static
+//! analysis names each rule's enforcer.
 //!
 //! Used two ways:
 //!
@@ -21,7 +24,8 @@
 //!   so a regression fails the test suite, not just the CI script.
 //!
 //! The one way to tolerate a finding is an in-source
-//! `// simlint::allow(rule, reason)` next to it.
+//! `// simlint::allow(rule, reason)` next to it; one that covers no finding
+//! is reported, as `#[expect]` is.
 
 #![forbid(unsafe_code)]
 
@@ -39,8 +43,8 @@ use std::path::{Path, PathBuf};
 
 /// Lint one source file. `path` is the workspace-relative path (forward
 /// slashes) and selects which rules apply; `src` is the file contents.
-/// Covers every single-file rule (R1–R8, R10, R11); the cross-file half
-/// of R9 needs a [`Workspace`].
+/// Covers every single-file rule (R4, R7, R8, annotation hygiene); the
+/// cross-file R9 needs a [`Workspace`].
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     rules::check(path, &lexer::lex(src))
 }
@@ -58,8 +62,6 @@ pub struct Report {
     pub crates_indexed: usize,
     /// File modules indexed across the module-cycle scope.
     pub modules_indexed: usize,
-    /// Match expressions indexed across all parsed files.
-    pub matches_indexed: usize,
 }
 
 impl Report {
@@ -77,11 +79,10 @@ impl Report {
     /// same deterministic order as the text output, plus summary counts.
     /// Hand-emitted (no serde) and covered by an ordering regression test.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 2,\n");
+        let mut out = String::from("{\n  \"version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"crates_indexed\": {},\n", self.crates_indexed));
         out.push_str(&format!("  \"modules_indexed\": {},\n", self.modules_indexed));
-        out.push_str(&format!("  \"matches_indexed\": {},\n", self.matches_indexed));
         out.push_str("  \"findings\": [");
         for (i, (path, f)) in self.findings.iter().enumerate() {
             let allowed = match &f.allowed {
@@ -146,6 +147,20 @@ impl fmt::Display for Report {
         }
         Ok(())
     }
+}
+
+/// R3: the RNG crates a `Cargo.lock` text pins, by package name.
+/// Randomness flows through `simcore`'s seeded RNG; an RNG crate in the
+/// lock file is the first sign of a bypass, whichever crate pulled it in.
+pub fn rng_crates(lock: &str) -> Vec<&str> {
+    const RNG: [&str; 5] = ["rand", "getrandom", "fastrand", "oorandom", "nanorand"];
+    lock.lines()
+        .filter_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+        .filter(|name| {
+            let n = name.replace('-', "_");
+            RNG.contains(&n.as_str()) || n.starts_with("rand_")
+        })
+        .collect()
 }
 
 /// Directories under the workspace root that are scanned for `.rs` files.
@@ -236,17 +251,12 @@ pub(crate) fn lint_workspace_data(
     let mut parsed: BTreeMap<String, parse::ParsedFile> = BTreeMap::new();
     let mut allows: BTreeMap<String, Vec<rules::Allow>> = BTreeMap::new();
     let mut findings: Vec<(String, Finding)> = Vec::new();
-    let mut matches_indexed = 0usize;
     for (path, src) in sources {
         let lexed = lexer::lex(src);
         let pf = parse::parse(&lexed);
         let (file_allows, mut fs) = rules::collect_allows(&lexed);
-        fs.retain(|_| Rule::AllowWithoutReason.applies_to(path));
-        let regions = rules::effective_regions(path, &pf);
-        fs.extend(rules::token_findings(path, &lexed, &regions));
-        fs.extend(rules::file_semantic_findings(path, &pf, &regions));
+        fs.extend(rules::token_findings(path, &lexed, &rules::effective_regions(path, &pf)));
         findings.extend(fs.into_iter().map(|f| (path.clone(), f)));
-        matches_indexed += pf.matches.len();
         parsed.insert(path.clone(), pf);
         allows.insert(path.clone(), file_allows);
     }
@@ -264,20 +274,16 @@ pub(crate) fn lint_workspace_data(
     for (path, f) in &mut findings {
         by_path.entry(path.as_str()).or_default().push(f);
     }
-    for (path, fs) in by_path {
-        if let Some(file_allows) = allows.get(path) {
-            for f in fs {
-                if f.allowed.is_none() {
-                    if let Some(a) = file_allows
-                        .iter()
-                        .find(|a| a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line))
-                    {
-                        f.allowed = Some(a.reason.clone());
-                    }
-                }
-            }
-        }
+    let mut stale = Vec::new();
+    for (path, file_allows) in &allows {
+        let fs = by_path.remove(path.as_str()).unwrap_or_default();
+        stale.extend(
+            rules::apply_allows(file_allows, fs)
+                .into_iter()
+                .map(|f| (path.clone(), f)),
+        );
     }
+    findings.extend(stale);
 
     findings.sort_by(|(pa, fa), (pb, fb)| {
         (pa, fa.line, fa.col, fa.rule).cmp(&(pb, fb.line, fb.col, fb.rule))
@@ -287,7 +293,6 @@ pub(crate) fn lint_workspace_data(
         files_scanned: sources.len(),
         crates_indexed: crates.len(),
         modules_indexed,
-        matches_indexed,
     }
 }
 
@@ -297,10 +302,10 @@ mod tests {
 
     #[test]
     fn lint_source_end_to_end() {
-        let src = "use std::collections::HashMap;\n";
+        let src = "fn f(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>()\n}\n";
         let fs = lint_source("crates/netsim/src/x.rs", src);
         assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].rule, Rule::NondeterministicMap);
+        assert_eq!(fs[0].rule, Rule::FloatOrder);
         // Same source outside a simulation-state crate: clean.
         assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
     }

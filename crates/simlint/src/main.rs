@@ -25,9 +25,10 @@ struct Args {
 fn usage() -> &'static str {
     "usage: simlint [--root DIR] [--json FILE] [--quiet]\n\
      \n\
-     Walks the workspace and enforces the determinism/layering/shared-state\n\
-     rule set (see crates/simlint/src/rules.rs). Exit 1 on any finding that is\n\
-     not annotated with // simlint::allow(rule, reason).\n\
+     Walks the workspace and enforces the time-cast, hot-path allocation,\n\
+     float-order and layering rules (see crates/simlint/src/rules.rs). Exit 1\n\
+     on any finding that is not annotated with // simlint::allow(rule, reason),\n\
+     and on any such annotation that is malformed or covers no finding.\n\
      --json also writes the machine-readable report to FILE."
 }
 
@@ -119,12 +120,11 @@ fn main() -> ExitCode {
     }
     if !args.quiet {
         eprintln!(
-            "simlint: {} files, {} crates, {} modules, {} matches; {} finding(s): \
+            "simlint: {} files, {} crates, {} modules; {} finding(s): \
              {} fatal, {} allowed by annotation",
             report.files_scanned,
             report.crates_indexed,
             report.modules_indexed,
-            report.matches_indexed,
             report.findings.len(),
             fatal,
             report.allowed_count()
@@ -133,7 +133,8 @@ fn main() -> ExitCode {
     if fatal > 0 {
         eprintln!(
             "simlint: FAILED — fix the sites above or annotate them with \
-             // simlint::allow(rule, reason)"
+             // simlint::allow(rule, reason); an allow-hygiene finding is fixed \
+             in the annotation itself"
         );
         ExitCode::FAILURE
     } else {

@@ -1,14 +1,13 @@
 //! Item-level parsing: the second analysis layer on top of [`crate::lexer`].
 //!
 //! The lexer gives a flat token stream; this module recovers just enough
-//! *structure* for the semantic rule families (R9 layering, R10
-//! shared-state, R11 event-exhaustiveness): module declarations, fully
-//! expanded `use` trees (groups, globs, renames), item declarations
-//! (`fn`/`struct`/`enum`/`impl`), `match` expressions with per-arm
-//! patterns, and every `Head::...` path reference. It is still not a Rust
-//! parser — no expressions, no types, no precedence — because the rules
-//! only need names, edges, and arm shapes. `cfg`-gated items are indexed
-//! unconditionally: the lint must see every configuration at once.
+//! *structure* for the layering pass (R9) and the test-region exemptions
+//! of the token rules: module declarations, fully expanded `use` trees
+//! (groups, globs, renames), every `Head::...` path reference, and the
+//! `#[cfg(test)]`/`#[test]` regions. It is not a Rust parser — no
+//! expressions, no types, no precedence — because the rules only need
+//! names and edges. `cfg`-gated items are indexed unconditionally: the
+//! lint must see every configuration at once.
 //!
 //! Everything here is resilient by construction: on malformed input the
 //! scans simply record less, they never error — the compiler is the
@@ -17,13 +16,11 @@
 use crate::lexer::{Lexed, Tok, TokKind};
 
 /// One expanded `use` leaf: `use a::{b, c::*};` yields `[a, b]` and
-/// `[a, c]` (the latter with [`UseDecl::glob`] set).
+/// `[a, c]`.
 #[derive(Clone, Debug)]
 pub struct UseDecl {
     /// Path segments, with leading `crate`/`super`/`self` kept verbatim.
     pub segs: Vec<String>,
-    /// True for a `::*` leaf.
-    pub glob: bool,
     /// 1-based line of the `use` keyword.
     pub line: u32,
     /// Whether the declaration sits inside a `#[cfg(test)]` region.
@@ -41,64 +38,6 @@ pub struct ModDecl {
     pub inline: bool,
     /// Names of the enclosing inline modules, outermost first.
     pub parents: Vec<String>,
-}
-
-/// A named item (`fn`/`struct`) — name and position only.
-#[derive(Clone, Debug)]
-pub struct ItemDecl {
-    /// Item name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// An `enum` declaration with its variant names.
-#[derive(Clone, Debug)]
-pub struct EnumDecl {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-}
-
-/// An `impl` block header: `impl Type` or `impl Trait for Type`.
-#[derive(Clone, Debug)]
-pub struct ImplDecl {
-    /// The implementing type's leading identifier.
-    pub type_name: String,
-    /// The trait's trailing identifier for `impl Trait for Type`.
-    pub trait_name: Option<String>,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// One arm of a `match` expression.
-#[derive(Clone, Debug)]
-pub struct MatchArm {
-    /// 1-based line of the arm's first pattern token.
-    pub line: u32,
-    /// True when the pattern is exactly `_` (no guard): the arm swallows
-    /// every variant unconditionally.
-    pub wildcard: bool,
-    /// True when the arm carries an `if` guard.
-    pub guarded: bool,
-    /// For each `A::B` path in the pattern, the head identifier `A`
-    /// (deduplicated, in first-seen order). `Event::Arrive { .. }`
-    /// contributes `Event`.
-    pub enum_heads: Vec<String>,
-}
-
-/// A `match` expression with its parsed arms.
-#[derive(Clone, Debug)]
-pub struct MatchExpr {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Whether the expression sits inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-    /// The arms, in source order.
-    pub arms: Vec<MatchArm>,
 }
 
 /// A `Head::second::...` path reference anywhere in code (use lines
@@ -123,16 +62,6 @@ pub struct ParsedFile {
     pub mods: Vec<ModDecl>,
     /// Expanded `use` leaves.
     pub uses: Vec<UseDecl>,
-    /// `fn` items (all nesting levels, trait/impl fns included).
-    pub fns: Vec<ItemDecl>,
-    /// `struct` items.
-    pub structs: Vec<ItemDecl>,
-    /// `enum` items with variants.
-    pub enums: Vec<EnumDecl>,
-    /// `impl` block headers.
-    pub impls: Vec<ImplDecl>,
-    /// `match` expressions with parsed arms.
-    pub matches: Vec<MatchExpr>,
     /// All `Head::...` path references.
     pub path_refs: Vec<PathRef>,
     /// Line ranges (inclusive) of `#[cfg(test)]` modules / `#[test]` fns.
@@ -140,8 +69,7 @@ pub struct ParsedFile {
 }
 
 /// Line ranges (inclusive) of `#[cfg(test)]` modules and `#[test]`
-/// functions. Shared by the token rules (R5/R7/R8) and the semantic
-/// passes.
+/// functions. Shared by the token rules (R7/R8) and the layering pass.
 pub fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let t = |i: usize| -> &str { &toks[i].text };
@@ -257,31 +185,6 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     }
                 }
             }
-            "fn" if i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident => {
-                pf.fns.push(ItemDecl {
-                    name: t(i + 1).to_string(),
-                    line: tok.line,
-                });
-            }
-            "struct" if i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident => {
-                pf.structs.push(ItemDecl {
-                    name: t(i + 1).to_string(),
-                    line: tok.line,
-                });
-            }
-            "enum" if i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident => {
-                pf.enums.push(parse_enum(toks, i));
-            }
-            "impl" => {
-                if let Some(decl) = parse_impl_header(toks, i) {
-                    pf.impls.push(decl);
-                }
-            }
-            "match" => {
-                if let Some(m) = parse_match(toks, i, in_test) {
-                    pf.matches.push(m);
-                }
-            }
             _ => {}
         }
         // Path-reference scan: `Head::...` where Head is not itself a
@@ -350,7 +253,6 @@ fn parse_use_tree(
                 "*" => {
                     out.push(UseDecl {
                         segs: prefix.clone(),
-                        glob: true,
                         line,
                         in_test,
                     });
@@ -389,7 +291,6 @@ fn parse_use_tree(
                     if !emitted && prefix.len() > base_len {
                         out.push(UseDecl {
                             segs: prefix.clone(),
-                            glob: false,
                             line,
                             in_test,
                         });
@@ -402,240 +303,6 @@ fn parse_use_tree(
         }
     }
     i
-}
-
-/// Parse `enum Name { Variant, ... }` starting at the `enum` keyword.
-fn parse_enum(toks: &[Tok], i: usize) -> EnumDecl {
-    let t = |i: usize| -> &str { &toks[i].text };
-    let name = t(i + 1).to_string();
-    let line = toks[i].line;
-    let mut variants = Vec::new();
-    // Find the body `{` (generics/where clauses for enums in this
-    // workspace contain no braces).
-    let mut j = i + 2;
-    while j < toks.len() && t(j) != "{" && t(j) != ";" {
-        j += 1;
-    }
-    if j >= toks.len() || t(j) != "{" {
-        return EnumDecl { name, line, variants };
-    }
-    // Variants: the identifier opening each arm at depth 1, skipping
-    // attributes; payloads `(..)` / `{..}` and discriminants are skipped
-    // by depth/comma tracking.
-    let mut depth = 1i32;
-    let mut expect_variant = true;
-    j += 1;
-    while j < toks.len() && depth > 0 {
-        match t(j) {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => depth -= 1,
-            "#" if depth == 1 && expect_variant => {
-                // Attribute: skip the bracketed group.
-                if j + 1 < toks.len() && t(j + 1) == "[" {
-                    let mut d = 1i32;
-                    j += 2;
-                    while j < toks.len() && d > 0 {
-                        match t(j) {
-                            "[" => d += 1,
-                            "]" => d -= 1,
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    continue;
-                }
-            }
-            "," if depth == 1 => expect_variant = true,
-            _ => {
-                if depth == 1 && expect_variant && toks[j].kind == TokKind::Ident {
-                    variants.push(t(j).to_string());
-                    expect_variant = false;
-                }
-            }
-        }
-        j += 1;
-    }
-    EnumDecl { name, line, variants }
-}
-
-/// Parse an `impl` header: tokens between `impl` and the body `{`.
-fn parse_impl_header(toks: &[Tok], i: usize) -> Option<ImplDecl> {
-    let t = |i: usize| -> &str { &toks[i].text };
-    let line = toks[i].line;
-    let mut j = i + 1;
-    // Skip the generic parameter list, if any (angle brackets may nest).
-    if j < toks.len() && t(j) == "<" {
-        let mut d = 1i32;
-        j += 1;
-        while j < toks.len() && d > 0 {
-            match t(j) {
-                "<" => d += 1,
-                ">" => d -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Collect idents until the body `{`, noting a top-level `for`.
-    let mut before_for: Vec<String> = Vec::new();
-    let mut after_for: Vec<String> = Vec::new();
-    let mut saw_for = false;
-    let mut angle = 0i32;
-    while j < toks.len() && t(j) != "{" && t(j) != ";" {
-        match t(j) {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            "for" if angle == 0 => saw_for = true,
-            _ if toks[j].kind == TokKind::Ident && angle == 0 => {
-                if saw_for {
-                    after_for.push(t(j).to_string());
-                } else {
-                    before_for.push(t(j).to_string());
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    if saw_for {
-        Some(ImplDecl {
-            type_name: after_for.first()?.clone(),
-            trait_name: before_for.last().cloned(),
-            line,
-        })
-    } else {
-        Some(ImplDecl {
-            type_name: before_for.first()?.clone(),
-            trait_name: None,
-            line,
-        })
-    }
-}
-
-/// Parse a `match` expression starting at the `match` keyword: find the
-/// body brace past the scrutinee (struct literals are not legal there, so
-/// the first `{` at bracket-depth 0 opens the body), then split the body
-/// into arms at `=>` / `,` boundaries.
-fn parse_match(toks: &[Tok], i: usize, in_test: bool) -> Option<MatchExpr> {
-    let t = |i: usize| -> &str { &toks[i].text };
-    let line = toks[i].line;
-    // Scrutinee: scan to the body `{`.
-    let mut j = i + 1;
-    let mut depth = 0i32;
-    loop {
-        if j >= toks.len() {
-            return None;
-        }
-        match t(j) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => break,
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            ";" if depth == 0 => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    // Arms.
-    let mut arms = Vec::new();
-    let mut k = j + 1;
-    'arms: while k < toks.len() && t(k) != "}" {
-        // --- pattern (and optional guard) up to `=>` ---
-        let arm_line = toks[k].line;
-        let mut pat_toks = 0usize;
-        let mut only_underscore = true;
-        let mut guarded = false;
-        let mut heads: Vec<String> = Vec::new();
-        let mut d = 0i32;
-        while k < toks.len() {
-            if d == 0 && t(k) == "=" && k + 1 < toks.len() && t(k + 1) == ">" {
-                k += 2;
-                break;
-            }
-            match t(k) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d < 0 {
-                        // Ran past the match body's closing brace —
-                        // malformed arm; stop.
-                        break 'arms;
-                    }
-                }
-                "if" if d == 0 => guarded = true,
-                _ => {}
-            }
-            // Any segment followed by `::` counts as a head, so a
-            // fully-qualified `crate::event::Event::End` pattern still
-            // records `Event` (unlike the file-level path_refs scan,
-            // patterns contain no turbofish to misread).
-            if toks[k].kind == TokKind::Ident
-                && k + 2 < toks.len()
-                && t(k + 1) == ":"
-                && t(k + 2) == ":"
-            {
-                let h = t(k).to_string();
-                if !heads.contains(&h) {
-                    heads.push(h);
-                }
-            }
-            if !guarded {
-                pat_toks += 1;
-                if t(k) != "_" {
-                    only_underscore = false;
-                }
-            }
-            k += 1;
-        }
-        arms.push(MatchArm {
-            line: arm_line,
-            wildcard: pat_toks == 1 && only_underscore && !guarded,
-            guarded,
-            enum_heads: heads,
-        });
-        // --- arm body ---
-        if k >= toks.len() {
-            break;
-        }
-        if t(k) == "{" {
-            let mut d = 1i32;
-            k += 1;
-            while k < toks.len() && d > 0 {
-                match t(k) {
-                    "{" | "(" | "[" => d += 1,
-                    "}" | ")" | "]" => d -= 1,
-                    _ => {}
-                }
-                k += 1;
-            }
-            if k < toks.len() && t(k) == "," {
-                k += 1;
-            }
-        } else {
-            let mut d = 0i32;
-            while k < toks.len() {
-                match t(k) {
-                    "(" | "[" | "{" => d += 1,
-                    ")" | "]" | "}" => {
-                        if d == 0 && t(k) == "}" {
-                            // Match body closes; leave `}` for the outer
-                            // loop condition.
-                            continue 'arms;
-                        }
-                        d -= 1;
-                    }
-                    "," if d == 0 => {
-                        k += 1;
-                        continue 'arms;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-    }
-    Some(MatchExpr { line, in_test, arms })
 }
 
 #[cfg(test)]
@@ -668,8 +335,6 @@ mod tests {
                 "simcore::sched::Scheduler",
             ]
         );
-        assert!(pf.uses[2].glob, "`crate::packet::*` is a glob leaf");
-        assert!(!pf.uses[0].glob);
     }
 
     #[test]
@@ -714,95 +379,6 @@ mod tests {
         assert_eq!(pf.mods[0].name, "audit");
         assert_eq!(pf.uses.len(), 1);
         assert_eq!(pf.uses[0].segs, vec!["crate", "audit", "Audit"]);
-        assert_eq!(pf.fns.len(), 1);
-        assert_eq!(pf.fns[0].name, "no_audit");
-    }
-
-    #[test]
-    fn enums_collect_variants_past_attributes_and_payloads() {
-        let pf = parse_src(
-            "pub enum Event {\n\
-                 Arrive { node: u32, pkt: u64 },\n\
-                 #[cfg(feature = \"x\")]\n\
-                 Gated(u8),\n\
-                 End,\n\
-             }\n\
-             enum E2 { A = 1, B = 2 }\n",
-        );
-        assert_eq!(pf.enums.len(), 2);
-        assert_eq!(pf.enums[0].name, "Event");
-        assert_eq!(pf.enums[0].variants, vec!["Arrive", "Gated", "End"]);
-        assert_eq!(pf.enums[1].variants, vec!["A", "B"]);
-    }
-
-    #[test]
-    fn impl_headers_parse_trait_and_type() {
-        let pf = parse_src(
-            "impl Foo { fn a() {} }\n\
-             impl fmt::Display for Report { }\n\
-             impl<T: Scheduler> Backend for Heap<T> { }\n",
-        );
-        assert_eq!(pf.impls.len(), 3);
-        assert_eq!(pf.impls[0].type_name, "Foo");
-        assert_eq!(pf.impls[0].trait_name, None);
-        assert_eq!(pf.impls[1].type_name, "Report");
-        assert_eq!(pf.impls[1].trait_name.as_deref(), Some("Display"));
-        assert_eq!(pf.impls[2].type_name, "Heap");
-        assert_eq!(pf.impls[2].trait_name.as_deref(), Some("Backend"));
-    }
-
-    #[test]
-    fn match_arms_record_wildcards_guards_and_heads() {
-        let pf = parse_src(
-            "fn f(e: Event) {\n\
-                 match e {\n\
-                     Event::Arrive { node, .. } => handle(node),\n\
-                     Event::End => {}\n\
-                     _ if ready() => retry(),\n\
-                     _ => {}\n\
-                 }\n\
-             }\n",
-        );
-        assert_eq!(pf.matches.len(), 1);
-        let m = &pf.matches[0];
-        assert_eq!(m.arms.len(), 4);
-        assert_eq!(m.arms[0].enum_heads, vec!["Event"]);
-        assert!(!m.arms[0].wildcard);
-        assert!(m.arms[2].guarded && !m.arms[2].wildcard);
-        assert!(m.arms[3].wildcard && !m.arms[3].guarded);
-    }
-
-    #[test]
-    fn nested_matches_are_both_indexed() {
-        let pf = parse_src(
-            "fn f(a: K, b: K) -> u32 {\n\
-                 match a {\n\
-                     K::X => match b {\n\
-                         K::Y => 1,\n\
-                         _ => 2,\n\
-                     },\n\
-                     _ => 3,\n\
-                 }\n\
-             }\n",
-        );
-        assert_eq!(pf.matches.len(), 2);
-        // Outer match sees its own wildcard; inner sees its own.
-        assert!(pf.matches.iter().all(|m| m.arms.iter().any(|a| a.wildcard)));
-    }
-
-    #[test]
-    fn scrutinee_with_calls_and_closures_finds_the_body() {
-        let pf = parse_src(
-            "fn f(v: &[u32]) {\n\
-                 match v.iter().map(|x| { x + 1 }).sum::<u32>() {\n\
-                     0 => {}\n\
-                     n => use_it(n),\n\
-                 }\n\
-             }\n",
-        );
-        assert_eq!(pf.matches.len(), 1);
-        assert_eq!(pf.matches[0].arms.len(), 2);
-        assert!(!pf.matches[0].arms.iter().any(|a| a.wildcard));
     }
 
     #[test]
@@ -824,18 +400,19 @@ mod tests {
     }
 
     #[test]
-    fn test_region_flags_propagate_to_uses_and_matches() {
+    fn test_region_flags_propagate_to_uses_and_path_refs() {
         let pf = parse_src(
             "use crate::a::X;\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  use crate::b::Y;\n\
                  #[test]\n\
-                 fn t() { match K::A { K::A => {}, _ => {} } }\n\
+                 fn t() { crate::c::run(); }\n\
              }\n",
         );
         assert!(!pf.uses[0].in_test);
         assert!(pf.uses[1].in_test);
-        assert!(pf.matches[0].in_test);
+        let run = pf.path_refs.iter().find(|p| p.second.as_deref() == Some("c")).unwrap();
+        assert!(run.in_test);
     }
 }

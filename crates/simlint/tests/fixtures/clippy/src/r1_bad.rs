@@ -1,10 +1,10 @@
 //! R1 bad example: hash collections in a simulation-state crate.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet}; //~ clippy::disallowed_types
 
 pub struct FlowTable {
-    pub flows: HashMap<u32, u64>,
-    pub live: HashSet<u32>,
+    pub flows: HashMap<u32, u64>, //~ clippy::disallowed_types
+    pub live: HashSet<u32>,       //~ clippy::disallowed_types
 }
 
 pub fn drain(t: &FlowTable) -> u64 {

@@ -94,6 +94,23 @@ fn upward_use_respects_allow_annotation() {
 }
 
 #[test]
+fn stale_layering_allow_is_reported() {
+    // A file whose only finding would be the allowance's: the workspace
+    // pass reports annotations in files that have no findings at all.
+    let mut ws = mini_workspace();
+    ws.add(
+        "crates/netsim/src/report.rs",
+        "// simlint::allow(layering, simcore sits below netsim anyway)\nuse simcore::tick;\n",
+    );
+    let report = ws.lint();
+    let hits: Vec<(&str, u32, Rule)> = report
+        .unallowed()
+        .map(|(p, f)| (p.as_str(), f.line, f.rule))
+        .collect();
+    assert_eq!(hits, vec![("crates/netsim/src/report.rs", 1, Rule::AllowHygiene)]);
+}
+
+#[test]
 fn upward_manifest_dependency_is_caught() {
     let mut ws = mini_workspace();
     ws.add(
@@ -199,11 +216,12 @@ fn report_ordering_is_stable_across_text_and_json() {
     // Findings in several files, added in non-sorted order.
     ws.add(
         "crates/netsim/src/zeta.rs",
-        "use std::collections::HashMap;\npub fn z(_m: HashMap<u32, u32>) {}\n",
+        "pub fn z(v: &[f64]) -> (f64, f64) {\n    \
+         (v.iter().sum::<f64>(), v.iter().product::<f64>())\n}\n",
     );
     ws.add(
         "crates/netsim/src/alpha.rs",
-        "use std::cell::RefCell;\npub struct A {\n    c: RefCell<u32>,\n}\n",
+        "use simcore::Time;\npub fn a(t: Time) -> u64 {\n    t.as_ps() as u64\n}\n",
     );
     ws.add(
         "crates/netsim/src/report.rs",
@@ -251,7 +269,7 @@ fn json_escapes_special_characters() {
     let mut ws = mini_workspace();
     ws.add(
         "crates/netsim/src/q.rs",
-        "use std::collections::HashMap;\npub fn q(_m: HashMap<u8, u8>) {}\n",
+        "pub fn q(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>()\n}\n",
     );
     let json = ws.lint().to_json();
     // Messages may contain slashes and quotes; the emitted JSON must stay

@@ -179,7 +179,9 @@ mod tests {
         // not dead: it either sends now or names a concrete next time.
         match t.try_send(now + Time::from_ms(100)) {
             TrySend::Data { .. } | TrySend::NotBefore(_) => {}
-            other => panic!("floor window must still pace packets, got {other:?}"),
+            other @ (TrySend::Probe | TrySend::Blocked | TrySend::Finished) => {
+                panic!("floor window must still pace packets, got {other:?}")
+            }
         }
     }
 

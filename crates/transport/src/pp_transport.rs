@@ -162,7 +162,7 @@ impl<C: DelayCc> Transport for PrioPlusTransport<C> {
             data @ TrySend::Data { .. } => {
                 self.base.on_sent(data, self.pp.cwnd(), ctx.now);
             }
-            _ => {}
+            TrySend::NotBefore(_) | TrySend::Blocked | TrySend::Finished => {}
         }
     }
 

@@ -527,7 +527,10 @@ mod tests {
                 // pace gap = srtt * mtu/cwnd ~ 12us * 6.67 = 80us.
                 assert!(t > Time::from_us(60) && t < Time::from_us(120), "{t}");
             }
-            other => panic!("expected pacing delay, got {other:?}"),
+            other @ (TrySend::Data { .. }
+            | TrySend::Probe
+            | TrySend::Blocked
+            | TrySend::Finished) => panic!("expected pacing delay, got {other:?}"),
         }
     }
 

@@ -194,7 +194,6 @@ mod tests {
         let n = 20_000;
         let total: f64 = (0..n)
             .map(|_| g.next_coflow(Time::ZERO).total_bytes() as f64)
-            // simlint::allow(float-order, fixed-seed Monte-Carlo constant over a fixed 0..n range; order can never change)
             .sum();
         total / n as f64
     }

@@ -62,7 +62,10 @@ impl OpenLoopGen {
     /// `load` (fraction of aggregate NIC capacity, Poisson component only)
     /// in `[start, horizon)`. The incast mix, when present, rides on top of
     /// that load.
-    #[allow(clippy::too_many_arguments)] // scenario constructor: each knob is orthogonal
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "scenario constructor: each knob is orthogonal"
+    )]
     pub fn new(
         dist: SizeDist,
         hosts: usize,
@@ -130,7 +133,6 @@ impl OpenLoopGen {
             .as_ref()
             .is_some_and(|s| s.at < self.horizon && (!poisson_due || s.at <= self.next_poisson));
         if incast_due {
-            // simlint::allow(hot-path-unwrap, guarded by the is_some_and one line up)
             let s = self.incast.as_mut().expect("checked");
             if s.emitted == 0 {
                 s.victim = s.rng.choose_index(self.hosts);
@@ -175,7 +177,6 @@ impl OpenLoopGen {
     /// Emit every arrival with `start < until` (bounded look-ahead chunk).
     pub fn take_until(&mut self, until: Time, out: &mut Vec<FlowArrival>) {
         while self.peek_start().is_some_and(|t| t < until) {
-            // simlint::allow(hot-path-unwrap, peek_start guarantees a pending arrival)
             out.push(self.next_arrival().expect("peeked"));
         }
     }

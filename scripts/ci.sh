@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Full CI gauntlet: four legs, five test invocations.
 #
-#   1. lint: simlint (token rules plus the symbol-index semantic passes)
-#      must report zero unallowed findings — the JSON report lands in
-#      target/simlint.json as a CI artifact — then clippy with -D warnings
-#      (skipped with a warning if the toolchain has no clippy component),
-#      then rustdoc with -D warnings, so a deleted item cannot leave a
-#      dangling doc link behind; then the non-test line count per crate
-#      (scripts/loc.sh) into target/ci/loc.txt, an artefact, not a gate;
+#   1. lint: simlint (R4, R7, R8 and the layering pass R9) must report
+#      zero unallowed findings and no stale allowance — the JSON report
+#      lands in target/simlint.json as a CI artifact — then clippy with
+#      -D warnings, which carries R1, R2, R5, R6, R10 and R11 (clippy.toml
+#      and the lint tables; a toolchain without clippy fails the leg), then
+#      scripts/check_lint_fixtures.sh, which proves each of those rules
+#      still fires on its bad fixture, then rustdoc with -D warnings, so a
+#      deleted item cannot leave a dangling doc link behind; then the
+#      non-test line count per crate (scripts/loc.sh) into
+#      target/ci/loc.txt, an artefact, not a gate;
 #   2. tier-1: release build, the disassembly guard on the event loop's
 #      callee list (scripts/check_hot_calls.sh; skipped with a warning if
 #      there is no objdump), then the full test suite — property fleets
@@ -47,14 +50,11 @@ leg_done() {
   LEG_JSON+="${LEG_JSON:+, }{\"name\": \"${LEG_NAME}\", \"seconds\": ${t}}"
 }
 
-leg 1 lint "simlint + clippy + rustdoc (-D warnings)"
+leg 1 lint "simlint + clippy + lint fixtures + rustdoc (-D warnings)"
 cargo run --release -q -p simlint -- --json target/simlint.json
 echo "ci.sh: JSON report written to target/simlint.json"
-if cargo clippy --version >/dev/null 2>&1; then
-  cargo clippy --workspace --all-targets -- -D warnings
-else
-  echo "ci.sh: WARNING: clippy not installed on this toolchain, skipping" >&2
-fi
+cargo clippy --workspace --all-targets -- -D warnings
+scripts/check_lint_fixtures.sh
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 scripts/loc.sh > target/ci/loc.txt
 echo "ci.sh: non-test lines: $(tail -1 target/ci/loc.txt | awk '{print $1}') in total (target/ci/loc.txt)"

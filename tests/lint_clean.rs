@@ -1,14 +1,16 @@
-//! The workspace must be simlint-clean.
+//! The workspace must be simlint-clean, and its lock file free of RNG
+//! crates.
 //!
 //! `scripts/ci.sh` runs `cargo run -p simlint` as a CI leg, but this test
 //! runs the same pass programmatically inside `cargo test`, so a
-//! determinism-hazard regression (a stray `HashMap` in a sim-state crate, a
-//! wall-clock `Instant`, an unseeded RNG call, ...) fails the ordinary test
-//! suite too — not just the CI script.
+//! determinism-hazard regression (a lossy `Time` cast, a per-event
+//! allocation, an upward crate edge, a stale allowance, ...) fails the
+//! ordinary test suite too — not just the CI script. The rules clippy
+//! enforces run in CI leg 1 (`cargo clippy --workspace`).
 
 use std::path::Path;
 
-use simlint::lint_workspace;
+use simlint::{lint_workspace, rng_crates};
 
 fn workspace_root() -> &'static Path {
     // crates/simlint/../.. = the workspace root, independent of the
@@ -58,10 +60,9 @@ fn workspace_has_no_unallowed_findings() {
 
 #[test]
 fn semantic_passes_run_in_the_full_workspace_scan() {
-    // The symbol-index passes (R9–R11) must actually be exercising the
-    // tree, not silently indexing nothing: every first-party crate is
-    // discovered, the module graphs cover the sim-state crates, and the
-    // match index saw the event loop's dispatch sites.
+    // The layering pass (R9) must actually be exercising the tree, not
+    // silently indexing nothing: every first-party crate is discovered and
+    // the module graphs cover the sim-state crates.
     let report = lint_workspace(workspace_root()).expect("lint pass reads the workspace");
     assert!(
         report.crates_indexed >= 7,
@@ -73,11 +74,19 @@ fn semantic_passes_run_in_the_full_workspace_scan() {
         "suspiciously few modules in the cycle scope ({})",
         report.modules_indexed
     );
+}
+
+#[test]
+fn cargo_lock_has_no_rng_crate() {
+    // R3: randomness flows through simcore's seeded RNG. An RNG crate in
+    // the lock file means some crate can draw unseeded numbers.
+    let lock = std::fs::read_to_string(workspace_root().join("Cargo.lock"))
+        .expect("the workspace has a Cargo.lock");
     assert!(
-        report.matches_indexed >= 50,
-        "suspiciously few match expressions indexed ({})",
-        report.matches_indexed
+        lock.contains("name = \"simcore\""),
+        "not the workspace lock file"
     );
+    assert_eq!(rng_crates(&lock), Vec::<&str>::new());
 }
 
 #[test]
