@@ -10,7 +10,7 @@
 //! EXPERIMENTS.md can table PrioPlus against priority-blind baselines
 //! under failure.
 
-use netsim::{FaultSchedule, SimResult};
+use netsim::{FaultSchedule, Sim, SimResult};
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
@@ -152,11 +152,11 @@ pub fn count_inversions(res: &SimResult) -> (usize, usize) {
     (inversions, pairs)
 }
 
-/// Run one (scheme, regime) cell: an 8-sender, four-virtual-priority
-/// incast of 2 MB flows (≈ 1.3 ms of bottleneck work, so the incast
-/// stays active across several fault cycles) with the regime's schedule
-/// installed.
-pub fn run_cell(cc: FaultCc, regime: FaultRegime, seed: u64) -> FaultOutcome {
+/// Build one (scheme, regime) cell, flows registered and not yet run: an
+/// 8-sender, four-virtual-priority incast of 2 MB flows (≈ 1.3 ms of
+/// bottleneck work, so the incast stays active across several fault
+/// cycles) with the regime's schedule installed.
+pub fn prepare(cc: FaultCc, regime: FaultRegime, seed: u64) -> Sim {
     let horizon = Time::from_ms(10);
     let switch = SENDERS as u32 + 1;
     let mut m = Micro::build(&MicroEnv {
@@ -172,7 +172,12 @@ pub fn run_cell(cc: FaultCc, regime: FaultRegime, seed: u64) -> FaultOutcome {
         let virt = ((s - 1) % PRIOS as usize) as u8;
         m.add_flow(s, 2_000_000, Time::ZERO, 0, virt, &spec);
     }
-    let res = m.sim.run();
+    m.sim
+}
+
+/// Run one (scheme, regime) cell ([`prepare`]) and fold its outcome.
+pub fn run_cell(cc: FaultCc, regime: FaultRegime, seed: u64) -> FaultOutcome {
+    let res = prepare(cc, regime, seed).run();
     let slowdowns: Vec<f64> = res.finished().filter_map(|r| r.slowdown_auto()).collect();
     let (inversions, pairs) = count_inversions(&res);
     FaultOutcome {

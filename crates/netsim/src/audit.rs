@@ -42,13 +42,14 @@ use crate::counters::SimCounters;
 use crate::node::Switch;
 use crate::packet::{FlowId, NodeId, PacketArena};
 
+/// Trailing events retained for violation context.
+const RING_CAPACITY: usize = 64;
+/// Violations stored verbatim; excess violations are only counted.
+const MAX_VIOLATIONS: usize = 64;
+
 /// Configuration of the audit layer.
 #[derive(Clone, Debug)]
 pub struct AuditConfig {
-    /// Number of trailing events retained for violation context.
-    pub ring_capacity: usize,
-    /// Violations stored verbatim; excess violations are only counted.
-    pub max_violations: usize,
     /// Panic with a full dump on the first violation (fail-fast debugging).
     pub panic_on_violation: bool,
     /// Run the O(state) deep scan every N events (1 = every event). The
@@ -59,8 +60,6 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            ring_capacity: 64,
-            max_violations: 64,
             panic_on_violation: false,
             deep_every: 1,
         }
@@ -167,7 +166,7 @@ pub struct EventRecord {
 /// Final audit output, attached to [`crate::record::SimResult`].
 #[derive(Clone, Debug)]
 pub struct AuditReport {
-    /// Stored violations (capped at [`AuditConfig::max_violations`]).
+    /// Stored violations (the first 64).
     pub violations: Vec<Violation>,
     /// Total violations detected, including ones beyond the storage cap.
     pub total_violations: u64,
@@ -285,11 +284,10 @@ pub struct Audit {
 impl Audit {
     /// New audit state.
     pub fn new(cfg: AuditConfig) -> Self {
-        let ring = RingLog::new(cfg.ring_capacity.max(1));
         Audit {
             cfg,
             now: Time::ZERO,
-            ring,
+            ring: RingLog::new(RING_CAPACITY),
             violations: Vec::new(),
             total_violations: 0,
             events_audited: 0,
@@ -318,7 +316,7 @@ impl Audit {
             dump.push_str(&self.snapshot_report().dump());
             panic!("{dump}");
         }
-        if self.violations.len() < self.cfg.max_violations {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(v);
         }
     }
@@ -757,7 +755,6 @@ pub(crate) fn env_config() -> Option<AuditConfig> {
         on("PRIOPLUS_AUDIT").then(|| AuditConfig {
             panic_on_violation: on("PRIOPLUS_AUDIT_PANIC"),
             deep_every: deep.filter(|&n| n > 0).unwrap_or(64),
-            ..AuditConfig::default()
         })
     };
     CONFIG.get_or_init(read).clone()
@@ -899,33 +896,30 @@ mod tests {
 
     #[test]
     fn report_caps_storage_but_counts_all() {
-        let mut a = Audit::new(AuditConfig {
-            max_violations: 2,
-            ..Default::default()
-        });
-        for i in 0..5 {
+        let mut a = Audit::new(AuditConfig::default());
+        let n = MAX_VIOLATIONS + 3;
+        for i in 0..n {
             let (kind, flow) = (ViolationKind::TransportSanity, At::Flow(i as u32));
             a.report(kind, flow, "x".into());
         }
         let r = a.into_report();
-        assert_eq!(r.total_violations, 5);
-        assert_eq!(r.violations.len(), 2);
+        assert_eq!(r.total_violations, n as u64);
+        assert_eq!(r.violations.len(), MAX_VIOLATIONS);
+        assert_eq!(r.violations.last().and_then(|v| v.flow), Some(MAX_VIOLATIONS as u32 - 1));
         assert!(!r.is_clean());
     }
 
     #[test]
     fn ring_keeps_most_recent_events() {
-        let mut a = Audit::new(AuditConfig {
-            ring_capacity: 3,
-            ..Default::default()
-        });
-        for i in 0..10u32 {
+        let mut a = Audit::new(AuditConfig::default());
+        let n = RING_CAPACITY as u32 + 3;
+        for i in 0..n {
             a.on_event(Time::from_us(i as u64), "arrive", i);
         }
         let r = a.into_report();
-        assert_eq!(r.events_audited, 10);
+        assert_eq!(r.events_audited, n as u64);
         let ids: Vec<u32> = r.recent_events.iter().map(|e| e.id).collect();
-        assert_eq!(ids, vec![7, 8, 9]);
+        assert_eq!(ids, (3..n).collect::<Vec<_>>());
     }
 
     #[test]

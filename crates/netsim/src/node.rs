@@ -87,7 +87,6 @@ impl EgressPort {
             down: false,
             storm: 0,
             degrade: None,
-            // simlint::allow(hot-path-alloc, port construction runs once at topology build, not per event)
             queues: vec![Queue::default(); nq],
             queued_bytes: 0,
             tx_bytes: 0,
@@ -249,9 +248,7 @@ impl Switch {
             ports,
             total_buffered: 0,
             usable,
-            // simlint::allow(hot-path-alloc, switch construction runs once at topology build, not per event)
             ingress_bytes: vec![0; n * nq],
-            // simlint::allow(hot-path-alloc, switch construction runs once at topology build, not per event)
             ingress_paused: vec![0; n],
             nq,
             max_buffered: 0,
@@ -449,7 +446,6 @@ impl Host {
     pub fn new(port: EgressPort, num_prios: u8) -> Self {
         Host {
             port,
-            // simlint::allow(hot-path-alloc, host construction runs once at topology build, not per event)
             active: vec![ActiveFlows::default(); num_prios as usize],
             next_poke: Time::MAX,
         }

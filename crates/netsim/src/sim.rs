@@ -105,7 +105,6 @@ impl Sim {
                 // The routing table checked that a host has exactly one link.
                 NodeKind::Host => Node::Host(Host::new(port(&adj.ports(v)[0]), cfg.num_prios)),
                 NodeKind::Switch => Node::Switch(Switch::new(
-                    // simlint::allow(hot-path-alloc, per-switch config copy at construction, not per event)
                     switch_cfg.clone(),
                     adj.ports(v).iter().map(&port).collect(),
                     cfg.num_prios,
@@ -187,7 +186,6 @@ impl Sim {
     /// Panics once the run has started ([`Self::run_until`]).
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
         self.refuse_after_start("enable_audit_with", AUDIT_TOO_LATE);
-        // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
         self.obs.audit = Some(Box::new(Audit::new(cfg)));
     }
 

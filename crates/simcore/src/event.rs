@@ -695,7 +695,6 @@ impl<E> EventQueue<E> {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.check_lanes()?;
         let mut dead = 0usize;
-        // simlint::allow(hot-path-alloc, audit-only scan, rate-limited by callers)
         let mut live_refs = vec![0u32; self.slots.len()];
         let mut err = None;
         self.for_each_entry(&mut |at, _, slot, _| {

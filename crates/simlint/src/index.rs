@@ -10,14 +10,15 @@
 //! Two graphs are built:
 //!
 //! * **Crate graph** — edges from every `Cargo.toml`
-//!   `[dependencies]`/`[dev-dependencies]` entry *and* from every resolved
-//!   first-party `use`/path reference in source (dev-dependency cycles are
-//!   legal to cargo, which is exactly why they must be linted). Each
-//!   first-party crate has an explicit layer in [`LAYERS`]; an edge is
-//!   legal only when it points strictly downward. Crates missing from the
-//!   table (e.g. `simlint` itself, or a future crate someone forgot to
-//!   place) are *isolated*: any first-party edge touching them is a
-//!   finding, so new crates must be placed in the DAG deliberately.
+//!   `[dependencies]`/`[dev-dependencies]`/`[build-dependencies]` entry
+//!   (dev-dependency cycles are legal to cargo, which is exactly why they
+//!   must be linted). Source is not read for this graph: rustc refuses a
+//!   path to a crate the manifest does not name. Each first-party crate
+//!   has an explicit layer in [`LAYERS`]; an edge is legal only when it
+//!   points strictly downward. Crates missing from the table (e.g.
+//!   `simlint` itself, or a future crate someone forgot to place) are
+//!   *isolated*: any first-party edge touching them is a finding, so new
+//!   crates must be placed in the DAG deliberately.
 //! * **Module graphs** — one per sim-state crate, nodes = file modules,
 //!   edges = non-test `crate::x` / `super::x` references. Any cycle is a
 //!   finding on every edge inside it.
@@ -74,21 +75,17 @@ pub struct CrateMeta {
     pub deps: Vec<(String, u32)>,
 }
 
-/// Minimal `Cargo.toml` reader: package name, dependency keys (with
-/// lines), and `path = "..."` entries of `[[test]]`/`[[example]]`/
-/// `[[bench]]`/`[[bin]]` targets (used to map out-of-tree test files to
-/// their owning crate).
+/// Minimal `Cargo.toml` reader: package name and dependency keys (with
+/// lines).
 struct Manifest {
     name: Option<String>,
     deps: Vec<(String, u32)>,
-    target_paths: Vec<String>,
 }
 
-fn parse_manifest(dir: &str, text: &str) -> Manifest {
+fn parse_manifest(text: &str) -> Manifest {
     let mut m = Manifest {
         name: None,
         deps: Vec::new(),
-        target_paths: Vec::new(),
     };
     let mut section = String::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -120,29 +117,10 @@ fn parse_manifest(dir: &str, text: &str) -> Manifest {
             "dependencies" | "dev-dependencies" | "build-dependencies" => {
                 m.deps.push((key.replace('-', "_"), line_no));
             }
-            "test" | "example" | "bench" | "bin" if key == "path" => {
-                m.target_paths
-                    .push(normalize_path(dir, value.trim_matches('"')));
-            }
             _ => {}
         }
     }
     m
-}
-
-/// Resolve `rel` against workspace-relative `dir`, folding `..`/`.`.
-fn normalize_path(dir: &str, rel: &str) -> String {
-    let mut parts: Vec<&str> = dir.split('/').filter(|s| !s.is_empty()).collect();
-    for seg in rel.split('/') {
-        match seg {
-            "" | "." => {}
-            ".." => {
-                parts.pop();
-            }
-            s => parts.push(s),
-        }
-    }
-    parts.join("/")
 }
 
 /// The workspace under analysis: every first-party `.rs` source and
@@ -185,7 +163,7 @@ pub(crate) fn discover_crates(manifests: &BTreeMap<String, String>) -> BTreeMap<
             Some(i) => &path[..i],
             None => continue, // workspace-root manifest: not a crate
         };
-        let m = parse_manifest(dir, text);
+        let m = parse_manifest(text);
         let Some(name) = m.name else { continue };
         let ident = name.replace('-', "_");
         let rank = LAYERS
@@ -204,51 +182,6 @@ pub(crate) fn discover_crates(manifests: &BTreeMap<String, String>) -> BTreeMap<
         );
     }
     crates
-}
-
-/// Map every source path to its owning crate ident: explicit target-path
-/// entries win (they place `tests/e2e_*.rs` with `experiments` and
-/// `tests/lint_clean.rs` with `simlint`), then the longest crate-dir
-/// prefix.
-pub(crate) fn crate_of_files(
-    manifests: &BTreeMap<String, String>,
-    crates: &BTreeMap<String, CrateMeta>,
-    sources: &BTreeMap<String, String>,
-) -> BTreeMap<String, String> {
-    let mut target_owner: BTreeMap<String, String> = BTreeMap::new();
-    for (path, text) in manifests {
-        let dir = match path.rfind('/') {
-            Some(i) => &path[..i],
-            None => continue,
-        };
-        let m = parse_manifest(dir, text);
-        if let Some(name) = m.name {
-            let ident = name.replace('-', "_");
-            for t in m.target_paths {
-                target_owner.insert(t, ident.clone());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    for path in sources.keys() {
-        if let Some(owner) = target_owner.get(path) {
-            out.insert(path.clone(), owner.clone());
-            continue;
-        }
-        let mut best: Option<(&str, usize)> = None;
-        for meta in crates.values() {
-            let prefix = format!("{}/", meta.dir);
-            if path.starts_with(&prefix)
-                && best.is_none_or(|(_, len)| prefix.len() > len)
-            {
-                best = Some((&meta.ident, prefix.len()));
-            }
-        }
-        if let Some((ident, _)) = best {
-            out.insert(path.clone(), ident.to_string());
-        }
-    }
-    out
 }
 
 fn rank_violation(
@@ -275,15 +208,9 @@ fn rank_violation(
     }
 }
 
-/// R9a: check every crate-level dependency edge (manifest + source refs)
-/// against the layer table.
-pub(crate) fn crate_edge_findings(
-    crates: &BTreeMap<String, CrateMeta>,
-    crate_of: &BTreeMap<String, String>,
-    parsed: &BTreeMap<String, ParsedFile>,
-) -> Vec<(String, Finding)> {
+/// R9a: check every manifest dependency edge against the layer table.
+pub(crate) fn crate_edge_findings(crates: &BTreeMap<String, CrateMeta>) -> Vec<(String, Finding)> {
     let mut findings = Vec::new();
-    // Manifest edges.
     for meta in crates.values() {
         for (dep, line) in &meta.deps {
             if dep == &meta.ident || !crates.contains_key(dep) {
@@ -297,42 +224,6 @@ pub(crate) fn crate_edge_findings(
                         line: *line,
                         col: 1,
                         message: format!("dependency on {dep}: {msg}"),
-                        allowed: None,
-                    },
-                ));
-            }
-        }
-    }
-    // Source-reference edges: first line per (file, target crate). Test
-    // regions are NOT exempt — a dev-dependency back-edge is still a
-    // layering leak (cargo permits dev-dep cycles; the DAG must not).
-    for (path, pf) in parsed {
-        let Some(from) = crate_of.get(path) else {
-            continue;
-        };
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut refs: Vec<(&str, u32)> = Vec::new();
-        for u in &pf.uses {
-            if let Some(head) = u.segs.first() {
-                refs.push((head.as_str(), u.line));
-            }
-        }
-        for r in &pf.path_refs {
-            refs.push((r.head.as_str(), r.line));
-        }
-        refs.sort_by_key(|&(_, line)| line);
-        for (head, line) in refs {
-            if head == from || !crates.contains_key(head) || !seen.insert(head) {
-                continue;
-            }
-            if let Some(msg) = rank_violation(crates, from, head) {
-                findings.push((
-                    path.clone(),
-                    Finding {
-                        rule: Rule::Layering,
-                        line,
-                        col: 1,
-                        message: format!("reference to {head}::...: {msg}"),
                         allowed: None,
                     },
                 ));
@@ -483,9 +374,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_parser_reads_names_deps_and_target_paths() {
+    fn manifest_parser_reads_names_and_deps() {
+        // A target's `name` and `path` are neither the package name nor a
+        // dependency.
         let m = parse_manifest(
-            "crates/experiments",
             r#"
 [package]
 name = "experiments"
@@ -509,16 +401,6 @@ path = "../../tests/e2e_basic.rs"
         assert_eq!(m.name.as_deref(), Some("experiments"));
         let deps: Vec<&str> = m.deps.iter().map(|(d, _)| d.as_str()).collect();
         assert_eq!(deps, vec!["simcore", "netsim", "proptest", "prioplus_core"]);
-        assert_eq!(m.target_paths, vec!["tests/e2e_basic.rs"]);
-    }
-
-    #[test]
-    fn normalize_path_folds_dotdot() {
-        assert_eq!(
-            normalize_path("crates/experiments", "../../tests/x.rs"),
-            "tests/x.rs"
-        );
-        assert_eq!(normalize_path("crates/netsim", "./src/lib.rs"), "crates/netsim/src/lib.rs");
     }
 
     #[test]

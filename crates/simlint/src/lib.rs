@@ -6,15 +6,18 @@
 //! ones clippy cannot see at build time. Two analysis layers, both
 //! dependency-free (no `syn` — the workspace builds offline):
 //!
-//! * **token rules** ([`rules`] R4, R7, R8) over the hand-rolled [`lexer`];
-//! * **the layering pass** (R9) over an item-level [`parse`] of every file
-//!   plus the workspace-wide crate/module graphs in [`index`], which
-//!   certifies the PDES-sharding precondition of one-way layering.
+//! * **token rules** ([`rules`] R4, R8) over the hand-rolled [`lexer`];
+//! * **the layering pass** (R9) over the crate graph of the manifests and
+//!   the module graphs of an item-level [`parse`] of every file, both in
+//!   [`index`], which certifies the PDES-sharding precondition of one-way
+//!   layering.
 //!
 //! The rules that need resolved types and paths (R1, R2, R5, R6, R10,
 //! R11) are clippy's, configured in `clippy.toml` and the manifests' lint
-//! tables; R3 is [`rng_crates`] over `Cargo.lock`. DESIGN.md § Static
-//! analysis names each rule's enforcer.
+//! tables; R3 is [`rng_crates`] over `Cargo.lock`; R7, no heap traffic
+//! per event, is an exact allocator-call pin over whole runs
+//! (`tests/alloc_budget.rs`). DESIGN.md § Static analysis names each
+//! rule's enforcer.
 //!
 //! Used two ways:
 //!
@@ -43,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 /// Lint one source file. `path` is the workspace-relative path (forward
 /// slashes) and selects which rules apply; `src` is the file contents.
-/// Covers every single-file rule (R4, R7, R8, annotation hygiene); the
+/// Covers every single-file rule (R4, R8, annotation hygiene); the
 /// cross-file R9 needs a [`Workspace`].
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     rules::check(path, &lexer::lex(src))
@@ -262,8 +265,7 @@ pub(crate) fn lint_workspace_data(
     }
 
     let crates = index::discover_crates(manifests);
-    let crate_of = index::crate_of_files(manifests, &crates, sources);
-    findings.extend(index::crate_edge_findings(&crates, &crate_of, &parsed));
+    findings.extend(index::crate_edge_findings(&crates));
     let (module_findings, modules_indexed) = index::module_cycle_findings(&crates, &parsed);
     findings.extend(module_findings);
 

@@ -25,8 +25,8 @@ struct Args {
 fn usage() -> &'static str {
     "usage: simlint [--root DIR] [--json FILE] [--quiet]\n\
      \n\
-     Walks the workspace and enforces the time-cast, hot-path allocation,\n\
-     float-order and layering rules (see crates/simlint/src/rules.rs). Exit 1\n\
+     Walks the workspace and enforces the time-cast, float-order and\n\
+     layering rules (see crates/simlint/src/rules.rs). Exit 1\n\
      on any finding that is not annotated with // simlint::allow(rule, reason),\n\
      and on any such annotation that is malformed or covers no finding.\n\
      --json also writes the machine-readable report to FILE."

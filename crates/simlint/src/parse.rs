@@ -1,13 +1,13 @@
 //! Item-level parsing: the second analysis layer on top of [`crate::lexer`].
 //!
 //! The lexer gives a flat token stream; this module recovers just enough
-//! *structure* for the layering pass (R9) and the test-region exemptions
-//! of the token rules: module declarations, fully expanded `use` trees
-//! (groups, globs, renames), every `Head::...` path reference, and the
-//! `#[cfg(test)]`/`#[test]` regions. It is not a Rust parser — no
-//! expressions, no types, no precedence — because the rules only need
-//! names and edges. `cfg`-gated items are indexed unconditionally: the
-//! lint must see every configuration at once.
+//! *structure* for the module-cycle half of the layering pass (R9) and the
+//! test-region exemptions of the token rules: the `crate::` / `super::`
+//! references among fully expanded `use` trees (groups, globs, renames) and
+//! `Head::...` paths, and the `#[cfg(test)]`/`#[test]` regions. It is not a
+//! Rust parser — no expressions, no types, no precedence — because the
+//! rules only need names and edges. `cfg`-gated items are indexed
+//! unconditionally: the lint must see every configuration at once.
 //!
 //! Everything here is resilient by construction: on malformed input the
 //! scans simply record less, they never error — the compiler is the
@@ -15,11 +15,11 @@
 
 use crate::lexer::{Lexed, Tok, TokKind};
 
-/// One expanded `use` leaf: `use a::{b, c::*};` yields `[a, b]` and
-/// `[a, c]`.
+/// One expanded `use` leaf under `crate` or `super`: `use crate::{b,
+/// c::*};` yields `[crate, b]` and `[crate, c]`.
 #[derive(Clone, Debug)]
 pub struct UseDecl {
-    /// Path segments, with leading `crate`/`super`/`self` kept verbatim.
+    /// Path segments, the leading `crate`/`super` included.
     pub segs: Vec<String>,
     /// 1-based line of the `use` keyword.
     pub line: u32,
@@ -27,25 +27,12 @@ pub struct UseDecl {
     pub in_test: bool,
 }
 
-/// A `mod` declaration, file-backed (`mod x;`) or inline (`mod x { .. }`).
-#[derive(Clone, Debug)]
-pub struct ModDecl {
-    /// Module name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// True for `mod x { .. }`, false for `mod x;`.
-    pub inline: bool,
-    /// Names of the enclosing inline modules, outermost first.
-    pub parents: Vec<String>,
-}
-
-/// A `Head::second::...` path reference anywhere in code (use lines
-/// included). The head is never preceded by `::` or `.`, so turbofish
-/// method calls and nested path segments don't produce spurious heads.
+/// A `crate::second::...` or `super::second::...` path reference anywhere
+/// in code (use lines included). The head is never preceded by `::`, so
+/// nested path segments don't produce spurious heads.
 #[derive(Clone, Debug)]
 pub struct PathRef {
-    /// Leading identifier (`crate`, `super`, a crate name, a module, ...).
+    /// Leading identifier: `crate` or `super`.
     pub head: String,
     /// The segment after the first `::`, when it is an identifier.
     pub second: Option<String>,
@@ -58,18 +45,16 @@ pub struct PathRef {
 /// Everything the item-level parser recovers from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
-    /// `mod` declarations.
-    pub mods: Vec<ModDecl>,
-    /// Expanded `use` leaves.
+    /// Expanded `use` leaves under `crate` / `super`.
     pub uses: Vec<UseDecl>,
-    /// All `Head::...` path references.
+    /// `crate::...` / `super::...` path references.
     pub path_refs: Vec<PathRef>,
     /// Line ranges (inclusive) of `#[cfg(test)]` modules / `#[test]` fns.
     pub test_regions: Vec<(u32, u32)>,
 }
 
 /// Line ranges (inclusive) of `#[cfg(test)]` modules and `#[test]`
-/// functions. Shared by the token rules (R7/R8) and the layering pass.
+/// functions. Shared by the token rules (R8) and the layering pass.
 pub fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let t = |i: usize| -> &str { &toks[i].text };
@@ -133,66 +118,24 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
     let mut pf = ParsedFile::default();
     let t = |i: usize| -> &str { &toks[i].text };
 
-    // Inline-module nesting: (name, brace depth at which the body opened).
-    let mut mod_stack: Vec<(String, i32)> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < toks.len() {
-        let tok = &toks[i];
-        match tok.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                while mod_stack.last().is_some_and(|&(_, d)| d > depth) {
-                    mod_stack.pop();
-                }
-            }
-            _ => {}
-        }
+    for (i, tok) in toks.iter().enumerate() {
         if tok.kind != TokKind::Ident {
-            i += 1;
             continue;
         }
         let in_test = in_test_region(&regions, tok.line);
-        match tok.text.as_str() {
-            "use" => {
-                // `use` is also the closing keyword of nothing else; paths
-                // inside the tree are recorded by the path_refs scan too,
-                // but only the tree expansion sees group leaves.
-                let mut segs = Vec::new();
-                parse_use_tree(toks, i + 1, &mut segs, &mut pf.uses, tok.line, in_test);
-            }
-            "mod" if i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident => {
-                let name = t(i + 1).to_string();
-                // Distinguish `mod x;` / `mod x { .. }`; anything else
-                // (e.g. the path segment in `mod` attrs) is skipped.
-                let mut j = i + 2;
-                while j < toks.len() && t(j) != ";" && t(j) != "{" {
-                    j += 1;
-                }
-                if j < toks.len() {
-                    let inline = t(j) == "{";
-                    pf.mods.push(ModDecl {
-                        name: name.clone(),
-                        line: tok.line,
-                        inline,
-                        parents: mod_stack.iter().map(|(n, _)| n.clone()).collect(),
-                    });
-                    if inline {
-                        // The `{` itself is processed on a later loop turn;
-                        // record the depth it will open at.
-                        mod_stack.push((name, depth + 1));
-                    }
-                }
-            }
-            _ => {}
+        if tok.text == "use" {
+            // Paths inside the tree are recorded by the path_refs scan
+            // too, but only the tree expansion sees group leaves.
+            let mut segs = Vec::new();
+            parse_use_tree(toks, i + 1, &mut segs, &mut pf.uses, tok.line, in_test);
         }
-        // Path-reference scan: `Head::...` where Head is not itself a
-        // path segment (`a::Head::`) or a method turbofish (`.head::<`).
-        if i + 2 < toks.len()
+        // Path-reference scan: `crate::...` / `super::...` where the head
+        // is not itself a path segment (`super::super::`).
+        if (tok.text == "crate" || tok.text == "super")
+            && i + 2 < toks.len()
             && t(i + 1) == ":"
             && t(i + 2) == ":"
-            && (i == 0 || (t(i - 1) != ":" && t(i - 1) != "."))
+            && (i == 0 || t(i - 1) != ":")
         {
             let second = if i + 3 < toks.len() && toks[i + 3].kind == TokKind::Ident {
                 Some(t(i + 3).to_string())
@@ -206,8 +149,9 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 in_test,
             });
         }
-        i += 1;
     }
+    pf.uses
+        .retain(|u| matches!(u.segs.first().map(String::as_str), Some("crate" | "super")));
     pf.test_regions = regions;
     pf
 }
@@ -316,51 +260,22 @@ mod tests {
 
     #[test]
     fn use_groups_globs_and_renames_expand() {
+        // Leaves under another crate are not kept.
         let pf = parse_src(
             "use std::collections::{BTreeMap, btree_map::Entry};\n\
              use crate::packet::*;\n\
              use super::node as n;\n\
-             pub use simcore::{Time, sched::{Entry as E, Scheduler}};\n",
+             pub use crate::{event::Time, sched::{Entry as E, Scheduler}};\n",
         );
         let paths: Vec<String> = pf.uses.iter().map(|u| u.segs.join("::")).collect();
         assert_eq!(
             paths,
             vec![
-                "std::collections::BTreeMap",
-                "std::collections::btree_map::Entry",
                 "crate::packet",
                 "super::node",
-                "simcore::Time",
-                "simcore::sched::Entry",
-                "simcore::sched::Scheduler",
-            ]
-        );
-    }
-
-    #[test]
-    fn nested_mods_record_parents() {
-        let pf = parse_src(
-            "mod outer {\n\
-                 mod inner {\n\
-                     mod leaf;\n\
-                 }\n\
-                 mod sibling { }\n\
-             }\n\
-             mod top;\n",
-        );
-        let by_name: Vec<(&str, bool, Vec<String>)> = pf
-            .mods
-            .iter()
-            .map(|m| (m.name.as_str(), m.inline, m.parents.clone()))
-            .collect();
-        assert_eq!(
-            by_name,
-            vec![
-                ("outer", true, vec![]),
-                ("inner", true, vec!["outer".into()]),
-                ("leaf", false, vec!["outer".into(), "inner".into()]),
-                ("sibling", true, vec!["outer".into()]),
-                ("top", false, vec![]),
+                "crate::event::Time",
+                "crate::sched::Entry",
+                "crate::sched::Scheduler",
             ]
         );
     }
@@ -375,10 +290,10 @@ mod tests {
              #[cfg(not(feature = \"audit\"))]\n\
              fn no_audit() {}\n",
         );
-        assert_eq!(pf.mods.len(), 1);
-        assert_eq!(pf.mods[0].name, "audit");
         assert_eq!(pf.uses.len(), 1);
         assert_eq!(pf.uses[0].segs, vec!["crate", "audit", "Audit"]);
+        assert_eq!(pf.path_refs.len(), 1);
+        assert_eq!(pf.path_refs[0].second.as_deref(), Some("audit"));
     }
 
     #[test]
@@ -388,15 +303,17 @@ mod tests {
                  let a = netsim::sim::Event::End;\n\
                  let b = x.parse::<u64>();\n\
                  let c = crate::packet::PacketId(0);\n\
+                 let d = super::node::Switch::new();\n\
              }\n",
         );
-        let heads: Vec<&str> = pf.path_refs.iter().map(|p| p.head.as_str()).collect();
-        assert!(heads.contains(&"netsim"));
-        assert!(heads.contains(&"crate"));
-        assert!(!heads.contains(&"sim"), "nested segment is not a head");
-        assert!(!heads.contains(&"parse"), "turbofish is not a head");
-        let netsim_ref = pf.path_refs.iter().find(|p| p.head == "netsim").unwrap();
-        assert_eq!(netsim_ref.second.as_deref(), Some("sim"));
+        // Another crate's path, its nested segments and a turbofish are
+        // not references.
+        let refs: Vec<(&str, Option<&str>)> = pf
+            .path_refs
+            .iter()
+            .map(|p| (p.head.as_str(), p.second.as_deref()))
+            .collect();
+        assert_eq!(refs, vec![("crate", Some("packet")), ("super", Some("node"))]);
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! The simlint rule set.
 //!
-//! Four rules that need the hand-rolled [`crate::lexer`] and the workspace
-//! index, because they key on names, file scopes and the crate graph
-//! rather than on resolved types, plus the hygiene of their own allow
-//! annotations. The determinism rules that need type resolution (R1, R2,
-//! R5, R6, R10, R11) are clippy's: `clippy.toml`, `[workspace.lints]`
-//! and crate- or module-level `#![deny]`; R3 is a `Cargo.lock` check in
-//! `tests/lint_clean.rs`. DESIGN.md § Static analysis names each rule's
-//! enforcer and scope.
+//! Three rules that need the hand-rolled [`crate::lexer`] and the
+//! workspace index, because they key on names, file scopes and the crate
+//! graph rather than on resolved types, plus the hygiene of their own
+//! allow annotations. The determinism rules that need type resolution
+//! (R1, R2, R5, R6, R10, R11) are clippy's: `clippy.toml`,
+//! `[workspace.lints]` and crate- or module-level `#![deny]`; R3 is a
+//! `Cargo.lock` check in `tests/lint_clean.rs`; R7, no heap traffic per
+//! event, is an exact allocator-call pin over whole runs in
+//! `tests/alloc_budget.rs`.
+//! DESIGN.md § Static analysis names each rule's enforcer and scope.
 //!
 //! | rule              | guards against                                      |
 //! |-------------------|-----------------------------------------------------|
 //! | `lossy-time-cast` | bare `as u64`/`as i64` on `Time`/`Rate` values      |
-//! | `hot-path-alloc`  | `Box::new`/`vec![`/`.to_vec()`/`.clone()` per event |
 //! | `float-order`     | f64/f32 accumulation over iterated collections      |
-//! | `layering`        | upward crate edges / module cycles in the sim DAG   |
+//! | `layering`        | upward manifest edges / module cycles in sim crates |
 //! | `allow-hygiene`   | a `simlint::allow` that is malformed or stale       |
 //!
-//! Any finding of the first four can be silenced in place with an
+//! Any finding of the first three can be silenced in place with an
 //! annotation comment:
 //!
 //! ```text
@@ -37,10 +38,6 @@ use crate::parse::{in_test_region, ParsedFile};
 pub enum Rule {
     /// R4: no bare `as u64`/`as i64` casts on `Time`/`Rate` expressions.
     LossyTimeCast,
-    /// R7: no `Box::new`/`vec![`/`.to_vec()`/`.clone()` in non-test
-    /// hot-path code — per-event heap traffic belongs in the packet arena
-    /// or a setup path.
-    HotPathAlloc,
     /// R8: no `f64`/`f32` accumulation over iterated collections
     /// (`.sum::<f64>()`, float-typed `.sum()`/`.product()`, float-seeded
     /// `.fold(...)`) in simulation-state crates — float addition is not
@@ -52,9 +49,10 @@ pub enum Rule {
     FloatOrder,
     /// R9: the crate DAG is one-way (`simcore <- {netsim, prioplus} <-
     /// transport <- workloads <- experiments`) and module graphs
-    /// inside sim-state crates are acyclic. Enforced from both `Cargo.toml`
-    /// dependencies and resolved `use`/path references (dev-dependency
-    /// cycles are legal to cargo; they are not legal here). A future
+    /// inside sim-state crates are acyclic. Crate edges come from the
+    /// `Cargo.toml` dependency tables, dev-dependencies included (cargo
+    /// allows dev-dependency cycles; they are not legal here): rustc
+    /// refuses a path to a crate the manifest does not name. A future
     /// `partition` layer must be physically unable to reach back into
     /// global `Sim` state.
     Layering,
@@ -65,9 +63,8 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in diagnostic order.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::LossyTimeCast,
-        Rule::HotPathAlloc,
         Rule::FloatOrder,
         Rule::Layering,
         Rule::AllowHygiene,
@@ -77,7 +74,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::LossyTimeCast => "lossy-time-cast",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::FloatOrder => "float-order",
             Rule::Layering => "layering",
             Rule::AllowHygiene => "allow-hygiene",
@@ -94,21 +90,6 @@ impl Rule {
     pub fn applies_to(self, path: &str) -> bool {
         match self {
             Rule::LossyTimeCast => true,
-            // The per-event files: scheduler sift, event loop (including
-            // the queue front-end and its FIFO lanes in event.rs), the
-            // event handlers (fabric.rs, host.rs) and switch model. A
-            // static file list only approximates "per event"; the
-            // zero-steady-state-allocation contract itself is enforced
-            // dynamically by the arena counters (`tests/e2e_arena.rs`).
-            Rule::HotPathAlloc => {
-                path == "crates/simcore/src/sched.rs"
-                    || path == "crates/simcore/src/event.rs"
-                    || path == "crates/netsim/src/sim.rs"
-                    || path == "crates/netsim/src/fabric.rs"
-                    || path == "crates/netsim/src/host.rs"
-                    || path == "crates/netsim/src/state.rs"
-                    || path == "crates/netsim/src/node.rs"
-            }
             // The crates whose values feed simulation state or recorded
             // results.
             Rule::FloatOrder => [
@@ -357,7 +338,7 @@ pub(crate) fn apply_allows<'a>(
         .collect()
 }
 
-/// The token-level rules (R4, R7, R8), one linear scan.
+/// The token-level rules (R4, R8), one linear scan.
 pub(crate) fn token_findings(path: &str, lexed: &Lexed, regions: &[(u32, u32)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let toks = &lexed.toks;
@@ -394,63 +375,6 @@ pub(crate) fn token_findings(path: &str, lexed: &Lexed, regions: &[(u32, u32)]) 
                         allowed: None,
                     });
                 }
-            }
-            // R7: constructor allocations.
-            "Box"
-                if Rule::HotPathAlloc.applies_to(path)
-                    && i + 3 < toks.len()
-                    && t(i + 1) == ":"
-                    && t(i + 2) == ":"
-                    && t(i + 3) == "new"
-                    && !in_test_region(regions, tok.line) =>
-            {
-                findings.push(Finding {
-                    rule: Rule::HotPathAlloc,
-                    line: tok.line,
-                    col: tok.col,
-                    message: "Box::new in a hot path heap-allocates per event; pool the \
-                              allocation (packet arena / recycle stack) or move it to setup"
-                        .into(),
-                    allowed: None,
-                });
-            }
-            // R7: `vec![...]` literal.
-            "vec"
-                if Rule::HotPathAlloc.applies_to(path)
-                    && i + 1 < toks.len()
-                    && t(i + 1) == "!"
-                    && !in_test_region(regions, tok.line) =>
-            {
-                findings.push(Finding {
-                    rule: Rule::HotPathAlloc,
-                    line: tok.line,
-                    col: tok.col,
-                    message: "vec![] in a hot path heap-allocates per event; reuse a \
-                              buffer or move the allocation to setup"
-                        .into(),
-                    allowed: None,
-                });
-            }
-            // R7: copying method calls.
-            "to_vec" | "clone"
-                if Rule::HotPathAlloc.applies_to(path)
-                    && i + 1 < toks.len()
-                    && t(i + 1) == "("
-                    && i >= 1
-                    && t(i - 1) == "."
-                    && !in_test_region(regions, tok.line) =>
-            {
-                findings.push(Finding {
-                    rule: Rule::HotPathAlloc,
-                    line: tok.line,
-                    col: tok.col,
-                    message: format!(
-                        "{}() in a hot path copies the container per event; borrow it or \
-                         move the copy off the per-event path",
-                        tok.text
-                    ),
-                    allowed: None,
-                });
             }
             // R8: float accumulation over an iterated collection. Three
             // lexical shapes cover the std reduction entry points:

@@ -1,4 +1,4 @@
-//! Fixture-based rule tests. simlint's own rules (R4, R7, R8 and the
+//! Fixture-based rule tests. simlint's own token rules (R4, R8 and the
 //! annotation hygiene) lint a bad example that must fire and an allowed
 //! one that must be accepted, plus scoping checks that the path-sensitive
 //! rules stay inside their files and crates. The rules clippy enforces
@@ -15,8 +15,6 @@ use simlint::{lint_source, rng_crates, Finding, Rule};
 
 /// A path inside a simulation-state crate (activates R4 and R8).
 const SIM_PATH: &str = "crates/netsim/src/fixture.rs";
-/// One of the hot-path files (activates R7 as well).
-const HOT_PATH: &str = "crates/netsim/src/sim.rs";
 
 fn unallowed(findings: &[Finding], rule: Rule) -> usize {
     findings
@@ -384,42 +382,6 @@ fn r6_applies_to_every_first_party_crate() {
     }
 }
 
-// --- R7: hot-path-alloc --------------------------------------------------
-
-#[test]
-fn r7_fires_on_hot_path_allocations() {
-    let fs = lint_source(HOT_PATH, include_str!("fixtures/r7_bad.rs"));
-    assert_only_rule(&fs, Rule::HotPathAlloc);
-    // Box::new, vec![], .to_vec(), .clone(); the #[cfg(test)] module's
-    // allocations are exempt.
-    assert_eq!(unallowed(&fs, Rule::HotPathAlloc), 4);
-}
-
-#[test]
-fn r7_respects_allow_annotations() {
-    let fs = lint_source(HOT_PATH, include_str!("fixtures/r7_allowed.rs"));
-    assert_eq!(unallowed(&fs, Rule::HotPathAlloc), 0);
-    assert_eq!(allowed(&fs, Rule::HotPathAlloc), 2);
-}
-
-#[test]
-fn r7_only_applies_to_per_event_files() {
-    let src = include_str!("fixtures/r7_bad.rs");
-    assert!(lint_source("crates/netsim/src/packet.rs", src).is_empty());
-    assert!(lint_source("crates/experiments/src/x.rs", src).is_empty());
-    for hot in [
-        "crates/netsim/src/sim.rs",
-        "crates/netsim/src/fabric.rs",
-        "crates/netsim/src/host.rs",
-        "crates/netsim/src/state.rs",
-        "crates/netsim/src/node.rs",
-        "crates/simcore/src/sched.rs",
-        "crates/simcore/src/event.rs",
-    ] {
-        assert_eq!(unallowed(&lint_source(hot, src), Rule::HotPathAlloc), 4);
-    }
-}
-
 // --- R8: float-order ------------------------------------------------------
 
 #[test]
@@ -527,7 +489,7 @@ fn r11_only_applies_to_pdes_state_crates() {
 
 #[test]
 fn stale_and_malformed_allows_are_reported() {
-    let fs = lint_source(HOT_PATH, include_str!("fixtures/allow_hygiene_bad.rs"));
+    let fs = lint_source(SIM_PATH, include_str!("fixtures/allow_hygiene_bad.rs"));
     // A reasonless annotation, one over a line with no finding, one naming
     // a rule simlint no longer has, and one in a test region, which the
     // rule it names exempts already.
@@ -539,7 +501,7 @@ fn stale_and_malformed_allows_are_reported() {
     assert_eq!(hygiene, vec![5, 9, 14, 23]);
     assert_eq!(unallowed(&fs, Rule::AllowHygiene), 4);
     // The reasonless annotation silences nothing.
-    assert_eq!(unallowed(&fs, Rule::HotPathAlloc), 1);
+    assert_eq!(unallowed(&fs, Rule::FloatOrder), 1);
 }
 
 #[test]
@@ -560,7 +522,6 @@ fn hygiene_findings_cannot_be_allowed() {
 fn allows_that_cover_findings_are_not_reported() {
     for (path, src) in [
         (SIM_PATH, include_str!("fixtures/r4_allowed.rs")),
-        (HOT_PATH, include_str!("fixtures/r7_allowed.rs")),
         (SIM_PATH, include_str!("fixtures/r8_allowed.rs")),
     ] {
         let fs = lint_source(path, src);

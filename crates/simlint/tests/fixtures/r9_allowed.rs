@@ -1,9 +1,9 @@
-//! R9 fixture: the same upward reference, annotated for a migration
-//! window.
+//! R9 fixture: the same cycle edge, annotated for a migration window.
 
-// simlint::allow(layering, fixture - migration window while the report types move down a layer)
-use experiments::report::Tables;
+// simlint::allow(layering, fixture - migration window while the summary moves into sim)
+use crate::sim::run;
 
-pub fn summarize() -> Tables {
-    experiments::report::tables()
+pub fn summarize() -> u64 {
+    run();
+    0
 }

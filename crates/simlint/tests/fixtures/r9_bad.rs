@@ -1,8 +1,9 @@
-//! R9 fixture: an upward crate reference — a sim-state crate (this file is
-//! linted as netsim source) reaching into the experiments driver layer.
+//! R9 fixture: one edge of a module cycle in a sim-state crate. Linted as
+//! netsim's `report` module, it reaches into `sim`, which reaches back.
 
-use experiments::report::Tables;
+use crate::sim::run;
 
-pub fn summarize() -> Tables {
-    experiments::report::tables()
+pub fn summarize() -> u64 {
+    run();
+    0
 }

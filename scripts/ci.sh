@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gauntlet: four legs, five test invocations.
 #
-#   1. lint: simlint (R4, R7, R8 and the layering pass R9) must report
+#   1. lint: simlint (R4, R8 and the layering pass R9) must report
 #      zero unallowed findings and no stale allowance — the JSON report
 #      lands in target/simlint.json as a CI artifact — then clippy with
 #      -D warnings, which carries R1, R2, R5, R6, R10 and R11 (clippy.toml
@@ -14,12 +14,15 @@
 #   2. tier-1: release build, the disassembly guard on the event loop's
 #      callee list (scripts/check_hot_calls.sh; skipped with a warning if
 #      there is no objdump), then the full test suite — property fleets
-#      against a model, golden-trace diffs;
+#      against a model, golden-trace diffs, and the exact allocator-call
+#      pin over whole runs (R7, tests/alloc_budget.rs);
 #   3. audited: the whole experiments suite rerun with the invariant audit
-#      force-enabled on every Sim and panicking on any violation; then the
-#      arena, audit and fault suites with the deep scan forced to every
-#      event boundary; then the hyperscale suite (thousands of streamed
-#      flows, slab reclamation sweep) at a deep-scan cadence of 256;
+#      force-enabled on every Sim and panicking on any violation (the
+#      allocation pin skips itself with a message: the audit allocates on
+#      its own account); then the arena, audit and fault suites with the
+#      deep scan forced to every event boundary; then the hyperscale suite
+#      (thousands of streamed flows, slab reclamation sweep) at a
+#      deep-scan cadence of 256;
 #   4. ppbench: the benchmark package's own tests (it is outside the
 #      workspace, so leg 2 does not reach them) — BENCHMARK.json drift
 #      guard, `--check` smoke run, composition-vs-experiments differential —

@@ -42,7 +42,6 @@ fn strict_audit() -> AuditConfig {
     AuditConfig {
         panic_on_violation: true,
         deep_every: 1,
-        ..AuditConfig::default()
     }
 }
 
@@ -54,7 +53,6 @@ fn detect_audit() -> AuditConfig {
     AuditConfig {
         panic_on_violation: false,
         deep_every: 1,
-        ..AuditConfig::default()
     }
 }
 

@@ -271,7 +271,6 @@ fn drained_run(buggify: Option<Buggify>) -> SimResult {
     sim.enable_audit_with(AuditConfig {
         panic_on_violation: false,
         deep_every: 16,
-        ..Default::default()
     });
     let cc = CcSpec::Swift {
         queuing: Time::from_us(4),

@@ -3,9 +3,10 @@
 //!
 //! `scripts/ci.sh` runs `cargo run -p simlint` as a CI leg, but this test
 //! runs the same pass programmatically inside `cargo test`, so a
-//! determinism-hazard regression (a lossy `Time` cast, a per-event
-//! allocation, an upward crate edge, a stale allowance, ...) fails the
-//! ordinary test suite too — not just the CI script. The rules clippy
+//! determinism-hazard regression (a lossy `Time` cast, an order-sensitive
+//! float sum, an upward manifest dependency, a module cycle, a stale
+//! allowance, ...) fails the ordinary test suite too — not just the CI
+//! script. The rules clippy
 //! enforces run in CI leg 1 (`cargo clippy --workspace`).
 
 use std::path::Path;
