@@ -386,11 +386,6 @@ impl Comparison {
     }
 }
 
-/// A speedup as a table cell (`1.23x`, `-` when no coflow qualifies).
-pub fn speedup_cell(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.2}x")).unwrap_or("-".into())
-}
-
 /// Run every `template` (whatever its own `scheme` says) under
 /// [`Scheme::BaselineSwift`] and under each of `schemes` — one sweep over all
 /// of them — and pair each template's runs up as a [`Comparison`].

@@ -9,7 +9,6 @@
 //! change, so it is a direction, not a deployable PrioPlus feature.
 
 use crate::micro::{goodput_gbps, Micro, MicroEnv};
-use crate::report::f3;
 use crate::{Scale, Table};
 use netsim::SwitchConfig;
 use simcore::Time;
@@ -50,9 +49,9 @@ pub(crate) fn appb_ecn(_: Scale, _: usize) -> Vec<Table> {
         let (hi, lo) = run(scaled);
         t.row(vec![
             if scaled { "prio-scaled" } else { "plain" }.into(),
-            f3(hi),
-            f3(lo),
-            f3(hi / (hi + lo).max(1e-9)),
+            hi.into(),
+            lo.into(),
+            (hi / (hi + lo).max(1e-9)).into(),
         ]);
     }
     t.note(

@@ -8,7 +8,6 @@
 //! worst case, so measured <= bound).
 
 use crate::micro::{Micro, MicroEnv};
-use crate::report::f3;
 use crate::{Scale, Table};
 use prioplus::channel::swift_fluctuation;
 use simcore::{Rate, Time};
@@ -60,10 +59,10 @@ pub(crate) fn appd_fluctuation(_: Scale, _: usize) -> Vec<Table> {
         let measured = measure(n);
         let bound = swift_fluctuation(n, 1000.0, rate, target, 0.8, 0.5).as_us_f64();
         t.row(vec![
-            n.to_string(),
-            f3(measured),
-            f3(bound),
-            (measured <= bound * 1.05).to_string(),
+            n.into(),
+            measured.into(),
+            bound.into(),
+            (measured <= bound * 1.05).to_string().into(),
         ]);
     }
     t.note(

@@ -3,7 +3,7 @@
 //! interruptions — used to validate the stability of the #flow ratchet.
 
 use crate::micro::{goodput_gbps, Micro, MicroEnv};
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use netsim::NoiseModel;
 use simcore::{SimRng, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -51,10 +51,10 @@ pub(crate) fn diag_cardinality(_: Scale, _: usize) -> Vec<Table> {
     );
     for &id in &elephants {
         table.row(vec![
-            id.to_string(),
-            format!("{:.1}", res.records[id as usize].delivered as f64 / 1e6),
-            format!("{:.1}", goodput_gbps(&res, &[id], 5_000.0, 10_000.0)),
-            format!("{:.1}", goodput_gbps(&res, &[id], 10_000.0, 20_000.0)),
+            id.into(),
+            Cell::num(res.records[id as usize].delivered as f64 / 1e6, 1, ""),
+            Cell::num(goodput_gbps(&res, &[id], 5_000.0, 10_000.0), 1, ""),
+            Cell::num(goodput_gbps(&res, &[id], 10_000.0, 20_000.0), 1, ""),
         ]);
     }
     let hi_bytes: u64 = res

@@ -6,8 +6,7 @@
 //! (scheme, regime) cell. Seeds are fixed; the run is deterministic.
 
 use crate::faults::{run_cell, FaultCc, FaultRegime};
-use crate::report::f3;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 
 pub(crate) fn fault_regimes(_: Scale, _: usize) -> Vec<Table> {
     let mut t = Table::new(
@@ -29,15 +28,15 @@ pub(crate) fn fault_regimes(_: Scale, _: usize) -> Vec<Table> {
         for regime in FaultRegime::ALL {
             let out = run_cell(cc, regime, 1);
             t.row(vec![
-                cc.name().to_string(),
-                regime.name().to_string(),
-                format!("{:.0}%", out.completion * 100.0),
-                f3(out.mean_slowdown),
-                f3(out.max_slowdown),
-                out.inversions.to_string(),
-                out.pairs.to_string(),
-                out.fault_events.to_string(),
-                out.fault_drops.to_string(),
+                cc.name().into(),
+                regime.name().into(),
+                Cell::num(out.completion * 100.0, 0, "%"),
+                out.mean_slowdown.into(),
+                out.max_slowdown.into(),
+                out.inversions.into(),
+                out.pairs.into(),
+                out.fault_events.into(),
+                out.fault_drops.into(),
             ]);
         }
     }

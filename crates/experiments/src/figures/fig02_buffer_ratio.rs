@@ -3,7 +3,7 @@
 //! the paper's motivation table: the ratio declines ~2x per generation,
 //! squeezing PFC headroom and hence the number of lossless priorities.
 
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 
 pub(crate) fn fig02(_: Scale, _: usize) -> Vec<Table> {
     // (chip, year, buffer MB, bandwidth Tbps)
@@ -23,10 +23,10 @@ pub(crate) fn fig02(_: Scale, _: usize) -> Vec<Table> {
     for &(chip, year, mb, tbps) in chips {
         t.row(vec![
             chip.into(),
-            year.to_string(),
-            format!("{mb:.0}"),
-            format!("{tbps:.2}"),
-            format!("{:.1}", mb / tbps),
+            year.into(),
+            Cell::num(mb, 0, ""),
+            Cell::num(tbps, 2, ""),
+            Cell::num(mb / tbps, 1, ""),
         ]);
     }
     t.note(

@@ -12,8 +12,7 @@
 //!   trade-offs (Observation 3).
 
 use crate::micro::{goodput_gbps, Micro, MicroEnv};
-use crate::report::f3;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use simcore::Time;
 use transport::CcSpec;
 
@@ -68,9 +67,9 @@ pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
     for w in 0..14 {
         let (f, to) = (w as f64 * 100.0, w as f64 * 100.0 + 100.0);
         t.row(vec![
-            format!("{:.0}", f),
-            f3(goodput_gbps(&res, &[urgent], f, to)),
-            f3(goodput_gbps(&res, &[relaxed], f, to)),
+            Cell::num(f, 0, ""),
+            goodput_gbps(&res, &[urgent], f, to).into(),
+            goodput_gbps(&res, &[relaxed], f, to).into(),
         ]);
     }
     let fu = res.records[urgent as usize].fct().unwrap().as_us_f64();
@@ -108,12 +107,12 @@ pub(crate) fn fig03b(_: Scale, _: usize) -> Vec<Table> {
         "Figure 3b: Swift WITH target scaling — 2 high (target +15us) vs 2 low (+5us)",
         &["t (ms)", "high total Gbps", "low total Gbps"],
     );
-    for w in 0..6 {
+    for w in 0..6u32 {
         let (f, to) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         t.row(vec![
-            format!("{w}"),
-            f3(goodput_gbps(&res, &hi, f, to)),
-            f3(goodput_gbps(&res, &lo, f, to)),
+            w.into(),
+            goodput_gbps(&res, &hi, f, to).into(),
+            goodput_gbps(&res, &lo, f, to).into(),
         ]);
     }
     let hi_ss = goodput_gbps(&res, &hi, 3_000.0, 6_000.0);
@@ -155,14 +154,14 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
             "high Gbps",
         ],
     );
-    for w in 0..6 {
+    for w in 0..6u32 {
         let (f, to) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         t.row(vec![
-            format!("{w}"),
-            f3(tput.window_mean(f, to).unwrap_or(0.0)),
-            f3(q.window_mean(f, to).unwrap_or(0.0) / 1000.0),
-            f3(q.window_max(f, to).unwrap_or(0.0) / 1000.0),
-            f3(goodput_gbps(&res, &[hi], f, to)),
+            w.into(),
+            tput.window_mean(f, to).unwrap_or(0.0).into(),
+            (q.window_mean(f, to).unwrap_or(0.0) / 1000.0).into(),
+            (q.window_max(f, to).unwrap_or(0.0) / 1000.0).into(),
+            goodput_gbps(&res, &[hi], f, to).into(),
         ]);
     }
     let util = tput.window_mean(500.0, 2_000.0).unwrap_or(0.0);
@@ -217,10 +216,10 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
         (3200.0, 4000.0),
     ] {
         t.row(vec![
-            format!("{f:.0}-{to:.0}"),
-            f3(goodput_gbps(&res, &hi, f, to)),
-            f3(goodput_gbps(&res, &lo, f, to)),
-            f3(q.window_max(f, to).unwrap_or(0.0) / 1000.0),
+            format!("{f:.0}-{to:.0}").into(),
+            goodput_gbps(&res, &hi, f, to).into(),
+            goodput_gbps(&res, &lo, f, to).into(),
+            (q.window_max(f, to).unwrap_or(0.0) / 1000.0).into(),
         ]);
     }
     let spike = q.window_max(100.0, 160.0).unwrap_or(0.0);

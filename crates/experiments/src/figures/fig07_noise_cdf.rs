@@ -6,7 +6,6 @@
 //! quotes, including the 99.85th percentile (0.8 µs) used as the channel
 //! noise allowance B.
 
-use crate::report::f3;
 use crate::{Scale, Table};
 use netsim::NoiseModel;
 use simcore::stats::Summary;
@@ -27,7 +26,7 @@ pub(crate) fn fig07(_: Scale, _: usize) -> Vec<Table> {
         &["noise (us)", "CDF"],
     );
     for (v, f) in summary.cdf_points(25) {
-        t.row(vec![f3(v), f3(f)]);
+        t.row(vec![v.into(), f.into()]);
     }
     let mean = summary.mean().unwrap();
     let p9985 = summary.percentile(99.85).unwrap();

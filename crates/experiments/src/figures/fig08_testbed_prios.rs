@@ -6,8 +6,7 @@
 //! same per-priority targets (no PrioPlus mechanisms).
 
 use crate::micro::{add_fig8_flows, goodput_gbps, ids_at, testbed_env, Micro};
-use crate::report::f3;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
@@ -47,11 +46,11 @@ fn run(cc_name: &str, use_prioplus: bool) -> Table {
             "prio6 Gbps",
         ],
     );
-    for w in 0..36 {
+    for w in 0..36u32 {
         let (lo, hi) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
-        let mut cells = vec![w.to_string()];
+        let mut cells = vec![Cell::from(w)];
         for p in [3u8, 4, 5, 6] {
-            cells.push(f3(goodput_gbps(&res, &ids_at(&flows, p), lo, hi)));
+            cells.push(goodput_gbps(&res, &ids_at(&flows, p), lo, hi).into());
         }
         t.row(cells);
     }

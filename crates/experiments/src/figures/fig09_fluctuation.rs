@@ -8,7 +8,6 @@
 //! delay repeatedly overshoots the same target.
 
 use crate::micro::{prioplus_swift, testbed_env, Micro};
-use crate::report::f3;
 use crate::{Scale, Table};
 use prioplus::PrioPlusConfig;
 use simcore::Time;
@@ -89,7 +88,7 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
     );
     let mut over_total = 0usize;
     let mut n_total = 0usize;
-    for w in 0..30 {
+    for w in 0..30u32 {
         let (lo, hi) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         let (Some(mean), Some(max)) = (delay.window_mean(lo, hi), delay.window_max(lo, hi)) else {
             continue;
@@ -102,10 +101,10 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
         }
         if w % 3 == 0 {
             t.row(vec![
-                w.to_string(),
-                f3(mean),
-                f3(max),
-                f3(over as f64 / n as f64 * 100.0),
+                w.into(),
+                mean.into(),
+                max.into(),
+                (over as f64 / n as f64 * 100.0).into(),
             ]);
         }
     }

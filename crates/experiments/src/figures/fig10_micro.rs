@@ -10,8 +10,7 @@
 //!   grows linearly with the noise scale.
 
 use crate::micro::{goodput_gbps, ids_at, prioplus_swift, Micro, MicroEnv};
-use crate::report::f3;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use netsim::NoiseModel;
 use prioplus::PrioPlusConfig;
 use simcore::Time;
@@ -51,12 +50,12 @@ pub(crate) fn fig10a(scale: Scale, _: usize) -> Vec<Table> {
         format!("Figure 10a: 8 virtual priorities x {per_prio} flows, 5 ms staggered"),
         &["t (ms)", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"],
     );
-    for w in (0..80).step_by(2) {
+    for w in (0..80u32).step_by(2) {
         let (lo, hi) = (w as f64 * 1000.0, (w + 2) as f64 * 1000.0);
-        let mut cells = vec![w.to_string()];
+        let mut cells = vec![Cell::from(w)];
         for p in 0..8u8 {
             let g = goodput_gbps(&res, &ids_at(&flows, p), lo, hi);
-            cells.push(format!("{g:.0}"));
+            cells.push(Cell::num(g, 0, ""));
         }
         t.row(cells);
     }
@@ -99,14 +98,14 @@ pub(crate) fn fig10b(scale: Scale, _: usize) -> Vec<Table> {
             "goodput Gbps",
         ],
     );
-    for w in 0..10 {
+    for w in 0..10u32 {
         let (lo, hi) = (w as f64 * 1000.0, (w + 1) as f64 * 1000.0);
         let to_us = |b: f64| 12.0 + b * 8.0 / 100e9 * 1e6;
         t.row(vec![
-            w.to_string(),
-            f3(to_us(q.window_mean(lo, hi).unwrap_or(0.0))),
-            f3(to_us(q.window_max(lo, hi).unwrap_or(0.0))),
-            f3(tput.window_mean(lo, hi).unwrap_or(0.0)),
+            w.into(),
+            to_us(q.window_mean(lo, hi).unwrap_or(0.0)).into(),
+            to_us(q.window_max(lo, hi).unwrap_or(0.0)).into(),
+            tput.window_mean(lo, hi).unwrap_or(0.0).into(),
         ]);
     }
     t.note(
@@ -159,9 +158,9 @@ pub(crate) fn fig10c(_: Scale, _: usize) -> Vec<Table> {
         for w in 0..16 {
             let (lo, hi) = (w as f64 * 250.0, (w + 1) as f64 * 250.0);
             t.row(vec![
-                format!("{:.0}", lo),
-                f3(to_us(q.window_mean(lo, hi).unwrap_or(0.0))),
-                f3(to_us(q.window_max(lo, hi).unwrap_or(0.0))),
+                Cell::num(lo, 0, ""),
+                to_us(q.window_mean(lo, hi).unwrap_or(0.0)).into(),
+                to_us(q.window_max(lo, hi).unwrap_or(0.0)).into(),
             ]);
         }
         // High-priority channel: D_target 28us queuing (40us abs - 12us).
@@ -204,21 +203,17 @@ pub(crate) fn fig10d(_: Scale, jobs: usize) -> Vec<Table> {
     let utils = crate::sweep::run_ordered(&grid, jobs, &|&(s, w)| run_noise_case(s, w));
     let mut utils = utils.into_iter();
     for scale in scales {
-        let mut row = vec![format!("{scale}x")];
+        let mut row = vec![Cell::from(format!("{scale}x"))];
         let mut min_width = None;
         for wmul in widths {
             let util = utils.next().expect("one result per grid cell");
             let ok = util >= 0.98;
-            row.push(format!("{:.3}{}", util, if ok { "*" } else { "" }));
+            row.push(Cell::num(util, 3, if ok { "*" } else { "" }));
             if ok && min_width.is_none() {
                 min_width = Some(4.0 * wmul);
             }
         }
-        row.push(
-            min_width
-                .map(|w| format!("{w:.0}"))
-                .unwrap_or_else(|| ">32".into()),
-        );
+        row.push(min_width.map_or(">32".into(), |w| Cell::num(w, 0, "")));
         t.row(row);
     }
     t.note(

@@ -8,8 +8,7 @@
 //! Runs fan out across threads (`--jobs N`); output is identical to serial.
 
 use crate::flowsched::{self, FlowSchedConfig, FlowSchedResult};
-use crate::report::opt3;
-use crate::{Scale, Scheme, Table};
+use crate::{Cell, Scale, Scheme, Table};
 
 pub(crate) fn fig11(scale: Scale, jobs: usize) -> Vec<Table> {
     let prio_counts: Vec<u8> = scale.pick(vec![1, 2, 4, 8, 12], (1..=12).collect());
@@ -73,16 +72,16 @@ pub(crate) fn fig11(scale: Scale, jobs: usize) -> Vec<Table> {
                 runnable(scheme, classes).then(|| results.next().expect("one result per config"))
             })
             .collect();
-        let row = |cell: &dyn Fn(&FlowSchedResult) -> String| {
-            let mut cells = vec![classes.to_string()];
-            cells.extend(runs.iter().map(|r| r.map_or("-".into(), cell)));
+        let row = |cell: &dyn Fn(&FlowSchedResult) -> Cell| {
+            let mut cells = vec![Cell::from(classes)];
+            cells.extend(runs.iter().map(|r| r.map(cell).into()));
             cells
         };
         for (bucket, t) in tables.iter_mut().enumerate() {
-            t.row(row(&|r| opt3(r.mean_fct_us_by_bucket()[bucket])));
+            t.row(row(&|r| r.mean_fct_us_by_bucket()[bucket].into()));
         }
-        tail.row(row(&|r| opt3(r.p99_fct_us(|_| true))));
-        pfc.row(row(&|r| r.pfc_pauses.to_string()));
+        tail.row(row(&|r| r.p99_fct_us(|_| true).into()));
+        pfc.row(row(&|r| r.pfc_pauses.into()));
     }
 
     pfc.note(

@@ -6,9 +6,9 @@
 //!   (Fig 12a,b), plus the p99 tail speedups (Fig 15).
 //! - `fig12c`: ResNet/VGG training speedups (Fig 12c).
 
-use crate::coflowsched::{speedup_cell, vs_baseline, CoflowConfig, BANDS};
+use crate::coflowsched::{vs_baseline, CoflowConfig, BANDS};
 use crate::mltrain::{self, MlConfig};
-use crate::{Scale, Scheme, Table};
+use crate::{Cell, Scale, Scheme, Table};
 use simcore::Time;
 
 pub(crate) fn coflow_at(load: f64, scale: Scale, jobs: usize) -> Vec<Table> {
@@ -32,11 +32,11 @@ pub(crate) fn coflow_at(load: f64, scale: Scale, jobs: usize) -> Vec<Table> {
         &columns,
     );
     for (scheme, r) in &cmp.schemes {
-        let mut cells = vec![scheme.label().to_string()];
-        cells.extend(BANDS.map(|band| speedup_cell(cmp.mean(r, band))));
+        let mut cells = vec![Cell::from(scheme.label())];
+        cells.extend(BANDS.map(|band| Cell::speedup(cmp.mean(r, band))));
         t.row(cells);
-        let mut cells = vec![scheme.label().to_string()];
-        cells.extend(BANDS.map(|band| speedup_cell(cmp.tail(r, band))));
+        let mut cells = vec![Cell::from(scheme.label())];
+        cells.extend(BANDS.map(|band| Cell::speedup(cmp.tail(r, band))));
         tail.row(cells);
     }
     tail.note(
@@ -69,7 +69,7 @@ pub(crate) fn fig12c(scale: Scale, jobs: usize) -> Vec<Table> {
     for (scheme, r) in schemes.into_iter().zip(outs) {
         let speed = |fam: &str| {
             let b = base.iterations(fam).max(1) as f64;
-            speedup_cell(Some(r.iterations(fam) as f64 / b))
+            Cell::speedup(Some(r.iterations(fam) as f64 / b))
         };
         t.row(vec![
             scheme.label().into(),

@@ -11,9 +11,8 @@
 
 use super::fig08_testbed_prios::swift_at_prio_target;
 use crate::micro::{add_fig8_flows, testbed_env, Micro};
-use crate::report::f3;
 use crate::sweep::run_ordered;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use netsim::NoiseModel;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -81,7 +80,7 @@ pub(crate) fn fig13(_: Scale, jobs: usize) -> Vec<Table> {
     });
     let mut pp = pp.iter();
     for (phys, &range) in phys.chunks(seeds.len()).zip(&ranges) {
-        let mut cells = vec![range.to_string()];
+        let mut cells = vec![Cell::from(range)];
         for _tol in tols {
             let gap_sum: f64 = phys
                 .iter()
@@ -94,7 +93,7 @@ pub(crate) fn fig13(_: Scale, jobs: usize) -> Vec<Table> {
                     gaps.sum::<f64>()
                 })
                 .sum();
-            cells.push(f3(gap_sum / seeds.len() as f64));
+            cells.push((gap_sum / seeds.len() as f64).into());
         }
         t.row(cells);
     }

@@ -8,8 +8,7 @@
 //! ~21 % of ideal physical priorities everywhere.
 
 use crate::flowsched::{self, bucket_of, fat_tree, register, FlowSchedConfig, FlowSchedResult};
-use crate::report::opt3;
-use crate::{Scale, Scheme, Table};
+use crate::{Cell, Scale, Scheme, Table};
 use simcore::stats::Summary;
 use simcore::Time;
 use workloads::{PoissonArrivals, SizeDist};
@@ -94,13 +93,13 @@ pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
             &["priority band", "sub-RTT", "small", "middle", "large"],
         );
         for b in ["high", "middle", "low"] {
-            let mut cells = vec![b.to_string()];
+            let mut cells = vec![Cell::from(b)];
             for s in ["sub-RTT", "small", "middle", "large"] {
                 let norm = match (mean_fct(&res, b, s), mean_fct(&reference, b, s)) {
                     (Some(x), Some(r)) => Some(x / r),
                     _ => None,
                 };
-                cells.push(opt3(norm));
+                cells.push(norm.into());
             }
             t.row(cells);
         }
@@ -113,7 +112,7 @@ pub(crate) fn fig14(scale: Scale, jobs: usize) -> Vec<Table> {
          Expected (paper): PrioPlus sub-RTT high-priority FCT ~20.9 us even though\n\
          D_target is 60 us — thresholds don't set experienced delay; PrioPlus within\n\
          ~21% of Physical* across cells; w/o-CC wrecks small flows at low bands.",
-        opt3(hi_subrtt)
+        Cell::from(hi_subrtt)
     ));
     tables
 }

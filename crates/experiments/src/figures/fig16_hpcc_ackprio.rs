@@ -5,8 +5,7 @@
 //! average FCT); HPCC protects small flows at the cost of medium/large.
 
 use crate::flowsched::{self, FlowSchedConfig};
-use crate::report::opt3;
-use crate::{Scale, Scheme, Table};
+use crate::{Cell, Scale, Scheme, Table};
 
 pub(crate) fn fig16(scale: Scale, jobs: usize) -> Vec<Table> {
     let classes = 8u8;
@@ -30,9 +29,9 @@ pub(crate) fn fig16(scale: Scale, jobs: usize) -> Vec<Table> {
         .collect();
     let results = crate::sweep::run_ordered(&cfgs, jobs, &flowsched::run);
     for (scheme, r) in schemes.into_iter().zip(results) {
-        let mut cells = vec![scheme.label().to_string()];
-        cells.extend(r.mean_fct_us_by_bucket().map(opt3));
-        cells.push(opt3(r.p99_fct_us(|_| true)));
+        let mut cells = vec![Cell::from(scheme.label())];
+        cells.extend(r.mean_fct_us_by_bucket().map(Cell::from));
+        cells.push(r.p99_fct_us(|_| true).into());
         t.row(cells);
     }
     t.note(

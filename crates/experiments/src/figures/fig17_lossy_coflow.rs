@@ -4,8 +4,8 @@
 //! Expected: PrioPlus's behavior is nearly identical to the lossless run
 //! because its buffer management keeps queues small enough to avoid loss.
 
-use crate::coflowsched::{speedup_cell, vs_baseline, CoflowConfig, BANDS};
-use crate::{Scale, Scheme, Table};
+use crate::coflowsched::{vs_baseline, CoflowConfig, BANDS};
+use crate::{Cell, Scale, Scheme, Table};
 
 pub(crate) fn fig17(scale: Scale, jobs: usize) -> Vec<Table> {
     let mut t = Table::new(
@@ -30,9 +30,9 @@ pub(crate) fn fig17(scale: Scale, jobs: usize) -> Vec<Table> {
     let schemes = [Scheme::PhysicalSwift, Scheme::PrioPlusSwift];
     for ((env, _), cmp) in envs.iter().zip(vs_baseline(&templates, &schemes, jobs)) {
         for (scheme, r) in &cmp.schemes {
-            let mut cells = vec![scheme.label().to_string(), env.to_string()];
-            cells.extend(BANDS.map(|band| speedup_cell(cmp.mean(r, band))));
-            cells.extend([r.drops.to_string(), r.retransmits.to_string()]);
+            let mut cells = vec![Cell::from(scheme.label()), Cell::from(*env)];
+            cells.extend(BANDS.map(|band| Cell::speedup(cmp.mean(r, band))));
+            cells.extend([r.drops.into(), r.retransmits.into()]);
             t.row(cells);
         }
     }

@@ -4,8 +4,8 @@
 //! Expected: HPCC ~24 % worse than PrioPlus on average CCT (~15 % on p99);
 //! physical-without-CC collapses entirely under the congested fabric.
 
-use crate::coflowsched::{speedup_cell, vs_baseline, CoflowConfig, OVERALL};
-use crate::{Scale, Scheme, Table};
+use crate::coflowsched::{vs_baseline, CoflowConfig, OVERALL};
+use crate::{Cell, Scale, Scheme, Table};
 
 pub(crate) fn fig18(scale: Scale, jobs: usize) -> Vec<Table> {
     let mut t = Table::new(
@@ -23,9 +23,9 @@ pub(crate) fn fig18(scale: Scale, jobs: usize) -> Vec<Table> {
     for (scheme, r) in &cmp.schemes {
         t.row(vec![
             scheme.label().into(),
-            speedup_cell(cmp.mean(r, OVERALL)),
-            speedup_cell(cmp.tail(r, OVERALL)),
-            format!("{:.2}", r.completion),
+            Cell::speedup(cmp.mean(r, OVERALL)),
+            Cell::speedup(cmp.tail(r, OVERALL)),
+            Cell::num(r.completion, 2, ""),
         ]);
     }
     t.note(

@@ -11,8 +11,7 @@
 //! lifetimes, and the peak resident budget (flow slab + packet arena).
 
 use crate::hyperscale::{self, HyperScheme, HyperTopo, HyperscaleConfig};
-use crate::report::f3;
-use crate::{Scale, Table};
+use crate::{Cell, Scale, Table};
 use netsim::ThreeTierWanSpec;
 use simcore::Time;
 
@@ -62,17 +61,18 @@ pub(crate) fn fig_hyperscale(scale: Scale, jobs: usize) -> Vec<Table> {
         ],
     );
     for (cfg, r) in cfgs.iter().zip(&results) {
+        let done = r.finished as f64 / r.flows_total.max(1) as f64;
         t.row(vec![
-            cfg.scheme.name().to_string(),
-            cfg.topo.name(),
-            r.flows_total.to_string(),
-            format!("{:.0}%", r.finished as f64 / r.flows_total.max(1) as f64 * 100.0),
-            f3(r.fct_us.p50),
-            f3(r.fct_us.p99),
-            f3(r.fct_top_class_us.p99),
-            f3(r.slowdown.p99),
-            r.flow_live_peak.to_string(),
-            f3(r.mem_budget_bytes as f64 / 1e6),
+            cfg.scheme.name().into(),
+            cfg.topo.name().into(),
+            r.flows_total.into(),
+            Cell::num(done * 100.0, 0, "%"),
+            r.fct_us.p50.into(),
+            r.fct_us.p99.into(),
+            r.fct_top_class_us.p99.into(),
+            r.slowdown.p99.into(),
+            r.flow_live_peak.into(),
+            (r.mem_budget_bytes as f64 / 1e6).into(),
         ]);
     }
     vec![t]

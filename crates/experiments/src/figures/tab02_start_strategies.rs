@@ -4,7 +4,6 @@
 //! verification that the linear ramp minimizes worst-case backlog among a
 //! family of alternative ramps (the variational-method theorem).
 
-use crate::report::f3;
 use crate::{Scale, Table};
 use prioplus::linear_start::{
     bytes_delayed_bdp, max_extra_buffer_bdp, table2_closed_form, ExponentialStart, LineRateStart,
@@ -32,11 +31,11 @@ pub(crate) fn tab02(_: Scale, _: usize) -> Vec<Table> {
     for (name, s) in &strategies {
         let (d_cf, b_cf) = table2_closed_form(name, n);
         t.row(vec![
-            name.to_string(),
-            f3(bytes_delayed_bdp(s.as_ref())),
-            f3(d_cf),
-            f3(max_extra_buffer_bdp(s.as_ref())),
-            f3(b_cf),
+            (*name).into(),
+            bytes_delayed_bdp(s.as_ref()).into(),
+            d_cf.into(),
+            max_extra_buffer_bdp(s.as_ref()).into(),
+            b_cf.into(),
         ]);
     }
     t.note(
@@ -67,17 +66,17 @@ pub(crate) fn tab02(_: Scale, _: usize) -> Vec<Table> {
     );
     v.row(vec![
         "linear".into(),
-        f3(max_extra_buffer_bdp(&LinearStart { n })),
+        max_extra_buffer_bdp(&LinearStart { n }).into(),
     ]);
     for p in [0.5, 2.0, 4.0] {
         v.row(vec![
-            format!("power p={p}"),
-            f3(max_extra_buffer_bdp(&Power { n, p })),
+            format!("power p={p}").into(),
+            max_extra_buffer_bdp(&Power { n, p }).into(),
         ]);
     }
     v.row(vec![
         "exponential".into(),
-        f3(max_extra_buffer_bdp(&ExponentialStart { n })),
+        max_extra_buffer_bdp(&ExponentialStart { n }).into(),
     ]);
     vec![t, v]
 }

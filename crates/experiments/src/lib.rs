@@ -16,8 +16,9 @@
 //! - [`hyperscale`]: the hyperscale scenario — large fat-tree / 3-tier+WAN
 //!   fabrics, open-loop streamed arrivals, slab-reclaimed flow state, and
 //!   streaming quantile sketches instead of per-flow records;
-//! - [`report`]: the [`Table`] a figure returns — aligned plain text plus
-//!   JSON rows, so EXPERIMENTS.md entries can be regenerated and diffed;
+//! - [`report`]: the [`Table`] a figure returns — rows of typed [`Cell`]s
+//!   that print one way, as aligned plain text plus JSON rows, so
+//!   EXPERIMENTS.md entries can be regenerated and diffed;
 //! - [`sweep`]: the parallel sweep runner that fans independent runs across
 //!   `jobs` threads with input-order results; every figure sweeps with it.
 //!
@@ -46,7 +47,7 @@ pub mod registry;
 pub mod report;
 pub mod sweep;
 
-pub use report::Table;
+pub use report::{Cell, Table};
 
 use netsim::{AckPriority, SimConfig, SwitchConfig};
 use simcore::Time;

@@ -1,8 +1,91 @@
 //! Result tables: aligned plain text for the terminal plus JSON rows for
 //! machine diffing. A [`Table`] is a value — the `repro` binary is what
-//! prints it and, when `REPRO_JSON_DIR` is set, writes `<slug>.json`.
+//! prints it and, when `REPRO_JSON_DIR` is set, writes `<slug>.json`. Its
+//! rows are [`Cell`]s: a figure hands over numbers, and how each prints is
+//! decided once, by `Cell`'s `Display`, for the text and the JSON alike.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// One table cell; [`Cell::value`] reads its number back.
+#[derive(Clone, Debug)]
+pub enum Cell {
+    /// A measured or derived number: `v` to `prec` decimals, then `unit`.
+    Num {
+        /// The number; `None` (missing) prints `-`.
+        v: Option<f64>,
+        /// Decimals printed.
+        prec: usize,
+        /// Printed after the number (`x`, `%`, `*`).
+        unit: &'static str,
+    },
+    /// A count.
+    Int(u64),
+    /// A name or a parameter label.
+    Text(String),
+}
+
+impl Cell {
+    /// `v` to `prec` decimals, then `unit`; `-` when `v` is `None`.
+    pub fn num(v: impl Into<Option<f64>>, prec: usize, unit: &'static str) -> Self {
+        let v = v.into();
+        Cell::Num { v, prec, unit }
+    }
+
+    /// A speedup: `1.23x`.
+    pub fn speedup(v: Option<f64>) -> Self {
+        Cell::num(v, 2, "x")
+    }
+
+    /// The number the cell holds: `None` for text and for a missing value.
+    pub fn value(&self) -> Option<f64> {
+        match self {
+            Cell::Num { v, .. } => *v,
+            Cell::Int(n) => Some(*n as f64),
+            Cell::Text(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Num { v, prec, unit } => match v {
+                Some(v) => write!(f, "{v:.prec$}{unit}"),
+                None => f.write_str("-"),
+            },
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+/// The value's own cell, or a missing number.
+impl<T: Into<Cell>> From<Option<T>> for Cell {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Cell::num(None, 3, ""), Into::into)
+    }
+}
+
+macro_rules! cell_from {
+    ($($x:ident: $t:ty => $cell:expr),* $(,)?) => {$(
+        impl From<$t> for Cell {
+            fn from($x: $t) -> Self {
+                $cell
+            }
+        }
+    )*};
+}
+
+// A measured number prints to three decimals; counts and text as they are.
+cell_from! {
+    v: f64 => Cell::num(v, 3, ""),
+    n: u8 => Cell::Int(n.into()),
+    n: u32 => Cell::Int(n.into()),
+    n: u64 => Cell::Int(n),
+    n: usize => Cell::Int(n as u64),
+    s: &str => Cell::Text(s.to_string()),
+    s: String => Cell::Text(s),
+}
 
 /// A simple result table.
 #[derive(Clone, Debug)]
@@ -13,8 +96,8 @@ pub struct Table {
     pub title: String,
     /// Column headers.
     pub columns: Vec<String>,
-    /// Rows of stringified cells.
-    pub rows: Vec<Vec<String>>,
+    /// Rows of cells.
+    pub rows: Vec<Vec<Cell>>,
     /// Commentary printed after the table (measured one-liners, the shape
     /// the paper expects); every line ends in `\n`. Not part of the JSON.
     pub notes: String,
@@ -39,44 +122,29 @@ impl Table {
     }
 
     /// Append a row (must match the column count).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub fn row(&mut self, cells: Vec<Cell>) {
         assert_eq!(cells.len(), self.columns.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
-    /// Render as aligned text.
+    /// Render as aligned text: the title, then the header, a line of dashes
+    /// and the rows, each cell right-aligned to its column's widest.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
+        let mut lines = vec![self.columns.clone()];
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            lines.push(row.iter().map(Cell::to_string).collect());
+        }
+        let mut widths = vec![0; self.columns.len()];
+        for line in &lines {
+            for (w, c) in widths.iter_mut().zip(line) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.title);
-        let hdr: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-            .collect();
-        let _ = writeln!(out, "{}", hdr.join("  "));
-        let _ = writeln!(
-            out,
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
-            let _ = writeln!(out, "{}", cells.join("  "));
+        lines.insert(1, widths.iter().map(|&w| "-".repeat(w)).collect());
+        let mut out = format!("# {}\n", self.title);
+        for line in &lines {
+            let padded = line.iter().zip(&widths).map(|(c, &w)| format!("{c:>w$}"));
+            let _ = writeln!(out, "{}", padded.collect::<Vec<_>>().join("  "));
         }
         out
     }
@@ -96,7 +164,7 @@ impl Table {
         out.push_str("  ],\n");
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
-            let cells: Vec<String> = row.iter().map(|c| json_string(c)).collect();
+            let cells: Vec<String> = row.iter().map(|c| json_string(&c.to_string())).collect();
             let comma = if i + 1 < self.rows.len() { "," } else { "" };
             let _ = writeln!(out, "    [{}]{comma}", cells.join(", "));
         }
@@ -106,7 +174,7 @@ impl Table {
 }
 
 /// Quote and escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -124,16 +192,6 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Format a float with 3 significant decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Format an optional float ("-" when absent).
-pub fn opt3(v: Option<f64>) -> String {
-    v.map(f3).unwrap_or_else(|| "-".into())
 }
 
 #[cfg(test)]
@@ -173,10 +231,68 @@ mod tests {
         assert!(j.ends_with('}'));
     }
 
+    /// Every cell kind, printed through the one `Display` into the text
+    /// table and the JSON: `{:.0}` ties, each unit, the missing `-`, counts
+    /// and a text cell that JSON must escape.
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(opt3(None), "-");
-        assert_eq!(opt3(Some(2.0)), "2.000");
+    fn cell_kinds_render_and_serialize() {
+        let mut t = Table::new(
+            "cells",
+            "Cell kinds",
+            &[
+                "name", "mean", "half", "speedup", "done", "util", "missing", "drops",
+            ],
+        );
+        t.row(vec![
+            "a \"b\"\\c".into(),
+            1.23456.into(),
+            Cell::num(2.5, 0, ""),
+            Cell::speedup(Some(1.234)),
+            Cell::num(44.5, 0, "%"),
+            Cell::num(0.98765, 3, "*"),
+            None::<f64>.into(),
+            42u64.into(),
+        ]);
+        t.row(vec![
+            String::from("x").into(),
+            Some(2.0).into(),
+            Cell::num(3.5, 0, ""),
+            Cell::speedup(None),
+            Cell::num(None, 0, "%"),
+            Cell::num(1.0, 3, ""),
+            None::<u64>.into(),
+            7usize.into(),
+        ]);
+        let text = [
+            "# Cell kinds",
+            "   name   mean  half  speedup  done    util  missing  drops",
+            "-------  -----  ----  -------  ----  ------  -------  -----",
+            r#"a "b"\c  1.235     2    1.23x   44%  0.988*        -     42"#,
+            "      x  2.000     4        -     -   1.000        -      7",
+        ];
+        assert_eq!(t.render(), text.map(|l| format!("{l}\n")).concat());
+        let json = [
+            "{",
+            r#"  "title": "Cell kinds","#,
+            r#"  "columns": ["#,
+            r#"    "name","#,
+            r#"    "mean","#,
+            r#"    "half","#,
+            r#"    "speedup","#,
+            r#"    "done","#,
+            r#"    "util","#,
+            r#"    "missing","#,
+            r#"    "drops""#,
+            "  ],",
+            r#"  "rows": ["#,
+            r#"    ["a \"b\"\\c", "1.235", "2", "1.23x", "44%", "0.988*", "-", "42"],"#,
+            r#"    ["x", "2.000", "4", "-", "-", "1.000", "-", "7"]"#,
+            "  ]",
+            "}",
+        ];
+        assert_eq!(t.to_json(), json.join("\n"));
+        let values: Vec<Option<f64>> = t.rows[0].iter().map(Cell::value).collect();
+        assert_eq!(values[..3], [None, Some(1.23456), Some(2.5)]);
+        assert_eq!(values[6..], [None, Some(42.0)]);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example coflow_scheduling`
 
-use experiments::coflowsched::{speedup_cell, vs_baseline, CoflowConfig, BANDS};
-use experiments::Scheme;
+use experiments::coflowsched::{vs_baseline, CoflowConfig, BANDS};
+use experiments::{Cell, Scheme};
 use simcore::Time;
 
 fn main() {
@@ -32,6 +32,6 @@ fn main() {
         "overall",
     ];
     for (label, band) in labels.into_iter().zip(BANDS) {
-        println!("  {label}: {}", speedup_cell(cmp.mean(pp, band)));
+        println!("  {label}: {}", Cell::speedup(cmp.mean(pp, band)));
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full CI gauntlet: four legs, five test invocations.
+# Full CI gauntlet: five legs, five test invocations.
 #
 #   1. lint: simlint (R4, R8 and the layering pass R9) must report
 #      zero unallowed findings and no stale allowance — the JSON report
@@ -28,7 +28,12 @@
 #      guard, `--check` smoke run, composition-vs-experiments differential —
 #      then two seconds of every workload with its output checks on, so a
 #      change that breaks a workload invariant or run-to-run determinism
-#      fails here and not in the next benchmark run.
+#      fails here and not in the next benchmark run;
+#   5. figures: `repro all --jobs 2`, every registry entry at quick scale —
+#      tier-1 runs only the sub-second entries in-process, so this is the
+#      leg that runs the fig10–fig18 and hyperscale row builders. The text
+#      tables land in target/ci/repro_all.txt and the JSON tables in
+#      target/ci/json/; a non-zero exit fails the leg.
 #
 # Each leg prints its wall time; the last line is a table of all of them,
 # and target/ci/legs.json records the same numbers.
@@ -44,7 +49,7 @@ leg() {
   LEG_NAME=$2
   LEG_START=$SECONDS
   echo
-  echo "=== [$1/4] $2: $3 ==="
+  echo "=== [$1/5] $2: $3 ==="
 }
 leg_done() {
   local t=$(( SECONDS - LEG_START ))
@@ -98,6 +103,13 @@ if [[ $(grep -c '^{"correct":true,.*"failed":0,' target/ci/ppbench_check.log) -n
   echo "ci.sh: ppbench --check: a workload failed its output checks" >&2
   exit 1
 fi
+leg_done
+
+leg 5 figures "repro all --jobs 2 (every registry entry, quick scale)"
+cargo build --release -q -p experiments --bin repro
+rm -rf target/ci/json
+REPRO_JSON_DIR=target/ci/json target/release/repro all --jobs 2 > target/ci/repro_all.txt
+echo "ci.sh: $(wc -l < target/ci/repro_all.txt) lines in target/ci/repro_all.txt, $(ls target/ci/json | wc -l) JSON tables in target/ci/json/"
 leg_done
 
 echo

@@ -1,12 +1,13 @@
 //! The figure registry and the one binary over it: slugs, well-formed
-//! tables from every entry quick enough to run here, argument and I/O errors
-//! as non-zero exits, and docs whose `repro run` commands still resolve.
+//! tables with finite numbers from every entry quick enough to run here,
+//! argument and I/O errors as non-zero exits, and docs whose `repro run`
+//! commands still resolve.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
 use experiments::registry::{select, FIGURES};
-use experiments::Scale;
+use experiments::{Cell, Scale};
 
 fn repro(args: &[&str], json_dir: Option<&Path>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
@@ -64,6 +65,13 @@ fn sub_second_entries_return_well_formed_tables() {
             assert!(
                 t.rows.iter().all(|r| r.len() == t.columns.len()),
                 "{}: ragged rows",
+                t.slug
+            );
+            let values: Vec<f64> = t.rows.iter().flatten().filter_map(Cell::value).collect();
+            assert!(!values.is_empty(), "{}: no numeric cell", t.slug);
+            assert!(
+                values.iter().all(|v| v.is_finite()),
+                "{}: a non-finite number in {values:?}",
                 t.slug
             );
         }
