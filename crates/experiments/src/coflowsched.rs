@@ -193,7 +193,9 @@ pub(crate) fn configs(cfg: &CoflowConfig, end_time: Time) -> (SimConfig, SwitchC
     };
     let sw_cfg = SwitchConfig {
         pfc_enabled: cfg.lossless,
-        ..cfg.scheme.switch_config(cfg.classes, 32 * 1024 * 1024, 100_000)
+        ..cfg
+            .scheme
+            .switch_config(cfg.classes, 32 * 1024 * 1024, 100_000)
     };
     (sim_cfg, sw_cfg)
 }

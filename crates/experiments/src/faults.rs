@@ -202,7 +202,12 @@ mod tests {
         for regime in [FaultRegime::Flap, FaultRegime::Storm] {
             let sched = regime.schedule(9, horizon, 1).expect("schedule");
             assert!(!sched.is_empty(), "{}: empty schedule", regime.name());
-            assert_eq!(sched.len() % 2, 0, "{}: unpaired transitions", regime.name());
+            assert_eq!(
+                sched.len() % 2,
+                0,
+                "{}: unpaired transitions",
+                regime.name()
+            );
         }
     }
 

@@ -176,7 +176,10 @@ pub(crate) fn configs(cfg: &FlowSchedConfig) -> (SimConfig, SwitchConfig) {
     // Every switch in a k-ary fat-tree has k ports.
     let port_tbps = cfg.k as f64 * cfg.rate.as_gbps_f64() / 1000.0;
     let buffer = (cfg.buffer_mb_per_tbps * port_tbps * 1e6) as u64;
-    (sim_cfg, cfg.scheme.switch_config(cfg.classes, buffer, 50_000))
+    (
+        sim_cfg,
+        cfg.scheme.switch_config(cfg.classes, buffer, 50_000),
+    )
 }
 
 /// The k-ary fat-tree of `cfg`, built with its [`configs`], and its hosts.

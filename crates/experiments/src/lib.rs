@@ -32,7 +32,6 @@
 //! seconds while `--full` reproduces the paper-scale parameters.
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 
 pub mod coflowsched;
@@ -291,7 +290,15 @@ mod tests {
                     let end = cfg.duration + cfg.duration;
                     assert_eq!(
                         recipe(coflowsched::configs(&cfg, end)),
-                        (queues, ack, 32 << 20, lossless, lossless_queues, headroom, int),
+                        (
+                            queues,
+                            ack,
+                            32 << 20,
+                            lossless,
+                            lossless_queues,
+                            headroom,
+                            int
+                        ),
                         "{scheme:?}, {scale:?}, lossless {lossless}"
                     );
                 }

@@ -905,7 +905,10 @@ mod tests {
         let r = a.into_report();
         assert_eq!(r.total_violations, n as u64);
         assert_eq!(r.violations.len(), MAX_VIOLATIONS);
-        assert_eq!(r.violations.last().and_then(|v| v.flow), Some(MAX_VIOLATIONS as u32 - 1));
+        assert_eq!(
+            r.violations.last().and_then(|v| v.flow),
+            Some(MAX_VIOLATIONS as u32 - 1)
+        );
         assert!(!r.is_clean());
     }
 

@@ -272,14 +272,24 @@ mod tests {
     fn schedule_builders_emit_paired_transitions() {
         let mut s = FaultSchedule::new();
         s.link_flap(1, 0, Time::from_us(10), Time::from_us(20))
-            .degrade(2, 1, Time::from_us(5), Time::from_us(9), 0.5, Time::from_us(1))
+            .degrade(
+                2,
+                1,
+                Time::from_us(5),
+                Time::from_us(9),
+                0.5,
+                Time::from_us(1),
+            )
             .pause_storm(3, 2, 0, Time::from_us(1), Time::from_us(2));
         assert_eq!(s.len(), 6);
         assert_eq!(s.events[0].kind, FaultKind::LinkDown { node: 1, port: 0 });
         assert_eq!(s.events[1].kind, FaultKind::LinkUp { node: 1, port: 0 });
         assert_eq!(s.events[0].kind.link(), (1, 0));
         assert!(matches!(s.events[2].kind, FaultKind::DegradeStart { .. }));
-        assert!(matches!(s.events[5].kind, FaultKind::PauseEnd { prio: 0, .. }));
+        assert!(matches!(
+            s.events[5].kind,
+            FaultKind::PauseEnd { prio: 0, .. }
+        ));
     }
 
     #[test]

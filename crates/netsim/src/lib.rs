@@ -35,7 +35,6 @@
 // `_ if ..` arm is fine.
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
-
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -64,9 +63,9 @@ pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use noise::NoiseModel;
 pub use packet::{ArenaStats, FlowId, NodeId, Packet, PacketArena, PacketId, PktHeader, PktTag};
 pub use record::{FlowRecord, SimCounters, SimResult, StreamingStats};
+pub use sim::{ArrivalSource, FlowSpec, Sim};
 #[doc(hidden)]
 pub use simcore::SchedKind;
-pub use sim::{ArrivalSource, FlowSpec, Sim};
 pub use state::StateTamper;
 pub use topology::{ThreeTierWanSpec, Topology};
 pub use transport_api::{AckEvent, AckKind, FlowParams, Transport, TransportCtx, TrySend};

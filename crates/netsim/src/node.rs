@@ -183,7 +183,6 @@ impl EgressPort {
         }
         None
     }
-
 }
 
 #[inline]
@@ -353,7 +352,11 @@ impl Switch {
         let nq = self.nq;
         let (q, size, is_data) = {
             let pkt = arena.get(id);
-            (queue_index(pkt.prio, nq), pkt.size as u64, pkt.kind.is_data())
+            (
+                queue_index(pkt.prio, nq),
+                pkt.size as u64,
+                pkt.kind.is_data(),
+            )
         };
         if !self.cfg.pfc_enabled && is_data {
             // Lossy: Dynamic-Threshold admission on the egress queue.
@@ -614,7 +617,11 @@ mod tests {
         assert!(p.is_stormed(2));
         assert!(!p.is_stormed(1));
         assert_eq!(p.paused, 0, "a storm pin is not itself a pause bit");
-        assert_eq!(p.effective_link(), nominal, "down and storm leave rate and delay alone");
+        assert_eq!(
+            p.effective_link(),
+            nominal,
+            "down and storm leave rate and delay alone"
+        );
         p.degrade = Some((0.25, Time::from_us(7)));
         assert_eq!(
             p.effective_link(),
@@ -623,7 +630,10 @@ mod tests {
         );
         p.down = false;
         assert!(p.is_stormed(2), "clearing down must not clear the storm");
-        assert!(p.degrade.is_some(), "clearing down must not end the degradation");
+        assert!(
+            p.degrade.is_some(),
+            "clearing down must not end the degradation"
+        );
         p.set_storm(2, false);
         p.degrade = None;
         assert_eq!(p.storm, 0);

@@ -116,7 +116,8 @@ impl IntPath {
             // First spill: migrate the inline records so `as_slice` stays a
             // single contiguous view.
             self.spill.reserve(INT_INLINE_HOPS * 2);
-            self.spill.extend_from_slice(&self.inline[..self.len as usize]);
+            self.spill
+                .extend_from_slice(&self.inline[..self.len as usize]);
         } else if self.spill.len() >= INT_MAX_HOPS {
             return false;
         }
@@ -731,7 +732,10 @@ mod tests {
     fn arena_reuses_slots_strictly_lifo() {
         let mut a = PacketArena::new();
         let ids: Vec<PacketId> = (0..4).map(|i| a.alloc(pkt(i))).collect();
-        assert_eq!(ids, vec![PacketId(0), PacketId(1), PacketId(2), PacketId(3)]);
+        assert_eq!(
+            ids,
+            vec![PacketId(0), PacketId(1), PacketId(2), PacketId(3)]
+        );
         assert_eq!(a.capacity(), 4);
         // Free 1 then 3: LIFO hands back 3 first, then 1, then grows.
         a.release(ids[1]);
@@ -812,8 +816,16 @@ mod tests {
         assert!(!h.kind.is_data());
         assert_eq!((h.flow, h.src, h.dst, h.prio), (7, 2, 1, 4));
         assert_eq!(h.size as u32, CONTROL_BYTES);
-        assert_eq!((h.seq, h.ack_seq, h.payload), (2048, 3072, 1000), "cum, seq, bytes");
-        assert_eq!(h.ts_tx, Time::from_us(5), "the data packet's send time, echoed");
+        assert_eq!(
+            (h.seq, h.ack_seq, h.payload),
+            (2048, 3072, 1000),
+            "cum, seq, bytes"
+        );
+        assert_eq!(
+            h.ts_tx,
+            Time::from_us(5),
+            "the data packet's send time, echoed"
+        );
         assert!(h.ecn_ce && h.nack);
         assert_eq!(a.int(id).map(|p| p.as_slice()[0].qlen), Some(11));
         let probe = Packet::probe(7, 1, 2, 3, Time::from_us(6)).header;
@@ -845,15 +857,29 @@ mod tests {
         let id = a.alloc(Packet::ack(&data, 0, 1000, true, path));
         let recycled = a.stats().int_recycled;
         a.release(id);
-        assert_eq!(a.stats().int_recycled, recycled + 1, "the box went back to the stack");
+        assert_eq!(
+            a.stats().int_recycled,
+            recycled + 1,
+            "the box went back to the stack"
+        );
         a.check().expect("freed slot owns no INT box");
         let id2 = a.alloc(Packet::probe(0, 1, 2, 0, Time::ZERO));
         assert_eq!(id2, id, "LIFO reuse of the freed slot");
         let h = *a.get(id2);
-        assert_eq!((h.kind, h.seq, h.ack_seq, h.payload), (PktTag::Probe, 0, 0, 0));
-        assert!(!h.ecn_ce && !h.nack && a.int(id2).is_none(), "nothing leaks across tenants");
+        assert_eq!(
+            (h.kind, h.seq, h.ack_seq, h.payload),
+            (PktTag::Probe, 0, 0, 0)
+        );
+        assert!(
+            !h.ecn_ce && !h.nack && a.int(id2).is_none(),
+            "nothing leaks across tenants"
+        );
         a.append_int(id2, hop(2));
-        assert_eq!(a.stats().int_allocs, 1, "the recycled box served the next INT packet");
+        assert_eq!(
+            a.stats().int_allocs,
+            1,
+            "the recycled box served the next INT packet"
+        );
         assert_eq!(a.int(id2).unwrap().len(), 1);
     }
 
@@ -890,7 +916,10 @@ mod tests {
             a.release(id);
         }
         let per_slot = a.resident_bytes() as f64 / a.capacity() as f64;
-        assert!(per_slot <= 64.0, "packet arena grew to {per_slot} B per slot (budget 64)");
+        assert!(
+            per_slot <= 64.0,
+            "packet arena grew to {per_slot} B per slot (budget 64)"
+        );
         assert_eq!(a.resident_bytes(), 4096 * 61);
     }
 }

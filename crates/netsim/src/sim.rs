@@ -334,9 +334,7 @@ impl Sim {
             base_rtt_probe,
             mtu: cfg.mtu,
             virt_prio: spec.virt_prio,
-            seed: SimRng::new(cfg.seed)
-                .split(0x1000 + flow as u64)
-                .next(),
+            seed: SimRng::new(cfg.seed).split(0x1000 + flow as u64).next(),
         }
     }
 
@@ -727,7 +725,10 @@ mod tests {
     use crate::faults::FaultSchedule;
     use crate::packet::{IntHop, Packet};
     use crate::transport_api::{AckEvent, AckKind, TransportCtx, TrySend};
-    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only recorder no simulation reads"
+    )]
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -742,7 +743,14 @@ mod tests {
         let (host, switch) = (1, 3);
         let mut faults = FaultSchedule::new();
         for node in [host, switch] {
-            faults.push(Time::ZERO, FaultKind::PauseStart { node, port: 0, prio: 0 });
+            faults.push(
+                Time::ZERO,
+                FaultKind::PauseStart {
+                    node,
+                    port: 0,
+                    prio: 0,
+                },
+            );
         }
         let cfg = SimConfig {
             faults: Some(faults),
@@ -1099,7 +1107,10 @@ mod tests {
     /// streaming sketches on too, the one `on_flow_done` hook reaches both:
     /// the sketches count as many completions as the `App` was called for.
     #[test]
-    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only recorder no simulation reads"
+    )]
     fn completions_are_buffered_only_for_an_app() {
         struct Count(Rc<RefCell<Vec<FlowId>>>);
         impl App for Count {
@@ -1182,20 +1193,44 @@ mod tests {
     /// What a [`Recorder`] saw of one [`AckEvent`]: kind, delay, cum,
     /// acked seq, acked bytes, ECN echo, NACK, and the INT path's queue
     /// lengths.
-    type Seen = (AckKind, Time, u64, u64, u32, bool, Option<(u64, u64)>, Option<Vec<u64>>);
+    type Seen = (
+        AckKind,
+        Time,
+        u64,
+        u64,
+        u32,
+        bool,
+        Option<(u64, u64)>,
+        Option<Vec<u64>>,
+    );
 
     /// A transport that only records the ACKs it is handed, into a list the
     /// test keeps a handle on.
     #[derive(Clone, Default)]
-    #[expect(clippy::disallowed_types, reason = "a test-only recorder no simulation reads")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only recorder no simulation reads"
+    )]
     struct Recorder(Rc<RefCell<Vec<Seen>>>);
 
     impl Transport for Recorder {
         fn on_start(&mut self, _: &mut TransportCtx<'_>) {}
         fn on_ack(&mut self, ack: &AckEvent, _: &mut TransportCtx<'_>) {
-            let int = ack.int.as_deref().map(|p| p.as_slice().iter().map(|h| h.qlen).collect());
+            let int = ack
+                .int
+                .as_deref()
+                .map(|p| p.as_slice().iter().map(|h| h.qlen).collect());
             let (cum, seq, bytes) = (ack.cum_bytes, ack.acked_seq, ack.acked_bytes);
-            let seen = (ack.kind, ack.delay, cum, seq, bytes, ack.ecn_echo, ack.nack, int);
+            let seen = (
+                ack.kind,
+                ack.delay,
+                cum,
+                seq,
+                bytes,
+                ack.ecn_echo,
+                ack.nack,
+                int,
+            );
             self.0.borrow_mut().push(seen);
         }
         fn on_timer(&mut self, _: u64, _: &mut TransportCtx<'_>) {}
@@ -1256,25 +1291,68 @@ mod tests {
             }
             st.port_mut(rcv, 0).busy = false;
             st.host_arrive(run, rcv, pid, Time::from_us(sent + 1));
-            assert!(!st.arena.get(pid).kind.is_data(), "the answer took the slot");
+            assert!(
+                !st.arena.get(pid).kind.is_data(),
+                "the answer took the slot"
+            );
             st.host_arrive(run, snd, pid, Time::from_us(back));
         };
         // Segment [0, 500) in order: cum moves to 500, nothing is NACKed.
-        trip(Packet::data(fid, snd, rcv, 0, 500, 0, Time::ZERO), false, &[], 3, 10);
+        trip(
+            Packet::data(fid, snd, rcv, 0, 500, 0, Time::ZERO),
+            false,
+            &[],
+            3,
+            10,
+        );
         // Then [2000, 3000), past a gap: the ACK NACKs [500, 2000).
-        trip(Packet::data(fid, snd, rcv, 0, 1000, 2000, Time::ZERO), true, &[5, 6], 11, 20);
-        trip(Packet::probe(fid, snd, rcv, 0, Time::ZERO), false, &[], 21, 30);
+        trip(
+            Packet::data(fid, snd, rcv, 0, 1000, 2000, Time::ZERO),
+            true,
+            &[5, 6],
+            11,
+            20,
+        );
+        trip(
+            Packet::probe(fid, snd, rcv, 0, Time::ZERO),
+            false,
+            &[],
+            21,
+            30,
+        );
         let us = Time::from_us;
         assert_eq!(
             *rec.0.borrow(),
             [
                 (AckKind::Data, us(7), 500, 0, 500, false, None, None),
-                (AckKind::Data, us(9), 500, 2000, 1000, true, Some((500, 2000)), Some(vec![5, 6])),
-                (AckKind::Probe, us(9) + probe_shift, 0, 0, 0, false, None, None),
+                (
+                    AckKind::Data,
+                    us(9),
+                    500,
+                    2000,
+                    1000,
+                    true,
+                    Some((500, 2000)),
+                    Some(vec![5, 6])
+                ),
+                (
+                    AckKind::Probe,
+                    us(9) + probe_shift,
+                    0,
+                    0,
+                    0,
+                    false,
+                    None,
+                    None
+                ),
             ]
         );
         let s = st.arena.stats();
-        assert_eq!((s.int_allocs, s.int_recycled), (1, 1), "the INT box went back to the stack");
+        assert_eq!(
+            (s.int_allocs, s.int_recycled),
+            (1, 1),
+            "the INT box went back to the stack"
+        );
     }
 
     /// The whole point of the packet arena: events stay a few machine words

@@ -396,7 +396,12 @@ impl Topology {
 
         // Hosts to their ToR.
         for (h, &host) in hosts.iter().enumerate() {
-            t.connect(host, tors[h / spec.hosts_per_tor], spec.host_rate, spec.prop);
+            t.connect(
+                host,
+                tors[h / spec.hosts_per_tor],
+                spec.host_rate,
+                spec.prop,
+            );
         }
         // ToRs to every agg in their pod.
         for (ti, &tor) in tors.iter().enumerate() {
@@ -811,15 +816,18 @@ mod tests {
         let core0 = (h + n_tors + n_aggs) as NodeId;
         let wan0 = (h + n_tors + n_aggs + spec.dcs * spec.cores_per_dc) as NodeId;
         let local_host = 0 as NodeId; // dc 0, pod 0, tor 0
-        let same_dc_other_pod = (spec.pods_per_dc - 1) as NodeId
-            * (spec.tors_per_pod * spec.hosts_per_tor) as NodeId; // dc 0, last pod
+        let same_dc_other_pod =
+            (spec.pods_per_dc - 1) as NodeId * (spec.tors_per_pod * spec.hosts_per_tor) as NodeId; // dc 0, last pod
         let other_dc_host = (h - 1) as NodeId; // last host, dc 3
         assert_eq!(rt.candidates(tor0, local_host).len(), 1);
         assert_eq!(
             rt.candidates(tor0, same_dc_other_pod).len(),
             spec.aggs_per_pod
         );
-        assert_eq!(rt.candidates(agg0, same_dc_other_pod).len(), spec.cores_per_dc);
+        assert_eq!(
+            rt.candidates(agg0, same_dc_other_pod).len(),
+            spec.cores_per_dc
+        );
         assert_eq!(rt.candidates(core0, other_dc_host).len(), spec.wan_routers);
         assert_eq!(rt.candidates(wan0, other_dc_host).len(), spec.cores_per_dc);
         assert_eq!(

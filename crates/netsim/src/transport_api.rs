@@ -9,8 +9,8 @@
 use simcore::event::ScheduledId;
 use simcore::{EventQueue, Time};
 
-use crate::packet::{FlowId, IntPath};
 use crate::event::Event;
+use crate::packet::{FlowId, IntPath};
 
 /// Static per-flow parameters handed to the transport at creation.
 #[derive(Clone, Debug)]

@@ -41,8 +41,15 @@ fn pairs() -> impl Iterator<Item = (usize, usize)> {
 /// One decoded operation against the switch.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Admit { port: u16, in_port: u16, prio: u8, payload: u32 },
-    Dequeue { port: u16 },
+    Admit {
+        port: u16,
+        in_port: u16,
+        prio: u8,
+        payload: u32,
+    },
+    Dequeue {
+        port: u16,
+    },
 }
 
 /// Decode a raw 64-bit word into an operation. Two of four opcodes are
@@ -117,7 +124,12 @@ fn step(
     let mut pauses = Vec::new();
     let mut resumes = Vec::new();
     let hit = match op {
-        Op::Admit { port, in_port, prio, payload } => {
+        Op::Admit {
+            port,
+            in_port,
+            prio,
+            payload,
+        } => {
             let pkt = data_pkt(prio, payload, *seq);
             *seq += 1;
             let q = queue_index(pkt.header.prio, NQ);

@@ -21,7 +21,6 @@
 // `_ if ..` arm is fine.
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
-
 #![warn(missing_docs)]
 
 pub mod event;
@@ -33,11 +32,11 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledId};
-pub use sched::{Entry, SchedWork};
-#[doc(hidden)]
-pub use sched::SchedKind;
 pub use rate::Rate;
 pub use ringlog::RingLog;
 pub use rng::SimRng;
+#[doc(hidden)]
+pub use sched::SchedKind;
+pub use sched::{Entry, SchedWork};
 pub use stats::QuantileSketch;
 pub use time::{Time, TimeDelta};

@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-
 use crate::time::{Time, PS_PER_SEC};
 
 /// A transmission rate in bits per second.

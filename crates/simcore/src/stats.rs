@@ -1,6 +1,5 @@
 //! Summary statistics for experiment reporting.
 
-
 use crate::time::Time;
 
 /// Accumulates scalar samples and reports mean/percentiles.
@@ -278,7 +277,9 @@ impl QuantileSketch {
         }
         // Unreachable when counts/count are consistent; return the max
         // bucket to stay total.
-        Some(Self::representative((self.base + self.counts.len()).saturating_sub(1)))
+        Some(Self::representative(
+            (self.base + self.counts.len()).saturating_sub(1),
+        ))
     }
 
     /// Median (p50).
@@ -603,7 +604,9 @@ mod tests {
 
     #[test]
     fn sketch_fingerprint_is_order_independent() {
-        let vals: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(2654435761) % 77777).collect();
+        let vals: Vec<u64> = (0..1000u64)
+            .map(|i| i.wrapping_mul(2654435761) % 77777)
+            .collect();
         let mut fwd = QuantileSketch::new();
         let mut rev = QuantileSketch::new();
         for &v in &vals {
@@ -723,12 +726,17 @@ mod tests {
         let check = |s: &QuantileSketch, d: &Dense, what: &str| {
             assert_eq!(s.fingerprint(), d.fingerprint(), "{what}: fingerprint");
             assert_eq!((s.count(), s.sum()), (d.count, d.sum), "{what}");
-            for p in [0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+            for p in [
+                0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0,
+            ] {
                 assert_eq!(s.quantile(p), d.quantile(p), "{what}: p{p}");
             }
         };
         let window = |s: &QuantileSketch| {
-            Some((QuantileSketch::bucket(s.min()?), QuantileSketch::bucket(s.max()?)))
+            Some((
+                QuantileSketch::bucket(s.min()?),
+                QuantileSketch::bucket(s.max()?),
+            ))
         };
         // Merges seen: disjoint windows, overlapping ones, an empty side.
         let mut seen = [0; 3];

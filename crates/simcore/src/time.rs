@@ -9,7 +9,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
 
-
 /// Picoseconds per nanosecond.
 pub const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.

@@ -110,9 +110,9 @@ fn link_delay_ps(w: u64) -> u64 {
 fn delay_ps(w: u64) -> u64 {
     match (w >> 3) & 3 {
         0 => link_delay_ps(w),
-        1 => (w >> 5) % 1_000_000,         // < 1 µs
-        2 => (w >> 5) % 200_000_000,       // < 200 µs
-        _ => (w >> 5) % 5_000_000_000,     // < 5 ms
+        1 => (w >> 5) % 1_000_000,     // < 1 µs
+        2 => (w >> 5) % 200_000_000,   // < 200 µs
+        _ => (w >> 5) % 5_000_000_000, // < 5 ms
     }
 }
 
@@ -127,7 +127,7 @@ fn skewed_delay_ps(w: u64) -> u64 {
         0 | 1 => link_delay_ps(w),
         2..=4 => (w >> 6) % 100_000,                    // < 100 ns
         5 | 6 => 1_000_000_000 + (w >> 6) % 50_000_000, // 1 ms .. 1.05 ms
-        _ if (w >> 6).is_multiple_of(8) => 10_000_000_000_000,   // 10 s
+        _ if (w >> 6).is_multiple_of(8) => 10_000_000_000_000, // 10 s
         _ => (w >> 6) % 2_000_000,                      // < 2 µs
     }
 }
@@ -179,10 +179,7 @@ fn run_differential(
                 let want = shadow.pop();
                 for (q, k) in queues.iter_mut().zip(QUEUES) {
                     let got = q.pop().map(|(t, v)| (t.as_ps(), v));
-                    prop_assert_eq!(
-                        got, want,
-                        "step {}: pop mismatch on {:?}", step, k
-                    );
+                    prop_assert_eq!(got, want, "step {}: pop mismatch on {:?}", step, k);
                 }
             }
             // Cancel a previously issued id (possibly stale).
@@ -202,7 +199,9 @@ fn run_differential(
                     prop_assert_eq!(
                         q.peek_time().map(|t| t.as_ps()),
                         want,
-                        "step {}: peek mismatch on {:?}", step, k
+                        "step {}: peek mismatch on {:?}",
+                        step,
+                        k
                     );
                 }
             }

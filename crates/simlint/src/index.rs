@@ -143,7 +143,8 @@ impl Workspace {
     /// `Cargo.toml` feeds the crate graph; `.rs` files feed everything.
     pub fn add(&mut self, path: &str, contents: &str) {
         if path.ends_with("Cargo.toml") {
-            self.manifests.insert(path.to_string(), contents.to_string());
+            self.manifests
+                .insert(path.to_string(), contents.to_string());
         } else if path.ends_with(".rs") {
             self.sources.insert(path.to_string(), contents.to_string());
         }
@@ -166,10 +167,7 @@ pub(crate) fn discover_crates(manifests: &BTreeMap<String, String>) -> BTreeMap<
         let m = parse_manifest(text);
         let Some(name) = m.name else { continue };
         let ident = name.replace('-', "_");
-        let rank = LAYERS
-            .iter()
-            .find(|(n, _)| *n == ident)
-            .map(|&(_, r)| r);
+        let rank = LAYERS.iter().find(|(n, _)| *n == ident).map(|&(_, r)| r);
         crates.insert(
             ident.clone(),
             CrateMeta {
@@ -184,11 +182,7 @@ pub(crate) fn discover_crates(manifests: &BTreeMap<String, String>) -> BTreeMap<
     crates
 }
 
-fn rank_violation(
-    crates: &BTreeMap<String, CrateMeta>,
-    from: &str,
-    to: &str,
-) -> Option<String> {
+fn rank_violation(crates: &BTreeMap<String, CrateMeta>, from: &str, to: &str) -> Option<String> {
     let (fr, tr) = (crates.get(from)?.rank, crates.get(to)?.rank);
     match (fr, tr) {
         (Some(f), Some(t)) if f > t => None,

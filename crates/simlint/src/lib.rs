@@ -75,7 +75,10 @@ impl Report {
 
     /// Count of findings silenced by in-source allow annotations.
     pub fn allowed_count(&self) -> usize {
-        self.findings.iter().filter(|(_, f)| f.allowed.is_some()).count()
+        self.findings
+            .iter()
+            .filter(|(_, f)| f.allowed.is_some())
+            .count()
     }
 
     /// Machine-readable report: one JSON object with the findings in the
@@ -85,7 +88,10 @@ impl Report {
         let mut out = String::from("{\n  \"version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"crates_indexed\": {},\n", self.crates_indexed));
-        out.push_str(&format!("  \"modules_indexed\": {},\n", self.modules_indexed));
+        out.push_str(&format!(
+            "  \"modules_indexed\": {},\n",
+            self.modules_indexed
+        ));
         out.push_str("  \"findings\": [");
         for (i, (path, f)) in self.findings.iter().enumerate() {
             let allowed = match &f.allowed {
@@ -173,9 +179,7 @@ const SCAN_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
 /// and simlint's own rule-violation fixtures.
 fn skip(path: &Path) -> bool {
     let s = path.to_string_lossy().replace('\\', "/");
-    s.contains("/target/")
-        || s.contains("vendor/")
-        || s.contains("crates/simlint/tests/fixtures")
+    s.contains("/target/") || s.contains("vendor/") || s.contains("crates/simlint/tests/fixtures")
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -258,7 +262,11 @@ pub(crate) fn lint_workspace_data(
         let lexed = lexer::lex(src);
         let pf = parse::parse(&lexed);
         let (file_allows, mut fs) = rules::collect_allows(&lexed);
-        fs.extend(rules::token_findings(path, &lexed, &rules::effective_regions(path, &pf)));
+        fs.extend(rules::token_findings(
+            path,
+            &lexed,
+            &rules::effective_regions(path, &pf),
+        ));
         findings.extend(fs.into_iter().map(|f| (path.clone(), f)));
         parsed.insert(path.clone(), pf);
         allows.insert(path.clone(), file_allows);

@@ -313,7 +313,10 @@ mod tests {
             .iter()
             .map(|p| (p.head.as_str(), p.second.as_deref()))
             .collect();
-        assert_eq!(refs, vec![("crate", Some("packet")), ("super", Some("node"))]);
+        assert_eq!(
+            refs,
+            vec![("crate", Some("packet")), ("super", Some("node"))]
+        );
     }
 
     #[test]
@@ -329,7 +332,11 @@ mod tests {
         );
         assert!(!pf.uses[0].in_test);
         assert!(pf.uses[1].in_test);
-        let run = pf.path_refs.iter().find(|p| p.second.as_deref() == Some("c")).unwrap();
+        let run = pf
+            .path_refs
+            .iter()
+            .find(|p| p.second.as_deref() == Some("c"))
+            .unwrap();
         assert!(run.in_test);
     }
 }

@@ -157,7 +157,10 @@ pub(crate) fn collect_allows(lexed: &Lexed) -> (Vec<Allow>, Vec<Finding>) {
         while let Some(pos) = rest.find("simlint::allow(") {
             rest = &rest[pos + "simlint::allow(".len()..];
             let Some(close) = rest.find(')') else {
-                bad.push(hygiene(c.line, "unterminated simlint::allow annotation".into()));
+                bad.push(hygiene(
+                    c.line,
+                    "unterminated simlint::allow annotation".into(),
+                ));
                 break;
             };
             let body = &rest[..close];
@@ -291,7 +294,11 @@ fn cast_operand_idents(toks: &[Tok], end: usize) -> Vec<String> {
 pub fn check(path: &str, lexed: &Lexed) -> Vec<Finding> {
     let parsed = crate::parse::parse(lexed);
     let (allows, mut findings) = collect_allows(lexed);
-    findings.extend(token_findings(path, lexed, &effective_regions(path, &parsed)));
+    findings.extend(token_findings(
+        path,
+        lexed,
+        &effective_regions(path, &parsed),
+    ));
     let stale = apply_allows(&allows, findings.iter_mut());
     findings.extend(stale);
     findings.sort_by_key(|f| (f.line, f.col, f.rule));

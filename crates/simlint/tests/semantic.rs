@@ -25,7 +25,10 @@ fn manifest(name: &str, deps: &[&str], dev_deps: &[&str]) -> String {
 fn mini_workspace() -> Workspace {
     let mut ws = Workspace::new();
     ws.add("crates/simcore/Cargo.toml", &manifest("simcore", &[], &[]));
-    ws.add("crates/netsim/Cargo.toml", &manifest("netsim", &["simcore"], &[]));
+    ws.add(
+        "crates/netsim/Cargo.toml",
+        &manifest("netsim", &["simcore"], &[]),
+    );
     ws.add(
         "crates/experiments/Cargo.toml",
         &manifest("experiments", &["simcore", "netsim"], &[]),
@@ -68,10 +71,7 @@ fn layering(ws: &Workspace) -> Vec<(String, u32, String)> {
 fn downward_edges_are_clean() {
     let ws = mini_workspace();
     let report = ws.lint();
-    assert!(
-        report.findings.is_empty(),
-        "unexpected findings: {report}"
-    );
+    assert!(report.findings.is_empty(), "unexpected findings: {report}");
     assert_eq!(report.crates_indexed, 3);
 }
 
@@ -132,7 +132,10 @@ fn peer_crates_cannot_depend_on_each_other() {
     // netsim and prioplus share a layer deliberately; an edge in either
     // direction is a violation (strictly-downward rule).
     let mut ws = mini_workspace();
-    ws.add("crates/core/Cargo.toml", &manifest("prioplus", &["simcore"], &[]));
+    ws.add(
+        "crates/core/Cargo.toml",
+        &manifest("prioplus", &["simcore"], &[]),
+    );
     ws.add("crates/core/src/lib.rs", "pub fn window() {}\n");
     ws.add(
         "crates/netsim/Cargo.toml",
@@ -166,7 +169,10 @@ fn module_cycle_is_caught_on_every_edge() {
     let at: Vec<(&str, u32)> = hits.iter().map(|(p, l, _)| (p.as_str(), *l)).collect();
     assert_eq!(
         at,
-        vec![("crates/netsim/src/report.rs", 4), ("crates/netsim/src/sim.rs", 2)],
+        vec![
+            ("crates/netsim/src/report.rs", 4),
+            ("crates/netsim/src/sim.rs", 2)
+        ],
         "one finding per edge of the cycle"
     );
     for (_, _, msg) in &hits {
@@ -254,6 +260,10 @@ fn json_escapes_special_characters() {
     // parseable by the dumbest consumer: balanced braces, no raw newlines
     // inside strings.
     for line in json.lines() {
-        assert_eq!(line.matches('"').count() % 2, 0, "unbalanced quotes: {line}");
+        assert_eq!(
+            line.matches('"').count() % 2,
+            0,
+            "unbalanced quotes: {line}"
+        );
     }
 }

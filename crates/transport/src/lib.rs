@@ -35,7 +35,6 @@
 // `_ if ..` arm is fine.
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
-
 #![warn(missing_docs)]
 
 pub mod dctcp;

@@ -117,7 +117,16 @@ mod tests {
         let mut ctx = TransportCtx::for_test(&mut q, late, 0);
         t.on_timer(RTO_TOKEN, &mut ctx);
         let d = t.try_send(late);
-        assert!(matches!(d, TrySend::Data { seq: 0, bytes: 1000 }), "{d:?}");
+        assert!(
+            matches!(
+                d,
+                TrySend::Data {
+                    seq: 0,
+                    bytes: 1000
+                }
+            ),
+            "{d:?}"
+        );
         let mut ctx = TransportCtx::for_test(&mut q, late, 0);
         t.on_sent(d, &mut ctx);
         assert_eq!(t.retransmits(), 1);

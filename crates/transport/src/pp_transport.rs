@@ -260,7 +260,10 @@ mod tests {
         t.on_ack(&probe_ack(12), &mut ctx);
         assert!(!t.prioplus().suspended());
         assert_eq!(t.cwnd_bytes(), 150_000.0, "linear-start window W_LS");
-        assert!(matches!(t.try_send(Time::from_us(11)), TrySend::Data { .. }));
+        assert!(matches!(
+            t.try_send(Time::from_us(11)),
+            TrySend::Data { .. }
+        ));
         t.check_invariants().unwrap();
     }
 

@@ -302,7 +302,10 @@ fn flow_slab_drains_to_zero_when_every_flow_completes() {
     // completion, so peak == total here; the open-loop test above is the
     // one that pins peak << total. What matters in the closed case is the
     // *drain*: reclaimed == total means end-of-run occupancy is zero.
-    assert_eq!(c.flow_slab_slots, c.flow_live_peak, "slots beyond peak mean slot leaks");
+    assert_eq!(
+        c.flow_slab_slots, c.flow_live_peak,
+        "slots beyond peak mean slot leaks"
+    );
     assert!(c.flow_live_bytes_peak > 0);
     let report = res.audit.as_ref().expect("audit enabled");
     assert_eq!(
@@ -354,7 +357,12 @@ fn retransmit_counts_survive_reclamation() {
         scaling: false,
     };
     for i in 0..8u64 {
-        let spec = FlowSpec::new(hosts[i as usize % 8], hosts[(i as usize + 8) % 16], 1_000_000, Time::ZERO);
+        let spec = FlowSpec::new(
+            hosts[i as usize % 8],
+            hosts[(i as usize + 8) % 16],
+            1_000_000,
+            Time::ZERO,
+        );
         sim.add_flow(spec, |p| cc.make(p, Time::ZERO));
     }
     let res = sim.run();
@@ -408,11 +416,17 @@ fn reclaiming_flow_state_does_not_change_the_run() {
     };
     let (reclaimed, kept) = (run(None), run(Some(Buggify::FlowReclaimLeak)));
     assert_eq!(reclaimed.counters.flows_reclaimed, 16);
-    assert_eq!(kept.counters.flows_reclaimed, 0, "buggify must keep every flow's state");
+    assert_eq!(
+        kept.counters.flows_reclaimed, 0,
+        "buggify must keep every flow's state"
+    );
     let clean = reclaimed.audit.as_ref().expect("audit enabled");
     assert_eq!(clean.total_violations, 0, "{:?}", clean.violations);
     let leaks = &kept.audit.as_ref().expect("audit enabled").violations;
-    assert!(leaks.iter().all(|v| v.kind == ViolationKind::FlowStateLeak), "{leaks:?}");
+    assert!(
+        leaks.iter().all(|v| v.kind == ViolationKind::FlowStateLeak),
+        "{leaks:?}"
+    );
     let (a, b) = (&reclaimed.counters, &kept.counters);
     assert!(a.drops > 0, "scenario must actually drop");
     for (what, x, y) in [
@@ -433,5 +447,8 @@ fn reclaiming_flow_state_does_not_change_the_run() {
         assert_eq!(x.retransmits, y.retransmits, "flow {f} retransmits");
     }
     let retransmits: u64 = reclaimed.records.iter().map(|r| r.retransmits).sum();
-    assert!(retransmits > a.drops, "resends beyond the drops: queued packets timed out");
+    assert!(
+        retransmits > a.drops,
+        "resends beyond the drops: queued packets timed out"
+    );
 }
