@@ -58,7 +58,7 @@ pub struct SimCounters {
     /// Flows whose live state was reclaimed on completion.
     pub flows_reclaimed: u64,
     /// Peak bytes of live flow state (slab slots + transport boxes; the
-    /// reassembly map's heap nodes are not counted — empty at completion).
+    /// heap buffers they own are not counted).
     pub flow_live_bytes_peak: u64,
     /// Scheduler interactions: the queue serves one event per pop, so this
     /// equals `events`. Kept for `ppbench`'s `simcore.sched_pops` and

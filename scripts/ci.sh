@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gauntlet: five legs, five test invocations.
 #
-#   1. lint: simlint (R4, R8 and the layering pass R9) must report
+#   1. lint: `cargo fmt --all --check` (the workspace must be
+#      rustfmt-clean; ppbench/ is its own workspace and is not checked),
+#      then simlint (R4, R8 and the layering pass R9) must report
 #      zero unallowed findings and no stale allowance — the JSON report
 #      lands in target/simlint.json as a CI artifact — then clippy with
 #      -D warnings, which carries R1, R2, R5, R6, R10 and R11 (clippy.toml
@@ -58,7 +60,8 @@ leg_done() {
   LEG_JSON+="${LEG_JSON:+, }{\"name\": \"${LEG_NAME}\", \"seconds\": ${t}}"
 }
 
-leg 1 lint "simlint + clippy + lint fixtures + rustdoc (-D warnings)"
+leg 1 lint "rustfmt + simlint + clippy + lint fixtures + rustdoc (-D warnings)"
+cargo fmt --all --check
 cargo run --release -q -p simlint -- --json target/simlint.json
 echo "ci.sh: JSON report written to target/simlint.json"
 cargo clippy --workspace --all-targets -- -D warnings
