@@ -28,8 +28,8 @@ fn measure(n: usize) -> f64 {
     for s in 1..=n {
         m.add_flow(s, 100_000_000, Time::ZERO, 0, 0, &swift);
     }
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
+    let (_, series) = m.run();
+    let q = &series[0];
     // Steady-state swing (5..10ms) in delay-microseconds at 100 Gbps.
     let max = q.window_max(5_000.0, 10_000.0).unwrap();
     let min = q

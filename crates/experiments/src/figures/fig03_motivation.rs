@@ -140,9 +140,9 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &lo_cc);
     }
     let hi = m.add_flow(n_low + 1, 50_000_000, Time::from_ms(2), 0, 1, &hi_cc);
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
-    let (_, tput) = &res.monitors[1];
+    let (res, series) = m.run();
+    let q = &series[0];
+    let tput = &series[1];
     let mut t = Table::new(
         "fig03c",
         format!("Figure 3c: Swift w/o scaling — {n_low} low flows + 1 high at 2ms"),
@@ -193,8 +193,8 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     let lo: Vec<u32> = (3..=4)
         .map(|s| m.add_flow(s, 40_000_000, Time::from_us(100), 0, 0, &lo_cc))
         .collect();
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
+    let (res, series) = m.run();
+    let q = &series[0];
     let mut t = Table::new(
         "fig03d",
         "Figure 3d: Swift w/o scaling — 2 high converged, 2 low line-rate start at 100us",

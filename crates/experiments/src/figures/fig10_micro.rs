@@ -85,9 +85,9 @@ pub(crate) fn fig10b(scale: Scale, _: usize) -> Vec<Table> {
         // Priority 4: D_target = 32us (20us + 12us base), D_limit = 34.4us.
         m.add_flow(s, 5_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
-    let (_, tput) = &res.monitors[1];
+    let (_, series) = m.run();
+    let q = &series[0];
+    let tput = &series[1];
     let mut t = Table::new(
         "fig10b",
         format!("Figure 10b: {n}-flow incast at priority 4 (D_target 32us, D_limit 34.4us)"),
@@ -147,8 +147,8 @@ pub(crate) fn fig10c(_: Scale, _: usize) -> Vec<Table> {
         for s in 11..=20 {
             mk(&mut m, s, 6, Time::from_ms(1));
         }
-        let res = m.sim.run();
-        let (_, q) = &res.monitors[0];
+        let (_, series) = m.run();
+        let q = &series[0];
         let mut t = Table::new(
             if dual { "fig10c_dual" } else { "fig10c_every" },
             format!("Figure 10c ({label}): 10 high preempt 10 low at 1 ms"),
@@ -244,7 +244,7 @@ fn run_noise_case(noise_scale: f64, width_mul: f64) -> f64 {
     for s in 1..=5 {
         m.add_flow(s, 100_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let res = m.sim.run();
-    let (_, tput) = &res.monitors[0];
+    let (_, series) = m.run();
+    let tput = &series[0];
     tput.window_mean(2_000.0, 8_000.0).unwrap_or(0.0) / 100.0
 }

@@ -3,13 +3,18 @@
 //! N sender hosts and one receiver hang off a single switch; the
 //! switch→receiver port is the bottleneck. 100 Gbps links with 3 µs latency
 //! give the paper's ≈ 12 µs data-packet RTT.
+//!
+//! The bottleneck's queue and throughput over time (Fig 3c/d, Fig 10b–d,
+//! App. D) are read by probes that [`Micro::run`] takes between
+//! [`Sim::run_until`] steps. A probe at instant `t` reads the port after
+//! every event strictly before `t` and before any event at `t`.
 
-use netsim::monitor::MonitorKind;
 use netsim::{
     FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SimResult, SwitchConfig,
     Topology, Transport,
 };
 use prioplus::PrioPlusConfig;
+use simcore::stats::TimeSeries;
 use simcore::{Rate, Time};
 use transport::pp_transport::PrioPlusTransport;
 use transport::sender::SenderBase;
@@ -59,8 +64,8 @@ impl Default for MicroEnv {
     }
 }
 
-/// A built micro-benchmark simulation plus the ids needed to add flows and
-/// monitors.
+/// A built micro-benchmark simulation plus the ids needed to add flows, and
+/// the probes [`Micro::run`] samples the bottleneck with.
 pub struct Micro {
     /// The simulator (receiver is host 0; senders are hosts `1..=senders`).
     pub sim: Sim,
@@ -70,6 +75,20 @@ pub struct Micro {
     pub switch: u32,
     /// Bottleneck egress port (switch → receiver).
     pub bottleneck_port: u16,
+    /// Registered probes, in registration order.
+    probes: Vec<Probe>,
+}
+
+/// A periodic reading of the bottleneck port: its backlog, or its
+/// throughput in Gbit/s over one period from the cumulative `tx_bytes`.
+struct Probe {
+    throughput: bool,
+    period: Time,
+    /// The next sample instant.
+    next: Time,
+    /// `tx_bytes` at the previous sample (0 before the first).
+    last_tx: u64,
+    series: TimeSeries,
 }
 
 impl Micro {
@@ -94,6 +113,7 @@ impl Micro {
             receiver: 0,
             switch,
             bottleneck_port: 0,
+            probes: Vec::new(),
         }
     }
 
@@ -136,28 +156,74 @@ impl Micro {
         self.sim.add_flow(spec, make)
     }
 
-    /// Monitor the bottleneck queue length.
+    /// Sample the bottleneck's queued bytes (all priorities) every
+    /// `period`, which must be positive; returns the index of the series in
+    /// [`Micro::run`]'s result.
     pub fn monitor_bottleneck_queue(&mut self, period: Time) -> usize {
-        self.sim.add_monitor(
-            "bottleneck-queue",
-            MonitorKind::QueueBytes {
-                node: self.switch,
-                port: self.bottleneck_port,
-            },
-            period,
-        )
+        self.add_probe(false, period)
     }
 
-    /// Monitor bottleneck throughput (Gbps per sample period).
+    /// Sample the bottleneck's throughput in Gbit/s over each `period`, as
+    /// [`Self::monitor_bottleneck_queue`] samples its queue.
     pub fn monitor_bottleneck_throughput(&mut self, period: Time) -> usize {
-        self.sim.add_monitor(
-            "bottleneck-throughput",
-            MonitorKind::PortThroughput {
-                node: self.switch,
-                port: self.bottleneck_port,
-            },
+        self.add_probe(true, period)
+    }
+
+    fn add_probe(&mut self, throughput: bool, period: Time) -> usize {
+        assert!(
+            period > Time::ZERO,
+            "Micro probe period = 0: it would step the same instant forever"
+        );
+        self.probes.push(Probe {
+            throughput,
             period,
-        )
+            next: period,
+            last_tx: 0,
+            series: TimeSeries::new(),
+        });
+        self.probes.len() - 1
+    }
+
+    /// Run to completion. Every probe samples at each multiple of its period
+    /// strictly below the end of the run; the series come back in
+    /// registration order.
+    ///
+    /// # Panics
+    /// Panics if the clock of `sim` (stepped by hand) has already reached a
+    /// probe's first sample instant: that sample would read later state.
+    pub fn run(mut self) -> (SimResult, Vec<TimeSeries>) {
+        let series = self.sample();
+        (self.sim.run(), series)
+    }
+
+    /// Step the run to every sample instant before its end and take the
+    /// probes due there; the series, in registration order.
+    fn sample(&mut self) -> Vec<TimeSeries> {
+        let due = |probes: &[Probe]| probes.iter().map(|p| p.next).min();
+        if let Some(first) = due(&self.probes) {
+            let now = self.sim.now();
+            assert!(
+                now < first,
+                "Micro::run: the clock is at {now}, not before the first sample at {first}"
+            );
+        }
+        let end = self.sim.config().end_time;
+        while let Some(t) = due(&self.probes).filter(|&t| t < end) {
+            self.sim.run_until(t);
+            let port = self.sim.port(self.switch, self.bottleneck_port);
+            for p in self.probes.iter_mut().filter(|p| p.next == t) {
+                let value = if p.throughput {
+                    let delta = port.tx_bytes - p.last_tx;
+                    p.last_tx = port.tx_bytes;
+                    delta as f64 * 8.0 / p.period.as_secs_f64() / 1e9
+                } else {
+                    port.queued_bytes as f64
+                };
+                p.series.push(t, value);
+                p.next = t + p.period;
+            }
+        }
+        self.probes.drain(..).map(|p| p.series).collect()
     }
 }
 
@@ -271,5 +337,123 @@ mod tests {
             "testbed base RTT {us}us should be ~13us"
         );
         let _ = &mut m;
+    }
+
+    /// A 1048-byte data packet serializes in exactly 100 ns at this rate, so
+    /// while the bottleneck stays busy it sends a packet off at every
+    /// multiple of 100 ns, each 5 µs sample instant included.
+    const ALIGNED: Rate = Rate::from_bps(83_840_000_000);
+
+    /// Four Swift senders into the receiver at [`ALIGNED`] for 300 µs.
+    fn incast() -> Micro {
+        let mut m = Micro::build(&MicroEnv {
+            rate: ALIGNED,
+            end: Time::from_us(300),
+            ..MicroEnv::default()
+        });
+        let swift = CcSpec::Swift {
+            queuing: Time::from_us(4),
+            scaling: false,
+        };
+        for s in 1..=4 {
+            m.add_flow(s, 1_000_000, Time::ZERO, 0, 0, &swift);
+        }
+        m
+    }
+
+    fn with_both_probes(mut m: Micro) -> Micro {
+        m.monitor_bottleneck_queue(Time::from_us(5));
+        m.monitor_bottleneck_throughput(Time::from_us(5));
+        m
+    }
+
+    /// Step `m` to its end: the state digest there, and the result.
+    fn finish(mut m: Micro) -> (u64, SimResult) {
+        m.sim.run_until(m.sim.config().end_time);
+        (m.sim.state_digest(), m.sim.run())
+    }
+
+    /// Probing changes nothing the run does: the same records, counters
+    /// and final state as the run without probes.
+    #[test]
+    fn sampling_is_observation_only() {
+        let (plain_digest, plain) = finish(incast());
+        let mut probed = with_both_probes(incast());
+        let series = probed.sample();
+        assert_eq!(series[0].len(), 59, "one sample per 5 µs below 300 µs");
+        let (digest, res) = finish(probed);
+        assert_eq!(digest, plain_digest, "probing moved the state digest");
+        assert_eq!(format!("{:?}", res.records), format!("{:?}", plain.records));
+        assert_eq!(
+            format!("{:?}", res.counters),
+            format!("{:?}", plain.counters)
+        );
+    }
+
+    /// A sample at `t` reads the port as `run_until(t)` leaves it: after
+    /// every event before `t`, before the dequeues [`ALIGNED`] puts at `t`.
+    #[test]
+    fn a_probe_reads_the_port_before_the_events_at_its_instant() {
+        let (_, series) = with_both_probes(incast()).run();
+        let mut by_hand = incast();
+        let period = Time::from_us(5);
+        let mut last_tx = 0;
+        for (k, (q, gbps)) in series[0].v.iter().zip(&series[1].v).enumerate() {
+            let t = Time::from_us(5 * (k as u64 + 1));
+            by_hand.sim.run_until(t);
+            let port = by_hand.sim.port(by_hand.switch, by_hand.bottleneck_port);
+            let delta = port.tx_bytes - last_tx;
+            last_tx = port.tx_bytes;
+            assert_eq!(*q, port.queued_bytes as f64, "queue at {t}");
+            assert_eq!(
+                *gbps,
+                delta as f64 * 8.0 / period.as_secs_f64() / 1e9,
+                "throughput at {t}"
+            );
+        }
+        assert!(series[0].v.iter().any(|&q| q > 0.0), "no backlog sampled");
+    }
+
+    /// Once the bottleneck is busy for good, every 5 µs at [`ALIGNED`] sends
+    /// exactly 50 packets of 1048 bytes: line rate, 83.84 Gbit/s.
+    #[test]
+    fn throughput_matches_hand_computed_line_rate() {
+        let (_, series) = with_both_probes(incast()).run();
+        // The port starts sending at 3.1 µs: 19 packets by 5 µs.
+        assert!((series[1].v[0] - 19.0 * 1048.0 * 8.0 / 5e3).abs() < 1e-9);
+        for (t, gbps) in series[1].t_us.iter().zip(&series[1].v).skip(1) {
+            assert!((gbps - 83.84).abs() < 1e-9, "{gbps} Gbit/s at {t} µs");
+        }
+    }
+
+    /// Each sample is a delta of the port's cumulative counter: summed over
+    /// the run they give back every byte it sent, none lost or doubled.
+    #[test]
+    fn throughput_deltas_sum_to_the_cumulative_counter() {
+        let mut m = with_both_probes(incast());
+        let series = m.sample();
+        let sent_bits = series[1].v.iter().sum::<f64>() * 1e9 * 5e-6;
+        let tx_bytes = m.sim.port(m.switch, m.bottleneck_port).tx_bytes;
+        assert!(
+            (sent_bits - tx_bytes as f64 * 8.0).abs() < 1e-3,
+            "{sent_bits}"
+        );
+    }
+
+    /// It would step the same instant forever.
+    #[test]
+    #[should_panic(expected = "Micro probe period = 0: it would step the same instant forever")]
+    fn probe_with_a_zero_period_is_refused() {
+        incast().monitor_bottleneck_queue(Time::ZERO);
+    }
+
+    /// `sim`, stepped by hand past the first sample instant, already holds
+    /// later state than that sample should read.
+    #[test]
+    #[should_panic(expected = "Micro::run: the clock is at")]
+    fn run_past_the_first_sample_instant_is_refused() {
+        let mut m = with_both_probes(incast());
+        m.sim.run_until(Time::from_us(20));
+        m.run();
     }
 }

@@ -159,7 +159,7 @@ pub struct EventRecord {
     pub time: Time,
     /// Event kind (static label).
     pub kind: &'static str,
-    /// Primary id of the event (node, flow, or monitor index).
+    /// Primary id of the event (node, flow or fault index).
     pub id: u32,
 }
 

@@ -69,11 +69,6 @@ pub enum Event {
         /// The host.
         node: NodeId,
     },
-    /// Periodic monitor sample.
-    Sample {
-        /// Monitor index.
-        monitor: u32,
-    },
     /// Apply fault-schedule transition `idx`
     /// ([`crate::faults::FaultSchedule`]). Scheduled up-front at run start
     /// — through the same queue as every other event — so fault runs
@@ -92,9 +87,9 @@ pub enum Event {
 }
 
 impl Event {
-    /// The event's kind as a short name plus its primary id (node, flow,
-    /// monitor or fault index; 0 where there is none) — what the audit's
-    /// ring log records per dispatched event.
+    /// The event's kind as a short name plus its primary id (node, flow or
+    /// fault index; 0 where there is none) — what the audit's ring log
+    /// records per dispatched event.
     pub fn name_and_id(&self) -> (&'static str, u32) {
         match *self {
             Event::Arrive { node, .. } => ("arrive", node),
@@ -103,7 +98,6 @@ impl Event {
             Event::FlowStart { flow } => ("flow_start", flow),
             Event::FlowTimer { flow, .. } => ("flow_timer", flow),
             Event::HostPoke { node } => ("host_poke", node),
-            Event::Sample { monitor } => ("sample", monitor),
             Event::Fault { idx } => ("fault", idx),
             Event::Inject => ("inject", 0),
             Event::End => ("end", 0),
@@ -151,10 +145,6 @@ impl Event {
             Event::HostPoke { node } => {
                 fold(5);
                 fold(node as u64);
-            }
-            Event::Sample { monitor } => {
-                fold(6);
-                fold(monitor as u64);
             }
             Event::Fault { idx } => {
                 fold(8);

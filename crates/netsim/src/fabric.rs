@@ -1,13 +1,13 @@
 //! The fabric's event handlers, all `impl State`: the link layer
 //! ([`State::transmit`] is the one place a packet goes onto a wire), the
-//! switch path (ECN, admission, dequeue, PFC pause/resume), the fault
-//! transitions of [`crate::faults`] on both ports of a link, and the port
-//! monitors' samples. The state they change is on the nodes of
-//! [`crate::node`], but `State` holds the nodes, so the handlers sit one
-//! module up: beside the types they would close a module cycle, which
-//! simlint's `layering` rule refuses (`host.rs` likewise). That costs
-//! nothing: rustc files an inherent method under its `Self` type's module,
-//! so every handler shares `state`'s codegen unit with `State::advance`.
+//! switch path (ECN, admission, dequeue, PFC pause/resume) and the fault
+//! transitions of [`crate::faults`] on both ports of a link. The state they
+//! change is on the nodes of [`crate::node`], but `State` holds the nodes,
+//! so the handlers sit one module up: beside the types they would close a
+//! module cycle, which simlint's `layering` rule refuses (`host.rs`
+//! likewise). That costs nothing: rustc files an inherent method under its
+//! `Self` type's module, so every handler shares `state`'s codegen unit
+//! with `State::advance`.
 
 // R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
 // test code is exempt (`clippy.toml`).
@@ -19,11 +19,10 @@ use crate::audit::SwitchArrive;
 use crate::config::Buggify;
 use crate::event::Event;
 use crate::faults::FaultKind;
-use crate::monitor::MonitorKind;
 use crate::node::{queue_index, Admission, Node, Switch};
 use crate::packet::{IntHop, NodeId, PacketId};
 use crate::sim::Run;
-use crate::state::{Env, State};
+use crate::state::State;
 
 impl State {
     pub(crate) fn on_port_free(&mut self, run: &mut Run, node: NodeId, port: u16, now: Time) {
@@ -356,22 +355,5 @@ impl State {
         // `release` also returns a dropped INT carrier's telemetry box to
         // the pool.
         self.arena.release(pid);
-    }
-
-    /// Take monitor `monitor`'s sample of its port, and schedule the next
-    /// one unless it would fall at or past the end of the run.
-    pub(crate) fn on_sample(&mut self, env: &Env, monitor: u32, now: Time) {
-        let m = &mut self.monitors[monitor as usize];
-        let (MonitorKind::QueueBytes { node, port } | MonitorKind::PortThroughput { node, port }) =
-            m.kind;
-        let p = &self.nodes[node as usize].ports()[port as usize];
-        match m.kind {
-            MonitorKind::QueueBytes { .. } => m.record_gauge(now, p.queued_bytes as f64),
-            MonitorKind::PortThroughput { .. } => m.record_tx(now, p.tx_bytes),
-        }
-        if now + m.period < env.cfg.end_time {
-            let period = m.period;
-            self.queue.schedule(now + period, Event::Sample { monitor });
-        }
     }
 }

@@ -44,7 +44,6 @@ pub mod event;
 mod fabric;
 pub mod faults;
 mod host;
-pub mod monitor;
 pub mod node;
 pub mod noise;
 mod observe;

@@ -153,8 +153,6 @@ pub struct SimResult {
     /// Per-flow traces (tracing mode). Ordered so that iterating traces is
     /// deterministic (simlint rule `nondeterministic-map`).
     pub traces: BTreeMap<FlowId, FlowTrace>,
-    /// Monitor output series, in registration order.
-    pub monitors: Vec<(String, TimeSeries)>,
     /// Time the simulation stopped.
     pub end_time: Time,
     /// Invariant-audit report; `Some` when the audit layer was enabled for

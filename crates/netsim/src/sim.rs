@@ -1,10 +1,10 @@
 //! The simulator's API and its event loop: [`Sim`] builds a run, takes its
-//! flows, monitors and callbacks, runs it and fingerprints it, and
-//! `State::advance` dispatches one event after another to the handlers.
+//! flows and callbacks, runs it and fingerprints it, and `State::advance`
+//! dispatches one event after another to the handlers.
 //!
 //! The handlers sit with the rest of the data path, by the state they
-//! change: the link layer, the switch path, fault transitions and the port
-//! monitors in `fabric.rs`; the host NIC and the flow path in `host.rs`.
+//! change: the link layer, the switch path and fault transitions in
+//! `fabric.rs`; the host NIC and the flow path in `host.rs`.
 //! The data itself is in `state.rs` and `node.rs`.
 
 // R5 (DESIGN.md § Static analysis): a per-event path must not abort a run;
@@ -16,7 +16,6 @@ use simcore::{EventQueue, Rate, SimRng, Time};
 use crate::audit::{Audit, AuditConfig};
 use crate::config::{SimConfig, SwitchConfig};
 use crate::faults::FaultKind;
-use crate::monitor::{Monitor, MonitorKind};
 use crate::node::{EgressPort, Host, Node, Switch};
 use crate::observe::Observers;
 use crate::packet::{FlowId, NodeId, PacketArena, CONTROL_BYTES, HEADER_BYTES};
@@ -142,7 +141,6 @@ impl Sim {
             arena: PacketArena::new(),
             queue,
             counters: SimCounters::default(),
-            monitors: Vec::new(),
             noise_rng: SimRng::new(seed).split(1),
             ecn_rng: SimRng::new(seed).split(2),
             nc_rng: SimRng::new(seed).split(3),
@@ -243,14 +241,14 @@ impl Sim {
 
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue, counters, RNG streams, packet arena, nodes and their
-    /// ports (link fault state included), flow table and slab, monitors,
-    /// then what the observers hold that decides the outcome — the flow
-    /// traces, the completions awaiting an [`App`] and the streaming
-    /// sketches. Not the audit, so an audited and an unaudited run digest
-    /// equally. Two simulators in the same configuration with equal digests
-    /// dispatch identically from here on, wherever their queues keep an
-    /// entry; the digest-completeness fleet pins that every [`StateTamper`]
-    /// class moves it.
+    /// ports (link fault state included), flow table and slab, then what
+    /// the observers hold that decides the outcome — the flow traces, the
+    /// completions awaiting an [`App`] and the streaming sketches. Not the
+    /// audit, so an audited and an unaudited run digest equally. Two
+    /// simulators in the same configuration with equal digests dispatch
+    /// identically from here on, wherever their queues keep an entry; the
+    /// digest-completeness fleet pins that every [`StateTamper`] class
+    /// moves it.
     pub fn state_digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut fold = |w: u64| {
@@ -275,7 +273,6 @@ impl Sim {
             StateTamper::Counter
             | StateTamper::Rng
             | StateTamper::PortState
-            | StateTamper::Monitor
             | StateTamper::Queue
             | StateTamper::FlowRecv => self.state.tamper(tamper),
         }
@@ -399,61 +396,41 @@ impl Sim {
         id
     }
 
-    /// Register a periodic monitor; returns its index.
-    ///
-    /// # Panics
-    /// Panics if `period` is zero, if `kind` names a node or port the
-    /// topology does not have, or once the run has started
-    /// ([`Self::run_until`]).
-    pub fn add_monitor(
-        &mut self,
-        label: impl Into<String>,
-        kind: MonitorKind,
-        period: Time,
-    ) -> usize {
-        self.refuse_after_start(
-            "add_monitor",
-            "first samples are scheduled at the start, so it would record none",
-        );
-        // A zero period would reschedule its sample at the same instant
-        // forever.
-        assert!(
-            period > Time::ZERO,
-            "Monitor.period = 0: a monitor must sample at a positive period"
-        );
-        let (variant, node, port) = match kind {
-            MonitorKind::QueueBytes { node, port } => ("QueueBytes", node, port),
-            MonitorKind::PortThroughput { node, port } => ("PortThroughput", node, port),
-        };
-        let nodes = &self.state.nodes;
-        let Some(n) = nodes.get(node as usize) else {
-            panic!(
-                "MonitorKind::{variant}.node = {node} is out of range: the topology has {} nodes",
-                nodes.len()
-            );
-        };
-        assert!(
-            (port as usize) < n.ports().len(),
-            "MonitorKind::{variant}.port = {port} is out of range: node {node} has {} ports",
-            n.ports().len()
-        );
-        let idx = self.state.monitors.len();
-        self.state.monitors.push(Monitor::new(label, kind, period));
-        idx
-    }
-
     /// Egress port index a switch uses toward `dst` for `flow` (exposed for
-    /// tests and monitor setup).
+    /// tests and for picking a port to read with [`Self::port`]).
     pub fn route_port(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
         self.env.routes.port_for(node, dst, flow)
     }
 
-    /// Schedule the run-level bootstrap events (End, first Inject, monitor
-    /// samples, the fault schedule). Runs once, on whichever of
-    /// [`Self::run`] / [`Self::run_until`] is called first; a run resumed
-    /// after `run_until` carries `started = true`, so the bootstrap is
-    /// never applied twice, and the set-up calls it would miss
-    /// ([`Self::add_monitor`], [`Self::set_arrivals`], the audit's) panic.
+    /// Egress port `port` of `node` as it stands at [`Self::now`]: between
+    /// [`Self::run_until`] steps, its backlog (`queued_bytes`) and
+    /// cumulative `tx_bytes` are what a periodic probe reads.
+    ///
+    /// # Panics
+    /// Panics if `node` or `port` is not in the topology.
+    pub fn port(&self, node: NodeId, port: u16) -> &EgressPort {
+        let nodes = &self.state.nodes;
+        let Some(n) = nodes.get(node as usize) else {
+            panic!(
+                "Sim::port: node = {node} is out of range: the topology has {} nodes",
+                nodes.len()
+            );
+        };
+        let Some(p) = n.ports().get(port as usize) else {
+            panic!(
+                "Sim::port: port = {port} is out of range: node {node} has {} ports",
+                n.ports().len()
+            );
+        };
+        p
+    }
+
+    /// Schedule the run-level bootstrap events (End, first Inject, the
+    /// fault schedule). Runs once, on whichever of [`Self::run`] /
+    /// [`Self::run_until`] is called first; a run resumed after
+    /// `run_until` carries `started = true`, so the bootstrap is never
+    /// applied twice, and the set-up calls it would miss
+    /// ([`Self::set_arrivals`], the audit's) panic.
     fn ensure_started(&mut self) {
         let (cfg, st) = (&self.env.cfg, &mut self.state);
         if st.started {
@@ -463,10 +440,6 @@ impl Sim {
         st.queue.schedule(cfg.end_time, Event::End);
         if self.arrivals.is_some() {
             st.queue.schedule(Time::ZERO, Event::Inject);
-        }
-        for (i, m) in st.monitors.iter().enumerate() {
-            st.queue
-                .schedule(m.period, Event::Sample { monitor: i as u32 });
         }
         // The fault schedule is fixed up-front: every transition becomes a
         // first-class event through the same queue as data traffic, so
@@ -577,11 +550,6 @@ impl Sim {
             records,
             counters,
             traces: (0..).zip(self.obs.traces.unwrap_or_default()).collect(),
-            monitors: st
-                .monitors
-                .into_iter()
-                .map(|m| (m.label, m.series))
-                .collect(),
             end_time,
             audit: self.obs.audit.map(|a| a.into_report()),
             streaming: self.obs.streaming,
@@ -708,7 +676,6 @@ impl State {
                     prio,
                     pause,
                 } => self.on_pfc_frame(run, node, port, prio, pause, now),
-                Event::Sample { monitor } => self.on_sample(run.env, monitor, now),
                 Event::Fault { idx } => self.on_fault(run, idx, now),
             }
             if run.obs.completions_pending() {
@@ -932,12 +899,15 @@ mod tests {
         assert!(!p.is_paused(31) && !p.is_paused(29) && !p.is_stormed(0));
     }
 
-    /// A single-switch fabric of two hosts (0, 1) and switch 2, with one
-    /// flow registered from `spec`.
-    fn add_flow_on_two_hosts(spec: FlowSpec) {
+    /// The two-host fabric: host 0, host 1, switch 2 with two ports.
+    fn two_hosts() -> Sim {
         let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
-        let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
-        sim.add_flow(spec, |_| Box::new(Recorder::default()));
+        Sim::new(&topo, SimConfig::default(), SwitchConfig::default())
+    }
+
+    /// The two-host fabric with one flow registered from `spec`.
+    fn add_flow_on_two_hosts(spec: FlowSpec) {
+        two_hosts().add_flow(spec, |_| Box::new(Recorder::default()));
     }
 
     #[test]
@@ -979,9 +949,7 @@ mod tests {
     /// and 1, switch 2): it refuses whatever `add_flow` refuses, with the
     /// same message.
     fn flow_params_on_two_hosts(spec: FlowSpec) -> FlowParams {
-        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
-        let sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
-        sim.flow_params(&spec, 0)
+        two_hosts().flow_params(&spec, 0)
     }
 
     /// Its base RTT would read 0.
@@ -1010,43 +978,16 @@ mod tests {
         flow_params_on_two_hosts(FlowSpec::new(3, 1, 1000, Time::ZERO));
     }
 
-    /// Register `kind` at `period` on the two-host fabric (host 0, host
-    /// 1, switch 2 with two ports) and run it for 10 µs.
-    fn monitor_on_two_hosts(kind: MonitorKind, period: Time) {
-        let topo = Topology::single_switch(1, Rate::from_gbps(100), Time::from_us(1));
-        let cfg = SimConfig {
-            end_time: Time::from_us(10),
-            ..SimConfig::default()
-        };
-        let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
-        sim.add_monitor("m", kind, period);
-        sim.run();
-    }
-
-    /// A zero period rescheduled its sample at the same instant forever.
     #[test]
-    #[should_panic(expected = "Monitor.period = 0: a monitor must sample at a positive period")]
-    fn monitor_with_a_zero_period_is_refused() {
-        let kind = MonitorKind::QueueBytes { node: 2, port: 0 };
-        monitor_on_two_hosts(kind, Time::ZERO);
+    #[should_panic(expected = "Sim::port: node = 3 is out of range: the topology has 3 nodes")]
+    fn port_of_a_nonexistent_node_is_refused() {
+        two_hosts().port(3, 0);
     }
 
     #[test]
-    #[should_panic(
-        expected = "MonitorKind::QueueBytes.node = 3 is out of range: the topology has 3 nodes"
-    )]
-    fn monitor_of_a_nonexistent_node_is_refused() {
-        let kind = MonitorKind::QueueBytes { node: 3, port: 0 };
-        monitor_on_two_hosts(kind, Time::from_us(1));
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "MonitorKind::PortThroughput.port = 2 is out of range: node 2 has 2 ports"
-    )]
-    fn monitor_of_a_nonexistent_port_is_refused() {
-        let kind = MonitorKind::PortThroughput { node: 2, port: 2 };
-        monitor_on_two_hosts(kind, Time::from_us(1));
+    #[should_panic(expected = "Sim::port: port = 2 is out of range: node 2 has 2 ports")]
+    fn port_of_a_nonexistent_port_is_refused() {
+        two_hosts().port(2, 2);
     }
 
     /// Two hosts run to 10 µs: a run that has started.
@@ -1055,14 +996,6 @@ mod tests {
         let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
         sim.run_until(Time::from_us(10));
         sim
-    }
-
-    /// Its first sample would never be scheduled: it would record nothing.
-    #[test]
-    #[should_panic(expected = "Sim::add_monitor after the run has started")]
-    fn add_monitor_after_start_is_refused() {
-        let kind = MonitorKind::QueueBytes { node: 2, port: 0 };
-        started_sim().add_monitor("late", kind, Time::from_us(1));
     }
 
     /// Its first `Inject` would never be scheduled: it would never be called.

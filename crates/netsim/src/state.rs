@@ -19,7 +19,6 @@ use simcore::{EventQueue, SimRng, Time};
 
 use crate::config::{SimConfig, SwitchConfig};
 use crate::event::Event;
-use crate::monitor::Monitor;
 use crate::node::{EgressPort, Node};
 use crate::packet::{NodeId, PacketArena};
 use crate::record::{FlowRecord, SimCounters};
@@ -301,7 +300,6 @@ pub(crate) struct State {
     pub(crate) arena: PacketArena,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) counters: SimCounters,
-    pub(crate) monitors: Vec<Monitor>,
     pub(crate) noise_rng: SimRng,
     pub(crate) ecn_rng: SimRng,
     pub(crate) nc_rng: SimRng,
@@ -335,7 +333,6 @@ impl State {
             arena,
             queue,
             counters,
-            monitors,
             noise_rng,
             ecn_rng,
             nc_rng,
@@ -359,10 +356,10 @@ impl State {
             f.fold_digest(fold);
         }
         live.fold_digest(fold);
-        fold(monitors.len() as u64);
-        for m in monitors {
-            m.fold_digest(fold);
-        }
+        // The slot of the removed port monitors' count: a constant 0 keeps
+        // every digest equal to that of builds which had them, and
+        // `ppbench compare` reads the fingerprint across two builds.
+        fold(0);
     }
 }
 
@@ -381,9 +378,6 @@ pub enum StateTamper {
     Sketch,
     /// Flip the priority-0 PFC pause bit on node 0's first egress port.
     PortState,
-    /// Bump the first monitor's `last_tx`, the reading its next throughput
-    /// sample is a delta from (requires a registered monitor).
-    Monitor,
     /// Schedule one extra event, a host poke far in the future.
     Queue,
     /// Advance the reassembly point of one live flow (requires a flow in
@@ -394,19 +388,16 @@ pub enum StateTamper {
 impl State {
     /// Mutate one class of deterministic state in place, for
     /// [`crate::Sim::snap_mutate`]. Returns `false` when the run does not
-    /// carry that state class (e.g. [`StateTamper::Monitor`] without a
-    /// monitor). [`StateTamper::Sketch`] is never `State`'s: the sketches
-    /// are an observer's, and `snap_mutate` hands that tamper to them.
+    /// carry that state class (e.g. [`StateTamper::FlowRecv`] without a
+    /// flow in flight). [`StateTamper::Sketch`] is never `State`'s: the
+    /// sketches are an observer's, and `snap_mutate` hands that tamper to
+    /// them.
     pub(crate) fn tamper(&mut self, tamper: StateTamper) -> bool {
         match tamper {
             StateTamper::Counter => self.counters.data_delivered += 1,
             StateTamper::Rng => _ = self.noise_rng.next(),
             StateTamper::Sketch => return false,
             StateTamper::PortState => self.nodes[0].ports_mut()[0].paused ^= 1,
-            StateTamper::Monitor => match self.monitors.first_mut() {
-                Some(m) => m.last_tx += 1,
-                None => return false,
-            },
             StateTamper::Queue => self.queue.schedule(Time::MAX, Event::HostPoke { node: 0 }),
             StateTamper::FlowRecv => match self.live.slots.iter_mut().flatten().next() {
                 Some(fl) => fl.recv.cum += 1,

@@ -3,7 +3,7 @@
 #
 # `State::advance` (crates/netsim/src/sim.rs) dispatches every event to
 # the handlers, which are `impl State` blocks in crates/netsim/src/fabric.rs
-# (link layer, switch path, fault transitions, port monitors) and
+# (link layer, switch path, fault transitions) and
 # crates/netsim/src/host.rs (host NIC and flow path). rustc files an
 # inherent method under its `Self` type's module, so they are compiled in
 # one codegen unit with `advance` and inlined into it whichever file holds

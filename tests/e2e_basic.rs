@@ -107,11 +107,10 @@ fn swift_keeps_queue_near_target() {
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &swift());
     }
-    let res = m.sim.run();
-    let (_, series) = &res.monitors[0];
+    let (_, series) = m.run();
     // After convergence (2ms), the queue should hover near the 4us target
     // (50 KB at 100G) and stay well below 10x that.
-    let mean = series.window_mean(2_000.0, 8_000.0).unwrap();
+    let mean = series[0].window_mean(2_000.0, 8_000.0).unwrap();
     assert!(mean > 5_000.0, "queue too empty: {mean} bytes");
     assert!(mean < 500_000.0, "queue blew up: {mean} bytes");
 }
@@ -128,8 +127,7 @@ fn utilization_is_high_under_long_flows() {
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &swift());
     }
-    let res = m.sim.run();
-    let (_, tput) = &res.monitors[0];
-    let mean = tput.window_mean(2_000.0, 8_000.0).unwrap();
+    let (_, series) = m.run();
+    let mean = series[0].window_mean(2_000.0, 8_000.0).unwrap();
     assert!(mean > 90.0, "bottleneck throughput only {mean} Gbps");
 }

@@ -1,10 +1,10 @@
 //! Digest completeness: buggify-style tampers ([`StateTamper`]) mutate one
 //! class of simulator state at a time — counters, RNG streams, port state,
-//! the event queue, a live flow's reassembly point, a monitor's baseline,
-//! streaming sketches — and [`netsim::Sim::state_digest`] must notice every
-//! one; classes absent from a run must report `false` and leave the digest
-//! alone. Each tamper lands on its own copy of the run, rebuilt and pumped
-//! to the same instant, so every copy starts from the same digest.
+//! the event queue, a live flow's reassembly point, streaming sketches —
+//! and [`netsim::Sim::state_digest`] must notice every one; classes absent
+//! from a run must report `false` and leave the digest alone. Each tamper
+//! lands on its own copy of the run, rebuilt and pumped to the same
+//! instant, so every copy starts from the same digest.
 
 use experiments::golden::summarize;
 use experiments::micro::{Micro, MicroEnv};
@@ -74,9 +74,8 @@ fn tampered(build: impl Fn() -> Sim, at: Time, tamper: StateTamper) -> (bool, u6
 }
 
 /// Completeness fleet, part 1: on a plain run, the Counter, Rng, PortState,
-/// Queue and FlowRecv tampers land and move the digest; the Sketch and
-/// Monitor classes are absent, so the hooks report `false` and the digest
-/// must not move.
+/// Queue and FlowRecv tampers land and move the digest; the Sketch class is
+/// absent, so the hook reports `false` and the digest must not move.
 #[test]
 fn tamper_fleet_packet_run_counters_and_rng() {
     // Early: Swift drains the incast by 300 µs, and FlowRecv needs a flow
@@ -104,46 +103,18 @@ fn tamper_fleet_packet_run_counters_and_rng() {
         assert!(landed, "{tamper:?} must land on a packet run");
         assert_ne!(base, after, "state digest is blind to {tamper:?}");
     }
-    for tamper in [StateTamper::Sketch, StateTamper::Monitor] {
-        let (landed, before, after) = tampered(|| incast().sim, at, tamper);
-        assert!(
-            !landed,
-            "{tamper:?} cannot land on a run without that state class"
-        );
-        assert_eq!(before, after, "a no-op {tamper:?} must not move the digest");
-    }
+    let (landed, before, after) = tampered(|| incast().sim, at, StateTamper::Sketch);
+    assert!(
+        !landed,
+        "Sketch cannot land on a run without streaming stats"
+    );
+    assert_eq!(before, after, "a no-op Sketch must not move the digest");
 }
 
-/// Completeness fleet, part 1b: a monitor's `last_tx` is the baseline of
-/// its next throughput sample, so it is state; with a monitor registered the
-/// tamper lands and the digest notices. And with no flow in flight there is
-/// no reassembly state to tamper with.
+/// Completeness fleet, part 1b: with no flow in flight there is no
+/// reassembly state to tamper with.
 #[test]
-fn tamper_fleet_monitor_baseline_and_idle_flow_slab() {
-    let monitored = || {
-        let mut m = incast();
-        m.monitor_bottleneck_throughput(Time::from_us(50));
-        m.sim
-    };
-    let at = Time::from_us(300);
-    let (landed, base, after) = tampered(monitored, at, StateTamper::Monitor);
-    assert!(
-        landed,
-        "Monitor tamper must land when a monitor is registered"
-    );
-    assert_ne!(base, after, "digest is blind to a monitor's baseline");
-    // The monitored run stopped there and finished is the straight run,
-    // series included.
-    let straight = monitored().run();
-    let mut split = monitored();
-    split.run_until(at);
-    let split = split.run();
-    assert_eq!(summarize(&straight), summarize(&split));
-    assert_eq!(
-        straight.monitors[0].1.v, split.monitors[0].1.v,
-        "throughput series diverged across the split"
-    );
-
+fn tamper_fleet_idle_flow_slab() {
     let idle = || Micro::build(&MicroEnv::default()).sim;
     let (landed, before, after) = tampered(idle, Time::ZERO, StateTamper::FlowRecv);
     assert!(!landed, "FlowRecv cannot land with no flow in flight");

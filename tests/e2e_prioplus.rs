@@ -126,8 +126,8 @@ fn incast_delay_stays_near_target() {
     for s in 1..=senders {
         m.add_flow(s, 3_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
+    let (res, series) = m.run();
+    let q = &series[0];
     // After convergence, mean queue should be near 250 KB (20us above base).
     let mean = q.window_mean(3_000.0, 8_000.0).unwrap();
     assert!(

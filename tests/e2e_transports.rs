@@ -46,9 +46,9 @@ fn hpcc_keeps_queue_near_zero_at_high_utilization() {
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &CcSpec::Hpcc);
     }
-    let res = m.sim.run();
-    let (_, q) = &res.monitors[0];
-    let (_, tput) = &res.monitors[1];
+    let (_, series) = m.run();
+    let q = &series[0];
+    let tput = &series[1];
     let qmean = q.window_mean(3_000.0, 10_000.0).unwrap();
     let util = tput.window_mean(3_000.0, 10_000.0).unwrap();
     // HPCC's signature: near-eta utilization with a near-empty queue.
