@@ -35,8 +35,8 @@ pub enum Buggify {
     FaultDropUnaccounted,
     /// Flow completion skips releasing the flow's live-state slab slot
     /// (transport + reassembly state), leaking per-flow memory that the
-    /// hyperscale scenarios depend on reclaiming. Caught by the audit deep
-    /// scan's flow-state sweep
+    /// hyperscale scenarios depend on reclaiming. Caught by the audit's
+    /// check of the flows the finishing event touched
     /// ([`crate::audit::ViolationKind::FlowStateLeak`]).
     FlowReclaimLeak,
 }
@@ -148,7 +148,7 @@ pub struct SimConfig {
     /// Deterministic fault schedule (link flaps, degradation epochs, PFC
     /// pause storms). `None` — the default — runs fault-free and keeps
     /// every fault hook to one branch; an installed schedule also arms the
-    /// PFC deadlock monitor in the audit deep scan.
+    /// PFC deadlock monitor the audit runs after every event.
     pub faults: Option<crate::faults::FaultSchedule>,
     /// Streaming-statistics mode (hyperscale runs): fold each completed
     /// flow's FCT/slowdown into integer-bucketed quantile sketches

@@ -39,8 +39,8 @@
 //!   never emit pauses) — so a resume lost "inside" the storm cannot wedge
 //!   the port.
 //!
-//! The deadlock monitor (`audit::detect_pause_cycle`) runs with the audit deep
-//! scan whenever a fault schedule is installed. It builds the classic
+//! The deadlock monitor (`audit::detect_pause_cycle`) runs after every
+//! audited event whenever a fault schedule is installed. It builds the classic
 //! circular-buffer-dependency wait-for graph: vertex `(A, p, q)` for every
 //! paused switch egress, and an edge to `(B, p2, q)` when `B` is the peer
 //! across link `(A, p)` and `B`'s paused egress queue `(p2, q)` holds at
@@ -263,7 +263,7 @@ mod tests {
     use super::*;
     use crate::audit::detect_pause_cycle;
     use crate::config::SwitchConfig;
-    use crate::node::{EgressPort, Switch};
+    use crate::node::{EgressPort, Node, Switch};
     use crate::packet::{Packet, PacketArena};
     use simcore::Rate;
     use std::collections::BTreeSet;
@@ -448,7 +448,7 @@ mod tests {
             // from the previous ring link (ingress port 1).
             seed_pkt(s, &mut arena, 0, 0, 1);
         }
-        let switches = [(0u32, &s0), (1, &s1), (2, &s2)];
+        let switches = [s0, s1, s2].map(Node::Switch);
         let cycle = detect_pause_cycle(&switches, &arena).expect("cycle must be flagged");
         assert_eq!(cycle.len(), 3);
         let nodes: BTreeSet<NodeId> = cycle.iter().map(|v| v.0).collect();
@@ -471,7 +471,7 @@ mod tests {
             // breaks at every hop.
             seed_pkt(s, &mut arena, 0, 0, 7);
         }
-        let switches = [(0u32, &s0), (1, &s1), (2, &s2)];
+        let switches = [s0, s1, s2].map(Node::Switch);
         assert!(detect_pause_cycle(&switches, &arena).is_none());
     }
 
@@ -489,7 +489,7 @@ mod tests {
         // Break the ring: only 0 and 1 are paused.
         s0.ports[0].set_paused(0, true);
         s1.ports[0].set_paused(0, true);
-        let switches = [(0u32, &s0), (1, &s1), (2, &s2)];
+        let switches = [s0, s1, s2].map(Node::Switch);
         assert!(detect_pause_cycle(&switches, &arena).is_none());
     }
 
@@ -507,7 +507,7 @@ mod tests {
             s.ports[0].set_paused(q as usize, true);
             seed_pkt(s, &mut arena, 0, q, 1);
         }
-        let switches = [(0u32, &s0), (1, &s1), (2, &s2)];
+        let switches = [s0, s1, s2].map(Node::Switch);
         assert!(detect_pause_cycle(&switches, &arena).is_none());
     }
 }

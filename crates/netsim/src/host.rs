@@ -196,8 +196,9 @@ impl State {
 
     /// Release a finished flow's live-state slab slot, copying the
     /// transport's retransmit count into the record first. The
-    /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the audit
-    /// deep scan's flow-state sweep can prove it notices the leak.
+    /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the
+    /// audit's check of the flows an event touched can prove it notices the
+    /// leak.
     fn release_flow_state(&mut self, env: &Env, fid: FlowId) {
         if env.switch_cfg.buggify == Some(Buggify::FlowReclaimLeak) {
             return;
@@ -301,6 +302,7 @@ impl State {
         // `h` no longer borrows `self.nodes`; nothing above allocates a slab
         // slot, so releasing here leaves the free list as if done in place.
         for fid in finished {
+            run.obs.on_flow_touched(fid);
             self.release_flow_state(run.env, fid);
         }
         if let Some(pid) = selected {

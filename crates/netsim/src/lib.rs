@@ -55,7 +55,7 @@ mod state;
 pub mod topology;
 pub mod transport_api;
 
-pub use audit::{AuditConfig, AuditReport, Violation, ViolationKind};
+pub use audit::{AuditConfig, AuditReport, AuditWork, Violation, ViolationKind};
 pub use config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 pub use event::Event;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};

@@ -463,7 +463,12 @@ impl Sim {
                 obs: &mut self.obs,
             };
             match self.state.advance(run, until) {
-                Yield::Stopped => return,
+                Yield::Stopped => {
+                    if let Some(a) = self.obs.audit.as_deref_mut() {
+                        crate::observe::stop_scan(a, &self.state);
+                    }
+                    return;
+                }
                 Yield::Inject => self.on_inject(),
                 Yield::Completed => {
                     // Taken out while it runs: the callback gets the whole `Sim`.

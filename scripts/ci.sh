@@ -21,10 +21,9 @@
 #   3. audited: the whole experiments suite rerun with the invariant audit
 #      force-enabled on every Sim and panicking on any violation (the
 #      allocation pin skips itself with a message: the audit allocates on
-#      its own account); then the arena, audit and fault suites with the
-#      deep scan forced to every event boundary; then the hyperscale suite
-#      (thousands of streamed flows, slab reclamation sweep) at a
-#      deep-scan cadence of 256;
+#      its own account). The audit checks what each event names after every
+#      event and scans the whole state wherever a run stops, so one run is
+#      every check it has;
 #   4. ppbench: the benchmark package's own tests (it is outside the
 #      workspace, so leg 2 does not reach them) — BENCHMARK.json drift
 #      guard, `--check` smoke run, composition-vs-experiments differential —
@@ -78,17 +77,7 @@ cargo test -q
 leg_done
 
 leg 3 audited "experiments suite under the invariant audit (violations are fatal)"
-export PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1
-cargo test -q --release -p experiments
-echo "--- deep scan at every event boundary: arena, audit, faults ---"
-PRIOPLUS_AUDIT_DEEP=1 cargo test -q --release -p experiments \
-  --test e2e_arena --test e2e_audit --test e2e_faults
-echo "--- hyperscale (k=8 open-loop), deep scan every 256 events ---"
-# 256, not 1: the deep scan's flow sweep is O(flows) and the suite streams
-# thousands of flows over millions of events, so an every-event sweep takes
-# >10 min. 256 still sweeps the slab thousands of times per run.
-PRIOPLUS_AUDIT_DEEP=256 cargo test -q --release -p experiments --test e2e_hyperscale
-unset PRIOPLUS_AUDIT PRIOPLUS_AUDIT_PANIC
+PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 cargo test -q --release -p experiments
 leg_done
 
 leg 4 ppbench "benchmark package tests (drift guard, smoke, composition)"

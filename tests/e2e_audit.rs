@@ -6,30 +6,44 @@
 //! code, not an aspiration. Second, the audit *detects*: each `Buggify`
 //! fault injection produces at least one violation of the expected kind.
 //! Together these pin the audit's false-positive and false-negative rate
-//! at zero for the faults we can inject. The audit's tallies also carry
+//! at zero for the faults we can inject, and each is caught by the checks
+//! of the event that introduced it. The audit's tallies also carry
 //! across a pump stopped by `run_until` and resumed: it stays clean on
 //! both halves of a split run, which equals the straight run.
 
 use experiments::micro::{Micro, MicroEnv};
-use netsim::{Buggify, SimResult, SwitchConfig, ViolationKind};
+use netsim::{Buggify, FaultSchedule, Sim, SimResult, SwitchConfig, Violation, ViolationKind};
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
-/// Run a `senders`-way incast with the audit layer on and return the
-/// result (including the audit report).
-fn run_audited(cc: &CcSpec, switch: SwitchConfig, senders: usize, size: u64) -> SimResult {
+/// A `senders`-way incast with the audit layer on, and `faults` if any,
+/// built but not run.
+fn audited(
+    cc: &CcSpec,
+    switch: SwitchConfig,
+    senders: usize,
+    size: u64,
+    faults: Option<FaultSchedule>,
+) -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders,
         end: Time::from_ms(10),
         trace: false,
         switch,
+        faults,
         ..Default::default()
     });
     m.sim.enable_audit();
     for s in 1..=senders {
         m.add_flow(s, size, Time::ZERO, 0, 0, cc);
     }
-    m.sim.run()
+    m
+}
+
+/// Run [`audited`]'s incast and return the result (including the audit
+/// report).
+fn run_audited(cc: &CcSpec, switch: SwitchConfig, senders: usize, size: u64) -> SimResult {
+    audited(cc, switch, senders, size, None).sim.run()
 }
 
 fn kinds(res: &SimResult) -> Vec<ViolationKind> {
@@ -185,57 +199,30 @@ fn audit_is_purely_observational() {
     assert_eq!(outcome(false), outcome(true));
 }
 
+/// Each buggified switch of [`planted`] is caught by the check that owns
+/// its invariant.
 #[test]
 fn injected_dequeue_leak_is_caught() {
-    let switch = SwitchConfig {
-        buggify: Some(Buggify::DequeueLeak),
-        ..Default::default()
-    };
-    let cc = CcSpec::Swift {
-        queuing: Time::from_us(4),
-        scaling: false,
-    };
-    let res = run_audited(&cc, switch, 4, 500_000);
-    let ks = kinds(&res);
-    assert!(
-        ks.contains(&ViolationKind::BufferAccounting),
-        "leak not caught: {ks:?}"
-    );
+    let ks = kinds(&planted(Buggify::DequeueLeak).sim.run());
+    let leak = ViolationKind::BufferAccounting;
+    assert!(ks.contains(&leak), "leak not caught: {ks:?}");
 }
 
+/// Small shared buffer + blast senders force the ingress counters over the
+/// pause threshold; the buggified switch pauses one packet late and the
+/// audit must see the unpaused over-threshold state.
 #[test]
 fn injected_pfc_off_by_one_is_caught() {
-    // Small shared buffer + blast senders force the ingress counters over
-    // the pause threshold; the buggified switch pauses one packet late and
-    // the audit must see the unpaused over-threshold state.
-    let switch = SwitchConfig {
-        buffer_bytes: 1_000_000,
-        buggify: Some(Buggify::PfcPauseOffByOne),
-        ..Default::default()
-    };
-    let res = run_audited(&CcSpec::Blast, switch, 4, 500_000);
-    let ks = kinds(&res);
-    assert!(
-        ks.contains(&ViolationKind::PfcXoffMissed),
-        "off-by-one not caught: {ks:?}"
-    );
+    let ks = kinds(&planted(Buggify::PfcPauseOffByOne).sim.run());
+    let late = ViolationKind::PfcXoffMissed;
+    assert!(ks.contains(&late), "off-by-one not caught: {ks:?}");
 }
 
 #[test]
 fn injected_ecn_below_kmin_is_caught() {
-    let switch = SwitchConfig {
-        buggify: Some(Buggify::EcnMarkBelowKmin),
-        ..Default::default()
-    };
-    let cc = CcSpec::D2tcp {
-        deadline_factor: None,
-    };
-    let res = run_audited(&cc, switch, 2, 200_000);
-    let ks = kinds(&res);
-    assert!(
-        ks.contains(&ViolationKind::EcnBounds),
-        "below-kmin marks not caught: {ks:?}"
-    );
+    let ks = kinds(&planted(Buggify::EcnMarkBelowKmin).sim.run());
+    let early = ViolationKind::EcnBounds;
+    assert!(ks.contains(&early), "below-kmin marks not caught: {ks:?}");
 }
 
 /// The audit sees events that wait in the queue's FIFO lanes. On
@@ -244,9 +231,10 @@ fn injected_ecn_below_kmin_is_caught() {
 /// flight is referenced from a lane and not from the scheduler backend, so
 /// an arena-accounting pass that visited only the backend would report each
 /// of them leaked, and a lane whose bookkeeping slipped would fail the
-/// queue's own check; the deep scan runs after every event. Declarations
-/// are made in a fixed order (by link count, then topology order), so two
-/// runs are the same run.
+/// queue's own check. The run stops every 20 µs, mid-flight, and the audit
+/// scans the whole state at each stop. Declarations are made in a fixed
+/// order (by link count, then topology order), so two runs are the same
+/// run.
 #[test]
 fn audit_is_clean_with_packets_in_lanes_across_three_link_classes() {
     use netsim::{AuditConfig, FlowSpec, Sim, SimConfig, ThreeTierWanSpec, Topology};
@@ -260,10 +248,7 @@ fn audit_is_clean_with_packets_in_lanes_across_three_link_classes() {
             ..Default::default()
         };
         let mut sim = Sim::new(&topo, cfg, SwitchConfig::default());
-        sim.enable_audit_with(AuditConfig {
-            deep_every: 1,
-            ..Default::default()
-        });
+        sim.enable_audit_with(AuditConfig::default());
         let cc = CcSpec::Swift {
             queuing: Time::from_us(4),
             scaling: false,
@@ -285,11 +270,16 @@ fn audit_is_clean_with_packets_in_lanes_across_three_link_classes() {
                 sim.add_flow(spec, |p| cc.make(p, start));
             }
         }
+        for k in 1..STOPS {
+            sim.run_until(Time::from_us(k * 20));
+        }
         sim.run()
     };
+    const STOPS: u64 = 250;
     let res = run();
     let report = res.audit.as_ref().expect("audit enabled");
     assert_eq!(report.total_violations, 0, "{:?}", report.violations);
+    assert_eq!(report.work.stop_scans, STOPS);
     assert_eq!(res.completion_rate(), 1.0);
     let c = &res.counters;
     assert!(
@@ -398,5 +388,120 @@ fn cc_matrix_split_pump_is_bit_identical_and_audit_clean() {
             let split = checked(&m.sim.run(), &format!("{name} split at {at}"));
             assert_eq!(straight, split, "{name}: the split at {at} changed the run");
         }
+    }
+}
+
+/// The first violation `prepare`'s run reports, checked to be found by the
+/// event that introduced its fault rather than by a later scan: it names
+/// that event, at its time. The same run stopped just before that time,
+/// where the audit scans the whole state, reports the same first
+/// violation, so nothing was wrong before the event.
+fn first_violation(prepare: impl Fn() -> Sim) -> Violation {
+    let first = |res: SimResult| {
+        let report = res.audit.expect("audit enabled");
+        report.violations.first().cloned().expect("a violation")
+    };
+    let v = first(prepare().run());
+    let e = v
+        .event
+        .expect("found by the checks of an event, not at a stop");
+    assert_eq!(e.time, v.time, "{v}");
+    let mut sim = prepare();
+    sim.run_until(v.time);
+    let again = first(sim.run());
+    let key = |v: &Violation| (v.kind, v.time, v.node, v.flow, v.event.map(|e| e.seq));
+    assert_eq!(
+        key(&again),
+        key(&v),
+        "the stop before {} found {again}",
+        v.time
+    );
+    v
+}
+
+/// The incast's switch: hosts 1..=4 send to host 0 through it, and its
+/// port 0 faces host 0.
+const SWITCH: u32 = 5;
+
+/// When [`planted`]'s flap holds the bottleneck link down.
+const FLAP: std::ops::Range<Time> = Time::from_us(40)..Time::from_us(160);
+
+/// An audited four-sender incast whose switch plants `bug`, built but not
+/// run; `FaultDropUnaccounted` gets a flap of the bottleneck link to lose
+/// packets on.
+fn planted(bug: Buggify) -> Micro {
+    let swift = CcSpec::Swift {
+        queuing: Time::from_us(4),
+        scaling: false,
+    };
+    let switch = SwitchConfig {
+        buggify: Some(bug),
+        ..Default::default()
+    };
+    match bug {
+        Buggify::DequeueLeak => audited(&swift, switch, 4, 500_000, None),
+        Buggify::PfcPauseOffByOne => {
+            let small = SwitchConfig {
+                buffer_bytes: 1_000_000,
+                ..switch
+            };
+            audited(&CcSpec::Blast, small, 4, 500_000, None)
+        }
+        Buggify::EcnMarkBelowKmin => {
+            let dctcp = CcSpec::D2tcp {
+                deadline_factor: None,
+            };
+            audited(&dctcp, switch, 4, 200_000, None)
+        }
+        Buggify::FaultDropUnaccounted => {
+            let mut flap = FaultSchedule::new();
+            flap.link_flap(SWITCH, 0, FLAP.start, FLAP.end);
+            audited(&swift, switch, 4, 500_000, Some(flap))
+        }
+        Buggify::FlowReclaimLeak => audited(&swift, switch, 4, 200_000, None),
+    }
+}
+
+/// Every `Buggify` variant is caught by the checks of the event that
+/// plants it, and the violation names that event: the switch it arrived
+/// at or freed a port of, the node a dead link dropped a packet at, or
+/// the sender whose event finished the leaking flow.
+#[test]
+fn each_buggify_is_caught_at_the_event_that_plants_it() {
+    let cases = [
+        (Buggify::DequeueLeak, ViolationKind::BufferAccounting),
+        (Buggify::PfcPauseOffByOne, ViolationKind::PfcXoffMissed),
+        (Buggify::EcnMarkBelowKmin, ViolationKind::EcnBounds),
+        (
+            Buggify::FaultDropUnaccounted,
+            ViolationKind::CounterMismatch,
+        ),
+        (Buggify::FlowReclaimLeak, ViolationKind::FlowStateLeak),
+    ];
+    for (bug, kind) in cases {
+        let v = first_violation(|| planted(bug).sim);
+        let e = v.event.expect("checked by first_violation");
+        assert_eq!(v.kind, kind, "{bug:?}: {v}");
+        let at_switch = |kinds: &[&str]| kinds.contains(&e.kind) && v.node == Some(SWITCH);
+        let named = match bug {
+            Buggify::DequeueLeak => at_switch(&["arrive", "port_free"]) && e.id == SWITCH,
+            Buggify::PfcPauseOffByOne | Buggify::EcnMarkBelowKmin => {
+                at_switch(&["arrive"]) && e.id == SWITCH
+            }
+            // The dead link's two ends are the switch and host 0.
+            Buggify::FaultDropUnaccounted => {
+                e.kind == "arrive" && [0, SWITCH].contains(&e.id) && FLAP.contains(&v.time)
+            }
+            // The sender's ACK arrival, poke or port release finished it.
+            Buggify::FlowReclaimLeak => {
+                let flow = v.flow.expect("a leak names its flow");
+                let res = planted(bug).sim.run();
+                e.id == res.records[flow as usize].src
+            }
+        };
+        assert!(
+            named,
+            "{bug:?}: the first violation {v} names another event"
+        );
     }
 }

@@ -8,15 +8,17 @@
 //!    across repeated runs. Fault transitions are ordinary scheduler
 //!    events, so nothing about a failure depends on wall clock.
 //! 2. **The audit stays clean under failure**: packet conservation,
-//!    buffer accounting and the counter identity hold with the deep scan
-//!    on every event while links flap, degrade and storm. Accounted
+//!    buffer accounting and the counter identity hold after every event,
+//!    and in the scan of the whole state where the run stops, while links
+//!    flap, degrade and storm. Accounted
 //!    fault loss (`fault_link_drops`) joins the conservation ledger
 //!    rather than escaping it, and transports recover the lost data via
 //!    retransmission.
 //! 3. **The deadlock monitor detects**: a constructed circular buffer
 //!    dependency — pause storms pinning every clockwise egress of an
-//!    odd ring carrying two-hop flows — is flagged as `PfcDeadlock`,
-//!    while the same storm on an acyclic subset of ports stays silent.
+//!    odd ring carrying two-hop flows — is flagged as `PfcDeadlock` at the
+//!    storm's onset, while the same storm on an acyclic subset of ports
+//!    stays silent.
 //! 4. **The accounting is load-bearing**: the `FaultDropUnaccounted`
 //!    buggify (fault drops counted but hidden from the audit) produces a
 //!    `CounterMismatch`, pinning the false-negative rate at zero for the
@@ -36,23 +38,21 @@ use netsim::{
 use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
 
-/// Deep scan on every event, panicking at the first violation so a
-/// failure names the exact offending event.
+/// Panicking at the first violation, so a failure names the exact
+/// offending event.
 fn strict_audit() -> AuditConfig {
     AuditConfig {
         panic_on_violation: true,
-        deep_every: 1,
     }
 }
 
-/// Deep scan on every event, collecting violations for inspection. Used
-/// by the detector tests, which must observe violations rather than die
-/// on them — and which therefore also survive `PRIOPLUS_AUDIT_PANIC=1`
-/// CI runs (the explicit config replaces the env-derived one).
+/// Collecting violations for inspection. Used by the detector tests,
+/// which must observe violations rather than die on them — and which
+/// therefore also survive `PRIOPLUS_AUDIT_PANIC=1` CI runs (the explicit
+/// config replaces the env-derived one).
 fn detect_audit() -> AuditConfig {
     AuditConfig {
         panic_on_violation: false,
-        deep_every: 1,
     }
 }
 
@@ -244,8 +244,9 @@ fn storm_regime_is_bit_identical_and_audit_clean() {
 /// sender's NIC is storm-pinned and another's is degraded, then finished by
 /// `run`, is the run straight through: fault state lives on the ports, so
 /// nothing about a fault in progress is lost at the split. Records and
-/// counters are bit-identical, the queue's diagnostics equal, and the deep
-/// scan is clean after every event on both halves.
+/// counters are bit-identical, the queue's diagnostics equal, and the audit
+/// is clean on both halves, the scan of the whole state at the split
+/// included.
 #[test]
 fn split_pump_mid_fault_is_bit_identical_and_audit_clean() {
     let us = Time::from_us;
@@ -391,6 +392,10 @@ fn constructed_pause_cycle_is_flagged_as_deadlock() {
         "deadlock report names the cycle: {}",
         v.detail
     );
+    // The search runs after every event of a faulted run, so the cycle is
+    // flagged by the storm transition that closes it, at the storm's onset.
+    let e = v.event.expect("found after an event, not at a stop");
+    assert_eq!((v.time, e.kind), (Time::from_us(100), "fault"), "{v}");
 }
 
 #[test]

@@ -270,7 +270,6 @@ fn drained_run(buggify: Option<Buggify>) -> SimResult {
     let mut sim = Sim::new(&topo, cfg, sw);
     sim.enable_audit_with(AuditConfig {
         panic_on_violation: false,
-        deep_every: 16,
     });
     let cc = CcSpec::Swift {
         queuing: Time::from_us(4),
@@ -321,12 +320,16 @@ fn injected_reclamation_leak_is_caught_by_the_audit_sweep() {
     let c = &res.counters;
     assert_eq!(c.flows_reclaimed, 0, "buggify must suppress reclamation");
     let report = res.audit.as_ref().expect("audit enabled");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::FlowStateLeak),
-        "leak not caught: {:?}",
+    // Every flow's leak is caught by the checks of an event (the one that
+    // finished it), not only by the sweep where the run stops.
+    let leaked: std::collections::BTreeSet<_> = (report.violations.iter())
+        .filter(|v| v.kind == ViolationKind::FlowStateLeak && v.event.is_some())
+        .filter_map(|v| v.flow)
+        .collect();
+    assert_eq!(
+        leaked.len(),
+        12,
+        "leaks not caught: {:?}",
         report.violations
     );
     // The leak is observational: flows still complete correctly.
@@ -404,7 +407,6 @@ fn reclaiming_flow_state_does_not_change_the_run() {
         let mut sim = Sim::new(&topo, cfg, sw);
         sim.enable_audit_with(AuditConfig {
             panic_on_violation: false,
-            ..Default::default()
         });
         for i in 0..16u64 {
             let sender = hosts[1 + i as usize % 4];

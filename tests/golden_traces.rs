@@ -192,6 +192,46 @@ fn golden_traces_are_identical_and_clean_under_audit() {
     }
 }
 
+/// The audit's work as exact counts, per golden run: events audited, switch
+/// counter-identity checks, flow checks and scans of the whole state. The
+/// checks are local to what an event names, so the switch and flow checks
+/// track the events that reach a switch or a transport, and the one scan is
+/// where the run ends. A check added to or dropped from the per-event path,
+/// or a scan that comes back per event, moves a count: re-pin it and say
+/// why (`cargo test -p experiments --test golden_traces -- --nocapture`
+/// prints them).
+#[test]
+fn audit_work_is_pinned_on_every_golden_run() {
+    #[rustfmt::skip]
+    const PINNED: &[(&str, &str, [u64; 4])] = &[
+        ("fig10_staircase", "", [64138, 32057, 21554, 1]),
+        ("fig13_nc_delay", "", [16062, 8021, 5403, 1]),
+        ("lossy_dt_incast", "", [37382, 18683, 13196, 1]),
+        ("cc_matrix", "swift", [70017, 34982, 23957, 1]),
+        ("cc_matrix", "prioplus-swift", [68957, 34425, 25609, 1]),
+        ("cc_matrix", "ledbat", [85036, 42496, 33079, 1]),
+        ("cc_matrix", "prioplus-ledbat", [69298, 34602, 25801, 1]),
+        ("cc_matrix", "dctcp", [68660, 34207, 22993, 1]),
+        ("cc_matrix", "d2tcp", [68660, 34207, 22978, 1]),
+        ("cc_matrix", "swift-weighted", [72447, 36201, 25623, 1]),
+        ("cc_matrix", "hpcc", [67122, 33534, 21847, 1]),
+        ("cc_matrix", "blast", [105825, 52881, 44891, 1]),
+    ];
+    let mut got = Vec::new();
+    for case in cases() {
+        for (label, res) in runs(&case, |mut sim| {
+            sim.enable_audit();
+            sim.run()
+        }) {
+            let w = res.audit.expect("audit enabled").work;
+            let work = [w.events, w.switch_checks, w.flow_checks, w.stop_scans];
+            println!("(\"{}\", \"{label}\", {work:?}),", case.name);
+            got.push((case.name, label, work));
+        }
+    }
+    assert_eq!(got, PINNED);
+}
+
 /// A split pump is bit-exact: stopping each golden case mid-run with
 /// `run_until` and finishing it with `run` must reproduce the uninterrupted
 /// summary byte-for-byte — at an early horizon (probing the slow-start /
