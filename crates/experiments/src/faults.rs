@@ -163,7 +163,6 @@ pub fn prepare(cc: FaultCc, regime: FaultRegime, seed: u64) -> Sim {
         senders: SENDERS,
         end: horizon,
         seed,
-        trace: false,
         faults: regime.schedule(switch, Time::from_ms(4), seed),
         ..Default::default()
     });

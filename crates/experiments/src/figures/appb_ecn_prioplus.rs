@@ -18,7 +18,6 @@ fn run(scaled: bool) -> (f64, f64) {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(6),
-        trace: true,
         switch: SwitchConfig {
             ecn_kmin: 30_000,
             ecn_kmax: 90_000,
@@ -34,8 +33,8 @@ fn run(scaled: bool) -> (f64, f64) {
     // virt_prio rides in the DSCP field; both flows share phys queue 0.
     let hi = m.add_flow(1, 60_000_000, Time::ZERO, 0, 6, &cc);
     let lo = m.add_flow(2, 60_000_000, Time::ZERO, 0, 0, &cc);
-    let res = m.sim.run();
-    let g = |id: u32| goodput_gbps(&res, &[id], 2_000.0, 6_000.0);
+    let goodput = m.run().goodput;
+    let g = |id: u32| goodput_gbps(&goodput, &[id], 2_000.0, 6_000.0);
     (g(hi), g(lo))
 }
 

@@ -17,7 +17,6 @@ fn measure(n: usize) -> f64 {
     let mut m = Micro::build(&MicroEnv {
         senders: n,
         end: Time::from_ms(10),
-        trace: false,
         ..Default::default()
     });
     m.monitor_bottleneck_queue(Time::from_us(2));
@@ -28,7 +27,7 @@ fn measure(n: usize) -> f64 {
     for s in 1..=n {
         m.add_flow(s, 100_000_000, Time::ZERO, 0, 0, &swift);
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     let q = &series[0];
     // Steady-state swing (5..10ms) in delay-microseconds at 100 Gbps.
     let max = q.window_max(5_000.0, 10_000.0).unwrap();

@@ -2,7 +2,7 @@
 //! dynamics of low-priority PrioPlus elephants under bursty higher-priority
 //! interruptions — used to validate the stability of the #flow ratchet.
 
-use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use crate::{Cell, Scale, Table};
 use netsim::NoiseModel;
 use simcore::{SimRng, Time};
@@ -12,7 +12,6 @@ pub(crate) fn diag_cardinality(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 12,
         end: Time::from_ms(20),
-        trace: true,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });
@@ -38,7 +37,7 @@ pub(crate) fn diag_cardinality(_: Scale, _: usize) -> Vec<Table> {
         m.add_flow(sender, size, t, 0, prio, &cc);
         count += 1;
     }
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
     let mut table = Table::new(
         "diag_cardinality",
         format!("Diagnostic: 4 class-0 PrioPlus elephants under {count} higher-priority bursts"),
@@ -53,8 +52,8 @@ pub(crate) fn diag_cardinality(_: Scale, _: usize) -> Vec<Table> {
         table.row(vec![
             id.into(),
             Cell::num(res.records[id as usize].delivered as f64 / 1e6, 1, ""),
-            Cell::num(goodput_gbps(&res, &[id], 5_000.0, 10_000.0), 1, ""),
-            Cell::num(goodput_gbps(&res, &[id], 10_000.0, 20_000.0), 1, ""),
+            Cell::num(goodput_gbps(&goodput, &[id], 5_000.0, 10_000.0), 1, ""),
+            Cell::num(goodput_gbps(&goodput, &[id], 10_000.0, 20_000.0), 1, ""),
         ]);
     }
     let hi_bytes: u64 = res

@@ -11,7 +11,7 @@
 //!   line-rate-start buffer spike and the min-rate signal-frequency
 //!   trade-offs (Observation 3).
 
-use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use crate::{Cell, Scale, Table};
 use simcore::Time;
 use transport::CcSpec;
@@ -30,7 +30,6 @@ pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(3),
-        trace: true,
         ..Default::default()
     });
     // 6.25 MB each => ideal FCT 512us alone. Urgent: DDL = 1x ideal;
@@ -56,7 +55,7 @@ pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
             deadline_factor: Some(2.0),
         },
     );
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
     let ideal_us = size as f64 * 8.0 / 100e9 * 1e6 + 12.0;
 
     let mut t = Table::new(
@@ -68,8 +67,8 @@ pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
         let (f, to) = (w as f64 * 100.0, w as f64 * 100.0 + 100.0);
         t.row(vec![
             Cell::num(f, 0, ""),
-            goodput_gbps(&res, &[urgent], f, to).into(),
-            goodput_gbps(&res, &[relaxed], f, to).into(),
+            goodput_gbps(&goodput, &[urgent], f, to).into(),
+            goodput_gbps(&goodput, &[relaxed], f, to).into(),
         ]);
     }
     let fu = res.records[urgent as usize].fct().unwrap().as_us_f64();
@@ -91,7 +90,6 @@ pub(crate) fn fig03b(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(6),
-        trace: true,
         ..Default::default()
     });
     let (hi_cc, lo_cc) = swift_high_low(true);
@@ -101,7 +99,7 @@ pub(crate) fn fig03b(_: Scale, _: usize) -> Vec<Table> {
     let lo: Vec<u32> = (3..=4)
         .map(|s| m.add_flow(s, 60_000_000, Time::ZERO, 0, 0, &lo_cc))
         .collect();
-    let res = m.sim.run();
+    let goodput = m.run().goodput;
     let mut t = Table::new(
         "fig03b",
         "Figure 3b: Swift WITH target scaling — 2 high (target +15us) vs 2 low (+5us)",
@@ -111,12 +109,12 @@ pub(crate) fn fig03b(_: Scale, _: usize) -> Vec<Table> {
         let (f, to) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         t.row(vec![
             w.into(),
-            goodput_gbps(&res, &hi, f, to).into(),
-            goodput_gbps(&res, &lo, f, to).into(),
+            goodput_gbps(&goodput, &hi, f, to).into(),
+            goodput_gbps(&goodput, &lo, f, to).into(),
         ]);
     }
-    let hi_ss = goodput_gbps(&res, &hi, 3_000.0, 6_000.0);
-    let lo_ss = goodput_gbps(&res, &lo, 3_000.0, 6_000.0);
+    let hi_ss = goodput_gbps(&goodput, &hi, 3_000.0, 6_000.0);
+    let lo_ss = goodput_gbps(&goodput, &lo, 3_000.0, 6_000.0);
     t.note(format!(
         "steady state: high {hi_ss:.1} Gbps vs low {lo_ss:.1} Gbps — weighted sharing,\n\
          NOT strict priority (low keeps a large share; O1 violated).\n"
@@ -130,7 +128,6 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: n_low + 1,
         end: Time::from_ms(6),
-        trace: true,
         ..Default::default()
     });
     m.monitor_bottleneck_queue(Time::from_us(10));
@@ -140,7 +137,9 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &lo_cc);
     }
     let hi = m.add_flow(n_low + 1, 50_000_000, Time::from_ms(2), 0, 1, &hi_cc);
-    let (res, series) = m.run();
+    let MicroRun {
+        series, goodput, ..
+    } = m.run();
     let q = &series[0];
     let tput = &series[1];
     let mut t = Table::new(
@@ -161,11 +160,11 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
             tput.window_mean(f, to).unwrap_or(0.0).into(),
             (q.window_mean(f, to).unwrap_or(0.0) / 1000.0).into(),
             (q.window_max(f, to).unwrap_or(0.0) / 1000.0).into(),
-            goodput_gbps(&res, &[hi], f, to).into(),
+            goodput_gbps(&goodput, &[hi], f, to).into(),
         ]);
     }
     let util = tput.window_mean(500.0, 2_000.0).unwrap_or(0.0);
-    let hi_share = goodput_gbps(&res, &[hi], 3_000.0, 6_000.0);
+    let hi_share = goodput_gbps(&goodput, &[hi], 3_000.0, 6_000.0);
     t.note(format!(
         "utilization before the high flow: {util:.1}/100 Gbps; high flow's share after\n\
          joining: {hi_share:.1} Gbps. Expected (paper, 300 flows): queue fluctuations of\n\
@@ -180,7 +179,6 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(4),
-        trace: true,
         ..Default::default()
     });
     m.monitor_bottleneck_queue(Time::from_us(5));
@@ -193,7 +191,9 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     let lo: Vec<u32> = (3..=4)
         .map(|s| m.add_flow(s, 40_000_000, Time::from_us(100), 0, 0, &lo_cc))
         .collect();
-    let (res, series) = m.run();
+    let MicroRun {
+        series, goodput, ..
+    } = m.run();
     let q = &series[0];
     let mut t = Table::new(
         "fig03d",
@@ -217,8 +217,8 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     ] {
         t.row(vec![
             format!("{f:.0}-{to:.0}").into(),
-            goodput_gbps(&res, &hi, f, to).into(),
-            goodput_gbps(&res, &lo, f, to).into(),
+            goodput_gbps(&goodput, &hi, f, to).into(),
+            goodput_gbps(&goodput, &lo, f, to).into(),
             (q.window_max(f, to).unwrap_or(0.0) / 1000.0).into(),
         ]);
     }

@@ -32,7 +32,7 @@ fn run(cc_name: &str, use_prioplus: bool) -> Table {
             swift_at_prio_target(prio)
         }
     });
-    let res = m.sim.run();
+    let goodput = m.run().goodput;
 
     let sub = if use_prioplus { "a" } else { "b" };
     let mut t = Table::new(
@@ -50,7 +50,7 @@ fn run(cc_name: &str, use_prioplus: bool) -> Table {
         let (lo, hi) = (w as f64 * 1000.0, w as f64 * 1000.0 + 1000.0);
         let mut cells = vec![Cell::from(w)];
         for p in [3u8, 4, 5, 6] {
-            cells.push(goodput_gbps(&res, &ids_at(&flows, p), lo, hi).into());
+            cells.push(goodput_gbps(&goodput, &ids_at(&flows, p), lo, hi).into());
         }
         t.row(cells);
     }

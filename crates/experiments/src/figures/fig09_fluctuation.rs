@@ -7,9 +7,13 @@
 //! keeps the observed delay near D_target = 37 µs (priority 6); Swift's
 //! delay repeatedly overshoots the same target.
 
-use crate::micro::{prioplus_swift, testbed_env, Micro};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use crate::micro::{prioplus_swift, testbed_env, DelayLog, Micro};
 use crate::{Scale, Table};
 use prioplus::PrioPlusConfig;
+use simcore::stats::TimeSeries;
 use simcore::Time;
 use transport::plain::CcTransport;
 use transport::sender::SenderBase;
@@ -23,14 +27,15 @@ const W_AI: f64 = 750.0;
 fn run(prioplus: bool) -> (Table, f64, f64) {
     let mut env = testbed_env();
     env.end = Time::from_ms(30);
-    env.trace = true;
     let mut m = Micro::build(&env);
+    // Observed delay of flow 0 over time.
+    let log = Rc::new(RefCell::new(TimeSeries::new()));
     for s in 1..=4 {
         m.add_flow_with(s, 200_000_000, Time::ZERO, 0, 6, |params| {
             // Swift target = 37us absolute (base ~13us + 24us), the paper's
             // priority-6 channel on the testbed.
             let d_target = Time::from_us_f64(D_TARGET_US);
-            if prioplus {
+            let transport = if prioplus {
                 let pp_cfg = PrioPlusConfig {
                     d_target,
                     d_limit: Time::from_us_f64(D_LIMIT_US),
@@ -57,12 +62,20 @@ fn run(prioplus: bool) -> (Table, f64, f64) {
                     SenderBase::new(params.clone()),
                     SwiftCc::new(scfg),
                 ))
+            };
+            if s == 1 {
+                let log = log.clone();
+                Box::new(DelayLog {
+                    inner: transport,
+                    log,
+                })
+            } else {
+                transport
             }
         });
     }
-    let res = m.sim.run();
-    // Observed delay of flow 0 over time.
-    let delay = &res.traces[&0].delay;
+    m.sim.run();
+    let delay = &log.take();
     let samples = |lo: f64, hi: f64| {
         let in_window = delay
             .t_us

@@ -22,7 +22,6 @@ pub(crate) fn fig10a(scale: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8 * per_prio,
         end: Time::from_ms(85),
-        trace: true,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });
@@ -44,7 +43,7 @@ pub(crate) fn fig10a(scale: Scale, _: usize) -> Vec<Table> {
             flows.push((p, id));
         }
     }
-    let res = m.sim.run();
+    let goodput = m.run().goodput;
     let mut t = Table::new(
         "fig10a",
         format!("Figure 10a: 8 virtual priorities x {per_prio} flows, 5 ms staggered"),
@@ -54,7 +53,7 @@ pub(crate) fn fig10a(scale: Scale, _: usize) -> Vec<Table> {
         let (lo, hi) = (w as f64 * 1000.0, (w + 2) as f64 * 1000.0);
         let mut cells = vec![Cell::from(w)];
         for p in 0..8u8 {
-            let g = goodput_gbps(&res, &ids_at(&flows, p), lo, hi);
+            let g = goodput_gbps(&goodput, &ids_at(&flows, p), lo, hi);
             cells.push(Cell::num(g, 0, ""));
         }
         t.row(cells);
@@ -72,7 +71,6 @@ pub(crate) fn fig10b(scale: Scale, _: usize) -> Vec<Table> {
     let mut m = Micro::build(&MicroEnv {
         senders: n,
         end: Time::from_ms(10),
-        trace: false,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });
@@ -85,7 +83,7 @@ pub(crate) fn fig10b(scale: Scale, _: usize) -> Vec<Table> {
         // Priority 4: D_target = 32us (20us + 12us base), D_limit = 34.4us.
         m.add_flow(s, 5_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     let q = &series[0];
     let tput = &series[1];
     let mut t = Table::new(
@@ -125,7 +123,6 @@ pub(crate) fn fig10c(_: Scale, _: usize) -> Vec<Table> {
         let mut m = Micro::build(&MicroEnv {
             senders: 20,
             end: Time::from_ms(4),
-            trace: true,
             noise: NoiseModel::testbed(),
             ..Default::default()
         });
@@ -147,7 +144,7 @@ pub(crate) fn fig10c(_: Scale, _: usize) -> Vec<Table> {
         for s in 11..=20 {
             mk(&mut m, s, 6, Time::from_ms(1));
         }
-        let (_, series) = m.run();
+        let series = m.run().series;
         let q = &series[0];
         let mut t = Table::new(
             if dual { "fig10c_dual" } else { "fig10c_every" },
@@ -230,7 +227,6 @@ fn run_noise_case(noise_scale: f64, width_mul: f64) -> f64 {
     let mut m = Micro::build(&MicroEnv {
         senders: 5,
         end: Time::from_ms(8),
-        trace: false,
         noise: NoiseModel::Fitted { scale: noise_scale },
         ..Default::default()
     });
@@ -244,7 +240,7 @@ fn run_noise_case(noise_scale: f64, width_mul: f64) -> f64 {
     for s in 1..=5 {
         m.add_flow(s, 100_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     let tput = &series[0];
     tput.window_mean(2_000.0, 8_000.0).unwrap_or(0.0) / 100.0
 }

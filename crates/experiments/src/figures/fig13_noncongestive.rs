@@ -27,7 +27,6 @@ fn run_flows(range: u64, tol_us: Option<u64>, seed: u64) -> Vec<f64> {
     env.switch.nc_delay = (range != 0).then(|| NoiseModel::Uniform {
         range_ps: Time::from_us(range).as_ps(),
     });
-    env.trace = false;
     env.end = Time::from_ms(40);
     env.seed = seed;
     env.num_prios = if tol_us.is_none() { 7 } else { 1 };

@@ -65,7 +65,6 @@ fn staircase() -> Vec<(&'static str, Sim)> {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
-        trace: false,
         noise: NoiseModel::testbed(),
         seed: 3,
         ..Default::default()
@@ -88,7 +87,6 @@ fn staircase() -> Vec<(&'static str, Sim)> {
 fn nc_delay() -> Vec<(&'static str, Sim)> {
     let mut env = testbed_env();
     env.end = Time::from_ms(8);
-    env.trace = false;
     env.seed = 5;
     env.switch.nc_delay = Some(NoiseModel::Uniform {
         range_ps: Time::from_us(10).as_ps(),
@@ -120,7 +118,6 @@ pub fn lossy_incast_with(buffer_bytes: u64) -> Sim {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(10),
-        trace: false,
         seed: 9,
         switch: SwitchConfig {
             pfc_enabled: false,
@@ -184,7 +181,6 @@ fn cc_matrix() -> Vec<(&'static str, Sim)> {
             let mut m = Micro::build(&MicroEnv {
                 senders: 8,
                 end: Time::from_ms(10),
-                trace: false,
                 seed: 13,
                 switch: SwitchConfig {
                     pfc_enabled: false,

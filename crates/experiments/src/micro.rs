@@ -8,13 +8,24 @@
 //! App. D) are read by probes that [`Micro::run`] takes between
 //! [`Sim::run_until`] steps. A probe at instant `t` reads the port after
 //! every event strictly before `t` and before any event at `t`.
+//!
+//! Each flow's goodput over time (Fig 3, 8, 10a, App. B) is metered on the
+//! same steps: [`Micro::run`] reads every flow's cumulative
+//! [`netsim::FlowRecord::delivered`] at each multiple of [`GOODPUT_BUCKET`]
+//! below the end of the run and once after it, and credits the bytes a
+//! flow gained between two readings to the bucket that starts at the
+//! first. A delivery at `t` thus lands in bucket `t / GOODPUT_BUCKET`,
+//! where [`ThroughputMeter::record`] would put it.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use netsim::{
-    FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SimResult, SwitchConfig,
-    Topology, Transport,
+    AckEvent, FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SimResult,
+    SwitchConfig, Topology, Transport, TransportCtx, TrySend,
 };
 use prioplus::PrioPlusConfig;
-use simcore::stats::TimeSeries;
+use simcore::stats::{ThroughputMeter, TimeSeries};
 use simcore::{Rate, Time};
 use transport::pp_transport::PrioPlusTransport;
 use transport::sender::SenderBase;
@@ -38,8 +49,6 @@ pub struct MicroEnv {
     pub seed: u64,
     /// Measurement-noise model.
     pub noise: NoiseModel,
-    /// Enable per-flow traces (throughput/delay/cwnd).
-    pub trace: bool,
     /// Switch overrides.
     pub switch: SwitchConfig,
     /// Deterministic fault schedule (link flaps, degradation, PFC pause
@@ -57,12 +66,14 @@ impl Default for MicroEnv {
             end: Time::from_ms(10),
             seed: 1,
             noise: NoiseModel::None,
-            trace: true,
             switch: SwitchConfig::default(),
             faults: None,
         }
     }
 }
+
+/// Bucket of each flow's goodput meter ([`MicroRun::goodput`]).
+pub const GOODPUT_BUCKET: Time = Time::from_us(20);
 
 /// A built micro-benchmark simulation plus the ids needed to add flows, and
 /// the probes [`Micro::run`] samples the bottleneck with.
@@ -91,6 +102,55 @@ struct Probe {
     series: TimeSeries,
 }
 
+/// Each flow's goodput meter, fed from its cumulative `delivered` read at
+/// every bucket boundary.
+struct Goodput {
+    /// Start of the bucket the bytes since the last reading go to.
+    from: Time,
+    /// Each flow's `delivered` at the last reading.
+    last: Vec<u64>,
+    meters: Vec<ThroughputMeter>,
+}
+
+impl Goodput {
+    fn new(flows: usize) -> Self {
+        Goodput {
+            from: Time::ZERO,
+            last: vec![0; flows],
+            meters: vec![ThroughputMeter::new(GOODPUT_BUCKET); flows],
+        }
+    }
+
+    /// The next bucket boundary.
+    fn next(&self) -> Time {
+        self.from + GOODPUT_BUCKET
+    }
+
+    /// Credit what each flow delivered since the last reading to the
+    /// current bucket, then move on to the next one.
+    fn read(&mut self, delivered: impl Iterator<Item = u64>) {
+        let flows = self.meters.iter_mut().zip(&mut self.last);
+        for ((meter, last), now) in flows.zip(delivered) {
+            if now > *last {
+                meter.record(self.from, now - *last);
+                *last = now;
+            }
+        }
+        self.from = self.next();
+    }
+}
+
+/// What [`Micro::run`] returns.
+pub struct MicroRun {
+    /// The simulation's result.
+    pub res: SimResult,
+    /// The probes' series, in registration order.
+    pub series: Vec<TimeSeries>,
+    /// The receiver goodput of each flow registered before the run, indexed
+    /// by flow id, in [`GOODPUT_BUCKET`]s.
+    pub goodput: Vec<ThroughputMeter>,
+}
+
 impl Micro {
     /// Build the environment.
     pub fn build(env: &MicroEnv) -> Micro {
@@ -101,7 +161,6 @@ impl Micro {
             end_time: env.end,
             seed: env.seed,
             meas_noise: env.noise,
-            trace_flows: env.trace,
             faults: env.faults.clone(),
             ..Default::default()
         };
@@ -185,31 +244,49 @@ impl Micro {
     }
 
     /// Run to completion. Every probe samples at each multiple of its period
-    /// strictly below the end of the run; the series come back in
-    /// registration order.
+    /// strictly below the end of the run, and every flow registered so far
+    /// is metered (see the module doc).
     ///
     /// # Panics
-    /// Panics if the clock of `sim` (stepped by hand) has already reached a
-    /// probe's first sample instant: that sample would read later state.
-    pub fn run(mut self) -> (SimResult, Vec<TimeSeries>) {
-        let series = self.sample();
-        (self.sim.run(), series)
+    /// Panics if the clock of `sim` (stepped by hand) has already reached
+    /// the first sample or meter reading: that reading would see later
+    /// state.
+    pub fn run(mut self) -> MicroRun {
+        let mut goodput = Goodput::new(self.sim.flows_registered() as usize);
+        let series = self.sample(&mut goodput);
+        let res = self.sim.run();
+        goodput.read(res.records.iter().map(|r| r.delivered));
+        MicroRun {
+            res,
+            series,
+            goodput: goodput.meters,
+        }
     }
 
-    /// Step the run to every sample instant before its end and take the
-    /// probes due there; the series, in registration order.
-    fn sample(&mut self) -> Vec<TimeSeries> {
-        let due = |probes: &[Probe]| probes.iter().map(|p| p.next).min();
-        if let Some(first) = due(&self.probes) {
-            let now = self.sim.now();
-            assert!(
-                now < first,
-                "Micro::run: the clock is at {now}, not before the first sample at {first}"
-            );
-        }
+    /// Step the run to every sample instant and bucket boundary before its
+    /// end, taking the probes and meter readings due there; the probes'
+    /// series, in registration order.
+    fn sample(&mut self, goodput: &mut Goodput) -> Vec<TimeSeries> {
+        let due = |probes: &[Probe], goodput: &Goodput| {
+            let probes = probes.iter().map(|p| p.next);
+            probes.fold(goodput.next(), Time::min)
+        };
+        let (now, first) = (self.sim.now(), due(&self.probes, goodput));
+        assert!(
+            now < first,
+            "Micro::run: the clock is at {now}, not before the first sample at {first}"
+        );
         let end = self.sim.config().end_time;
-        while let Some(t) = due(&self.probes).filter(|&t| t < end) {
+        loop {
+            let t = due(&self.probes, goodput);
+            if t >= end {
+                break;
+            }
             self.sim.run_until(t);
+            if goodput.next() == t {
+                let flows = 0..goodput.meters.len() as u32;
+                goodput.read(flows.map(|f| self.sim.record(f).delivered));
+            }
             let port = self.sim.port(self.switch, self.bottleneck_port);
             for p in self.probes.iter_mut().filter(|p| p.next == t) {
                 let value = if p.throughput {
@@ -240,13 +317,12 @@ pub fn testbed_env() -> MicroEnv {
 }
 
 /// Total goodput (Gbps) of `flows` over `[from_us, to_us)`, from their
-/// throughput traces (the run must have `trace` on).
-pub fn goodput_gbps(res: &SimResult, flows: &[u32], from_us: f64, to_us: f64) -> f64 {
+/// meters in `goodput` ([`MicroRun::goodput`]).
+pub fn goodput_gbps(goodput: &[ThroughputMeter], flows: &[u32], from_us: f64, to_us: f64) -> f64 {
     flows
         .iter()
-        .map(|f| {
-            res.traces[f]
-                .throughput
+        .map(|&f| {
+            goodput[f as usize]
                 .series_gbps()
                 .window_mean(from_us, to_us)
                 .unwrap_or(0.0)
@@ -307,6 +383,47 @@ pub fn prioplus_swift(
         pp_cfg,
         SwiftCc::new(scfg),
     ))
+}
+
+/// A transport that logs the delay each ACK or probe echo it takes
+/// measured, as `(arrival time, delay in µs)`, into a series its caller
+/// shares, then hands the ACK to `inner` (Fig 9 plots one flow's).
+pub struct DelayLog {
+    /// The transport that does the work.
+    pub inner: Box<dyn Transport>,
+    /// Where the points go.
+    pub log: Rc<RefCell<TimeSeries>>,
+}
+
+impl Transport for DelayLog {
+    fn on_start(&mut self, ctx: &mut TransportCtx<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut TransportCtx<'_>) {
+        self.log.borrow_mut().push(ctx.now, ack.delay.as_us_f64());
+        self.inner.on_ack(ack, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx<'_>) {
+        self.inner.on_timer(token, ctx);
+    }
+    fn try_send(&mut self, now: Time) -> TrySend {
+        self.inner.try_send(now)
+    }
+    fn on_sent(&mut self, sent: TrySend, ctx: &mut TransportCtx<'_>) {
+        self.inner.on_sent(sent, ctx);
+    }
+    fn is_finished(&self) -> bool {
+        self.inner.is_finished()
+    }
+    fn cwnd_bytes(&self) -> f64 {
+        self.inner.cwnd_bytes()
+    }
+    fn retransmits(&self) -> u64 {
+        self.inner.retransmits()
+    }
+    fn check_invariants(&self) -> Result<(), String> {
+        self.inner.check_invariants()
+    }
 }
 
 #[cfg(test)]
@@ -373,13 +490,13 @@ mod tests {
         (m.sim.state_digest(), m.sim.run())
     }
 
-    /// Probing changes nothing the run does: the same records, counters
-    /// and final state as the run without probes.
+    /// Probing and metering change nothing the run does: the same records,
+    /// counters and final state as the run without them.
     #[test]
     fn sampling_is_observation_only() {
         let (plain_digest, plain) = finish(incast());
         let mut probed = with_both_probes(incast());
-        let series = probed.sample();
+        let series = probed.sample(&mut Goodput::new(4));
         assert_eq!(series[0].len(), 59, "one sample per 5 µs below 300 µs");
         let (digest, res) = finish(probed);
         assert_eq!(digest, plain_digest, "probing moved the state digest");
@@ -394,7 +511,7 @@ mod tests {
     /// every event before `t`, before the dequeues [`ALIGNED`] puts at `t`.
     #[test]
     fn a_probe_reads_the_port_before_the_events_at_its_instant() {
-        let (_, series) = with_both_probes(incast()).run();
+        let series = with_both_probes(incast()).run().series;
         let mut by_hand = incast();
         let period = Time::from_us(5);
         let mut last_tx = 0;
@@ -418,7 +535,7 @@ mod tests {
     /// exactly 50 packets of 1048 bytes: line rate, 83.84 Gbit/s.
     #[test]
     fn throughput_matches_hand_computed_line_rate() {
-        let (_, series) = with_both_probes(incast()).run();
+        let series = with_both_probes(incast()).run().series;
         // The port starts sending at 3.1 µs: 19 packets by 5 µs.
         assert!((series[1].v[0] - 19.0 * 1048.0 * 8.0 / 5e3).abs() < 1e-9);
         for (t, gbps) in series[1].t_us.iter().zip(&series[1].v).skip(1) {
@@ -431,13 +548,48 @@ mod tests {
     #[test]
     fn throughput_deltas_sum_to_the_cumulative_counter() {
         let mut m = with_both_probes(incast());
-        let series = m.sample();
+        let series = m.sample(&mut Goodput::new(4));
         let sent_bits = series[1].v.iter().sum::<f64>() * 1e9 * 5e-6;
         let tx_bytes = m.sim.port(m.switch, m.bottleneck_port).tx_bytes;
         assert!(
             (sent_bits - tx_bytes as f64 * 8.0).abs() < 1e-3,
             "{sent_bits}"
         );
+    }
+
+    /// The bucket rule: a delivery at exactly `k · GOODPUT_BUCKET` lands in
+    /// bucket `k`, where [`ThroughputMeter::record`] puts it. The reference
+    /// steps the run by hand to every multiple of 100 ns and to 1 ps past
+    /// each boundary, and records what each step delivered at the step's
+    /// start: every delivery it covers falls in that start's bucket. At
+    /// [`ALIGNED`] the receiver takes packets exactly at the boundaries.
+    #[test]
+    fn a_delivery_on_a_bucket_boundary_lands_in_the_bucket_it_starts() {
+        let run = incast().run();
+        let mut by_hand = incast();
+        let mut reference = vec![ThroughputMeter::new(GOODPUT_BUCKET); 4];
+        let mut last = [0u64; 4];
+        let (mut from, mut on_boundary) = (Time::ZERO, 0);
+        let boundary = |t: Time| t.as_ps().is_multiple_of(GOODPUT_BUCKET.as_ps());
+        let steps = (1..3_000).map(|k| Time::from_ns(100 * k));
+        let steps = steps.flat_map(|t| [Some(t), boundary(t).then(|| t + Time::from_ps(1))]);
+        for to in steps.flatten().chain([Time::from_us(300)]) {
+            by_hand.sim.run_until(to);
+            for (f, (meter, last)) in reference.iter_mut().zip(&mut last).enumerate() {
+                let now = by_hand.sim.record(f as u32).delivered;
+                if now > *last {
+                    meter.record(from, now - *last);
+                    on_boundary += (to - from == Time::from_ps(1)) as usize;
+                    *last = now;
+                }
+            }
+            from = to;
+        }
+        assert!(on_boundary > 0, "no delivery on a bucket boundary");
+        assert_eq!(format!("{:?}", run.goodput), format!("{reference:?}"));
+        let records = run.res.records.iter();
+        let delivered = records.map(|r| r.delivered).collect::<Vec<_>>();
+        assert_eq!(delivered, last, "the reference saw every byte");
     }
 
     /// It would step the same instant forever.
@@ -454,6 +606,16 @@ mod tests {
     fn run_past_the_first_sample_instant_is_refused() {
         let mut m = with_both_probes(incast());
         m.sim.run_until(Time::from_us(20));
+        m.run();
+    }
+
+    /// The first meter reading, at `GOODPUT_BUCKET`, is due even without
+    /// probes; `sim` stepped past it holds later state than it should read.
+    #[test]
+    #[should_panic(expected = "Micro::run: the clock is at")]
+    fn run_past_the_first_meter_reading_is_refused() {
+        let mut m = incast();
+        m.sim.run_until(Time::from_us(21));
         m.run();
     }
 }

@@ -138,10 +138,6 @@ pub struct SimConfig {
     pub end_time: Time,
     /// Master seed.
     pub seed: u64,
-    /// Record per-flow delay/cwnd traces and 20 µs goodput meters
-    /// ([`crate::record::FlowTrace`]; costly, used by the micro-benchmark
-    /// figures).
-    pub trace_flows: bool,
     /// Selects nothing: the event queue has one backend.
     #[doc(hidden)]
     pub sched: SchedKind,
@@ -167,7 +163,6 @@ impl Default for SimConfig {
             meas_noise: NoiseModel::None,
             end_time: Time::from_ms(100),
             seed: 1,
-            trace_flows: false,
             sched: SchedKind::default(),
             faults: None,
             streaming_stats: false,

@@ -93,9 +93,8 @@ impl State {
             let fl = self.live.get_mut(live);
             // Without PFC the fabric drops, and the receiver NACKs gaps.
             let lossy = !run.env.switch_cfg.pfc_enabled;
-            let (new_bytes, nack) = fl.recv.on_data(data.seq, data.payload as u64, lossy);
+            let nack = fl.recv.on_data(data.seq, data.payload as u64, lossy);
             flow.record.delivered = fl.recv.delivered;
-            run.obs.on_goodput(fid, now, new_bytes);
             if !fl.recv.done && fl.recv.cum >= flow.record.size {
                 fl.recv.done = true;
                 flow.record.finish = Some(now);
@@ -180,9 +179,7 @@ impl State {
         if let Some(boxed) = ack.int {
             self.arena.recycle_int(boxed);
         }
-        let transport = &*self.live.get(live).transport;
-        run.obs.on_ack(fid, now, delay, transport);
-        if transport.is_finished() {
+        if self.live.get(live).transport.is_finished() {
             let f = &mut self.flows[fid as usize];
             f.active = false;
             let (src, prio) = (f.record.src, f.record.phys_prio);

@@ -403,11 +403,21 @@ impl Switch {
         let nq = self.nq;
         let q = queue_index(pkt.prio, nq);
         let size = pkt.size as u64;
-        debug_assert!(self.total_buffered >= size);
+        // Checked in release too: a wrapped counter would go on admitting
+        // and pausing against exabytes instead of stopping the run.
+        assert!(
+            self.total_buffered >= size,
+            "switch total_buffered {} B < dequeued packet of {size} B",
+            self.total_buffered
+        );
         self.total_buffered -= size;
         let in_port = pkt.cur_in_port as usize;
         let slot = in_port * nq + q;
-        debug_assert!(self.ingress_bytes[slot] >= size);
+        assert!(
+            self.ingress_bytes[slot] >= size,
+            "switch ingress_bytes[{slot}] {} B < dequeued packet of {size} B",
+            self.ingress_bytes[slot]
+        );
         self.ingress_bytes[slot] -= size;
 
         if self.ingress_paused[in_port] & (1 << q) != 0 {

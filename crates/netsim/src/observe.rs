@@ -1,29 +1,22 @@
 //! What watches a run without steering it: the invariant audit, the
-//! streaming FCT sketches, the completions waiting for an
-//! [`crate::sim::App`] and the per-flow traces, in one [`Observers`] value
-//! beside the [`State`].
+//! streaming FCT sketches and the completions waiting for an
+//! [`crate::sim::App`], in one [`Observers`] value beside the [`State`].
 //!
 //! The event handlers report to it through one hook per kind of thing that
 //! happens (`on_event`, `on_flow_touched`, `on_data_injected`, …). A hook is
 //! an `#[inline]` branch per member, and a member that is off is `None`, so
-//! a run without the audit, the sketches or the traces pays one branch per
-//! hook.
+//! a run without the audit or the sketches pays one branch per hook.
 //! Nothing here changes what the simulation does: an observer reads the
 //! [`State`] it is handed and never writes it.
 
-use simcore::stats::ThroughputMeter;
 use simcore::Time;
 
 use crate::audit::{detect_pause_cycle, At, Audit, SwitchArrive, ViolationKind};
 use crate::config::SimConfig;
 use crate::event::Event;
 use crate::packet::{FlowId, NodeId, PktHeader};
-use crate::record::{FlowRecord, FlowTrace, StreamingStats};
+use crate::record::{FlowRecord, StreamingStats};
 use crate::state::{Env, State};
-use crate::transport_api::Transport;
-
-/// Bucket of a traced flow's goodput meter ([`FlowTrace::throughput`]).
-const TRACE_BUCKET: Time = Time::from_us(20);
 
 /// The run's observers. Each member is `None` while off.
 pub(crate) struct Observers {
@@ -40,61 +33,16 @@ pub(crate) struct Observers {
     /// the [`crate::sim::App`]. `None` unless an `App` is installed
     /// ([`crate::Sim::set_app`]): nothing else reads completions.
     pub(crate) completed: Option<Vec<FlowId>>,
-    /// Per-flow series ([`SimConfig::trace_flows`]), indexed by [`FlowId`]:
-    /// every flow is traced, so this is O(total flows) and hyperscale runs
-    /// leave it off.
-    pub(crate) traces: Option<Vec<FlowTrace>>,
 }
 
 impl Observers {
-    /// The observers a run of `cfg` starts with: the sketches and the
-    /// traces when it asks for them, the audit when the environment does,
-    /// no `App` buffer.
+    /// The observers a run of `cfg` starts with: the sketches when it asks
+    /// for them, the audit when the environment does, no `App` buffer.
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         Observers {
             audit: crate::audit::env_config().map(|cfg| Box::new(Audit::new(cfg))),
             streaming: cfg.streaming_stats.then(Box::default),
             completed: None,
-            traces: cfg.trace_flows.then(Vec::new),
-        }
-    }
-
-    /// A flow was registered; it takes the next [`FlowId`].
-    pub(crate) fn on_flow_added(&mut self) {
-        if let Some(t) = &mut self.traces {
-            t.push(FlowTrace {
-                throughput: ThroughputMeter::new(TRACE_BUCKET),
-                delay: Default::default(),
-                cwnd: Default::default(),
-            });
-        }
-    }
-
-    /// `flow`'s transport took an ACK or probe echo at `now` that measured
-    /// `delay`; `transport` is its state after the callback.
-    #[inline]
-    pub(crate) fn on_ack(
-        &mut self,
-        flow: FlowId,
-        now: Time,
-        delay: Time,
-        transport: &dyn Transport,
-    ) {
-        if let Some(t) = &mut self.traces {
-            let t = &mut t[flow as usize];
-            t.delay.push(now, delay.as_us_f64());
-            t.cwnd.push(now, transport.cwnd_bytes());
-        }
-    }
-
-    /// A data packet gave `flow`'s receiver `bytes` new bytes at `now`
-    /// (0 for a duplicate).
-    #[inline]
-    pub(crate) fn on_goodput(&mut self, flow: FlowId, now: Time, bytes: u64) {
-        if let Some(t) = &mut self.traces {
-            if bytes > 0 {
-                t[flow as usize].throughput.record(now, bytes);
-            }
         }
     }
 
@@ -193,16 +141,12 @@ impl Observers {
     }
 
     /// Fold what the observers hold that decides a run's outcome: the
-    /// traces (absent ones fold as none), the completions awaiting the
-    /// `App` (an absent buffer folds as an empty one) and the sketches.
-    /// Not the audit (see [`Self::audit`]).
+    /// completions awaiting the `App` (an absent buffer folds as an empty
+    /// one) and the sketches. Not the audit (see [`Self::audit`]).
     pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        let traces = self.traces.as_deref().unwrap_or_default();
-        fold(traces.len() as u64);
-        for (flow, t) in traces.iter().enumerate() {
-            fold(flow as u64);
-            t.fold_digest(fold);
-        }
+        // The slot of the removed per-flow traces' count: a constant 0 keeps
+        // every digest equal to that of builds which had them, untraced.
+        fold(0);
         let completed = self.completed.as_deref().unwrap_or_default();
         fold(completed.len() as u64);
         completed.iter().for_each(|&f| fold(f as u64));

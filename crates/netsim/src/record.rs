@@ -1,8 +1,6 @@
 //! Results of a simulation run.
 
-use std::collections::BTreeMap;
-
-use simcore::stats::{QuantileSketch, ThroughputMeter, TimeSeries};
+use simcore::stats::QuantileSketch;
 use simcore::{Rate, Time};
 
 use crate::packet::{FlowId, NodeId};
@@ -120,29 +118,6 @@ impl StreamingStats {
     }
 }
 
-/// Per-flow time-series traces (only populated when
-/// [`crate::SimConfig::trace_flows`] is on). The simulator records them,
-/// not the transport: one delay and one cwnd point per ACK or probe echo
-/// the transport took, one goodput sample per arrival that delivered new
-/// bytes.
-#[derive(Clone, Debug)]
-pub struct FlowTrace {
-    /// Receiver goodput meter, in 20 µs buckets.
-    pub throughput: ThroughputMeter,
-    /// Delay samples observed by the sender (µs).
-    pub delay: TimeSeries,
-    /// Congestion window over time (bytes), read after each ACK.
-    pub cwnd: TimeSeries,
-}
-
-impl FlowTrace {
-    pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        self.throughput.fold_digest(fold);
-        self.delay.fold_digest(fold);
-        self.cwnd.fold_digest(fold);
-    }
-}
-
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct SimResult {
@@ -150,9 +125,6 @@ pub struct SimResult {
     pub records: Vec<FlowRecord>,
     /// Aggregate counters.
     pub counters: SimCounters,
-    /// Per-flow traces (tracing mode). Ordered so that iterating traces is
-    /// deterministic (simlint rule `nondeterministic-map`).
-    pub traces: BTreeMap<FlowId, FlowTrace>,
     /// Time the simulation stopped.
     pub end_time: Time,
     /// Invariant-audit report; `Some` when the audit layer was enabled for

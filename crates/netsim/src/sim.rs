@@ -242,9 +242,9 @@ impl Sim {
     /// FNV-1a fingerprint of the simulator's complete deterministic state:
     /// scheduler queue, counters, RNG streams, packet arena, nodes and their
     /// ports (link fault state included), flow table and slab, then what
-    /// the observers hold that decides the outcome — the flow traces, the
-    /// completions awaiting an [`App`] and the streaming sketches. Not the
-    /// audit, so an audited and an unaudited run digest equally. Two
+    /// the observers hold that decides the outcome — the completions
+    /// awaiting an [`App`] and the streaming sketches. Not the audit, so an
+    /// audited and an unaudited run digest equally. Two
     /// simulators in the same configuration with equal digests dispatch
     /// identically from here on, wherever their queues keep an entry; the
     /// digest-completeness fleet pins that every [`StateTamper`] class
@@ -380,7 +380,6 @@ impl Sim {
             base_rtt: params.base_rtt,
             line_rate: params.line_rate,
         };
-        self.obs.on_flow_added();
         let st = &mut self.state;
         st.queue.schedule(spec.start, Event::FlowStart { flow: id });
         let live = st.live.alloc(FlowLive {
@@ -554,7 +553,6 @@ impl Sim {
         SimResult {
             records,
             counters,
-            traces: (0..).zip(self.obs.traces.unwrap_or_default()).collect(),
             end_time,
             audit: self.obs.audit.map(|a| a.into_report()),
             streaming: self.obs.streaming,

@@ -5,8 +5,8 @@
 //!
 //! [`State::fold_digest`] folds the whole state into the fingerprint
 //! behind [`crate::Sim::state_digest`] (which then folds the observers'
-//! share: the flow traces, the completions awaiting an `App` and the FCT
-//! sketches). The digest's completeness fleet ([`StateTamper`],
+//! share: the completions awaiting an `App` and the FCT sketches). The
+//! digest's completeness fleet ([`StateTamper`],
 //! [`crate::Sim::snap_mutate`]) sits with it. The flow types sit here too,
 //! each with its own digest next to its fields. The event loop and the
 //! handlers are `impl State` blocks above: `sim.rs`, `fabric.rs`, `host.rs`.
@@ -72,12 +72,13 @@ pub(crate) struct RecvState {
 }
 
 impl RecvState {
-    /// Take in the segment `[seq, seq + len)` (never empty). Returns the
-    /// bytes it newly delivered and whether the receiver NACKs (lossy mode,
-    /// once per in-order point). A NACK always names `[cum, seq)` with
-    /// `cum` as this call leaves it — it fires only on an arrival past a
-    /// gap, which never moves `cum` — so the ACK carries it as one bit.
-    pub(crate) fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> (u64, bool) {
+    /// Take in the segment `[seq, seq + len)` (never empty), adding the
+    /// bytes it newly delivers to `delivered`. Returns whether the receiver
+    /// NACKs (lossy mode, once per in-order point). A NACK always names
+    /// `[cum, seq)` with `cum` as this call leaves it — it fires only on an
+    /// arrival past a gap, which never moves `cum` — so the ACK carries it
+    /// as one bit.
+    pub(crate) fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> bool {
         // `ooo[..at]` are the stored ranges that start at or before `seq`.
         let at = self.ooo.partition_point(|&(s, _)| s <= seq);
         let dup = seq < self.cum || self.ooo[..at].last().is_some_and(|&(_, e)| e > seq);
@@ -103,7 +104,7 @@ impl RecvState {
         if nack {
             self.nack_for_cum = self.cum;
         }
-        (new_bytes, nack)
+        nack
     }
 
     fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
@@ -425,7 +426,7 @@ mod tests {
     }
 
     impl TreeRecv {
-        fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> (u64, bool) {
+        fn on_data(&mut self, seq: u64, len: u64, lossy: bool) -> bool {
             let mut new_bytes = 0;
             let dup = seq < self.cum
                 || self
@@ -455,7 +456,7 @@ mod tests {
             if nack {
                 self.nack_for_cum = self.cum;
             }
-            (new_bytes, nack)
+            nack
         }
     }
 
@@ -496,12 +497,11 @@ mod tests {
             for k in arrivals {
                 let seq = k as u64 * MSS;
                 let cum_before = r.cum;
-                let (new_bytes, nack) = r.on_data(seq, MSS, lossy);
+                let nack = r.on_data(seq, MSS, lossy);
                 let fresh = !std::mem::replace(&mut got[k], true);
                 let cum = got.iter().position(|g| !g).unwrap_or(SEGS) as u64 * MSS;
                 delivered += if fresh { MSS } else { 0 };
-                prop_assert_eq!(new_bytes, if fresh { MSS } else { 0 }, "segment {}", k);
-                prop_assert_eq!((r.cum, r.delivered), (cum, delivered));
+                prop_assert_eq!((r.cum, r.delivered), (cum, delivered), "segment {}", k);
                 let expected = (lossy && seq > cum && cum != nacked).then_some((cum, seq));
                 prop_assert_eq!(nack.then_some((r.cum, seq)), expected, "segment {}", k);
                 if nack {

@@ -101,9 +101,7 @@ pub enum TrySend {
 }
 
 /// Context passed into every transport callback: the clock and the flow's
-/// timers, without exposing the whole simulator. What a transport measured
-/// and its window are traced by the simulator ([`crate::record::FlowTrace`]),
-/// not through here.
+/// timers, without exposing the whole simulator.
 pub struct TransportCtx<'a> {
     /// Current simulated time.
     pub now: Time,
@@ -165,8 +163,8 @@ pub trait Transport {
     /// True when every payload byte has been acknowledged.
     fn is_finished(&self) -> bool;
 
-    /// Current congestion window in bytes (diagnostics; the simulator
-    /// traces it after every [`Self::on_ack`]).
+    /// Current congestion window in bytes (diagnostics; the simulator's
+    /// state digest folds it for every live flow).
     fn cwnd_bytes(&self) -> f64;
 
     /// Number of data packets this transport retransmitted (lossy mode).

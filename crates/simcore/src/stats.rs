@@ -392,14 +392,6 @@ impl TimeSeries {
             .map(|(_, v)| *v)
             .reduce(f64::max)
     }
-
-    /// Fold the series into a state digest: its length and its last point.
-    /// A series only ever grows by appending, so that names how far it got.
-    pub fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        fold(self.v.len() as u64);
-        fold(self.t_us.last().map_or(0, |t| t.to_bits()));
-        fold(self.v.last().map_or(0, |v| v.to_bits()));
-    }
 }
 
 /// Counts bytes observed over time to derive achieved throughput, bucketed
@@ -444,13 +436,6 @@ impl ThroughputMeter {
     /// Total bytes recorded.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
-    }
-
-    /// Fold the meter into a state digest: bucket width and every bucket.
-    pub fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        fold(self.bucket.as_ps());
-        fold(self.bytes.len() as u64);
-        self.bytes.iter().for_each(|&b| fold(b));
     }
 }
 

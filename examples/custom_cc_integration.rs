@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example custom_cc_integration`
 
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use netsim::{FlowSpec, Transport};
 use prioplus::{DelayCc, PrioPlusConfig};
 use simcore::Time;
@@ -72,7 +72,6 @@ fn main() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(6),
-        trace: true,
         ..Default::default()
     });
 
@@ -101,7 +100,7 @@ fn main() {
 
     let lo = add(&mut m, 1, 40_000_000, Time::ZERO, 0);
     let hi = add(&mut m, 2, 20_000_000, Time::from_ms(1), 1);
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
 
     println!("custom CC + PrioPlus:");
     for (name, id) in [("low ", lo), ("high", hi)] {
@@ -113,10 +112,9 @@ fn main() {
                 .unwrap_or("unfinished".into())
         );
     }
-    let tput = res.traces[&lo].throughput.series_gbps();
     println!(
         "  low-priority goodput during contention (1.3-2.5ms): {:.1} Gbps",
-        tput.window_mean(1300.0, 2500.0).unwrap_or(0.0)
+        goodput_gbps(&goodput, &[lo], 1300.0, 2500.0)
     );
     println!("  (strict yielding with a CC PrioPlus has never seen before)");
 }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use netsim::NoiseModel;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -16,7 +16,6 @@ fn main() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(6),
-        trace: true,
         noise: NoiseModel::testbed(), // the paper's measured NIC noise
         ..Default::default()
     });
@@ -35,7 +34,8 @@ fn main() {
     );
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
 
-    let res = m.sim.run();
+    // `Micro::run` also meters each flow's goodput in 20 µs buckets.
+    let MicroRun { res, goodput, .. } = m.run();
 
     println!("flow   prio  start     fct        delivered");
     for (name, id) in [("low", lo), ("high", hi)] {
@@ -52,17 +52,13 @@ fn main() {
     }
 
     // Show the low-priority flow's goodput around the contention window.
-    let tput = res.traces[&lo].throughput.series_gbps();
     println!("\nlow-priority goodput (Gbps):");
     for (label, from, to) in [
         ("before high-prio (0.3-0.9ms)", 300.0, 900.0),
         ("during high-prio (1.3-2.5ms)", 1300.0, 2500.0),
         ("after  high-prio (3.5-4.5ms)", 3500.0, 4500.0),
     ] {
-        println!(
-            "  {label}: {:.1}",
-            tput.window_mean(from, to).unwrap_or(0.0)
-        );
+        println!("  {label}: {:.1}", goodput_gbps(&goodput, &[lo], from, to));
     }
     println!(
         "\nprobes sent while yielding: {} (42 Mbps-class overhead, §4.2.1)",

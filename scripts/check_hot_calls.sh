@@ -21,9 +21,7 @@
 # on_flow_done, on_switch_arrive, on_link_drop, completions_pending,
 # on_event_end}` in crates/netsim/src/observe.rs, plus `on_data_injected`
 # and `on_pfc_frame`, reached through `host_poke` (host.rs) and
-# `emit_pfc` (fabric.rs), and the flow-trace hooks `on_ack` and
-# `on_goodput`, reached through `sender_ack` and `receiver_data` in
-# host.rs): each is one `Option` branch per member, and must
+# `emit_pfc` (fabric.rs)): each is one `Option` branch per member, and must
 # stay that branch inside the loop rather than become a call that makes
 # it.
 #
@@ -42,7 +40,7 @@ cd "$(dirname "$0")/.."
 BIN=${1:-target/release/repro}
 OUT=target/ci/advance_calls.txt
 DENY='(EventQueue<.*>::(pop|pop_before|serve|head|scan_head|settle_head)|Lane<.*>::pop)$'
-DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end|on_ack|on_goodput)$'
+DENY+='|Observers::(on_event|on_flow_touched|on_data_injected|on_data_delivered|on_flow_done|on_pfc_frame|on_link_drop|on_switch_arrive|completions_pending|on_event_end)$'
 
 if ! command -v objdump >/dev/null 2>&1 || ! command -v readelf >/dev/null 2>&1; then
   echo "check_hot_calls.sh: WARNING: objdump/readelf not installed, skipping" >&2

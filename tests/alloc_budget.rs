@@ -190,7 +190,6 @@ fn pfc_incast() -> Sim {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(5),
-        trace: false,
         switch: SwitchConfig {
             buffer_bytes: 1_000_000,
             pfc_lossless_prios: 1,

@@ -21,7 +21,6 @@ fn run_one(flows: &[(usize, u64, u64, u8)], senders: usize, lossy: bool, seed: u
     let mut env = MicroEnv {
         senders,
         end: Time::from_ms(20),
-        trace: false,
         noise: NoiseModel::testbed(),
         seed,
         ..Default::default()
@@ -89,7 +88,6 @@ fn hpcc_int_churn_reuses_slab_slots_and_int_boxes() {
     let mut env = MicroEnv {
         senders,
         end: Time::from_ms(8),
-        trace: false,
         noise: NoiseModel::testbed(),
         seed: 13,
         ..Default::default()

@@ -28,7 +28,6 @@ fn audited(
     let mut m = Micro::build(&MicroEnv {
         senders,
         end: Time::from_ms(10),
-        trace: false,
         switch,
         faults,
         ..Default::default()
@@ -151,7 +150,6 @@ fn audit_report_is_absent_when_not_enabled() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(5),
-        trace: false,
         ..Default::default()
     });
     assert!(!m.sim.audit_enabled());
@@ -173,7 +171,6 @@ fn audit_is_purely_observational() {
         let mut m = Micro::build(&MicroEnv {
             senders: 4,
             end: Time::from_ms(10),
-            trace: false,
             seed: 77,
             ..Default::default()
         });
@@ -303,7 +300,6 @@ fn staggered_incast(cc: &CcSpec) -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders: 6,
         end: Time::from_ms(3),
-        trace: false,
         noise: netsim::NoiseModel::testbed(),
         seed: 7,
         switch: SwitchConfig {

@@ -18,7 +18,6 @@ fn single_flow_completes_near_ideal() {
     let mut m = Micro::build(&MicroEnv {
         senders: 1,
         end: Time::from_ms(5),
-        trace: false,
         ..Default::default()
     });
     // 1.5 MB at 100 Gbps: serialization 120us + 12us RTT => ideal ~132us.
@@ -37,7 +36,6 @@ fn two_swift_flows_share_fairly() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(10),
-        trace: false,
         ..Default::default()
     });
     // Two long flows from different senders to the same receiver.
@@ -60,7 +58,6 @@ fn many_flows_all_complete() {
     let mut m = Micro::build(&MicroEnv {
         senders: 30,
         end: Time::from_ms(20),
-        trace: false,
         ..Default::default()
     });
     for s in 1..=30 {
@@ -79,7 +76,6 @@ fn simulation_is_deterministic() {
             senders: 5,
             end: Time::from_ms(5),
             noise: NoiseModel::testbed(),
-            trace: false,
             seed: 99,
             ..Default::default()
         });
@@ -100,14 +96,13 @@ fn swift_keeps_queue_near_target() {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(8),
-        trace: false,
         ..Default::default()
     });
     m.monitor_bottleneck_queue(Time::from_us(10));
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &swift());
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     // After convergence (2ms), the queue should hover near the 4us target
     // (50 KB at 100G) and stay well below 10x that.
     let mean = series[0].window_mean(2_000.0, 8_000.0).unwrap();
@@ -120,14 +115,13 @@ fn utilization_is_high_under_long_flows() {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(8),
-        trace: false,
         ..Default::default()
     });
     m.monitor_bottleneck_throughput(Time::from_us(100));
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &swift());
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     let mean = series[0].window_mean(2_000.0, 8_000.0).unwrap();
     assert!(mean > 90.0, "bottleneck throughput only {mean} Gbps");
 }

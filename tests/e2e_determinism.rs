@@ -1,15 +1,17 @@
 //! End-to-end determinism: the parallel sweep runner must produce results
 //! byte-identical to serial execution, regardless of worker count, and
-//! per-flow tracing must not change what a run does.
+//! the micro harness's goodput metering must not change what a run does.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use experiments::flowsched::{self, FlowSchedConfig, FlowSchedResult};
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{DelayLog, Micro, MicroEnv};
 use experiments::sweep::run_ordered;
 use experiments::Scheme;
-use netsim::{AckEvent, AckKind, NoiseModel, Transport, TransportCtx, TrySend};
+use netsim::sim::App;
+use netsim::{AckEvent, AckKind, FlowId, NoiseModel, Sim, Transport, TransportCtx, TrySend};
+use simcore::stats::TimeSeries;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
 
@@ -126,18 +128,29 @@ impl Transport for Counted {
     }
 }
 
-/// Tracing only observes: a staircase of PrioPlus flows (the first one
+/// Records the state digest at every flow completion.
+struct Digests(Rc<RefCell<Vec<u64>>>);
+
+impl App for Digests {
+    fn on_flow_complete(&mut self, _: FlowId, sim: &mut Sim) {
+        self.0.borrow_mut().push(sim.state_digest());
+    }
+}
+
+/// Metering only observes: a staircase of PrioPlus flows (the first one
 /// suspended and probing while the second runs), a plain Swift flow and
-/// a blind `NoCc` flow give the same records, counters and end time with
-/// `trace_flows` on and off, and a traced flow has exactly one delay and
-/// one cwnd point per ACK or probe echo its transport took.
+/// a blind `NoCc` flow give the same records, counters, end time and
+/// state digest at every completion under `Micro::run`, which steps the
+/// run to each 20 µs boundary to meter goodput, as under a plain
+/// `Sim::run`. Each flow's meter sums to what it delivered, and
+/// `DelayLog` logs exactly one point per ACK or probe echo its transport
+/// took.
 #[test]
-fn tracing_only_observes() {
-    let outcome = |trace: bool| {
+fn metering_only_observes() {
+    let outcome = |metered: bool| {
         let mut m = Micro::build(&MicroEnv {
             senders: 4,
             end: Time::from_ms(4),
-            trace,
             noise: NoiseModel::testbed(),
             seed: 5,
             ..Default::default()
@@ -155,42 +168,55 @@ fn tracing_only_observes() {
             (3, 1_000_000, Time::from_us(100), 0, swift),
             (4, 300_000, Time::from_us(1_500), 0, CcSpec::Blast),
         ];
-        let mut counts = Vec::new();
+        let (mut counts, mut logs) = (Vec::new(), Vec::new());
         for (sender, size, start, virt, cc) in flows {
             let (acks, probe_acks) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+            let log = Rc::new(RefCell::new(TimeSeries::new()));
             counts.push((acks.clone(), probe_acks.clone()));
+            logs.push(log.clone());
             m.add_flow_with(sender, size, start, 0, virt, |p| {
-                Box::new(Counted {
+                let counted = Counted {
                     inner: cc.make(p, start),
                     acks,
                     probe_acks,
+                };
+                Box::new(DelayLog {
+                    inner: Box::new(counted),
+                    log,
                 })
             });
         }
-        let res = m.sim.run();
+        let digests = Rc::new(RefCell::new(Vec::new()));
+        m.sim.set_app(Box::new(Digests(digests.clone())));
+        let (res, goodput) = if metered {
+            let run = m.run();
+            (run.res, run.goodput)
+        } else {
+            (m.sim.run(), Vec::new())
+        };
         let counts: Vec<(usize, usize)> = counts.iter().map(|(a, p)| (a.get(), p.get())).collect();
-        (res, counts)
+        let logged: Vec<usize> = logs.iter().map(|l| l.borrow().len()).collect();
+        (res, goodput, digests.take(), counts, logged)
     };
-    let (off, off_counts) = outcome(false);
-    let (on, on_counts) = outcome(true);
-    assert!(off.traces.is_empty());
-    assert_eq!(format!("{:?}", on.records), format!("{:?}", off.records));
-    assert_eq!(format!("{:?}", on.counters), format!("{:?}", off.counters));
-    assert_eq!(on.end_time, off.end_time);
-    assert_eq!(on_counts, off_counts);
-    assert!(on.records.iter().all(|r| r.finish.is_some()));
-    assert!(on_counts[0].1 > 0, "the suspended PrioPlus flow must probe");
-    assert_eq!(on.traces.len(), on_counts.len());
-    for (flow, &(acks, _)) in on_counts.iter().enumerate() {
-        let t = &on.traces[&(flow as u32)];
+    let (plain, none, plain_digests, plain_counts, plain_logged) = outcome(false);
+    let (res, goodput, digests, counts, logged) = outcome(true);
+    assert!(none.is_empty());
+    assert_eq!(format!("{:?}", res.records), format!("{:?}", plain.records));
+    assert_eq!(
+        format!("{:?}", res.counters),
+        format!("{:?}", plain.counters)
+    );
+    assert_eq!(res.end_time, plain.end_time);
+    assert_eq!(digests, plain_digests, "state digest at each completion");
+    assert_eq!(digests.len(), 4, "every flow completes");
+    assert_eq!((&counts, &logged), (&plain_counts, &plain_logged));
+    assert!(counts[0].1 > 0, "the suspended PrioPlus flow must probe");
+    assert_eq!(goodput.len(), counts.len());
+    for (flow, (&(acks, _), meter)) in counts.iter().zip(&goodput).enumerate() {
         assert!(acks > 0, "flow {flow} took no ACK");
-        assert_eq!(t.delay.len(), acks, "flow {flow}: delay points");
-        assert_eq!(t.cwnd.len(), acks, "flow {flow}: cwnd points");
-        assert_eq!(t.delay.t_us, t.cwnd.t_us, "flow {flow}: cwnd times");
-        let goodput = t.throughput.total_bytes();
-        assert_eq!(goodput, on.records[flow].size, "flow {flow}: goodput");
+        assert_eq!(logged[flow], acks, "flow {flow}: delay points");
+        let delivered = res.records[flow].delivered;
+        assert_eq!(meter.total_bytes(), delivered, "flow {flow}: goodput");
+        assert_eq!(delivered, res.records[flow].size, "flow {flow}: delivered");
     }
-    // `NoCc`'s window is a constant.
-    let blast = &on.traces[&3].cwnd.v;
-    assert!(blast.iter().all(|&w| w == blast[0]));
 }

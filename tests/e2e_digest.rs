@@ -25,7 +25,6 @@ fn incast() -> Micro {
     let mut m = Micro::build(&MicroEnv {
         senders: 6,
         end: Time::from_ms(3),
-        trace: false,
         noise: NoiseModel::testbed(),
         seed: 7,
         ..Default::default()
@@ -50,7 +49,6 @@ fn streaming_sim() -> Sim {
     let cfg = SimConfig {
         end_time: Time::from_ms(2),
         seed: 11,
-        trace_flows: false,
         streaming_stats: true,
         ..Default::default()
     };

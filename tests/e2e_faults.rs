@@ -129,7 +129,6 @@ fn incast(
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(10),
-        trace: false,
         faults: Some(faults),
         switch: SwitchConfig {
             buggify,
@@ -191,7 +190,6 @@ fn degrade_regime_is_bit_identical_and_slows_the_bottleneck() {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(10),
-        trace: false,
         ..Default::default()
     });
     m.sim.enable_audit_with(strict_audit());
@@ -335,7 +333,6 @@ fn ring_sim(faults: FaultSchedule) -> Sim {
         num_prios: 1,
         end_time: Time::from_ms(2),
         seed: 7,
-        trace_flows: false,
         faults: Some(faults),
         ..Default::default()
     };
@@ -431,7 +428,6 @@ fn deep_chain_int_path_spills_and_survives_a_mid_chain_flap() {
         num_prios: 1,
         end_time: Time::from_ms(20),
         seed: 11,
-        trace_flows: false,
         faults: Some(flap),
         ..Default::default()
     };

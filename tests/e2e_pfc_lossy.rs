@@ -1,6 +1,6 @@
 //! PFC (lossless) and lossy-mode end-to-end behavior.
 
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use netsim::{AckPriority, FlowSpec, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::{Rate, Time};
 use transport::CcSpec;
@@ -12,7 +12,6 @@ fn pfc_prevents_drops_under_blast_incast() {
     let mut m = Micro::build(&MicroEnv {
         senders: 12,
         end: Time::from_ms(20),
-        trace: false,
         switch: SwitchConfig {
             buffer_bytes: 2_000_000, // small relative to 12 blasting senders
             pfc_lossless_prios: 1,
@@ -61,7 +60,6 @@ fn lossy_mode_drops_and_recovers() {
     let mut m = Micro::build(&MicroEnv {
         senders: 12,
         end: Time::from_ms(40),
-        trace: false,
         switch: SwitchConfig {
             buffer_bytes: 500_000,
             pfc_enabled: false,
@@ -93,7 +91,6 @@ fn swift_rarely_drops_in_lossy_mode() {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(20),
-        trace: false,
         switch: SwitchConfig {
             buffer_bytes: 2_000_000,
             pfc_enabled: false,
@@ -128,7 +125,6 @@ fn physical_priorities_isolate() {
         senders: 2,
         end: Time::from_ms(8),
         num_prios: 2,
-        trace: true,
         ..Default::default()
     });
     let swift = CcSpec::Swift {
@@ -137,15 +133,13 @@ fn physical_priorities_isolate() {
     };
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &swift);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 1, 1, &swift);
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
     let hi_fct = res.records[hi as usize].fct().expect("hi done").as_us_f64();
     assert!(
         hi_fct < 2_600.0,
         "physical high priority too slow: {hi_fct}"
     );
-    let lo_trace = &res.traces[&lo];
-    let tput = lo_trace.throughput.series_gbps();
-    let during = tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
+    let during = goodput_gbps(&goodput, &[lo], 1_300.0, 2_500.0);
     assert!(
         during < 15.0,
         "low physical priority got {during} Gbps during contention"

@@ -2,7 +2,7 @@
 //! bottleneck — O1 strict multi-priority, O2 work conservation, and
 //! fluctuation management.
 
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use netsim::NoiseModel;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -21,7 +21,6 @@ fn strict_priority_and_reclaim() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(6),
-        trace: true,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });
@@ -30,7 +29,7 @@ fn strict_priority_and_reclaim() {
     // 1ms..~3ms (25 MB at 100G ~ 2ms alone).
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
 
     let hi_rec = &res.records[hi as usize];
     let hi_fct = hi_rec.fct().expect("high prio finishes").as_us_f64();
@@ -43,8 +42,7 @@ fn strict_priority_and_reclaim() {
 
     // While the high-priority flow runs (1.3ms..2.5ms), the low-priority
     // goodput must be near zero.
-    let lo_trace = &res.traces[&lo];
-    let lo_tput = lo_trace.throughput.series_gbps();
+    let lo_tput = goodput[lo as usize].series_gbps();
     let during = lo_tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
     assert!(
         during < 8.0,
@@ -72,7 +70,6 @@ fn work_conservation_solo() {
     let mut m = Micro::build(&MicroEnv {
         senders: 1,
         end: Time::from_ms(8),
-        trace: false,
         ..Default::default()
     });
     // Highest priority of 8: no probe, W_LS = 1 BDP.
@@ -91,18 +88,15 @@ fn suspended_flow_sends_probes_not_data() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(4),
-        trace: true,
         ..Default::default()
     });
     let cc = pp(2);
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let _hi = m.add_flow(2, 50_000_000, Time::from_ms(1), 0, 1, &cc);
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
     assert!(res.counters.probes > 3, "no probing happened");
     // The low-priority flow must deliver almost nothing during contention.
-    let lo_trace = &res.traces[&lo];
-    let tput = lo_trace.throughput.series_gbps();
-    let during = tput.window_mean(1_500.0, 3_800.0).unwrap_or(0.0);
+    let during = goodput_gbps(&goodput, &[lo], 1_500.0, 3_800.0);
     assert!(during < 5.0, "suspended flow delivered {during} Gbps");
 }
 
@@ -115,7 +109,6 @@ fn incast_delay_stays_near_target() {
     let mut m = Micro::build(&MicroEnv {
         senders,
         end: Time::from_ms(8),
-        trace: false,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });
@@ -126,7 +119,7 @@ fn incast_delay_stays_near_target() {
     for s in 1..=senders {
         m.add_flow(s, 3_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let (res, series) = m.run();
+    let MicroRun { res, series, .. } = m.run();
     let q = &series[0];
     // After convergence, mean queue should be near 250 KB (20us above base).
     let mean = q.window_mean(3_000.0, 8_000.0).unwrap();
@@ -151,7 +144,6 @@ fn eight_priorities_order_fcts() {
     let mut m = Micro::build(&MicroEnv {
         senders: 8,
         end: Time::from_ms(30),
-        trace: false,
         noise: NoiseModel::testbed(),
         ..Default::default()
     });

@@ -19,7 +19,6 @@ fn run_micro(
     let mut m = Micro::build(&MicroEnv {
         senders,
         end: Time::from_ms(50),
-        trace: false,
         noise: if noise {
             NoiseModel::testbed()
         } else {

@@ -1,7 +1,7 @@
 //! End-to-end behavior of the non-Swift transports: LEDBAT, HPCC, D2TCP,
 //! blast, and the PrioPlus+LEDBAT integration.
 
-use experiments::micro::{Micro, MicroEnv};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
 use netsim::SwitchConfig;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -11,7 +11,6 @@ fn ledbat_two_flows_share_and_complete() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(10),
-        trace: false,
         ..Default::default()
     });
     let cc = CcSpec::Ledbat {
@@ -34,7 +33,6 @@ fn hpcc_keeps_queue_near_zero_at_high_utilization() {
     let mut m = Micro::build(&MicroEnv {
         senders: 4,
         end: Time::from_ms(10),
-        trace: false,
         switch: SwitchConfig {
             int_enabled: true,
             ..Default::default()
@@ -46,7 +44,7 @@ fn hpcc_keeps_queue_near_zero_at_high_utilization() {
     for s in 1..=4 {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &CcSpec::Hpcc);
     }
-    let (_, series) = m.run();
+    let series = m.run().series;
     let q = &series[0];
     let tput = &series[1];
     let qmean = q.window_mean(3_000.0, 10_000.0).unwrap();
@@ -64,7 +62,6 @@ fn d2tcp_meets_deadline_alone() {
     let mut m = Micro::build(&MicroEnv {
         senders: 1,
         end: Time::from_ms(5),
-        trace: false,
         ..Default::default()
     });
     let id = m.add_flow(
@@ -88,7 +85,6 @@ fn blast_fills_the_link_immediately() {
     let mut m = Micro::build(&MicroEnv {
         senders: 1,
         end: Time::from_ms(3),
-        trace: false,
         ..Default::default()
     });
     m.add_flow(1, 12_500_000, Time::ZERO, 0, 0, &CcSpec::Blast);
@@ -105,7 +101,6 @@ fn prioplus_ledbat_strict_priority() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(6),
-        trace: true,
         ..Default::default()
     });
     let cc = CcSpec::PrioPlusLedbat {
@@ -113,13 +108,13 @@ fn prioplus_ledbat_strict_priority() {
     };
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
-    let res = m.sim.run();
+    let MicroRun { res, goodput, .. } = m.run();
     let hi_fct = res.records[hi as usize].fct().expect("hi done").as_us_f64();
     assert!(
         hi_fct < 2_800.0,
         "PrioPlus+LEDBAT high prio too slow: {hi_fct}"
     );
-    let tput = res.traces[&lo].throughput.series_gbps();
+    let tput = goodput[lo as usize].series_gbps();
     let during = tput.window_mean(1_300.0, 2_500.0).unwrap_or(0.0);
     assert!(during < 10.0, "LEDBAT low prio kept {during} Gbps");
     let after_end = res.records[hi as usize].finish.unwrap().as_us_f64();
@@ -136,7 +131,6 @@ fn weighted_swift_shares_by_weight() {
     let mut m = Micro::build(&MicroEnv {
         senders: 2,
         end: Time::from_ms(10),
-        trace: true,
         ..Default::default()
     });
     let lo = m.add_flow(
@@ -161,14 +155,8 @@ fn weighted_swift_shares_by_weight() {
             weight: 3.0,
         },
     );
-    let res = m.sim.run();
-    let g = |id: u32| {
-        res.traces[&id]
-            .throughput
-            .series_gbps()
-            .window_mean(4_000.0, 10_000.0)
-            .unwrap_or(0.0)
-    };
+    let goodput = m.run().goodput;
+    let g = |id: u32| goodput_gbps(&goodput, &[id], 4_000.0, 10_000.0);
     let (glo, ghi) = (g(lo), g(hi));
     let ratio = ghi / glo.max(1e-9);
     assert!(
@@ -189,7 +177,6 @@ fn weighted_priority_inversion_with_many_light_flows() {
     let mut m = Micro::build(&MicroEnv {
         senders: 9,
         end: Time::from_ms(10),
-        trace: true,
         ..Default::default()
     });
     let heavy = m.add_flow(
@@ -216,12 +203,7 @@ fn weighted_priority_inversion_with_many_light_flows() {
             },
         );
     }
-    let res = m.sim.run();
-    let gh = res.traces[&heavy]
-        .throughput
-        .series_gbps()
-        .window_mean(4_000.0, 10_000.0)
-        .unwrap_or(0.0);
+    let gh = goodput_gbps(&m.run().goodput, &[heavy], 4_000.0, 10_000.0);
     // Expected share 4/12 = 33 Gbps: the heavy flow does NOT get strict
     // priority (inversion), yet keeps more than a fair 1/9 share.
     assert!(gh < 60.0, "no inversion observed: heavy got {gh} Gbps");
@@ -235,7 +217,6 @@ fn mixed_transports_coexist_on_one_queue() {
     let mut m = Micro::build(&MicroEnv {
         senders: 3,
         end: Time::from_ms(20),
-        trace: false,
         switch: SwitchConfig {
             int_enabled: true,
             ..Default::default()
