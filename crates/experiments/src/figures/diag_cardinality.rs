@@ -2,8 +2,8 @@
 //! dynamics of low-priority PrioPlus elephants under bursty higher-priority
 //! interruptions — used to validate the stability of the #flow ratchet.
 
-use crate::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
-use crate::{Cell, Scale, Table};
+use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::{probe::Probed, Cell, Scale, Table};
 use netsim::NoiseModel;
 use simcore::{SimRng, Time};
 use transport::{CcSpec, PrioPlusPolicy};
@@ -37,7 +37,7 @@ pub(crate) fn diag_cardinality(_: Scale, _: usize) -> Vec<Table> {
         m.add_flow(sender, size, t, 0, prio, &cc);
         count += 1;
     }
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
     let mut table = Table::new(
         "diag_cardinality",
         format!("Diagnostic: 4 class-0 PrioPlus elephants under {count} higher-priority bursts"),

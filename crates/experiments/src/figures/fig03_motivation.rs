@@ -11,8 +11,8 @@
 //!   line-rate-start buffer spike and the min-rate signal-frequency
 //!   trade-offs (Observation 3).
 
-use crate::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
-use crate::{Cell, Scale, Table};
+use crate::micro::{goodput_gbps, Micro, MicroEnv};
+use crate::{probe::Probed, Cell, Scale, Table};
 use simcore::Time;
 use transport::CcSpec;
 
@@ -55,7 +55,7 @@ pub(crate) fn fig03a(_: Scale, _: usize) -> Vec<Table> {
             deadline_factor: Some(2.0),
         },
     );
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
     let ideal_us = size as f64 * 8.0 / 100e9 * 1e6 + 12.0;
 
     let mut t = Table::new(
@@ -137,7 +137,7 @@ pub(crate) fn fig03c(scale: Scale, _: usize) -> Vec<Table> {
         m.add_flow(s, 50_000_000, Time::ZERO, 0, 0, &lo_cc);
     }
     let hi = m.add_flow(n_low + 1, 50_000_000, Time::from_ms(2), 0, 1, &hi_cc);
-    let MicroRun {
+    let Probed {
         series, goodput, ..
     } = m.run();
     let q = &series[0];
@@ -191,7 +191,7 @@ pub(crate) fn fig03d(_: Scale, _: usize) -> Vec<Table> {
     let lo: Vec<u32> = (3..=4)
         .map(|s| m.add_flow(s, 40_000_000, Time::from_us(100), 0, 0, &lo_cc))
         .collect();
-    let MicroRun {
+    let Probed {
         series, goodput, ..
     } = m.run();
     let q = &series[0];

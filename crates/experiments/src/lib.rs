@@ -11,6 +11,8 @@
 //! - [`coflowsched`]: the coflow + file-request scenario (Fig 12ab, 15,
 //!   17, 18) and the leaf–spine [`mltrain`] runs on too;
 //! - [`mltrain`]: the ring all-reduce ML-cluster scenario (Fig 12c);
+//! - [`probe`]: port probes and per-flow goodput meters that read any of
+//!   them mid-run, from outside the simulator;
 //! - [`faults`]: the fault-regime comparison (link flaps and PFC pause
 //!   storms vs the fault-free reference, FCT + priority inversions);
 //! - [`hyperscale`]: the hyperscale scenario — large fat-tree / 3-tier+WAN
@@ -42,6 +44,7 @@ pub mod golden;
 pub mod hyperscale;
 pub mod micro;
 pub mod mltrain;
+pub mod probe;
 pub mod registry;
 pub mod report;
 pub mod sweep;

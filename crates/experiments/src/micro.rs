@@ -4,25 +4,18 @@
 //! switch→receiver port is the bottleneck. 100 Gbps links with 3 µs latency
 //! give the paper's ≈ 12 µs data-packet RTT.
 //!
-//! The bottleneck's queue and throughput over time (Fig 3c/d, Fig 10b–d,
-//! App. D) are read by probes that [`Micro::run`] takes between
-//! [`Sim::run_until`] steps. A probe at instant `t` reads the port after
-//! every event strictly before `t` and before any event at `t`.
-//!
-//! Each flow's goodput over time (Fig 3, 8, 10a, App. B) is metered on the
-//! same steps: [`Micro::run`] reads every flow's cumulative
-//! [`netsim::FlowRecord::delivered`] at each multiple of [`GOODPUT_BUCKET`]
-//! below the end of the run and once after it, and credits the bytes a
-//! flow gained between two readings to the bucket that starts at the
-//! first. A delivery at `t` thus lands in bucket `t / GOODPUT_BUCKET`,
-//! where [`ThroughputMeter::record`] would put it.
+//! [`Micro::run`] is [`probe::run`] with the bottleneck's queue and
+//! throughput probes (Fig 3c/d, Fig 10b–d, App. D) and every flow's goodput
+//! meter (Fig 3, 8, 10a, App. B); a per-ACK series comes from a wrapper
+//! transport ([`DelayLog`], Fig 9).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::probe::{self, Probe, Probed};
 use netsim::{
-    AckEvent, FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SimResult,
-    SwitchConfig, Topology, Transport, TransportCtx, TrySend,
+    AckEvent, FaultSchedule, FlowParams, FlowSpec, NoiseModel, Sim, SimConfig, SwitchConfig,
+    Topology, Transport, TransportCtx, TrySend,
 };
 use prioplus::PrioPlusConfig;
 use simcore::stats::{ThroughputMeter, TimeSeries};
@@ -72,9 +65,6 @@ impl Default for MicroEnv {
     }
 }
 
-/// Bucket of each flow's goodput meter ([`MicroRun::goodput`]).
-pub const GOODPUT_BUCKET: Time = Time::from_us(20);
-
 /// A built micro-benchmark simulation plus the ids needed to add flows, and
 /// the probes [`Micro::run`] samples the bottleneck with.
 pub struct Micro {
@@ -88,67 +78,6 @@ pub struct Micro {
     pub bottleneck_port: u16,
     /// Registered probes, in registration order.
     probes: Vec<Probe>,
-}
-
-/// A periodic reading of the bottleneck port: its backlog, or its
-/// throughput in Gbit/s over one period from the cumulative `tx_bytes`.
-struct Probe {
-    throughput: bool,
-    period: Time,
-    /// The next sample instant.
-    next: Time,
-    /// `tx_bytes` at the previous sample (0 before the first).
-    last_tx: u64,
-    series: TimeSeries,
-}
-
-/// Each flow's goodput meter, fed from its cumulative `delivered` read at
-/// every bucket boundary.
-struct Goodput {
-    /// Start of the bucket the bytes since the last reading go to.
-    from: Time,
-    /// Each flow's `delivered` at the last reading.
-    last: Vec<u64>,
-    meters: Vec<ThroughputMeter>,
-}
-
-impl Goodput {
-    fn new(flows: usize) -> Self {
-        Goodput {
-            from: Time::ZERO,
-            last: vec![0; flows],
-            meters: vec![ThroughputMeter::new(GOODPUT_BUCKET); flows],
-        }
-    }
-
-    /// The next bucket boundary.
-    fn next(&self) -> Time {
-        self.from + GOODPUT_BUCKET
-    }
-
-    /// Credit what each flow delivered since the last reading to the
-    /// current bucket, then move on to the next one.
-    fn read(&mut self, delivered: impl Iterator<Item = u64>) {
-        let flows = self.meters.iter_mut().zip(&mut self.last);
-        for ((meter, last), now) in flows.zip(delivered) {
-            if now > *last {
-                meter.record(self.from, now - *last);
-                *last = now;
-            }
-        }
-        self.from = self.next();
-    }
-}
-
-/// What [`Micro::run`] returns.
-pub struct MicroRun {
-    /// The simulation's result.
-    pub res: SimResult,
-    /// The probes' series, in registration order.
-    pub series: Vec<TimeSeries>,
-    /// The receiver goodput of each flow registered before the run, indexed
-    /// by flow id, in [`GOODPUT_BUCKET`]s.
-    pub goodput: Vec<ThroughputMeter>,
 }
 
 impl Micro {
@@ -219,88 +148,23 @@ impl Micro {
     /// `period`, which must be positive; returns the index of the series in
     /// [`Micro::run`]'s result.
     pub fn monitor_bottleneck_queue(&mut self, period: Time) -> usize {
-        self.add_probe(false, period)
+        let probe = Probe::queue(&self.sim, self.switch, self.bottleneck_port, period);
+        self.probes.push(probe);
+        self.probes.len() - 1
     }
 
     /// Sample the bottleneck's throughput in Gbit/s over each `period`, as
     /// [`Self::monitor_bottleneck_queue`] samples its queue.
     pub fn monitor_bottleneck_throughput(&mut self, period: Time) -> usize {
-        self.add_probe(true, period)
-    }
-
-    fn add_probe(&mut self, throughput: bool, period: Time) -> usize {
-        assert!(
-            period > Time::ZERO,
-            "Micro probe period = 0: it would step the same instant forever"
-        );
-        self.probes.push(Probe {
-            throughput,
-            period,
-            next: period,
-            last_tx: 0,
-            series: TimeSeries::new(),
-        });
+        let probe = Probe::throughput(&self.sim, self.switch, self.bottleneck_port, period);
+        self.probes.push(probe);
         self.probes.len() - 1
     }
 
-    /// Run to completion. Every probe samples at each multiple of its period
-    /// strictly below the end of the run, and every flow registered so far
-    /// is metered (see the module doc).
-    ///
-    /// # Panics
-    /// Panics if the clock of `sim` (stepped by hand) has already reached
-    /// the first sample or meter reading: that reading would see later
-    /// state.
-    pub fn run(mut self) -> MicroRun {
-        let mut goodput = Goodput::new(self.sim.flows_registered() as usize);
-        let series = self.sample(&mut goodput);
-        let res = self.sim.run();
-        goodput.read(res.records.iter().map(|r| r.delivered));
-        MicroRun {
-            res,
-            series,
-            goodput: goodput.meters,
-        }
-    }
-
-    /// Step the run to every sample instant and bucket boundary before its
-    /// end, taking the probes and meter readings due there; the probes'
-    /// series, in registration order.
-    fn sample(&mut self, goodput: &mut Goodput) -> Vec<TimeSeries> {
-        let due = |probes: &[Probe], goodput: &Goodput| {
-            let probes = probes.iter().map(|p| p.next);
-            probes.fold(goodput.next(), Time::min)
-        };
-        let (now, first) = (self.sim.now(), due(&self.probes, goodput));
-        assert!(
-            now < first,
-            "Micro::run: the clock is at {now}, not before the first sample at {first}"
-        );
-        let end = self.sim.config().end_time;
-        loop {
-            let t = due(&self.probes, goodput);
-            if t >= end {
-                break;
-            }
-            self.sim.run_until(t);
-            if goodput.next() == t {
-                let flows = 0..goodput.meters.len() as u32;
-                goodput.read(flows.map(|f| self.sim.record(f).delivered));
-            }
-            let port = self.sim.port(self.switch, self.bottleneck_port);
-            for p in self.probes.iter_mut().filter(|p| p.next == t) {
-                let value = if p.throughput {
-                    let delta = port.tx_bytes - p.last_tx;
-                    p.last_tx = port.tx_bytes;
-                    delta as f64 * 8.0 / p.period.as_secs_f64() / 1e9
-                } else {
-                    port.queued_bytes as f64
-                };
-                p.series.push(t, value);
-                p.next = t + p.period;
-            }
-        }
-        self.probes.drain(..).map(|p| p.series).collect()
+    /// Run to completion under [`probe::run`], with the registered probes
+    /// and every flow registered so far metered.
+    pub fn run(self) -> Probed {
+        probe::run(self.sim, self.probes)
     }
 }
 
@@ -317,7 +181,7 @@ pub fn testbed_env() -> MicroEnv {
 }
 
 /// Total goodput (Gbps) of `flows` over `[from_us, to_us)`, from their
-/// meters in `goodput` ([`MicroRun::goodput`]).
+/// meters in `goodput` ([`Probed::goodput`]).
 pub fn goodput_gbps(goodput: &[ThroughputMeter], flows: &[u32], from_us: f64, to_us: f64) -> f64 {
     flows
         .iter()
@@ -427,8 +291,10 @@ impl Transport for DelayLog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::probe::{sample, Goodput};
+    use netsim::SimResult;
 
     #[test]
     fn micro_base_rtt_is_about_12us() {
@@ -459,10 +325,10 @@ mod tests {
     /// A 1048-byte data packet serializes in exactly 100 ns at this rate, so
     /// while the bottleneck stays busy it sends a packet off at every
     /// multiple of 100 ns, each 5 µs sample instant included.
-    const ALIGNED: Rate = Rate::from_bps(83_840_000_000);
+    pub(crate) const ALIGNED: Rate = Rate::from_bps(83_840_000_000);
 
     /// Four Swift senders into the receiver at [`ALIGNED`] for 300 µs.
-    fn incast() -> Micro {
+    pub(crate) fn incast() -> Micro {
         let mut m = Micro::build(&MicroEnv {
             rate: ALIGNED,
             end: Time::from_us(300),
@@ -478,7 +344,7 @@ mod tests {
         m
     }
 
-    fn with_both_probes(mut m: Micro) -> Micro {
+    pub(crate) fn with_both_probes(mut m: Micro) -> Micro {
         m.monitor_bottleneck_queue(Time::from_us(5));
         m.monitor_bottleneck_throughput(Time::from_us(5));
         m
@@ -496,8 +362,9 @@ mod tests {
     fn sampling_is_observation_only() {
         let (plain_digest, plain) = finish(incast());
         let mut probed = with_both_probes(incast());
-        let series = probed.sample(&mut Goodput::new(4));
-        assert_eq!(series[0].len(), 59, "one sample per 5 µs below 300 µs");
+        sample(&mut probed.sim, &mut probed.probes, &mut Goodput::new(4));
+        let samples = probed.probes[0].series.len();
+        assert_eq!(samples, 59, "one sample per 5 µs below 300 µs");
         let (digest, res) = finish(probed);
         assert_eq!(digest, plain_digest, "probing moved the state digest");
         assert_eq!(format!("{:?}", res.records), format!("{:?}", plain.records));
@@ -505,30 +372,6 @@ mod tests {
             format!("{:?}", res.counters),
             format!("{:?}", plain.counters)
         );
-    }
-
-    /// A sample at `t` reads the port as `run_until(t)` leaves it: after
-    /// every event before `t`, before the dequeues [`ALIGNED`] puts at `t`.
-    #[test]
-    fn a_probe_reads_the_port_before_the_events_at_its_instant() {
-        let series = with_both_probes(incast()).run().series;
-        let mut by_hand = incast();
-        let period = Time::from_us(5);
-        let mut last_tx = 0;
-        for (k, (q, gbps)) in series[0].v.iter().zip(&series[1].v).enumerate() {
-            let t = Time::from_us(5 * (k as u64 + 1));
-            by_hand.sim.run_until(t);
-            let port = by_hand.sim.port(by_hand.switch, by_hand.bottleneck_port);
-            let delta = port.tx_bytes - last_tx;
-            last_tx = port.tx_bytes;
-            assert_eq!(*q, port.queued_bytes as f64, "queue at {t}");
-            assert_eq!(
-                *gbps,
-                delta as f64 * 8.0 / period.as_secs_f64() / 1e9,
-                "throughput at {t}"
-            );
-        }
-        assert!(series[0].v.iter().any(|&q| q > 0.0), "no backlog sampled");
     }
 
     /// Once the bottleneck is busy for good, every 5 µs at [`ALIGNED`] sends
@@ -548,74 +391,12 @@ mod tests {
     #[test]
     fn throughput_deltas_sum_to_the_cumulative_counter() {
         let mut m = with_both_probes(incast());
-        let series = m.sample(&mut Goodput::new(4));
-        let sent_bits = series[1].v.iter().sum::<f64>() * 1e9 * 5e-6;
+        sample(&mut m.sim, &mut m.probes, &mut Goodput::new(4));
+        let sent_bits = m.probes[1].series.v.iter().sum::<f64>() * 1e9 * 5e-6;
         let tx_bytes = m.sim.port(m.switch, m.bottleneck_port).tx_bytes;
         assert!(
             (sent_bits - tx_bytes as f64 * 8.0).abs() < 1e-3,
             "{sent_bits}"
         );
-    }
-
-    /// The bucket rule: a delivery at exactly `k · GOODPUT_BUCKET` lands in
-    /// bucket `k`, where [`ThroughputMeter::record`] puts it. The reference
-    /// steps the run by hand to every multiple of 100 ns and to 1 ps past
-    /// each boundary, and records what each step delivered at the step's
-    /// start: every delivery it covers falls in that start's bucket. At
-    /// [`ALIGNED`] the receiver takes packets exactly at the boundaries.
-    #[test]
-    fn a_delivery_on_a_bucket_boundary_lands_in_the_bucket_it_starts() {
-        let run = incast().run();
-        let mut by_hand = incast();
-        let mut reference = vec![ThroughputMeter::new(GOODPUT_BUCKET); 4];
-        let mut last = [0u64; 4];
-        let (mut from, mut on_boundary) = (Time::ZERO, 0);
-        let boundary = |t: Time| t.as_ps().is_multiple_of(GOODPUT_BUCKET.as_ps());
-        let steps = (1..3_000).map(|k| Time::from_ns(100 * k));
-        let steps = steps.flat_map(|t| [Some(t), boundary(t).then(|| t + Time::from_ps(1))]);
-        for to in steps.flatten().chain([Time::from_us(300)]) {
-            by_hand.sim.run_until(to);
-            for (f, (meter, last)) in reference.iter_mut().zip(&mut last).enumerate() {
-                let now = by_hand.sim.record(f as u32).delivered;
-                if now > *last {
-                    meter.record(from, now - *last);
-                    on_boundary += (to - from == Time::from_ps(1)) as usize;
-                    *last = now;
-                }
-            }
-            from = to;
-        }
-        assert!(on_boundary > 0, "no delivery on a bucket boundary");
-        assert_eq!(format!("{:?}", run.goodput), format!("{reference:?}"));
-        let records = run.res.records.iter();
-        let delivered = records.map(|r| r.delivered).collect::<Vec<_>>();
-        assert_eq!(delivered, last, "the reference saw every byte");
-    }
-
-    /// It would step the same instant forever.
-    #[test]
-    #[should_panic(expected = "Micro probe period = 0: it would step the same instant forever")]
-    fn probe_with_a_zero_period_is_refused() {
-        incast().monitor_bottleneck_queue(Time::ZERO);
-    }
-
-    /// `sim`, stepped by hand past the first sample instant, already holds
-    /// later state than that sample should read.
-    #[test]
-    #[should_panic(expected = "Micro::run: the clock is at")]
-    fn run_past_the_first_sample_instant_is_refused() {
-        let mut m = with_both_probes(incast());
-        m.sim.run_until(Time::from_us(20));
-        m.run();
-    }
-
-    /// The first meter reading, at `GOODPUT_BUCKET`, is due even without
-    /// probes; `sim` stepped past it holds later state than it should read.
-    #[test]
-    #[should_panic(expected = "Micro::run: the clock is at")]
-    fn run_past_the_first_meter_reading_is_refused() {
-        let mut m = incast();
-        m.sim.run_until(Time::from_us(21));
-        m.run();
     }
 }

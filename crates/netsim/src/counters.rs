@@ -11,6 +11,9 @@ pub struct SimCounters {
     pub events: u64,
     /// Data packets delivered end-to-end.
     pub data_delivered: u64,
+    /// Of those, duplicates: arrivals that added no byte to their flow's
+    /// `delivered` (a retransmission of data that had already arrived).
+    pub dup_data: u64,
     /// PFC pause frames emitted.
     pub pfc_pauses: u64,
     /// PFC resume frames emitted.
@@ -85,7 +88,7 @@ pub struct SimCounters {
 
 impl SimCounters {
     /// Fold the counters that event handlers bump during the run. The rest
-    /// are named and left out, each for one of two reasons given below; the
+    /// are named and left out, each for a reason given below; the
     /// destructuring has no `..`, so a new counter must pick a side.
     pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
         let SimCounters {
@@ -114,6 +117,10 @@ impl SimCounters {
             flows_reclaimed: _,
             flow_live_bytes_peak: _,
             sched_pops: _,
+            // A diagnostic no handler reads, so it decides nothing later;
+            // left out so that adding it moved no state digest, golden or
+            // `ppbench` digest.
+            dup_data: _,
             // Diagnostics of where the queue kept an entry, not of the
             // simulation: the digest names the same state whichever
             // container holds an entry.

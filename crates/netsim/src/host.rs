@@ -87,6 +87,7 @@ impl State {
             // receiver had every byte (`cum == size`) and a duplicate below
             // `cum` delivers no new bytes and never NACKs — so the event
             // sequence is bit-identical whether or not reclamation happened.
+            self.counters.dup_data += 1;
             (self.flows[fid as usize].record.size, false)
         } else {
             let flow = &mut self.flows[fid as usize];
@@ -94,6 +95,7 @@ impl State {
             // Without PFC the fabric drops, and the receiver NACKs gaps.
             let lossy = !run.env.switch_cfg.pfc_enabled;
             let nack = fl.recv.on_data(data.seq, data.payload as u64, lossy);
+            self.counters.dup_data += (flow.record.delivered == fl.recv.delivered) as u64;
             flow.record.delivered = fl.recv.delivered;
             if !fl.recv.done && fl.recv.cum >= flow.record.size {
                 fl.recv.done = true;

@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example custom_cc_integration`
 
-use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv};
+use experiments::probe::Probed;
 use netsim::{FlowSpec, Transport};
 use prioplus::{DelayCc, PrioPlusConfig};
 use simcore::Time;
@@ -100,7 +101,7 @@ fn main() {
 
     let lo = add(&mut m, 1, 40_000_000, Time::ZERO, 0);
     let hi = add(&mut m, 2, 20_000_000, Time::from_ms(1), 1);
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
 
     println!("custom CC + PrioPlus:");
     for (name, id) in [("low ", lo), ("high", hi)] {

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv};
+use experiments::probe::Probed;
 use netsim::NoiseModel;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -35,7 +36,7 @@ fn main() {
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
 
     // `Micro::run` also meters each flow's goodput in 20 µs buckets.
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
 
     println!("flow   prio  start     fct        delivered");
     for (name, id) in [("low", lo), ("high", hi)] {

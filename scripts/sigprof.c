@@ -1,7 +1,11 @@
 // LD_PRELOAD sampling profiler for a box without `perf`; see sample_profile.sh.
 // A ticker thread sleeps 100 µs and signals the main thread; the handler
 // stores the interrupted PC; at exit the PCs, minus the executable's load
-// base (so they match `nm` of a PIE binary), go to $SIGPROF_OUT in decimal.
+// base (so they match `nm` of a PIE binary), go to $SIGPROF_OUT in decimal,
+// and the load base and a copy of /proc/self/maps to $SIGPROF_OUT.maps, so
+// that the script can place samples outside the binary in their shared
+// object. Stdio only: a child process (system, popen) would inherit
+// LD_PRELOAD and run this destructor again.
 // setitimer(ITIMER_PROF) would be the usual clock, but it ticks at the
 // kernel's CONFIG_HZ: ~300 samples/s on this kernel, ~25x fewer than this.
 #define _GNU_SOURCE
@@ -51,11 +55,20 @@ __attribute__((constructor)) static void start(void) {
 }
 
 __attribute__((destructor)) static void stop(void) {
-    FILE *f;
+    FILE *f, *maps;
+    char path[4096], line[4096];
     if (!running) return;
     running = 0;
     pthread_join(ticker_thread, NULL);
     if (!(f = fopen(getenv("SIGPROF_OUT"), "w"))) return;
     for (unsigned long i = 0; i < n; i++) fprintf(f, "%lu\n", pcs[i] - base);
     fclose(f);
+    snprintf(path, sizeof path, "%s.maps", getenv("SIGPROF_OUT"));
+    if (!(maps = fopen("/proc/self/maps", "r"))) return;
+    if ((f = fopen(path, "w"))) {
+        fprintf(f, "base %lu\n", base);
+        while (fgets(line, sizeof line, maps)) fputs(line, f);
+        fclose(f);
+    }
+    fclose(maps);
 }

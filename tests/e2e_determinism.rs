@@ -1,14 +1,16 @@
 //! End-to-end determinism: the parallel sweep runner must produce results
 //! byte-identical to serial execution, regardless of worker count, and
-//! the micro harness's goodput metering must not change what a run does.
+//! the probe harness (port probes, goodput meters) must not change what a
+//! run does, on the micro bottleneck or on a fabric.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use experiments::flowsched::{self, FlowSchedConfig, FlowSchedResult};
 use experiments::micro::{DelayLog, Micro, MicroEnv};
+use experiments::probe::{self, Probe};
 use experiments::sweep::run_ordered;
-use experiments::Scheme;
+use experiments::{Scale, Scheme};
 use netsim::sim::App;
 use netsim::{AckEvent, AckKind, FlowId, NoiseModel, Sim, Transport, TransportCtx, TrySend};
 use simcore::stats::TimeSeries;
@@ -218,5 +220,71 @@ fn metering_only_observes() {
         let delivered = res.records[flow].delivered;
         assert_eq!(meter.total_bytes(), delivered, "flow {flow}: goodput");
         assert_eq!(delivered, res.records[flow].size, "flow {flow}: delivered");
+    }
+}
+
+/// Probing a fabric run only observes too. A fig11 PrioPlus run at quick
+/// scale (8 classes, its seed) under `probe::run`, with a queue and a
+/// throughput probe on a ToR uplink and every flow's goodput metered,
+/// gives the same records, counters, end time and state digest at every
+/// completion as the plain `Sim::run` of the same `flowsched::prepare`.
+/// Each flow's meter sums to what it delivered.
+#[test]
+fn probing_a_fabric_run_only_observes() {
+    let cfg = FlowSchedConfig {
+        seed: 28,
+        ..FlowSchedConfig::at(Scheme::PrioPlusSwift, 8, Scale::Quick)
+    };
+    let prepared = || {
+        let mut sim = flowsched::prepare(&cfg);
+        let digests = Rc::new(RefCell::new(Vec::new()));
+        sim.set_app(Box::new(Digests(digests.clone())));
+        (sim, digests)
+    };
+    let (sim, plain_digests) = prepared();
+    let plain = sim.run();
+    let (sim, digests) = prepared();
+    // Node 16 is pod 0's first ToR of the k = 4 fat-tree: its ports 0 and
+    // 1 face its hosts, 2 and 3 its pod's aggregation switches.
+    let (tor, uplink, period) = (16, 2, Time::from_us(50));
+    let probes = vec![
+        Probe::queue(&sim, tor, uplink, period),
+        Probe::throughput(&sim, tor, uplink, period),
+    ];
+    let run = probe::run(sim, probes);
+    let res = &run.res;
+    assert_eq!(format!("{:?}", res.records), format!("{:?}", plain.records));
+    assert_eq!(
+        format!("{:?}", res.counters),
+        format!("{:?}", plain.counters)
+    );
+    assert_eq!(res.end_time, plain.end_time);
+    let (digests, plain_digests) = (digests.take(), plain_digests.take());
+    let finished = res.records.iter().filter(|r| r.finish.is_some()).count();
+    assert_eq!(plain_digests.len(), finished, "a digest per completion");
+    assert_eq!(digests, plain_digests, "state digest at each completion");
+    let samples = (cfg.duration + cfg.duration).as_ps() / period.as_ps() - 1;
+    for series in &run.series {
+        assert_eq!(
+            series.len() as u64,
+            samples,
+            "one sample per period below the end"
+        );
+    }
+    assert!(
+        run.series[0].v.iter().any(|&q| q > 0.0),
+        "the uplink never queued"
+    );
+    assert!(
+        run.series[1].v.iter().any(|&g| g > 0.0),
+        "the uplink sent nothing"
+    );
+    assert_eq!(run.goodput.len(), res.records.len());
+    for (flow, (meter, record)) in run.goodput.iter().zip(&res.records).enumerate() {
+        assert_eq!(
+            meter.total_bytes(),
+            record.delivered,
+            "flow {flow}: goodput"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! PFC (lossless) and lossy-mode end-to-end behavior.
 
-use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv};
+use experiments::probe::Probed;
 use netsim::{AckPriority, FlowSpec, Sim, SimConfig, SwitchConfig, Topology};
 use simcore::{Rate, Time};
 use transport::CcSpec;
@@ -133,7 +134,7 @@ fn physical_priorities_isolate() {
     };
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &swift);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 1, 1, &swift);
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
     let hi_fct = res.records[hi as usize].fct().expect("hi done").as_us_f64();
     assert!(
         hi_fct < 2_600.0,

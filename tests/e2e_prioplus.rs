@@ -2,7 +2,8 @@
 //! bottleneck — O1 strict multi-priority, O2 work conservation, and
 //! fluctuation management.
 
-use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv};
+use experiments::probe::Probed;
 use netsim::NoiseModel;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -29,7 +30,7 @@ fn strict_priority_and_reclaim() {
     // 1ms..~3ms (25 MB at 100G ~ 2ms alone).
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
 
     let hi_rec = &res.records[hi as usize];
     let hi_fct = hi_rec.fct().expect("high prio finishes").as_us_f64();
@@ -93,7 +94,7 @@ fn suspended_flow_sends_probes_not_data() {
     let cc = pp(2);
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let _hi = m.add_flow(2, 50_000_000, Time::from_ms(1), 0, 1, &cc);
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
     assert!(res.counters.probes > 3, "no probing happened");
     // The low-priority flow must deliver almost nothing during contention.
     let during = goodput_gbps(&goodput, &[lo], 1_500.0, 3_800.0);
@@ -119,7 +120,7 @@ fn incast_delay_stays_near_target() {
     for s in 1..=senders {
         m.add_flow(s, 3_000_000, Time::ZERO, 0, 4, &cc);
     }
-    let MicroRun { res, series, .. } = m.run();
+    let Probed { res, series, .. } = m.run();
     let q = &series[0];
     // After convergence, mean queue should be near 250 KB (20us above base).
     let mean = q.window_mean(3_000.0, 8_000.0).unwrap();

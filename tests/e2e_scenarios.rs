@@ -300,3 +300,31 @@ fn lossy_coflow_fabric_drops_and_retransmits_without_congestion_control() {
     let split = coflowsched::assemble(&plan, &res);
     assert_eq!(coflow_bits(&split), coflow_bits(&straight));
 }
+
+/// Physical+Swift retransmits without losing a packet on the lossless
+/// coflow fabric: its timeouts fire on data that is still in flight, and
+/// the copy arrives after the original. Each such arrival adds no byte to
+/// its flow's `delivered` and counts in `dup_data`, which the
+/// retransmissions bound. PrioPlus+Swift retransmits nothing here, so it
+/// counts none. In a 900 µs window none of Physical+Swift's 378
+/// retransmissions has arrived when the run ends; in this 2 ms window
+/// every one of its 1,149 has.
+#[test]
+fn spurious_retransmissions_arrive_as_duplicates() {
+    let run = |scheme| {
+        let cfg = CoflowConfig {
+            duration: Time::from_ms(2),
+            ..CoflowConfig::new(scheme, 0.7)
+        };
+        let res = coflowsched::prepare(&cfg).0.run();
+        let retransmits: u64 = res.records.iter().map(|r| r.retransmits).sum();
+        (res.counters.drops, res.counters.dup_data, retransmits)
+    };
+    let (drops, dups, retransmits) = run(Scheme::PhysicalSwift);
+    assert_eq!(drops, 0, "the lossless fabric dropped");
+    assert!(
+        0 < dups && dups <= retransmits,
+        "{dups} duplicates for {retransmits} retransmissions"
+    );
+    assert_eq!(run(Scheme::PrioPlusSwift), (0, 0, 0));
+}

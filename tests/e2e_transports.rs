@@ -1,7 +1,8 @@
 //! End-to-end behavior of the non-Swift transports: LEDBAT, HPCC, D2TCP,
 //! blast, and the PrioPlus+LEDBAT integration.
 
-use experiments::micro::{goodput_gbps, Micro, MicroEnv, MicroRun};
+use experiments::micro::{goodput_gbps, Micro, MicroEnv};
+use experiments::probe::Probed;
 use netsim::SwitchConfig;
 use simcore::Time;
 use transport::{CcSpec, PrioPlusPolicy};
@@ -108,7 +109,7 @@ fn prioplus_ledbat_strict_priority() {
     };
     let lo = m.add_flow(1, 50_000_000, Time::ZERO, 0, 0, &cc);
     let hi = m.add_flow(2, 25_000_000, Time::from_ms(1), 0, 1, &cc);
-    let MicroRun { res, goodput, .. } = m.run();
+    let Probed { res, goodput, .. } = m.run();
     let hi_fct = res.records[hi as usize].fct().expect("hi done").as_us_f64();
     assert!(
         hi_fct < 2_800.0,
