@@ -8,7 +8,7 @@
 //! sketches; no per-flow record vectors are kept.
 //!
 //! Also reports the memory-scaling counters: peak live flows vs total flow
-//! lifetimes, and the peak resident budget (flow slab + packet arena).
+//! lifetimes, and the peak resident budget (live flow state + packet arena + event queue).
 
 use crate::hyperscale::{self, HyperScheme, HyperTopo, HyperscaleConfig};
 use crate::{Cell, Scale, Table};

@@ -4,10 +4,12 @@
 //!
 //! Three memory-scaling mechanisms make this run in a bounded footprint:
 //!
-//! - arrivals stream through `netsim`'s [`ArrivalSource`] hook, so resident
-//!   flow registrations track the look-ahead window, not the trace;
-//! - per-flow transport/reassembly state lives in the simulator's flow slab
-//!   and is reclaimed at completion (memory ∝ concurrent flows);
+//! - arrivals stream through `netsim`'s [`ArrivalSource`] hook, so the
+//!   trace is never materialised: only the source's look-ahead window of
+//!   specs is held, and a flow is registered when it starts;
+//! - a flow's transport/reassembly state is dropped at completion (memory
+//!   ∝ concurrent flows); what stays per registered flow is its fixed-size
+//!   record in the simulator's flow table;
 //! - FCT/slowdown quantiles come from integer-bucketed streaming sketches
 //!   ([`netsim::StreamingStats`]) folded at completion — `SimResult.records`
 //!   stays empty.
@@ -156,10 +158,8 @@ pub struct HyperscaleResult {
     pub fct_top_class_us: Quantiles,
     /// Slowdown quantiles (×, from milli-unit sketches).
     pub slowdown: Quantiles,
-    /// Peak concurrent flows holding live slab state.
+    /// Peak concurrent flows holding live state.
     pub flow_live_peak: u64,
-    /// Flow-slab slots ever allocated.
-    pub flow_slab_slots: u64,
     /// Flows whose live state was reclaimed at completion.
     pub flows_reclaimed: u64,
     /// Peak resident bytes of live flow state.
@@ -314,7 +314,6 @@ pub fn assemble(result: &SimResult) -> HyperscaleResult {
         fct_top_class_us: q(&top, 1e6),
         slowdown: q(&st.slowdown_milli, 1e3),
         flow_live_peak: c.flow_live_peak,
-        flow_slab_slots: c.flow_slab_slots,
         flows_reclaimed: c.flows_reclaimed,
         flow_live_bytes_peak: c.flow_live_bytes_peak,
         sched_pending_peak: c.sched_pending_peak,

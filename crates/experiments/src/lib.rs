@@ -16,7 +16,7 @@
 //! - [`faults`]: the fault-regime comparison (link flaps and PFC pause
 //!   storms vs the fault-free reference, FCT + priority inversions);
 //! - [`hyperscale`]: the hyperscale scenario — large fat-tree / 3-tier+WAN
-//!   fabrics, open-loop streamed arrivals, slab-reclaimed flow state, and
+//!   fabrics, open-loop streamed arrivals, flow state reclaimed at completion, and
 //!   streaming quantile sketches instead of per-flow records;
 //! - [`report`]: the [`Table`] a figure returns — rows of typed [`Cell`]s
 //!   that print one way, as aligned plain text plus JSON rows, so

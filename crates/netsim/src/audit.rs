@@ -96,9 +96,9 @@ pub enum ViolationKind {
     /// (`detect_pause_cycle`). Reported once per deadlock
     /// episode; re-armed when the cycle clears.
     PfcDeadlock,
-    /// A completed, deactivated flow still holds a live slot in the
-    /// flow-state slab: reclamation was skipped, so transport + reassembly
-    /// state is leaking. Checked on every flow an event touches, and over
+    /// A completed, deactivated flow still holds its live state, or the
+    /// flows holding it do not number `flows registered − flows_reclaimed`:
+    /// reclamation was skipped, so transport + reassembly state is leaking. Checked on every flow an event touches, and over
     /// the whole flow table where a run stops.
     FlowStateLeak,
 }

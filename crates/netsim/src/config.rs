@@ -33,8 +33,8 @@ pub enum Buggify {
     /// to the audit's conservation tallies, breaking the
     /// `drops + fault_link_drops == audited drops` identity.
     FaultDropUnaccounted,
-    /// Flow completion skips releasing the flow's live-state slab slot
-    /// (transport + reassembly state), leaking per-flow memory that the
+    /// Flow completion skips releasing the flow's live state (transport +
+    /// reassembly), leaking per-flow memory that the
     /// hyperscale scenarios depend on reclaiming. Caught by the audit's
     /// check of the flows the finishing event touched
     /// ([`crate::audit::ViolationKind::FlowStateLeak`]).

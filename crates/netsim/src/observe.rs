@@ -144,9 +144,6 @@ impl Observers {
     /// completions awaiting the `App` (an absent buffer folds as an empty
     /// one) and the sketches. Not the audit (see [`Self::audit`]).
     pub(crate) fn fold_digest(&self, fold: &mut impl FnMut(u64)) {
-        // The slot of the removed per-flow traces' count: a constant 0 keeps
-        // every digest equal to that of builds which had them, untraced.
-        fold(0);
         let completed = self.completed.as_deref().unwrap_or_default();
         fold(completed.len() as u64);
         completed.iter().for_each(|&f| fold(f as u64));
@@ -208,15 +205,15 @@ fn audit_checks(a: &mut Audit, st: &State, env: &Env) {
 }
 
 /// One flow's invariants: its transport's own, delivery within its size,
-/// and no slab slot held once it finished and went inactive.
+/// and no live state held once it finished and went inactive.
 fn check_flow(a: &mut Audit, st: &State, fid: FlowId) {
     let f = &st.flows[fid as usize];
-    if f.live != u32::MAX {
-        if let Err(msg) = st.live.get(f.live).transport.check_invariants() {
+    if let Some(fl) = &f.live {
+        if let Err(msg) = fl.transport.check_invariants() {
             a.report(ViolationKind::TransportSanity, At::Flow(fid), msg);
         }
         if let (false, Some(end)) = (f.active, f.record.finish) {
-            let msg = format!("finished at {end}, still holds slab slot {}", f.live);
+            let msg = format!("finished at {end}, still holds its live state");
             a.report(ViolationKind::FlowStateLeak, At::Flow(fid), msg);
         }
     }
@@ -231,8 +228,8 @@ fn check_flow(a: &mut Audit, st: &State, fid: FlowId) {
 }
 
 /// The audit's O(state) scan where a run stops: every switch scanned,
-/// then conservation, the event queue, every flow, slab occupancy and
-/// arena references, in that order.
+/// then conservation, the event queue, every flow, the count of flows
+/// holding live state and arena references, in that order.
 pub(crate) fn stop_scan(a: &mut Audit, st: &State) {
     a.on_stop();
     let mut buffered_data = 0u64;
@@ -247,15 +244,15 @@ pub(crate) fn stop_scan(a: &mut Audit, st: &State) {
     }
     let mut resident = 0u64;
     for (fid, f) in st.flows.iter().enumerate() {
-        resident += (f.live != u32::MAX) as u64;
+        resident += f.live.is_some() as u64;
         check_flow(a, st, fid as FlowId);
     }
-    if resident != st.live.occupancy {
-        let occ = st.live.occupancy;
+    let (total, reclaimed) = (st.flows.len() as u64, st.counters.flows_reclaimed);
+    if resident + reclaimed != total {
         a.report(
             ViolationKind::FlowStateLeak,
             At::Flow(0),
-            format!("flow slab occupancy {occ} != {resident} resident live slots"),
+            format!("{resident} flows hold live state, {reclaimed} reclaimed, {total} registered"),
         );
     }
     // Arena accounting: every live slot must be referenced exactly once

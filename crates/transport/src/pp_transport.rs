@@ -16,6 +16,13 @@ pub const PROBE_TOKEN: u64 = 0x9205E;
 /// the original CC's RTO", §4.2.1).
 pub const PROBE_RTO_TOKEN: u64 = 0x9205F;
 
+/// How long a probe's echo may take before the probe is sent again: three
+/// times the last measured delay plus eight base RTTs, in integer
+/// picoseconds.
+fn probe_rto(last_delay: Time, base_rtt: Time) -> Time {
+    Time::from_ps(3 * last_delay.as_ps() + 8 * base_rtt.as_ps())
+}
+
 /// A transport enhanced with PrioPlus virtual priority.
 #[derive(Debug)]
 pub struct PrioPlusTransport<C: DelayCc> {
@@ -154,8 +161,7 @@ impl<C: DelayCc> Transport for PrioPlusTransport<C> {
                 if let Some(id) = self.probe_rto_timer.take() {
                     ctx.cancel_timer(id);
                 }
-                let deadline =
-                    self.last_delay.mul_f64(3.0) + self.pp.config().base_rtt.mul_f64(8.0);
+                let deadline = probe_rto(self.last_delay, self.pp.config().base_rtt);
                 self.probe_rto_timer =
                     Some(ctx.schedule_timer(ctx.now + deadline, PROBE_RTO_TOKEN));
             }
@@ -192,7 +198,7 @@ impl<C: DelayCc> Transport for PrioPlusTransport<C> {
 mod tests {
     use super::*;
     use crate::fixtures::{ack, params};
-    use netsim::Event;
+    use netsim::{Event, FlowParams};
     use prioplus::cc::SimpleAimd;
     use simcore::{EventQueue, Rate};
 
@@ -228,6 +234,35 @@ mod tests {
         AckEvent {
             kind: AckKind::Probe,
             ..ack(0, 0, delay_us)
+        }
+    }
+
+    /// [`SenderBase::rto`] and [`probe_rto`] are integer picoseconds where
+    /// they were `Time::mul_f64` products. Over a grid of srtt (or last
+    /// delay) and base RTT from 1 ps to past 2^46 ps, and every backoff,
+    /// both equal the float expressions they replaced, so no timer moves.
+    #[test]
+    fn integer_timeouts_equal_the_float_products_they_replaced() {
+        let grid: Vec<u64> = (0..=46)
+            .step_by(2)
+            .flat_map(|k| [1u64 << k, (1u64 << k) | 0x2_4b7d])
+            .collect();
+        for &a in &grid {
+            for &b in &grid {
+                let (a, b) = (Time::from_ps(a), Time::from_ps(b));
+                assert_eq!(probe_rto(a, b), a.mul_f64(3.0) + b.mul_f64(8.0));
+                let mut s = SenderBase::new(FlowParams {
+                    base_rtt: b,
+                    ..params(1_000)
+                });
+                s.srtt = a;
+                let base = (a.mul_f64(4.0) + b.mul_f64(8.0)).max(Time::from_us(100));
+                for backoff in 0..=8 {
+                    s.rto_backoff = backoff;
+                    let old = base.mul_f64((1u64 << backoff) as f64);
+                    assert_eq!(s.rto(), old, "srtt {a}, base_rtt {b}, backoff {backoff}");
+                }
+            }
         }
     }
 

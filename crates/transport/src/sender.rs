@@ -352,10 +352,11 @@ impl SenderBase {
 
     /// Retransmission timeout duration: generous so it only fires on real
     /// trailing loss (the simulator is lossless unless PFC is disabled).
+    /// `(4·srtt + 8·base_rtt).max(100 µs) << backoff`, in integer
+    /// picoseconds.
     pub fn rto(&self) -> Time {
-        let base =
-            (self.srtt.mul_f64(4.0) + self.params.base_rtt.mul_f64(8.0)).max(Time::from_us(100));
-        base.mul_f64((1u64 << self.rto_backoff.min(8)) as f64)
+        let base = 4 * self.srtt.as_ps() + 8 * self.params.base_rtt.as_ps();
+        Time::from_ps(base.max(Time::from_us(100).as_ps()) << self.rto_backoff.min(8))
     }
 
     /// Audit hook: sequence- and timer-state sanity shared by every
@@ -653,7 +654,7 @@ mod tests {
         assert_eq!(b.acked, 1000);
     }
 
-    /// `FlowSlab::entry_bytes` (netsim) counts the transport's inline size,
+    /// `FlowLive::entry_bytes` (netsim) counts the transport's inline size,
     /// so it reaches every state digest and `fig_hyperscale`'s `peak MB`. A
     /// container that is larger than the 24 bytes of `rtx_pending` (a
     /// `VecDeque` is 32) would change them all; this fails first.

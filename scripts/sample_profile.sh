@@ -97,13 +97,19 @@ done
 if [[ $MODE != symbol ]]; then
   # `-a` heads each sample's frames with its address; frames come innermost
   # first, one `function` line and one `file:line` line each. The standard
-  # library's are the ones whose file is under /rustc/; `??` is no debug info.
+  # library's are the ones whose file is under /rustc/; `??` is no line
+  # info. Neither drops a frame whose function is in one of the
+  # repository's crates (`netsim::…`, `<transport::… as …>::…`): std code
+  # inlined without an inline record reads as the function it was inlined
+  # into at a /rustc/ line, and a prologue has no line at all.
+  CRATES=$(sed -n '/^\[package\]/,/^\[/ s/^name = "\(.*\)"/\1/p' crates/*/Cargo.toml ppbench/Cargo.toml | paste -sd '|')
   awk '{ printf "0x%x\n", $1 }' "$PCS" | addr2line -a -i -f -C -e "$BIN" |
-    awk -v mode="$MODE" \
+    awk -v mode="$MODE" -v ours="^<?($CRATES)::" \
         'function file() { if (seen) count[n ? (mode == "innermost" || n == 1 ? fr[0] : fr[n-1] " > " fr[n-2]) : total in outside ? outside[total] : "[no repository frame] " inner]++ }
          FILENAME != "-" { i = $1; $1 = ""; sub(/^ +/, ""); outside[i] = $0; next }
          /^0x[0-9a-f]+$/ { file(); seen = 1; n = 0; inner = ""; total++; next }
-         { fn = $0; getline loc; if (inner == "") inner = fn; if (loc !~ /^\/rustc\// && loc !~ /^\?\?/) fr[n++] = fn }
+         { fn = $0; getline loc; if (inner == "") inner = fn
+           if (fn ~ ours || loc !~ /^(\/rustc\/|\?\?)/) fr[n++] = fn }
          END { file()
                for (f in count) printf "%7d %5.1f %%  %s\n", count[f], 100 * count[f] / total, f
                printf "%7d samples\n", total > "/dev/stderr" }' "$OUTSIDE" - |

@@ -112,7 +112,7 @@ fn tamper_fleet_packet_run_counters_and_rng() {
 /// Completeness fleet, part 1b: with no flow in flight there is no
 /// reassembly state to tamper with.
 #[test]
-fn tamper_fleet_idle_flow_slab() {
+fn tamper_fleet_no_live_flow() {
     let idle = || Micro::build(&MicroEnv::default()).sim;
     let (landed, before, after) = tampered(idle, Time::ZERO, StateTamper::FlowRecv);
     assert!(!landed, "FlowRecv cannot land with no flow in flight");

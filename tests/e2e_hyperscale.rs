@@ -9,8 +9,8 @@
 //!   identical run);
 //! - **Bit-identity**: the open-loop run's full streaming state and its
 //!   counters reproduce exactly on a rerun;
-//! - **Flow-state reclamation**: completed flows release their slab slot
-//!   (occupancy returns to zero in drained runs), and the audit deep
+//! - **Flow-state reclamation**: completed flows release their live state
+//!   (no flow holds any at the end of a drained run), and the audit deep
 //!   scan's flow-state sweep catches the injected
 //!   [`Buggify::FlowReclaimLeak`] regression.
 
@@ -184,7 +184,7 @@ fn streaming_sketches_match_exact_records_of_the_same_run() {
 
 #[test]
 fn open_loop_hyperscale_runs_across_backends_bit_identically() {
-    // The full stack — open-loop injection, slab reclamation, streaming
+    // The full stack — open-loop injection, flow-state reclamation, streaming
     // sketches — on the downscaled hyperscale config, run twice.
     let run = || {
         let cfg = HyperscaleConfig {
@@ -253,7 +253,7 @@ fn hyperscale_runs_on_the_three_tier_wan_fabric() {
 }
 
 /// Closed two-host run where every flow finishes well before `end_time`,
-/// so the slab must drain completely.
+/// so every flow's live state must be released.
 fn drained_run(buggify: Option<Buggify>) -> SimResult {
     let topo = Topology::fat_tree(4, simcore::Rate::from_gbps(100), Time::from_us(1));
     let hosts = topo.hosts.clone();
@@ -288,23 +288,20 @@ fn drained_run(buggify: Option<Buggify>) -> SimResult {
 }
 
 #[test]
-fn flow_slab_drains_to_zero_when_every_flow_completes() {
+fn live_flow_state_drains_to_zero_when_every_flow_completes() {
     let res = drained_run(None);
     assert_eq!(res.completion_rate(), 1.0);
     let c = &res.counters;
     assert_eq!(c.flows_total, 12);
     assert_eq!(
         c.flows_reclaimed, c.flows_total,
-        "every completed flow must release its slab slot"
+        "every completed flow must release its live state"
     );
-    // Up-front registration allocates every slab slot before the first
-    // completion, so peak == total here; the open-loop test above is the
-    // one that pins peak << total. What matters in the closed case is the
-    // *drain*: reclaimed == total means end-of-run occupancy is zero.
-    assert_eq!(
-        c.flow_slab_slots, c.flow_live_peak,
-        "slots beyond peak mean slot leaks"
-    );
+    // Up-front registration gives every flow its live state before the
+    // first completion, so peak == total here; the open-loop test above is
+    // the one that pins peak << total. What matters in the closed case is
+    // the *drain*: reclaimed == total means no flow holds any at the end.
+    assert_eq!(c.flow_live_peak, c.flows_total);
     assert!(c.flow_live_bytes_peak > 0);
     let report = res.audit.as_ref().expect("audit enabled");
     assert_eq!(
@@ -339,7 +336,7 @@ fn injected_reclamation_leak_is_caught_by_the_audit_sweep() {
 #[test]
 fn retransmit_counts_survive_reclamation() {
     // Lossy small-buffer run: drops force retransmissions; the copy taken
-    // at slab release must preserve the per-flow retransmit count in the
+    // at release must preserve the per-flow retransmit count in the
     // records.
     let topo = Topology::fat_tree(4, simcore::Rate::from_gbps(100), Time::from_us(1));
     let hosts = topo.hosts.clone();

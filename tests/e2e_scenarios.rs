@@ -151,7 +151,6 @@ fn hyperscale_bits(r: &hyperscale::HyperscaleResult) -> Vec<u64> {
         r.finished_bytes,
         r.events,
         r.flow_live_peak,
-        r.flow_slab_slots,
         r.flows_reclaimed,
         r.flow_live_bytes_peak,
         r.sched_pending_peak,
